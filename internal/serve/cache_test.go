@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -399,6 +403,81 @@ func TestDigestCanonicalization(t *testing.T) {
 	tall := tensor.New(4, 1)
 	if digest("v", wide) == digest("v", tall) {
 		t.Fatal("1×4 and 4×1 zero tensors share a digest")
+	}
+}
+
+// digestPerValue is digest as it was before it hashed by the block: one
+// eight-byte write per value. The key bytes are a contract — they must not
+// move when the hashing strategy does.
+func digestPerValue(version string, x *tensor.Tensor) cacheKey {
+	h := sha256.New()
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], uint64(len(version)))
+	h.Write(buf[:])
+	h.Write([]byte(version))
+	binary.LittleEndian.PutUint64(buf[:], uint64(x.Shape[0]))
+	h.Write(buf[:])
+	binary.LittleEndian.PutUint64(buf[:], uint64(x.Shape[1]))
+	h.Write(buf[:])
+	for _, v := range x.Data {
+		bits := math.Float64bits(v)
+		if v == 0 {
+			bits = 0 // -0.0 → +0.0
+		} else if bits&^(1<<63) > 0x7FF0000000000000 {
+			bits = canonicalNaN
+		}
+		binary.LittleEndian.PutUint64(buf[:], bits)
+		h.Write(buf[:])
+	}
+	var key cacheKey
+	h.Sum(key[:0])
+	return key
+}
+
+// TestDigestKeyBytesUnchanged compares the block-wise digest with the
+// per-value one over random tensors salted with ±0, infinities and NaNs of
+// every payload, at sizes on both sides of every block boundary.
+func TestDigestKeyBytesUnchanged(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sizes := []int{1, 2, 7, digestBlock - 1, digestBlock, digestBlock + 1, 2*digestBlock - 1, 2 * digestBlock, 2*digestBlock + 1, 16 * 784}
+	for _, n := range sizes {
+		for _, rows := range []int{1, n} {
+			x := tensor.New(rows, n/rows)
+			for i := range x.Data {
+				switch rng.Intn(6) {
+				case 0:
+					x.Data[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				case 1: // exponent all ones: ±Inf, and NaNs quiet and signalling
+					x.Data[i] = math.Float64frombits(0x7FF<<52 | rng.Uint64()&(1<<63|1<<52-1))
+				default:
+					x.Data[i] = math.Float64frombits(rng.Uint64())
+				}
+			}
+			for _, version := range []string{"", "v1", strings.Repeat("long-version-", 50)} {
+				if got, want := digest(version, x), digestPerValue(version, x); got != want {
+					t.Fatalf("%d×%d under %q: key %x, per-value key %x", rows, n/rows, version, got, want)
+				}
+			}
+		}
+	}
+	nans := tensor.New(1, 2)
+	nans.Data[0], nans.Data[1] = math.Float64frombits(0x7FF0000000000001), 1
+	other := tensor.New(1, 2)
+	other.Data[0], other.Data[1] = math.Float64frombits(0xFFF8000000000123), 1
+	if digest("v", nans) != digest("v", other) {
+		t.Fatal("two NaN payloads hash differently")
+	}
+}
+
+// BenchmarkDigest is the cache key of a full batch: go test -bench Digest ./internal/serve.
+func BenchmarkDigest(b *testing.B) {
+	x := tensor.New(16, 784)
+	for i := range x.Data {
+		x.Data[i] = float64(i%256) / 255
+	}
+	b.SetBytes(int64(len(x.Data) * 8))
+	for i := 0; i < b.N; i++ {
+		digest("bundle-hash", x)
 	}
 }
 

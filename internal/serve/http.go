@@ -4,32 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
 	"time"
-
-	"github.com/teamnet/teamnet/internal/tensor"
 )
 
 // maxPredictBody bounds a predict request's JSON payload. At 8 MiB it fits
 // thousands of MNIST-sized rows — far past MaxBatch — while keeping a
-// hostile client from ballooning the decoder.
+// hostile client from ballooning the decoder. A longer body is answered 413.
 const maxPredictBody = 8 << 20
-
-// PredictRequest is the JSON body of POST /predict. X is row-major:
-// X[i] is one sample's feature vector; all rows must share one width.
-type PredictRequest struct {
-	// X holds the input rows. Required, non-empty.
-	X [][]float64 `json:"x"`
-	// TimeoutMS optionally bounds this request end to end, overriding the
-	// gateway's DefaultTimeout. Zero defers to the gateway.
-	TimeoutMS int `json:"timeout_ms,omitempty"`
-	// Priority selects the admission lane: "" or "normal", or "high".
-	Priority string `json:"priority,omitempty"`
-}
 
 // PredictResponse is the JSON reply: one entry per input row.
 type PredictResponse struct {
@@ -66,64 +50,12 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// ParsePredict decodes and validates a predict request body into the input
-// tensor and options. It rejects — with an error safe to echo to the
-// client — empty bodies, trailing garbage, ragged or empty rows, non-finite
-// values (NaN and ±Inf would poison a softmax downstream), and negative
-// timeouts. maxRows bounds the row count (the gateway's MaxBatch).
-func ParsePredict(body io.Reader, maxRows int) (*tensor.Tensor, Options, time.Duration, error) {
-	var req PredictRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, Options{}, 0, fmt.Errorf("bad request body: %v", err)
-	}
-	if dec.More() {
-		return nil, Options{}, 0, errors.New("bad request body: trailing data after JSON object")
-	}
-	if len(req.X) == 0 {
-		return nil, Options{}, 0, errors.New("x must contain at least one row")
-	}
-	if maxRows > 0 && len(req.X) > maxRows {
-		return nil, Options{}, 0, fmt.Errorf("x has %d rows; this gateway accepts at most %d per request", len(req.X), maxRows)
-	}
-	width := len(req.X[0])
-	if width == 0 {
-		return nil, Options{}, 0, errors.New("x rows must be non-empty feature vectors")
-	}
-	for i, row := range req.X {
-		if len(row) != width {
-			return nil, Options{}, 0, fmt.Errorf("ragged input: row 0 has %d features, row %d has %d", width, i, len(row))
-		}
-		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, Options{}, 0, fmt.Errorf("non-finite value at x[%d][%d]", i, j)
-			}
-		}
-	}
-	if req.TimeoutMS < 0 {
-		return nil, Options{}, 0, errors.New("timeout_ms must be non-negative")
-	}
-	var opts Options
-	switch req.Priority {
-	case "", "normal":
-	case "high":
-		opts.Priority = PriorityHigh
-	default:
-		return nil, Options{}, 0, fmt.Errorf("unknown priority %q (want \"normal\" or \"high\")", req.Priority)
-	}
-	x := tensor.New(len(req.X), width)
-	for i, row := range req.X {
-		copy(x.RowSlice(i), row)
-	}
-	return x, opts, time.Duration(req.TimeoutMS) * time.Millisecond, nil
-}
-
 // Handler returns the gateway's HTTP mux:
 //
-//	POST /predict   JSON inference (see PredictRequest/PredictResponse)
+//	POST /predict   JSON inference (see ParsePredict/PredictResponse)
 //
-// Status mapping: 400 for malformed input, 429 when the admission queue
+// Status mapping: 400 for malformed input, 413 for a body over
+// maxPredictBody, 429 when the admission queue
 // sheds (the client should back off), 503 on shutdown, 504 when the
 // request's deadline expired, 500 for backend failures.
 func (g *Gateway) Handler() http.Handler {
@@ -137,9 +69,14 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	x, opts, timeout, err := ParsePredict(io.LimitReader(r.Body, maxPredictBody), g.cfg.MaxBatch)
+	x, opts, timeout, err := ParsePredict(http.MaxBytesReader(w, r.Body, maxPredictBody), g.cfg.MaxBatch)
 	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
+		code := http.StatusBadRequest
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSONError(w, code, err.Error())
 		return
 	}
 	ctx := r.Context()

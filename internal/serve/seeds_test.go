@@ -10,15 +10,14 @@ import (
 // fuzz engine runs it (plain `go test` with no -run filter, or -fuzz).
 // This table test wires the same seeds into the ordinary test set so
 // `go test -short -run Test` — the verify target's fast path — still
-// exercises the HTTP decoder on every historical crash seed.
+// exercises the HTTP decoder on every historical crash seed, against its
+// invariants and against the reference decoder.
 
 func TestParsePredictSeedCorpus(t *testing.T) {
-	for i, seed := range parsePredictSeeds() {
-		i, seed := i, seed
-		t.Run("", func(t *testing.T) {
-			_ = i
-			checkParsePredict(t, seed, 8)
-		})
+	for _, seed := range parsePredictSeeds() {
+		checkParsePredict(t, seed, 8)
+		diffParsePredict(t, seed, 8)
+		diffParsePredict(t, seed, 0) // no row budget
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -743,6 +744,31 @@ func TestHTTPPredictRoundTrip(t *testing.T) {
 		if resp.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
 		}
+	}
+}
+
+// TestHTTPPredictBodyTooLarge: a body past maxPredictBody is answered 413
+// with the JSON error body — not cut off at the limit and then reported as
+// malformed JSON, which is what a silent io.LimitReader made of it.
+func TestHTTPPredictBodyTooLarge(t *testing.T) {
+	gw := New(&echoBackend{}, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Workers: 1})
+	defer gw.Close()
+	srv := httptest.NewServer(gw.Handler())
+	defer srv.Close()
+
+	// Well-formed, and padded with legal whitespace past the limit.
+	body := `{"x":[[0` + strings.Repeat(" ", maxPredictBody) + `]]}`
+	resp, err := http.Post(srv.URL+"/predict", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	var e errorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || !strings.Contains(e.Error, "too large") {
+		t.Fatalf("error body %+v (decode: %v), want a JSON error naming the size", e, err)
 	}
 }
 
