@@ -29,7 +29,11 @@ linkcheck:
 
 # The short run keeps the full-suite half fast while still executing the
 # transport fuzz seed corpora (wired into Test* functions) and every unit
-# test; the race half hammers the self-healing runtime.
+# test; the race half hammers the self-healing runtime — and, none of them
+# -short-skipped, the gateway's batcher tests (internal/serve
+# batcher_test.go), the one-write frame tests with ReadFrame's allocation
+# bound (internal/transport frame_test.go) and the mux write-coalescing and
+# golden wire-bytes tests (internal/cluster wire_test.go).
 verify: fmt-check docs
 	$(GO) vet ./...
 	$(GO) test -short ./...

@@ -70,7 +70,6 @@ func run() error {
 		targetQPS  = flag.Int("qps", 8000, "serve: offered Poisson arrival rate, requests/second")
 		reqDl      = flag.Duration("req-deadline", 300*time.Millisecond, "serve: per-request deadline")
 		maxBatch   = flag.Int("max-batch", 16, "serve/soak: gateway row budget per coalesced batch")
-		linger     = flag.Duration("linger", 2*time.Millisecond, "serve/soak: gateway flush timer")
 
 		cacheBench = flag.Bool("cache", false, "run the open-loop uncached-vs-cached demand-shaping benchmark on a Zipf-skewed workload")
 		cacheQPS   = flag.Int("cache-qps", 20000, "cache: offered Poisson arrival rate, requests/second")
@@ -130,7 +129,6 @@ func run() error {
 			Replicas:  *replicas,
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
-			Linger:    *linger,
 			Seed:      *seed,
 		}, *out)
 	}
@@ -142,7 +140,6 @@ func run() error {
 			Deadline:  *reqDl,
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
-			Linger:    *linger,
 			KeySpace:  *cacheKeys,
 			ZipfS:     *cacheZipf,
 			CacheSize: *cacheSize,
@@ -169,7 +166,6 @@ func run() error {
 			Replicas:  *replicas,
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
-			Linger:    *linger,
 			Seed:      *seed,
 		}, *out)
 	}
@@ -191,7 +187,6 @@ func run() error {
 			WorkersPerPair: *fleetWorkers,
 			NetDelay:       *netDelay,
 			MaxBatch:       *maxBatch,
-			Linger:         *linger,
 			Seed:           *seed,
 		}, *out)
 	}

@@ -1,16 +1,18 @@
 // Command teamnet-serve runs the batching inference gateway: an HTTP front
 // door over a cluster master. Many concurrent clients POST single samples
-// (or small batches) to /predict; the gateway coalesces them into team-sized
-// batches under a MaxBatch/MaxLinger policy, drives the collaborative
-// broadcast-gather protocol once per batch, and scatters per-row answers
-// back — amortizing every peer round trip over the whole batch. Overload is
+// (or small batches) to /predict; whatever queues while every dispatch
+// worker is busy coalesces into one batch of up to -max-batch rows, the
+// gateway drives the collaborative broadcast-gather protocol once per
+// batch, and scatters per-row answers back — amortizing every peer round
+// trip over the whole batch, while a request that finds a worker idle
+// leaves at once. Overload is
 // shed at admission (HTTP 429, with a Retry-After derived from the queue
 // drain rate) instead of queueing without bound, and per-request deadlines
 // turn into 504s rather than stuck connections. With -degraded (the default)
 // quarantined or slow experts thin answers instead of failing them: partial
 // ensembles come back with degraded: true and quorum metadata, hedged peer
 // calls cover transient stragglers, and a brownout controller tightens
-// batching when the latency SLO burns (docs/OPERATIONS.md). Repeated
+// admission when the latency SLO burns (docs/OPERATIONS.md). Repeated
 // traffic is shaped before it costs inference: -cache-size/-cache-ttl
 // bound a content-addressed response cache (byte-identical inputs answered
 // with cached: true, keyed under the bundle's content hash so a model swap
@@ -65,9 +67,8 @@ func run() error {
 		listen   = flag.String("listen", "127.0.0.1:8090", "HTTP address for /predict")
 
 		maxBatch = flag.Int("max-batch", 16, "row budget per coalesced batch")
-		linger   = flag.Duration("linger", 2*time.Millisecond, "max wait for more rows before flushing a partial batch")
 		queue    = flag.Int("queue", 256, "admission queue size per priority lane (full lane sheds with 429)")
-		workers  = flag.Int("workers", 2, "concurrent batch dispatches")
+		workers  = flag.Int("workers", 2, "concurrent batch dispatches; requests coalesce only while all of them are busy")
 		deadline = flag.Duration("deadline", 2*time.Second, "default per-request deadline when the client sends no timeout_ms (0 = none)")
 
 		timeout = flag.Duration("timeout", 2*time.Second, "per-peer round-trip deadline (0 = none); keep this below -deadline so stalled peers fail as peer faults, not caller aborts")
@@ -85,7 +86,7 @@ func run() error {
 		swapWatch     = flag.Duration("swap-watch", 0, "poll the -team bundle at this period and hot-swap the local expert in place when the file changes (0 = off)")
 
 		degraded    = flag.Bool("degraded", true, "answer with partial ensembles (degraded: true + quorum metadata) when experts are quarantined or slow, instead of failing the batch")
-		slo         = flag.Duration("slo", 0, "latency SLO target for the brownout controller (0 = -deadline); sustained burn tightens linger and queue depth")
+		slo         = flag.Duration("slo", 0, "latency SLO target for the brownout controller (0 = -deadline); sustained burn tightens the admission queue")
 		hedge       = flag.Bool("hedge", true, "hedge slow peer calls: duplicate a Predict on the same mux link once past the live per-peer p95, first reply wins")
 		retryBudget = flag.Float64("retry-budget", 0.1, "global retry budget as a fraction of request volume, shared across retries, probes and hedges (0 disables the cap)")
 		adminAddr   = flag.String("admin", "", "serve the HTTP admin endpoint (/healthz, /metrics, /traces, pprof) on this address, e.g. :8091")
@@ -171,7 +172,6 @@ func run() error {
 	}
 	gw := serve.New(backend, serve.Config{
 		MaxBatch:       *maxBatch,
-		MaxLinger:      *linger,
 		QueueSize:      *queue,
 		Workers:        *workers,
 		DefaultTimeout: *deadline,
@@ -358,8 +358,8 @@ func run() error {
 	srv := &http.Server{Handler: gw.Handler(), ReadHeaderTimeout: 5 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-	fmt.Printf("gateway on http://%s/predict (max batch %d, linger %v, %d peer(s), local expert: %v, cache %d entries/%v, coalesce %v, model %s)\n",
-		ln.Addr(), *maxBatch, *linger, master.Peers(), *local >= 0, *cacheSize, *cacheTTL, *coalesce, modelVersion)
+	fmt.Printf("gateway on http://%s/predict (max batch %d, %d workers, %d peer(s), local expert: %v, cache %d entries/%v, coalesce %v, model %s)\n",
+		ln.Addr(), *maxBatch, *workers, master.Peers(), *local >= 0, *cacheSize, *cacheTTL, *coalesce, modelVersion)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

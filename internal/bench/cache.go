@@ -49,7 +49,6 @@ type CacheBenchConfig struct {
 	Deadline  time.Duration // per-request deadline
 	NetDelay  time.Duration // one-way link delay; < 0 = raw loopback
 	MaxBatch  int           // gateway row budget per coalesced batch
-	Linger    time.Duration // gateway flush timer
 	Workers   int           // gateway dispatch workers
 	QueueSize int           // gateway admission lane size
 	KeySpace  int           // distinct feature vectors in the workload
@@ -74,9 +73,6 @@ func (c CacheBenchConfig) normalized() CacheBenchConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.Linger <= 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -198,7 +194,6 @@ func runCacheMode(cfg CacheBenchConfig, withCache bool) (CacheBenchResult, error
 
 	gwCfg := serve.Config{
 		MaxBatch:  cfg.MaxBatch,
-		MaxLinger: cfg.Linger,
 		QueueSize: cfg.QueueSize,
 		Workers:   cfg.Workers,
 	}

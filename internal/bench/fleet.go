@@ -55,7 +55,6 @@ type FleetConfig struct {
 	WorkersPerPair int           // workers per master, each behind a chaos proxy
 	NetDelay       time.Duration // one-way delay injected on every worker link
 	MaxBatch       int           // gateway row budget
-	Linger         time.Duration // gateway flush timer
 	QueueSize      int           // gateway admission lane size
 	GWWorkers      int           // gateway dispatch workers
 	CacheSize      int           // per-gateway response-cache entries
@@ -84,9 +83,6 @@ func (c FleetConfig) normalized() FleetConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.Linger <= 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 512
@@ -310,7 +306,6 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 		routers[i] = router
 		gw := serve.New(router, serve.Config{
 			MaxBatch:  cfg.MaxBatch,
-			MaxLinger: cfg.Linger,
 			QueueSize: cfg.QueueSize,
 			Workers:   cfg.GWWorkers,
 			Degraded:  true,

@@ -53,7 +53,6 @@ type ServeBenchConfig struct {
 	Replicas  int           // legacy replica knob; kept for committed-artifact compatibility
 	NetDelay  time.Duration // one-way link delay (edge RTT model); < 0 = raw loopback
 	MaxBatch  int           // gateway row budget per coalesced batch
-	Linger    time.Duration // gateway flush timer
 	Workers   int           // gateway dispatch workers
 	QueueSize int           // gateway admission lane size
 	Seed      int64
@@ -77,9 +76,6 @@ func (c ServeBenchConfig) normalized() ServeBenchConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.Linger <= 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -226,7 +222,6 @@ func runServeMode(cfg ServeBenchConfig, viaGateway bool) (ServeBenchResult, floa
 	if viaGateway {
 		gw = serve.New(stack.master, serve.Config{
 			MaxBatch:  cfg.MaxBatch,
-			MaxLinger: cfg.Linger,
 			QueueSize: cfg.QueueSize,
 			Workers:   cfg.Workers,
 		})

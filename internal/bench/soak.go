@@ -79,7 +79,6 @@ type SoakConfig struct {
 	Replicas  int           // legacy replica knob; kept for committed-artifact compatibility
 	NetDelay  time.Duration // one-way link delay injected on every healthy link
 	MaxBatch  int           // gateway row budget
-	Linger    time.Duration // gateway flush timer
 	QueueSize int           // gateway admission lane size
 	GWWorkers int           // gateway dispatch workers
 	Seed      int64
@@ -113,9 +112,6 @@ func (c SoakConfig) normalized() SoakConfig {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.Linger <= 0 {
-		c.Linger = 2 * time.Millisecond
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 512
@@ -295,7 +291,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 
 	gw := serve.New(master, serve.Config{
 		MaxBatch:  cfg.MaxBatch,
-		MaxLinger: cfg.Linger,
 		QueueSize: cfg.QueueSize,
 		Workers:   cfg.GWWorkers,
 		Degraded:  true,

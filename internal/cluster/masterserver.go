@@ -9,6 +9,7 @@ package cluster
 // master's local expert without restart.
 
 import (
+	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -141,8 +142,9 @@ func (s *MasterServer) handleConn(conn net.Conn) {
 func (s *MasterServer) serveConn(conn net.Conn) {
 	cw := &connWriter{conn: conn}
 	sem := make(chan struct{}, masterFabricWindow)
+	br := bufio.NewReaderSize(conn, connReadBuffer)
 	for {
-		typ, payload, err := transport.ReadFrame(conn)
+		typ, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -227,7 +229,7 @@ func (s *MasterServer) serveConn(conn net.Conn) {
 func (s *MasterServer) serveFabricPredict(cw *connWriter, id uint32, body []byte) {
 	mode, softNs, budgetNs, x, err := decodeFabricRequest(body)
 	if err != nil {
-		_ = cw.write(MsgErrorMux, appendMuxID(id, []byte(err.Error())))
+		_ = cw.writeMux(MsgErrorMux, id, []byte(err.Error()))
 		return
 	}
 	ctx := context.Background()
@@ -238,10 +240,10 @@ func (s *MasterServer) serveFabricPredict(cw *connWriter, id uint32, body []byte
 	}
 	probs, winners, live, total, err := s.dispatch(ctx, mode, softNs, x)
 	if err != nil {
-		_ = cw.write(MsgErrorMux, appendMuxID(id, []byte(err.Error())))
+		_ = cw.writeMux(MsgErrorMux, id, []byte(err.Error()))
 		return
 	}
-	_ = cw.write(MsgFabricResult, appendMuxID(id, encodeFabricResult(probs, winners, live, total)))
+	_ = cw.writeMux(MsgFabricResult, id, encodeFabricResult(probs, winners, live, total))
 }
 
 // serveSplitPredict answers one partial-offload tail against the master's
@@ -250,15 +252,15 @@ func (s *MasterServer) serveFabricPredict(cw *connWriter, id uint32, body []byte
 func (s *MasterServer) serveSplitPredict(cw *connWriter, id uint32, body []byte) {
 	snap := s.master.LocalSnapshot()
 	if snap == nil {
-		_ = cw.write(MsgErrorMux, appendMuxID(id, []byte("master has no local expert for split serving")))
+		_ = cw.writeMux(MsgErrorMux, id, []byte("master has no local expert for split serving"))
 		return
 	}
 	result, errText := runSplitBody(snap, s.ModelVersion(), body, s.master.tracer, s.master.Histograms())
 	if errText != "" {
-		_ = cw.write(MsgErrorMux, appendMuxID(id, []byte(errText)))
+		_ = cw.writeMux(MsgErrorMux, id, []byte(errText))
 		return
 	}
-	_ = cw.write(MsgSplitResult, appendMuxID(id, result))
+	_ = cw.writeMux(MsgSplitResult, id, result)
 }
 
 func (s *MasterServer) dispatch(ctx context.Context, mode byte, softNs uint64, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live, total int, err error) {

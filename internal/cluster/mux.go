@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -167,10 +168,11 @@ func (mc *muxClient) close() {
 
 // writeLoop is the single writer: it owns the connection's write side.
 func (mc *muxClient) writeLoop() {
+	var batch transport.FrameBatch
 	for {
 		select {
 		case w := <-mc.writeCh:
-			if err := transport.WriteFrame(mc.conn, w.typ, appendMuxID(w.id, w.payload)); err != nil {
+			if err := mc.writeBurst(&batch, w); err != nil {
 				mc.fail(fmt.Errorf("cluster: mux write: %w", err))
 				return
 			}
@@ -180,12 +182,31 @@ func (mc *muxClient) writeLoop() {
 	}
 }
 
+// writeBurst sends w together with whatever other requests are already
+// blocked on writeCh (at most muxWindow senders exist), so a burst costs one
+// syscall and, on a link that delays every delivery, one delay. The request
+// id rides next to the frame header; the payload is not copied.
+func (mc *muxClient) writeBurst(batch *transport.FrameBatch, w muxWrite) error {
+	for {
+		id := muxIDPrefix(w.id)
+		if err := batch.Add(w.typ, id[:], w.payload); err != nil {
+			return err
+		}
+		select {
+		case w = <-mc.writeCh:
+		default:
+			return batch.Flush(mc.conn)
+		}
+	}
+}
+
 // readLoop is the single reader: it matches replies to pending waiters.
 // A serial-protocol frame before the first mux reply means the peer is a
 // pre-mux build → downgrade; afterwards it is link corruption → failure.
 func (mc *muxClient) readLoop() {
+	br := bufio.NewReaderSize(mc.conn, connReadBuffer)
 	for {
-		typ, payload, err := transport.ReadFrame(mc.conn)
+		typ, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			if !mc.sawReply() && mc.fresh {
 				// A freshly dialed peer hung up on our first mux frame

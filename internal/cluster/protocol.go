@@ -88,11 +88,15 @@ const (
 // muxIDSize is the request-id prefix every mux payload carries.
 const muxIDSize = 4
 
-// appendMuxID prefixes payload with a request id, forming a mux payload.
-func appendMuxID(id uint32, payload []byte) []byte {
-	out := make([]byte, muxIDSize, muxIDSize+len(payload))
-	binary.BigEndian.PutUint32(out, id)
-	return append(out, payload...)
+// connReadBuffer sizes the bufio.Reader in front of every long-lived read
+// loop (mux client, worker, master server), so a frame smaller than it costs
+// one read syscall instead of one for the header and one for the payload.
+const connReadBuffer = 64 << 10
+
+// muxIDPrefix renders a request id as the prefix of a mux payload.
+func muxIDPrefix(id uint32) (b [muxIDSize]byte) {
+	binary.BigEndian.PutUint32(b[:], id)
+	return b
 }
 
 // splitMuxID strips the request-id prefix from a mux payload.

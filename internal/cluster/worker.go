@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -196,23 +197,38 @@ const workerMuxWindow = 64
 
 // connWriter serializes frame writes on one connection: the serial read
 // loop and the concurrent mux handlers interleave whole frames, never
-// bytes.
+// bytes, and every frame leaves in one write.
 type connWriter struct {
-	mu   sync.Mutex
-	conn net.Conn
+	mu    sync.Mutex
+	conn  net.Conn
+	batch transport.FrameBatch
 }
 
 func (cw *connWriter) write(typ byte, payload []byte) error {
+	return cw.send(typ, nil, payload)
+}
+
+// writeMux sends a mux reply: the request id, then payload (not copied).
+func (cw *connWriter) writeMux(typ byte, id uint32, payload []byte) error {
+	idb := muxIDPrefix(id)
+	return cw.send(typ, idb[:], payload)
+}
+
+func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
 	cw.mu.Lock()
 	defer cw.mu.Unlock()
-	return transport.WriteFrame(cw.conn, typ, payload)
+	if err := cw.batch.Add(typ, prefix, payload); err != nil {
+		return err
+	}
+	return cw.batch.Flush(cw.conn)
 }
 
 func (w *Worker) serveConn(conn net.Conn) {
 	cw := &connWriter{conn: conn}
 	sem := make(chan struct{}, workerMuxWindow)
+	br := bufio.NewReaderSize(conn, connReadBuffer)
 	for {
-		typ, payload, err := transport.ReadFrame(conn)
+		typ, payload, err := transport.ReadFrame(br)
 		if err != nil {
 			return
 		}
@@ -285,10 +301,10 @@ func (w *Worker) serveConn(conn net.Conn) {
 				}()
 				result, errText := runSplitBody(w.snap.Load(), w.ModelVersion(), body, w.tracer, w.hists)
 				if errText != "" {
-					_ = cw.write(MsgErrorMux, appendMuxID(id, []byte(errText)))
+					_ = cw.writeMux(MsgErrorMux, id, []byte(errText))
 					return
 				}
-				_ = cw.write(MsgSplitResult, appendMuxID(id, result))
+				_ = cw.writeMux(MsgSplitResult, id, result)
 			}()
 		case MsgPing:
 			if err := cw.write(MsgPong, nil); err != nil {
@@ -336,10 +352,10 @@ func (w *Worker) serveConn(conn net.Conn) {
 func (w *Worker) serveMuxPredict(cw *connWriter, id uint32, body []byte) {
 	result, errText, _ := w.runPredict(body)
 	if errText != "" {
-		_ = cw.write(MsgErrorMux, appendMuxID(id, []byte(errText)))
+		_ = cw.writeMux(MsgErrorMux, id, []byte(errText))
 		return
 	}
-	_ = cw.write(MsgResultMux, appendMuxID(id, result))
+	_ = cw.writeMux(MsgResultMux, id, result)
 }
 
 // runPredict decodes one predict body (tensor plus optional trace

@@ -41,7 +41,7 @@ func (b *countingBackend) InferContext(ctx context.Context, x *tensor.Tensor) (*
 // cache — no second inference, Cached set, hit/miss counters moving.
 func TestCacheHitSkipsBackend(t *testing.T) {
 	be := &countingBackend{}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 16})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 16})
 	defer gw.Close()
 
 	first, err := gw.Predict(context.Background(), row(7, 3))
@@ -88,7 +88,7 @@ func TestCacheHitSkipsBackend(t *testing.T) {
 // serve.cache.expired) and the backend runs again.
 func TestCacheTTLExpiry(t *testing.T) {
 	be := &countingBackend{}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 16, CacheTTL: 30 * time.Millisecond})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 16, CacheTTL: 30 * time.Millisecond})
 	defer gw.Close()
 
 	if _, err := gw.Predict(context.Background(), row(1, 0)); err != nil {
@@ -114,7 +114,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 // evictions are counted.
 func TestCacheLRUEviction(t *testing.T) {
 	be := &countingBackend{}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 2})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 2})
 	defer gw.Close()
 
 	for i := 0; i < 3; i++ { // three distinct keys through a 2-entry cache
@@ -143,7 +143,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // serve the old model's answers.
 func TestSetModelVersionInvalidates(t *testing.T) {
 	be := &countingBackend{}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 16})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 16})
 	defer gw.Close()
 	gw.SetModelVersion("v1")
 
@@ -176,7 +176,7 @@ func TestSetModelVersionInvalidates(t *testing.T) {
 // single inference.
 func TestSingleflightCoalesce(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 8), entered: make(chan struct{}, 8)}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Coalesce: true})
+	gw := New(be, Config{MaxBatch: 4, Coalesce: true})
 	defer gw.Close()
 
 	x := row(9, 2)
@@ -236,7 +236,7 @@ func TestSingleflightCoalesce(t *testing.T) {
 // path), never a late share — and the leader is unaffected.
 func TestWaiterDeadlineExpires(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 2), entered: make(chan struct{}, 2)}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Coalesce: true})
+	gw := New(be, Config{MaxBatch: 4, Coalesce: true})
 	defer gw.Close()
 
 	x := row(3, 1)
@@ -284,7 +284,7 @@ func TestWaiterDeadlineExpires(t *testing.T) {
 // retries as the new leader and succeeds.
 func TestWaiterRetriesAfterLeaderDeadline(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 2), entered: make(chan struct{}, 2)}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Coalesce: true})
+	gw := New(be, Config{MaxBatch: 4, Coalesce: true})
 	defer gw.Close()
 
 	x := row(4, 1)
@@ -354,7 +354,7 @@ func (b *degradedFlipBackend) InferQuorumContext(ctx context.Context, x *tensor.
 // answer it gets IS cached.
 func TestDegradedNeverCached(t *testing.T) {
 	be := &degradedFlipBackend{}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 16, Degraded: true})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 16, Degraded: true})
 	defer gw.Close()
 
 	first, err := gw.Predict(context.Background(), row(8, 1))
@@ -485,7 +485,7 @@ func BenchmarkDigest(b *testing.B) {
 // "cached": true; the first does not carry the field at all.
 func TestPredictHTTPCachedField(t *testing.T) {
 	be := &countingBackend{}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 16, Coalesce: true})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 16, Coalesce: true})
 	defer gw.Close()
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
@@ -526,7 +526,7 @@ func TestPredictHTTPCachedField(t *testing.T) {
 // over a small key space — the -race workout for the cache + flight table.
 func TestConcurrentShapedTraffic(t *testing.T) {
 	be := &countingBackend{}
-	gw := New(be, Config{MaxBatch: 8, MaxLinger: time.Millisecond, Workers: 3, CacheSize: 8, CacheTTL: 20 * time.Millisecond, Coalesce: true})
+	gw := New(be, Config{MaxBatch: 8, Workers: 3, CacheSize: 8, CacheTTL: 20 * time.Millisecond, Coalesce: true})
 	defer gw.Close()
 
 	const goroutines = 32
@@ -575,7 +575,7 @@ func TestConcurrentShapedTraffic(t *testing.T) {
 // verify.
 func TestHotSwapMidFlightSkipsStalePut(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 4), entered: make(chan struct{}, 4)}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 16, Coalesce: true})
+	gw := New(be, Config{MaxBatch: 4, CacheSize: 16, Coalesce: true})
 	defer gw.Close()
 	gw.SetModelVersion("vA")
 

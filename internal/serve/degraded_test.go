@@ -47,7 +47,7 @@ func (b *quorumBackend) InferQuorumContext(ctx context.Context, x *tensor.Tensor
 // quorum counts, and serve.degraded counts one per degraded request.
 func TestDegradedScatter(t *testing.T) {
 	be := &quorumBackend{live: 2, total: 3}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Degraded: true})
+	gw := New(be, Config{MaxBatch: 4, Degraded: true})
 	defer gw.Close()
 
 	res, err := gw.Predict(context.Background(), row(1, 0))
@@ -82,7 +82,7 @@ func TestDegradedScatter(t *testing.T) {
 // DegradedBackend capability entirely.
 func TestDegradedOffUsesStrictPath(t *testing.T) {
 	be := &quorumBackend{live: 1, total: 3}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond})
+	gw := New(be, Config{MaxBatch: 4})
 	defer gw.Close()
 	res, err := gw.Predict(context.Background(), row(1, 0))
 	if err != nil {
@@ -98,7 +98,7 @@ func TestDegradedOffUsesStrictPath(t *testing.T) {
 // assembled before the caller gives up — and absent a deadline it is zero.
 func TestQuorumSoftFromDeadline(t *testing.T) {
 	be := &quorumBackend{live: 1, total: 1}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Degraded: true})
+	gw := New(be, Config{MaxBatch: 4, Degraded: true})
 	defer gw.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
@@ -123,7 +123,7 @@ func TestQuorumSoftFromDeadline(t *testing.T) {
 // and quorum block, and omits both on full answers.
 func TestHTTPDegradedResponse(t *testing.T) {
 	be := &quorumBackend{live: 2, total: 3}
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Degraded: true})
+	gw := New(be, Config{MaxBatch: 4, Degraded: true})
 	defer gw.Close()
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
@@ -167,7 +167,7 @@ func TestHTTPDegradedResponse(t *testing.T) {
 // least one whole second so naive clients back off instead of hammering.
 func TestHTTPRetryAfterOnShed(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}), entered: make(chan struct{}, 16)}
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Millisecond, QueueSize: 1, Workers: 1})
+	gw := New(be, Config{MaxBatch: 1, QueueSize: 1, Workers: 1})
 	defer gw.Close()
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
@@ -258,13 +258,12 @@ func TestRetryAfterEstimate(t *testing.T) {
 }
 
 // TestBrownoutTightensAndRelaxes: a burst of SLO-missing traffic must step
-// the controller's level up (shrinking the effective linger and queue cap),
+// the controller's level up (shrinking the effective queue cap),
 // and quiet windows must walk it back down to zero.
 func TestBrownoutTightensAndRelaxes(t *testing.T) {
 	be := &backendDelay{d: 20 * time.Millisecond}
 	gw := New(be, Config{
 		MaxBatch:     4,
-		MaxLinger:    8 * time.Millisecond,
 		QueueSize:    64,
 		Workers:      4,
 		SLOTarget:    time.Millisecond, // everything misses: burn = 1
@@ -295,9 +294,6 @@ func TestBrownoutTightensAndRelaxes(t *testing.T) {
 	level := gw.level.Load()
 	if eff := gw.effQueue.Load(); eff != int64(64>>level) {
 		t.Fatalf("effective queue cap %d at level %d, want %d", eff, level, 64>>level)
-	}
-	if eff := gw.effLinger.Load(); eff != int64(8*time.Millisecond)>>level {
-		t.Fatalf("effective linger %d at level %d", eff, level)
 	}
 
 	// Silence: with no evidence the controller must relax back to zero.

@@ -41,7 +41,7 @@ func TestGatewayOverRealMaster(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	gw := New(master, Config{MaxBatch: 8, MaxLinger: 2 * time.Millisecond, Workers: 2})
+	gw := New(master, Config{MaxBatch: 8, Workers: 2})
 	defer gw.Close()
 
 	const n = 24

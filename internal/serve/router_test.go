@@ -163,7 +163,7 @@ func TestRouterBehindGateway(t *testing.T) {
 	a, b := &routeBackend{}, &routeBackend{}
 	r.Upsert("a", a)
 	r.Upsert("b", b)
-	gw := New(r, Config{MaxBatch: 4, MaxLinger: time.Millisecond, CacheSize: 32, Coalesce: true})
+	gw := New(r, Config{MaxBatch: 4, CacheSize: 32, Coalesce: true})
 	defer gw.Close()
 	gw.SetModelVersion("v1")
 

@@ -11,12 +11,12 @@
 //     answering fewer requests fast instead of all requests late;
 //   - two priority lanes (PriorityHigh drains first) so latency-critical
 //     traffic overtakes bulk traffic at the same queue;
-//   - a dynamic micro-batcher: queued single-sample (or small-batch)
-//     requests coalesce into one tensor batch under a MaxBatch/MaxLinger
-//     policy, a worker pool dispatches the batch through
-//     Master.InferContext — one broadcast round trip amortized over every
-//     row — and the per-row results (probs, winner, entropy) scatter back
-//     to their callers;
+//   - a work-conserving micro-batcher: a batch takes what already waits
+//     and leaves the moment a dispatch worker can take it, so requests
+//     coalesce (up to MaxBatch rows) only while every worker is busy; the
+//     worker pool dispatches the batch through Master.InferContext — one
+//     broadcast round trip amortized over every row — and the per-row
+//     results (probs, winner, entropy) scatter back to their callers;
 //   - deadline plumbing end to end: each request's context bounds its queue
 //     wait and its share of the dispatched batch, and an expired request
 //     stops burning peer round trips (see Master.InferContext);
@@ -28,10 +28,10 @@
 //
 // Everything is observable: gauges ("serve.queue_depth",
 // "serve.inflight_batches"), latency histograms ("serve.queue_wait",
-// "serve.e2e"), the batch-size value histogram ("serve.batch_size"), shed
-// and timeout counters, and — with a tracer installed — a "serve.batch"
-// span per dispatch whose children are the coalesced requests and the
-// cluster's "infer" span tree.
+// "serve.e2e", "serve.dispatch_wait"), the batch-size value histogram
+// ("serve.batch_size"), shed, timeout and flush-reason counters, and —
+// with a tracer installed — a "serve.batch" span per dispatch whose
+// children are the coalesced requests and the cluster's "infer" span tree.
 //
 // The HTTP front-end in http.go exposes Predict as a JSON endpoint; the
 // teamnet-serve command wires both to a live master.
@@ -74,16 +74,16 @@ type Config struct {
 	// MaxBatch is the row budget per dispatched batch; a batch is flushed
 	// the moment it is full. Default 16.
 	MaxBatch int
-	// MaxLinger bounds how long the batcher waits for more rows after the
-	// first request of a batch arrives — the latency price paid for
-	// coalescing. Default 2ms.
+	// MaxLinger is ignored: the batcher holds no timer (see batchLoop). The
+	// field remains only for callers that still set it.
 	MaxLinger time.Duration
 	// QueueSize bounds each admission lane; a full lane sheds instantly.
 	// Default 256.
 	QueueSize int
-	// Workers is the number of concurrent batch dispatches. More workers
-	// keep the pipeline full while a batch waits on the network; the mux
-	// window bounds what actually rides each peer link. Default 2.
+	// Workers is the number of concurrent batch dispatches, and thereby what
+	// sizes batches: requests coalesce only while all Workers are busy. More
+	// workers keep the pipeline full while a batch waits on the network;
+	// the mux window bounds what actually rides each peer link. Default 2.
 	Workers int
 	// DefaultTimeout is applied to requests whose context carries no
 	// deadline of its own. Zero leaves them unbounded.
@@ -97,10 +97,9 @@ type Config struct {
 	// SLOTarget is the end-to-end latency objective the brownout controller
 	// defends: when the recent burn rate (requests shed, timed out, or
 	// served slower than this target, as a fraction of all finished
-	// requests) exceeds BrownoutBurn, the controller tightens MaxLinger and
-	// the admission queue cap stepwise, trading coalescing efficiency and
-	// queue depth for tail latency; it relaxes as the burn subsides. Zero
-	// disables the controller.
+	// requests) exceeds BrownoutBurn, the controller tightens the admission
+	// queue cap stepwise, trading queue depth for tail latency; it relaxes
+	// as the burn subsides. Zero disables the controller.
 	SLOTarget time.Duration
 	// BrownoutBurn is the burn-rate threshold that tightens the gateway.
 	// Default 0.1 (10% of recent requests missing the SLO).
@@ -124,9 +123,6 @@ type Config struct {
 func (c Config) normalized() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
-	}
-	if c.MaxLinger <= 0 {
-		c.MaxLinger = 2 * time.Millisecond
 	}
 	if c.QueueSize <= 0 {
 		c.QueueSize = 256
@@ -219,14 +215,13 @@ type Gateway struct {
 	quitOnce sync.Once
 	wg       sync.WaitGroup
 
-	// Brownout controller state: the effective linger and per-lane
-	// admission cap start at the configured values and tighten stepwise
-	// (halving per level) while the SLO burn rate stays high.
-	effLinger atomic.Int64 // ns
-	effQueue  atomic.Int64 // per-lane admission cap
-	level     atomic.Int64
-	sloOK     atomic.Int64 // finished within SLOTarget since last tick
-	sloMiss   atomic.Int64 // shed, timed out, or finished over target
+	// Brownout controller state: the per-lane admission cap starts at the
+	// configured value and tightens stepwise (halving per level) while the
+	// SLO burn rate stays high.
+	effQueue atomic.Int64 // per-lane admission cap
+	level    atomic.Int64
+	sloOK    atomic.Int64 // finished within SLOTarget since last tick
+	sloMiss  atomic.Int64 // shed, timed out, or finished over target
 
 	// Queue drain-rate estimate behind RetryAfter.
 	dequeued  atomic.Int64
@@ -267,7 +262,6 @@ func New(backend Backend, cfg Config) *Gateway {
 	}
 	g.lanes[0] = make(chan *request, cfg.QueueSize)
 	g.lanes[1] = make(chan *request, cfg.QueueSize)
-	g.effLinger.Store(int64(cfg.MaxLinger))
 	g.effQueue.Store(int64(cfg.QueueSize))
 	g.wg.Add(1)
 	go g.batchLoop()
@@ -292,7 +286,8 @@ func laneIdx(p Priority) int {
 
 // Counters exposes the gateway's event counters ("serve.requests",
 // "serve.shed.queue_full", "serve.shed.expired", "serve.timeouts",
-// "serve.batches", "serve.batch_errors", and the demand-shaping series
+// "serve.batches", "serve.batch_errors", why each batch left the batcher —
+// "serve.flush.{worker_idle,full,width}" — and the demand-shaping series
 // "serve.cache.{hits,misses,expired,evictions,coalesced,invalidations}").
 func (g *Gateway) Counters() *metrics.CounterSet { return g.counters }
 
@@ -302,7 +297,9 @@ func (g *Gateway) Counters() *metrics.CounterSet { return g.counters }
 func (g *Gateway) Gauges() *metrics.GaugeSet { return g.gauges }
 
 // Histograms exposes the gateway's latency histograms ("serve.queue_wait",
-// "serve.e2e").
+// "serve.e2e", and "serve.dispatch_wait": batch first offered → a worker
+// took it, microseconds on an idle gateway, a service time on a saturated
+// one).
 func (g *Gateway) Histograms() *metrics.HistogramSet { return g.hists }
 
 // ValueHistograms exposes the unitless histograms ("serve.batch_size").
@@ -424,16 +421,16 @@ func (g *Gateway) sloBurned() {
 	}
 }
 
-// brownoutMaxLevel bounds the tightening: at level 3 the linger and queue
-// cap sit at 1/8th of their configured values.
+// brownoutMaxLevel bounds the tightening: at level 3 the queue cap sits at
+// 1/8th of its configured value.
 const brownoutMaxLevel = 3
 
 // brownoutLoop is the controller: every tick it reads the burn rate of the
 // last window and tightens (burn above BrownoutBurn) or relaxes (burn well
 // below it, or no evidence of trouble) one level at a time. Level L maps to
-// MaxLinger>>L and QueueSize>>L — under SLO pressure the gateway stops
-// waiting for fuller batches and stops accepting queue depth it can no
-// longer drain in time, shedding early instead of serving everything late.
+// QueueSize>>L — under SLO pressure the gateway stops accepting queue depth
+// it can no longer drain in time, shedding early instead of serving
+// everything late.
 func (g *Gateway) brownoutLoop() {
 	defer g.wg.Done()
 	const tick = 100 * time.Millisecond
@@ -464,7 +461,6 @@ func (g *Gateway) brownoutLoop() {
 		}
 		g.level.Store(level)
 		g.gauges.Gauge("serve.brownout_level").Set(level)
-		g.effLinger.Store(int64(g.cfg.MaxLinger) >> level)
 		cap := g.cfg.QueueSize >> level
 		if cap < 1 {
 			cap = 1
@@ -524,9 +520,14 @@ func (g *Gateway) Close() error {
 
 // --- batcher ---------------------------------------------------------------
 
-// batchLoop is the single coalescing goroutine: block for a first request,
-// linger for more until the row budget or the clock runs out, hand the
-// batch to a worker.
+// batchLoop is the single coalescing goroutine, and it is work-conserving:
+// block for a first request, take whatever else already waits, then offer
+// the batch to the workers while still accepting arrivals. g.dispatch is
+// unbuffered, so the offer succeeds exactly when a worker is free: a lone
+// request on an idle gateway leaves at once, and batches grow only while
+// every worker is busy — when coalescing buys throughput and costs no
+// latency. A full batch, or one cut short by a feature-width change, only
+// waits for a worker.
 func (g *Gateway) batchLoop() {
 	defer g.wg.Done()
 	defer close(g.dispatch)
@@ -535,8 +536,7 @@ func (g *Gateway) batchLoop() {
 		first := held
 		held = nil
 		if first == nil {
-			first = g.nextRequest()
-			if first == nil {
+			if first = g.nextRequest(); first == nil {
 				g.drainLanes()
 				return
 			}
@@ -546,82 +546,89 @@ func (g *Gateway) batchLoop() {
 		}
 		batch := []*request{first}
 		rows, width := first.x.Shape[0], first.x.Shape[1]
-		linger := time.NewTimer(time.Duration(g.effLinger.Load()))
-		for rows < g.cfg.MaxBatch {
-			req, open := g.lingerRequest(linger.C)
+		for rows < g.cfg.MaxBatch && held == nil {
+			req := g.pollRequest()
 			if req == nil {
-				if !open {
-					linger.Stop()
-					g.respondAll(batch, ErrClosed)
-					g.drainLanes()
-					return
-				}
-				break // linger expired: flush what we have
-			}
-			if g.shedExpired(req) {
-				continue
-			}
-			if req.x.Shape[1] != width {
-				// Mixed feature widths cannot share one tensor: flush the
-				// current batch and lead the next one with this request.
-				held = req
 				break
 			}
-			batch = append(batch, req)
-			rows += req.x.Shape[0]
+			held = g.join(&batch, &rows, width, req)
 		}
-		linger.Stop()
-		select {
-		case g.dispatch <- batch:
-		case <-g.quit:
-			g.respondAll(batch, ErrClosed)
+		offered := time.Now()
+		for sent := false; !sent; {
+			lanes, flush := g.lanes, "serve.flush.worker_idle"
+			if held != nil {
+				lanes, flush = [2]chan *request{}, "serve.flush.width" // nil lanes: no more arrivals
+			} else if rows >= g.cfg.MaxBatch {
+				lanes, flush = [2]chan *request{}, "serve.flush.full"
+			}
+			var req *request
+			select {
+			case g.dispatch <- batch:
+				g.hists.Observe("serve.dispatch_wait", time.Since(offered))
+				g.counters.Counter(flush).Inc()
+				sent = true
+			case req = <-lanes[0]:
+			case req = <-lanes[1]:
+			case <-g.quit:
+				if held != nil {
+					batch = append(batch, held)
+				}
+				g.respondAll(batch, ErrClosed)
+				g.drainLanes()
+				return
+			}
+			if req != nil {
+				g.noteDequeue()
+				held = g.join(&batch, &rows, width, req)
+			}
 		}
 	}
+}
+
+// join adds req to the batch, unless its caller is already gone (shed) or
+// its feature width differs: mixed widths cannot share one tensor, so that
+// request is returned to lead the next batch.
+func (g *Gateway) join(batch *[]*request, rows *int, width int, req *request) (held *request) {
+	if g.shedExpired(req) {
+		return nil
+	}
+	if req.x.Shape[1] != width {
+		return req
+	}
+	*batch = append(*batch, req)
+	*rows += req.x.Shape[0]
+	return nil
+}
+
+// pollRequest takes a request that already waits, high lane first; nil
+// means both lanes are empty.
+func (g *Gateway) pollRequest() *request {
+	for _, lane := range g.lanes {
+		select {
+		case req := <-lane:
+			g.noteDequeue()
+			return req
+		default:
+		}
+	}
+	return nil
 }
 
 // nextRequest blocks for the first request of a batch, high lane first.
 // nil means the gateway is closing.
 func (g *Gateway) nextRequest() *request {
-	// Fast path: drain high-priority work before even looking at normal.
-	select {
-	case req := <-g.lanes[0]:
-		g.noteDequeue()
+	if req := g.pollRequest(); req != nil {
 		return req
-	default:
 	}
+	var req *request
 	select {
-	case req := <-g.lanes[0]:
-		g.noteDequeue()
-		return req
-	case req := <-g.lanes[1]:
-		g.noteDequeue()
-		return req
+	case req = <-g.lanes[0]:
+	case req = <-g.lanes[1]:
 	case <-g.quit:
 		return nil
 	}
-}
-
-// lingerRequest waits for one more request while the linger clock runs.
-// (nil, true) means the linger expired; (nil, false) means shutdown.
-func (g *Gateway) lingerRequest(lingerC <-chan time.Time) (*request, bool) {
-	select {
-	case req := <-g.lanes[0]:
-		g.noteDequeue()
-		return req, true
-	default:
-	}
-	select {
-	case req := <-g.lanes[0]:
-		g.noteDequeue()
-		return req, true
-	case req := <-g.lanes[1]:
-		g.noteDequeue()
-		return req, true
-	case <-lingerC:
-		return nil, true
-	case <-g.quit:
-		return nil, false
-	}
+	g.noteDequeue()
+	return req
 }
 
 // shedExpired drops a request whose caller already stopped waiting,
@@ -644,17 +651,8 @@ func (g *Gateway) respondAll(batch []*request, err error) {
 
 // drainLanes fails everything still queued during shutdown.
 func (g *Gateway) drainLanes() {
-	for _, lane := range g.lanes {
-		for {
-			select {
-			case req := <-lane:
-				g.gauges.Gauge("serve.queue_depth").Dec()
-				req.resc <- response{err: ErrClosed}
-			default:
-				goto next
-			}
-		}
-	next:
+	for req := g.pollRequest(); req != nil; req = g.pollRequest() {
+		req.resc <- response{err: ErrClosed}
 	}
 }
 

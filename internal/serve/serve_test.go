@@ -23,9 +23,11 @@ import (
 // echoBackend answers instantly: probs[r][0] echoes x[r][0] (so a caller
 // can prove it got its own rows back), winner[r] = r-th row's int(x[r][1]).
 type echoBackend struct {
-	mu      sync.Mutex
-	batches []int // row count of every batch seen, in dispatch order
-	marks   []float64
+	mu        sync.Mutex
+	batches   []int // row count of every batch seen, in dispatch order
+	widths    []int
+	deadlines []time.Time // each batch's ctx deadline; zero = unbounded
+	marks     []float64
 }
 
 func (b *echoBackend) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
@@ -46,8 +48,11 @@ func (b *echoBackend) InferContext(ctx context.Context, x *tensor.Tensor) (*tens
 		probs.RowSlice(r)[1] = 0.01 + mark*1e-9 // carries the mark without breaking normalization much
 		winners[r] = int(x.RowSlice(r)[1])
 	}
+	dl, _ := ctx.Deadline()
 	b.mu.Lock()
 	b.batches = append(b.batches, rows)
+	b.widths = append(b.widths, x.Shape[1])
+	b.deadlines = append(b.deadlines, dl)
 	for r := 0; r < rows; r++ {
 		b.marks = append(b.marks, x.RowSlice(r)[0])
 	}
@@ -76,12 +81,26 @@ func (b *gatedBackend) InferContext(ctx context.Context, x *tensor.Tensor) (*ten
 	return b.echo.InferContext(ctx, x)
 }
 
-func row(mark float64, winner int) *tensor.Tensor {
-	x := tensor.New(1, 3)
+func row(mark float64, winner int) *tensor.Tensor { return wideRow(mark, winner, 3) }
+
+func wideRow(mark float64, winner, width int) *tensor.Tensor {
+	x := tensor.New(1, width)
 	x.RowSlice(0)[0] = mark
 	x.RowSlice(0)[1] = float64(winner)
 	return x
 }
+
+// waitFor polls cond: the tests' one way to wait on gateway state.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+	}
+}
+
+func queueDepth(gw *Gateway) int64 { return gw.Gauges().Gauge("serve.queue_depth").Value() }
 
 // TestConcurrentScatterOwnership is the core correctness property under
 // -race: N goroutines each submit one distinguishable row concurrently, the
@@ -89,7 +108,7 @@ func row(mark float64, winner int) *tensor.Tensor {
 // own row's results back.
 func TestConcurrentScatterOwnership(t *testing.T) {
 	be := &echoBackend{}
-	gw := New(be, Config{MaxBatch: 8, MaxLinger: time.Millisecond, Workers: 3})
+	gw := New(be, Config{MaxBatch: 8, Workers: 3})
 	defer gw.Close()
 
 	const n = 64
@@ -162,7 +181,7 @@ func TestConcurrentScatterOwnership(t *testing.T) {
 // checks each gets its own contiguous block back.
 func TestMultiRowRequestScatter(t *testing.T) {
 	be := &echoBackend{}
-	gw := New(be, Config{MaxBatch: 16, MaxLinger: 2 * time.Millisecond, Workers: 2})
+	gw := New(be, Config{MaxBatch: 16, Workers: 2})
 	defer gw.Close()
 
 	var wg sync.WaitGroup
@@ -213,7 +232,7 @@ func TestMultiRowRequestScatter(t *testing.T) {
 // expired when the batcher dequeues it is shed without a dispatch.
 func TestDeadlineExpiry(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{})}
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 1, QueueSize: 8})
+	gw := New(be, Config{MaxBatch: 1, Workers: 1, QueueSize: 8})
 	defer gw.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
@@ -237,7 +256,6 @@ func TestDeadlineExpiry(t *testing.T) {
 
 	// Pre-expired context: the batcher sheds it at dequeue; the backend
 	// never sees its row.
-	before := len(be.echo.snapshotBatches())
 	expired, cancel2 := context.WithCancel(context.Background())
 	cancel2()
 	_, err = gw.Predict(expired, row(2, 0))
@@ -250,9 +268,16 @@ func TestDeadlineExpiry(t *testing.T) {
 	if total < 2 {
 		t.Fatalf("expired requests not counted (shed.expired + timeouts + batch_errors = %d)", total)
 	}
-	time.Sleep(10 * time.Millisecond)
-	for _, b := range be.echo.snapshotBatches()[before:] {
-		_ = b // rows from the cancelled request may only appear if it won the race into a batch pre-cancel; with a pre-cancelled ctx it cannot
+	// A pre-cancelled request can never win its way into a batch.
+	waitFor(t, "the batcher shedding the cancelled request", func() bool {
+		return gw.Counters().Counter("serve.shed.expired").Value() >= 1
+	})
+	be.echo.mu.Lock()
+	defer be.echo.mu.Unlock()
+	for _, mark := range be.echo.marks {
+		if mark == 2 {
+			t.Fatal("the backend was handed the pre-cancelled request's row")
+		}
 	}
 }
 
@@ -266,7 +291,7 @@ func (b *echoBackend) snapshotBatches() []int {
 // must reject instantly with ErrQueueFull and count the shed.
 func TestQueueFullShed(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}), entered: make(chan struct{}, 8)}
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 1, QueueSize: 2})
+	gw := New(be, Config{MaxBatch: 1, Workers: 1, QueueSize: 2})
 	defer gw.Close()
 
 	// Wedge the pipeline step by step so admission cannot race the batcher:
@@ -284,31 +309,15 @@ func TestQueueFullShed(t *testing.T) {
 			results <- err
 		}()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	waitDepth := func(want int64, what string) {
-		t.Helper()
-		for gw.Gauges().Gauge("serve.queue_depth").Value() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s (queue depth stuck at %d, want %d)", what, gw.Gauges().Gauge("serve.queue_depth").Value(), want)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
 	submit(0)
 	<-be.entered // request 0 is inside the backend; the worker is wedged
 	submit(1)
-	// Request 1 admitted (requests = 2) and dequeued (depth back to 0) means
-	// the batcher holds it, blocked on dispatch — the pipeline is wedged.
-	for gw.Counters().Counter("serve.requests").Value() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("request 1 never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	waitDepth(0, "batcher never picked up request 1")
+	// Request 1 dequeued means the batcher holds it, blocked on dispatch —
+	// the pipeline is wedged.
+	waitFor(t, "the batcher picking up request 1", func() bool { return gw.dequeued.Load() == 2 })
 	submit(2)
 	submit(3)
-	waitDepth(2, "queue never filled")
+	waitFor(t, "the queue filling", func() bool { return queueDepth(gw) == 2 })
 	start := time.Now()
 	_, err := gw.Predict(context.Background(), row(99, 0))
 	if !errors.Is(err, ErrQueueFull) {
@@ -335,7 +344,7 @@ func TestQueueFullShed(t *testing.T) {
 // normal one.
 func TestPriorityLane(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 16)}
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 1, QueueSize: 8})
+	gw := New(be, Config{MaxBatch: 1, Workers: 1, QueueSize: 8})
 	defer gw.Close()
 
 	// Wedge: request A occupies the worker; request B sits in the batcher
@@ -350,30 +359,13 @@ func TestPriorityLane(t *testing.T) {
 	}
 	submit(1, PriorityNormal) // → worker
 	submit(2, PriorityNormal) // → batcher, blocked on dispatch
-	// Wait until both are out of the lanes.
-	deadline := time.Now().Add(2 * time.Second)
-	for gw.Counters().Counter("serve.requests").Value() < 2 || gw.Gauges().Gauge("serve.queue_depth").Value() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("pipeline never wedged")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the pipeline wedging", func() bool { return gw.dequeued.Load() == 2 })
 	submit(3, PriorityNormal)
 	submit(4, PriorityNormal)
 	// Ensure the normal requests are queued before the high one arrives.
-	for gw.Gauges().Gauge("serve.queue_depth").Value() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("normal lane never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the normal lane filling", func() bool { return queueDepth(gw) == 2 })
 	submit(9, PriorityHigh)
-	for gw.Gauges().Gauge("serve.queue_depth").Value() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("high lane never filled")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the high lane filling", func() bool { return queueDepth(gw) == 3 })
 	for i := 0; i < 5; i++ {
 		be.gate <- struct{}{}
 	}
@@ -392,54 +384,55 @@ func TestPriorityLane(t *testing.T) {
 	}
 }
 
-// TestBatchDeadlinePropagation: the batch context carries the latest member
-// deadline when all members have one, and none otherwise.
+// TestBatchDeadlinePropagation: members that queue behind a busy worker
+// leave as ONE batch whose context carries the latest member deadline when
+// all members have one, and none otherwise.
 func TestBatchDeadlinePropagation(t *testing.T) {
-	type seen struct {
-		dl time.Time
-		ok bool
-	}
-	seenc := make(chan seen, 4)
-	be := backendFunc(func(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
-		dl, ok := ctx.Deadline()
-		seenc <- seen{dl, ok}
-		probs := tensor.New(x.Shape[0], 2)
-		for r := 0; r < x.Shape[0]; r++ {
-			probs.RowSlice(r)[0], probs.RowSlice(r)[1] = 0.5, 0.5
-		}
-		return probs, make([]int, x.Shape[0]), nil
-	})
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: 20 * time.Millisecond, Workers: 1})
-	defer gw.Close()
+	gw, be, release := wedged(t, Config{MaxBatch: 4, Workers: 1})
 
-	// Two members with deadlines ~100ms and ~500ms out → batch deadline is
-	// the later one.
+	// Members with deadlines ~1s, ~5s and ~3s out → batch deadline is the
+	// latest one.
 	var wg sync.WaitGroup
-	for _, d := range []time.Duration{100 * time.Millisecond, 500 * time.Millisecond} {
+	submit := func(d time.Duration) {
 		wg.Add(1)
-		go func(d time.Duration) {
+		go func() {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), d)
-			defer cancel()
-			gw.Predict(ctx, row(1, 0))
-		}(d)
+			ctx := context.Background()
+			if d > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, d)
+				defer cancel()
+			}
+			if _, err := gw.Predict(ctx, row(1, 0)); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
+	sent := time.Now()
+	for _, d := range []time.Duration{time.Second, 5 * time.Second, 3 * time.Second} {
+		submit(d)
+	}
+	waitFor(t, "the three members joining the batch", func() bool { return gw.dequeued.Load() == 4 })
+	// The holder's batch finishes; the worker comes back for the members'
+	// batch and sticks in the backend again, so phase two coalesces too.
+	release(1)
+	<-be.entered
+	submit(time.Second)
+	submit(0) // no deadline: unbounds its batch
+	waitFor(t, "the two members joining the batch", func() bool { return gw.dequeued.Load() == 6 })
+	release(2)
 	wg.Wait()
-	s := <-seenc
-	if !s.ok {
-		t.Fatal("batch of all-deadlined members dispatched without a deadline")
-	}
-	if until := time.Until(s.dl); until < 150*time.Millisecond {
-		t.Fatalf("batch deadline %v out; want the LATEST member deadline (~500ms)", until)
-	}
 
-	// One member without a deadline unbounds the batch.
-	if _, err := gw.Predict(context.Background(), row(2, 0)); err != nil {
-		t.Fatal(err)
+	be.echo.mu.Lock()
+	defer be.echo.mu.Unlock()
+	if got := be.echo.batches; len(got) != 3 || got[1] != 3 || got[2] != 2 {
+		t.Fatalf("batches of %v rows, want the holder, then 3 rows as one batch, then 2", got)
 	}
-	s = <-seenc
-	if s.ok {
-		t.Fatalf("batch with an unbounded member still carried deadline %v", s.dl)
+	if dl := be.echo.deadlines[1]; dl.Before(sent.Add(5*time.Second)) || dl.After(time.Now().Add(5*time.Second)) {
+		t.Fatalf("batch deadline %v after submit; want the LATEST member deadline (5s)", dl.Sub(sent))
+	}
+	if dl := be.echo.deadlines[2]; !dl.IsZero() {
+		t.Fatalf("batch with an unbounded member still carried deadline %v", dl)
 	}
 }
 
@@ -456,7 +449,7 @@ func TestBackendErrorScatters(t *testing.T) {
 	be := backendFunc(func(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
 		return nil, nil, boom
 	})
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Workers: 1})
+	gw := New(be, Config{MaxBatch: 4, Workers: 1})
 	defer gw.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
@@ -487,7 +480,7 @@ func TestBackendPanicScatters(t *testing.T) {
 		probs := tensor.New(x.Shape[0], 2)
 		return probs, make([]int, x.Shape[0]), nil
 	})
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 1})
+	gw := New(be, Config{MaxBatch: 1, Workers: 1})
 	defer gw.Close()
 	if _, err := gw.Predict(context.Background(), row(1, 0)); err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want inference panic error", err)
@@ -520,7 +513,7 @@ func TestInputValidation(t *testing.T) {
 // Predict after Close rejects.
 func TestCloseFailsPending(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{})}
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 1, QueueSize: 8})
+	gw := New(be, Config{MaxBatch: 1, Workers: 1, QueueSize: 8})
 	var wg sync.WaitGroup
 	errsc := make(chan error, 4)
 	for i := 0; i < 4; i++ {
@@ -535,9 +528,7 @@ func TestCloseFailsPending(t *testing.T) {
 			errsc <- err
 		}()
 	}
-	for gw.Counters().Counter("serve.requests").Value() < 4 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "all four requests arriving", func() bool { return gw.Counters().Counter("serve.requests").Value() == 4 })
 	done := make(chan struct{})
 	go func() { gw.Close(); close(done) }()
 	select {
@@ -562,7 +553,7 @@ func TestCloseFailsPending(t *testing.T) {
 // real /metrics page — the ISSUE's observability acceptance criterion.
 func TestMetricsOnAdminEndpoint(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 64)}
-	gw := New(be, Config{MaxBatch: 1, MaxLinger: time.Microsecond, Workers: 1, QueueSize: 1})
+	gw := New(be, Config{MaxBatch: 1, Workers: 1, QueueSize: 1})
 	defer gw.Close()
 
 	adm := admin.New()
@@ -646,7 +637,7 @@ func TestBatchSpanTree(t *testing.T) {
 		}
 		return probs, make([]int, x.Shape[0]), nil
 	})
-	gw := New(be, Config{MaxBatch: 4, MaxLinger: 10 * time.Millisecond, Workers: 1})
+	gw := New(be, Config{MaxBatch: 4, Workers: 1})
 	defer gw.Close()
 	tr := trace.New("gw", 0)
 	gw.SetTracer(tr)
@@ -697,7 +688,7 @@ func TestBatchSpanTree(t *testing.T) {
 // TestHTTPPredictRoundTrip exercises the JSON endpoint end to end against
 // the echo backend, including the error-status mapping.
 func TestHTTPPredictRoundTrip(t *testing.T) {
-	gw := New(&echoBackend{}, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Workers: 1})
+	gw := New(&echoBackend{}, Config{MaxBatch: 4, Workers: 1})
 	defer gw.Close()
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
@@ -751,7 +742,7 @@ func TestHTTPPredictRoundTrip(t *testing.T) {
 // with the JSON error body — not cut off at the limit and then reported as
 // malformed JSON, which is what a silent io.LimitReader made of it.
 func TestHTTPPredictBodyTooLarge(t *testing.T) {
-	gw := New(&echoBackend{}, Config{MaxBatch: 4, MaxLinger: time.Millisecond, Workers: 1})
+	gw := New(&echoBackend{}, Config{MaxBatch: 4, Workers: 1})
 	defer gw.Close()
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()

@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"net"
+	"sync"
 )
 
 // MaxFrameSize bounds a single frame's payload (64 MiB). Inference inputs,
@@ -25,38 +27,126 @@ const MaxFrameSize = 64 << 20
 // Frame header layout: 4-byte big-endian payload length, 1-byte type.
 const frameHeaderSize = 5
 
-// WriteFrame writes one typed frame to w.
-func WriteFrame(w io.Writer, msgType byte, payload []byte) error {
-	if len(payload) > MaxFrameSize {
-		return fmt.Errorf("transport: frame payload %d exceeds max %d", len(payload), MaxFrameSize)
+// maxPooledScratch caps the scratch a FrameBatch keeps between flushes: a
+// model push must not pin tens of megabytes behind every later 3 KiB frame.
+const maxPooledScratch = 1 << 20
+
+// FrameBatch gathers whole frames and sends them in one operation: a single
+// writev on a *net.TCPConn, exactly one Write of an assembled buffer on any
+// other writer. A frame that leaves as two segments on a TCP_NODELAY socket
+// is delivered — and, on a per-chunk link model, delayed — twice; one
+// operation per frame (or per burst of frames) is what keeps a request at
+// one link traversal. The zero value is ready to use; a batch is not safe
+// for concurrent use.
+type FrameBatch struct {
+	head []byte      // headers and copied prefixes, back to back
+	vec  [][]byte    // what leaves, in order: slices of head, then referenced parts
+	out  net.Buffers // writev cursor; a field so Flush does not allocate it
+	flat []byte      // assembly scratch for non-TCP writers
+}
+
+// Add appends one frame whose payload is prefix followed by parts. prefix is
+// copied next to the header (it is meant for a few bytes, such as a request
+// id); parts are referenced, not copied, and must stay unmodified until
+// Flush returns.
+func (b *FrameBatch) Add(msgType byte, prefix []byte, parts ...[]byte) error {
+	n := len(prefix)
+	for _, p := range parts {
+		n += len(p)
 	}
-	var hdr [frameHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	hdr[4] = msgType
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("transport: write frame header: %w", err)
+	if n > MaxFrameSize {
+		return fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxFrameSize)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("transport: write frame payload: %w", err)
+	// head may move when it grows; slices taken earlier keep pointing at the
+	// bytes already written, which is all vec needs of them.
+	start := len(b.head)
+	b.head = binary.BigEndian.AppendUint32(b.head, uint32(n))
+	b.head = append(b.head, msgType)
+	b.head = append(b.head, prefix...)
+	b.vec = append(b.vec, b.head[start:])
+	for _, p := range parts {
+		if len(p) > 0 {
+			b.vec = append(b.vec, p)
+		}
 	}
 	return nil
 }
 
-// ReadFrame reads one typed frame from r.
+// Flush sends every frame added since the last Flush and empties the batch,
+// whatever the outcome.
+func (b *FrameBatch) Flush(w io.Writer) error {
+	if len(b.vec) == 0 {
+		return nil
+	}
+	defer b.reset()
+	var err error
+	if tc, ok := w.(*net.TCPConn); ok {
+		b.out = b.vec
+		_, err = b.out.WriteTo(tc)
+	} else {
+		b.flat = b.flat[:0]
+		for _, p := range b.vec {
+			b.flat = append(b.flat, p...)
+		}
+		_, err = w.Write(b.flat)
+	}
+	if err != nil {
+		return fmt.Errorf("transport: write frame: %w", err)
+	}
+	return nil
+}
+
+func (b *FrameBatch) reset() {
+	clear(b.vec) // drop the payload references
+	b.vec, b.out, b.head = b.vec[:0], nil, b.head[:0]
+	if cap(b.flat) > maxPooledScratch {
+		b.flat = nil
+	}
+}
+
+var frameBatches = sync.Pool{New: func() any { return new(FrameBatch) }}
+
+// WriteFrame writes one typed frame to w in a single operation; the payload
+// is the concatenation of parts.
+func WriteFrame(w io.Writer, msgType byte, parts ...[]byte) error {
+	b := frameBatches.Get().(*FrameBatch)
+	defer frameBatches.Put(b)
+	if err := b.Add(msgType, nil, parts...); err != nil {
+		return err
+	}
+	return b.Flush(w)
+}
+
+// readFrameUpfront is the most ReadFrame allocates on the word of a length
+// prefix alone; past it the buffer grows only as payload bytes arrive, so a
+// five-byte header claiming 64 MiB costs its sender's bytes, not ours.
+const readFrameUpfront = 1 << 20
+
+// ReadFrame reads one typed frame from r. The payload is freshly allocated:
+// it never aliases a buffered reader's internal buffer.
 func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("transport: read frame header: %w", err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxFrameSize {
-		return 0, nil, fmt.Errorf("transport: frame payload %d exceeds max %d", n, MaxFrameSize)
+	size := binary.BigEndian.Uint32(hdr[:4])
+	if size > MaxFrameSize {
+		return 0, nil, fmt.Errorf("transport: frame payload %d exceeds max %d", size, MaxFrameSize)
 	}
-	payload = make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("transport: read frame payload: %w", err)
+	n := int(size)
+	payload = make([]byte, min(n, readFrameUpfront))
+	got := 0
+	for {
+		if _, err := io.ReadFull(r, payload[got:]); err != nil {
+			return 0, nil, fmt.Errorf("transport: read frame payload: %w", err)
+		}
+		if got = len(payload); got == n {
+			return hdr[4], payload, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, payload)
+		payload = grown
 	}
-	return hdr[4], payload, nil
 }
 
 // FrameWireSize returns the number of bytes a payload of length n occupies

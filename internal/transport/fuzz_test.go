@@ -98,6 +98,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 9})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0})
+	f.Add(giantClaimFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data))
 		if err != nil {

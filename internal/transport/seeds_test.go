@@ -59,7 +59,14 @@ func readFrameSeeds() [][]byte {
 		{},
 		{0, 0, 0, 1, 9},
 		{0xFF, 0xFF, 0xFF, 0xFF, 0},
+		giantClaimFrame(),
 	}
+}
+
+// giantClaimFrame is a header claiming the full 64 MiB followed by ten
+// bytes: what a confused or hostile peer can send for free.
+func giantClaimFrame() []byte {
+	return append([]byte{0x04, 0, 0, 0, 9}, make([]byte, 10)...)
 }
 
 func rpcEnvelopeSeeds() [][]byte {
