@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check docs linkcheck bench bench-throughput bench-serve bench-soak bench-forward bench-cache bench-fleet bench-split bench-check clean
+.PHONY: build test verify fmt-check docs linkcheck loc bench bench-throughput bench-serve bench-soak bench-forward bench-cache bench-fleet bench-split bench-check clean
 
 build:
 	$(GO) build ./...
@@ -27,13 +27,22 @@ docs:
 linkcheck:
 	$(GO) run ./cmd/teamnet-linkcheck README.md DESIGN.md docs/*.md
 
+# loc prints the non-test Go lines of every internal/ package and their
+# total — the tracked number of ROADMAP aim 2 (same behaviour, least code).
+loc:
+	@for d in internal/*/; do \
+		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
+	@printf '%6d internal/ total\n' $$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+
 # The short run keeps the full-suite half fast while still executing the
 # transport fuzz seed corpora (wired into Test* functions) and every unit
 # test; the race half hammers the self-healing runtime — and, none of them
 # -short-skipped, the gateway's batcher tests (internal/serve
 # batcher_test.go), the one-write frame tests with ReadFrame's allocation
-# bound (internal/transport frame_test.go) and the mux write-coalescing and
-# golden wire-bytes tests (internal/cluster wire_test.go).
+# bound (internal/transport frame_test.go), the mux write-coalescing and
+# golden wire-bytes tests (internal/cluster wire_test.go), the server-loop
+# conformance table run against both Worker and MasterServer
+# (server_test.go) and the hostile-reply decoder seeds (hostile_test.go).
 verify: fmt-check docs
 	$(GO) vet ./...
 	$(GO) test -short ./...
@@ -43,9 +52,10 @@ verify: fmt-check docs
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Closed-loop serial-vs-mux throughput comparison against a real
-# snapshot-serving worker over loopback; the JSON artifact records the
-# pipelining speedup (see docs/OPERATIONS.md).
+# Closed-loop one-in-flight-vs-pipelined throughput comparison against a
+# real snapshot-serving worker over loopback (the baseline is a one-slot
+# gate around Master.Infer, not a second protocol); the JSON artifact
+# records the pipelining speedup (see docs/OPERATIONS.md).
 bench-throughput:
 	$(GO) run ./cmd/teamnet-bench -throughput -clients 8 -duration 3s -out BENCH_throughput.json
 

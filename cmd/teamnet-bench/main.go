@@ -60,7 +60,6 @@ func run() error {
 
 		throughput = flag.Bool("throughput", false, "run the closed-loop serial-vs-mux throughput benchmark")
 		clients    = flag.Int("clients", 8, "throughput: concurrent closed-loop clients")
-		replicas   = flag.Int("replicas", 4, "throughput/serve: worker expert replicas")
 		batch      = flag.Int("batch", 4, "throughput: rows per query")
 		duration   = flag.Duration("duration", 2*time.Second, "throughput/serve: measured window per mode")
 		netDelay   = flag.Duration("netdelay", 2*time.Millisecond, "throughput/serve: one-way link delay (edge RTT model; negative = raw loopback)")
@@ -113,7 +112,6 @@ func run() error {
 	if *throughput {
 		return runThroughput(bench.ThroughputConfig{
 			Clients:  *clients,
-			Replicas: *replicas,
 			Batch:    *batch,
 			Duration: *duration,
 			NetDelay: *netDelay,
@@ -126,7 +124,6 @@ func run() error {
 			TargetQPS: *targetQPS,
 			Duration:  *duration,
 			Deadline:  *reqDl,
-			Replicas:  *replicas,
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
 			Seed:      *seed,
@@ -163,7 +160,6 @@ func run() error {
 			Interval:  *soakInterval,
 			Deadline:  *soakDeadline,
 			Workers:   *soakWorkers,
-			Replicas:  *replicas,
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
 			Seed:      *seed,

@@ -167,7 +167,6 @@ func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 		}
 		current, err := RunThroughput(ThroughputConfig{
 			Clients:  committed.Clients,
-			Replicas: committed.Replicas,
 			Batch:    committed.Batch,
 			Duration: dur,
 			NetDelay: netDelayFromMs(committed.NetDelayMs),
@@ -191,7 +190,6 @@ func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 			TargetQPS: committed.TargetQPS,
 			Duration:  dur,
 			Deadline:  time.Duration(committed.DeadlineMs * float64(time.Millisecond)),
-			Replicas:  committed.Replicas,
 			NetDelay:  netDelayFromMs(committed.NetDelayMs),
 			MaxBatch:  committed.MaxBatch,
 		})

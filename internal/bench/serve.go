@@ -50,7 +50,6 @@ type ServeBenchConfig struct {
 	TargetQPS int           // offered Poisson arrival rate, requests/second
 	Duration  time.Duration // measured window per mode
 	Deadline  time.Duration // per-request deadline
-	Replicas  int           // legacy replica knob; kept for committed-artifact compatibility
 	NetDelay  time.Duration // one-way link delay (edge RTT model); < 0 = raw loopback
 	MaxBatch  int           // gateway row budget per coalesced batch
 	Workers   int           // gateway dispatch workers
@@ -67,9 +66,6 @@ func (c ServeBenchConfig) normalized() ServeBenchConfig {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 300 * time.Millisecond
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 4
 	}
 	if c.NetDelay == 0 {
 		c.NetDelay = 2 * time.Millisecond
@@ -111,7 +107,6 @@ type ServeBenchReport struct {
 	DurationSec   float64          `json:"duration_sec"`
 	DeadlineMs    float64          `json:"deadline_ms"`
 	NetDelayMs    float64          `json:"net_delay_ms"`
-	Replicas      int              `json:"replicas"`
 	MaxBatch      int              `json:"max_batch"`
 	Direct        ServeBenchResult `json:"direct"`
 	Gateway       ServeBenchResult `json:"gateway"`
@@ -121,8 +116,8 @@ type ServeBenchReport struct {
 
 func (r *ServeBenchReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "serve: %d req/s offered (Poisson, 1 row each), %.1fs per mode, %.0fms deadline, %.2fms one-way link delay, %d replicas\n",
-		r.TargetQPS, r.DurationSec, r.DeadlineMs, r.NetDelayMs, r.Replicas)
+	fmt.Fprintf(&b, "serve: %d req/s offered (Poisson, 1 row each), %.1fs per mode, %.0fms deadline, %.2fms one-way link delay\n",
+		r.TargetQPS, r.DurationSec, r.DeadlineMs, r.NetDelayMs)
 	for _, m := range []ServeBenchResult{r.Direct, r.Gateway} {
 		fmt.Fprintf(&b, "  %-8s %7.1f goodput qps  (%d/%d in deadline; %d timed out, %d shed, %d errors; p50 %.2fms p95 %.2fms p99 %.2fms)\n",
 			m.Mode, m.GoodputQPS, m.Completed, m.Offered, m.TimedOut, m.Shed, m.Errors, m.P50Ms, m.P95Ms, m.P99Ms)
@@ -153,7 +148,6 @@ func RunServeBench(cfg ServeBenchConfig) (*ServeBenchReport, error) {
 		DurationSec:   cfg.Duration.Seconds(),
 		DeadlineMs:    float64(cfg.Deadline.Microseconds()) / 1e3,
 		NetDelayMs:    float64(delay.Microseconds()) / 1e3,
-		Replicas:      cfg.Replicas,
 		MaxBatch:      cfg.MaxBatch,
 		Direct:        direct,
 		Gateway:       gateway,

@@ -76,7 +76,6 @@ type SoakConfig struct {
 	Interval  time.Duration // time-series bucket width
 	Deadline  time.Duration // per-request deadline (also the gateway's SLO target)
 	Workers   int           // worker nodes, each behind its own chaos proxy
-	Replicas  int           // legacy replica knob; kept for committed-artifact compatibility
 	NetDelay  time.Duration // one-way link delay injected on every healthy link
 	MaxBatch  int           // gateway row budget
 	QueueSize int           // gateway admission lane size
@@ -103,9 +102,6 @@ func (c SoakConfig) normalized() SoakConfig {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 3
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 2
 	}
 	if c.NetDelay == 0 {
 		c.NetDelay = 2 * time.Millisecond
@@ -178,7 +174,6 @@ type SoakReport struct {
 	DeadlineMs  float64        `json:"deadline_ms"`
 	NetDelayMs  float64        `json:"net_delay_ms"`
 	Workers     int            `json:"workers"`
-	Replicas    int            `json:"replicas"`
 	MaxBatch    int            `json:"max_batch"`
 	Timeline    []SoakEvent    `json:"timeline"`
 	Intervals   []SoakInterval `json:"intervals"`
@@ -187,8 +182,8 @@ type SoakReport struct {
 
 func (r *SoakReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "soak: %d req/s offered for %.0fs (%.0fs intervals), %.0fms deadline, %d workers × %d replicas, %.2fms link delay\n",
-		r.TargetQPS, r.DurationSec, r.IntervalSec, r.DeadlineMs, r.Workers, r.Replicas, r.NetDelayMs)
+	fmt.Fprintf(&b, "soak: %d req/s offered for %.0fs (%.0fs intervals), %.0fms deadline, %d workers, %.2fms link delay\n",
+		r.TargetQPS, r.DurationSec, r.IntervalSec, r.DeadlineMs, r.Workers, r.NetDelayMs)
 	for _, e := range r.Timeline {
 		fmt.Fprintf(&b, "  t=%-5s %s worker %d\n", e.At, e.Action, e.Worker)
 	}
@@ -454,7 +449,6 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 		DeadlineMs:  float64(cfg.Deadline.Microseconds()) / 1e3,
 		NetDelayMs:  float64(cfg.NetDelay.Microseconds()) / 1e3,
 		Workers:     cfg.Workers,
-		Replicas:    cfg.Replicas,
 		MaxBatch:    cfg.MaxBatch,
 		Timeline:    cfg.Timeline,
 		Intervals:   make([]SoakInterval, nBuckets),

@@ -17,15 +17,15 @@ import (
 // the multiplexed peer transport. Unlike the edgesim experiments (which
 // model the paper's single-query latency), this drives a REAL master and a
 // REAL snapshot-serving worker over real TCP with N closed-loop clients — each fires
-// its next query the moment the previous one answers — once over the serial
-// one-in-flight protocol (SetMux(false), the pre-mux wire behavior) and
-// once over the pipelined mux transport, and reports QPS plus latency
-// percentiles for both.
+// its next query the moment the previous one answers — once with the paper's
+// one-in-flight discipline (a one-slot gate around Master.Infer: the same
+// mux frames, a window of one) and once with the pipeline's full window, and
+// reports QPS plus latency percentiles for both.
 //
 // The link between master and worker runs through the chaos proxy's
 // latency injector, because bare loopback has none of the physics the mux
 // transport exists for: TeamNet deploys over edge WiFi (paper §V), where
-// every round trip costs milliseconds. On such a link the serial protocol
+// every round trip costs milliseconds. On such a link one-in-flight
 // caps throughput at one request per RTT however concurrent the worker's
 // inference snapshot is, while the pipeline shares the RTT across every request in
 // its window — that gap is what this benchmark measures. NetDelay < 0
@@ -36,7 +36,6 @@ import (
 // delay, seed 42).
 type ThroughputConfig struct {
 	Clients  int           // concurrent closed-loop clients
-	Replicas int           // legacy replica knob; kept for committed-artifact compatibility
 	Batch    int           // rows per query
 	Duration time.Duration // measured window per mode
 	NetDelay time.Duration // one-way link delay (edge RTT model); < 0 = raw loopback
@@ -46,9 +45,6 @@ type ThroughputConfig struct {
 func (c ThroughputConfig) normalized() ThroughputConfig {
 	if c.Clients <= 0 {
 		c.Clients = 8
-	}
-	if c.Replicas <= 0 {
-		c.Replicas = 4
 	}
 	if c.Batch <= 0 {
 		c.Batch = 4
@@ -79,7 +75,6 @@ type ThroughputResult struct {
 // ThroughputReport pairs the two modes under identical load.
 type ThroughputReport struct {
 	Clients     int              `json:"clients"`
-	Replicas    int              `json:"replicas"`
 	Batch       int              `json:"batch"`
 	DurationSec float64          `json:"duration_sec"`
 	NetDelayMs  float64          `json:"net_delay_ms"` // injected one-way link delay
@@ -90,8 +85,8 @@ type ThroughputReport struct {
 
 func (r *ThroughputReport) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "throughput: %d clients, %d replicas, batch %d, %.2fms one-way link delay, %.1fs per mode\n",
-		r.Clients, r.Replicas, r.Batch, r.NetDelayMs, r.DurationSec)
+	fmt.Fprintf(&b, "throughput: %d clients, batch %d, %.2fms one-way link delay, %.1fs per mode\n",
+		r.Clients, r.Batch, r.NetDelayMs, r.DurationSec)
 	for _, m := range []ThroughputResult{r.Serial, r.Mux} {
 		fmt.Fprintf(&b, "  %-6s %7.1f qps  (%d queries; mean %.2fms p50 %.2fms p95 %.2fms p99 %.2fms)\n",
 			m.Mode, m.QPS, m.Queries, m.MeanMs, m.P50Ms, m.P95Ms, m.P99Ms)
@@ -125,7 +120,6 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
 	}
 	report := &ThroughputReport{
 		Clients:     cfg.Clients,
-		Replicas:    cfg.Replicas,
 		Batch:       cfg.Batch,
 		DurationSec: cfg.Duration.Seconds(),
 		NetDelayMs:  float64(delay.Microseconds()) / 1e3,
@@ -167,17 +161,27 @@ func runThroughputMode(cfg ThroughputConfig, mux bool) (ThroughputResult, error)
 	// query and blur the transport comparison.
 	master := cluster.NewMaster(nil, 10)
 	defer master.Close()
-	if !mux {
-		master.SetMux(false)
-	}
 	master.SetTimeout(10 * time.Second)
 	if err := master.Connect(addr); err != nil {
 		return ThroughputResult{}, err
 	}
 
 	x := tensor.NewRNG(cfg.Seed+1).Randn(cfg.Batch, 64)
+	// The serial baseline is the paper's protocol: one request on the link
+	// at a time, the next one sent only when the reply is in. On this
+	// single-peer master a one-slot gate around Infer is exactly that; a
+	// client's wait for the slot counts toward its latency.
+	var oneInFlight sync.Mutex
+	infer := func() error {
+		if !mux {
+			oneInFlight.Lock()
+			defer oneInFlight.Unlock()
+		}
+		_, _, err := master.Infer(x)
+		return err
+	}
 	for i := 0; i < 3; i++ { // warmup: connections dialed, pools touched
-		if _, _, err := master.Infer(x); err != nil {
+		if err := infer(); err != nil {
 			return ThroughputResult{}, err
 		}
 	}
@@ -193,7 +197,7 @@ func runThroughputMode(cfg ThroughputConfig, mux bool) (ThroughputResult, error)
 			defer wg.Done()
 			for time.Now().Before(deadline) {
 				qs := time.Now()
-				if _, _, err := master.Infer(x); err != nil {
+				if err := infer(); err != nil {
 					errs[c] = err
 					return
 				}

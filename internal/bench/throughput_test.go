@@ -14,7 +14,6 @@ import (
 func TestRunThroughputSmoke(t *testing.T) {
 	report, err := RunThroughput(ThroughputConfig{
 		Clients:  4,
-		Replicas: 4,
 		Batch:    2,
 		Duration: 150 * time.Millisecond,
 		Seed:     7,
@@ -29,6 +28,11 @@ func TestRunThroughputSmoke(t *testing.T) {
 		if m.P50Ms <= 0 || m.P99Ms < m.P50Ms {
 			t.Fatalf("%s mode has nonsensical percentiles: %+v", m.Mode, m)
 		}
+	}
+	// What the baseline exists to show: with one request on the link at a
+	// time, throughput cannot exceed one per round trip of the injected delay.
+	if bound := 1000 / (2 * report.NetDelayMs) * 1.1; report.Serial.QPS > bound {
+		t.Fatalf("serial mode ran %.0f qps over a %.0fms one-way link; one-in-flight is capped at %.0f", report.Serial.QPS, report.NetDelayMs, bound)
 	}
 	if report.Speedup <= 0 {
 		t.Fatalf("speedup %v not computed", report.Speedup)

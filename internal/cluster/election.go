@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
-
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // electProbeTimeout bounds one election probe (dial + round trip): a
@@ -45,43 +43,20 @@ func ElectLeader(myID int, peerAddrs []string) (isLeader bool, leaderID int, err
 }
 
 // electionReply encodes this node's election id as 4 big-endian bytes.
-// Pre-fix builds replied a single byte, truncating ids ≥ 256 mod 256 —
-// electing the wrong leader and spuriously reporting duplicate ids;
-// probePeerID still accepts the 1-byte form from those workers.
 func electionReply(id int) []byte {
 	var b [4]byte
 	binary.BigEndian.PutUint32(b[:], uint32(id))
 	return b[:]
 }
 
-// probePeerID asks one worker for its election id.
+// probePeerID asks one node for its election id.
 func probePeerID(addr string) (int, error) {
-	conn, err := transport.Dial(addr, electProbeTimeout)
+	reply, err := controlDial(addr, electProbeTimeout, MsgElection, nil, MsgElectionOK)
 	if err != nil {
-		return 0, fmt.Errorf("cluster: election dial %s: %w", addr, err)
+		return 0, fmt.Errorf("cluster: election %s: %w", addr, err)
 	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(electProbeTimeout)); err != nil {
-		return 0, fmt.Errorf("cluster: election deadline %s: %w", addr, err)
+	if len(reply) != 4 {
+		return 0, fmt.Errorf("cluster: election reply %d bytes from %s, want 4", len(reply), addr)
 	}
-	if err := transport.WriteFrame(conn, MsgElection, nil); err != nil {
-		return 0, fmt.Errorf("cluster: election send %s: %w", addr, err)
-	}
-	typ, payload, err := transport.ReadFrame(conn)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: election recv %s: %w", addr, err)
-	}
-	if typ != MsgElectionOK {
-		return 0, fmt.Errorf("cluster: election bad reply type %d from %s", typ, addr)
-	}
-	switch len(payload) {
-	case 4:
-		return int(binary.BigEndian.Uint32(payload)), nil
-	case 1:
-		// A pre-fix worker: its single byte is the id truncated mod 256 —
-		// accepted for compatibility, correct for ids < 256.
-		return int(payload[0]), nil
-	default:
-		return 0, fmt.Errorf("cluster: election reply %d bytes from %s, want 4 (or legacy 1)", len(payload), addr)
-	}
+	return int(binary.BigEndian.Uint32(reply)), nil
 }

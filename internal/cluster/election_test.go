@@ -11,8 +11,7 @@ import (
 // Election wire-width regression tests. Pre-fix builds encoded the election
 // id as a single byte, truncating ids ≥ 256 mod 256 on the wire: id 256
 // looked like 0, id 300 like 44 — electing the wrong leader and spuriously
-// reporting duplicates. The reply is now 4 bytes big-endian, with the
-// legacy 1-byte form still accepted from old workers.
+// reporting duplicates. The reply is 4 bytes big-endian and nothing else.
 
 // electionWorker starts a predict-capable worker just for its election id.
 func electionWorker(t *testing.T, seed int64, id int) string {
@@ -62,9 +61,9 @@ func TestElectionWideIDs(t *testing.T) {
 	}
 }
 
-// legacyElectionPeer answers one election probe with a payload of the given
-// raw bytes — modeling old workers (1 byte) and corrupt replies.
-func legacyElectionPeer(t *testing.T, reply []byte) string {
+// rawElectionPeer answers one election probe with a payload of the given raw
+// bytes — modeling corrupt replies.
+func rawElectionPeer(t *testing.T, reply []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -89,31 +88,13 @@ func legacyElectionPeer(t *testing.T, reply []byte) string {
 	return ln.Addr().String()
 }
 
-// TestElectionLegacyOneByteReply: a pre-fix worker's single-byte id is
-// still accepted, and its (correct, sub-256) id participates normally.
-func TestElectionLegacyOneByteReply(t *testing.T) {
-	addr := legacyElectionPeer(t, []byte{42})
-	id, err := probePeerID(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id != 42 {
-		t.Fatalf("legacy reply decoded as %d, want 42", id)
-	}
-	isLeader, leaderID, err := ElectLeader(3, []string{addr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if isLeader || leaderID != 42 {
-		t.Fatalf("leader %d (isLeader=%v), want 42", leaderID, isLeader)
-	}
-}
-
-// TestElectionRejectsMalformedIDWidth: anything that is neither the 4-byte
-// nor the legacy 1-byte form is a protocol error, not a guess.
+// TestElectionRejectsMalformedIDWidth: an id that is not exactly 4 bytes is
+// a protocol error, not a guess.
 func TestElectionRejectsMalformedIDWidth(t *testing.T) {
-	addr := legacyElectionPeer(t, []byte{1, 2})
-	if _, err := probePeerID(addr); err == nil || !strings.Contains(err.Error(), "want 4") {
-		t.Fatalf("2-byte election id accepted: %v", err)
+	for _, reply := range [][]byte{{42}, {1, 2}} {
+		addr := rawElectionPeer(t, reply)
+		if _, err := probePeerID(addr); err == nil || !strings.Contains(err.Error(), "want 4") {
+			t.Fatalf("%d-byte election id accepted: %v", len(reply), err)
+		}
 	}
 }

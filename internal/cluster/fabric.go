@@ -88,8 +88,10 @@ func encodeFabricResult(probs *tensor.Tensor, winners []int, live, total int) []
 	return append(out, tb...)
 }
 
-// decodeFabricResult parses a fabric reply body.
-func decodeFabricResult(body []byte) (probs *tensor.Tensor, winners []int, live, total int, err error) {
+// decodeFabricResult parses a fabric reply body and checks it against the
+// rows that were sent: the gateway scatters probs row by row to its callers,
+// so a reply of any other shape must die here, not there.
+func decodeFabricResult(body []byte, rows int) (probs *tensor.Tensor, winners []int, live, total int, err error) {
 	if len(body) < 8 {
 		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result %d bytes", len(body))
 	}
@@ -108,8 +110,8 @@ func decodeFabricResult(body []byte) (probs *tensor.Tensor, winners []int, live,
 	if err != nil {
 		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result probs: %w", err)
 	}
-	if probs.Shape[0] != n {
-		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result rows %d != winners %d", probs.Shape[0], n)
+	if len(probs.Shape) != 2 || probs.Shape[0] != rows || n != rows {
+		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result shape %v with %d winners, want %d rows", probs.Shape, n, rows)
 	}
 	return probs, winners, live, total, nil
 }

@@ -56,7 +56,7 @@ func TestFabricCodecRoundTrip(t *testing.T) {
 		probs.Data[i] = float64(i) / 6
 	}
 	res := encodeFabricResult(probs, []int{1, 0}, 2, 3)
-	gp, winners, live, total, err := decodeFabricResult(res)
+	gp, winners, live, total, err := decodeFabricResult(res, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestFabricCodecRoundTrip(t *testing.T) {
 	if _, _, _, _, err := decodeFabricRequest([]byte{9}); err == nil {
 		t.Fatal("truncated fabric request accepted")
 	}
-	if _, _, _, _, err := decodeFabricResult([]byte{0, 1}); err == nil {
+	if _, _, _, _, err := decodeFabricResult([]byte{0, 1}, 2); err == nil {
 		t.Fatal("truncated fabric result accepted")
 	}
 }

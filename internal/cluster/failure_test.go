@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -60,6 +59,9 @@ func TestMasterConnectRefused(t *testing.T) {
 	}
 }
 
+// TestWorkerRejectsMalformedPredict: a garbage tensor inside a well-formed
+// mux frame costs one MsgErrorMux addressed to that request; the frame
+// boundary is intact, so the connection keeps serving.
 func TestWorkerRejectsMalformedPredict(t *testing.T) {
 	worker := NewWorker(tinyExpert(t, 4), 1)
 	addr, err := worker.Listen("127.0.0.1:0")
@@ -73,41 +75,18 @@ func TestWorkerRejectsMalformedPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// Garbage tensor payload → worker must answer MsgError and close.
-	if err := transport.WriteFrame(conn, MsgPredict, []byte{0xFF, 0x01}); err != nil {
+	if err := transport.WriteFrame(conn, MsgPredictMux, appendMuxID(7, []byte{0xFF, 0x01})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := transport.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgError || len(payload) == 0 {
-		t.Fatalf("worker answered type %d to malformed predict", typ)
+	if id, text, _ := splitMuxID(payload); typ != MsgErrorMux || id != 7 || len(text) == 0 {
+		t.Fatalf("worker answered type %d id %d %q to malformed predict", typ, id, text)
 	}
-}
-
-func TestWorkerRejectsUnknownFrameType(t *testing.T) {
-	worker := NewWorker(tinyExpert(t, 5), 1)
-	addr, err := worker.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer worker.Close()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := transport.WriteFrame(conn, 0x7F, nil); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := transport.ReadFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != MsgError || !strings.Contains(string(payload), "unknown frame type") {
-		t.Fatalf("unexpected reply: type=%d %q", typ, payload)
+	if _, err := controlCall(conn, time.Second, MsgPing, nil, MsgPong); err != nil {
+		t.Fatalf("connection stopped serving after a malformed predict: %v", err)
 	}
 }
 

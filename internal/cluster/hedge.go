@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"time"
 
@@ -93,9 +92,7 @@ func (m *Master) Hedge() HedgeConfig { return m.hedge.get() }
 
 // hedgeDelay resolves this peer's hedge timer from its live rtt histogram:
 // the configured quantile clamped into [MinDelay, MaxDelay]. ok is false
-// when hedging is off, the peer has too few samples, or the round trip is
-// not on the mux path (a serial link carries one request at a time — a
-// duplicate would just queue behind the original).
+// when hedging is off or the peer has too few samples.
 func (p *peerConn) hedgeDelay() (time.Duration, bool) {
 	cfg := p.hedge.get()
 	if !cfg.Enabled || p.hists == nil {
@@ -137,12 +134,12 @@ type hedgeOutcome struct {
 // other arm (a caller abort: no breaker accounting, the link survives). If
 // the first arm to finish failed, the race keeps waiting on the other — a
 // hedge doubles as an instant retry against a dying link.
-func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, payload []byte, delay time.Duration) (PredictResult, error) {
+func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery, delay time.Duration) (PredictResult, error) {
 	outc := make(chan hedgeOutcome, 2)
 	run := func(actx context.Context, hedged bool) {
 		adone, stop := joinDone(actx, p.done)
 		defer stop()
-		res, err := p.muxAttempts(actx, adone, cfg, tr, peerCtx, payload)
+		res, err := p.muxAttempts(actx, adone, cfg, tr, peerCtx, q)
 		outc <- hedgeOutcome{res: res, err: err, hedge: hedged}
 	}
 	pctx, pcancel := context.WithCancel(ctx)
@@ -174,19 +171,13 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 				}
 				return o.res, nil
 			}
-			if errors.Is(o.err, errMuxUnsupported) {
-				// Pre-mux peer: hand straight back so do() falls to serial.
-				pcancel()
-				hcancel()
-				return PredictResult{}, o.err
-			}
 			if firstErr == nil || !o.hedge {
 				// Prefer reporting the primary arm's error.
 				firstErr = o.err
 			}
 		case <-timerC:
 			timerC = nil
-			if !p.available() || !p.muxEligible() {
+			if !p.available() {
 				continue
 			}
 			if !p.allowSpend("hedge") {

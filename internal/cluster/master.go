@@ -67,7 +67,6 @@ type Master struct {
 	mu        sync.Mutex
 	timeout   time.Duration // per-round-trip deadline; 0 = none
 	sup       SupervisorConfig
-	muxOff    bool // SetMux(false): force the serial one-in-flight protocol
 	peers     []*peerConn
 	done      chan struct{} // closed by Close; stops retries and probes
 	closed    bool
@@ -80,6 +79,7 @@ type Master struct {
 
 type peerConn struct {
 	addr     string
+	classes  int // classifier width every reply is checked against
 	counters *metrics.CounterSet
 	gauges   *metrics.GaugeSet
 	hists    *metrics.HistogramSet
@@ -89,22 +89,22 @@ type peerConn struct {
 	done     <-chan struct{}
 	wg       *sync.WaitGroup
 
-	mu      sync.Mutex // serial protocol: one in-flight request per conn
+	// conn is the ping/probe control connection; muxEnsure adopts it as
+	// the pipeline's link when one is idle here (the eager dial from
+	// Connect, a successful probe).
+	mu      sync.Mutex
 	conn    net.Conn
 	timeout time.Duration
 
 	muxMu sync.Mutex // guards the pipelined mux client (see mux.go)
 	muxc  *muxClient
 
-	stateMu    sync.Mutex // guards the supervision state machine
-	cfg        SupervisorConfig
-	state      PeerState
-	fails      int
-	probing    bool
-	closed     bool
-	serialOnly bool // sticky downgrade: the peer is a pre-mux build
-	muxProven  bool // the peer has answered on the mux protocol
-	muxOff     bool // master-level SetMux(false)
+	stateMu sync.Mutex // guards the supervision state machine
+	cfg     SupervisorConfig
+	state   PeerState
+	fails   int
+	probing bool
+	closed  bool
 }
 
 // NewMaster returns a master with an optional local expert, compiled into
@@ -162,22 +162,6 @@ func (m *Master) Histograms() *metrics.HistogramSet { return m.hists }
 // (requests waiting for an in-flight window slot).
 func (m *Master) Gauges() *metrics.GaugeSet { return m.gauges }
 
-// SetMux enables (the default) or disables the multiplexed peer transport.
-// Disabled, every peer round trip uses the serial one-in-flight protocol —
-// the pre-mux wire behavior, kept for interop drills and as the benchmark
-// baseline. Affects peers connected before and after the call; requests
-// already pipelined complete on the mux link.
-func (m *Master) SetMux(enabled bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.muxOff = !enabled
-	for _, p := range m.peers {
-		p.stateMu.Lock()
-		p.muxOff = !enabled
-		p.stateMu.Unlock()
-	}
-}
-
 // SetTimeout bounds every subsequent per-peer round trip. A worker that
 // exceeds the deadline fails that inference instead of wedging the master —
 // on a lossy edge network a bounded error beats an unbounded wait. Zero
@@ -228,6 +212,7 @@ func (m *Master) Connect(addr string) error {
 	}
 	p := &peerConn{
 		addr:     addr,
+		classes:  m.classes,
 		counters: m.counters,
 		gauges:   m.gauges,
 		hists:    m.hists,
@@ -240,7 +225,6 @@ func (m *Master) Connect(addr string) error {
 		timeout:  timeout,
 		cfg:      cfg,
 		state:    PeerHealthy,
-		muxOff:   m.muxOff,
 	}
 	m.peers = append(m.peers, p)
 	return nil
@@ -293,91 +277,48 @@ func (m *Master) Infer(x *tensor.Tensor) (*tensor.Tensor, []int, error) {
 // parents this query's "infer" span tree — how the serve gateway links each
 // coalesced batch into its own span.
 func (m *Master) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
-	tr := m.tracer.get()
-	root := tr.Start(trace.FromContext(ctx), "infer")
-	start := time.Now()
-	probs, winners, err := m.infer(ctx, x, tr, root.Ctx())
-	root.EndErr(err)
-	m.hists.Observe("infer.total", time.Since(start))
+	probs, winners, _, _, err := m.ensemble(ctx, x, requireEveryNode, 0)
 	return probs, winners, err
 }
 
-func (m *Master) infer(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context) (*tensor.Tensor, []int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+// ensemble answers one query under rule: the "infer" span and total-latency
+// sample every variant records, then gather (steps 2–4) and combine (step
+// 5). live counts the nodes whose results were gated, total the ensemble.
+func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule gatherRule, soft time.Duration) (probs *tensor.Tensor, winners []int, live, total int, err error) {
+	tr := m.tracer.get()
+	root := tr.Start(trace.FromContext(ctx), "infer")
+	start := time.Now()
+	defer func() {
+		root.EndErr(err)
+		m.hists.Observe("infer.total", time.Since(start))
+	}()
+	results, ok, total, err := m.gather(ctx, x, tr, root.Ctx(), rule, soft)
+	if err != nil {
+		return nil, nil, 0, total, err
 	}
-	peers := m.snapshotPeers()
-	local := m.local.Load()
-
-	batch := x.Shape[0]
-	nodes := len(peers)
-	localIdx := -1
-	if local != nil {
-		nodes++
-		localIdx = 0
-	}
-	if nodes == 0 {
-		return nil, nil, fmt.Errorf("cluster: master has neither local expert nor peers")
-	}
-
-	results := make([]PredictResult, nodes)
-	errs := make([]error, nodes)
-	var wg sync.WaitGroup
-	payload := m.encodeInput(x, tr, root)
-
-	// Steps 2-4: broadcast and gather concurrently; the local expert runs
-	// in parallel with the network round trips.
-	for i, p := range peers {
-		slot := i
-		if localIdx == 0 {
-			slot = i + 1
-		}
-		wg.Add(1)
-		go func(p *peerConn, slot int) {
-			defer wg.Done()
-			res, err := p.do(ctx, payload, root)
-			results[slot], errs[slot] = res, err
-		}(p, slot)
-	}
-	if localIdx == 0 {
-		results[0] = m.localResult(local, x, tr, root)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("cluster: node %d: %w", i, err)
+	for _, o := range ok {
+		if o {
+			live++
 		}
 	}
-
-	// Step 5: per-sample arg-min over entropies.
-	gateStart := time.Now()
-	combined := tensor.New(batch, m.classes)
-	winners := make([]int, batch)
-	for b := 0; b < batch; b++ {
-		best, bi := results[0].Entropy[b], 0
-		for n := 1; n < nodes; n++ {
-			if results[n].Entropy[b] < best {
-				best, bi = results[n].Entropy[b], n
-			}
-		}
-		winners[b] = bi
-		copy(combined.RowSlice(b), results[bi].Probs.RowSlice(b))
+	if live == 0 {
+		return nil, nil, 0, total, fmt.Errorf("cluster: no node answered")
 	}
-	m.recordGate(tr, root, gateStart)
-	return combined, winners, nil
+	probs, winners = m.combine(tr, root.Ctx(), x.Shape[0], results, ok)
+	return probs, winners, live, total, nil
 }
 
 // encodeInput serializes the broadcast payload under a "serialize" span and
 // appends the trace trailer when tracing is on. The same payload is shared
 // by every peer round trip, so the trailer parents worker-side spans to the
 // query's root span.
-func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Context) []byte {
+func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Context) peerQuery {
 	start := time.Now()
 	payload := transport.EncodeTensor(x)
 	d := time.Since(start)
 	m.hists.Observe("infer.serialize", d)
 	tr.Record(root, "serialize", "", "", start, d)
-	return appendTraceContext(payload, root)
+	return peerQuery{payload: appendTraceContext(payload, root), rows: x.Shape[0]}
 }
 
 // localResult runs the given local-expert snapshot under a "local.compute"
@@ -415,30 +356,8 @@ func (m *Master) InferBestEffort(x *tensor.Tensor) (probs *tensor.Tensor, winner
 // and fails the query with the ctx error (partial results are not returned —
 // a caller that stopped waiting gets nothing, not a stale subset).
 func (m *Master) InferBestEffortContext(ctx context.Context, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live int, err error) {
-	tr := m.tracer.get()
-	root := tr.Start(trace.FromContext(ctx), "infer")
-	start := time.Now()
-	probs, winners, live, err = m.inferBestEffort(ctx, x, tr, root.Ctx())
-	root.EndErr(err)
-	m.hists.Observe("infer.total", time.Since(start))
+	probs, winners, live, _, err = m.ensemble(ctx, x, tolerateFailures, 0)
 	return probs, winners, live, err
-}
-
-func (m *Master) inferBestEffort(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context) (probs *tensor.Tensor, winners []int, live int, err error) {
-	results, ok, _, err := m.gather(ctx, x, tr, root, 0, false)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	for _, o := range ok {
-		if o {
-			live++
-		}
-	}
-	if live == 0 {
-		return nil, nil, 0, fmt.Errorf("cluster: no node answered")
-	}
-	probs, winners = m.combine(tr, root, x.Shape[0], results, ok)
-	return probs, winners, live, nil
 }
 
 // InferQuorumContext is the graceful-degradation variant behind the serve
@@ -451,48 +370,39 @@ func (m *Master) inferBestEffort(ctx context.Context, x *tensor.Tensor, tr *trac
 // degraded. Stragglers are cancelled (a caller abort, not a peer fault).
 // It errors only when ctx expires with nothing gathered at all.
 func (m *Master) InferQuorumContext(ctx context.Context, x *tensor.Tensor, soft time.Duration) (probs *tensor.Tensor, winners []int, live, total int, err error) {
-	tr := m.tracer.get()
-	root := tr.Start(trace.FromContext(ctx), "infer")
-	start := time.Now()
-	probs, winners, live, total, err = m.inferQuorum(ctx, x, tr, root.Ctx(), soft)
-	root.EndErr(err)
-	m.hists.Observe("infer.total", time.Since(start))
-	return probs, winners, live, total, err
-}
-
-func (m *Master) inferQuorum(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, soft time.Duration) (probs *tensor.Tensor, winners []int, live, total int, err error) {
-	results, ok, total, err := m.gather(ctx, x, tr, root, soft, true)
-	if err != nil {
-		return nil, nil, 0, total, err
-	}
-	for _, o := range ok {
-		if o {
-			live++
-		}
-	}
-	if live == 0 {
-		return nil, nil, 0, total, fmt.Errorf("cluster: no node answered")
-	}
-	probs, winners = m.combine(tr, root, x.Shape[0], results, ok)
-	return probs, winners, live, total, nil
+	return m.ensemble(ctx, x, partialOnExpiry, soft)
 }
 
 // slotResult is one node's report back to the gather loop.
 type slotResult struct {
 	slot int
 	res  PredictResult
-	ok   bool
+	err  error
 }
 
-// gather fans one broadcast out to the local expert and every available
-// peer, then collects results until every launched node reported. Two knobs
-// relax the wait: soft > 0 returns the partial result set once the soft
-// deadline passes with at least one result gathered ("infer.partial"), and
-// partialOnExpiry does the same when ctx expires — otherwise expiry returns
-// the ctx error, the strict best-effort contract. Early returns cancel the
-// straggler round trips via a derived context, which the peer paths treat
-// as a caller abort: no breaker accounting, the mux link stays up.
-func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, soft time.Duration, partialOnExpiry bool) (results []PredictResult, ok []bool, total int, err error) {
+// gatherRule is what a query demands of the broadcast before it may gate.
+type gatherRule int
+
+const (
+	// requireEveryNode is strict Infer: a quarantined or failed node fails
+	// the query as "cluster: node N: …" and cancels the other waits.
+	requireEveryNode gatherRule = iota
+	// tolerateFailures is best effort: quarantined peers are skipped and
+	// failed nodes drop out of the arg-min; ctx expiry is still an error.
+	tolerateFailures
+	// partialOnExpiry is quorum: tolerateFailures, and once the soft
+	// deadline passes or ctx expires with at least one result gathered, the
+	// partial set is the answer ("infer.partial").
+	partialOnExpiry
+)
+
+// gather is the package's one broadcast loop (Fig 1d steps 2–4): it fans
+// the input out to the local expert and every peer, then collects results
+// until every launched node reported or rule lets it stop sooner. Early
+// returns cancel the straggler round trips via a derived context, which the
+// peer paths treat as a caller abort: no breaker accounting, the mux link
+// stays up.
+func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, rule gatherRule, soft time.Duration) (results []PredictResult, ok []bool, total int, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, 0, err
 	}
@@ -513,7 +423,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 	resc := make(chan slotResult, nodes)
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	payload := m.encodeInput(x, tr, root)
+	query := m.encodeInput(x, tr, root)
 	launched := 0
 	for i, p := range peers {
 		slot := i
@@ -521,34 +431,37 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 			slot = i + 1
 		}
 		if !p.available() {
-			m.counters.Counter("route.skipped_quarantined").Inc()
 			// The quarantined peer still appears in the span tree, tagged
 			// skipped, so a thinner-than-expected tree reads as "peer was
 			// sick", not "peer never existed".
 			tr.Record(root, "peer "+p.addr, "", trace.StatusSkipped, time.Now(), 0)
+			if rule == requireEveryNode {
+				return nil, nil, nodes, fmt.Errorf("cluster: node %d: %w", slot, errPeerQuarantined{addr: p.addr, state: p.State()})
+			}
+			m.counters.Counter("route.skipped_quarantined").Inc()
 			continue
 		}
 		launched++
 		go func(p *peerConn, slot int) {
-			res, rerr := p.do(wctx, payload, root)
-			resc <- slotResult{slot: slot, res: res, ok: rerr == nil}
+			res, rerr := p.do(wctx, query, root)
+			resc <- slotResult{slot: slot, res: res, err: rerr}
 		}(p, slot)
 	}
 	if localIdx == 0 {
 		launched++
 		go func() {
-			// The local expert runs off the caller's goroutine here, so a
+			// The local expert runs off the caller's goroutine, so a
 			// caller-side recover (e.g. the gateway's panic guard) cannot
 			// catch a forward-pass panic — a width-mismatched input would
 			// kill the whole process. Contain it to this slot: the local
-			// expert just reports not-ok, like any other failed node.
+			// expert just reports an error, like any other failed node.
 			defer func() {
 				if r := recover(); r != nil {
 					m.counters.Counter("local.panics_recovered").Inc()
-					resc <- slotResult{slot: 0}
+					resc <- slotResult{slot: 0, err: fmt.Errorf("local expert panic: %v", r)}
 				}
 			}()
-			resc <- slotResult{slot: 0, res: m.localResult(local, x, tr, root), ok: true}
+			resc <- slotResult{slot: 0, res: m.localResult(local, x, tr, root)}
 		}()
 	}
 
@@ -563,9 +476,14 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 		select {
 		case r := <-resc:
 			received++
-			if r.ok {
+			if r.err == nil {
 				results[r.slot], ok[r.slot] = r.res, true
 				live++
+			} else if rule == requireEveryNode {
+				if cerr := ctx.Err(); cerr != nil {
+					return nil, nil, nodes, cerr // the caller gave up, not the node
+				}
+				return nil, nil, nodes, fmt.Errorf("cluster: node %d: %w", r.slot, r.err)
 			}
 		case <-softC:
 			softC = nil
@@ -574,14 +492,16 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 				return results, ok, nodes, nil
 			}
 		case <-ctx.Done():
-			if partialOnExpiry && live > 0 {
+			if rule == partialOnExpiry && live > 0 {
 				m.counters.Counter("infer.partial").Inc()
 				return results, ok, nodes, nil
 			}
 			return nil, nil, nodes, ctx.Err()
 		}
 	}
-	if !partialOnExpiry {
+	if rule == tolerateFailures {
+		// Peers that failed because ctx expired were tolerated above; the
+		// caller still gets the ctx error, not a silently thinner answer.
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nodes, err
 		}
@@ -589,8 +509,9 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 	return results, ok, nodes, nil
 }
 
-// combine runs step 5 over whichever nodes answered: per-sample arg-min
-// entropy across the ok slots.
+// combine is the package's one arg-min loop (Fig 1d step 5): per sample,
+// the least-uncertain answer across the ok slots. A peer's result was
+// shape-checked against the batch where it was decoded.
 func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, results []PredictResult, ok []bool) (*tensor.Tensor, []int) {
 	gateStart := time.Now()
 	probs := tensor.New(batch, m.classes)

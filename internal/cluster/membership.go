@@ -18,8 +18,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // Member roles.
@@ -211,32 +209,15 @@ func handleAnnounce(roster *Roster, self Member, payload []byte) (reply []byte, 
 // against their bootstrap masters on a timer; the reply's gossip is how
 // they discover masters they were never configured with.
 func Announce(addr string, self Member, roster *Roster, timeout time.Duration) (Member, error) {
-	conn, err := transport.Dial(addr, timeout)
-	if err != nil {
-		return Member{}, fmt.Errorf("cluster: announce dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
 	var known []Member
 	if roster != nil {
 		known = roster.gossipSample()
 	}
-	if err := transport.WriteFrame(conn, MsgAnnounce, encodeAnnouncement(self, known)); err != nil {
-		return Member{}, fmt.Errorf("cluster: announce %s: %w", addr, err)
-	}
-	typ, payload, err := transport.ReadFrame(conn)
+	reply, err := controlDial(addr, timeout, MsgAnnounce, encodeAnnouncement(self, known), MsgAnnounceOK)
 	if err != nil {
 		return Member{}, fmt.Errorf("cluster: announce %s: %w", addr, err)
 	}
-	if typ == MsgError {
-		return Member{}, fmt.Errorf("cluster: announce %s: %s", addr, payload)
-	}
-	if typ != MsgAnnounceOK {
-		return Member{}, fmt.Errorf("cluster: announce %s: unexpected frame type %d", addr, typ)
-	}
-	a, err := decodeAnnouncement(payload)
+	a, err := decodeAnnouncement(reply)
 	if err != nil {
 		return Member{}, err
 	}

@@ -24,7 +24,6 @@ import (
 
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // maxPushVersionLen bounds the version label on the wire.
@@ -115,30 +114,12 @@ func PushModel(addr, version string, spec nn.Spec, net *nn.Network, timeout time
 	if err != nil {
 		return err
 	}
-	conn, err := transport.Dial(addr, timeout)
-	if err != nil {
-		return fmt.Errorf("cluster: model push dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	if timeout > 0 {
-		conn.SetDeadline(time.Now().Add(timeout))
-	}
-	if err := transport.WriteFrame(conn, MsgModelPush, payload); err != nil {
-		return fmt.Errorf("cluster: model push %s: %w", addr, err)
-	}
-	typ, reply, err := transport.ReadFrame(conn)
+	acked, err := controlDial(addr, timeout, MsgModelPush, payload, MsgModelPushOK)
 	if err != nil {
 		return fmt.Errorf("cluster: model push %s: %w", addr, err)
 	}
-	switch typ {
-	case MsgModelPushOK:
-		if got := string(reply); got != version {
-			return fmt.Errorf("cluster: model push %s: node acked version %q, want %q", addr, got, version)
-		}
-		return nil
-	case MsgError:
-		return fmt.Errorf("cluster: model push %s: %s", addr, reply)
-	default:
-		return fmt.Errorf("cluster: model push %s: unexpected frame type %d", addr, typ)
+	if got := string(acked); got != version {
+		return fmt.Errorf("cluster: model push %s: node acked version %q, want %q", addr, got, version)
 	}
+	return nil
 }

@@ -14,12 +14,12 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Multiplexed peer transport: the concurrent-inference half of the cluster
-// runtime. The paper's protocol is strictly one-in-flight per peer link —
-// fine for a single sensing loop, fatal for multi-user traffic, where every
-// concurrent Master.Infer serializes behind the previous one no matter how
-// much parallel capacity the worker's snapshot has. A muxClient pipelines
-// instead:
+// Multiplexed peer transport: the one master→worker (and gateway→master)
+// request protocol. The paper's protocol is strictly one-in-flight per peer
+// link — fine for a single sensing loop, fatal for multi-user traffic, where
+// every concurrent Master.Infer would serialize behind the previous one no
+// matter how much parallel capacity the worker's snapshot has. A muxClient
+// pipelines instead:
 //
 //	waiters ──▶ window (bounded in-flight) ──▶ writer goroutine ──▶ TCP
 //	waiters ◀── pending map (by request id) ◀── reader goroutine ◀── TCP
@@ -32,24 +32,16 @@ import (
 // Failure semantics integrate with the supervisor state machine: a link
 // failure (read/write error, per-request timeout) tears the client down,
 // fails every pending request with the same error, and feeds the breaker
-// exactly once — not once per waiter. A peer that answers the first mux
-// frame with a serial MsgError — or closes a freshly dialed link before any
-// reply — is a pre-mux build; the peerConn sticky-downgrades it to the
-// serial protocol so mixed-version fleets interoperate (DESIGN.md §8). A
-// silent close on an ADOPTED connection is not trusted as a downgrade
-// signal: the socket may be stale (worker restarted since Connect), so it
-// counts as a link fault and the retry probes again on a fresh dial.
+// exactly once — not once per waiter. That includes a silent close on the
+// connection adopted from Connect's eager dial: the socket may be stale
+// (worker restarted since Connect), so it is one link fault and the retry
+// answers on a fresh dial. Every node of a fleet runs one build (DESIGN.md
+// §8); a peer that answers with anything but mux frames is a link fault too.
 
 // muxWindow bounds the in-flight requests one mux link may carry. Beyond
 // it, waiters queue (reported by the mux.queue_depth gauge) — backpressure
 // beats unbounded buffering on an edge link.
 const muxWindow = 32
-
-// errMuxUnsupported marks a peer that answered the mux probe with the
-// serial protocol's error frame (or hung up a freshly dialed link before
-// any mux reply): a pre-mux build. The peerConn downgrades to serial and
-// retries; the breaker is NOT fed — the peer is alive, just older.
-var errMuxUnsupported = errors.New("cluster: peer does not speak the mux protocol")
 
 // muxReply is one matched response delivered to a waiter.
 type muxReply struct {
@@ -63,7 +55,6 @@ type muxReply struct {
 // in-flight window.
 type muxClient struct {
 	conn     net.Conn
-	fresh    bool // conn was dialed for this client, not adopted
 	reqType  byte // frame type of outgoing requests (MsgPredictMux on peer links)
 	resType  byte // frame type of matched replies (MsgResultMux on peer links)
 	writeCh  chan muxWrite
@@ -73,13 +64,12 @@ type muxClient struct {
 	onDown   func(error) // supervision hook; called exactly once
 	downOnce sync.Once
 
-	mu          sync.Mutex
-	pending     map[uint32]chan muxReply
-	nextID      uint32
-	established bool // a mux reply has been seen on this link
-	down        bool
-	downErr     error
-	downCh      chan struct{} // closed when the link dies
+	mu      sync.Mutex
+	pending map[uint32]chan muxReply
+	nextID  uint32
+	down    bool
+	downErr error
+	downCh  chan struct{} // closed when the link dies
 }
 
 type muxWrite struct {
@@ -89,21 +79,17 @@ type muxWrite struct {
 }
 
 // newMuxClient takes ownership of conn and starts the writer and reader.
-// fresh records whether conn was dialed for this client: only a fresh link
-// that closes before any reply is a trustworthy pre-mux-build signal — an
-// adopted connection may simply be stale (worker restarted since Connect).
-func newMuxClient(conn net.Conn, fresh bool, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
-	return newMuxClientTyped(conn, fresh, MsgPredictMux, MsgResultMux, inflight, queued, onDown)
+func newMuxClient(conn net.Conn, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
+	return newMuxClientTyped(conn, MsgPredictMux, MsgResultMux, inflight, queued, onDown)
 }
 
 // newMuxClientTyped is newMuxClient with the request/reply frame types made
 // explicit, so the same pipeline drives both the master→worker peer link
 // (MsgPredictMux/MsgResultMux) and the gateway→master fabric link
 // (MsgFabricPredict/MsgFabricResult). Error replies are MsgErrorMux on both.
-func newMuxClientTyped(conn net.Conn, fresh bool, reqType, resType byte, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
+func newMuxClientTyped(conn net.Conn, reqType, resType byte, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
 	mc := &muxClient{
 		conn:     conn,
-		fresh:    fresh,
 		reqType:  reqType,
 		resType:  resType,
 		writeCh:  make(chan muxWrite),
@@ -201,27 +187,14 @@ func (mc *muxClient) writeBurst(batch *transport.FrameBatch, w muxWrite) error {
 }
 
 // readLoop is the single reader: it matches replies to pending waiters.
-// A serial-protocol frame before the first mux reply means the peer is a
-// pre-mux build → downgrade; afterwards it is link corruption → failure.
+// Anything that is not a reply of this link's kinds — including a serial
+// MsgError, which a server only sends before it hangs up — is a link fault.
 func (mc *muxClient) readLoop() {
 	br := bufio.NewReaderSize(mc.conn, connReadBuffer)
 	for {
 		typ, payload, err := transport.ReadFrame(br)
 		if err != nil {
-			if !mc.sawReply() && mc.fresh {
-				// A freshly dialed peer hung up on our first mux frame
-				// without ever answering: a pre-mux build closing on an
-				// unknown frame type.
-				mc.fail(errMuxUnsupported)
-			} else {
-				// Established pipeline died — or an ADOPTED connection (the
-				// eager dial from Connect) dropped before any reply. The
-				// latter is ambiguous: the socket may just be stale because
-				// the worker restarted since Connect. Either way it is a
-				// link fault; the retry redials fresh, and a genuine pre-mux
-				// build will answer that probe with a serial MsgError.
-				mc.fail(fmt.Errorf("cluster: mux read: %w", err))
-			}
+			mc.fail(fmt.Errorf("cluster: mux read: %w", err))
 			return
 		}
 		switch typ {
@@ -233,11 +206,7 @@ func (mc *muxClient) readLoop() {
 			}
 			mc.deliver(id, muxReply{typ: typ, payload: rest})
 		case MsgError:
-			if !mc.sawReply() {
-				mc.fail(errMuxUnsupported)
-				return
-			}
-			mc.fail(fmt.Errorf("cluster: serial error frame on mux link: %s", payload))
+			mc.fail(fmt.Errorf("cluster: peer refused the stream: %s", payload))
 			return
 		default:
 			mc.fail(fmt.Errorf("cluster: unexpected frame type %d on mux link", typ))
@@ -246,18 +215,10 @@ func (mc *muxClient) readLoop() {
 	}
 }
 
-// sawReply reports whether any mux reply has arrived on this link.
-func (mc *muxClient) sawReply() bool {
-	mc.mu.Lock()
-	defer mc.mu.Unlock()
-	return mc.established
-}
-
 // deliver hands one matched reply to its waiter; replies to ids nobody
 // waits for (a request that timed out) are dropped on the floor.
 func (mc *muxClient) deliver(id uint32, r muxReply) {
 	mc.mu.Lock()
-	mc.established = true
 	ch, ok := mc.pending[id]
 	delete(mc.pending, id)
 	mc.mu.Unlock()
@@ -295,7 +256,7 @@ func (mc *muxClient) unregister(id uint32) {
 // late reply is dropped, the link stays up), whereas a timeout is a link
 // failure — with requests pipelined behind each other a stalled link wedges
 // them all, so it is torn down (and the breaker fed once) like any other
-// link fault, mirroring the serial path's conn drop.
+// link fault.
 func (mc *muxClient) roundTrip(ctx context.Context, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
 	return mc.roundTripTyped(ctx, mc.reqType, payload, timeout, done)
 }
@@ -390,36 +351,6 @@ const (
 	muxCallerAbort            // the caller's ctx expired/cancelled: no retry, no breaker
 )
 
-// muxEligible reports whether this peer is still on the mux protocol:
-// neither sticky-downgraded (pre-mux peer) nor disabled via SetMux.
-func (p *peerConn) muxEligible() bool {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	return !p.serialOnly && !p.muxOff
-}
-
-// markSerialOnly sticky-downgrades the peer to the serial protocol.
-func (p *peerConn) markSerialOnly() {
-	p.counter("mux_downgrades").Inc()
-	p.stateMu.Lock()
-	p.serialOnly = true
-	p.stateMu.Unlock()
-}
-
-// markMuxProven records that the peer has answered on the mux protocol —
-// from then on an early close is a link fault, never a downgrade signal.
-func (p *peerConn) markMuxProven() {
-	p.stateMu.Lock()
-	p.muxProven = true
-	p.stateMu.Unlock()
-}
-
-func (p *peerConn) isMuxProven() bool {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	return p.muxProven
-}
-
 // muxGauge resolves a master-wide mux gauge; nil-safe for hand-built test
 // peers.
 func (p *peerConn) muxGauge(name string) *metrics.Gauge {
@@ -430,16 +361,9 @@ func (p *peerConn) muxGauge(name string) *metrics.Gauge {
 }
 
 // muxLinkDown is the supervision hook a dying mux link runs exactly once:
-// a pre-mux peer (never proven) downgrades without feeding the breaker; a
-// real link fault counts as ONE failure no matter how many requests were
+// a link fault counts as ONE failure no matter how many requests were
 // pending on the pipeline.
-func (p *peerConn) muxLinkDown(err error) {
-	if errors.Is(err, errMuxUnsupported) && !p.isMuxProven() {
-		p.markSerialOnly()
-		return
-	}
-	p.recordFailure()
-}
+func (p *peerConn) muxLinkDown(error) { p.recordFailure() }
 
 // closeMux tears the mux link down on master shutdown (no breaker).
 func (p *peerConn) closeMux() {
@@ -474,7 +398,7 @@ func (p *peerConn) muxEnsure(cfg SupervisorConfig) (mc *muxClient, dialed bool, 
 		conn = c
 		dialed = true
 	}
-	p.muxc = newMuxClient(conn, dialed, p.muxGauge("mux.inflight"), p.muxGauge("mux.queue_depth"), p.muxLinkDown)
+	p.muxc = newMuxClient(conn, p.muxGauge("mux.inflight"), p.muxGauge("mux.queue_depth"), p.muxLinkDown)
 	return p.muxc, dialed, nil
 }
 
@@ -485,12 +409,12 @@ func (p *peerConn) muxTimeout() time.Duration {
 	return p.timeout
 }
 
-// muxAttempts is the mux-path counterpart of doAttempts: the same bounded
-// retry loop and span emission, with breaker accounting shifted onto the
-// link-down hook so a failure with N pipelined requests costs one strike,
-// not N. A caller-cancelled ctx (muxCallerAbort) abandons the request
-// without retrying or feeding the breaker — the link stays up.
-func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, payload []byte) (PredictResult, error) {
+// muxAttempts is do's bounded retry loop with span emission under peerCtx.
+// Breaker accounting sits on the link-down hook, so a failure with N
+// pipelined requests costs one strike, not N. A caller-cancelled ctx
+// (muxCallerAbort) abandons the request without retrying or feeding the
+// breaker — the link stays up.
+func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery) (PredictResult, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -509,18 +433,12 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 			if !p.available() {
 				break // breaker tripped while we backed off
 			}
-			if !p.muxEligible() {
-				return PredictResult{}, errMuxUnsupported // downgraded while backing off
-			}
 		}
-		res, tm, err, outcome := p.muxOnce(ctx, done, cfg, payload)
+		res, tm, err, outcome := p.muxOnce(ctx, done, cfg, q)
 		p.emitAttempt(tr, peerCtx, tm, err)
 		if err == nil {
 			p.recordSuccess()
 			return res, nil
-		}
-		if errors.Is(err, errMuxUnsupported) && !p.isMuxProven() {
-			return PredictResult{}, errMuxUnsupported // do() falls back to serial
 		}
 		lastErr = err
 		switch outcome {
@@ -542,7 +460,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 }
 
 // muxOnce performs one pipelined round trip.
-func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, payload []byte) (PredictResult, attemptTiming, error, muxOutcome) {
+func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (PredictResult, attemptTiming, error, muxOutcome) {
 	var tm attemptTiming
 	dialStart := time.Now()
 	mc, dialed, err := p.muxEnsure(cfg)
@@ -556,7 +474,7 @@ func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg Superv
 	}
 	p.counter("requests").Inc()
 	tm.rttStart = time.Now()
-	r, rtt, err := mc.roundTrip(ctx, payload, p.muxTimeout(), done)
+	r, rtt, err := mc.roundTrip(ctx, q.payload, p.muxTimeout(), done)
 	tm.rtt = rtt
 	if err != nil {
 		if ctx.Err() != nil {
@@ -564,14 +482,13 @@ func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg Superv
 		}
 		return PredictResult{}, tm, err, muxLinkFault
 	}
-	p.markMuxProven()
 	if r.typ == MsgErrorMux {
 		return PredictResult{}, tm, fmt.Errorf("worker error: %s", r.payload), muxWorkerErr
 	}
-	res, rest, derr := decodeResultRest(r.payload)
+	res, rest, derr := decodeResultRest(r.payload, q.rows, p.classes)
 	if derr != nil {
-		// Undecodable result: corrupted link, not a bad request — tear the
-		// pipeline down like the serial path drops its conn.
+		// Undecodable or mis-shaped result: a corrupted link or a hostile
+		// peer, not a bad request — tear the pipeline down.
 		mc.fail(derr)
 		return PredictResult{}, tm, derr, muxLinkFault
 	}

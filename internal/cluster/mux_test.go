@@ -2,24 +2,22 @@ package cluster
 
 import (
 	"bytes"
-	"io"
 	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/chaos"
+	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Mux transport tests: the tentpole of the concurrent-inference PR. The
-// serial protocol allowed one in-flight request per peer link; these tests
-// pin the pipelined replacement — many concurrent Infers share one link,
-// results match the serial path bit-for-bit, link death fails every pending
-// request fast while feeding the breaker exactly once, and mixed-version
-// fleets (old master or old worker) keep working. All run under -race via
-// the verify target.
+// Mux transport tests: many concurrent Infers share one link and match the
+// locally computed answer bit-for-bit, link death fails every pending
+// request fast while feeding the breaker exactly once, and a stale adopted
+// connection is one link fault, not a verdict on the peer. All run under
+// -race via the verify target.
 
 // snapshotWorker starts a worker serving one seeded expert snapshot.
 func snapshotWorker(t *testing.T, seed int64, id int) (*Worker, string) {
@@ -35,27 +33,29 @@ func snapshotWorker(t *testing.T, seed int64, id int) (*Worker, string) {
 
 // TestMuxConcurrentInfer is the acceptance check for the pipeline: many
 // goroutines drive Infer and InferBestEffort through one mux link against a
-// snapshot worker, every result matches the serial protocol's answer, the
-// worker demonstrably served over mux, and the in-flight gauge drains back
-// to zero.
+// snapshot worker, every result matches the answer computed from the two
+// snapshots in-process, the worker served every request, and the in-flight
+// gauge drains back to zero.
 func TestMuxConcurrentInfer(t *testing.T) {
 	worker, addr := snapshotWorker(t, 90, 1)
 
-	// Reference answer via the serial protocol (SetMux(false) is the
-	// pre-mux wire behavior).
-	serial := NewMaster(tinyExpert(t, 91), 3)
-	serial.SetMux(false)
-	if err := serial.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
+	// Reference answer from the snapshots themselves; the remote expert
+	// sees the input through the float32 wire codec, so the reference does.
 	x := tensor.NewRNG(92).Randn(3, 4)
-	wantProbs, wantWinners, err := serial.Infer(x)
-	serial.Close()
+	localProbs, localEnt := nn.MustSnapshot(tinyExpert(t, 91)).PredictWithEntropy(x)
+	wireX, _, err := transport.DecodeTensor(transport.EncodeTensor(x))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worker.Counters().Counter("requests.mux").Value() != 0 {
-		t.Fatal("serial-mode master reached the worker over mux")
+	remoteProbs, remoteEnt := nn.MustSnapshot(tinyExpert(t, 90)).PredictWithEntropy(wireX)
+	wantProbs := tensor.New(3, 3)
+	wantWinners := make([]int, 3)
+	for b := range wantWinners {
+		src := localProbs
+		if remoteEnt.Data[b] < localEnt.Data[b] {
+			src, wantWinners[b] = remoteProbs, 1
+		}
+		copy(wantProbs.RowSlice(b), src.RowSlice(b))
 	}
 
 	master := NewMaster(tinyExpert(t, 91), 3)
@@ -90,11 +90,11 @@ func TestMuxConcurrentInfer(t *testing.T) {
 				}
 				for b := 0; b < x.Shape[0]; b++ {
 					if winners[b] != wantWinners[b] {
-						t.Errorf("winners[%d] = %d over mux, %d over serial", b, winners[b], wantWinners[b])
+						t.Errorf("winners[%d] = %d over mux, %d computed locally", b, winners[b], wantWinners[b])
 						return
 					}
 					if !bytes.Equal(transport.EncodeTensor(probs), transport.EncodeTensor(wantProbs)) {
-						t.Error("mux probs differ from serial probs")
+						t.Error("mux probs differ from the locally computed probs")
 						return
 					}
 				}
@@ -107,11 +107,8 @@ func TestMuxConcurrentInfer(t *testing.T) {
 		t.Fatalf("concurrent infer over mux: %v", err)
 	}
 
-	if got := worker.Counters().Counter("requests.mux").Value(); got < goroutines*rounds {
-		t.Fatalf("worker served %d mux requests, want ≥ %d", got, goroutines*rounds)
-	}
-	if d := master.Counters().Counter("peer." + addr + ".mux_downgrades").Value(); d != 0 {
-		t.Fatalf("healthy new worker was downgraded %d times", d)
+	if got := worker.Counters().Counter("requests").Value(); got != goroutines*rounds {
+		t.Fatalf("worker served %d requests, want %d", got, goroutines*rounds)
 	}
 	// The pipeline drained: nothing in flight, nothing queued.
 	if v := master.Gauges().Gauge("mux.inflight").Value(); v != 0 {
@@ -146,8 +143,6 @@ func TestMuxLinkDeathFailsPendingAndTripsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Warmup proves the mux link, so the coming link death reads as a fault,
-	// never as a pre-mux downgrade.
 	x := tensor.NewRNG(94).Randn(1, 4)
 	if _, _, err := master.Infer(x); err != nil {
 		t.Fatalf("warmup through transparent proxy: %v", err)
@@ -185,104 +180,12 @@ func TestMuxLinkDeathFailsPendingAndTripsOnce(t *testing.T) {
 	if h.State != PeerOpen {
 		t.Fatalf("peer state %s after link death, want open", h.State)
 	}
-	if d := master.Counters().Counter("peer." + sick + ".mux_downgrades").Value(); d != 0 {
-		t.Fatalf("proven mux peer was downgraded %d times by a link fault", d)
-	}
-}
-
-// oldWorker is a minimal pre-mux build: serial MsgPredict/MsgPing/
-// MsgElection only, and — like every pre-mux serveConn — it answers unknown
-// frame types with a serial MsgError and hangs up.
-func oldWorker(t *testing.T, electionID int) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					typ, payload, err := transport.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					switch typ {
-					case MsgPing:
-						transport.WriteFrame(conn, MsgPong, nil) //nolint:errcheck
-					case MsgElection:
-						// The pre-fix bug: the id truncated to one byte.
-						transport.WriteFrame(conn, MsgElectionOK, []byte{byte(electionID)}) //nolint:errcheck
-					case MsgPredict:
-						x, _, derr := transport.DecodeTensor(payload)
-						if derr != nil {
-							transport.WriteFrame(conn, MsgError, []byte(derr.Error())) //nolint:errcheck
-							return
-						}
-						probs := tensor.New(x.Shape[0], 3)
-						ent := make([]float64, x.Shape[0])
-						for b := 0; b < x.Shape[0]; b++ {
-							probs.RowSlice(b)[0] = 1
-							ent[b] = 0.5
-						}
-						res := EncodeResult(PredictResult{Probs: probs, Entropy: ent})
-						if err := transport.WriteFrame(conn, MsgResult, res); err != nil {
-							return
-						}
-					default:
-						transport.WriteFrame(conn, MsgError, []byte("unknown frame type")) //nolint:errcheck
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestMuxDowngradeStickyOnOldWorker: a new master's first mux frame to a
-// pre-mux worker draws a serial MsgError — the peer must sticky-downgrade
-// to the serial protocol (counted once), every query must succeed anyway,
-// and the breaker must never be fed for the downgrade.
-func TestMuxDowngradeStickyOnOldWorker(t *testing.T) {
-	addr := oldWorker(t, 1)
-
-	master := NewMaster(nil, 3)
-	defer master.Close()
-	if err := master.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.NewRNG(95).Randn(2, 4)
-	for i := 0; i < 3; i++ {
-		probs, _, err := master.Infer(x)
-		if err != nil {
-			t.Fatalf("query %d against old worker: %v", i, err)
-		}
-		if probs.Shape[0] != 2 {
-			t.Fatalf("query %d: bad shape %v", i, probs.Shape)
-		}
-	}
-	if d := master.Counters().Counter("peer." + addr + ".mux_downgrades").Value(); d != 1 {
-		t.Fatalf("downgrades = %d, want exactly 1 (sticky: no re-probing)", d)
-	}
-	h := master.Health()[0]
-	if h.State != PeerHealthy || h.Failures != 0 || h.Trips != 0 {
-		t.Fatalf("downgrade fed the breaker: %+v", h)
-	}
 }
 
 // TestMuxStaleAdoptedConnNoDowngrade reproduces a worker restarting between
 // the master's eager Connect and its first query: the first mux frame dies
-// on the stale adopted socket with a silent close. That close must NOT read
-// as "pre-mux build" — it is a link fault, the retry redials fresh, the
-// restarted worker answers over mux, and the peer keeps the pipelined
-// protocol instead of sticky-downgrading to serial.
+// on the stale adopted socket with a silent close. That is one link fault —
+// the retry redials fresh and the restarted worker answers.
 func TestMuxStaleAdoptedConnNoDowngrade(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -314,152 +217,11 @@ func TestMuxStaleAdoptedConnNoDowngrade(t *testing.T) {
 	if _, _, err := master.Infer(x); err != nil {
 		t.Fatalf("first query after worker restart: %v", err)
 	}
-	if d := master.Counters().Counter("peer." + addr + ".mux_downgrades").Value(); d != 0 {
-		t.Fatalf("stale adopted socket downgraded a mux-capable peer %d times", d)
-	}
-	if got := w2.Counters().Counter("requests.mux").Value(); got == 0 {
-		t.Fatal("restarted worker never served over mux: peer fell back to serial")
+	if got := w2.Counters().Counter("requests").Value(); got != 1 {
+		t.Fatalf("restarted worker served %d requests, want the one retry", got)
 	}
 	h := master.Health()[0]
-	if h.State != PeerHealthy || h.Trips != 0 {
-		t.Fatalf("peer did not recover cleanly: %+v", h)
-	}
-}
-
-// TestOldMasterRawSerialAgainstNewWorker drives the other interop
-// direction with a literal pre-mux client: raw serial MsgPredict frames,
-// one in flight, against the new worker. The wire answer must be the
-// classic MsgResult, and the worker must never count a mux request.
-func TestOldMasterRawSerialAgainstNewWorker(t *testing.T) {
-	worker, addr := snapshotWorker(t, 96, 1)
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	x := tensor.NewRNG(97).Randn(2, 4)
-	for i := 0; i < 3; i++ {
-		if err := transport.WriteFrame(conn, MsgPredict, transport.EncodeTensor(x)); err != nil {
-			t.Fatal(err)
-		}
-		typ, payload, err := transport.ReadFrame(conn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if typ != MsgResult {
-			t.Fatalf("reply type %d, want MsgResult", typ)
-		}
-		res, err := DecodeResult(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Probs.Shape[0] != 2 || len(res.Entropy) != 2 {
-			t.Fatalf("bad result %v / %d entropies", res.Probs.Shape, len(res.Entropy))
-		}
-	}
-	if got := worker.Counters().Counter("requests.mux").Value(); got != 0 {
-		t.Fatalf("serial client triggered %d mux requests", got)
-	}
-
-	// And a whole SetMux(false) master — the supported serial-mode switch —
-	// against the same new worker.
-	master := NewMaster(nil, 3)
-	defer master.Close()
-	master.SetMux(false)
-	if err := master.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := master.Infer(x); err != nil {
-		t.Fatalf("serial-mode master against new worker: %v", err)
-	}
-	if got := worker.Counters().Counter("requests.mux").Value(); got != 0 {
-		t.Fatalf("SetMux(false) master triggered %d mux requests", got)
-	}
-}
-
-// panicConn is a net.Conn stub whose read side replays canned frames and
-// whose write side panics — the hostile case the per-connection recover
-// must contain.
-type panicConn struct {
-	mu     sync.Mutex
-	buf    bytes.Buffer
-	closed bool
-}
-
-func (c *panicConn) Read(p []byte) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.buf.Len() == 0 {
-		return 0, io.EOF
-	}
-	return c.buf.Read(p)
-}
-
-func (c *panicConn) Write(p []byte) (int, error) { panic("write side blew up") }
-func (c *panicConn) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	return nil
-}
-func (c *panicConn) LocalAddr() net.Addr                { return &net.TCPAddr{} }
-func (c *panicConn) RemoteAddr() net.Addr               { return &net.TCPAddr{} }
-func (c *panicConn) SetDeadline(t time.Time) error      { return nil }
-func (c *panicConn) SetReadDeadline(t time.Time) error  { return nil }
-func (c *panicConn) SetWriteDeadline(t time.Time) error { return nil }
-
-// TestWorkerRecoversConnPanic: a panic escaping the serial serve path must
-// be recovered by handleConn — counted, fatal only to that connection.
-func TestWorkerRecoversConnPanic(t *testing.T) {
-	w := NewWorker(tinyExpert(t, 98), 1)
-	conn := &panicConn{}
-	if err := transport.WriteFrame(&conn.buf, MsgPing, nil); err != nil {
-		t.Fatal(err)
-	}
-	w.wg.Add(1)
-	w.handleConn(conn) // ping reply → Write panics → recover
-	if got := w.Counters().Counter("panics.recovered").Value(); got != 1 {
-		t.Fatalf("panics.recovered = %d, want 1", got)
-	}
-	if !conn.closed {
-		t.Fatal("panicking connection left open")
-	}
-
-	// The worker still serves: the panic cost one connection, not the node.
-	addr, err := w.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	master := NewMaster(nil, 3)
-	defer master.Close()
-	if err := master.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := master.Infer(tensor.NewRNG(99).Randn(1, 4)); err != nil {
-		t.Fatalf("worker stopped serving after a recovered panic: %v", err)
-	}
-}
-
-// TestWorkerRecoversMuxHandlerPanic: the same containment for the
-// concurrent mux handlers — each dispatch goroutine recovers, counts, and
-// poisons only its own connection.
-func TestWorkerRecoversMuxHandlerPanic(t *testing.T) {
-	w := NewWorker(tinyExpert(t, 100), 1)
-	conn := &panicConn{}
-	x := tensor.NewRNG(101).Randn(1, 4)
-	payload := appendMuxID(7, transport.EncodeTensor(x))
-	if err := transport.WriteFrame(&conn.buf, MsgPredictMux, payload); err != nil {
-		t.Fatal(err)
-	}
-	w.wg.Add(1)
-	w.handleConn(conn)
-	w.wg.Wait() // the mux handler goroutine panics writing its reply
-	if got := w.Counters().Counter("panics.recovered").Value(); got != 1 {
-		t.Fatalf("panics.recovered = %d, want 1", got)
-	}
-	if !conn.closed {
-		t.Fatal("panicking mux connection left open")
+	if h.State != PeerHealthy || h.Trips != 0 || h.Failures != 1 || h.Retries != 1 || h.Redials != 1 {
+		t.Fatalf("want one link fault answered by one retry on one fresh dial: %+v", h)
 	}
 }

@@ -16,8 +16,12 @@
 // The same runtime is fully instrumented: latency histograms and counters
 // are always recorded, and an optional internal/trace tracer decomposes
 // each query into serialize / network / remote-compute / gate spans with
-// trace ids propagated master → worker as backward-compatible payload
-// trailers (tracewire.go, DESIGN.md §7).
+// trace ids propagated master → worker as payload trailers (tracewire.go,
+// DESIGN.md §7).
+//
+// There is one wire protocol and one server loop: every request a node
+// sends is a mux frame (mux.go), every node that listens runs the frame
+// server in server.go, and all nodes of a fleet run one build.
 //
 // Everything here runs over real connections — the unit tests and the live
 // benchmark mode exercise actual loopback TCP; the simulated experiments
@@ -26,7 +30,10 @@ package cluster
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
+	"time"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
@@ -34,10 +41,10 @@ import (
 
 // Frame types of the TeamNet socket protocol.
 const (
-	// MsgPredict carries an input tensor master → worker (Fig 1d step 2).
+	// MsgPredict / MsgResult were the paper's one-in-flight request and
+	// reply (Fig 1d steps 2 and 4). Nothing sends them any more — the
+	// numbers stay reserved so every other frame type keeps its wire value.
 	MsgPredict byte = iota + 1
-	// MsgResult carries probabilities + per-sample entropies back
-	// (Fig 1d step 4).
 	MsgResult
 	// MsgPing / MsgPong probe liveness.
 	MsgPing
@@ -47,13 +54,15 @@ const (
 	MsgElection
 	MsgElectionOK
 	MsgCoordinator
-	// MsgError reports a worker-side failure as text.
+	// MsgError reports a failed control exchange, or a stream the server is
+	// about to drop (unknown frame type), as text.
 	MsgError
-	// MsgPredictMux / MsgResultMux / MsgErrorMux are the multiplexed
-	// variants of MsgPredict / MsgResult / MsgError: the payload carries a
-	// 4-byte big-endian request id ahead of the regular encoding, so many
-	// concurrent queries share one TCP connection per peer and replies may
-	// return out of order (see mux.go and DESIGN.md §8).
+	// MsgPredictMux carries an input tensor master → worker (Fig 1d step
+	// 2), MsgResultMux probabilities + per-sample entropies back (step 4),
+	// MsgErrorMux a per-request failure as text. Every payload starts with
+	// a 4-byte big-endian request id, so many concurrent queries share one
+	// TCP connection per peer and replies may return out of order (see
+	// mux.go and DESIGN.md §8).
 	MsgPredictMux
 	MsgResultMux
 	MsgErrorMux
@@ -123,17 +132,13 @@ func EncodeResult(r PredictResult) []byte {
 	return append(out, ent...)
 }
 
-// DecodeResult parses a PredictResult payload, ignoring any trailing bytes
-// (which carry the optional timing trailer — see tracewire.go).
-func DecodeResult(payload []byte) (PredictResult, error) {
-	r, _, err := decodeResultRest(payload)
-	return r, err
-}
-
-// decodeResultRest parses a PredictResult payload and also returns the
-// trailing bytes after the entropies, where trace-aware workers append
-// their compute-timing trailer.
-func decodeResultRest(payload []byte) (PredictResult, []byte, error) {
+// decodeResultRest parses a PredictResult payload and returns the trailing
+// bytes after the entropies, where workers append their compute-timing
+// trailer. The reply comes from another machine, so its shape is checked
+// here, once, against what was asked: rows of classes probabilities and one
+// entropy per row. Everything downstream (the arg-min gate, the adaptive
+// escalation) indexes by those dimensions without looking again.
+func decodeResultRest(payload []byte, rows, classes int) (PredictResult, []byte, error) {
 	probs, used, err := transport.DecodeTensor(payload)
 	if err != nil {
 		return PredictResult{}, nil, fmt.Errorf("cluster: decode result probs: %w", err)
@@ -142,10 +147,20 @@ func decodeResultRest(payload []byte) (PredictResult, []byte, error) {
 	if err != nil {
 		return PredictResult{}, nil, fmt.Errorf("cluster: decode result entropy: %w", err)
 	}
-	if probs.Shape[0] != len(ent) {
-		return PredictResult{}, nil, fmt.Errorf("cluster: result rows %d != entropies %d", probs.Shape[0], len(ent))
+	if err := checkResultShape(probs, len(ent), rows, classes); err != nil {
+		return PredictResult{}, nil, err
 	}
 	return PredictResult{Probs: probs, Entropy: ent}, payload[used+entUsed:], nil
+}
+
+// checkResultShape is the one shape rule for a result that crossed the
+// wire: a rank-2 rows×classes tensor with one entropy per row.
+func checkResultShape(probs *tensor.Tensor, entropies, rows, classes int) error {
+	if len(probs.Shape) != 2 || probs.Shape[0] != rows || probs.Shape[1] != classes || entropies != rows {
+		return fmt.Errorf("cluster: result shape %v with %d entropies, want [%d %d] with %d",
+			probs.Shape, entropies, rows, classes, rows)
+	}
+	return nil
 }
 
 // ResultWireBytes reports the on-wire payload size of a result for a batch
@@ -159,4 +174,42 @@ func ResultWireBytes(batch, classes int) int {
 // InputWireBytes reports the on-wire payload size of a broadcast input.
 func InputWireBytes(batch, features int) int {
 	return 1 + 4*2 + 4*batch*features
+}
+
+// controlCall performs one control exchange on conn within timeout (0 = no
+// deadline): send reqType, read one frame, and return its payload if it is
+// wantType. A MsgError reply surfaces as the peer's error text.
+func controlCall(conn net.Conn, timeout time.Duration, reqType byte, payload []byte, wantType byte) ([]byte, error) {
+	if timeout > 0 {
+		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
+			return nil, fmt.Errorf("set deadline: %w", err)
+		}
+		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
+	}
+	if err := transport.WriteFrame(conn, reqType, payload); err != nil {
+		return nil, err
+	}
+	typ, reply, err := transport.ReadFrame(conn)
+	if err != nil {
+		return nil, err
+	}
+	switch typ {
+	case wantType:
+		return reply, nil
+	case MsgError:
+		return nil, errors.New(string(reply))
+	default:
+		return nil, fmt.Errorf("unexpected frame type %d", typ)
+	}
+}
+
+// controlDial is controlCall on a connection dialed for the one exchange;
+// timeout bounds the dial and the round trip each.
+func controlDial(addr string, timeout time.Duration, reqType byte, payload []byte, wantType byte) ([]byte, error) {
+	conn, err := transport.Dial(addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("dial: %w", err)
+	}
+	defer conn.Close()
+	return controlCall(conn, timeout, reqType, payload, wantType)
 }

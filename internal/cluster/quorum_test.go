@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -177,5 +178,46 @@ func TestLocalPanicContained(t *testing.T) {
 	}
 	if live != 2 || probs.HasNaN() {
 		t.Fatalf("degraded recovery answer: live=%d", live)
+	}
+
+	// Strict Infer runs the same gather: the panic is this query's error,
+	// named for the node that failed, not the caller's crash.
+	solo := NewMaster(tinyExpert(t, 151), 3)
+	defer solo.Close()
+	if _, _, err := solo.Infer(tensor.NewRNG(152).Randn(1, 8)); err == nil || !strings.Contains(err.Error(), "node 0: local expert panic") {
+		t.Fatalf("strict Infer on a panicking local expert: %v", err)
+	}
+}
+
+// TestStrictFailureCancelsOtherWaits: strict Infer needs every node, so the
+// first node to fail fails the query — and the waits on the others are
+// cancelled as a caller abort: no breaker strike, links up, nothing left in
+// flight.
+func TestStrictFailureCancelsOtherWaits(t *testing.T) {
+	_, stalledA := chaosWorker(t, 160, 1, chaos.Fault{Mode: chaos.Stall, Prob: 1})
+	_, stalledB := chaosWorker(t, 161, 2, chaos.Fault{Mode: chaos.Stall, Prob: 1})
+	failing := cannedReplier(t, MsgPredictMux, MsgErrorMux, []byte("boom"))
+
+	master := NewMaster(nil, 3)
+	defer master.Close()
+	master.SetTimeout(10 * time.Second) // only the failing peer may end the wait
+	for _, a := range []string{stalledA, stalledB, failing} {
+		if err := master.Connect(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := time.Now()
+	_, _, err := master.Infer(tensor.NewRNG(162).Randn(1, 4))
+	if err == nil || !strings.Contains(err.Error(), "cluster: node 2: worker error: boom") {
+		t.Fatalf("strict Infer with one failing peer: %v", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("failure took %v to surface; the stalled peers' waits were not cancelled", elapsed)
+	}
+	waitForGaugeZero(t, master, "mux.inflight", 2*time.Second)
+	for _, h := range master.Health() {
+		if h.Failures != 0 || h.State != PeerHealthy {
+			t.Fatalf("a cancelled or answered wait cost a breaker strike: %+v", h)
+		}
 	}
 }

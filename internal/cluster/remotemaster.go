@@ -70,7 +70,7 @@ func (r *RemoteMaster) ensure() (*muxClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remote master dial %s: %w", r.addr, err)
 	}
-	r.muxc = newMuxClientTyped(conn, true, MsgFabricPredict, MsgFabricResult,
+	r.muxc = newMuxClientTyped(conn, MsgFabricPredict, MsgFabricResult,
 		r.gauges.Gauge("fabric.inflight"), r.gauges.Gauge("fabric.queue_depth"),
 		func(error) { r.counters.Counter("fabric.link_down").Inc() })
 	return r.muxc, nil
@@ -109,10 +109,10 @@ func (r *RemoteMaster) call(ctx context.Context, mode byte, soft time.Duration, 
 		r.counters.Counter("fabric.errors").Inc()
 		return nil, nil, 0, 0, fmt.Errorf("cluster: master %s: %s", r.addr, reply.payload)
 	}
-	probs, winners, live, total, err = decodeFabricResult(reply.payload)
+	probs, winners, live, total, err = decodeFabricResult(reply.payload, x.Shape[0])
 	if err != nil {
-		// Undecodable reply: corrupted pipeline, tear it down like the
-		// peer mux path does.
+		// Undecodable or mis-shaped reply: corrupted pipeline, tear it down
+		// like the peer mux path does.
 		mc.fail(err)
 		r.counters.Counter("fabric.errors").Inc()
 		return nil, nil, 0, 0, err

@@ -6,11 +6,11 @@ import (
 )
 
 // Global retry budget: the anti-retry-storm half of the SLO-defense layer.
-// Every retry mechanism in the runtime — in-request retries on both the
-// serial and mux paths, quarantine probe redials, and hedged duplicates —
-// is individually bounded, but under a brownout they all fire at once across
-// every peer, and the sum is a storm: the sick link gets hammered with
-// exactly the duplicate traffic that keeps it sick. A RetryBudget is one
+// Every retry mechanism in the runtime — in-request retries, quarantine
+// probe redials, and hedged duplicates — is individually bounded, but under
+// a brownout they all fire at once across every peer, and the sum is a
+// storm: the sick link gets hammered with exactly the duplicate traffic
+// that keeps it sick. A RetryBudget is one
 // token bucket shared across all of them: normal request volume deposits a
 // fraction of a token per round trip (~10% by default, the classic retry-
 // budget ratio), every speculative send withdraws a whole token, and when

@@ -1,0 +1,232 @@
+package cluster
+
+import (
+	"bufio"
+	"fmt"
+	"net"
+	"sync"
+
+	"github.com/teamnet/teamnet/internal/metrics"
+	"github.com/teamnet/teamnet/internal/nn"
+	"github.com/teamnet/teamnet/internal/transport"
+)
+
+// frameServer is the one accept/read/dispatch loop of the runtime. Worker
+// and MasterServer are the same server with different request kinds: both
+// listen, track their connections, answer the control frames (ping,
+// election, announce, model push) in line, run pipelined requests
+// concurrently under a bounded window and reply out of order, contain a
+// panic to the connection it happened on, and close only after every
+// handler has returned. What differs per node is the configuration below.
+type frameServer struct {
+	member    func() Member                           // this node's membership descriptor (and election id)
+	roster    *Roster                                 // membership view, fed by announce exchanges
+	applyPush func(version string, snap *nn.Snapshot) // model-push hook; snap nil = re-label only
+	counters  *metrics.CounterSet
+	panicName string // counter bumped for every recovered panic
+	// kinds maps a pipelined request frame type to its handler: the body
+	// (mux id already stripped) in, the reply frame type and body out. An
+	// error is just a MsgErrorMux reply. Handlers run concurrently.
+	kinds map[byte]func(body []byte) (replyType byte, reply []byte)
+
+	mu     sync.Mutex
+	ln     net.Listener
+	addr   string // bound listen address, set by listen
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
+	closed bool
+}
+
+// handlerWindow bounds the pipelined requests one connection may have in
+// flight: the read loop blocks past it, so a flooding client gets TCP
+// backpressure instead of unbounded handler goroutines. The snapshots have
+// no concurrency limit of their own — this window is a node's only
+// compute-parallelism bound.
+const handlerWindow = 64
+
+// listen binds to addr (use "127.0.0.1:0" for tests) and serves in the
+// background. It returns the bound address.
+func (s *frameServer) listen(addr string) (string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return "", err
+	}
+	s.mu.Lock()
+	s.ln = ln
+	s.addr = ln.Addr().String()
+	s.conns = make(map[net.Conn]struct{})
+	s.mu.Unlock()
+	s.wg.Add(1)
+	go s.acceptLoop(ln)
+	return ln.Addr().String(), nil
+}
+
+// boundAddr returns the address listen bound ("" before it).
+func (s *frameServer) boundAddr() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.addr
+}
+
+func (s *frameServer) acceptLoop(ln net.Listener) {
+	defer s.wg.Done()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
+		s.mu.Unlock()
+		s.wg.Add(1)
+		go s.handleConn(conn)
+	}
+}
+
+// handleConn is the per-connection serving goroutine; the caller has done
+// wg.Add. The recover is the node's last line of defense: serveConn
+// promises that a malformed request costs one error frame, but a panic
+// escaping a handler's own recover (decode, trace or write paths) must cost
+// only this connection — never the serving process.
+func (s *frameServer) handleConn(conn net.Conn) {
+	defer s.wg.Done()
+	defer func() {
+		conn.Close()
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
+	defer s.containPanic(nil)
+	s.serveConn(conn)
+}
+
+// containPanic recovers a panic into the node's panic counter and, for a
+// pipelined handler, closes the connection it poisoned.
+func (s *frameServer) containPanic(poisoned net.Conn) {
+	if r := recover(); r != nil {
+		s.counters.Counter(s.panicName).Inc()
+		if poisoned != nil {
+			poisoned.Close()
+		}
+	}
+}
+
+// connWriter serializes frame writes on one connection: the read loop and
+// the concurrent handlers interleave whole frames, never bytes, and every
+// frame leaves in one write.
+type connWriter struct {
+	mu    sync.Mutex
+	conn  net.Conn
+	batch transport.FrameBatch
+}
+
+func (cw *connWriter) write(typ byte, payload []byte) error {
+	return cw.send(typ, nil, payload)
+}
+
+// writeMux sends a mux reply: the request id, then payload (not copied).
+func (cw *connWriter) writeMux(typ byte, id uint32, payload []byte) error {
+	idb := muxIDPrefix(id)
+	return cw.send(typ, idb[:], payload)
+}
+
+func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
+	cw.mu.Lock()
+	defer cw.mu.Unlock()
+	if err := cw.batch.Add(typ, prefix, payload); err != nil {
+		return err
+	}
+	return cw.batch.Flush(cw.conn)
+}
+
+// serveConn reads frames until the connection ends. A frame that leaves the
+// stream unusable — an unknown type, a pipelined request too short to carry
+// an id, an undecodable announce — is answered with MsgError and the
+// connection dropped; anything a handler can answer in band (a bad tensor,
+// a bad model push) costs one error frame and the connection keeps serving.
+func (s *frameServer) serveConn(conn net.Conn) {
+	cw := &connWriter{conn: conn}
+	sem := make(chan struct{}, handlerWindow)
+	br := bufio.NewReaderSize(conn, connReadBuffer)
+	for {
+		typ, payload, err := transport.ReadFrame(br)
+		if err != nil {
+			return
+		}
+		if handle, ok := s.kinds[typ]; ok {
+			id, body, err := splitMuxID(payload)
+			if err != nil {
+				// No request id to address a mux error to.
+				_ = cw.write(MsgError, []byte(err.Error()))
+				return
+			}
+			sem <- struct{}{}
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				defer func() { <-sem }()
+				defer s.containPanic(conn)
+				replyType, reply := handle(body)
+				_ = cw.writeMux(replyType, id, reply)
+			}()
+			continue
+		}
+		var replyType byte
+		var reply []byte
+		switch typ {
+		case MsgPing:
+			replyType = MsgPong
+		case MsgElection:
+			// Bully: any node hearing an election answers with its id (it
+			// will run its own election).
+			replyType, reply = MsgElectionOK, electionReply(s.member().ID)
+		case MsgAnnounce:
+			reply, err = handleAnnounce(s.roster, s.member(), payload)
+			if err != nil {
+				_ = cw.write(MsgError, []byte(err.Error()))
+				return
+			}
+			replyType = MsgAnnounceOK
+		case MsgModelPush:
+			// The swap happens before the ack is written, so a successful
+			// PushModel means the node already serves the new version. A bad
+			// push costs one error frame, not the connection: the frame
+			// boundary is intact.
+			if version, snap, perr := DecodeModelPush(payload); perr != nil {
+				replyType, reply = MsgError, []byte(perr.Error())
+			} else {
+				s.applyPush(version, snap)
+				replyType, reply = MsgModelPushOK, []byte(version)
+			}
+		default:
+			_ = cw.write(MsgError, []byte(fmt.Sprintf("unknown frame type %d", typ)))
+			return
+		}
+		if err := cw.write(replyType, reply); err != nil {
+			return
+		}
+	}
+}
+
+// close stops accepting, closes open connections and returns once every
+// connection goroutine and in-flight handler has.
+func (s *frameServer) close() error {
+	s.mu.Lock()
+	s.closed = true
+	ln := s.ln
+	for conn := range s.conns {
+		conn.Close()
+	}
+	s.mu.Unlock()
+	var err error
+	if ln != nil {
+		err = ln.Close()
+	}
+	s.wg.Wait()
+	return err
+}

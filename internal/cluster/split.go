@@ -207,7 +207,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 	payload := appendTraceContext(EncodeSplitRequest(SplitRequest{
 		Version: m.ModelVersion(), Split: at, X: act,
 	}), root)
-	res, rtt, compute, err := p.doSplit(ctx, payload, root)
+	res, rtt, compute, err := p.doSplit(ctx, peerQuery{payload: payload, rows: batch}, root)
 	if err == nil {
 		m.counters.Counter("split.remote").Inc()
 		if pl != nil {
@@ -236,7 +236,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 		// The whole-query retry failed too: same local recovery as any
 		// transport fault.
 	}
-	// Transport fault (link death, quarantine race, pre-mux peer): we still
+	// Transport fault (link death, quarantine race): we still
 	// hold the activation, so the query costs a local tail, never an error.
 	m.counters.Counter("split.fallback.transport").Inc()
 	res2 := m.finishSplitLocally(snap, act, at, tr, root)
@@ -358,23 +358,18 @@ func (m *Master) inferAdaptiveSplit(ctx context.Context, x *tensor.Tensor, entro
 // doSplit performs one partial-offload round trip on the peer's mux
 // pipeline. Unlike do it never retries or hedges — the caller holds the
 // activation and can always finish locally, so a failed attempt is better
-// spent there than on speculative wire traffic. Requires the mux protocol
-// (split frames have no serial variant); a pre-mux peer yields
-// errMuxUnsupported and the caller recovers locally.
-func (p *peerConn) doSplit(ctx context.Context, payload []byte, parent trace.Context) (res PredictResult, rtt, compute time.Duration, err error) {
+// spent there than on speculative wire traffic.
+func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (res PredictResult, rtt, compute time.Duration, err error) {
 	cfg := p.config()
 	tr := p.tracer()
 	if !p.available() {
 		tr.Record(parent, "peer "+p.addr, "", trace.StatusSkipped, time.Now(), 0)
 		return PredictResult{}, 0, 0, errPeerQuarantined{addr: p.addr, state: p.State()}
 	}
-	if !p.muxEligible() {
-		return PredictResult{}, 0, 0, errMuxUnsupported
-	}
 	done, stop := joinDone(ctx, p.done)
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
-	res, rtt, compute, err = p.splitOnce(ctx, done, cfg, payload)
+	res, rtt, compute, err = p.splitOnce(ctx, done, cfg, q)
 	sp.EndErr(err)
 	return res, rtt, compute, err
 }
@@ -383,24 +378,23 @@ func (p *peerConn) doSplit(ctx context.Context, payload []byte, parent trace.Con
 // breaker, a link fault is counted once by the link-down hook, a worker
 // error frame is the peer answering (no breaker) — mapped back to a typed
 // version-mismatch error when it carries the refusal prefix.
-func (p *peerConn) splitOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, payload []byte) (PredictResult, time.Duration, time.Duration, error) {
+func (p *peerConn) splitOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (PredictResult, time.Duration, time.Duration, error) {
 	mc, _, err := p.muxEnsure(cfg)
 	if err != nil {
 		p.recordFailure()
 		return PredictResult{}, 0, 0, err
 	}
 	p.counter("split.requests").Inc()
-	r, rtt, err := mc.roundTripTyped(ctx, MsgSplitPredict, payload, p.muxTimeout(), done)
+	r, rtt, err := mc.roundTripTyped(ctx, MsgSplitPredict, q.payload, p.muxTimeout(), done)
 	if err != nil {
-		// Link faults fed the breaker via muxLinkDown; a caller abort or a
-		// pre-mux downgrade did not. Either way this attempt is over.
+		// Link faults fed the breaker via muxLinkDown; a caller abort did
+		// not. Either way this attempt is over.
 		return PredictResult{}, rtt, 0, err
 	}
-	p.markMuxProven()
 	if r.typ == MsgErrorMux {
 		return PredictResult{}, rtt, 0, splitErrorFromText(string(r.payload))
 	}
-	res, rest, derr := decodeSplitResultRest(r.payload)
+	res, rest, derr := decodeSplitResultRest(r.payload, q.rows, p.classes)
 	if derr != nil {
 		mc.fail(derr)
 		return PredictResult{}, rtt, 0, derr

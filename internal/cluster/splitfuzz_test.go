@@ -107,15 +107,12 @@ func splitResultSeeds() [][]byte {
 
 func checkSplitResultBytes(t *testing.T, data []byte) {
 	t.Helper()
-	res, rest, err := decodeSplitResultRest(data)
+	res, rest, err := decodeSplitResultRest(data, 3, 4) // the seeds answer a 3-row, 4-class query
 	if err != nil {
 		return
 	}
-	if len(res.Probs.Shape) != 2 {
-		t.Fatalf("accepted rank-%d probs", len(res.Probs.Shape))
-	}
-	if res.Probs.Shape[0] != len(res.Entropy) {
-		t.Fatalf("accepted %d rows with %d entropies", res.Probs.Shape[0], len(res.Entropy))
+	if sh := res.Probs.Shape; len(sh) != 2 || sh[0] != 3 || sh[1] != 4 || len(res.Entropy) != 3 {
+		t.Fatalf("accepted shape %v with %d entropies for a 3x4 query", sh, len(res.Entropy))
 	}
 	used := len(data) - len(rest)
 	if got := encodeSplitResult(res); !bytes.Equal(got, data[:used]) {

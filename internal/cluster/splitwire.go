@@ -107,8 +107,9 @@ func encodeSplitResult(r PredictResult) []byte {
 }
 
 // decodeSplitResultRest parses a split result and returns the trailing
-// bytes carrying the compute-timing trailer.
-func decodeSplitResultRest(payload []byte) (PredictResult, []byte, error) {
+// bytes carrying the compute-timing trailer; the shape is checked against
+// what was asked, like decodeResultRest.
+func decodeSplitResultRest(payload []byte, rows, classes int) (PredictResult, []byte, error) {
 	probs, used, err := transport.DecodeTensor64(payload)
 	if err != nil {
 		return PredictResult{}, nil, fmt.Errorf("cluster: decode split result probs: %w", err)
@@ -117,8 +118,8 @@ func decodeSplitResultRest(payload []byte) (PredictResult, []byte, error) {
 	if err != nil {
 		return PredictResult{}, nil, fmt.Errorf("cluster: decode split result entropy: %w", err)
 	}
-	if len(probs.Shape) != 2 || probs.Shape[0] != len(ent) {
-		return PredictResult{}, nil, fmt.Errorf("cluster: split result rows %v != entropies %d", probs.Shape, len(ent))
+	if err := checkResultShape(probs, len(ent), rows, classes); err != nil {
+		return PredictResult{}, nil, err
 	}
 	return PredictResult{Probs: probs, Entropy: ent}, payload[used+entUsed:], nil
 }

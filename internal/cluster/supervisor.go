@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"sync"
@@ -28,7 +27,7 @@ import (
 //	   └─────────────── probe success ────────────┘
 //
 // Healthy and suspect peers are routed; an open peer is skipped by
-// InferBestEffort and fails fast under strict Infer. A background probe
+// InferBestEffort and fails strict Infer fast. A background probe
 // redials and pings the quarantined peer on an exponential-backoff-with-
 // jitter schedule and re-admits it on the first successful pong — so a
 // worker that reboots, or a WiFi link that heals, rejoins rotation without
@@ -329,7 +328,7 @@ func (p *peerConn) probeOnce(cfg SupervisorConfig) bool {
 	}
 	deadline := p.pingDeadline(cfg)
 	pingStart := time.Now()
-	if err := pingConn(conn, deadline); err != nil {
+	if _, err := controlCall(conn, deadline, MsgPing, nil, MsgPong); err != nil {
 		conn.Close()
 		return false
 	}
@@ -355,27 +354,6 @@ func (p *peerConn) pingDeadline(cfg SupervisorConfig) time.Duration {
 		t = cfg.DialTimeout
 	}
 	return t
-}
-
-// pingConn round-trips MsgPing/MsgPong on conn within d.
-func pingConn(conn net.Conn, d time.Duration) error {
-	if d > 0 {
-		if err := conn.SetDeadline(time.Now().Add(d)); err != nil {
-			return fmt.Errorf("set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-	if err := transport.WriteFrame(conn, MsgPing, nil); err != nil {
-		return err
-	}
-	typ, _, err := transport.ReadFrame(conn)
-	if err != nil {
-		return err
-	}
-	if typ != MsgPong {
-		return fmt.Errorf("ping got frame type %d", typ)
-	}
-	return nil
 }
 
 // ensureConnLocked redials the peer if its connection is down; p.mu held.
@@ -411,36 +389,39 @@ func (e errPeerQuarantined) Error() string {
 }
 
 // attemptTiming captures where one round-trip attempt spent its time, so
-// do can emit the dial/network/compute spans and feed the latency
-// histograms after the fact.
+// emitAttempt can record the dial/network/compute spans and feed the
+// latency histograms after the fact.
 type attemptTiming struct {
 	dialed    bool
 	dialStart time.Time
 	dialDur   time.Duration
 	rttStart  time.Time
 	rtt       time.Duration // write → read wall time, 0 if the write never happened
-	remote    time.Duration // worker-reported compute time, 0 if unknown (old worker)
+	remote    time.Duration // worker-reported compute time, 0 if the trailer is missing
 }
 
-// do performs one supervised predict round trip: bounded retries over
-// transient I/O errors with backoff, redialing broken connections, feeding
-// the breaker on every outcome. Worker-reported errors (MsgError) come from
-// a live peer and are returned immediately without punishing it.
-//
-// The round trip normally rides the multiplexed pipeline (mux.go), so
-// concurrent Infer calls share one connection per peer instead of
-// serializing; a peer that turns out to be a pre-mux build is sticky-
-// downgraded and the request transparently retries on the serial protocol.
+// peerQuery is one broadcast as every peer round trip sees it.
+type peerQuery struct {
+	payload []byte // encoded input (+ trace trailer), shared by all peers
+	rows    int    // batch size: a reply must carry exactly this many rows
+}
+
+// do performs one supervised predict round trip on the peer's multiplexed
+// pipeline (mux.go), so concurrent Infer calls share one connection per
+// peer: bounded retries over transient I/O errors with backoff, redialing
+// broken links, feeding the breaker once per link death. Worker-reported
+// errors (MsgErrorMux) come from a live peer and are returned immediately
+// without punishing it.
 //
 // parent is the query's root span context; each peer round trip records a
 // "peer <addr>" span beneath it with dial / backoff / network / compute
-// children, and every successful attempt lands in the peer's rtt (and,
-// when the worker reports it, compute) histograms.
+// children, and every successful attempt lands in the peer's rtt and
+// compute histograms.
 //
 // ctx carries the caller's deadline/cancellation: an expired ctx aborts
 // waits (window, reply, backoff) with the ctx error and WITHOUT feeding the
 // breaker — a caller that stopped waiting is not evidence against the peer.
-func (p *peerConn) do(ctx context.Context, payload []byte, parent trace.Context) (PredictResult, error) {
+func (p *peerConn) do(ctx context.Context, q peerQuery, parent trace.Context) (PredictResult, error) {
 	cfg := p.config()
 	tr := p.tracer()
 	if !p.available() {
@@ -453,17 +434,10 @@ func (p *peerConn) do(ctx context.Context, payload []byte, parent trace.Context)
 	p.deposit() // first-attempt volume funds the shared retry budget
 	var res PredictResult
 	var err error
-	if p.muxEligible() {
-		if delay, hok := p.hedgeDelay(); hok {
-			res, err = p.muxHedged(ctx, cfg, tr, sp.Ctx(), payload, delay)
-		} else {
-			res, err = p.muxAttempts(ctx, done, cfg, tr, sp.Ctx(), payload)
-		}
-		if errors.Is(err, errMuxUnsupported) {
-			res, err = p.doAttempts(ctx, done, cfg, tr, sp.Ctx(), payload)
-		}
+	if delay, hok := p.hedgeDelay(); hok {
+		res, err = p.muxHedged(ctx, cfg, tr, sp.Ctx(), q, delay)
 	} else {
-		res, err = p.doAttempts(ctx, done, cfg, tr, sp.Ctx(), payload)
+		res, err = p.muxAttempts(ctx, done, cfg, tr, sp.Ctx(), q)
 	}
 	sp.EndErr(err)
 	return res, err
@@ -500,49 +474,6 @@ func abortErr(ctx context.Context) error {
 	return errors.New("cluster: master closing")
 }
 
-// doAttempts is do's retry loop, with span emission under peerCtx.
-func (p *peerConn) doAttempts(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, payload []byte) (PredictResult, error) {
-	var lastErr error
-	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
-		if attempt > 0 {
-			if !p.allowSpend("retry") {
-				break // budget dry: no speculative traffic during a brownout
-			}
-			p.counter("retries").Inc()
-			backoffStart := time.Now()
-			if !cfg.RetryBackoff.Sleep(attempt-1, done) {
-				if err := ctx.Err(); err != nil {
-					return PredictResult{}, err
-				}
-				break // master closing
-			}
-			tr.Record(peerCtx, "backoff", "", "", backoffStart, time.Since(backoffStart))
-			if !p.available() {
-				break // breaker tripped while we backed off
-			}
-		}
-		res, tm, err, peerFault := p.tryOnce(ctx, cfg, payload)
-		p.emitAttempt(tr, peerCtx, tm, err)
-		if err == nil {
-			p.recordSuccess()
-			return res, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			// The caller gave up mid-round-trip; the failure indicts the
-			// deadline, not the peer — no breaker accounting, no retry.
-			return PredictResult{}, cerr
-		}
-		lastErr = err
-		if !peerFault {
-			// The worker answered; the request itself is bad. No retry,
-			// no breaker accounting.
-			return PredictResult{}, err
-		}
-		p.recordFailure()
-	}
-	return PredictResult{}, fmt.Errorf("cluster: peer %s: %w", p.addr, lastErr)
-}
-
 // emitAttempt turns one attempt's timing into spans and histogram samples.
 // The round trip splits into "network" (wall time minus the worker-reported
 // compute) and "compute" (attributed to the peer node) — the paper's
@@ -576,85 +507,6 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, tm attem
 	}
 }
 
-// tryOnce performs one wire round trip. peerFault reports whether the error
-// indicts the peer/link (retryable) as opposed to the request (not). The
-// caller's ctx deadline shrinks the connection deadline when it is sooner
-// than the configured per-peer timeout, so a short-deadline request on the
-// serial protocol aborts its read instead of waiting out the full timeout.
-func (p *peerConn) tryOnce(ctx context.Context, cfg SupervisorConfig, payload []byte) (res PredictResult, tm attemptTiming, err error, peerFault bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if derr := p.ensureConnTimedLocked(cfg, &tm); derr != nil {
-		return PredictResult{}, tm, derr, true
-	}
-	p.counter("requests").Inc()
-	if deadline := connDeadline(ctx, p.timeout); !deadline.IsZero() {
-		if err := p.conn.SetDeadline(deadline); err != nil {
-			p.dropConnLocked()
-			return PredictResult{}, tm, fmt.Errorf("set deadline: %w", err), true
-		}
-		defer func() {
-			if p.conn != nil {
-				p.conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-			}
-		}()
-	}
-	tm.rttStart = time.Now()
-	if err := transport.WriteFrame(p.conn, MsgPredict, payload); err != nil {
-		p.dropConnLocked()
-		return PredictResult{}, tm, err, true
-	}
-	typ, resp, err := transport.ReadFrame(p.conn)
-	tm.rtt = time.Since(tm.rttStart)
-	if err != nil {
-		p.dropConnLocked()
-		return PredictResult{}, tm, err, true
-	}
-	switch typ {
-	case MsgResult:
-		r, rest, derr := decodeResultRest(resp)
-		if derr != nil {
-			// Undecodable result: corrupted link, not a bad request.
-			p.dropConnLocked()
-			return PredictResult{}, tm, derr, true
-		}
-		tm.remote, _ = extractComputeTime(rest)
-		return r, tm, nil, false
-	case MsgError:
-		return PredictResult{}, tm, fmt.Errorf("worker error: %s", resp), false
-	default:
-		p.dropConnLocked()
-		return PredictResult{}, tm, fmt.Errorf("unexpected frame type %d", typ), true
-	}
-}
-
-// connDeadline resolves the serial round trip's absolute connection
-// deadline: the sooner of the per-peer timeout and the caller's ctx
-// deadline. Zero means no deadline at all.
-func connDeadline(ctx context.Context, timeout time.Duration) time.Time {
-	var deadline time.Time
-	if timeout > 0 {
-		deadline = time.Now().Add(timeout)
-	}
-	if cd, ok := ctx.Deadline(); ok && (deadline.IsZero() || cd.Before(deadline)) {
-		deadline = cd
-	}
-	return deadline
-}
-
-// ensureConnTimedLocked is ensureConnLocked with dial timing captured into
-// tm; p.mu held.
-func (p *peerConn) ensureConnTimedLocked(cfg SupervisorConfig, tm *attemptTiming) error {
-	if p.conn != nil {
-		return nil
-	}
-	tm.dialed = true
-	tm.dialStart = time.Now()
-	err := p.ensureConnLocked(cfg)
-	tm.dialDur = time.Since(tm.dialStart)
-	return err
-}
-
 // ping round-trips one liveness probe on the peer's live connection,
 // redialing first if it is down. Errors feed the breaker like any other
 // transient failure; successful round trips land in the peer's "ping"
@@ -665,7 +517,7 @@ func (p *peerConn) ping() error {
 	err := p.ensureConnLocked(cfg)
 	if err == nil {
 		start := time.Now()
-		err = pingConn(p.conn, p.pingDeadlineLocked(cfg))
+		_, err = controlCall(p.conn, p.pingDeadlineLocked(cfg), MsgPing, nil, MsgPong)
 		if err != nil {
 			p.dropConnLocked()
 		} else {

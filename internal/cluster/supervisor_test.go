@@ -90,11 +90,11 @@ func TestInferRetriesTransientFailure(t *testing.T) {
 
 	// Break the established connection server-side; the listener stays up,
 	// so the in-request redial must recover transparently.
-	w1.mu.Lock()
-	for conn := range w1.conns {
+	w1.srv.mu.Lock()
+	for conn := range w1.srv.conns {
 		conn.Close()
 	}
-	w1.mu.Unlock()
+	w1.srv.mu.Unlock()
 	if _, _, err := master.Infer(x); err != nil {
 		t.Fatalf("Infer did not ride out a broken connection: %v", err)
 	}
@@ -241,7 +241,7 @@ func TestPingReportsAllUnreachablePeers(t *testing.T) {
 
 func TestWorkerRecoversPredictPanic(t *testing.T) {
 	// Input 4 expert fed a width-5 tensor: the NN panics on the shape
-	// mismatch. The worker must answer MsgError and keep serving on the
+	// mismatch. The worker must answer MsgErrorMux and keep serving on the
 	// same connection.
 	w := NewWorker(tinyExpert(t, 58), 1)
 	addr, err := w.Listen("127.0.0.1:0")
@@ -255,15 +255,15 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	bad := transport.EncodeTensor(tensor.NewRNG(59).Randn(1, 5))
-	if err := transport.WriteFrame(conn, MsgPredict, bad); err != nil {
+	bad := appendMuxID(1, transport.EncodeTensor(tensor.NewRNG(59).Randn(1, 5)))
+	if err := transport.WriteFrame(conn, MsgPredictMux, bad); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := transport.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgError || !strings.Contains(string(payload), "panic") {
+	if typ != MsgErrorMux || !strings.Contains(string(payload), "panic") {
 		t.Fatalf("panic inside predict answered type=%d %q", typ, payload)
 	}
 	if got := w.Counters().Snapshot()["panics.recovered"]; got != 1 {
@@ -271,18 +271,18 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 	}
 
 	// Same connection, valid request: the goroutine must have survived.
-	good := transport.EncodeTensor(tensor.NewRNG(60).Randn(1, 4))
-	if err := transport.WriteFrame(conn, MsgPredict, good); err != nil {
+	good := appendMuxID(2, transport.EncodeTensor(tensor.NewRNG(60).Randn(1, 4)))
+	if err := transport.WriteFrame(conn, MsgPredictMux, good); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = transport.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgResult {
+	if typ != MsgResultMux {
 		t.Fatalf("post-panic request answered type=%d %q", typ, payload)
 	}
-	if _, err := DecodeResult(payload); err != nil {
+	if _, _, err := decodeResultRest(payload[muxIDSize:], 1, 3); err != nil {
 		t.Fatal(err)
 	}
 }

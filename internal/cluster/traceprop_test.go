@@ -1,14 +1,13 @@
 package cluster
 
 import (
-	"fmt"
-	"net"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // spanByName indexes one trace's spans; duplicate names keep the first.
@@ -98,90 +97,10 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}
 }
 
-// TestTraceOldWorkerInterop drives a traced master against a minimal
-// hand-rolled "old" worker that decodes the tensor with the pre-trace codec
-// and answers without any trailer: the trailer must be ignored and the
-// query must succeed, just without a remote-compute span.
-func TestTraceOldWorkerInterop(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	// Like every pre-mux build, the fake rejects unknown frame types with a
-	// serial MsgError and hangs up — which is exactly what the new master's
-	// first MsgPredictMux probe receives, downgrading the peer to serial —
-	// and keeps accepting, so the downgraded master can redial.
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				for {
-					typ, payload, err := transport.ReadFrame(conn)
-					if err != nil {
-						return
-					}
-					if typ == MsgPing {
-						transport.WriteFrame(conn, MsgPong, nil) //nolint:errcheck
-						continue
-					}
-					if typ != MsgPredict {
-						transport.WriteFrame(conn, MsgError, []byte(fmt.Sprintf("unknown frame type %d", typ))) //nolint:errcheck
-						return
-					}
-					// Old decoder: consume the tensor, ignore whatever follows
-					// (that "whatever" is the new trace trailer).
-					x, _, err := transport.DecodeTensor(payload)
-					if err != nil {
-						transport.WriteFrame(conn, MsgError, []byte(err.Error())) //nolint:errcheck
-						return
-					}
-					probs := tensor.New(x.Shape[0], 3)
-					for b := 0; b < x.Shape[0]; b++ {
-						probs.RowSlice(b)[0] = 1
-					}
-					res := PredictResult{Probs: probs, Entropy: make([]float64, x.Shape[0])}
-					// No timing trailer: pre-trace wire format.
-					if err := transport.WriteFrame(conn, MsgResult, EncodeResult(res)); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	master := NewMaster(nil, 3)
-	defer master.Close()
-	masterTr := trace.New("master", 0)
-	master.SetTracer(masterTr)
-	if err := master.Connect(ln.Addr().String()); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.NewRNG(73).Randn(1, 4)
-	if _, _, err := master.Infer(x); err != nil {
-		t.Fatalf("traced master against old worker: %v", err)
-	}
-	ids := masterTr.TraceIDs(1)
-	if len(ids) != 1 {
-		t.Fatal("no trace recorded")
-	}
-	by := spanByName(masterTr.Trace(ids[0]))
-	if _, ok := by["network"]; !ok {
-		t.Fatal("round trip span missing")
-	}
-	if _, ok := by["compute"]; ok {
-		t.Fatal("old worker cannot report compute time, yet a compute span appeared")
-	}
-}
-
-// TestNewWorkerUntracedMasterAppendsHarmlessTrailer covers the reverse
-// direction: a new worker always appends the timing trailer, and an
-// untraced master (which uses the strict pre-trace decode path via
-// DecodeResult's trailing-byte tolerance) still round-trips correctly.
+// TestNewWorkerUntracedMasterInterop: tracing off is a live configuration.
+// The worker always appends its timing trailer; a master that sent no trace
+// trailer must round-trip correctly, and still gets the network/compute
+// split its histograms need.
 func TestNewWorkerUntracedMasterInterop(t *testing.T) {
 	worker := NewWorker(tinyExpert(t, 74), 1)
 	addr, err := worker.Listen("127.0.0.1:0")
@@ -203,11 +122,15 @@ func TestNewWorkerUntracedMasterInterop(t *testing.T) {
 	if probs.Shape[0] != 2 || len(winners) != 2 {
 		t.Fatalf("bad result shape %v / %d winners", probs.Shape, len(winners))
 	}
+	if n := master.Histograms().Histogram("peer." + addr + ".compute").Count(); n != 1 {
+		t.Fatalf("untraced master recorded %d compute samples, want 1", n)
+	}
 }
 
-// TestBestEffortTagsQuarantinedPeerSkipped: the satellite bugfix — a
-// quarantined peer must appear in the span tree tagged skipped, not vanish.
-func TestBestEffortTagsQuarantinedPeerSkipped(t *testing.T) {
+// TestQuarantinedPeerTaggedSkipped: a quarantined peer must appear in the
+// span tree tagged skipped, not vanish — under best effort, which answers
+// without it, and under strict Infer, which fails with the quarantine error.
+func TestQuarantinedPeerTaggedSkipped(t *testing.T) {
 	worker := NewWorker(tinyExpert(t, 76), 1)
 	addr, err := worker.Listen("127.0.0.1:0")
 	if err != nil {
@@ -242,19 +165,27 @@ func TestBestEffortTagsQuarantinedPeerSkipped(t *testing.T) {
 	} else if live != 1 {
 		t.Fatalf("live = %d, want 1 (local only)", live)
 	}
-	ids := masterTr.TraceIDs(1)
-	if len(ids) != 1 {
-		t.Fatal("no trace recorded")
-	}
-	var skipped bool
-	for _, s := range masterTr.Trace(ids[0]) {
-		if s.Name == "peer "+addr && s.Status == trace.StatusSkipped {
-			skipped = true
+	assertSkipped := func() {
+		t.Helper()
+		ids := masterTr.TraceIDs(1)
+		if len(ids) != 1 {
+			t.Fatal("no trace recorded")
 		}
-	}
-	if !skipped {
+		for _, s := range masterTr.Trace(ids[0]) {
+			if s.Name == "peer "+addr && s.Status == trace.StatusSkipped {
+				return
+			}
+		}
 		t.Fatalf("no skipped span for quarantined peer in %v", masterTr.Trace(ids[0]))
 	}
+	assertSkipped()
+
+	_, _, err = master.Infer(x)
+	var quarantined errPeerQuarantined
+	if !errors.As(err, &quarantined) || !strings.HasPrefix(err.Error(), "cluster: node 1: ") {
+		t.Fatalf("strict Infer against a quarantined peer: %v", err)
+	}
+	assertSkipped()
 }
 
 // TestPingRecordsLatencyHistogram: the satellite bugfix — Master.Ping and

@@ -10,19 +10,19 @@ import (
 // Trace context on the TeamNet socket protocol (DESIGN.md §7).
 //
 // The protocol's payloads are self-delimiting — DecodeTensor and
-// DecodeFloats report how many bytes they consumed and every pre-trace
-// decoder ignores whatever follows — so trace fields ride as a fixed-size
-// *trailer* appended after the regular payload instead of a new envelope:
+// DecodeFloats report how many bytes they consumed — so trace fields ride
+// as a fixed-size *trailer* appended after the regular payload instead of a
+// new envelope:
 //
-//	MsgPredict:  tensor ‖ "TNtc" ver(1) traceID(8) spanID(8)      (+21 B)
-//	MsgResult:   probs ‖ entropies ‖ "TNtm" ver(1) computeNanos(8) (+13 B)
+//	MsgPredictMux: id ‖ tensor ‖ "TNtc" ver(1) traceID(8) spanID(8)      (+21 B)
+//	MsgResultMux:  id ‖ probs ‖ entropies ‖ "TNtm" ver(1) computeNanos(8) (+13 B)
 //
-// That buys full bidirectional compatibility: an old worker ignores the
-// predict trailer and answers untraced; an old master ignores the result
-// trailer; a new worker answering an untraced master still appends its
-// timing (harmless) but records no spans. The magics make a missing
-// trailer distinguishable from a short one, and the version byte leaves
-// room to grow the trailer without another frame type.
+// Tracing is a per-master setting, so both shapes of request are live: a
+// master without a tracer sends no trailer and the worker records no span,
+// but still appends its timing — the master's rtt/compute histograms need
+// it either way. The magics make a missing trailer distinguishable from a
+// short one, and the version byte leaves room to grow the trailer without
+// another frame type. TestWireBytesUnchanged pins the bytes.
 
 // Trailer magics. Four bytes each, chosen to never collide with tensor
 // data by position (they sit after a self-delimited payload, so collision
@@ -35,8 +35,7 @@ var (
 const traceTrailerVersion = 1
 
 // appendTraceContext appends the predict-trailer carrying ctx. A zero
-// context appends nothing, keeping untraced wire bytes identical to
-// pre-trace builds.
+// context appends nothing: an untraced request is the bare tensor.
 func appendTraceContext(payload []byte, ctx trace.Context) []byte {
 	if !ctx.Valid() {
 		return payload
@@ -73,7 +72,7 @@ func appendComputeTime(payload []byte, d time.Duration) []byte {
 }
 
 // extractComputeTime parses the result-trailer from the bytes remaining
-// after the entropies. ok is false for results from pre-trace workers.
+// after the entropies. ok is false when the trailer is missing or malformed.
 func extractComputeTime(rest []byte) (time.Duration, bool) {
 	if len(rest) < 13 || [4]byte(rest[:4]) != computeTimeMagic || rest[4] != traceTrailerVersion {
 		return 0, false

@@ -79,7 +79,7 @@ func TestWireBytesUnchanged(t *testing.T) {
 			want = referenceFrame(tc.typed, appendMuxID(1, tc.payload))
 		}
 		got := sent(t, len(want), func(conn net.Conn) {
-			mc := newMuxClientTyped(conn, true, tc.reqType, tc.resType, new(metrics.Gauge), new(metrics.Gauge), nil)
+			mc := newMuxClientTyped(conn, tc.reqType, tc.resType, new(metrics.Gauge), new(metrics.Gauge), nil)
 			defer mc.close()
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
@@ -148,7 +148,7 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 	near, far := net.Pipe()
 	defer far.Close()
 	cc := &writeCountingConn{Conn: near}
-	mc := newMuxClient(cc, true, new(metrics.Gauge), new(metrics.Gauge), nil)
+	mc := newMuxClient(cc, new(metrics.Gauge), new(metrics.Gauge), nil)
 	defer mc.close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -248,7 +248,7 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	mc := newMuxClient(conn, true, new(metrics.Gauge), new(metrics.Gauge), nil)
+	mc := newMuxClient(conn, new(metrics.Gauge), new(metrics.Gauge), nil)
 	defer mc.close()
 	payload := make([]byte, 50<<10)
 	ctx := context.Background()

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,11 +14,11 @@ import (
 )
 
 // Worker serves one TeamNet expert over raw TCP: the edge-node role of
-// Figure 1(d). It answers MsgPredict frames with MsgResult frames carrying
-// probabilities and predictive entropies, answers pipelined MsgPredictMux
-// frames concurrently — running them on the expert's frozen inference
-// snapshot and writing replies out of order under a per-connection write
-// lock — and responds to pings and election traffic.
+// Figure 1(d). It answers pipelined MsgPredictMux frames with MsgResultMux
+// frames carrying probabilities and predictive entropies — running them
+// concurrently on the expert's frozen inference snapshot, replies out of
+// order — finishes MsgSplitPredict tails the same way, and answers the
+// control frames of the shared server loop (server.go).
 //
 // Every result carries the measured expert compute time as a trailing
 // timing trailer (see tracewire.go), so the master can split its observed
@@ -36,19 +34,14 @@ type Worker struct {
 	counters *metrics.CounterSet
 	hists    *metrics.HistogramSet
 	tracer   *tracerRef
-	roster   *Roster // fabric membership view, fed by announce exchanges
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
-	addr     string // bound listen address, set by Listen
-	version  string // model version label, set by SetModelVersion / pushes
+	srv      *frameServer
+	mu       sync.Mutex // guards version
+	version  string     // model version label, set by SetModelVersion / pushes
 }
 
 // NewWorker compiles an expert network into a frozen inference snapshot
 // and wraps it for serving; any number of requests then run concurrently
-// on the snapshot (bounded per connection by workerMuxWindow). id is the
+// on the snapshot (bounded per connection by handlerWindow). id is the
 // node's election identity (any distinct non-negative int; higher ids win
 // elections). It panics on a nil or uncompilable expert (programmer error
 // at construction).
@@ -64,13 +57,22 @@ func NewWorkerSnapshot(snap *nn.Snapshot, id int) *Worker {
 	}
 	w := &Worker{
 		id:       id,
-		conns:    make(map[net.Conn]struct{}),
 		counters: metrics.NewCounterSet(),
 		hists:    metrics.NewHistogramSet(),
 		tracer:   &tracerRef{},
-		roster:   NewRoster(),
 	}
 	w.snap.Store(snap)
+	w.srv = &frameServer{
+		member:    w.Member,
+		roster:    NewRoster(),
+		applyPush: w.applyModelPush,
+		counters:  w.counters,
+		panicName: "panics.recovered",
+		kinds: map[byte]func([]byte) (byte, []byte){
+			MsgPredictMux:   w.serveMuxPredict,
+			MsgSplitPredict: w.serveSplitPredict,
+		},
+	}
 	return w
 }
 
@@ -107,13 +109,11 @@ func (w *Worker) ModelVersion() string {
 
 // Member returns this worker's membership descriptor (valid after Listen).
 func (w *Worker) Member() Member {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return Member{Role: RoleWorker, Addr: w.addr, ID: w.id, Version: w.version}
+	return Member{Role: RoleWorker, Addr: w.srv.boundAddr(), ID: w.id, Version: w.ModelVersion()}
 }
 
 // Roster exposes the worker's membership view.
-func (w *Worker) Roster() *Roster { return w.roster }
+func (w *Worker) Roster() *Roster { return w.srv.roster }
 
 // Counters exposes the worker's serving counters ("requests",
 // "panics.recovered", ...).
@@ -134,241 +134,48 @@ func (w *Worker) Tracer() *trace.Tracer { return w.tracer.get() }
 // Listen binds to addr (use "127.0.0.1:0" for tests) and serves in the
 // background. It returns the bound address.
 func (w *Worker) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := w.srv.listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("cluster: worker listen %s: %w", addr, err)
 	}
-	w.mu.Lock()
-	w.ln = ln
-	w.addr = ln.Addr().String()
-	w.mu.Unlock()
-	w.wg.Add(1)
-	go w.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return bound, nil
 }
 
-func (w *Worker) acceptLoop(ln net.Listener) {
-	defer w.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		w.mu.Lock()
-		if w.closed {
-			w.mu.Unlock()
-			conn.Close()
-			return
-		}
-		w.conns[conn] = struct{}{}
-		w.mu.Unlock()
-		w.wg.Add(1)
-		go w.handleConn(conn)
-	}
-}
-
-// handleConn is the per-connection serving goroutine. The recover is the
-// worker's last line of defense: serveConn promises that a malformed
-// request costs one error frame, but a panic escaping the predict recover
-// (decode, trace or encode paths) must cost only this connection — never
-// the serving process.
-func (w *Worker) handleConn(conn net.Conn) {
-	defer w.wg.Done()
-	defer func() {
-		conn.Close()
-		w.mu.Lock()
-		delete(w.conns, conn)
-		w.mu.Unlock()
-	}()
-	defer func() {
-		if r := recover(); r != nil {
-			w.counters.Counter("panics.recovered").Inc()
-		}
-	}()
-	w.serveConn(conn)
-}
-
-// workerMuxWindow bounds the mux requests one connection may have in
-// flight on the worker: the read loop blocks past it, so a flooding client
-// gets TCP backpressure instead of unbounded handler goroutines. The
-// snapshot itself has no concurrency limit — this window is the worker's
-// only compute-parallelism bound.
-const workerMuxWindow = 64
-
-// connWriter serializes frame writes on one connection: the serial read
-// loop and the concurrent mux handlers interleave whole frames, never
-// bytes, and every frame leaves in one write.
-type connWriter struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	batch transport.FrameBatch
-}
-
-func (cw *connWriter) write(typ byte, payload []byte) error {
-	return cw.send(typ, nil, payload)
-}
-
-// writeMux sends a mux reply: the request id, then payload (not copied).
-func (cw *connWriter) writeMux(typ byte, id uint32, payload []byte) error {
-	idb := muxIDPrefix(id)
-	return cw.send(typ, idb[:], payload)
-}
-
-func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
-	cw.mu.Lock()
-	defer cw.mu.Unlock()
-	if err := cw.batch.Add(typ, prefix, payload); err != nil {
-		return err
-	}
-	return cw.batch.Flush(cw.conn)
-}
-
-func (w *Worker) serveConn(conn net.Conn) {
-	cw := &connWriter{conn: conn}
-	sem := make(chan struct{}, workerMuxWindow)
-	br := bufio.NewReaderSize(conn, connReadBuffer)
-	for {
-		typ, payload, err := transport.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		switch typ {
-		case MsgPredict:
-			w.counters.Counter("requests").Inc()
-			result, errText, decodeFailed := w.runPredict(payload)
-			if decodeFailed {
-				_ = cw.write(MsgError, []byte(errText))
-				return
-			}
-			if errText != "" {
-				// A malformed tensor that panics inside the NN must cost
-				// one MsgError, never the serving goroutine: answer and
-				// keep the connection alive for the next request.
-				if err := cw.write(MsgError, []byte(errText)); err != nil {
-					return
-				}
-				continue
-			}
-			if err := cw.write(MsgResult, result); err != nil {
-				return
-			}
-		case MsgPredictMux:
-			w.counters.Counter("requests").Inc()
-			w.counters.Counter("requests.mux").Inc()
-			id, body, err := splitMuxID(payload)
-			if err != nil {
-				// No request id to address a mux error to: the stream is
-				// unusable, answer serially and drop the connection.
-				_ = cw.write(MsgError, []byte(err.Error()))
-				return
-			}
-			// Dispatch concurrently onto the expert snapshot; the semaphore
-			// bounds handlers per connection, replies write out of order
-			// under the connection's write lock.
-			sem <- struct{}{}
-			w.wg.Add(1)
-			go func() {
-				defer w.wg.Done()
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						w.counters.Counter("panics.recovered").Inc()
-						conn.Close() // a panicking handler poisons only this connection
-					}
-				}()
-				w.serveMuxPredict(cw, id, body)
-			}()
-		case MsgSplitPredict:
-			w.counters.Counter("requests").Inc()
-			w.counters.Counter("requests.split").Inc()
-			id, body, err := splitMuxID(payload)
-			if err != nil {
-				_ = cw.write(MsgError, []byte(err.Error()))
-				return
-			}
-			// Same dispatch discipline as MsgPredictMux: split tails share the
-			// connection's handler window and write lock with query traffic.
-			sem <- struct{}{}
-			w.wg.Add(1)
-			go func() {
-				defer w.wg.Done()
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						w.counters.Counter("panics.recovered").Inc()
-						conn.Close()
-					}
-				}()
-				result, errText := runSplitBody(w.snap.Load(), w.ModelVersion(), body, w.tracer, w.hists)
-				if errText != "" {
-					_ = cw.writeMux(MsgErrorMux, id, []byte(errText))
-					return
-				}
-				_ = cw.writeMux(MsgSplitResult, id, result)
-			}()
-		case MsgPing:
-			if err := cw.write(MsgPong, nil); err != nil {
-				return
-			}
-		case MsgElection:
-			// Bully: any node hearing an election from a lower id answers
-			// OK (it will run its own election).
-			if err := cw.write(MsgElectionOK, electionReply(w.id)); err != nil {
-				return
-			}
-		case MsgAnnounce:
-			reply, aerr := handleAnnounce(w.roster, w.Member(), payload)
-			if aerr != nil {
-				_ = cw.write(MsgError, []byte(aerr.Error()))
-				return
-			}
-			if err := cw.write(MsgAnnounceOK, reply); err != nil {
-				return
-			}
-		case MsgModelPush:
-			version, perr := w.applyModelPush(payload)
-			if perr != nil {
-				// A bad push costs one error frame, not the connection:
-				// the frame boundary is intact.
-				if err := cw.write(MsgError, []byte(perr.Error())); err != nil {
-					return
-				}
-				continue
-			}
-			if err := cw.write(MsgModelPushOK, []byte(version)); err != nil {
-				return
-			}
-		default:
-			_ = cw.write(MsgError, []byte(fmt.Sprintf("unknown frame type %d", typ)))
-			return
-		}
-	}
-}
-
-// serveMuxPredict answers one pipelined request with the matching
-// MsgResultMux / MsgErrorMux frame. Unlike the serial path, a decode error
-// never drops the connection — the frame boundary is intact and other
-// requests are pipelined behind it.
-func (w *Worker) serveMuxPredict(cw *connWriter, id uint32, body []byte) {
-	result, errText, _ := w.runPredict(body)
+// serveMuxPredict answers one pipelined whole-query request. A decode error
+// costs one MsgErrorMux, never the connection — the frame boundary is
+// intact and other requests are pipelined behind it.
+func (w *Worker) serveMuxPredict(body []byte) (byte, []byte) {
+	w.counters.Counter("requests").Inc()
+	result, errText := w.runPredict(body)
 	if errText != "" {
-		_ = cw.writeMux(MsgErrorMux, id, []byte(errText))
-		return
+		return MsgErrorMux, []byte(errText)
 	}
-	_ = cw.writeMux(MsgResultMux, id, result)
+	return MsgResultMux, result
+}
+
+// serveSplitPredict finishes one partial-offload tail on the served
+// snapshot; split tails share the connection's handler window and write
+// lock with query traffic.
+func (w *Worker) serveSplitPredict(body []byte) (byte, []byte) {
+	w.counters.Counter("requests").Inc()
+	w.counters.Counter("requests.split").Inc()
+	result, errText := runSplitBody(w.snap.Load(), w.ModelVersion(), body, w.tracer, w.hists)
+	if errText != "" {
+		return MsgErrorMux, []byte(errText)
+	}
+	return MsgSplitResult, result
 }
 
 // runPredict decodes one predict body (tensor plus optional trace
 // trailer), runs the expert snapshot on it, and returns the encoded
-// result payload — or an error message, with decodeFailed distinguishing
-// an undecodable body from a failed prediction.
-func (w *Worker) runPredict(body []byte) (result []byte, errText string, decodeFailed bool) {
+// result payload — or an error message.
+func (w *Worker) runPredict(body []byte) (result []byte, errText string) {
 	x, used, err := transport.DecodeTensor(body)
 	if err != nil {
-		return nil, err.Error(), true
+		return nil, err.Error()
 	}
-	// Trace context rides as a trailer after the tensor; absent on
-	// untraced masters and pre-trace builds.
+	// Trace context rides as a trailer after the tensor; absent when the
+	// master runs untraced.
 	ctx := extractTraceContext(body[used:])
 	start := time.Now()
 	res, perr := w.predict(x)
@@ -382,11 +189,11 @@ func (w *Worker) runPredict(body []byte) (result []byte, errText string, decodeF
 		w.tracer.get().Record(ctx, "worker.predict", "", status, start, compute)
 	}
 	if perr != nil {
-		return nil, perr.Error(), false
+		return nil, perr.Error()
 	}
-	// The compute-time trailer is always appended — old masters ignore it,
-	// new ones use it for the network/compute split.
-	return appendComputeTime(EncodeResult(res), compute), "", false
+	// The compute-time trailer is always appended: the master's
+	// network/compute split needs it whether or not it traces.
+	return appendComputeTime(EncodeResult(res), compute), ""
 }
 
 // predict runs the expert snapshot on x (step 3 of Fig 1d) and pairs
@@ -404,39 +211,19 @@ func (w *Worker) predict(x *tensor.Tensor) (res PredictResult, err error) {
 	return PredictResult{Probs: probs, Entropy: ent.Data}, nil
 }
 
-// applyModelPush decodes and applies one MsgModelPush: swap the expert when
-// the push carries weights, or just re-label on a version-only push. The
-// swap happens before the ack is written, so a successful PushModel means
-// the worker is already serving the new version.
-func (w *Worker) applyModelPush(payload []byte) (version string, err error) {
-	version, snap, err := DecodeModelPush(payload)
-	if err != nil {
-		return "", err
-	}
+// applyModelPush applies one decoded MsgModelPush: swap the expert when the
+// push carries weights, or just re-label on a version-only push.
+func (w *Worker) applyModelPush(version string, snap *nn.Snapshot) {
 	if snap != nil {
 		w.SwapSnapshot(snap, version)
 	} else {
 		w.SetModelVersion(version)
 	}
-	return version, nil
 }
 
 // ID returns the worker's election identity.
 func (w *Worker) ID() int { return w.id }
 
-// Close stops serving and closes open connections.
-func (w *Worker) Close() error {
-	w.mu.Lock()
-	w.closed = true
-	ln := w.ln
-	for conn := range w.conns {
-		conn.Close()
-	}
-	w.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	w.wg.Wait()
-	return err
-}
+// Close stops serving, closes open connections and waits for in-flight
+// requests to return.
+func (w *Worker) Close() error { return w.srv.close() }
