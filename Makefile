@@ -39,10 +39,12 @@ loc:
 # test; the race half hammers the self-healing runtime — and, none of them
 # -short-skipped, the gateway's batcher tests (internal/serve
 # batcher_test.go), the one-write frame tests with ReadFrame's allocation
-# bound (internal/transport frame_test.go), the mux write-coalescing and
-# golden wire-bytes tests (internal/cluster wire_test.go), the server-loop
-# conformance table run against both Worker and MasterServer
-# (server_test.go) and the hostile-reply decoder seeds (hostile_test.go).
+# bound (internal/transport frame_test.go), the frame-header table and
+# FuzzDecodeHeader's seed corpus (internal/cluster header_test.go), the mux
+# write-coalescing and golden wire-bytes tests (wire_test.go), the
+# server-loop conformance table run against both Worker and MasterServer —
+# header verdicts, expired budget and version pin included (server_test.go)
+# — and the hostile-reply decoder seeds (hostile_test.go).
 verify: fmt-check docs
 	$(GO) vet ./...
 	$(GO) test -short ./...

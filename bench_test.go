@@ -11,6 +11,7 @@
 package teamnet_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -187,7 +188,7 @@ func BenchmarkClusterRoundTripChaosLatency(b *testing.B) {
 	x := test.X.SelectRows([]int{0})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := master.InferBestEffort(x); err != nil {
+		if _, err := master.Do(context.Background(), cluster.Request{X: x, Policy: cluster.Policy{Gather: cluster.BestEffort}}); err != nil {
 			b.Fatal(err)
 		}
 	}

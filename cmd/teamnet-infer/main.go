@@ -74,18 +74,23 @@ func run() error {
 	)
 	flag.Parse()
 
-	splitOn, splitAt := false, 0
+	// Every query of the run is one Request under this policy.
+	var policy cluster.Policy
+	if *bestEffort {
+		policy.Gather = cluster.BestEffort
+	}
 	switch *splitMode {
 	case "off":
 	case "auto":
-		splitOn, splitAt = true, cluster.SplitAuto
+		policy.Split = cluster.SplitAuto
 	default:
 		n, err := strconv.Atoi(*splitMode)
 		if err != nil || n < 0 {
 			return fmt.Errorf("bad -split %q (off, auto, or a layer index)", *splitMode)
 		}
-		splitOn, splitAt = true, n
+		policy.Split = cluster.SplitAt(n)
 	}
+	splitOn := policy.Split != cluster.SplitOff
 
 	peerAddrs := cli.SplitList(*peers)
 	if *elect {
@@ -131,7 +136,7 @@ func run() error {
 		if localExpert == nil {
 			return fmt.Errorf("-split needs -local: the head of the network runs on the local expert")
 		}
-		if splitAt == cluster.SplitAuto {
+		if policy.Split == cluster.SplitAuto {
 			if err := master.EnableSplit(2 * time.Second); err != nil {
 				return err
 			}
@@ -209,31 +214,7 @@ func run() error {
 	for i := 0; i < ds.Len(); i++ {
 		x := ds.X.SelectRows([]int{i})
 		start := time.Now()
-		var (
-			probs   *tensor.Tensor
-			winners []int
-			err     error
-		)
-		switch {
-		case splitOn:
-			var res cluster.SplitResult
-			res, err = master.InferSplitContext(ctx, x, splitAt)
-			if err == nil {
-				probs = res.Probs
-				splitCount[res.Split]++
-				if res.Fallback != "" {
-					fallbackCount[res.Fallback]++
-				}
-			}
-		case *bestEffort:
-			var live int
-			probs, winners, live, err = master.InferBestEffortContext(ctx, x)
-			if err == nil {
-				liveCount[live]++
-			}
-		default:
-			probs, winners, err = master.InferContext(ctx, x)
-		}
+		rep, err := master.Do(ctx, cluster.Request{X: x, Policy: policy})
 		if err != nil {
 			if ctx.Err() != nil {
 				return fmt.Errorf("interrupted at query %d", i)
@@ -248,9 +229,15 @@ func run() error {
 				}
 			}
 		}
-		copy(allProbs.RowSlice(i), probs.RowSlice(0))
-		if len(winners) > 0 {
-			winnerCount[winners[0]]++
+		copy(allProbs.RowSlice(i), rep.Probs.RowSlice(0))
+		if splitOn {
+			splitCount[rep.Split]++
+			if rep.Fallback != "" {
+				fallbackCount[rep.Fallback]++
+			}
+		} else {
+			winnerCount[rep.Winners[0]]++
+			liveCount[rep.Live]++
 		}
 	}
 	eval, err := core.Evaluate(allProbs, ds.Y, ds.ClassNames)
@@ -267,7 +254,7 @@ func run() error {
 	} else {
 		fmt.Printf("winning node histogram: %v\n", winnerCount)
 	}
-	if *bestEffort {
+	if *bestEffort && !splitOn {
 		fmt.Printf("live node histogram: %v\n", liveCount)
 	}
 	if *health {

@@ -10,7 +10,7 @@ import (
 
 // Failure-matrix tests: the supervised runtime against the chaos proxy's
 // fault modes. Each test puts one worker behind a misbehaving proxy and
-// asserts the two degraded-mode invariants — InferBestEffort keeps
+// asserts the two degraded-mode invariants — a best-effort Do keeps
 // answering with reduced live, and a quarantined peer rejoins rotation once
 // the link heals — all under -race (see the verify target).
 
@@ -60,7 +60,7 @@ func TestBestEffortUnderConnectionResets(t *testing.T) {
 	}
 	x := tensor.NewRNG(73).Randn(1, 4)
 	for i := 0; i < 6; i++ {
-		probs, winners, live, err := master.InferBestEffort(x)
+		probs, winners, live, err := bestEffort(master, x)
 		if err != nil {
 			t.Fatalf("query %d failed under resets: %v", i, err)
 		}
@@ -95,7 +95,7 @@ func TestBestEffortUnderStall(t *testing.T) {
 	x := tensor.NewRNG(76).Randn(1, 4)
 	for i := 0; i < 4; i++ {
 		start := time.Now()
-		_, _, live, err := master.InferBestEffort(x)
+		_, _, live, err := bestEffort(master, x)
 		if err != nil {
 			t.Fatalf("query %d failed under stall: %v", i, err)
 		}
@@ -125,7 +125,7 @@ func TestBestEffortUnderCorruption(t *testing.T) {
 	}
 	x := tensor.NewRNG(79).Randn(1, 4)
 	for i := 0; i < 6; i++ {
-		_, _, live, err := master.InferBestEffort(x)
+		_, _, live, err := bestEffort(master, x)
 		if err != nil {
 			t.Fatalf("query %d failed under corruption: %v", i, err)
 		}
@@ -153,7 +153,7 @@ func TestSlowPeerRecoversAfterHeal(t *testing.T) {
 	}
 	x := tensor.NewRNG(82).Randn(1, 4)
 	for i := 0; i < 4; i++ {
-		if _, _, live, err := master.InferBestEffort(x); err != nil || live < 1 {
+		if _, _, live, err := bestEffort(master, x); err != nil || live < 1 {
 			t.Fatalf("query %d under latency: live=%d err=%v", i, live, err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestSlowPeerRecoversAfterHeal(t *testing.T) {
 
 	proxy.Heal()
 	waitForPeerState(t, master, 0, PeerHealthy, 5*time.Second)
-	_, _, live, err := master.InferBestEffort(x)
+	_, _, live, err := bestEffort(master, x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestEndToEndChaosRecovery(t *testing.T) {
 	x := tensor.NewRNG(86).Randn(1, 4)
 	tripped := false
 	for i := 0; i < 40; i++ {
-		probs, _, live, err := master.InferBestEffort(x)
+		probs, _, live, err := bestEffort(master, x)
 		if err != nil {
 			t.Fatalf("query %d failed: %v", i, err)
 		}
@@ -229,7 +229,7 @@ func TestEndToEndChaosRecovery(t *testing.T) {
 	// Full strength restored.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, live, err := master.InferBestEffort(x)
+		_, _, live, err := bestEffort(master, x)
 		if err != nil {
 			t.Fatal(err)
 		}

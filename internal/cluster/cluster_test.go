@@ -40,8 +40,8 @@ func trainSmallTeam(t *testing.T) (*core.Team, *dataset.Dataset) {
 func TestResultCodecRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	res := PredictResult{Probs: rng.RandUniform(0, 1, 3, 5), Entropy: []float64{0.1, 0.9, 0.5}}
-	got, rest, err := decodeResultRest(EncodeResult(res), 3, 5)
-	if err != nil || len(rest) != 0 {
+	got, err := decodeResult(EncodeResult(res), transport.DecodeTensor, 3, 5)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Probs.AllClose(res.Probs, 1e-5) {
@@ -57,10 +57,10 @@ func TestResultCodecRoundTrip(t *testing.T) {
 func TestResultCodecRejectsMismatch(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	res := PredictResult{Probs: rng.RandUniform(0, 1, 3, 5), Entropy: []float64{0.1}}
-	if _, _, err := decodeResultRest(EncodeResult(res), 3, 5); err == nil {
+	if _, err := decodeResult(EncodeResult(res), transport.DecodeTensor, 3, 5); err == nil {
 		t.Fatal("row/entropy mismatch accepted")
 	}
-	if _, _, err := decodeResultRest([]byte{1, 2}, 3, 5); err == nil {
+	if _, err := decodeResult([]byte{1, 2}, transport.DecodeTensor, 3, 5); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

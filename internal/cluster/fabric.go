@@ -7,83 +7,70 @@ package cluster
 // quorum, which is exactly what the serve gateway's Backend contract needs
 // (the gateway recomputes entropies itself when batching).
 //
-// Request payload (after the 4-byte mux id):
+// Request body (after the frame header, which carries the gateway's
+// remaining deadline as the budget the master bounds its gather with):
 //
-//	mode    u8   — 0 strict (InferContext), 1 quorum (InferQuorumContext)
-//	soft    u64  — quorum soft deadline, ns (0 = none; strict ignores it)
-//	budget  u64  — overall deadline, ns (0 = none); the server bounds its
-//	               ctx with it so a gateway deadline propagates across the
-//	               wire without clock sync
+//	gather  u8   — the Policy's gather rule (Strict, BestEffort, Quorum)
+//	soft    u64  — the Policy's quorum soft deadline, ns (0 = none)
 //	tensor  ...  — transport.EncodeTensor(x)
 //
-// Reply payload (after the mux id):
+// Reply body (after the frame header):
 //
 //	live    u16  — nodes that answered
 //	total   u16  — ensemble size (live < total ⇒ degraded)
 //	n       u32  — row count
 //	winners i32×n
 //	tensor  ...  — combined probabilities
+//
+// (A Reply's Entropy does not cross the fabric: the gateway recomputes it.)
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
+	"time"
 
-	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Fabric request modes.
-const (
-	fabricModeStrict byte = 0
-	fabricModeQuorum byte = 1
-)
+// fabricPrefixSize is gather + soft.
+const fabricPrefixSize = 1 + 8
 
-// fabricHeaderSize is mode + soft + budget.
-const fabricHeaderSize = 1 + 8 + 8
-
-// encodeFabricRequest builds a fabric request body (without the mux id).
-func encodeFabricRequest(mode byte, softNs, budgetNs uint64, x *tensor.Tensor) []byte {
-	tb := transport.EncodeTensor(x)
-	out := make([]byte, fabricHeaderSize, fabricHeaderSize+len(tb))
-	out[0] = mode
-	binary.BigEndian.PutUint64(out[1:9], softNs)
-	binary.BigEndian.PutUint64(out[9:17], budgetNs)
+// encodeFabricRequest builds a fabric request body. A split policy does not
+// cross the fabric: the gateway has no expert to run a head on.
+func encodeFabricRequest(req Request) []byte {
+	tb := transport.EncodeTensor(req.X)
+	out := make([]byte, fabricPrefixSize, fabricPrefixSize+len(tb))
+	out[0] = byte(req.Policy.Gather)
+	binary.BigEndian.PutUint64(out[1:9], uint64(max(req.Policy.Soft, 0)))
 	return append(out, tb...)
 }
 
 // decodeFabricRequest parses a fabric request body.
-func decodeFabricRequest(body []byte) (mode byte, softNs, budgetNs uint64, x *tensor.Tensor, err error) {
-	if len(body) < fabricHeaderSize {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: fabric request %d bytes, need %d header", len(body), fabricHeaderSize)
+func decodeFabricRequest(body []byte) (Request, error) {
+	if len(body) < fabricPrefixSize {
+		return Request{}, fmt.Errorf("cluster: fabric request %d bytes, need %d before the tensor", len(body), fabricPrefixSize)
 	}
-	mode = body[0]
-	if mode != fabricModeStrict && mode != fabricModeQuorum {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: fabric request mode %d", mode)
+	gather, soft := Gather(body[0]), binary.BigEndian.Uint64(body[1:9])
+	if gather > Quorum || soft > math.MaxInt64 {
+		return Request{}, fmt.Errorf("cluster: fabric request gather rule %d, soft deadline %d ns", gather, soft)
 	}
-	softNs = binary.BigEndian.Uint64(body[1:9])
-	budgetNs = binary.BigEndian.Uint64(body[9:17])
-	x, _, err = transport.DecodeTensor(body[fabricHeaderSize:])
+	x, _, err := transport.DecodeTensor(body[fabricPrefixSize:])
 	if err != nil {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: fabric request tensor: %w", err)
+		return Request{}, fmt.Errorf("cluster: fabric request tensor: %w", err)
 	}
-	return mode, softNs, budgetNs, x, nil
+	return Request{X: x, Policy: Policy{Gather: gather, Soft: time.Duration(soft)}}, nil
 }
 
-// encodeFabricResult builds a fabric reply body (without the mux id).
-func encodeFabricResult(probs *tensor.Tensor, winners []int, live, total int) []byte {
-	tb := transport.EncodeTensor(probs)
-	out := make([]byte, 0, 2+2+4+4*len(winners)+len(tb))
-	var u16 [2]byte
-	binary.BigEndian.PutUint16(u16[:], uint16(live))
-	out = append(out, u16[:]...)
-	binary.BigEndian.PutUint16(u16[:], uint16(total))
-	out = append(out, u16[:]...)
-	var u32 [4]byte
-	binary.BigEndian.PutUint32(u32[:], uint32(len(winners)))
-	out = append(out, u32[:]...)
-	for _, w := range winners {
-		binary.BigEndian.PutUint32(u32[:], uint32(int32(w)))
-		out = append(out, u32[:]...)
+// encodeFabricResult builds a fabric reply body.
+func encodeFabricResult(rep Reply) []byte {
+	tb := transport.EncodeTensor(rep.Probs)
+	out := make([]byte, 0, 2+2+4+4*len(rep.Winners)+len(tb))
+	out = binary.BigEndian.AppendUint16(out, uint16(rep.Live))
+	out = binary.BigEndian.AppendUint16(out, uint16(rep.Total))
+	out = binary.BigEndian.AppendUint32(out, uint32(len(rep.Winners)))
+	for _, w := range rep.Winners {
+		out = binary.BigEndian.AppendUint32(out, uint32(int32(w)))
 	}
 	return append(out, tb...)
 }
@@ -91,27 +78,27 @@ func encodeFabricResult(probs *tensor.Tensor, winners []int, live, total int) []
 // decodeFabricResult parses a fabric reply body and checks it against the
 // rows that were sent: the gateway scatters probs row by row to its callers,
 // so a reply of any other shape must die here, not there.
-func decodeFabricResult(body []byte, rows int) (probs *tensor.Tensor, winners []int, live, total int, err error) {
+func decodeFabricResult(body []byte, rows int) (Reply, error) {
 	if len(body) < 8 {
-		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result %d bytes", len(body))
+		return Reply{}, fmt.Errorf("cluster: fabric result %d bytes", len(body))
 	}
-	live = int(binary.BigEndian.Uint16(body[0:2]))
-	total = int(binary.BigEndian.Uint16(body[2:4]))
+	rep := Reply{Live: int(binary.BigEndian.Uint16(body[0:2])), Total: int(binary.BigEndian.Uint16(body[2:4]))}
 	n := int(binary.BigEndian.Uint32(body[4:8]))
 	rest := body[8:]
 	if n < 0 || len(rest) < 4*n {
-		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result %d winners, %d bytes left", n, len(rest))
+		return Reply{}, fmt.Errorf("cluster: fabric result %d winners, %d bytes left", n, len(rest))
 	}
-	winners = make([]int, n)
-	for i := range winners {
-		winners[i] = int(int32(binary.BigEndian.Uint32(rest[4*i:])))
+	rep.Winners = make([]int, n)
+	for i := range rep.Winners {
+		rep.Winners[i] = int(int32(binary.BigEndian.Uint32(rest[4*i:])))
 	}
-	probs, _, err = transport.DecodeTensor(rest[4*n:])
+	var err error
+	rep.Probs, _, err = transport.DecodeTensor(rest[4*n:])
 	if err != nil {
-		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result probs: %w", err)
+		return Reply{}, fmt.Errorf("cluster: fabric result probs: %w", err)
 	}
-	if len(probs.Shape) != 2 || probs.Shape[0] != rows || n != rows {
-		return nil, nil, 0, 0, fmt.Errorf("cluster: fabric result shape %v with %d winners, want %d rows", probs.Shape, n, rows)
+	if len(rep.Probs.Shape) != 2 || rep.Probs.Shape[0] != rows || n != rows {
+		return Reply{}, fmt.Errorf("cluster: fabric result shape %v with %d winners, want %d rows", rep.Probs.Shape, n, rows)
 	}
-	return probs, winners, live, total, nil
+	return rep, nil
 }

@@ -36,14 +36,15 @@ func fabricInput(rows int) *tensor.Tensor {
 
 func TestFabricCodecRoundTrip(t *testing.T) {
 	x := fabricInput(3)
-	body := encodeFabricRequest(fabricModeQuorum, 42, 1e9, x)
-	mode, soft, budget, got, err := decodeFabricRequest(body)
+	body := encodeFabricRequest(Request{X: x, Policy: Policy{Gather: Quorum, Soft: 42}})
+	req, err := decodeFabricRequest(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mode != fabricModeQuorum || soft != 42 || budget != 1e9 {
-		t.Fatalf("header round trip: mode=%d soft=%d budget=%d", mode, soft, budget)
+	if req.Policy != (Policy{Gather: Quorum, Soft: 42}) {
+		t.Fatalf("policy round trip: %+v", req.Policy)
 	}
+	got := req.X
 	// Tensors ride the wire as float32 (see transport.EncodeTensor).
 	for i := range x.Data {
 		if got.Data[i] != float64(float32(x.Data[i])) {
@@ -55,11 +56,12 @@ func TestFabricCodecRoundTrip(t *testing.T) {
 	for i := range probs.Data {
 		probs.Data[i] = float64(i) / 6
 	}
-	res := encodeFabricResult(probs, []int{1, 0}, 2, 3)
-	gp, winners, live, total, err := decodeFabricResult(res, 2)
+	res := encodeFabricResult(Reply{Probs: probs, Winners: []int{1, 0}, Live: 2, Total: 3})
+	rep, err := decodeFabricResult(res, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	gp, winners, live, total := rep.Probs, rep.Winners, rep.Live, rep.Total
 	if live != 2 || total != 3 || winners[0] != 1 || winners[1] != 0 {
 		t.Fatalf("result round trip: live=%d total=%d winners=%v", live, total, winners)
 	}
@@ -69,10 +71,14 @@ func TestFabricCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, _, _, _, err := decodeFabricRequest([]byte{9}); err == nil {
+	if _, err := decodeFabricRequest([]byte{9}); err == nil {
 		t.Fatal("truncated fabric request accepted")
 	}
-	if _, _, _, _, err := decodeFabricResult([]byte{0, 1}, 2); err == nil {
+	body[0] = byte(Quorum) + 1
+	if _, err := decodeFabricRequest(body); err == nil {
+		t.Fatal("fabric request with an unknown gather rule accepted")
+	}
+	if _, err := decodeFabricResult([]byte{0, 1}, 2); err == nil {
 		t.Fatal("truncated fabric result accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -13,6 +14,13 @@ import (
 // Failure-injection tests: the runtime must fail loudly and promptly when
 // edge nodes misbehave — a wedge or a silent wrong answer would be worse
 // than an error on a real deployment.
+
+// bestEffort is Do under the BestEffort rule, spread into the values the
+// degraded-mode tests assert on.
+func bestEffort(m *Master, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live int, err error) {
+	rep, err := m.Do(context.Background(), Request{X: x, Policy: Policy{Gather: BestEffort}})
+	return rep.Probs, rep.Winners, rep.Live, err
+}
 
 func tinyExpert(t *testing.T, seed int64) *nn.Network {
 	t.Helper()
@@ -75,15 +83,15 @@ func TestWorkerRejectsMalformedPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := transport.WriteFrame(conn, MsgPredictMux, appendMuxID(7, []byte{0xFF, 0x01})); err != nil {
+	if err := transport.WriteFrame(conn, MsgPredictMux, requestPayload(requestHeader{id: 7}, []byte{0xFF, 0x01})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := transport.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id, text, _ := splitMuxID(payload); typ != MsgErrorMux || id != 7 || len(text) == 0 {
-		t.Fatalf("worker answered type %d id %d %q to malformed predict", typ, id, text)
+	if h, text, _ := decodeReplyHeader(payload); typ != MsgErrorMux || h.id != 7 || len(text) == 0 {
+		t.Fatalf("worker answered type %d id %d %q to malformed predict", typ, h.id, text)
 	}
 	if _, err := controlCall(conn, time.Second, MsgPing, nil, MsgPong); err != nil {
 		t.Fatalf("connection stopped serving after a malformed predict: %v", err)
@@ -220,7 +228,7 @@ func TestMasterTimeoutDoesNotTripHealthyWorker(t *testing.T) {
 	}
 }
 
-func TestInferBestEffortSurvivesNodeLoss(t *testing.T) {
+func TestBestEffortSurvivesNodeLoss(t *testing.T) {
 	// Two healthy workers, one dead: best-effort must answer from the
 	// survivors while strict Infer fails.
 	w1 := NewWorker(tinyExpert(t, 40), 1)
@@ -243,7 +251,7 @@ func TestInferBestEffortSurvivesNodeLoss(t *testing.T) {
 		}
 	}
 	x := tensor.NewRNG(43).Randn(2, 4)
-	probs, winners, live, err := master.InferBestEffort(x)
+	probs, winners, live, err := bestEffort(master, x)
 	if err != nil || live != 3 {
 		t.Fatalf("healthy best effort: live=%d err=%v", live, err)
 	}
@@ -255,7 +263,7 @@ func TestInferBestEffortSurvivesNodeLoss(t *testing.T) {
 	if _, _, err := master.Infer(x); err == nil {
 		t.Fatal("strict Infer survived node loss")
 	}
-	probs, winners, live, err = master.InferBestEffort(x)
+	probs, winners, live, err = bestEffort(master, x)
 	if err != nil {
 		t.Fatalf("best effort failed after single node loss: %v", err)
 	}
@@ -272,7 +280,7 @@ func TestInferBestEffortSurvivesNodeLoss(t *testing.T) {
 	}
 }
 
-func TestInferBestEffortAllDead(t *testing.T) {
+func TestBestEffortAllDead(t *testing.T) {
 	w := NewWorker(tinyExpert(t, 44), 1)
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
@@ -284,7 +292,7 @@ func TestInferBestEffortAllDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if _, _, _, err := master.InferBestEffort(tensor.NewRNG(45).Randn(1, 4)); err == nil {
+	if _, _, _, err := bestEffort(master, tensor.NewRNG(45).Randn(1, 4)); err == nil {
 		t.Fatal("best effort succeeded with zero live nodes")
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/binary"
 	"net"
 	"testing"
 	"time"
@@ -38,15 +37,35 @@ func hostileFabricResults() map[string][]byte {
 	rng := tensor.NewRNG(211)
 	return map[string][]byte{
 		"rank 0":     append([]byte{0, 1, 0, 1, 0, 0, 0, 0}, 0, 0, 0, 0, 0),
-		"rank 1":     encodeFabricResult(rng.Randn(2), []int{0, 0}, 1, 1),
-		"short rows": encodeFabricResult(rng.Randn(1, 3), []int{0}, 1, 1),
-		"no winners": encodeFabricResult(rng.Randn(2, 3), nil, 1, 1),
+		"rank 1":     encodeFabricResult(Reply{Probs: rng.Randn(2), Winners: []int{0, 0}, Live: 1, Total: 1}),
+		"short rows": encodeFabricResult(Reply{Probs: rng.Randn(1, 3), Winners: []int{0}, Live: 1, Total: 1}),
+		"no winners": encodeFabricResult(Reply{Probs: rng.Randn(2, 3), Live: 1, Total: 1}),
 	}
 }
 
+// hostileReplies wraps each hostile body in a well-formed reply header and
+// adds the replies whose header itself is hostile: cut short, or of a layout
+// this build does not speak. valid is a body that would have been accepted.
+func hostileReplies(bodies map[string][]byte, valid []byte) map[string]func(id uint32) []byte {
+	out := map[string]func(id uint32) []byte{
+		"short reply header": func(id uint32) []byte {
+			return replyPayload(replyHeader{id: id}, nil)[:replyHeaderSize-1]
+		},
+		"unknown header version": func(id uint32) []byte {
+			p := replyPayload(replyHeader{id: id}, valid)
+			p[0] = headerVersion + 1
+			return p
+		},
+	}
+	for name, body := range bodies {
+		out[name] = func(id uint32) []byte { return replyPayload(replyHeader{id: id}, body) }
+	}
+	return out
+}
+
 // cannedReplier answers pings and answers every frame of reqType with one
-// canned body under the request's id.
-func cannedReplier(t *testing.T, reqType, resType byte, body []byte) string {
+// canned payload made for the request's id.
+func cannedReplier(t *testing.T, reqType, resType byte, reply func(id uint32) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -71,7 +90,10 @@ func cannedReplier(t *testing.T, reqType, resType byte, body []byte) string {
 					case MsgPing:
 						err = cw.write(MsgPong, nil)
 					case reqType:
-						err = cw.writeMux(resType, binary.BigEndian.Uint32(payload), body)
+						var h requestHeader
+						if h, _, err = decodeRequestHeader(payload); err == nil {
+							err = cw.write(resType, reply(h.id))
+						}
 					}
 					if err != nil {
 						return
@@ -86,9 +108,9 @@ func cannedReplier(t *testing.T, reqType, resType byte, body []byte) string {
 func TestHostileWorkerReplyIsALinkFault(t *testing.T) {
 	_, healthy := snapshotWorker(t, 212, 1)
 	x := tensor.NewRNG(213).Randn(2, 4)
-	for name, body := range hostileResults() {
+	for name, reply := range hostileReplies(hostileResults(), resultSeeds()[0]) {
 		t.Run(name, func(t *testing.T) {
-			hostile := cannedReplier(t, MsgPredictMux, MsgResultMux, body)
+			hostile := cannedReplier(t, MsgPredictMux, MsgResultMux, reply)
 			master := NewMaster(tinyExpert(t, 214), 3)
 			defer master.Close()
 			cfg := fastSupervisor()
@@ -120,9 +142,9 @@ func TestHostileWorkerReplyIsALinkFault(t *testing.T) {
 
 func TestHostileMasterReplyIsAnError(t *testing.T) {
 	x := tensor.NewRNG(215).Randn(2, 4)
-	for name, body := range hostileFabricResults() {
+	for name, reply := range hostileReplies(hostileFabricResults(), fabricResultSeeds()[0]) {
 		t.Run(name, func(t *testing.T) {
-			rm := NewRemoteMaster(cannedReplier(t, MsgFabricPredict, MsgFabricResult, body), 2*time.Second)
+			rm := NewRemoteMaster(cannedReplier(t, MsgFabricPredict, MsgFabricResult, reply), 2*time.Second)
 			defer rm.Close()
 			if _, _, err := rm.InferContext(context.Background(), x); err == nil {
 				t.Fatal("gateway accepted a hostile master's reply")
@@ -139,7 +161,7 @@ func TestHostileMasterReplyIsAnError(t *testing.T) {
 
 func checkResultBytes(t *testing.T, data []byte) {
 	t.Helper()
-	res, _, err := decodeResultRest(data, 2, 3)
+	res, err := decodeResult(data, transport.DecodeTensor, 2, 3)
 	if err != nil {
 		return
 	}
@@ -150,19 +172,19 @@ func checkResultBytes(t *testing.T, data []byte) {
 
 func checkFabricResultBytes(t *testing.T, data []byte) {
 	t.Helper()
-	probs, winners, _, _, err := decodeFabricResult(data, 2)
+	rep, err := decodeFabricResult(data, 2)
 	if err != nil {
 		return
 	}
-	if sh := probs.Shape; len(sh) != 2 || sh[0] != 2 || len(winners) != 2 {
-		t.Fatalf("accepted shape %v with %d winners for a 2-row request", sh, len(winners))
+	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != 2 || len(rep.Winners) != 2 {
+		t.Fatalf("accepted shape %v with %d winners for a 2-row request", sh, len(rep.Winners))
 	}
 }
 
 func resultSeeds() [][]byte {
 	rng := tensor.NewRNG(216)
 	valid := EncodeResult(PredictResult{Probs: rng.RandUniform(0, 1, 2, 3), Entropy: []float64{0.1, 0.9}})
-	seeds := [][]byte{valid, appendComputeTime(valid, time.Millisecond), {}, valid[:5], valid[:len(valid)-3]}
+	seeds := [][]byte{valid, append(valid[:len(valid):len(valid)], 0xDE, 0xAD), {}, valid[:5], valid[:len(valid)-3]}
 	for _, body := range hostileResults() {
 		seeds = append(seeds, body)
 	}
@@ -170,7 +192,7 @@ func resultSeeds() [][]byte {
 }
 
 func fabricResultSeeds() [][]byte {
-	valid := encodeFabricResult(tensor.NewRNG(217).RandUniform(0, 1, 2, 3), []int{1, 0}, 2, 3)
+	valid := encodeFabricResult(Reply{Probs: tensor.NewRNG(217).RandUniform(0, 1, 2, 3), Winners: []int{1, 0}, Live: 2, Total: 3})
 	seeds := [][]byte{valid, {}, valid[:7], valid[:len(valid)-3]}
 	for _, body := range hostileFabricResults() {
 		seeds = append(seeds, body)
@@ -194,13 +216,13 @@ func FuzzDecodeFabricResult(f *testing.F) {
 
 func TestDecodeResultSeedCorpus(t *testing.T) {
 	for i, s := range resultSeeds() {
-		if res, _, err := decodeResultRest(s, 2, 3); (err == nil) != (i < 2) {
+		if res, err := decodeResult(s, transport.DecodeTensor, 2, 3); (err == nil) != (i < 2) {
 			t.Fatalf("seed %d: err=%v res=%v, only the first two seeds are valid", i, err, res.Probs)
 		}
 		checkResultBytes(t, s)
 	}
 	for i, s := range fabricResultSeeds() {
-		if _, _, _, _, err := decodeFabricResult(s, 2); (err == nil) != (i < 1) {
+		if _, err := decodeFabricResult(s, 2); (err == nil) != (i < 1) {
 			t.Fatalf("fabric seed %d: err=%v, only the first seed is valid", i, err)
 		}
 		checkFabricResultBytes(t, s)

@@ -256,35 +256,12 @@ func (m *Master) snapshotPeers() []*peerConn {
 	return append([]*peerConn(nil), m.peers...)
 }
 
-// Infer performs one collaborative inference on a batch: broadcast, parallel
-// local + remote prediction, gather, arg-min-entropy selection. It returns
-// the combined probabilities and, per sample, the index of the winning node
-// (0 = this node, 1.. = peers in connection order).
-//
-// Every peer round trip carries the supervisor's retry budget, so a single
-// transient I/O error no longer fails the batch; a peer that exhausts its
-// budget (or sits behind an open breaker) still fails the strict protocol —
-// use InferBestEffort to route around it instead.
-func (m *Master) Infer(x *tensor.Tensor) (*tensor.Tensor, []int, error) {
-	return m.InferContext(context.Background(), x)
-}
-
-// InferContext is Infer with deadline and cancellation plumbing: when ctx
-// expires or is cancelled, in-flight peer waits abort promptly (the mux link
-// stays up — a caller giving up is not a peer fault) and the error is the
-// ctx error, so upstream queues stop burning round trips on requests nobody
-// is waiting for. A span parent stamped into ctx with trace.NewContext
-// parents this query's "infer" span tree — how the serve gateway links each
-// coalesced batch into its own span.
-func (m *Master) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
-	probs, winners, _, _, err := m.ensemble(ctx, x, requireEveryNode, 0)
-	return probs, winners, err
-}
-
-// ensemble answers one query under rule: the "infer" span and total-latency
-// sample every variant records, then gather (steps 2–4) and combine (step
-// 5). live counts the nodes whose results were gated, total the ensemble.
-func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule gatherRule, soft time.Duration) (probs *tensor.Tensor, winners []int, live, total int, err error) {
+// ensemble answers one broadcast query under rule: the "infer" span and
+// total-latency sample every variant records, then gather (steps 2–4) and
+// combine (step 5). A span parent stamped into ctx with trace.NewContext —
+// by the serve gateway for each coalesced batch, by the frame server for a
+// request that arrived over the fabric — parents the "infer" span tree.
+func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule Gather, soft time.Duration) (rep Reply, err error) {
 	tr := m.tracer.get()
 	root := tr.Start(trace.FromContext(ctx), "infer")
 	start := time.Now()
@@ -292,33 +269,36 @@ func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule gatherRule
 		root.EndErr(err)
 		m.hists.Observe("infer.total", time.Since(start))
 	}()
-	results, ok, total, err := m.gather(ctx, x, tr, root.Ctx(), rule, soft)
+	// Peer round trips build their frame headers from ctx, so the root span
+	// rides to the workers as their trace parent; an untraced master sends
+	// none, whatever its own caller stamped.
+	results, ok, err := m.gather(trace.NewContext(ctx, root.Ctx()), x, tr, root.Ctx(), rule, soft)
 	if err != nil {
-		return nil, nil, 0, total, err
+		return Reply{}, err
 	}
+	live := 0
 	for _, o := range ok {
 		if o {
 			live++
 		}
 	}
 	if live == 0 {
-		return nil, nil, 0, total, fmt.Errorf("cluster: no node answered")
+		return Reply{}, fmt.Errorf("cluster: no node answered")
 	}
-	probs, winners = m.combine(tr, root.Ctx(), x.Shape[0], results, ok)
-	return probs, winners, live, total, nil
+	rep = m.combine(tr, root.Ctx(), x.Shape[0], results, ok)
+	rep.Live, rep.Total = live, len(results)
+	return rep, nil
 }
 
-// encodeInput serializes the broadcast payload under a "serialize" span and
-// appends the trace trailer when tracing is on. The same payload is shared
-// by every peer round trip, so the trailer parents worker-side spans to the
-// query's root span.
+// encodeInput serializes the broadcast payload under a "serialize" span.
+// The same payload is shared by every peer round trip.
 func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Context) peerQuery {
 	start := time.Now()
 	payload := transport.EncodeTensor(x)
 	d := time.Since(start)
 	m.hists.Observe("infer.serialize", d)
 	tr.Record(root, "serialize", "", "", start, d)
-	return peerQuery{payload: appendTraceContext(payload, root), rows: x.Shape[0]}
+	return peerQuery{reqType: MsgPredictMux, payload: payload, rows: x.Shape[0]}
 }
 
 // localResult runs the given local-expert snapshot under a "local.compute"
@@ -333,46 +313,6 @@ func (m *Master) localResult(local *nn.Snapshot, x *tensor.Tensor, tr *trace.Tra
 	return PredictResult{Probs: probs, Entropy: ent.Data}
 }
 
-// recordGate closes out the arg-min-entropy selection stage.
-func (m *Master) recordGate(tr *trace.Tracer, root trace.Context, start time.Time) {
-	d := time.Since(start)
-	m.hists.Observe("infer.gate", d)
-	tr.Record(root, "gate", "", "", start, d)
-}
-
-// InferBestEffort is the degraded-mode variant of Infer for lossy edge
-// deployments: nodes that fail (or exceed the master's timeout) are
-// excluded from the arg-min instead of failing the whole inference, and
-// peers behind an open circuit breaker are skipped outright — sick nodes
-// cost nothing while they recover. It errors only when no node at all
-// produced a result. The returned live count reports how many nodes
-// participated.
-func (m *Master) InferBestEffort(x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live int, err error) {
-	return m.InferBestEffortContext(context.Background(), x)
-}
-
-// InferBestEffortContext is InferBestEffort with the deadline/cancellation
-// semantics of InferContext: an expired ctx aborts the remaining peer waits
-// and fails the query with the ctx error (partial results are not returned —
-// a caller that stopped waiting gets nothing, not a stale subset).
-func (m *Master) InferBestEffortContext(ctx context.Context, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live int, err error) {
-	probs, winners, live, _, err = m.ensemble(ctx, x, tolerateFailures, 0)
-	return probs, winners, live, err
-}
-
-// InferQuorumContext is the graceful-degradation variant behind the serve
-// gateway's degraded mode: like InferBestEffortContext it skips quarantined
-// peers and tolerates node failures, but it additionally refuses to let a
-// straggler drag the answer to the deadline. Once soft has elapsed since
-// dispatch (soft > 0) — or ctx expires — with at least one node's result
-// gathered, the partial ensemble's arg-min-entropy answer is returned
-// instead of an error, and live < total tells the caller the answer is
-// degraded. Stragglers are cancelled (a caller abort, not a peer fault).
-// It errors only when ctx expires with nothing gathered at all.
-func (m *Master) InferQuorumContext(ctx context.Context, x *tensor.Tensor, soft time.Duration) (probs *tensor.Tensor, winners []int, live, total int, err error) {
-	return m.ensemble(ctx, x, partialOnExpiry, soft)
-}
-
 // slotResult is one node's report back to the gather loop.
 type slotResult struct {
 	slot int
@@ -380,31 +320,15 @@ type slotResult struct {
 	err  error
 }
 
-// gatherRule is what a query demands of the broadcast before it may gate.
-type gatherRule int
-
-const (
-	// requireEveryNode is strict Infer: a quarantined or failed node fails
-	// the query as "cluster: node N: …" and cancels the other waits.
-	requireEveryNode gatherRule = iota
-	// tolerateFailures is best effort: quarantined peers are skipped and
-	// failed nodes drop out of the arg-min; ctx expiry is still an error.
-	tolerateFailures
-	// partialOnExpiry is quorum: tolerateFailures, and once the soft
-	// deadline passes or ctx expires with at least one result gathered, the
-	// partial set is the answer ("infer.partial").
-	partialOnExpiry
-)
-
 // gather is the package's one broadcast loop (Fig 1d steps 2–4): it fans
 // the input out to the local expert and every peer, then collects results
 // until every launched node reported or rule lets it stop sooner. Early
 // returns cancel the straggler round trips via a derived context, which the
 // peer paths treat as a caller abort: no breaker accounting, the mux link
 // stays up.
-func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, rule gatherRule, soft time.Duration) (results []PredictResult, ok []bool, total int, err error) {
+func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, rule Gather, soft time.Duration) (results []PredictResult, ok []bool, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	peers := m.snapshotPeers()
 	local := m.local.Load()
@@ -415,7 +339,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 		localIdx = 0
 	}
 	if nodes == 0 {
-		return nil, nil, 0, fmt.Errorf("cluster: master has neither local expert nor peers")
+		return nil, nil, fmt.Errorf("cluster: master has neither local expert nor peers")
 	}
 
 	results = make([]PredictResult, nodes)
@@ -435,8 +359,8 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 			// skipped, so a thinner-than-expected tree reads as "peer was
 			// sick", not "peer never existed".
 			tr.Record(root, "peer "+p.addr, "", trace.StatusSkipped, time.Now(), 0)
-			if rule == requireEveryNode {
-				return nil, nil, nodes, fmt.Errorf("cluster: node %d: %w", slot, errPeerQuarantined{addr: p.addr, state: p.State()})
+			if rule == Strict {
+				return nil, nil, fmt.Errorf("cluster: node %d: %w", slot, errPeerQuarantined{addr: p.addr, state: p.State()})
 			}
 			m.counters.Counter("route.skipped_quarantined").Inc()
 			continue
@@ -479,43 +403,44 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 			if r.err == nil {
 				results[r.slot], ok[r.slot] = r.res, true
 				live++
-			} else if rule == requireEveryNode {
+			} else if rule == Strict {
 				if cerr := ctx.Err(); cerr != nil {
-					return nil, nil, nodes, cerr // the caller gave up, not the node
+					return nil, nil, cerr // the caller gave up, not the node
 				}
-				return nil, nil, nodes, fmt.Errorf("cluster: node %d: %w", r.slot, r.err)
+				return nil, nil, fmt.Errorf("cluster: node %d: %w", r.slot, r.err)
 			}
 		case <-softC:
 			softC = nil
 			if live > 0 {
 				m.counters.Counter("infer.partial").Inc()
-				return results, ok, nodes, nil
+				return results, ok, nil
 			}
 		case <-ctx.Done():
-			if rule == partialOnExpiry && live > 0 {
+			if rule == Quorum && live > 0 {
 				m.counters.Counter("infer.partial").Inc()
-				return results, ok, nodes, nil
+				return results, ok, nil
 			}
-			return nil, nil, nodes, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
-	if rule == tolerateFailures {
+	if rule == BestEffort {
 		// Peers that failed because ctx expired were tolerated above; the
 		// caller still gets the ctx error, not a silently thinner answer.
 		if err := ctx.Err(); err != nil {
-			return nil, nil, nodes, err
+			return nil, nil, err
 		}
 	}
-	return results, ok, nodes, nil
+	return results, ok, nil
 }
 
 // combine is the package's one arg-min loop (Fig 1d step 5): per sample,
 // the least-uncertain answer across the ok slots. A peer's result was
 // shape-checked against the batch where it was decoded.
-func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, results []PredictResult, ok []bool) (*tensor.Tensor, []int) {
+func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, results []PredictResult, ok []bool) Reply {
 	gateStart := time.Now()
 	probs := tensor.New(batch, m.classes)
 	winners := make([]int, batch)
+	entropy := make([]float64, batch)
 	for b := 0; b < batch; b++ {
 		bi := -1
 		best := 0.0
@@ -527,11 +452,13 @@ func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, result
 				best, bi = results[n].Entropy[b], n
 			}
 		}
-		winners[b] = bi
+		winners[b], entropy[b] = bi, best
 		copy(probs.RowSlice(b), results[bi].Probs.RowSlice(b))
 	}
-	m.recordGate(tr, root, gateStart)
-	return probs, winners
+	d := time.Since(gateStart)
+	m.hists.Observe("infer.gate", d)
+	tr.Record(root, "gate", "", "", gateStart, d)
+	return Reply{Probs: probs, Entropy: entropy, Winners: winners}
 }
 
 // Ping probes every peer within the configured per-peer timeout and reports

@@ -10,12 +10,12 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/nn"
-	"github.com/teamnet/teamnet/internal/tensor"
 )
 
 // MasterServer serves one Master over the fabric protocol.
@@ -34,12 +34,13 @@ type MasterServer struct {
 func NewMasterServer(master *Master, id int) *MasterServer {
 	s := &MasterServer{master: master, id: id}
 	s.srv = &frameServer{
-		member:    s.Member,
-		roster:    NewRoster(),
-		applyPush: s.applyModelPush,
-		counters:  master.Counters(),
-		panicName: "fabric.panics_recovered",
-		kinds: map[byte]func([]byte) (byte, []byte){
+		member:      s.Member,
+		roster:      NewRoster(),
+		applyPush:   s.applyModelPush,
+		counters:    master.Counters(),
+		panicName:   "fabric.panics_recovered",
+		expiredName: "fabric.requests.expired",
+		kinds: map[byte]handler{
 			MsgFabricPredict: s.serveFabricPredict,
 			MsgSplitPredict:  s.serveSplitPredict,
 		},
@@ -92,51 +93,31 @@ func (s *MasterServer) Listen(addr string) (string, error) {
 
 // serveFabricPredict answers one pipelined fabric request. Failures are
 // per-request MsgErrorMux frames; the connection and the pipeline survive.
-func (s *MasterServer) serveFabricPredict(body []byte) (byte, []byte) {
+// ctx is the request's own: the gateway's remaining deadline bounds the
+// gather, and the gateway's span parents the master's "infer" tree.
+func (s *MasterServer) serveFabricPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
 	s.master.counters.Counter("fabric.requests").Inc()
-	mode, softNs, budgetNs, x, err := decodeFabricRequest(body)
+	req, err := decodeFabricRequest(body)
 	if err != nil {
-		return MsgErrorMux, []byte(err.Error())
+		return errorReply(err)
 	}
-	ctx := context.Background()
-	if budgetNs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(budgetNs))
-		defer cancel()
-	}
-	probs, winners, live, total, err := s.dispatch(ctx, mode, softNs, x)
+	rep, err := s.master.Do(ctx, req)
 	if err != nil {
-		return MsgErrorMux, []byte(err.Error())
+		return errorReply(err)
 	}
-	return MsgFabricResult, encodeFabricResult(probs, winners, live, total)
+	return MsgFabricResult, encodeFabricResult(rep), 0
 }
 
 // serveSplitPredict answers one partial-offload tail against the master's
-// local expert snapshot, sharing the worker's serving body (version check,
-// recovered range execution, full-precision result).
-func (s *MasterServer) serveSplitPredict(body []byte) (byte, []byte) {
+// local expert snapshot, sharing the worker's serving body (recovered range
+// execution, full-precision result).
+func (s *MasterServer) serveSplitPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
 	s.master.counters.Counter("fabric.requests.split").Inc()
 	snap := s.master.LocalSnapshot()
 	if snap == nil {
-		return MsgErrorMux, []byte("master has no local expert for split serving")
+		return errorReply(errors.New("master has no local expert for split serving"))
 	}
-	result, errText := runSplitBody(snap, s.ModelVersion(), body, s.master.tracer, s.master.Histograms())
-	if errText != "" {
-		return MsgErrorMux, []byte(errText)
-	}
-	return MsgSplitResult, result
-}
-
-func (s *MasterServer) dispatch(ctx context.Context, mode byte, softNs uint64, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live, total int, err error) {
-	if mode == fabricModeQuorum {
-		return s.master.InferQuorumContext(ctx, x, time.Duration(softNs))
-	}
-	probs, winners, err = s.master.InferContext(ctx, x)
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	n := s.master.Nodes()
-	return probs, winners, n, n, nil
+	return serveSplit(ctx, snap, body, s.master.tracer, s.master.Histograms())
 }
 
 // applyModelPush swaps the master's local expert (or just re-labels on a

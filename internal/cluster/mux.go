@@ -24,10 +24,10 @@ import (
 //	waiters ──▶ window (bounded in-flight) ──▶ writer goroutine ──▶ TCP
 //	waiters ◀── pending map (by request id) ◀── reader goroutine ◀── TCP
 //
-// Every request is tagged with a uint32 id (MsgPredictMux), the worker
-// runs them concurrently against its frozen snapshot and replies out of order
-// (MsgResultMux / MsgErrorMux), and the single reader matches replies back
-// to waiters. One TCP connection per peer carries the whole pipeline.
+// Every request is tagged with a uint32 id in its frame header (header.go),
+// the server runs them concurrently and replies out of order, and the single
+// reader matches replies back to waiters. One TCP connection per peer
+// carries the whole pipeline, whatever mix of request kinds rides it.
 //
 // Failure semantics integrate with the supervisor state machine: a link
 // failure (read/write error, per-request timeout) tears the client down,
@@ -46,7 +46,8 @@ const muxWindow = 32
 // muxReply is one matched response delivered to a waiter.
 type muxReply struct {
 	typ     byte
-	payload []byte // mux payload with the id prefix already stripped
+	payload []byte        // reply body, header already stripped
+	compute time.Duration // the header's compute time
 	err     error
 }
 
@@ -55,8 +56,6 @@ type muxReply struct {
 // in-flight window.
 type muxClient struct {
 	conn     net.Conn
-	reqType  byte // frame type of outgoing requests (MsgPredictMux on peer links)
-	resType  byte // frame type of matched replies (MsgResultMux on peer links)
 	writeCh  chan muxWrite
 	window   chan struct{} // in-flight slots
 	inflight *metrics.Gauge
@@ -74,24 +73,16 @@ type muxClient struct {
 
 type muxWrite struct {
 	typ     byte
-	id      uint32
+	hdr     requestHeader
 	payload []byte
 }
 
 // newMuxClient takes ownership of conn and starts the writer and reader.
+// The same pipeline drives the master→worker peer link and the
+// gateway→master fabric link; the request kind is per round trip.
 func newMuxClient(conn net.Conn, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
-	return newMuxClientTyped(conn, MsgPredictMux, MsgResultMux, inflight, queued, onDown)
-}
-
-// newMuxClientTyped is newMuxClient with the request/reply frame types made
-// explicit, so the same pipeline drives both the master→worker peer link
-// (MsgPredictMux/MsgResultMux) and the gateway→master fabric link
-// (MsgFabricPredict/MsgFabricResult). Error replies are MsgErrorMux on both.
-func newMuxClientTyped(conn net.Conn, reqType, resType byte, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
 	mc := &muxClient{
 		conn:     conn,
-		reqType:  reqType,
-		resType:  resType,
 		writeCh:  make(chan muxWrite),
 		window:   make(chan struct{}, muxWindow),
 		inflight: inflight,
@@ -113,9 +104,15 @@ func (mc *muxClient) alive() bool {
 }
 
 // fail tears the link down once: close the connection (unblocking both
-// loops), deliver err to every pending waiter, and run the supervision
-// hook. Concurrent callers collapse into the first.
-func (mc *muxClient) fail(err error) {
+// loops), run the supervision hook, and deliver err to every pending
+// waiter. Concurrent callers collapse into the first.
+func (mc *muxClient) fail(err error) { mc.shut(err, mc.onDown) }
+
+// close shuts the link down without feeding the supervisor — master
+// shutdown, not a failure.
+func (mc *muxClient) close() { mc.shut(errors.New("cluster: mux client closed"), nil) }
+
+func (mc *muxClient) shut(err error, onDown func(error)) {
 	mc.downOnce.Do(func() {
 		mc.mu.Lock()
 		mc.down = true
@@ -125,29 +122,13 @@ func (mc *muxClient) fail(err error) {
 		close(mc.downCh)
 		mc.mu.Unlock()
 		mc.conn.Close()
+		// The supervisor hears of the fault before any waiter does, so a
+		// waiter that acts on the error sees the breaker already fed.
+		if onDown != nil {
+			onDown(err)
+		}
 		for _, ch := range pending {
 			ch <- muxReply{err: err}
-		}
-		if mc.onDown != nil {
-			mc.onDown(err)
-		}
-	})
-}
-
-// close shuts the link down without feeding the supervisor — master
-// shutdown, not a failure.
-func (mc *muxClient) close() {
-	mc.downOnce.Do(func() {
-		mc.mu.Lock()
-		mc.down = true
-		mc.downErr = errors.New("cluster: mux client closed")
-		pending := mc.pending
-		mc.pending = make(map[uint32]chan muxReply)
-		close(mc.downCh)
-		mc.mu.Unlock()
-		mc.conn.Close()
-		for _, ch := range pending {
-			ch <- muxReply{err: mc.downErr}
 		}
 	})
 }
@@ -155,10 +136,11 @@ func (mc *muxClient) close() {
 // writeLoop is the single writer: it owns the connection's write side.
 func (mc *muxClient) writeLoop() {
 	var batch transport.FrameBatch
+	var hdr []byte // header scratch; Add copies it next to the frame header
 	for {
 		select {
 		case w := <-mc.writeCh:
-			if err := mc.writeBurst(&batch, w); err != nil {
+			if err := mc.writeBurst(&batch, &hdr, w); err != nil {
 				mc.fail(fmt.Errorf("cluster: mux write: %w", err))
 				return
 			}
@@ -171,11 +153,11 @@ func (mc *muxClient) writeLoop() {
 // writeBurst sends w together with whatever other requests are already
 // blocked on writeCh (at most muxWindow senders exist), so a burst costs one
 // syscall and, on a link that delays every delivery, one delay. The request
-// id rides next to the frame header; the payload is not copied.
-func (mc *muxClient) writeBurst(batch *transport.FrameBatch, w muxWrite) error {
+// header rides next to the frame header; the payload is not copied.
+func (mc *muxClient) writeBurst(batch *transport.FrameBatch, hdr *[]byte, w muxWrite) error {
 	for {
-		id := muxIDPrefix(w.id)
-		if err := batch.Add(w.typ, id[:], w.payload); err != nil {
+		*hdr = appendRequestHeader((*hdr)[:0], w.hdr)
+		if err := batch.Add(w.typ, *hdr, w.payload); err != nil {
 			return err
 		}
 		select {
@@ -187,8 +169,9 @@ func (mc *muxClient) writeBurst(batch *transport.FrameBatch, w muxWrite) error {
 }
 
 // readLoop is the single reader: it matches replies to pending waiters.
-// Anything that is not a reply of this link's kinds — including a serial
-// MsgError, which a server only sends before it hangs up — is a link fault.
+// Anything that is not a pipelined reply under a header of this build —
+// including a MsgError, which a server only sends before it hangs up — is a
+// link fault.
 func (mc *muxClient) readLoop() {
 	br := bufio.NewReaderSize(mc.conn, connReadBuffer)
 	for {
@@ -198,13 +181,13 @@ func (mc *muxClient) readLoop() {
 			return
 		}
 		switch typ {
-		case mc.resType, MsgSplitResult, MsgErrorMux:
-			id, rest, perr := splitMuxID(payload)
+		case MsgResultMux, MsgFabricResult, MsgSplitResult, MsgErrorMux:
+			h, body, perr := decodeReplyHeader(payload)
 			if perr != nil {
 				mc.fail(perr)
 				return
 			}
-			mc.deliver(id, muxReply{typ: typ, payload: rest})
+			mc.deliver(h.id, muxReply{typ: typ, payload: body, compute: h.compute})
 		case MsgError:
 			mc.fail(fmt.Errorf("cluster: peer refused the stream: %s", payload))
 			return
@@ -249,23 +232,22 @@ func (mc *muxClient) unregister(id uint32) {
 	mc.mu.Unlock()
 }
 
-// roundTrip pipelines one request: acquire a window slot, send, await the
-// matched reply within timeout. done aborts the waits — it merges master
-// shutdown with the caller's ctx cancellation (joinDone); abortErr(ctx)
-// names which one fired. A caller abort abandons only this request (the
-// late reply is dropped, the link stays up), whereas a timeout is a link
-// failure — with requests pipelined behind each other a stalled link wedges
-// them all, so it is torn down (and the breaker fed once) like any other
-// link fault.
-func (mc *muxClient) roundTrip(ctx context.Context, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
-	return mc.roundTripTyped(ctx, mc.reqType, payload, timeout, done)
-}
-
-// roundTripTyped is roundTrip with an explicit request frame type, so
-// secondary request kinds (MsgSplitPredict) share a link's pipeline, window
-// and failure semantics with its primary traffic instead of opening a
-// second connection per peer.
-func (mc *muxClient) roundTripTyped(ctx context.Context, reqType byte, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
+// roundTrip pipelines one request of the given kind: acquire a window slot,
+// send, await the matched reply within timeout. It is where the request
+// header is filled: the id it registers, ctx's remaining deadline as the
+// budget, ctx's ambient span (trace.FromContext) as the trace parent, and
+// pin. The reply it returns is reqType's reply kind or MsgErrorMux.
+//
+// done aborts the waits — it merges master shutdown with the caller's ctx
+// cancellation (joinDone); abortErr(ctx) names which one fired. A caller
+// abort abandons only this request (the late reply is dropped, the link
+// stays up), whereas a timeout is a link failure — with requests pipelined
+// behind each other a stalled link wedges them all, so it is torn down (and
+// the breaker fed once) like any other link fault.
+func (mc *muxClient) roundTrip(ctx context.Context, reqType byte, pin string, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
+	if len(pin) > maxVersionPin {
+		return muxReply{}, 0, fmt.Errorf("cluster: model version label of %d bytes exceeds %d", len(pin), maxVersionPin)
+	}
 	var timer *time.Timer
 	var timeoutCh <-chan time.Time
 	if timeout > 0 {
@@ -301,9 +283,14 @@ func (mc *muxClient) roundTripTyped(ctx context.Context, reqType byte, payload [
 	if err != nil {
 		return muxReply{}, 0, err
 	}
+	hdr := requestHeader{id: id, trace: trace.FromContext(ctx), pin: pin}
 	start := time.Now()
+	if dl, ok := ctx.Deadline(); ok {
+		// Never 0 (= no deadline): one already past goes out as spent.
+		hdr.budget = max(dl.Sub(start), 1)
+	}
 	select {
-	case mc.writeCh <- muxWrite{typ: reqType, id: id, payload: payload}:
+	case mc.writeCh <- muxWrite{typ: reqType, hdr: hdr, payload: payload}:
 	case <-mc.downCh:
 		mc.unregister(id)
 		return muxReply{}, 0, mc.downError()
@@ -313,10 +300,16 @@ func (mc *muxClient) roundTripTyped(ctx context.Context, reqType byte, payload [
 	}
 	select {
 	case r := <-ch:
+		rtt := time.Since(start)
 		if r.err != nil {
-			return muxReply{}, time.Since(start), r.err
+			return muxReply{}, rtt, r.err
 		}
-		return r, time.Since(start), nil
+		if r.typ != MsgErrorMux && r.typ != replyTypeFor[reqType] {
+			err := fmt.Errorf("cluster: frame type %d answers a request of type %d", r.typ, reqType)
+			mc.fail(err)
+			return muxReply{}, rtt, err
+		}
+		return r, rtt, nil
 	case <-timeoutCh:
 		mc.unregister(id)
 		err := fmt.Errorf("cluster: mux request %d exceeded %v", id, timeout)
@@ -350,15 +343,6 @@ const (
 	muxDialFault              // dial failed before a client existed; caller feeds the breaker
 	muxCallerAbort            // the caller's ctx expired/cancelled: no retry, no breaker
 )
-
-// muxGauge resolves a master-wide mux gauge; nil-safe for hand-built test
-// peers.
-func (p *peerConn) muxGauge(name string) *metrics.Gauge {
-	if p.gauges == nil {
-		return new(metrics.Gauge)
-	}
-	return p.gauges.Gauge(name)
-}
 
 // muxLinkDown is the supervision hook a dying mux link runs exactly once:
 // a link fault counts as ONE failure no matter how many requests were
@@ -398,7 +382,7 @@ func (p *peerConn) muxEnsure(cfg SupervisorConfig) (mc *muxClient, dialed bool, 
 		conn = c
 		dialed = true
 	}
-	p.muxc = newMuxClient(conn, p.muxGauge("mux.inflight"), p.muxGauge("mux.queue_depth"), p.muxLinkDown)
+	p.muxc = newMuxClient(conn, p.gauges.Gauge("mux.inflight"), p.gauges.Gauge("mux.queue_depth"), p.muxLinkDown)
 	return p.muxc, dialed, nil
 }
 
@@ -435,7 +419,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 			}
 		}
 		res, tm, err, outcome := p.muxOnce(ctx, done, cfg, q)
-		p.emitAttempt(tr, peerCtx, tm, err)
+		p.emitAttempt(tr, peerCtx, q.series, tm, err)
 		if err == nil {
 			p.recordSuccess()
 			return res, nil
@@ -443,8 +427,9 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 		lastErr = err
 		switch outcome {
 		case muxWorkerErr:
-			// The worker answered; the request itself is bad. No retry,
-			// no breaker accounting.
+			// The worker answered: the request itself is bad, its budget was
+			// spent ("expired") or its version pin refused. No retry, no
+			// breaker accounting.
 			return PredictResult{}, err
 		case muxCallerAbort:
 			// The caller's deadline fired or it was cancelled: the peer did
@@ -459,7 +444,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 	return PredictResult{}, fmt.Errorf("cluster: peer %s: %w", p.addr, lastErr)
 }
 
-// muxOnce performs one pipelined round trip.
+// muxOnce performs one pipelined round trip of q's kind.
 func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (PredictResult, attemptTiming, error, muxOutcome) {
 	var tm attemptTiming
 	dialStart := time.Now()
@@ -472,9 +457,9 @@ func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg Superv
 	if err != nil {
 		return PredictResult{}, tm, err, muxDialFault
 	}
-	p.counter("requests").Inc()
+	p.counter(q.series + "requests").Inc()
 	tm.rttStart = time.Now()
-	r, rtt, err := mc.roundTrip(ctx, q.payload, p.muxTimeout(), done)
+	r, rtt, err := mc.roundTrip(ctx, q.reqType, q.pin, q.payload, p.muxTimeout(), done)
 	tm.rtt = rtt
 	if err != nil {
 		if ctx.Err() != nil {
@@ -483,15 +468,19 @@ func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg Superv
 		return PredictResult{}, tm, err, muxLinkFault
 	}
 	if r.typ == MsgErrorMux {
-		return PredictResult{}, tm, fmt.Errorf("worker error: %s", r.payload), muxWorkerErr
+		return PredictResult{}, tm, workerError(string(r.payload)), muxWorkerErr
 	}
-	res, rest, derr := decodeResultRest(r.payload, q.rows, p.classes)
+	decodeTensor := transport.DecodeTensor
+	if r.typ == MsgSplitResult {
+		decodeTensor = transport.DecodeTensor64
+	}
+	res, derr := decodeResult(r.payload, decodeTensor, q.rows, p.classes)
 	if derr != nil {
 		// Undecodable or mis-shaped result: a corrupted link or a hostile
 		// peer, not a bad request — tear the pipeline down.
 		mc.fail(derr)
 		return PredictResult{}, tm, derr, muxLinkFault
 	}
-	tm.remote, _ = extractComputeTime(rest)
+	tm.remote = r.compute
 	return res, tm, nil, muxOK
 }

@@ -32,8 +32,8 @@ func snapshotWorker(t *testing.T, seed int64, id int) (*Worker, string) {
 }
 
 // TestMuxConcurrentInfer is the acceptance check for the pipeline: many
-// goroutines drive Infer and InferBestEffort through one mux link against a
-// snapshot worker, every result matches the answer computed from the two
+// goroutines drive strict and best-effort requests through one mux link
+// against a snapshot worker, every result matches the answer computed from the two
 // snapshots in-process, the worker served every request, and the in-flight
 // gauge drains back to zero.
 func TestMuxConcurrentInfer(t *testing.T) {
@@ -79,7 +79,7 @@ func TestMuxConcurrentInfer(t *testing.T) {
 					probs, winners, err = master.Infer(x)
 				} else {
 					var live int
-					probs, winners, live, err = master.InferBestEffort(x)
+					probs, winners, live, err = bestEffort(master, x)
 					if err == nil && live != 2 {
 						t.Errorf("live = %d, want 2", live)
 					}

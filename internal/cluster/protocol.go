@@ -9,19 +9,21 @@
 // return — and self-heals rather than failing fast: every peer runs the
 // supervision state machine in supervisor.go (healthy → suspect → open →
 // half-open, a circuit breaker with background probe re-admission), round
-// trips carry a bounded retry budget with backoff, and InferBestEffort
-// routes around quarantined peers entirely. The chaos package drives these
-// paths in tests and live drills.
+// trips carry a bounded retry budget with backoff, and a best-effort or
+// quorum Request routes around quarantined peers entirely. The chaos
+// package drives these paths in tests and live drills.
 //
 // The same runtime is fully instrumented: latency histograms and counters
 // are always recorded, and an optional internal/trace tracer decomposes
 // each query into serialize / network / remote-compute / gate spans with
-// trace ids propagated master → worker as payload trailers (tracewire.go,
-// DESIGN.md §7).
+// trace ids propagated gateway → master → worker in the frame header
+// (header.go, DESIGN.md §7).
 //
-// There is one wire protocol and one server loop: every request a node
-// sends is a mux frame (mux.go), every node that listens runs the frame
-// server in server.go, and all nodes of a fleet run one build.
+// There is one request model, one wire protocol and one server loop:
+// Master.Do answers every Request (request.go), every request a node sends
+// is a mux frame under the one frame header (mux.go, header.go), every node
+// that listens runs the frame server in server.go, and all nodes of a fleet
+// run one build.
 //
 // Everything here runs over real connections — the unit tests and the live
 // benchmark mode exercise actual loopback TCP; the simulated experiments
@@ -29,7 +31,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -41,13 +42,8 @@ import (
 
 // Frame types of the TeamNet socket protocol.
 const (
-	// MsgPredict / MsgResult were the paper's one-in-flight request and
-	// reply (Fig 1d steps 2 and 4). Nothing sends them any more — the
-	// numbers stay reserved so every other frame type keeps its wire value.
-	MsgPredict byte = iota + 1
-	MsgResult
 	// MsgPing / MsgPong probe liveness.
-	MsgPing
+	MsgPing byte = iota + 1
 	MsgPong
 	// MsgElection / MsgElectionOK / MsgCoordinator implement the bully
 	// election (Section III's "leader election protocol" option).
@@ -59,10 +55,11 @@ const (
 	MsgError
 	// MsgPredictMux carries an input tensor master → worker (Fig 1d step
 	// 2), MsgResultMux probabilities + per-sample entropies back (step 4),
-	// MsgErrorMux a per-request failure as text. Every payload starts with
-	// a 4-byte big-endian request id, so many concurrent queries share one
-	// TCP connection per peer and replies may return out of order (see
-	// mux.go and DESIGN.md §8).
+	// MsgErrorMux a per-request failure as text. Every payload of these and
+	// of the fabric and split frames below starts with the frame header
+	// (header.go), whose request id lets many concurrent queries share one
+	// TCP connection per peer with replies out of order (see mux.go and
+	// DESIGN.md §8).
 	MsgPredictMux
 	MsgResultMux
 	MsgErrorMux
@@ -86,35 +83,27 @@ const (
 	// MsgSplitPredict / MsgSplitResult are the partial-offload frames: the
 	// master runs the head of the network locally and ships the intermediate
 	// activation (full float64 precision — the split contract is bit-identity
-	// with the local forward) plus the split index and expected model
-	// version; the peer finishes the tail from its atomic snapshot pointer.
+	// with the local forward) plus the split index, pinned to its model
+	// version in the header; the peer finishes the tail from its atomic
+	// snapshot pointer.
 	// Mux-pipelined like MsgPredictMux and answered on the same link
 	// (MsgSplitResult / MsgErrorMux; see splitwire.go and DESIGN.md §13).
 	MsgSplitPredict
 	MsgSplitResult
 )
 
-// muxIDSize is the request-id prefix every mux payload carries.
-const muxIDSize = 4
+// replyTypeFor maps each pipelined request frame type to the reply that
+// answers it; MsgErrorMux answers any of them.
+var replyTypeFor = map[byte]byte{
+	MsgPredictMux:    MsgResultMux,
+	MsgFabricPredict: MsgFabricResult,
+	MsgSplitPredict:  MsgSplitResult,
+}
 
 // connReadBuffer sizes the bufio.Reader in front of every long-lived read
 // loop (mux client, worker, master server), so a frame smaller than it costs
 // one read syscall instead of one for the header and one for the payload.
 const connReadBuffer = 64 << 10
-
-// muxIDPrefix renders a request id as the prefix of a mux payload.
-func muxIDPrefix(id uint32) (b [muxIDSize]byte) {
-	binary.BigEndian.PutUint32(b[:], id)
-	return b
-}
-
-// splitMuxID strips the request-id prefix from a mux payload.
-func splitMuxID(payload []byte) (id uint32, rest []byte, err error) {
-	if len(payload) < muxIDSize {
-		return 0, nil, fmt.Errorf("cluster: mux payload %d bytes, need id prefix", len(payload))
-	}
-	return binary.BigEndian.Uint32(payload), payload[muxIDSize:], nil
-}
 
 // PredictResult is one node's answer for a batch: class probabilities and
 // the predictive entropy per sample.
@@ -123,34 +112,39 @@ type PredictResult struct {
 	Entropy []float64
 }
 
-// EncodeResult serializes a PredictResult payload.
-func EncodeResult(r PredictResult) []byte {
-	probs := transport.EncodeTensor(r.Probs)
+// EncodeResult serializes a whole-query PredictResult body: float32
+// probabilities, float64 entropies.
+func EncodeResult(r PredictResult) []byte { return encodeResult(r, transport.EncodeTensor) }
+
+// encodeResult serializes a PredictResult body under the given tensor codec:
+// transport.EncodeTensor for MsgResultMux, the full-precision
+// transport.EncodeTensor64 for MsgSplitResult.
+func encodeResult(r PredictResult, encodeTensor func(*tensor.Tensor) []byte) []byte {
+	probs := encodeTensor(r.Probs)
 	ent := transport.EncodeFloats(r.Entropy)
 	out := make([]byte, 0, len(probs)+len(ent))
 	out = append(out, probs...)
 	return append(out, ent...)
 }
 
-// decodeResultRest parses a PredictResult payload and returns the trailing
-// bytes after the entropies, where workers append their compute-timing
-// trailer. The reply comes from another machine, so its shape is checked
-// here, once, against what was asked: rows of classes probabilities and one
-// entropy per row. Everything downstream (the arg-min gate, the adaptive
-// escalation) indexes by those dimensions without looking again.
-func decodeResultRest(payload []byte, rows, classes int) (PredictResult, []byte, error) {
-	probs, used, err := transport.DecodeTensor(payload)
+// decodeResult parses a PredictResult body under the given tensor codec.
+// The reply comes from another machine, so its shape is checked here, once,
+// against what was asked: rows of classes probabilities and one entropy per
+// row. Everything downstream (the arg-min gate) indexes by those dimensions
+// without looking again.
+func decodeResult(body []byte, decodeTensor func([]byte) (*tensor.Tensor, int, error), rows, classes int) (PredictResult, error) {
+	probs, used, err := decodeTensor(body)
 	if err != nil {
-		return PredictResult{}, nil, fmt.Errorf("cluster: decode result probs: %w", err)
+		return PredictResult{}, fmt.Errorf("cluster: decode result probs: %w", err)
 	}
-	ent, entUsed, err := transport.DecodeFloats(payload[used:])
+	ent, _, err := transport.DecodeFloats(body[used:])
 	if err != nil {
-		return PredictResult{}, nil, fmt.Errorf("cluster: decode result entropy: %w", err)
+		return PredictResult{}, fmt.Errorf("cluster: decode result entropy: %w", err)
 	}
 	if err := checkResultShape(probs, len(ent), rows, classes); err != nil {
-		return PredictResult{}, nil, err
+		return PredictResult{}, err
 	}
-	return PredictResult{Probs: probs, Entropy: ent}, payload[used+entUsed:], nil
+	return PredictResult{Probs: probs, Entropy: ent}, nil
 }
 
 // checkResultShape is the one shape rule for a result that crossed the

@@ -93,7 +93,7 @@ func TestInferQuorumCountsQuarantined(t *testing.T) {
 	w.Close() // the peer dies; the first query trips its breaker
 
 	x := tensor.NewRNG(137).Randn(1, 4)
-	if _, _, _, err := master.InferBestEffort(x); err != nil {
+	if _, _, _, err := bestEffort(master, x); err != nil {
 		t.Fatal(err)
 	}
 	waitForPeerState(t, master, 0, PeerOpen, 5*time.Second)
@@ -140,7 +140,7 @@ func TestBestEffortStrictOnExpiry(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	_, _, _, err := master.InferBestEffortContext(ctx, tensor.NewRNG(142).Randn(1, 4))
+	_, err := master.Do(ctx, Request{X: tensor.NewRNG(142).Randn(1, 4), Policy: Policy{Gather: BestEffort}})
 	if err == nil {
 		t.Fatal("best-effort returned a partial answer past its deadline")
 	}
@@ -163,7 +163,7 @@ func TestLocalPanicContained(t *testing.T) {
 	// Width 8: the local forward pass panics; the worker recovers on its
 	// side and answers an error frame. No node answers — that must surface
 	// as an error, not a crash.
-	_, _, _, err := master.InferBestEffortContext(context.Background(), tensor.NewRNG(152).Randn(1, 8))
+	_, _, _, err := bestEffort(master, tensor.NewRNG(152).Randn(1, 8))
 	if err == nil {
 		t.Fatal("width-mismatched input produced an answer")
 	}
@@ -172,7 +172,7 @@ func TestLocalPanicContained(t *testing.T) {
 	}
 
 	// The master must still be serving: a well-formed infer right after.
-	probs, _, live, err := master.InferBestEffortContext(context.Background(), tensor.NewRNG(153).Randn(1, 4))
+	probs, _, live, err := bestEffort(master, tensor.NewRNG(153).Randn(1, 4))
 	if err != nil {
 		t.Fatalf("master broken after contained panic: %v", err)
 	}
@@ -192,11 +192,15 @@ func TestLocalPanicContained(t *testing.T) {
 // TestStrictFailureCancelsOtherWaits: strict Infer needs every node, so the
 // first node to fail fails the query — and the waits on the others are
 // cancelled as a caller abort: no breaker strike, links up, nothing left in
-// flight.
+// flight. The failing peer answers "expired", the verdict on a request whose
+// budget ran out before a handler could start: a worker answer like any
+// other — no retry, no strike.
 func TestStrictFailureCancelsOtherWaits(t *testing.T) {
 	_, stalledA := chaosWorker(t, 160, 1, chaos.Fault{Mode: chaos.Stall, Prob: 1})
 	_, stalledB := chaosWorker(t, 161, 2, chaos.Fault{Mode: chaos.Stall, Prob: 1})
-	failing := cannedReplier(t, MsgPredictMux, MsgErrorMux, []byte("boom"))
+	failing := cannedReplier(t, MsgPredictMux, MsgErrorMux, func(id uint32) []byte {
+		return replyPayload(replyHeader{id: id}, []byte(expiredText))
+	})
 
 	master := NewMaster(nil, 3)
 	defer master.Close()
@@ -208,7 +212,7 @@ func TestStrictFailureCancelsOtherWaits(t *testing.T) {
 	}
 	start := time.Now()
 	_, _, err := master.Infer(tensor.NewRNG(162).Randn(1, 4))
-	if err == nil || !strings.Contains(err.Error(), "cluster: node 2: worker error: boom") {
+	if err == nil || !strings.Contains(err.Error(), "cluster: node 2: worker error: expired") {
 		t.Fatalf("strict Infer with one failing peer: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -216,8 +220,8 @@ func TestStrictFailureCancelsOtherWaits(t *testing.T) {
 	}
 	waitForGaugeZero(t, master, "mux.inflight", 2*time.Second)
 	for _, h := range master.Health() {
-		if h.Failures != 0 || h.State != PeerHealthy {
-			t.Fatalf("a cancelled or answered wait cost a breaker strike: %+v", h)
+		if h.Failures != 0 || h.Retries != 0 || h.State != PeerHealthy {
+			t.Fatalf("a cancelled or answered wait cost a retry or a breaker strike: %+v", h)
 		}
 	}
 }

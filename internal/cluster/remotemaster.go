@@ -70,68 +70,57 @@ func (r *RemoteMaster) ensure() (*muxClient, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remote master dial %s: %w", r.addr, err)
 	}
-	r.muxc = newMuxClientTyped(conn, MsgFabricPredict, MsgFabricResult,
-		r.gauges.Gauge("fabric.inflight"), r.gauges.Gauge("fabric.queue_depth"),
+	r.muxc = newMuxClient(conn, r.gauges.Gauge("fabric.inflight"), r.gauges.Gauge("fabric.queue_depth"),
 		func(error) { r.counters.Counter("fabric.link_down").Inc() })
 	return r.muxc, nil
 }
 
 // call performs one fabric round trip.
-func (r *RemoteMaster) call(ctx context.Context, mode byte, soft time.Duration, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live, total int, err error) {
+func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, 0, 0, err
+		return Reply{}, err
 	}
 	mc, err := r.ensure()
 	if err != nil {
 		r.counters.Counter("fabric.errors").Inc()
-		return nil, nil, 0, 0, err
-	}
-	// The caller's remaining deadline rides in the request as a budget, so
-	// the master bounds its own gather without clock synchronization.
-	var budgetNs uint64
-	if dl, ok := ctx.Deadline(); ok {
-		if rem := time.Until(dl); rem > 0 {
-			budgetNs = uint64(rem)
-		}
-	}
-	var softNs uint64
-	if soft > 0 {
-		softNs = uint64(soft)
+		return Reply{}, err
 	}
 	r.counters.Counter("fabric.requests").Inc()
-	payload := encodeFabricRequest(mode, softNs, budgetNs, x)
-	reply, _, err := mc.roundTrip(ctx, payload, r.timeout, ctx.Done())
+	// The frame header carries ctx across: the caller's remaining deadline
+	// as a budget, so the master bounds its own gather without clock
+	// synchronization, and the caller's span as the master's trace parent.
+	reply, _, err := mc.roundTrip(ctx, MsgFabricPredict, "", encodeFabricRequest(req), r.timeout, ctx.Done())
 	if err != nil {
 		r.counters.Counter("fabric.errors").Inc()
-		return nil, nil, 0, 0, err
+		return Reply{}, err
 	}
 	if reply.typ == MsgErrorMux {
 		r.counters.Counter("fabric.errors").Inc()
-		return nil, nil, 0, 0, fmt.Errorf("cluster: master %s: %s", r.addr, reply.payload)
+		return Reply{}, fmt.Errorf("cluster: master %s: %s", r.addr, reply.payload)
 	}
-	probs, winners, live, total, err = decodeFabricResult(reply.payload, x.Shape[0])
+	rep, err := decodeFabricResult(reply.payload, req.X.Shape[0])
 	if err != nil {
 		// Undecodable or mis-shaped reply: corrupted pipeline, tear it down
 		// like the peer mux path does.
 		mc.fail(err)
 		r.counters.Counter("fabric.errors").Inc()
-		return nil, nil, 0, 0, err
 	}
-	return probs, winners, live, total, nil
+	return rep, err
 }
 
 // InferContext asks the master for a strict full-ensemble inference
 // (serve.Backend contract).
 func (r *RemoteMaster) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
-	probs, winners, _, _, err := r.call(ctx, fabricModeStrict, 0, x)
-	return probs, winners, err
+	rep, err := r.call(ctx, Request{X: x})
+	return rep.Probs, rep.Winners, err
 }
 
 // InferQuorumContext asks the master for a partial-quorum inference
 // (serve.DegradedBackend contract): the master answers with whatever subset
 // replied once soft elapses, and live < total marks the answer degraded.
 func (r *RemoteMaster) InferQuorumContext(ctx context.Context, x *tensor.Tensor, soft time.Duration) (probs *tensor.Tensor, winners []int, live, total int, err error) {
-	return r.call(ctx, fabricModeQuorum, soft, x)
+	rep, err := r.call(ctx, Request{X: x, Policy: Policy{Gather: Quorum, Soft: soft}})
+	return rep.Probs, rep.Winners, rep.Live, rep.Total, err
 }
 
 // Close tears the pipeline down; pending requests fail promptly.

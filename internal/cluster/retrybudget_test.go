@@ -110,7 +110,7 @@ func TestRetryBudgetStarvesRetries(t *testing.T) {
 
 	proxy.SetPlan(chaos.Fault{Mode: chaos.Reset, Prob: 1})
 	for i := 0; i < 4; i++ {
-		master.InferBestEffort(x) //nolint:errcheck — the local expert answers; the sick peer is the point
+		bestEffort(master, x) //nolint:errcheck — the local expert answers; the sick peer is the point
 	}
 	if denied := master.Counters().Counter("retry_budget.denied.retry").Value(); denied == 0 {
 		t.Fatal("dry budget never denied a retry against a resetting link")

@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/nn"
+	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
@@ -19,15 +22,15 @@ import (
 // panic to the connection it happened on, and close only after every
 // handler has returned. What differs per node is the configuration below.
 type frameServer struct {
-	member    func() Member                           // this node's membership descriptor (and election id)
-	roster    *Roster                                 // membership view, fed by announce exchanges
-	applyPush func(version string, snap *nn.Snapshot) // model-push hook; snap nil = re-label only
-	counters  *metrics.CounterSet
-	panicName string // counter bumped for every recovered panic
-	// kinds maps a pipelined request frame type to its handler: the body
-	// (mux id already stripped) in, the reply frame type and body out. An
-	// error is just a MsgErrorMux reply. Handlers run concurrently.
-	kinds map[byte]func(body []byte) (replyType byte, reply []byte)
+	member      func() Member                           // this node's membership descriptor (and election id)
+	roster      *Roster                                 // membership view, fed by announce exchanges
+	applyPush   func(version string, snap *nn.Snapshot) // model-push hook; snap nil = re-label only
+	counters    *metrics.CounterSet
+	panicName   string // counter bumped for every recovered panic
+	expiredName string // counter bumped for every request whose budget ran out unserved
+	// kinds maps a pipelined request frame type to its handler. Handlers run
+	// concurrently.
+	kinds map[byte]handler
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -35,6 +38,20 @@ type frameServer struct {
 	conns  map[net.Conn]struct{}
 	wg     sync.WaitGroup
 	closed bool
+}
+
+// handler answers one pipelined request. The header has been parsed and
+// honoured by the time it runs: ctx carries the request's remaining budget
+// as its deadline and the request's trace parent as its ambient span, so a
+// handler that sends requests of its own passes on what it received. body is
+// the payload after the header. It returns the reply frame type and body —
+// an error is just a MsgErrorMux reply — and the time its forward pass took
+// (0 if none ran), which goes back in the reply header.
+type handler func(ctx context.Context, body []byte) (replyType byte, reply []byte, compute time.Duration)
+
+// errorReply is a handler's verdict on a request it cannot serve.
+func errorReply(err error) (byte, []byte, time.Duration) {
+	return MsgErrorMux, []byte(err.Error()), 0
 }
 
 // handlerWindow bounds the pipelined requests one connection may have in
@@ -129,10 +146,10 @@ func (cw *connWriter) write(typ byte, payload []byte) error {
 	return cw.send(typ, nil, payload)
 }
 
-// writeMux sends a mux reply: the request id, then payload (not copied).
-func (cw *connWriter) writeMux(typ byte, id uint32, payload []byte) error {
-	idb := muxIDPrefix(id)
-	return cw.send(typ, idb[:], payload)
+// writeReply sends a pipelined reply: the header, then body (not copied).
+func (cw *connWriter) writeReply(typ byte, h replyHeader, body []byte) error {
+	var hdr [replyHeaderSize]byte
+	return cw.send(typ, appendReplyHeader(hdr[:0], h), body)
 }
 
 func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
@@ -145,10 +162,11 @@ func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
 }
 
 // serveConn reads frames until the connection ends. A frame that leaves the
-// stream unusable — an unknown type, a pipelined request too short to carry
-// an id, an undecodable announce — is answered with MsgError and the
-// connection dropped; anything a handler can answer in band (a bad tensor,
-// a bad model push) costs one error frame and the connection keeps serving.
+// stream unusable — an unknown type, a pipelined request without a header
+// this build can parse (so no id to answer under), an undecodable announce —
+// is answered with MsgError and the connection dropped; anything a handler
+// can answer in band (a bad tensor, a bad model push) costs one error frame
+// and the connection keeps serving.
 func (s *frameServer) serveConn(conn net.Conn) {
 	cw := &connWriter{conn: conn}
 	sem := make(chan struct{}, handlerWindow)
@@ -159,9 +177,9 @@ func (s *frameServer) serveConn(conn net.Conn) {
 			return
 		}
 		if handle, ok := s.kinds[typ]; ok {
-			id, body, err := splitMuxID(payload)
+			arrived := time.Now()
+			hdr, body, err := decodeRequestHeader(payload)
 			if err != nil {
-				// No request id to address a mux error to.
 				_ = cw.write(MsgError, []byte(err.Error()))
 				return
 			}
@@ -171,8 +189,8 @@ func (s *frameServer) serveConn(conn net.Conn) {
 				defer s.wg.Done()
 				defer func() { <-sem }()
 				defer s.containPanic(conn)
-				replyType, reply := handle(body)
-				_ = cw.writeMux(replyType, id, reply)
+				replyType, reply, compute := s.serveRequest(handle, hdr, arrived, body)
+				_ = cw.writeReply(replyType, replyHeader{id: hdr.id, compute: compute}, reply)
 			}()
 			continue
 		}
@@ -212,6 +230,40 @@ func (s *frameServer) serveConn(conn net.Conn) {
 		}
 	}
 }
+
+// serveRequest is the prelude every pipelined request passes before its
+// handler, the one reader of the header's budget, version pin and trace: a
+// request whose budget ran out while it waited for a handler slot is
+// answered "expired" with its body never decoded, a request pinned to a
+// model version this node is not serving is refused in
+// ErrSplitVersionMismatch's wire text, and the handler's ctx is bounded by
+// what is left of the budget (counted from arrival: no clock sync) and
+// carries the trace parent.
+func (s *frameServer) serveRequest(handle handler, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
+	ctx := context.Background()
+	if hdr.budget > 0 {
+		if time.Since(arrived) >= hdr.budget {
+			s.counters.Counter(s.expiredName).Inc()
+			return MsgErrorMux, []byte(expiredText), 0
+		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, arrived.Add(hdr.budget))
+		defer cancel()
+	}
+	if hdr.pin != "" {
+		if serving := s.member().Version; hdr.pin != serving {
+			return MsgErrorMux, []byte(fmt.Sprintf("%sserving %q, request pinned to %q", splitVersionMismatchPrefix, serving, hdr.pin)), 0
+		}
+	}
+	if hdr.trace.Valid() {
+		ctx = trace.NewContext(ctx, hdr.trace)
+	}
+	return handle(ctx, body)
+}
+
+// expiredText answers a request whose budget was spent before a handler
+// could start on it.
+const expiredText = "expired"
 
 // close stops accepting, closes open connections and returns once every
 // connection goroutine and in-flight handler has.

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"github.com/teamnet/teamnet/internal/nn"
+	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
@@ -25,7 +28,11 @@ type servedNode struct {
 	addr    string
 	id      int
 	role    string
-	request byte // the node's primary pipelined request kind
+	request byte                 // the node's primary pipelined request kind
+	reply   byte                 // ... and the reply kind that answers it
+	body    []byte               // a body of that kind the node serves
+	passes  func() int64         // forward passes run so far
+	label   func(version string) // sets the served model version
 	// The injected blocking handler signals entered when it starts and
 	// returns once release is closed.
 	entered chan struct{}
@@ -44,22 +51,27 @@ func startNode(t *testing.T, role string) servedNode {
 	t.Helper()
 	n := servedNode{role: role, entered: make(chan struct{}, 1), release: make(chan struct{})}
 	var listen func(string) (string, error)
+	x := tensor.NewRNG(222).Randn(1, 4)
 	switch role {
 	case RoleWorker:
 		w := NewWorker(tinyExpert(t, 220), 300)
-		n.srv, n.id, n.request, listen = w.srv, 300, MsgPredictMux, w.Listen
+		n.srv, n.id, n.request, n.reply, listen = w.srv, 300, MsgPredictMux, MsgResultMux, w.Listen
+		n.body, n.label = transport.EncodeTensor(x), w.SetModelVersion
+		n.passes = w.Histograms().Histogram("predict").Count
 		t.Cleanup(func() { w.Close() })
 	case RoleMaster:
 		m := NewMaster(tinyExpert(t, 221), 3)
 		s := NewMasterServer(m, 301)
-		n.srv, n.id, n.request, listen = s.srv, 301, MsgFabricPredict, s.Listen
+		n.srv, n.id, n.request, n.reply, listen = s.srv, 301, MsgFabricPredict, MsgFabricResult, s.Listen
+		n.body, n.label = encodeFabricRequest(Request{X: x}), s.SetModelVersion
+		n.passes = m.Histograms().Histogram("infer.total").Count
 		t.Cleanup(func() { s.Close(); m.Close() })
 	}
-	n.srv.kinds[kindPanics] = func([]byte) (byte, []byte) { panic("handler blew up") }
-	n.srv.kinds[kindBlocks] = func(body []byte) (byte, []byte) {
+	n.srv.kinds[kindPanics] = func(context.Context, []byte) (byte, []byte, time.Duration) { panic("handler blew up") }
+	n.srv.kinds[kindBlocks] = func(_ context.Context, body []byte) (byte, []byte, time.Duration) {
 		n.entered <- struct{}{}
 		<-n.release
-		return MsgErrorMux, body
+		return MsgErrorMux, body, 0
 	}
 	addr, err := listen("127.0.0.1:0")
 	if err != nil {
@@ -204,8 +216,8 @@ func TestServerLoopConformance(t *testing.T) {
 			expectServing(t, conn)
 		}},
 		{"unknown frame type is refused and the connection dropped", func(t *testing.T, n servedNode) {
-			// MsgPredict is the retired serial request: reserved, never served.
-			for _, typ := range []byte{0x7F, MsgPredict} {
+			// A reply kind is not a request either.
+			for _, typ := range []byte{0x7F, MsgResultMux} {
 				conn := n.dial(t)
 				rtyp, text := exchange(t, conn, typ, nil)
 				if rtyp != MsgError || !strings.Contains(string(text), "unknown frame type") {
@@ -214,27 +226,108 @@ func TestServerLoopConformance(t *testing.T) {
 				expectClosed(t, conn)
 			}
 		}},
-		{"request too short for an id is refused and the connection dropped", func(t *testing.T, n servedNode) {
+		{"request too short for a header is refused and the connection dropped", func(t *testing.T, n servedNode) {
+			whole := requestPayload(requestHeader{id: 1, pin: "v1"}, nil)
 			for _, typ := range []byte{n.request, MsgSplitPredict} {
+				for _, short := range [][]byte{{}, whole[:2], whole[:requestHeaderFixed-1], whole[:len(whole)-1]} {
+					conn := n.dial(t)
+					if rtyp, _ := exchange(t, conn, typ, short); rtyp != MsgError {
+						t.Fatalf("%d-byte frame type %d answered type %d", len(short), typ, rtyp)
+					}
+					expectClosed(t, conn)
+				}
+			}
+		}},
+		{"unknown header version is refused and the connection dropped", func(t *testing.T, n servedNode) {
+			// What a PR-15 node sends: a 4-byte id, then the body. It must
+			// fail loudly, not be parsed as something else.
+			old := append([]byte{0, 0, 0, 1}, n.body...)
+			next := requestPayload(requestHeader{id: 1}, n.body)
+			next[0] = headerVersion + 1
+			for _, payload := range [][]byte{old, next} {
 				conn := n.dial(t)
-				if rtyp, _ := exchange(t, conn, typ, []byte{0, 1}); rtyp != MsgError {
-					t.Fatalf("short frame type %d answered type %d", typ, rtyp)
+				rtyp, text := exchange(t, conn, n.request, payload)
+				if rtyp != MsgError || !strings.Contains(string(text), "header version") {
+					t.Fatalf("header version %d answered type %d %q", payload[0], rtyp, text)
 				}
 				expectClosed(t, conn)
 			}
 		}},
 		{"malformed request body costs one MsgErrorMux", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
-			typ, reply := exchange(t, conn, n.request, appendMuxID(5, []byte{0xFF}))
-			if id, text, _ := splitMuxID(reply); typ != MsgErrorMux || id != 5 || len(text) == 0 {
-				t.Fatalf("malformed body answered type %d id %d %q", typ, id, text)
+			typ, reply := exchange(t, conn, n.request, requestPayload(requestHeader{id: 5}, []byte{0xFF}))
+			if h, text, _ := decodeReplyHeader(reply); typ != MsgErrorMux || h.id != 5 || len(text) == 0 {
+				t.Fatalf("malformed body answered type %d id %d %q", typ, h.id, text)
 			}
 			expectServing(t, conn)
+		}},
+		{"budget spent before a handler slot frees is answered expired without a forward pass", func(t *testing.T, n servedNode) {
+			conn := n.dial(t)
+			// Fill the connection's handler window, then queue two requests
+			// behind it: one with 10 ms of budget, one with none.
+			for i := 0; i < handlerWindow; i++ {
+				if err := transport.WriteFrame(conn, kindBlocks, requestPayload(requestHeader{id: 1000 + uint32(i)}, nil)); err != nil {
+					t.Fatal(err)
+				}
+				<-n.entered
+			}
+			for _, h := range []requestHeader{{id: 1, budget: 10 * time.Millisecond}, {id: 2}} {
+				if err := transport.WriteFrame(conn, n.request, requestPayload(h, n.body)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			time.Sleep(30 * time.Millisecond)
+			close(n.release)
+			answers := make(map[uint32]byte)
+			for len(answers) < 2 {
+				typ, reply, err := transport.ReadFrame(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h, text, err := decodeReplyHeader(reply)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h.id == 1 && string(text) != expiredText {
+					t.Fatalf("request past its budget answered type %d %q", typ, text)
+				}
+				if h.id <= 2 {
+					answers[h.id] = typ
+				}
+			}
+			if answers[1] != MsgErrorMux || answers[2] != n.reply {
+				t.Fatalf("answers by id %v: want the budgeted request expired and the unbudgeted one served", answers)
+			}
+			if got := n.srv.counters.Counter(n.srv.expiredName).Value(); got != 1 {
+				t.Fatalf("%s = %d, want 1", n.srv.expiredName, got)
+			}
+			if got := n.passes(); got != 1 {
+				t.Fatalf("%d forward passes, want only the unbudgeted request's", got)
+			}
+		}},
+		{"version pin is checked on every kind and empty means any", func(t *testing.T, n servedNode) {
+			n.label("v1")
+			conn := n.dial(t)
+			for _, typ := range []byte{n.request, MsgSplitPredict} {
+				rtyp, reply := exchange(t, conn, typ, requestPayload(requestHeader{id: 3, pin: "v2"}, n.body))
+				_, text, _ := decodeReplyHeader(reply)
+				if err := workerError(string(text)); rtyp != MsgErrorMux || !errors.Is(err, ErrSplitVersionMismatch) {
+					t.Fatalf("frame type %d pinned to another version answered type %d %q", typ, rtyp, text)
+				}
+			}
+			if got := n.passes(); got != 0 {
+				t.Fatalf("%d forward passes for refused requests", got)
+			}
+			for _, pin := range []string{"v1", ""} {
+				if rtyp, reply := exchange(t, conn, n.request, requestPayload(requestHeader{id: 4, pin: pin}, n.body)); rtyp != n.reply {
+					t.Fatalf("pin %q on a node serving v1 answered type %d %q", pin, rtyp, reply)
+				}
+			}
 		}},
 		{"handler panic costs only its connection", func(t *testing.T, n servedNode) {
 			bystander, poisoned := n.dial(t), n.dial(t)
 			expectServing(t, bystander)
-			if err := transport.WriteFrame(poisoned, kindPanics, appendMuxID(1, nil)); err != nil {
+			if err := transport.WriteFrame(poisoned, kindPanics, requestPayload(requestHeader{id: 1}, nil)); err != nil {
 				t.Fatal(err)
 			}
 			expectClosed(t, poisoned)
@@ -257,7 +350,7 @@ func TestServerLoopConformance(t *testing.T) {
 		}},
 		{"Close waits for the in-flight handler", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
-			if err := transport.WriteFrame(conn, kindBlocks, appendMuxID(1, nil)); err != nil {
+			if err := transport.WriteFrame(conn, kindBlocks, requestPayload(requestHeader{id: 1}, nil)); err != nil {
 				t.Fatal(err)
 			}
 			<-n.entered

@@ -24,24 +24,6 @@ import (
 // (valid against any version), a transport fault finishes the tail
 // locally, and no peer at all means a plain local forward.
 
-// SplitResult reports one partial-offload inference. When Fallback is
-// empty the answer is bit-identical to the local expert's full forward (the
-// range-execution contract); a "version" fallback carries the PEER's
-// whole-query answer instead.
-type SplitResult struct {
-	Probs   *tensor.Tensor
-	Entropy []float64
-	// Split is the boundary actually executed (Steps() = fully local).
-	Split int
-	// Peer is the node that ran the tail ("" = finished locally).
-	Peer string
-	// Fallback names the degradation taken, if any: "version" (peer on a
-	// different model version → whole-query offload), "transport" (peer
-	// unreachable mid-query → tail finished locally), "no_peer" (no
-	// available peer → ran fully local).
-	Fallback string
-}
-
 // SetModelVersion labels the master's local expert version; split requests
 // pin it so a peer serving a different version refuses the tail.
 func (m *Master) SetModelVersion(v string) {
@@ -63,7 +45,7 @@ func (m *Master) LocalSnapshot() *nn.Snapshot { return m.local.Load() }
 
 // EnableSplit profiles the local expert and installs the online split
 // planner, re-planned at most every replan (0 = the planner default).
-// Required before InferSplit with `at` = SplitAuto. Call again after
+// Required before a SplitAuto request. Call again after
 // swapping the local expert; a stale profile is also detected and
 // re-profiled automatically on the next auto query.
 func (m *Master) EnableSplit(replan time.Duration) error {
@@ -118,40 +100,32 @@ func (m *Master) SplitPlanReport(batch int) *split.Report {
 	return &r
 }
 
-// SplitAuto asks InferSplit to let the planner choose the boundary.
-const SplitAuto = -1
-
-// InferSplit answers one batch through the partial-offload path: head
-// locally, activation to a peer, tail remotely. at pins a static boundary
-// (0 = whole-remote, Steps() = whole-local); SplitAuto defers to the
-// planner installed by EnableSplit. Requires a local expert.
-func (m *Master) InferSplit(x *tensor.Tensor, at int) (SplitResult, error) {
-	return m.InferSplitContext(context.Background(), x, at)
-}
-
-// InferSplitContext is InferSplit with deadline/cancellation plumbing (see
-// InferContext). The query records an "infer.split" span with the head,
-// peer round trip and any fallback as children; counters split.queries,
-// split.local, split.remote, split.explore and split.fallback.* make the
-// offload mix visible on /metrics, and the split.point gauge reports the
-// last boundary executed.
-func (m *Master) InferSplitContext(ctx context.Context, x *tensor.Tensor, at int) (SplitResult, error) {
+// splitQuery answers one batch through the partial-offload path: head
+// locally, activation to a peer, tail remotely. Requires a local expert.
+// The query records an "infer.split" span with the head, peer round trip
+// and any fallback as children; counters split.queries, split.local,
+// split.remote, split.explore and split.fallback.* make the offload mix
+// visible on /metrics, and the split.point gauge reports the last boundary
+// executed.
+func (m *Master) splitQuery(ctx context.Context, x *tensor.Tensor, at SplitPoint) (Reply, error) {
 	snap := m.local.Load()
 	if snap == nil {
-		return SplitResult{}, fmt.Errorf("cluster: split inference requires a local expert")
+		return Reply{}, fmt.Errorf("cluster: split inference requires a local expert")
 	}
 	tr := m.tracer.get()
 	root := tr.Start(trace.FromContext(ctx), "infer.split")
 	start := time.Now()
-	res, err := m.inferSplit(ctx, x, at, snap, tr, root.Ctx())
+	// The peer round trip builds its frame header from ctx: the split root
+	// span is the tail's trace parent.
+	res, err := m.inferSplit(trace.NewContext(ctx, root.Ctx()), x, at, snap, tr, root.Ctx())
 	root.EndErr(err)
 	m.hists.Observe("infer.split.total", time.Since(start))
 	return res, err
 }
 
-func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap *nn.Snapshot, tr *trace.Tracer, root trace.Context) (SplitResult, error) {
+func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPoint, snap *nn.Snapshot, tr *trace.Tracer, root trace.Context) (Reply, error) {
 	if err := ctx.Err(); err != nil {
-		return SplitResult{}, err
+		return Reply{}, err
 	}
 	n := snap.Steps()
 	batch := x.Shape[0]
@@ -159,11 +133,12 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 
 	var pl *split.Planner
 	peerAddr := ""
+	at := point.boundary()
 	switch {
-	case at == SplitAuto:
+	case point == SplitAuto:
 		pl = m.splitPlannerFor(snap)
 		if pl == nil {
-			return SplitResult{}, fmt.Errorf("cluster: auto split requires EnableSplit")
+			return Reply{}, fmt.Errorf("cluster: auto split requires EnableSplit")
 		}
 		m.seedSplitPlanner(pl, batch)
 		d := pl.Decide(batch)
@@ -172,7 +147,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 			m.counters.Counter("split.explore").Inc()
 		}
 	case at < 0 || at > n:
-		return SplitResult{}, fmt.Errorf("cluster: split index %d outside 0..%d", at, n)
+		return Reply{}, fmt.Errorf("cluster: split index %d outside 0..%d", at, n)
 	default:
 		pl = m.splitPlannerFor(snap) // may be nil: static splits observe only if enabled
 	}
@@ -193,7 +168,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 	}
 	if at == n {
 		m.counters.Counter("split.local").Inc()
-		return m.splitAnswerLocal(act, at, "", tr, root), nil
+		return splitAnswerLocal(act, at), nil
 	}
 
 	p := m.splitPeer(peerAddr)
@@ -204,10 +179,11 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 		return res, nil
 	}
 
-	payload := appendTraceContext(EncodeSplitRequest(SplitRequest{
-		Version: m.ModelVersion(), Split: at, X: act,
-	}), root)
-	res, rtt, compute, err := p.doSplit(ctx, peerQuery{payload: payload, rows: batch}, root)
+	version := m.ModelVersion()
+	res, rtt, compute, err := p.doSplit(ctx, peerQuery{
+		reqType: MsgSplitPredict, pin: version, series: "split.",
+		payload: encodeSplitRequest(at, act), rows: batch,
+	}, root)
 	if err == nil {
 		m.counters.Counter("split.remote").Inc()
 		if pl != nil {
@@ -215,13 +191,13 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 			if net < 0 {
 				net = 0
 			}
-			wire := len(payload) + SplitResultWireBytes(batch, m.classes)
+			wire := SplitRequestWireBytes(batch, act.Size()/batch, len(version)) + SplitResultWireBytes(batch, m.classes)
 			pl.ObservePeer(p.addr, pl.Profile().Boundaries[at].TailFLOPs*float64(batch), compute, wire, net)
 		}
-		return SplitResult{Probs: res.Probs, Entropy: res.Entropy, Split: at, Peer: p.addr}, nil
+		return Reply{Probs: res.Probs, Entropy: res.Entropy, Split: at, Peer: p.addr}, nil
 	}
 	if ctx.Err() != nil {
-		return SplitResult{}, ctx.Err()
+		return Reply{}, ctx.Err()
 	}
 	if errors.Is(err, ErrSplitVersionMismatch) {
 		// Mid-rollout fleet: the peer serves a different model version, so a
@@ -229,9 +205,9 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, at int, snap 
 		// whole-query offload — the raw input is valid against any version.
 		m.counters.Counter("split.fallback.version").Inc()
 		if qres, qerr := p.do(ctx, m.encodeInput(x, tr, root), root); qerr == nil {
-			return SplitResult{Probs: qres.Probs, Entropy: qres.Entropy, Split: 0, Peer: p.addr, Fallback: "version"}, nil
+			return Reply{Probs: qres.Probs, Entropy: qres.Entropy, Split: 0, Peer: p.addr, Fallback: "version"}, nil
 		} else if ctx.Err() != nil {
-			return SplitResult{}, ctx.Err()
+			return Reply{}, ctx.Err()
 		}
 		// The whole-query retry failed too: same local recovery as any
 		// transport fault.
@@ -259,26 +235,24 @@ func (m *Master) splitPeer(addr string) *peerConn {
 			fallback = p
 		}
 	}
-	if addr != "" {
-		// The planned peer vanished; any available peer beats failing.
-		return fallback
-	}
+	// The planned peer vanished, or none was planned: any available peer
+	// beats failing.
 	return fallback
 }
 
 // splitAnswerLocal turns a completed local forward (act = logits at
-// boundary n) into a SplitResult with exactly PredictWithEntropy's
-// operations, preserving bit-identity.
-func (m *Master) splitAnswerLocal(logits *tensor.Tensor, at int, fallback string, tr *trace.Tracer, root trace.Context) SplitResult {
+// boundary n) into a Reply with exactly PredictWithEntropy's operations,
+// preserving bit-identity.
+func splitAnswerLocal(logits *tensor.Tensor, at int) Reply {
 	probs := logits.Clone()
 	tensor.SoftmaxRowsInto(probs.Data, probs.Data, probs.Shape[0], probs.Shape[1])
 	ent := tensor.EntropyRows(probs)
-	return SplitResult{Probs: probs, Entropy: ent.Data, Split: at, Fallback: fallback}
+	return Reply{Probs: probs, Entropy: ent.Data, Split: at}
 }
 
 // finishSplitLocally runs the tail [at, Steps) on the local snapshot — the
 // transport-fault recovery path, bit-identical to having never offloaded.
-func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at int, tr *trace.Tracer, root trace.Context) SplitResult {
+func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at int, tr *trace.Tracer, root trace.Context) Reply {
 	start := time.Now()
 	t := snap.ForwardRange(act, at, snap.Steps())
 	tensor.SoftmaxRowsInto(t.Data, t.Data, t.Shape[0], t.Shape[1])
@@ -286,7 +260,7 @@ func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at in
 	d := time.Since(start)
 	m.hists.Observe("split.tail.local", d)
 	tr.Record(root, "split.tail.local", "", "", start, d)
-	return SplitResult{Probs: t, Entropy: ent.Data, Split: at}
+	return Reply{Probs: t, Entropy: ent.Data, Split: at}
 }
 
 // seedSplitPlanner primes unmeasured peers from the whole-query trace
@@ -326,39 +300,14 @@ func (m *Master) seedSplitPlanner(pl *split.Planner, batch int) {
 	}
 }
 
-// InferAdaptiveSplitContext composes the two escalation tiers: the first
-// answer comes from the partial-offload path (planner-chosen split) instead
-// of a purely local forward, then the usual entropy gate escalates
-// uncertain rows to the full broadcast-gather ensemble. Since the split
-// answer is bit-identical to the local expert (or, under a version
-// fallback, a whole-model answer from a peer), the gate semantics match
-// InferAdaptiveContext exactly.
-func (m *Master) InferAdaptiveSplitContext(ctx context.Context, x *tensor.Tensor, entropyThreshold float64) (AdaptiveResult, error) {
-	snap := m.local.Load()
-	if snap == nil {
-		return AdaptiveResult{}, fmt.Errorf("cluster: adaptive split inference requires a local expert")
-	}
-	tr := m.tracer.get()
-	root := tr.Start(trace.FromContext(ctx), "infer.adaptive")
-	start := time.Now()
-	res, err := m.inferAdaptiveSplit(ctx, x, entropyThreshold, snap, tr, root.Ctx())
-	root.EndErr(err)
-	m.hists.Observe("infer.adaptive.total", time.Since(start))
-	return res, err
-}
-
-func (m *Master) inferAdaptiveSplit(ctx context.Context, x *tensor.Tensor, entropyThreshold float64, snap *nn.Snapshot, tr *trace.Tracer, root trace.Context) (AdaptiveResult, error) {
-	sres, err := m.inferSplit(ctx, x, SplitAuto, snap, tr, root)
-	if err != nil {
-		return AdaptiveResult{}, err
-	}
-	return m.escalateAbove(ctx, x, PredictResult{Probs: sres.Probs, Entropy: sres.Entropy}, entropyThreshold, root)
-}
-
 // doSplit performs one partial-offload round trip on the peer's mux
-// pipeline. Unlike do it never retries or hedges — the caller holds the
-// activation and can always finish locally, so a failed attempt is better
-// spent there than on speculative wire traffic.
+// pipeline: muxOnce under the same outcome accounting as muxAttempts, but a
+// single attempt. Unlike do it never retries or hedges — the caller holds
+// the activation and can always finish locally, so a failed attempt is
+// better spent there than on speculative wire traffic. The "split."-series
+// histograms stay apart from the whole-query rtt/compute ones: split round
+// trips carry different byte/FLOP mixes, and mixing them would pollute the
+// hedge policy's rtt-p95 seeding.
 func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (res PredictResult, rtt, compute time.Duration, err error) {
 	cfg := p.config()
 	tr := p.tracer()
@@ -369,44 +318,14 @@ func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Contex
 	done, stop := joinDone(ctx, p.done)
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
-	res, rtt, compute, err = p.splitOnce(ctx, done, cfg, q)
+	res, tm, err, outcome := p.muxOnce(ctx, done, cfg, q)
+	p.emitAttempt(tr, sp.Ctx(), q.series, tm, err)
 	sp.EndErr(err)
-	return res, rtt, compute, err
-}
-
-// splitOnce mirrors muxOnce's outcome accounting: a caller abort feeds no
-// breaker, a link fault is counted once by the link-down hook, a worker
-// error frame is the peer answering (no breaker) — mapped back to a typed
-// version-mismatch error when it carries the refusal prefix.
-func (p *peerConn) splitOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (PredictResult, time.Duration, time.Duration, error) {
-	mc, _, err := p.muxEnsure(cfg)
-	if err != nil {
+	switch outcome {
+	case muxOK:
+		p.recordSuccess()
+	case muxDialFault:
 		p.recordFailure()
-		return PredictResult{}, 0, 0, err
 	}
-	p.counter("split.requests").Inc()
-	r, rtt, err := mc.roundTripTyped(ctx, MsgSplitPredict, q.payload, p.muxTimeout(), done)
-	if err != nil {
-		// Link faults fed the breaker via muxLinkDown; a caller abort did
-		// not. Either way this attempt is over.
-		return PredictResult{}, rtt, 0, err
-	}
-	if r.typ == MsgErrorMux {
-		return PredictResult{}, rtt, 0, splitErrorFromText(string(r.payload))
-	}
-	res, rest, derr := decodeSplitResultRest(r.payload, q.rows, p.classes)
-	if derr != nil {
-		mc.fail(derr)
-		return PredictResult{}, rtt, 0, derr
-	}
-	compute, _ := extractComputeTime(rest)
-	p.recordSuccess()
-	// Separate series from the whole-query "rtt"/"compute" histograms: split
-	// round trips carry different byte/FLOP mixes, and mixing them would
-	// pollute the hedge policy's rtt-p95 seeding.
-	p.observe("split.rtt", rtt)
-	if compute > 0 {
-		p.observe("split.compute", compute)
-	}
-	return res, rtt, compute, nil
+	return res, tm.rtt, tm.remote, err
 }

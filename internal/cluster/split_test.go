@@ -8,6 +8,7 @@ import (
 
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
+	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // splitZooSpecs mirrors the nn package's range-test zoo: every model family
@@ -54,6 +55,11 @@ func buildSplitSnapshot(t *testing.T, spec nn.Spec, seed int64, batch int) (*nn.
 	return nn.MustSnapshot(net), x
 }
 
+// splitDo is Do under a split policy with no deadline.
+func splitDo(m *Master, x *tensor.Tensor, at SplitPoint) (Reply, error) {
+	return m.Do(context.Background(), Request{X: x, Policy: Policy{Split: at}})
+}
+
 func assertBitIdentical(t *testing.T, label string, got, want *tensor.Tensor, gotEnt, wantEnt []float64) {
 	t.Helper()
 	if len(got.Data) != len(want.Data) {
@@ -74,12 +80,12 @@ func assertBitIdentical(t *testing.T, label string, got, want *tensor.Tensor, go
 	}
 }
 
-// TestInferSplitBitExactEveryZooModel pins the acceptance property: head
+// TestSplitBitExactEveryZooModel pins the acceptance property: head
 // local + tail remote over real TCP is bit-identical to the full local
 // forward, for every zoo model. The first model sweeps every boundary; the
 // rest check the endpoints and the midpoint (the full per-boundary sweep
 // lives in the nn package's range test — here the wire is under test).
-func TestInferSplitBitExactEveryZooModel(t *testing.T) {
+func TestSplitBitExactEveryZooModel(t *testing.T) {
 	for i, spec := range splitZooSpecs(t) {
 		snap, x := buildSplitSnapshot(t, spec, int64(20+i), 3)
 		w := NewWorkerSnapshot(snap, 1)
@@ -103,7 +109,7 @@ func TestInferSplitBitExactEveryZooModel(t *testing.T) {
 			}
 		}
 		for _, s := range boundaries {
-			res, err := m.InferSplit(x, s)
+			res, err := splitDo(m, x, SplitAt(s))
 			if err != nil {
 				t.Fatalf("%s split %d: %v", spec.Label(), s, err)
 			}
@@ -126,11 +132,11 @@ func TestInferSplitBitExactEveryZooModel(t *testing.T) {
 	}
 }
 
-// TestInferSplitVersionMismatchFallsBackWholeQuery pins the mid-rollout
+// TestSplitVersionMismatchFallsBackWholeQuery pins the mid-rollout
 // degradation: a peer serving a different model version refuses the tail
 // and the master re-sends the whole query instead — a valid whole-model
 // answer, never a wrong-model tail.
-func TestInferSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
+func TestSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 31, 2)
 	w := NewWorkerSnapshot(snap, 1)
 	w.SetModelVersion("v2")
@@ -147,7 +153,7 @@ func TestInferSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := m.InferSplit(x, snap.Steps()/2)
+	res, err := splitDo(m, x, SplitAt(snap.Steps()/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,10 +174,10 @@ func TestInferSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 	}
 }
 
-// TestInferSplitTransportFaultFinishesLocally pins the fault degradation:
+// TestSplitTransportFaultFinishesLocally pins the fault degradation:
 // the peer dying mid-rollout costs a local tail, never a failed query, and
 // the answer stays bit-identical.
-func TestInferSplitTransportFaultFinishesLocally(t *testing.T) {
+func TestSplitTransportFaultFinishesLocally(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 37, 2)
 	w := NewWorkerSnapshot(snap, 1)
 	addr, err := w.Listen("127.0.0.1:0")
@@ -186,7 +192,7 @@ func TestInferSplitTransportFaultFinishesLocally(t *testing.T) {
 	}
 	w.Close() // peer dies after the dial: the split round trip must fault
 
-	res, err := m.InferSplit(x, snap.Steps()/2)
+	res, err := splitDo(m, x, SplitAt(snap.Steps()/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,15 +203,15 @@ func TestInferSplitTransportFaultFinishesLocally(t *testing.T) {
 	assertBitIdentical(t, "transport fallback", res.Probs, wantProbs, res.Entropy, wantEnt.Data)
 }
 
-// TestInferSplitNoPeerRunsLocal pins the loneliest degradation: no peers at
+// TestSplitNoPeerRunsLocal pins the loneliest degradation: no peers at
 // all means a plain local forward, flagged as such.
-func TestInferSplitNoPeerRunsLocal(t *testing.T) {
+func TestSplitNoPeerRunsLocal(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 41, 2)
 	m := NewMaster(nil, 10)
 	defer m.Close()
 	m.SwapLocal(snap)
 
-	res, err := m.InferSplit(x, snap.Steps()/2)
+	res, err := splitDo(m, x, SplitAt(snap.Steps()/2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +224,7 @@ func TestInferSplitNoPeerRunsLocal(t *testing.T) {
 	// A pure coordinator cannot split at all.
 	bare := NewMaster(nil, 10)
 	defer bare.Close()
-	if _, err := bare.InferSplit(x, 0); err == nil {
+	if _, err := splitDo(bare, x, SplitAt(0)); err == nil {
 		t.Fatal("split without a local expert succeeded")
 	}
 }
@@ -245,7 +251,7 @@ func TestMasterServerServesSplitFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := snap.Steps() / 2
-	res, err := m.InferSplit(x, s)
+	res, err := splitDo(m, x, SplitAt(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,11 +262,11 @@ func TestMasterServerServesSplitFrames(t *testing.T) {
 	assertBitIdentical(t, "master-served tail", res.Probs, wantProbs, res.Entropy, wantEnt.Data)
 }
 
-// TestInferSplitAutoPlans drives the auto path end to end: EnableSplit,
+// TestSplitAutoPlans drives the auto path end to end: EnableSplit,
 // several queries (the first is the planner's probe of the unmeasured
 // peer), every answer bit-identical, and the plan report becomes available
 // with measured peer costs.
-func TestInferSplitAutoPlans(t *testing.T) {
+func TestSplitAutoPlans(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 47, 2)
 	w := NewWorkerSnapshot(snap, 1)
 	addr, err := w.Listen("127.0.0.1:0")
@@ -275,7 +281,7 @@ func TestInferSplitAutoPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := m.InferSplit(x, SplitAuto); err == nil {
+	if _, err := splitDo(m, x, SplitAuto); err == nil {
 		t.Fatal("auto split before EnableSplit succeeded")
 	}
 	if err := m.EnableSplit(time.Millisecond); err != nil {
@@ -283,7 +289,7 @@ func TestInferSplitAutoPlans(t *testing.T) {
 	}
 	wantProbs, wantEnt := snap.PredictWithEntropy(x)
 	for i := 0; i < 5; i++ {
-		res, err := m.InferSplit(x, SplitAuto)
+		res, err := splitDo(m, x, SplitAuto)
 		if err != nil {
 			t.Fatalf("auto query %d: %v", i, err)
 		}
@@ -307,92 +313,18 @@ func TestInferSplitAutoPlans(t *testing.T) {
 	}
 }
 
-// TestInferAdaptiveSplitEscalates pins the two-tier composition: the split
-// answer feeds the same entropy gate as InferAdaptive, so threshold 0
-// escalates everything and a ln(classes) threshold escalates nothing.
-func TestInferAdaptiveSplitEscalates(t *testing.T) {
-	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 53, 3)
-	w := NewWorkerSnapshot(snap, 1)
-	addr, err := w.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	m := NewMaster(nil, 10)
-	defer m.Close()
-	m.SwapLocal(snap)
-	if err := m.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.EnableSplit(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-
-	never, err := m.InferAdaptiveSplitContext(context.Background(), x, math.Log(10)+1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, esc := range never.Escalated {
-		if esc {
-			t.Fatalf("sample %d escalated above the max-entropy threshold", b)
-		}
-	}
-	wantProbs, _ := snap.PredictWithEntropy(x)
-	for i := range never.Probs.Data {
-		if math.Float64bits(never.Probs.Data[i]) != math.Float64bits(wantProbs.Data[i]) {
-			t.Fatalf("adaptive split local tier: probs[%d] differ", i)
-		}
-	}
-
-	always, err := m.InferAdaptiveSplitContext(context.Background(), x, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, esc := range always.Escalated {
-		if !esc {
-			t.Fatalf("sample %d not escalated at threshold 0", b)
-		}
-	}
-}
-
 // TestSplitWireBytesMatchEncoding pins the planner's byte model against the
 // real codecs.
 func TestSplitWireBytesMatchEncoding(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	act := rng.Randn(4, 33)
-	req := SplitRequest{Version: "v1.2", Split: 5, X: act}
-	if got, want := SplitRequestWireBytes(4, 33, len("v1.2")), len(EncodeSplitRequest(req)); got != want {
+	// The request is priced as its version pin (u16 length + bytes, carried
+	// by the frame header) plus its body.
+	if got, want := SplitRequestWireBytes(4, 33, len("v1.2")), 2+len("v1.2")+len(encodeSplitRequest(5, act)); got != want {
 		t.Fatalf("SplitRequestWireBytes = %d, encoded = %d", got, want)
 	}
 	res := PredictResult{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4)}
-	if got, want := SplitResultWireBytes(4, 10), len(encodeSplitResult(res)); got != want {
+	if got, want := SplitResultWireBytes(4, 10), len(encodeResult(res, transport.EncodeTensor64)); got != want {
 		t.Fatalf("SplitResultWireBytes = %d, encoded = %d", got, want)
-	}
-}
-
-// TestEscalationRateContextCancel pins the satellite: the context-aware
-// escalation sweep aborts on a cancelled ctx, and the ctx-free wrapper
-// matches it.
-func TestEscalationRateContextCancel(t *testing.T) {
-	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 59, 4)
-	m := NewMaster(nil, 10)
-	defer m.Close()
-	m.SwapLocal(snap)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := m.EscalationRateContext(ctx, x, 0.5); err == nil {
-		t.Fatal("cancelled escalation sweep succeeded")
-	}
-	want, err := m.EscalationRateContext(context.Background(), x, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.EscalationRate(x, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("EscalationRate %g != EscalationRateContext %g", got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,14 +15,14 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Partial-offload wire frames (DESIGN.md §13). A MsgSplitPredict payload
-// carries the model version the head was computed against, the split
-// index, and the intermediate activation at full float64 precision; the
-// peer finishes the tail [split, Steps) from its atomic snapshot pointer
-// and answers MsgSplitResult with full-precision probabilities +
-// entropies. Both directions avoid the query path's float32 quantization
-// because the split contract promises the distributed answer is
-// bit-identical to the full local forward.
+// Partial-offload wire frames (DESIGN.md §13). A MsgSplitPredict body
+// carries the split index and the intermediate activation at full float64
+// precision; the model version the head was computed against rides as the
+// header's version pin. The peer finishes the tail [split, Steps) from its
+// atomic snapshot pointer and answers MsgSplitResult with full-precision
+// probabilities + entropies. Both directions avoid the query path's float32
+// quantization because the split contract promises the distributed answer
+// is bit-identical to the full local forward.
 //
 // Version mismatches are a first-class outcome, not a generic error: a
 // mid-rollout fleet has heads and tails from different model versions for
@@ -31,7 +32,8 @@ import (
 // (which carries the raw input, valid against any version).
 
 // ErrSplitVersionMismatch reports that the serving peer's model version
-// differs from the version the split head was computed against.
+// differs from the version a request was pinned to (for a split request,
+// the version its head was computed against).
 var ErrSplitVersionMismatch = errors.New("cluster: split model version mismatch")
 
 // splitVersionMismatchPrefix is the wire text of a version refusal; the
@@ -39,94 +41,40 @@ var ErrSplitVersionMismatch = errors.New("cluster: split model version mismatch"
 // errors.Is across the network boundary.
 const splitVersionMismatchPrefix = "split version mismatch: "
 
-// splitErrorFromText rehydrates a worker error string into a typed error.
-func splitErrorFromText(text string) error {
+// workerError rehydrates a MsgErrorMux text into an error, typed when the
+// text is a version refusal.
+func workerError(text string) error {
 	if strings.HasPrefix(text, splitVersionMismatchPrefix) {
 		return fmt.Errorf("%w: %s", ErrSplitVersionMismatch, strings.TrimPrefix(text, splitVersionMismatchPrefix))
 	}
 	return fmt.Errorf("worker error: %s", text)
 }
 
-// SplitRequest is a partial-offload request: finish X (the activation at
-// boundary Split, batch rows) from step Split onward, provided the served
-// model version equals Version.
-type SplitRequest struct {
-	Version string
-	Split   int
-	X       *tensor.Tensor
-}
-
-// EncodeSplitRequest serializes r: u16 version length + version bytes, u32
-// split index, then the full-precision activation tensor.
-func EncodeSplitRequest(r SplitRequest) []byte {
-	if len(r.Version) > 0xFFFF {
-		panic("cluster: split version label exceeds 65535 bytes")
-	}
-	act := transport.EncodeTensor64(r.X)
-	out := make([]byte, 0, 2+len(r.Version)+4+len(act))
-	var hdr [2]byte
-	binary.BigEndian.PutUint16(hdr[:], uint16(len(r.Version)))
-	out = append(out, hdr[:]...)
-	out = append(out, r.Version...)
-	var split [4]byte
-	binary.BigEndian.PutUint32(split[:], uint32(r.Split))
-	out = append(out, split[:]...)
+// encodeSplitRequest serializes a split request body: u32 split index, then
+// the full-precision activation at that boundary.
+func encodeSplitRequest(split int, x *tensor.Tensor) []byte {
+	act := transport.EncodeTensor64(x)
+	out := make([]byte, 0, 4+len(act))
+	out = binary.BigEndian.AppendUint32(out, uint32(split))
 	return append(out, act...)
 }
 
-// DecodeSplitRequest parses a split request, returning the bytes consumed
-// (the optional trace trailer rides after them).
-func DecodeSplitRequest(payload []byte) (SplitRequest, int, error) {
-	if len(payload) < 2 {
-		return SplitRequest{}, 0, fmt.Errorf("cluster: split request truncated at version length")
+// decodeSplitRequest parses a split request body.
+func decodeSplitRequest(body []byte) (split int, x *tensor.Tensor, err error) {
+	if len(body) < 4 {
+		return 0, nil, fmt.Errorf("cluster: split request truncated at split index")
 	}
-	vlen := int(binary.BigEndian.Uint16(payload))
-	off := 2
-	if len(payload) < off+vlen+4 {
-		return SplitRequest{}, 0, fmt.Errorf("cluster: split request truncated in header")
-	}
-	version := string(payload[off : off+vlen])
-	off += vlen
-	split := int(binary.BigEndian.Uint32(payload[off:]))
-	off += 4
-	x, used, err := transport.DecodeTensor64(payload[off:])
+	x, _, err = transport.DecodeTensor64(body[4:])
 	if err != nil {
-		return SplitRequest{}, 0, fmt.Errorf("cluster: split request activation: %w", err)
+		return 0, nil, fmt.Errorf("cluster: split request activation: %w", err)
 	}
-	return SplitRequest{Version: version, Split: split, X: x}, off + used, nil
-}
-
-// encodeSplitResult serializes a full-precision result: float64 probs
-// tensor + float64 entropies.
-func encodeSplitResult(r PredictResult) []byte {
-	probs := transport.EncodeTensor64(r.Probs)
-	ent := transport.EncodeFloats(r.Entropy)
-	out := make([]byte, 0, len(probs)+len(ent))
-	out = append(out, probs...)
-	return append(out, ent...)
-}
-
-// decodeSplitResultRest parses a split result and returns the trailing
-// bytes carrying the compute-timing trailer; the shape is checked against
-// what was asked, like decodeResultRest.
-func decodeSplitResultRest(payload []byte, rows, classes int) (PredictResult, []byte, error) {
-	probs, used, err := transport.DecodeTensor64(payload)
-	if err != nil {
-		return PredictResult{}, nil, fmt.Errorf("cluster: decode split result probs: %w", err)
-	}
-	ent, entUsed, err := transport.DecodeFloats(payload[used:])
-	if err != nil {
-		return PredictResult{}, nil, fmt.Errorf("cluster: decode split result entropy: %w", err)
-	}
-	if err := checkResultShape(probs, len(ent), rows, classes); err != nil {
-		return PredictResult{}, nil, err
-	}
-	return PredictResult{Probs: probs, Entropy: ent}, payload[used+entUsed:], nil
+	return int(binary.BigEndian.Uint32(body)), x, nil
 }
 
 // SplitRequestWireBytes reports the on-wire payload size of a split
 // request shipping a batch×width activation — the request half of the
-// planner's link cost model.
+// planner's link cost model: the length-prefixed version pin (it rides in
+// the frame header), the split index and the activation.
 func SplitRequestWireBytes(batch, width, versionLen int) int {
 	return 2 + versionLen + 4 + (1 + 4*2 + 8*batch*width)
 }
@@ -139,39 +87,43 @@ func SplitResultWireBytes(batch, classes int) int {
 	return probs + ent
 }
 
-// runSplitBody executes one split request against a served snapshot: the
-// shared serving body behind MsgSplitPredict on both the worker and the
-// master's fabric listener. It returns the encoded MsgSplitResult payload
-// (with the compute-timing trailer appended) or an error text for
-// MsgErrorMux; a version refusal uses the recognizable mismatch prefix.
-func runSplitBody(snap *nn.Snapshot, servedVersion string, body []byte, tracer *tracerRef, hists *metrics.HistogramSet) (result []byte, errText string) {
-	req, used, err := DecodeSplitRequest(body)
+// serveSplit finishes one split request's tail on snap: the serving body
+// behind MsgSplitPredict on both the worker and the master's fabric
+// listener.
+func serveSplit(ctx context.Context, snap *nn.Snapshot, body []byte, tracer *tracerRef, hists *metrics.HistogramSet) (byte, []byte, time.Duration) {
+	at, x, err := decodeSplitRequest(body)
 	if err != nil {
-		return nil, err.Error()
+		return errorReply(err)
 	}
-	if req.Version != servedVersion {
-		return nil, fmt.Sprintf("%sserving %q, head computed against %q",
-			splitVersionMismatchPrefix, servedVersion, req.Version)
+	if at < 0 || at > snap.Steps() {
+		return errorReply(fmt.Errorf("split index %d outside 0..%d", at, snap.Steps()))
 	}
-	if req.Split < 0 || req.Split > snap.Steps() {
-		return nil, fmt.Sprintf("split index %d outside 0..%d", req.Split, snap.Steps())
+	res, compute, err := timeExpert(ctx, tracer, hists, "split.predict", "worker.split", func() (PredictResult, error) {
+		return runSplitTail(snap, x, at)
+	})
+	if err != nil {
+		return errorReply(err)
 	}
-	ctx := extractTraceContext(body[used:])
+	return MsgSplitResult, encodeResult(res, transport.EncodeTensor64), compute
+}
+
+// timeExpert runs one forward pass — whole or tail — the way every node
+// accounts for it: its duration into the hist histogram, a span under the
+// request's trace parent when it has one, and the duration back for the
+// reply header.
+func timeExpert(ctx context.Context, tracer *tracerRef, hists *metrics.HistogramSet, hist, span string, run func() (PredictResult, error)) (PredictResult, time.Duration, error) {
 	start := time.Now()
-	res, perr := runSplitTail(snap, req.X, req.Split)
+	res, err := run()
 	compute := time.Since(start)
-	hists.Observe("split.predict", compute)
-	if ctx.Valid() {
+	hists.Observe(hist, compute)
+	if parent := trace.FromContext(ctx); parent.Valid() {
 		status := ""
-		if perr != nil {
+		if err != nil {
 			status = trace.StatusError
 		}
-		tracer.get().Record(ctx, "worker.split", "", status, start, compute)
+		tracer.get().Record(parent, span, "", status, start, compute)
 	}
-	if perr != nil {
-		return nil, perr.Error()
-	}
-	return appendComputeTime(encodeSplitResult(res), compute), ""
+	return res, compute, err
 }
 
 // runSplitTail finishes the tail and produces probabilities + entropies

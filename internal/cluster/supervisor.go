@@ -26,10 +26,10 @@ import (
 //	   └──────success───────┘      half-open ◀────┘
 //	   └─────────────── probe success ────────────┘
 //
-// Healthy and suspect peers are routed; an open peer is skipped by
-// InferBestEffort and fails strict Infer fast. A background probe
-// redials and pings the quarantined peer on an exponential-backoff-with-
-// jitter schedule and re-admits it on the first successful pong — so a
+// Healthy and suspect peers are routed; an open peer is skipped by a
+// best-effort or quorum Request and fails a strict one fast. A background
+// probe redials and pings the quarantined peer on an exponential-backoff-
+// with-jitter schedule and re-admits it on the first successful pong — so a
 // worker that reboots, or a WiFi link that heals, rejoins rotation without
 // anyone restarting the master.
 
@@ -347,13 +347,10 @@ func (p *peerConn) probeOnce(cfg SupervisorConfig) bool {
 // pingDeadline bounds a liveness probe: the configured per-peer timeout if
 // set, else the dial timeout — a probe must never wedge.
 func (p *peerConn) pingDeadline(cfg SupervisorConfig) time.Duration {
-	p.mu.Lock()
-	t := p.timeout
-	p.mu.Unlock()
-	if t <= 0 {
-		t = cfg.DialTimeout
+	if t := p.muxTimeout(); t > 0 {
+		return t
 	}
-	return t
+	return cfg.DialTimeout
 }
 
 // ensureConnLocked redials the peer if its connection is down; p.mu held.
@@ -397,12 +394,15 @@ type attemptTiming struct {
 	dialDur   time.Duration
 	rttStart  time.Time
 	rtt       time.Duration // write → read wall time, 0 if the write never happened
-	remote    time.Duration // worker-reported compute time, 0 if the trailer is missing
+	remote    time.Duration // worker-reported compute time, 0 if no forward pass ran
 }
 
-// peerQuery is one broadcast as every peer round trip sees it.
+// peerQuery is one request as every peer round trip sees it.
 type peerQuery struct {
-	payload []byte // encoded input (+ trace trailer), shared by all peers
+	reqType byte   // MsgPredictMux (whole query) or MsgSplitPredict (tail)
+	pin     string // model version the peer must be serving; "" = any
+	series  string // prefix of the peer's counters and histograms for this kind: "" or "split."
+	payload []byte // encoded body, shared by all peers of a broadcast
 	rows    int    // batch size: a reply must carry exactly this many rows
 }
 
@@ -478,7 +478,7 @@ func abortErr(ctx context.Context) error {
 // The round trip splits into "network" (wall time minus the worker-reported
 // compute) and "compute" (attributed to the peer node) — the paper's
 // transfer-vs-compute decomposition, per request.
-func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, tm attemptTiming, err error) {
+func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, series string, tm attemptTiming, err error) {
 	status := ""
 	if err != nil {
 		status = trace.StatusError
@@ -500,10 +500,10 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, tm attem
 		// so the tree reads in causal order. Only its duration is load-
 		// bearing — clocks are never compared across nodes.
 		tr.Record(peerCtx, "compute", p.addr, status, tm.rttStart.Add(network/2), tm.remote)
-		p.observe("compute", tm.remote)
+		p.observe(series+"compute", tm.remote)
 	}
 	if err == nil {
-		p.observe("rtt", tm.rtt)
+		p.observe(series+"rtt", tm.rtt)
 	}
 }
 
@@ -513,11 +513,12 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, tm attem
 // latency histogram — a health sweep doubles as a latency measurement.
 func (p *peerConn) ping() error {
 	cfg := p.config()
+	deadline := p.pingDeadline(cfg)
 	p.mu.Lock()
 	err := p.ensureConnLocked(cfg)
 	if err == nil {
 		start := time.Now()
-		_, err = controlCall(p.conn, p.pingDeadlineLocked(cfg), MsgPing, nil, MsgPong)
+		_, err = controlCall(p.conn, deadline, MsgPing, nil, MsgPong)
 		if err != nil {
 			p.dropConnLocked()
 		} else {
@@ -531,15 +532,6 @@ func (p *peerConn) ping() error {
 	}
 	p.recordSuccess()
 	return nil
-}
-
-// pingDeadlineLocked is pingDeadline for callers already holding p.mu.
-func (p *peerConn) pingDeadlineLocked(cfg SupervisorConfig) time.Duration {
-	t := p.timeout
-	if t <= 0 {
-		t = cfg.DialTimeout
-	}
-	return t
 }
 
 // markClosed stops supervision; the probe loop exits via the done channel.

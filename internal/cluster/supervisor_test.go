@@ -129,7 +129,7 @@ func TestBreakerTripsAndFastFails(t *testing.T) {
 	// Each best-effort call records up to MaxRetries+1 failures; the
 	// breaker must trip within a few calls.
 	for i := 0; i < 4; i++ {
-		if _, _, _, err := master.InferBestEffort(x); err != nil {
+		if _, _, _, err := bestEffort(master, x); err != nil {
 			t.Fatalf("best effort with local expert failed: %v", err)
 		}
 	}
@@ -156,7 +156,7 @@ func TestBreakerTripsAndFastFails(t *testing.T) {
 		t.Fatal("quarantined peer still received wire requests")
 	}
 	// And best effort skips it without counting it live.
-	if _, _, live, err := master.InferBestEffort(x); err != nil || live != 1 {
+	if _, _, live, err := bestEffort(master, x); err != nil || live != 1 {
 		t.Fatalf("best effort around open breaker: live=%d err=%v", live, err)
 	}
 	if master.Counters().Snapshot()["route.skipped_quarantined"] == 0 {
@@ -255,7 +255,7 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	bad := appendMuxID(1, transport.EncodeTensor(tensor.NewRNG(59).Randn(1, 5)))
+	bad := requestPayload(requestHeader{id: 1}, transport.EncodeTensor(tensor.NewRNG(59).Randn(1, 5)))
 	if err := transport.WriteFrame(conn, MsgPredictMux, bad); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 	}
 
 	// Same connection, valid request: the goroutine must have survived.
-	good := appendMuxID(2, transport.EncodeTensor(tensor.NewRNG(60).Randn(1, 4)))
+	good := requestPayload(requestHeader{id: 2}, transport.EncodeTensor(tensor.NewRNG(60).Randn(1, 4)))
 	if err := transport.WriteFrame(conn, MsgPredictMux, good); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 	if typ != MsgResultMux {
 		t.Fatalf("post-panic request answered type=%d %q", typ, payload)
 	}
-	if _, _, err := decodeResultRest(payload[muxIDSize:], 1, 3); err != nil {
+	if _, err := decodeResult(payload[replyHeaderSize:], transport.DecodeTensor, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 }

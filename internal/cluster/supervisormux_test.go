@@ -122,7 +122,7 @@ func TestBreakerCyclesThroughFlappingProxy(t *testing.T) {
 		}
 	}
 	x := tensor.NewRNG(154).Randn(1, 4)
-	if _, _, live, err := master.InferBestEffort(x); err != nil || live != 2 {
+	if _, _, live, err := bestEffort(master, x); err != nil || live != 2 {
 		t.Fatalf("warmup: live=%d err=%v", live, err)
 	}
 
@@ -130,7 +130,7 @@ func TestBreakerCyclesThroughFlappingProxy(t *testing.T) {
 		proxy.SetPlan(chaos.Fault{Mode: chaos.Reset, Prob: 1})
 		deadline := time.Now().Add(5 * time.Second)
 		for master.Health()[0].State != PeerOpen {
-			if _, _, _, err := master.InferBestEffort(x); err != nil {
+			if _, _, _, err := bestEffort(master, x); err != nil {
 				t.Fatalf("cycle %d: best-effort failed with a healthy twin present: %v", cycle, err)
 			}
 			if time.Now().After(deadline) {
@@ -151,7 +151,7 @@ func TestBreakerCyclesThroughFlappingProxy(t *testing.T) {
 	// Full strength after the final heal.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, _, live, err := master.InferBestEffort(x)
+		_, _, live, err := bestEffort(master, x)
 		if err != nil {
 			t.Fatal(err)
 		}

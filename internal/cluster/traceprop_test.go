@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -21,11 +22,13 @@ func spanByName(spans []trace.Span) map[string]trace.Span {
 	return out
 }
 
-// TestTracePropagationOverTCP is the tentpole acceptance check: one traced
-// query against a real TCP worker produces a master-side span tree whose
-// network+compute split sums to (at most) the query total, and the worker
-// records its own span under the SAME trace id — propagated on the wire,
-// not shared in memory.
+// TestTracePropagationOverTCP is the tracing acceptance check: one query a
+// gateway sends under its own span crosses RemoteMaster → MasterServer →
+// Master → Worker over real loopback TCP and comes back as a single tree
+// with one trace id — gateway span → "infer" → "peer …" → network/compute,
+// with the worker's "worker.predict" under the same "infer" — every id
+// propagated in frame headers, none shared in memory. The master-side
+// network+compute split sums to (at most) the query total.
 func TestTracePropagationOverTCP(t *testing.T) {
 	worker := NewWorker(tinyExpert(t, 70), 1)
 	workerTr := trace.New("worker", 0)
@@ -44,10 +47,22 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	x := tensor.NewRNG(72).Randn(1, 4)
-	if _, _, err := master.Infer(x); err != nil {
+	srv := NewMasterServer(master, 7)
+	maddr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
+	rm := NewRemoteMaster(maddr, 2*time.Second)
+	defer rm.Close()
+
+	gatewayTr := trace.New("gateway", 0)
+	batch := gatewayTr.Start(trace.Context{}, "serve.batch")
+	x := tensor.NewRNG(72).Randn(1, 4)
+	if _, _, err := rm.InferContext(trace.NewContext(context.Background(), batch.Ctx()), x); err != nil {
+		t.Fatal(err)
+	}
+	batch.End()
 
 	ids := masterTr.TraceIDs(1)
 	if len(ids) != 1 {
@@ -55,6 +70,11 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}
 	spans := masterTr.Trace(ids[0])
 	by := spanByName(spans)
+	// The fabric hop: the master's tree hangs off the gateway's span.
+	if ids[0] != batch.Ctx().TraceID || by["infer"].ParentID != batch.Ctx().SpanID {
+		t.Fatalf("master trace %x, infer parent %x; want the gateway's trace %x under its span %x",
+			ids[0], by["infer"].ParentID, batch.Ctx().TraceID, batch.Ctx().SpanID)
+	}
 	for _, name := range []string{"infer", "serialize", "peer " + addr, "network", "compute", "local.compute", "gate"} {
 		if _, ok := by[name]; !ok {
 			t.Fatalf("master trace missing span %q; have %v", name, spans)
@@ -72,8 +92,8 @@ func TestTracePropagationOverTCP(t *testing.T) {
 	}
 	// Tree structure: peer span parents network and compute.
 	peer := by["peer "+addr]
-	if by["network"].ParentID != peer.SpanID || by["compute"].ParentID != peer.SpanID {
-		t.Fatal("network/compute spans not parented to the peer span")
+	if peer.ParentID != by["infer"].SpanID || by["network"].ParentID != peer.SpanID || by["compute"].ParentID != peer.SpanID {
+		t.Fatal("infer → peer → network/compute is not one chain")
 	}
 
 	// Worker side: the trace id crossed the TCP connection.
@@ -98,9 +118,9 @@ func TestTracePropagationOverTCP(t *testing.T) {
 }
 
 // TestNewWorkerUntracedMasterInterop: tracing off is a live configuration.
-// The worker always appends its timing trailer; a master that sent no trace
-// trailer must round-trip correctly, and still gets the network/compute
-// split its histograms need.
+// The worker always reports its compute time; a master whose headers carry
+// no trace parent must round-trip correctly, and still gets the
+// network/compute split its histograms need.
 func TestNewWorkerUntracedMasterInterop(t *testing.T) {
 	worker := NewWorker(tinyExpert(t, 74), 1)
 	addr, err := worker.Listen("127.0.0.1:0")
@@ -109,7 +129,7 @@ func TestNewWorkerUntracedMasterInterop(t *testing.T) {
 	}
 	defer worker.Close()
 
-	master := NewMaster(nil, 3) // no SetTracer: no trailer on requests
+	master := NewMaster(nil, 3) // no SetTracer: zero trace fields on requests
 	defer master.Close()
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
@@ -151,7 +171,7 @@ func TestQuarantinedPeerTaggedSkipped(t *testing.T) {
 	worker.Close()
 	x := tensor.NewRNG(78).Randn(1, 4)
 	for i := 0; i < 6; i++ {
-		if _, _, _, err := master.InferBestEffort(x); err != nil {
+		if _, _, _, err := bestEffort(master, x); err != nil {
 			t.Fatal(err)
 		}
 		if h := master.Health(); len(h) == 1 && h[0].State == PeerOpen {
@@ -160,7 +180,7 @@ func TestQuarantinedPeerTaggedSkipped(t *testing.T) {
 	}
 	waitForPeerState(t, master, 0, PeerOpen, 2*time.Second)
 
-	if _, _, live, err := master.InferBestEffort(x); err != nil {
+	if _, _, live, err := bestEffort(master, x); err != nil {
 		t.Fatal(err)
 	} else if live != 1 {
 		t.Fatalf("live = %d, want 1 (local only)", live)

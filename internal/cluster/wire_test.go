@@ -3,9 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,26 +18,21 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Wire-format tests for the one-write frame path: the request id now rides
-// in the header vector and bursts share a write, and none of that may move
-// a byte on the wire — mixed-version fleets and edgesim's byte pricing
-// depend on it.
+// Wire-format tests for the one-write frame path: the frame header rides in
+// the header vector next to the transport's length and type, bursts share a
+// write, and the bytes that leave are pinned literally — they are the
+// contract between every node of a fleet (DESIGN.md §7), and edgesim prices
+// the bodies.
 
-// appendMuxID is how a mux payload was assembled before the id moved next
-// to the frame header (an allocation and a copy of the whole payload per
-// frame). Kept as the reference the golden-bytes test compares against, and
-// for tests that hand-build mux frames.
-func appendMuxID(id uint32, payload []byte) []byte {
-	out := make([]byte, muxIDSize, muxIDSize+len(payload))
-	binary.BigEndian.PutUint32(out, id)
-	return append(out, payload...)
+// requestPayload is a pipelined request as it crosses the wire: header, then
+// body. The hand-built frames of the server-side tests use it.
+func requestPayload(h requestHeader, body []byte) []byte {
+	return append(appendRequestHeader(nil, h), body...)
 }
 
-// referenceFrame renders a frame the way the two-write WriteFrame put it on
-// the wire: 4-byte big-endian length, type, payload.
-func referenceFrame(typ byte, payload []byte) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	return append(append(out, typ), payload...)
+// replyPayload is a pipelined reply as it crosses the wire.
+func replyPayload(h replyHeader, body []byte) []byte {
+	return append(appendReplyHeader(nil, h), body...)
 }
 
 // sent runs send against one end of a pipe and returns the n bytes that
@@ -55,76 +51,98 @@ func sent(t *testing.T, n int, send func(conn net.Conn)) []byte {
 	return got
 }
 
-func TestWireBytesUnchanged(t *testing.T) {
-	x := tensor.NewRNG(7).Randn(2, 4)
-	// The longest form a predict frame takes: tensor plus trace trailer.
-	predict := appendTraceContext(transport.EncodeTensor(x), trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99})
-	fabric := encodeFabricRequest(fabricModeQuorum, 5e6, 2e9, x)
-	split := EncodeSplitRequest(SplitRequest{Version: "v1", Split: 2, X: x})
-	result := appendComputeTime(EncodeResult(PredictResult{Probs: x, Entropy: []float64{0.5, 0.25}}), 3*time.Millisecond)
+// unhex decodes a golden frame written as spaced hex.
+func unhex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(strings.Join(strings.Fields(s), ""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
 
-	// Requests through the mux client (the first id on a link is 1).
+// TestWireBytesGolden pins every pipelined frame kind, byte for byte: frame
+// length and type, the header, the body. The requests go through the mux
+// client (the first id on a link is 1; no ctx deadline, so budget 0 — the
+// header table in header_test.go pins a non-zero budget), the replies
+// through the server-side writer.
+func TestWireBytesGolden(t *testing.T) {
+	x := tensor.New(1, 1)
+	x.Data[0] = 0.5
+	traced := trace.NewContext(context.Background(), trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99})
+
 	for _, tc := range []struct {
-		name             string
-		reqType, resType byte
-		typed            byte // non-zero: sent with roundTripTyped
-		payload          []byte
+		name    string
+		ctx     context.Context
+		reqType byte
+		pin     string
+		body    []byte
+		want    string
 	}{
-		{"MsgPredictMux", MsgPredictMux, MsgResultMux, 0, predict},
-		{"MsgFabricPredict", MsgFabricPredict, MsgFabricResult, 0, fabric},
-		{"MsgSplitPredict", MsgPredictMux, MsgResultMux, MsgSplitPredict, split},
+		{"MsgPredictMux traced", traced, MsgPredictMux, "", transport.EncodeTensor(x), `
+			0000002c 07
+			01 00000001 0000000000000000 1122334455667788 0000000000000099 0000
+			02 00000001 00000001 3f000000`},
+		{"MsgFabricPredict quorum", context.Background(), MsgFabricPredict, "", encodeFabricRequest(Request{X: x, Policy: Policy{Gather: Quorum, Soft: 5 * time.Millisecond}}), `
+			00000035 0e
+			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000
+			02 00000000004c4b40
+			02 00000001 00000001 3f000000`},
+		{"MsgSplitPredict pinned", traced, MsgSplitPredict, "v1", encodeSplitRequest(2, x), `
+			00000036 10
+			01 00000001 0000000000000000 1122334455667788 0000000000000099 0002 7631
+			00000002
+			02 00000001 00000001 3fe0000000000000`},
 	} {
-		want := referenceFrame(tc.reqType, appendMuxID(1, tc.payload))
-		if tc.typed != 0 {
-			want = referenceFrame(tc.typed, appendMuxID(1, tc.payload))
-		}
+		want := unhex(t, tc.want)
 		got := sent(t, len(want), func(conn net.Conn) {
-			mc := newMuxClientTyped(conn, tc.reqType, tc.resType, new(metrics.Gauge), new(metrics.Gauge), nil)
+			mc := newMuxClient(conn, new(metrics.Gauge), new(metrics.Gauge), nil)
 			defer mc.close()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if tc.typed != 0 {
-				mc.roundTripTyped(ctx, tc.typed, tc.payload, 0, ctx.Done())
-			} else {
-				mc.roundTrip(ctx, tc.payload, 0, ctx.Done())
-			}
+			done := make(chan struct{})
+			time.AfterFunc(5*time.Second, func() { close(done) })
+			mc.roundTrip(tc.ctx, tc.reqType, tc.pin, tc.body, 0, done)
 		})
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: wire bytes differ from the parent's\n got %x\nwant %x", tc.name, got, want)
+			t.Errorf("%s: wire bytes moved\n got %x\nwant %x", tc.name, got, want)
 		}
 	}
 
-	// Replies and control frames through the server-side writer.
+	result := EncodeResult(PredictResult{Probs: x, Entropy: []float64{0.25}})
 	for _, tc := range []struct {
 		name string
-		want []byte
 		send func(cw *connWriter) error
+		want string
 	}{
-		{"MsgResultMux", referenceFrame(MsgResultMux, appendMuxID(0xA1B2C3D4, result)),
-			func(cw *connWriter) error { return cw.writeMux(MsgResultMux, 0xA1B2C3D4, result) }},
-		{"MsgErrorMux", referenceFrame(MsgErrorMux, appendMuxID(9, []byte("boom"))),
-			func(cw *connWriter) error { return cw.writeMux(MsgErrorMux, 9, []byte("boom")) }},
-		{"MsgFabricResult empty", referenceFrame(MsgFabricResult, appendMuxID(2, nil)),
-			func(cw *connWriter) error { return cw.writeMux(MsgFabricResult, 2, nil) }},
-		{"MsgResult", referenceFrame(MsgResult, result),
-			func(cw *connWriter) error { return cw.write(MsgResult, result) }},
-		{"MsgPong", []byte{0, 0, 0, 0, MsgPong},
-			func(cw *connWriter) error { return cw.write(MsgPong, nil) }},
+		{"MsgResultMux", func(cw *connWriter) error {
+			return cw.writeReply(MsgResultMux, replyHeader{id: 0xA1B2C3D4, compute: 3 * time.Millisecond}, result)
+		}, `
+			00000026 08
+			01 a1b2c3d4 00000000002dc6c0
+			02 00000001 00000001 3f000000
+			00000001 3fd0000000000000`},
+		{"MsgErrorMux", func(cw *connWriter) error {
+			return cw.writeReply(MsgErrorMux, replyHeader{id: 9}, []byte("boom"))
+		}, `
+			00000011 09
+			01 00000009 0000000000000000
+			626f6f6d`},
+		{"MsgFabricResult empty", func(cw *connWriter) error {
+			return cw.writeReply(MsgFabricResult, replyHeader{id: 2}, nil)
+		}, `
+			0000000d 0f
+			01 00000002 0000000000000000`},
+		{"MsgPong", func(cw *connWriter) error { return cw.write(MsgPong, nil) }, `00000000 02`},
 	} {
-		got := sent(t, len(tc.want), func(conn net.Conn) { tc.send(&connWriter{conn: conn}) })
-		if !bytes.Equal(got, tc.want) {
-			t.Errorf("%s: wire bytes differ from the parent's\n got %x\nwant %x", tc.name, got, tc.want)
+		want := unhex(t, tc.want)
+		got := sent(t, len(want), func(conn net.Conn) { tc.send(&connWriter{conn: conn}) })
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: wire bytes moved\n got %x\nwant %x", tc.name, got, want)
 		}
 	}
 
-	// One absolute anchor, so the reference itself cannot drift.
 	got := sent(t, 5, func(conn net.Conn) { transport.WriteFrame(conn, MsgPing, nil) })
-	if want := []byte{0, 0, 0, 0, 3}; !bytes.Equal(got, want) {
+	if want := []byte{0, 0, 0, 0, 1}; !bytes.Equal(got, want) {
 		t.Errorf("MsgPing on the wire = %x, want %x", got, want)
-	}
-	got = sent(t, 11, func(conn net.Conn) { (&connWriter{conn: conn}).writeMux(MsgResultMux, 7, []byte{0xAA, 0xBB}) })
-	if want := []byte{0, 0, 0, 6, 10, 0, 0, 0, 7, 0xAA, 0xBB}; !bytes.Equal(got, want) {
-		t.Errorf("MsgResultMux on the wire = %x, want %x", got, want)
 	}
 }
 
@@ -160,7 +178,7 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			payload := bytes.Repeat([]byte{mark}, 64)
-			r, _, err := mc.roundTrip(ctx, payload, 0, ctx.Done())
+			r, _, err := mc.roundTrip(ctx, MsgPredictMux, "", payload, 0, ctx.Done())
 			if err == nil && !bytes.Equal(r.payload, payload) {
 				err = io.ErrUnexpectedEOF // someone else's reply
 			}
@@ -196,11 +214,11 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 		if err != nil || typ != MsgPredictMux {
 			t.Fatalf("frame %d: type %d err %v", i, typ, err)
 		}
-		id, body, err := splitMuxID(payload)
+		h, body, err := decodeRequestHeader(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go cw.writeMux(MsgResultMux, id, body)
+		go cw.writeReply(MsgResultMux, replyHeader{id: h.id}, body)
 	}
 	wg.Wait()
 	close(errs)
@@ -217,8 +235,8 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 // BenchmarkMuxRoundTrip drives one pipelined request/reply at a time over
 // loopback TCP against an acking far end, at the batch16 frame size. What
 // still allocates per op is the far end's ReadFrame of the 50 KB request and
-// the reply plumbing; the second 50 KB — appendMuxID's copy of the payload —
-// is gone (parent: 10 allocs, 115 KB per op).
+// the reply plumbing; the header is built in the writer's scratch and costs
+// none (6 allocs, 57.5 KB per op since PR 14).
 func BenchmarkMuxRoundTrip(b *testing.B) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -238,8 +256,8 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 			if err != nil {
 				return
 			}
-			id, _, _ := splitMuxID(payload)
-			if cw.writeMux(MsgResultMux, id, ack) != nil {
+			h, _, _ := decodeRequestHeader(payload)
+			if cw.writeReply(MsgResultMux, replyHeader{id: h.id}, ack) != nil {
 				return
 			}
 		}
@@ -256,7 +274,7 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := mc.roundTrip(ctx, payload, 0, nil); err != nil {
+		if _, _, err := mc.roundTrip(ctx, MsgPredictMux, "", payload, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

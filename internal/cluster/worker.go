@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -20,11 +21,11 @@ import (
 // order — finishes MsgSplitPredict tails the same way, and answers the
 // control frames of the shared server loop (server.go).
 //
-// Every result carries the measured expert compute time as a trailing
-// timing trailer (see tracewire.go), so the master can split its observed
-// round trip into network and compute; requests that arrive with a trace
-// trailer additionally record a "worker.predict" span — under the
-// propagated master trace id — into the worker's own tracer.
+// Every result carries the measured expert compute time in its reply
+// header (header.go), so the master can split its observed round trip into
+// network and compute; requests whose header carries a trace parent
+// additionally record a "worker.predict" span — under the propagated trace
+// id — into the worker's own tracer.
 type Worker struct {
 	// snap is the frozen expert, safe for concurrent inference. An atomic
 	// pointer so a versioned model push (MsgModelPush) can hot-swap it
@@ -63,12 +64,13 @@ func NewWorkerSnapshot(snap *nn.Snapshot, id int) *Worker {
 	}
 	w.snap.Store(snap)
 	w.srv = &frameServer{
-		member:    w.Member,
-		roster:    NewRoster(),
-		applyPush: w.applyModelPush,
-		counters:  w.counters,
-		panicName: "panics.recovered",
-		kinds: map[byte]func([]byte) (byte, []byte){
+		member:      w.Member,
+		roster:      NewRoster(),
+		applyPush:   w.applyModelPush,
+		counters:    w.counters,
+		panicName:   "panics.recovered",
+		expiredName: "requests.expired",
+		kinds: map[byte]handler{
 			MsgPredictMux:   w.serveMuxPredict,
 			MsgSplitPredict: w.serveSplitPredict,
 		},
@@ -116,7 +118,7 @@ func (w *Worker) Member() Member {
 func (w *Worker) Roster() *Roster { return w.srv.roster }
 
 // Counters exposes the worker's serving counters ("requests",
-// "panics.recovered", ...).
+// "requests.expired", "panics.recovered", ...).
 func (w *Worker) Counters() *metrics.CounterSet { return w.counters }
 
 // Histograms exposes the worker's latency histograms ("predict" — expert
@@ -124,7 +126,7 @@ func (w *Worker) Counters() *metrics.CounterSet { return w.counters }
 func (w *Worker) Histograms() *metrics.HistogramSet { return w.hists }
 
 // SetTracer installs (or, with nil, removes) the worker's span collector.
-// Requests carrying a trace trailer then record "worker.predict" spans
+// Requests carrying a trace parent then record "worker.predict" spans
 // correlated with the master's trace ids.
 func (w *Worker) SetTracer(tr *trace.Tracer) { w.tracer.set(tr) }
 
@@ -144,56 +146,28 @@ func (w *Worker) Listen(addr string) (string, error) {
 // serveMuxPredict answers one pipelined whole-query request. A decode error
 // costs one MsgErrorMux, never the connection — the frame boundary is
 // intact and other requests are pipelined behind it.
-func (w *Worker) serveMuxPredict(body []byte) (byte, []byte) {
+func (w *Worker) serveMuxPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
 	w.counters.Counter("requests").Inc()
-	result, errText := w.runPredict(body)
-	if errText != "" {
-		return MsgErrorMux, []byte(errText)
+	x, _, err := transport.DecodeTensor(body)
+	if err != nil {
+		return errorReply(err)
 	}
-	return MsgResultMux, result
+	res, compute, err := timeExpert(ctx, w.tracer, w.hists, "predict", "worker.predict", func() (PredictResult, error) {
+		return w.predict(x)
+	})
+	if err != nil {
+		return errorReply(err)
+	}
+	return MsgResultMux, EncodeResult(res), compute
 }
 
 // serveSplitPredict finishes one partial-offload tail on the served
 // snapshot; split tails share the connection's handler window and write
 // lock with query traffic.
-func (w *Worker) serveSplitPredict(body []byte) (byte, []byte) {
+func (w *Worker) serveSplitPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
 	w.counters.Counter("requests").Inc()
 	w.counters.Counter("requests.split").Inc()
-	result, errText := runSplitBody(w.snap.Load(), w.ModelVersion(), body, w.tracer, w.hists)
-	if errText != "" {
-		return MsgErrorMux, []byte(errText)
-	}
-	return MsgSplitResult, result
-}
-
-// runPredict decodes one predict body (tensor plus optional trace
-// trailer), runs the expert snapshot on it, and returns the encoded
-// result payload — or an error message.
-func (w *Worker) runPredict(body []byte) (result []byte, errText string) {
-	x, used, err := transport.DecodeTensor(body)
-	if err != nil {
-		return nil, err.Error()
-	}
-	// Trace context rides as a trailer after the tensor; absent when the
-	// master runs untraced.
-	ctx := extractTraceContext(body[used:])
-	start := time.Now()
-	res, perr := w.predict(x)
-	compute := time.Since(start)
-	w.hists.Observe("predict", compute)
-	if ctx.Valid() {
-		status := ""
-		if perr != nil {
-			status = trace.StatusError
-		}
-		w.tracer.get().Record(ctx, "worker.predict", "", status, start, compute)
-	}
-	if perr != nil {
-		return nil, perr.Error()
-	}
-	// The compute-time trailer is always appended: the master's
-	// network/compute split needs it whether or not it traces.
-	return appendComputeTime(EncodeResult(res), compute), ""
+	return serveSplit(ctx, w.snap.Load(), body, w.tracer, w.hists)
 }
 
 // predict runs the expert snapshot on x (step 3 of Fig 1d) and pairs

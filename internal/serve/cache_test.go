@@ -279,18 +279,45 @@ func TestWaiterDeadlineExpires(t *testing.T) {
 	}
 }
 
+// handDeadline is a context whose deadline the test fires by hand, so the
+// expiry is ordered after the events it must follow instead of racing them
+// on the wall clock. It advertises no deadline: nothing derived from it (the
+// batch's own context) expires on a timer either.
+type handDeadline struct {
+	context.Context
+	done chan struct{}
+}
+
+func (c handDeadline) Done() <-chan struct{} { return c.done }
+
+func (c handDeadline) Err() error {
+	select {
+	case <-c.done:
+		return context.DeadlineExceeded
+	default:
+		return nil
+	}
+}
+
 // TestWaiterRetriesAfterLeaderDeadline: the leader dies of its *own*
 // deadline; a longer-lived waiter must not inherit that verdict — it
 // retries as the new leader and succeeds.
+//
+// The leader's deadline fires only once the waiter has joined its flight,
+// and each batch that entered the backend gets a gate token of its own. A
+// wall-clock deadline and a single token do not order those events: under
+// -race on 2 vCPU the leader's batch — its context expired, its goroutine
+// not yet run — takes the token meant for the waiter's retry about one run
+// in four, and the retry's batch then sits on the gate for ever.
 func TestWaiterRetriesAfterLeaderDeadline(t *testing.T) {
 	be := &gatedBackend{gate: make(chan struct{}, 2), entered: make(chan struct{}, 2)}
 	gw := New(be, Config{MaxBatch: 4, Coalesce: true})
 	defer gw.Close()
+	defer close(be.gate) // whatever fails, no batch stays parked under Close
 
 	x := row(4, 1)
 	key := gw.digestFor(x)
-	leaderCtx, cancelLeader := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancelLeader()
+	leaderCtx := handDeadline{Context: context.Background(), done: make(chan struct{})}
 	leaderDone := make(chan error, 1)
 	go func() {
 		_, err := gw.Predict(leaderCtx, x)
@@ -303,20 +330,16 @@ func TestWaiterRetriesAfterLeaderDeadline(t *testing.T) {
 		_, err := gw.Predict(context.Background(), row(4, 1))
 		waiterDone <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for gw.flightWaiters(key) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never joined the flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the waiter joining the flight", func() bool { return gw.flightWaiters(key) >= 1 })
 
+	close(leaderCtx.done)
 	if err := <-leaderDone; !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("leader got %v, want context.DeadlineExceeded", err)
 	}
 	// The retrying waiter becomes its own leader and enters the backend;
-	// release it.
+	// release it, and the leader's abandoned batch with it.
 	<-be.entered
+	be.gate <- struct{}{}
 	be.gate <- struct{}{}
 	if err := <-waiterDone; err != nil {
 		t.Fatalf("waiter inherited the leader's deadline: %v", err)

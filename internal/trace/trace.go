@@ -7,9 +7,9 @@
 // The design is deliberately smaller than OpenTelemetry but shaped like it:
 //
 //   - A Context is the propagatable identity of a span: {TraceID, SpanID}.
-//     The cluster protocol carries it as a fixed 16-byte trailer appended
-//     after the tensor payload (old nodes ignore trailing bytes — see
-//     DESIGN.md §7), and the RPC layer carries it in a traced envelope.
+//     The cluster protocol carries it as two fields of every pipelined
+//     frame's header (DESIGN.md §7), and the RPC layer carries it in a
+//     traced envelope.
 //   - A Tracer owns a bounded ring of completed spans. Recording is cheap
 //     (one mutex, no allocation beyond the span) and dropping the oldest
 //     trace under pressure is by design: this is a flight recorder, not a
@@ -34,7 +34,7 @@ import (
 
 // Context identifies a span for cross-node propagation. The zero Context
 // means "no trace": instrumentation below it records nothing, and the wire
-// encoders omit the trailer entirely.
+// encoders send zeros.
 type Context struct {
 	TraceID uint64
 	SpanID  uint64
