@@ -44,7 +44,10 @@ loc:
 # write-coalescing and golden wire-bytes tests (wire_test.go), the
 # server-loop conformance table run against both Worker and MasterServer —
 # header verdicts, expired budget and version pin included (server_test.go)
-# — and the hostile-reply decoder seeds (hostile_test.go).
+# — and the hostile-reply decoder seeds (hostile_test.go). The last line
+# races the live benchmark harnesses at smoke size and the open-loop
+# generator's own tests (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
+# TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
 verify: fmt-check docs
 	$(GO) vet ./...
 	$(GO) test -short ./...
@@ -68,9 +71,10 @@ bench-throughput:
 bench-forward:
 	$(GO) run ./cmd/teamnet-bench -forward -out BENCH_forward.json
 
-# Open-loop direct-vs-gateway serving comparison: Poisson arrivals with
-# per-request deadlines against a real master/worker over a 2ms edge link;
-# the JSON artifact records the micro-batching goodput win (DESIGN.md §9).
+# Open-loop direct-vs-gateway serving comparison: the one load generator
+# (internal/bench/load.go — Poisson arrivals, per-request deadlines) against
+# a real master/worker over a 2ms edge link; the JSON artifact records the
+# micro-batching goodput win (DESIGN.md §9).
 bench-serve:
 	$(GO) run ./cmd/teamnet-bench -serve -qps 10000 -duration 3s -out BENCH_serve.json
 

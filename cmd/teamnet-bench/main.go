@@ -61,14 +61,14 @@ func run() error {
 		throughput = flag.Bool("throughput", false, "run the closed-loop serial-vs-mux throughput benchmark")
 		clients    = flag.Int("clients", 8, "throughput: concurrent closed-loop clients")
 		batch      = flag.Int("batch", 4, "throughput: rows per query")
-		duration   = flag.Duration("duration", 2*time.Second, "throughput/serve: measured window per mode")
-		netDelay   = flag.Duration("netdelay", 2*time.Millisecond, "throughput/serve: one-way link delay (edge RTT model; negative = raw loopback)")
-		out        = flag.String("out", "", "throughput/serve: also write the report as JSON to this file")
+		duration   = flag.Duration("duration", 2*time.Second, "throughput/serve/cache: measured window per mode")
+		netDelay   = flag.Duration("netdelay", 2*time.Millisecond, "throughput/serve/cache/soak/fleet: one-way link delay (edge RTT model; negative = none injected)")
+		out        = flag.String("out", "", "every serving-stack mode (-throughput, -serve, -cache, -forward, -soak, -fleet, -split, -check): also write the report as JSON to this file")
 
 		serveBench = flag.Bool("serve", false, "run the open-loop direct-vs-gateway serving benchmark")
 		targetQPS  = flag.Int("qps", 8000, "serve: offered Poisson arrival rate, requests/second")
-		reqDl      = flag.Duration("req-deadline", 300*time.Millisecond, "serve: per-request deadline")
-		maxBatch   = flag.Int("max-batch", 16, "serve/soak: gateway row budget per coalesced batch")
+		reqDl      = flag.Duration("req-deadline", 300*time.Millisecond, "serve/cache/fleet: per-request deadline")
+		maxBatch   = flag.Int("max-batch", 16, "serve/cache/soak/fleet: gateway row budget per coalesced batch")
 
 		cacheBench = flag.Bool("cache", false, "run the open-loop uncached-vs-cached demand-shaping benchmark on a Zipf-skewed workload")
 		cacheQPS   = flag.Int("cache-qps", 20000, "cache: offered Poisson arrival rate, requests/second")
@@ -109,29 +109,39 @@ func run() error {
 	)
 	flag.Parse()
 
+	// emit prints a finished report and records it as the -out artifact;
+	// the benchmarks with an acceptance bar add their exit-code gate after.
+	emit := func(report fmt.Stringer, err error) error {
+		if err != nil {
+			return err
+		}
+		fmt.Println(report)
+		return writeReport(report, *out)
+	}
+
 	if *throughput {
-		return runThroughput(bench.ThroughputConfig{
+		return emit(bench.RunThroughput(bench.ThroughputConfig{
 			Clients:  *clients,
 			Batch:    *batch,
 			Duration: *duration,
 			NetDelay: *netDelay,
 			Seed:     *seed,
-		}, *out)
+		}))
 	}
 
 	if *serveBench {
-		return runServeBench(bench.ServeBenchConfig{
+		return emit(bench.RunServeBench(bench.ServeBenchConfig{
 			TargetQPS: *targetQPS,
 			Duration:  *duration,
 			Deadline:  *reqDl,
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
 			Seed:      *seed,
-		}, *out)
+		}))
 	}
 
 	if *cacheBench {
-		return runCacheBench(bench.CacheBenchConfig{
+		return emit(bench.RunCacheBench(bench.CacheBenchConfig{
 			QPS:       *cacheQPS,
 			Duration:  *duration,
 			Deadline:  *reqDl,
@@ -142,19 +152,19 @@ func run() error {
 			CacheSize: *cacheSize,
 			CacheTTL:  *cacheTTL,
 			Seed:      *seed,
-		}, *out)
+		}))
 	}
 
 	if *forward {
-		return runForwardBench(bench.ForwardBenchConfig{
+		return emit(bench.RunForwardBench(bench.ForwardBenchConfig{
 			Batch:    *fwBatch,
 			Duration: *fwDur,
 			Seed:     *seed,
-		}, *out)
+		}))
 	}
 
 	if *soak {
-		return runSoak(bench.SoakConfig{
+		report, err := bench.RunSoak(bench.SoakConfig{
 			TargetQPS: *soakQPS,
 			Duration:  *soakDuration,
 			Interval:  *soakInterval,
@@ -163,7 +173,11 @@ func run() error {
 			NetDelay:  *netDelay,
 			MaxBatch:  *maxBatch,
 			Seed:      *seed,
-		}, *out)
+		})
+		if err := emit(report, err); err != nil {
+			return err
+		}
+		return soakGate(report.Summary)
 	}
 
 	if *fleet {
@@ -175,7 +189,7 @@ func run() error {
 			}
 			scales = append(scales, n)
 		}
-		return runFleet(bench.FleetConfig{
+		report, err := bench.RunFleetBench(bench.FleetConfig{
 			PairQPS:        *fleetQPS,
 			Duration:       *fleetDuration,
 			Deadline:       *reqDl,
@@ -184,15 +198,27 @@ func run() error {
 			NetDelay:       *netDelay,
 			MaxBatch:       *maxBatch,
 			Seed:           *seed,
-		}, *out)
+		})
+		if err := emit(report, err); err != nil {
+			return err
+		}
+		return fleetGate(report)
 	}
 
 	if *splitBench {
-		return runSplitBench(bench.SplitBenchConfig{Batch: *splitBatch}, *out)
+		report, err := bench.RunSplitBench(bench.SplitBenchConfig{Batch: *splitBatch})
+		if err := emit(report, err); err != nil {
+			return err
+		}
+		if !report.Pass {
+			return fmt.Errorf("split: auto planner chose %d distinct split points or lost to an endpoint past the %.0f%% floor",
+				report.DistinctAutoSplits, bench.SplitGateFloor*100)
+		}
+		return nil
 	}
 
 	if *check {
-		return runBenchCheck(bench.CheckConfig{
+		report, err := bench.RunBenchCheck(bench.CheckConfig{
 			ThroughputPath: *checkTp,
 			ServePath:      *checkSv,
 			ForwardPath:    *checkFw,
@@ -202,6 +228,13 @@ func run() error {
 			Duration:       *checkDur,
 			Tolerance:      *checkTol,
 		})
+		if err := emit(report, err); err != nil {
+			return err
+		}
+		if !report.Pass {
+			return fmt.Errorf("benchmark regression past %.0f%% tolerance", report.Tolerance*100)
+		}
+		return nil
 	}
 
 	if *list {
@@ -255,60 +288,10 @@ func run() error {
 	return nil
 }
 
-// runThroughput runs the serial-vs-mux comparison, prints the text form,
-// and optionally records the JSON artifact.
-func runThroughput(cfg bench.ThroughputConfig, out string) error {
-	report, err := bench.RunThroughput(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	return writeReport(report, out)
-}
-
-// runServeBench runs the open-loop direct-vs-gateway comparison.
-func runServeBench(cfg bench.ServeBenchConfig, out string) error {
-	report, err := bench.RunServeBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	return writeReport(report, out)
-}
-
-// runCacheBench runs the uncached-vs-cached demand-shaping comparison on
-// the Zipf-skewed workload.
-func runCacheBench(cfg bench.CacheBenchConfig, out string) error {
-	report, err := bench.RunCacheBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	return writeReport(report, out)
-}
-
-// runForwardBench runs the per-model engine comparison and records the
-// forward artifact (snapshot throughput floors + zero-alloc invariant).
-func runForwardBench(cfg bench.ForwardBenchConfig, out string) error {
-	report, err := bench.RunForwardBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	return writeReport(report, out)
-}
-
-// runSoak runs the chaos soak and records its time series.
-func runSoak(cfg bench.SoakConfig, out string) error {
-	report, err := bench.RunSoak(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	if err := writeReport(report, out); err != nil {
-		return err
-	}
-	s := report.Summary
+// soakGate fails the process when the SLO-defense layer misses its
+// acceptance bar: an interval with zero goodput, or tails that never come
+// back down after the heal.
+func soakGate(s bench.SoakSummary) error {
 	if s.ZeroGoodputIntervals > 0 {
 		return fmt.Errorf("soak: %d intervals with zero goodput", s.ZeroGoodputIntervals)
 	}
@@ -318,19 +301,10 @@ func runSoak(cfg bench.SoakConfig, out string) error {
 	return nil
 }
 
-// runFleet runs the scaling + hot-swap fleet bench, records the artifact,
-// and fails the process when the fabric misses its acceptance bar: under 3x
-// aggregate goodput at the largest scale, any hard-failed request across
-// the hot-swap, or any stale-version cache entry left behind.
-func runFleet(cfg bench.FleetConfig, out string) error {
-	report, err := bench.RunFleetBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	if err := writeReport(report, out); err != nil {
-		return err
-	}
+// fleetGate fails the process when the fabric misses its acceptance bar:
+// under 3x aggregate goodput at the largest scale, any hard-failed request
+// across the hot-swap, or any stale-version cache entry left behind.
+func fleetGate(report *bench.FleetReport) error {
 	if len(report.Scales) > 1 && report.ScalingX < 3 {
 		return fmt.Errorf("fleet: %.2fx aggregate goodput scaling, want >= 3x", report.ScalingX)
 	}
@@ -344,40 +318,6 @@ func runFleet(cfg bench.FleetConfig, out string) error {
 		if s.Swap.Version == "" {
 			return fmt.Errorf("fleet: version disagreement after the hot-swap at %d pairs", s.Pairs)
 		}
-	}
-	return nil
-}
-
-// runSplitBench runs the analytic split-planning sweep, records the
-// artifact, and fails the process when the planner misses its acceptance
-// bar: fewer than three distinct auto split points across the link
-// profiles, or an auto plan losing to a static endpoint past the floor.
-func runSplitBench(cfg bench.SplitBenchConfig, out string) error {
-	report, err := bench.RunSplitBench(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	if err := writeReport(report, out); err != nil {
-		return err
-	}
-	if !report.Pass {
-		return fmt.Errorf("split: auto planner chose %d distinct split points or lost to an endpoint past the %.0f%% floor",
-			report.DistinctAutoSplits, bench.SplitGateFloor*100)
-	}
-	return nil
-}
-
-// runBenchCheck re-runs the committed benchmarks and fails the process on a
-// regression, so `make bench-check` gates like a test.
-func runBenchCheck(cfg bench.CheckConfig) error {
-	report, err := bench.RunBenchCheck(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(report)
-	if !report.Pass {
-		return fmt.Errorf("benchmark regression past %.0f%% tolerance", report.Tolerance*100)
 	}
 	return nil
 }

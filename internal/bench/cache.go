@@ -1,14 +1,9 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/serve"
@@ -20,10 +15,10 @@ import (
 // offers uniformly *distinct* rows, which is the cache's worst case and the
 // batcher's best; real edge traffic is the opposite — heavily skewed toward
 // hot inputs (repeated sensor frames, popular queries). This benchmark
-// models that skew with a Zipf-distributed key space: open-loop Poisson
-// arrivals each draw one of KeySpace distinct feature vectors with
-// Zipf(s≈1.1) popularity, so a handful of vectors dominate while a long
-// tail keeps the cache honest.
+// models that skew with a Zipf-distributed key space: each arrival of the
+// open-loop generator (load.go) draws one of KeySpace distinct feature
+// vectors with Zipf(s≈1.1) popularity, so a handful of vectors dominate
+// while a long tail keeps the cache honest.
 //
 // Two modes run against identical stacks under identical offered load:
 //
@@ -47,10 +42,8 @@ type CacheBenchConfig struct {
 	QPS       int           // offered Poisson arrival rate, requests/second
 	Duration  time.Duration // measured window per mode
 	Deadline  time.Duration // per-request deadline
-	NetDelay  time.Duration // one-way link delay; < 0 = raw loopback
+	NetDelay  time.Duration // one-way link delay; < 0 = none injected
 	MaxBatch  int           // gateway row budget per coalesced batch
-	Workers   int           // gateway dispatch workers
-	QueueSize int           // gateway admission lane size
 	KeySpace  int           // distinct feature vectors in the workload
 	ZipfS     float64       // Zipf skew exponent (s > 1)
 	CacheSize int           // response-cache entries in the cached mode
@@ -74,12 +67,6 @@ func (c CacheBenchConfig) normalized() CacheBenchConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-	if c.Workers <= 0 {
-		c.Workers = 4
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 512
-	}
 	if c.KeySpace <= 0 {
 		c.KeySpace = 512
 	}
@@ -100,20 +87,12 @@ func (c CacheBenchConfig) normalized() CacheBenchConfig {
 
 // CacheBenchResult is one mode's half of the comparison.
 type CacheBenchResult struct {
-	Mode       string  `json:"mode"` // "uncached" or "cached"
-	Offered    int     `json:"offered"`
-	Completed  int     `json:"completed"`
-	TimedOut   int     `json:"timed_out"`
-	Shed       int     `json:"shed"`
-	Errors     int     `json:"errors"`
-	GoodputQPS float64 `json:"goodput_qps"`
-	P50Ms      float64 `json:"p50_ms"` // of completed requests
-	P95Ms      float64 `json:"p95_ms"`
-	P99Ms      float64 `json:"p99_ms"`
-	CacheHits  int64   `json:"cache_hits"`
-	Misses     int64   `json:"cache_misses"`
-	Coalesced  int64   `json:"coalesced"`
-	HitRatePct int64   `json:"hit_rate_pct"`
+	Mode string `json:"mode"` // "uncached" or "cached"
+	Load
+	CacheHits  int64 `json:"cache_hits"`
+	Misses     int64 `json:"cache_misses"`
+	Coalesced  int64 `json:"coalesced"`
+	HitRatePct int64 `json:"hit_rate_pct"`
 }
 
 // CacheBenchReport pairs the two modes under identical offered Zipf load.
@@ -162,15 +141,11 @@ func RunCacheBench(cfg CacheBenchConfig) (*CacheBenchReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: cached mode: %w", err)
 	}
-	delay := cfg.NetDelay
-	if delay < 0 {
-		delay = 0
-	}
 	report := &CacheBenchReport{
 		QPS:         cfg.QPS,
 		DurationSec: cfg.Duration.Seconds(),
-		DeadlineMs:  float64(cfg.Deadline.Microseconds()) / 1e3,
-		NetDelayMs:  float64(delay.Microseconds()) / 1e3,
+		DeadlineMs:  configMs(cfg.Deadline),
+		NetDelayMs:  configMs(cfg.NetDelay),
 		MaxBatch:    cfg.MaxBatch,
 		KeySpace:    cfg.KeySpace,
 		ZipfS:       cfg.ZipfS,
@@ -186,119 +161,41 @@ func RunCacheBench(cfg CacheBenchConfig) (*CacheBenchReport, error) {
 }
 
 func runCacheMode(cfg CacheBenchConfig, withCache bool) (CacheBenchResult, error) {
-	stack, err := newServeBenchStack(ServeBenchConfig{NetDelay: cfg.NetDelay, Seed: cfg.Seed})
+	st, err := newStack(stackSpec{workers: 1, seed: cfg.Seed, netDelay: cfg.NetDelay})
 	if err != nil {
 		return CacheBenchResult{}, err
 	}
-	defer stack.close()
+	defer st.close()
 
-	gwCfg := serve.Config{
-		MaxBatch:  cfg.MaxBatch,
-		QueueSize: cfg.QueueSize,
-		Workers:   cfg.Workers,
-	}
+	res := CacheBenchResult{Mode: "uncached"}
+	gwCfg := gatewayConfig(cfg.MaxBatch)
 	if withCache {
+		res.Mode = "cached"
 		gwCfg.CacheSize = cfg.CacheSize
 		gwCfg.CacheTTL = cfg.CacheTTL
 		gwCfg.Coalesce = true
 	}
-	gw := serve.New(stack.master, gwCfg)
+	gw := serve.New(st.master, gwCfg)
 	defer gw.Close()
 
 	// The key space: KeySpace distinct vectors whose popularity follows
 	// Zipf(s) — rank 0 is the hottest. Both modes draw the identical
 	// sequence (same seed), so the comparison isolates the shaping layer.
-	rng := tensor.NewRNG(cfg.Seed + 1)
-	keys := make([]*tensor.Tensor, cfg.KeySpace)
-	for i := range keys {
-		keys[i] = rng.Randn(1, 64)
-	}
-	zipfRNG := rand.New(rand.NewSource(cfg.Seed + 3))
-	zipf := rand.NewZipf(zipfRNG, cfg.ZipfS, 1, uint64(cfg.KeySpace-1))
-
-	for i := 0; i < 3; i++ { // warmup: connections dialed, pools touched
-		if _, _, err := stack.master.Infer(keys[0]); err != nil {
-			return CacheBenchResult{}, err
-		}
+	keys := randRows(tensor.NewRNG(cfg.Seed+1), cfg.KeySpace)
+	zipf := rand.NewZipf(rand.New(rand.NewSource(cfg.Seed+3)), cfg.ZipfS, 1, uint64(cfg.KeySpace-1))
+	if err := st.warm(keys[:1], 3); err != nil {
+		return CacheBenchResult{}, err
 	}
 
-	var (
-		completed atomic.Int64
-		timedOut  atomic.Int64
-		shed      atomic.Int64
-		errorsN   atomic.Int64
-		latMu     sync.Mutex
-		lats      []time.Duration
-	)
-	fire := func(x *tensor.Tensor) {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-		defer cancel()
-		qs := time.Now()
-		_, err := gw.Predict(ctx, x)
-		switch {
-		case err == nil:
-			completed.Add(1)
-			d := time.Since(qs)
-			latMu.Lock()
-			lats = append(lats, d)
-			latMu.Unlock()
-		case errors.Is(err, serve.ErrQueueFull):
-			shed.Add(1)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			timedOut.Add(1)
-		default:
-			errorsN.Add(1)
-		}
-	}
-
-	// Open-loop Poisson arrivals, same regime as the serve benchmark: the
-	// clock does not slow down when the system does.
-	arrivalRNG := rand.New(rand.NewSource(cfg.Seed + 2))
-	offered := 0
-	start := time.Now()
-	end := start.Add(cfg.Duration)
-	next := start
-	var wg sync.WaitGroup
-	for {
-		gap := time.Duration(arrivalRNG.ExpFloat64() / float64(cfg.QPS) * float64(time.Second))
-		next = next.Add(gap)
-		if next.After(end) {
-			break
-		}
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		x := keys[zipf.Uint64()]
-		offered++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fire(x)
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	mode := "uncached"
-	if withCache {
-		mode = "cached"
-	}
+	res.Load = loadSpec{
+		qps: cfg.QPS, window: cfg.Duration, deadline: cfg.Deadline, seed: cfg.Seed + 2,
+		pick: func(int) *tensor.Tensor { return keys[zipf.Uint64()] },
+		call: predict(gw),
+	}.run()[0]
 	counters := gw.Counters()
-	return CacheBenchResult{
-		Mode:       mode,
-		Offered:    offered,
-		Completed:  int(completed.Load()),
-		TimedOut:   int(timedOut.Load()),
-		Shed:       int(shed.Load()),
-		Errors:     int(errorsN.Load()),
-		GoodputQPS: float64(completed.Load()) / elapsed.Seconds(),
-		P50Ms:      ms(percentile(lats, 0.50)),
-		P95Ms:      ms(percentile(lats, 0.95)),
-		P99Ms:      ms(percentile(lats, 0.99)),
-		CacheHits:  counters.Counter("serve.cache.hits").Value(),
-		Misses:     counters.Counter("serve.cache.misses").Value(),
-		Coalesced:  counters.Counter("serve.cache.coalesced").Value(),
-		HitRatePct: gw.Gauges().Gauge("serve.cache.hit_rate_pct").Value(),
-	}, nil
+	res.CacheHits = counters.Counter("serve.cache.hits").Value()
+	res.Misses = counters.Counter("serve.cache.misses").Value()
+	res.Coalesced = counters.Counter("serve.cache.coalesced").Value()
+	res.HitRatePct = gw.Gauges().Gauge("serve.cache.hit_rate_pct").Value()
+	return res, nil
 }

@@ -145,6 +145,24 @@ func EvaluateFleetCheck(committed, current *FleetReport, tol float64) []CheckRes
 	}
 }
 
+// recheck binds one artifact's "read committed → re-run → evaluate" ("" skips).
+func recheck[R any](path string, rerun func(committed *R) (*R, error), evaluate func(committed, current *R, tol float64) []CheckResult) func(tol float64) ([]CheckResult, error) {
+	return func(tol float64) ([]CheckResult, error) {
+		if path == "" {
+			return nil, nil
+		}
+		var committed R
+		if err := readJSON(path, &committed); err != nil {
+			return nil, err
+		}
+		current, err := rerun(&committed)
+		if err != nil {
+			return nil, fmt.Errorf("bench-check: %s re-run: %w", path, err)
+		}
+		return evaluate(&committed, current, tol), nil
+	}
+}
+
 // RunBenchCheck loads the committed artifacts, re-runs each benchmark with
 // the committed configuration (at cfg.Duration when set), and compares. A
 // regression is reported in the CheckReport, not as an error — errors mean
@@ -154,161 +172,107 @@ func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 	if tol <= 0 {
 		tol = CheckTolerance
 	}
-	report := &CheckReport{Tolerance: tol, Pass: true}
-
-	if cfg.ThroughputPath != "" {
-		var committed ThroughputReport
-		if err := readJSON(cfg.ThroughputPath, &committed); err != nil {
-			return nil, err
+	// window is the re-run window of the wire benchmarks: cfg.Duration
+	// exists to shorten their multi-second committed windows.
+	window := func(committedSec float64) time.Duration {
+		if cfg.Duration > 0 {
+			return cfg.Duration
 		}
-		dur := cfg.Duration
-		if dur <= 0 {
-			dur = time.Duration(committed.DurationSec * float64(time.Second))
-		}
-		current, err := RunThroughput(ThroughputConfig{
-			Clients:  committed.Clients,
-			Batch:    committed.Batch,
-			Duration: dur,
-			NetDelay: netDelayFromMs(committed.NetDelayMs),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench-check: throughput re-run: %w", err)
-		}
-		report.Results = append(report.Results, EvaluateThroughputCheck(&committed, current, tol)...)
+		return seconds(committedSec)
 	}
 
-	if cfg.ServePath != "" {
-		var committed ServeBenchReport
-		if err := readJSON(cfg.ServePath, &committed); err != nil {
-			return nil, err
-		}
-		dur := cfg.Duration
-		if dur <= 0 {
-			dur = time.Duration(committed.DurationSec * float64(time.Second))
-		}
-		current, err := RunServeBench(ServeBenchConfig{
-			TargetQPS: committed.TargetQPS,
-			Duration:  dur,
-			Deadline:  time.Duration(committed.DeadlineMs * float64(time.Millisecond)),
-			NetDelay:  netDelayFromMs(committed.NetDelayMs),
-			MaxBatch:  committed.MaxBatch,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench-check: serve re-run: %w", err)
-		}
-		report.Results = append(report.Results, EvaluateServeCheck(&committed, current, tol)...)
-	}
-
-	if cfg.CachePath != "" {
-		var committed CacheBenchReport
-		if err := readJSON(cfg.CachePath, &committed); err != nil {
-			return nil, err
-		}
-		dur := cfg.Duration
-		if dur <= 0 {
-			dur = time.Duration(committed.DurationSec * float64(time.Second))
-		}
-		current, err := RunCacheBench(CacheBenchConfig{
-			QPS:       committed.QPS,
-			Duration:  dur,
-			Deadline:  time.Duration(committed.DeadlineMs * float64(time.Millisecond)),
-			NetDelay:  netDelayFromMs(committed.NetDelayMs),
-			MaxBatch:  committed.MaxBatch,
-			KeySpace:  committed.KeySpace,
-			ZipfS:     committed.ZipfS,
-			CacheSize: committed.CacheSize,
-			CacheTTL:  time.Duration(committed.CacheTTLSec * float64(time.Second)),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench-check: cache re-run: %w", err)
-		}
-		report.Results = append(report.Results, EvaluateCacheCheck(&committed, current, tol)...)
-	}
-
-	if cfg.FleetPath != "" {
-		var committed FleetReport
-		if err := readJSON(cfg.FleetPath, &committed); err != nil {
-			return nil, err
-		}
-		if len(committed.Scales) == 0 {
-			return nil, fmt.Errorf("bench-check: %s records no scales", cfg.FleetPath)
-		}
-		dur := cfg.Duration
-		if dur <= 0 {
-			dur = time.Duration(committed.DurationSec * float64(time.Second))
-		}
-		scales := make([]int, len(committed.Scales))
-		for i, s := range committed.Scales {
-			scales[i] = s.Pairs
-		}
-		current, err := RunFleetBench(FleetConfig{
-			PairQPS:        committed.PairQPS,
-			Duration:       dur,
-			Deadline:       time.Duration(committed.DeadlineMs * float64(time.Millisecond)),
-			Scales:         scales,
-			WorkersPerPair: committed.WorkersPerPair,
-			NetDelay:       netDelayFromMs(committed.NetDelayMs),
-			MaxBatch:       committed.MaxBatch,
-			CacheSize:      committed.CacheSize,
-			KeySpace:       committed.KeySpace,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench-check: fleet re-run: %w", err)
-		}
-		report.Results = append(report.Results, EvaluateFleetCheck(&committed, current, tol)...)
-	}
-
-	if cfg.SplitPath != "" {
-		var committed SplitReport
-		if err := readJSON(cfg.SplitPath, &committed); err != nil {
-			return nil, err
-		}
+	checks := []func(tol float64) ([]CheckResult, error){
+		recheck(cfg.ThroughputPath, func(c *ThroughputReport) (*ThroughputReport, error) {
+			return RunThroughput(ThroughputConfig{
+				Clients:  c.Clients,
+				Batch:    c.Batch,
+				Duration: window(c.DurationSec),
+				NetDelay: netDelayFromMs(c.NetDelayMs),
+			})
+		}, EvaluateThroughputCheck),
+		recheck(cfg.ServePath, func(c *ServeBenchReport) (*ServeBenchReport, error) {
+			return RunServeBench(ServeBenchConfig{
+				TargetQPS: c.TargetQPS,
+				Duration:  window(c.DurationSec),
+				Deadline:  millis(c.DeadlineMs),
+				NetDelay:  netDelayFromMs(c.NetDelayMs),
+				MaxBatch:  c.MaxBatch,
+			})
+		}, EvaluateServeCheck),
+		recheck(cfg.CachePath, func(c *CacheBenchReport) (*CacheBenchReport, error) {
+			return RunCacheBench(CacheBenchConfig{
+				QPS:       c.QPS,
+				Duration:  window(c.DurationSec),
+				Deadline:  millis(c.DeadlineMs),
+				NetDelay:  netDelayFromMs(c.NetDelayMs),
+				MaxBatch:  c.MaxBatch,
+				KeySpace:  c.KeySpace,
+				ZipfS:     c.ZipfS,
+				CacheSize: c.CacheSize,
+				CacheTTL:  seconds(c.CacheTTLSec),
+			})
+		}, EvaluateCacheCheck),
+		recheck(cfg.FleetPath, func(c *FleetReport) (*FleetReport, error) {
+			if len(c.Scales) == 0 {
+				return nil, fmt.Errorf("artifact records no scales")
+			}
+			scales := make([]int, len(c.Scales))
+			for i, s := range c.Scales {
+				scales[i] = s.Pairs
+			}
+			return RunFleetBench(FleetConfig{
+				PairQPS:        c.PairQPS,
+				Duration:       window(c.DurationSec),
+				Deadline:       millis(c.DeadlineMs),
+				Scales:         scales,
+				WorkersPerPair: c.WorkersPerPair,
+				NetDelay:       netDelayFromMs(c.NetDelayMs),
+				MaxBatch:       c.MaxBatch,
+				CacheSize:      c.CacheSize,
+				KeySpace:       c.KeySpace,
+			})
+		}, EvaluateFleetCheck),
 		// The split sweep is analytic (no wall clock), so the committed
-		// configuration is just the batch size; cfg.Duration is irrelevant.
-		current, err := RunSplitBench(SplitBenchConfig{Batch: committed.Batch})
-		if err != nil {
-			return nil, fmt.Errorf("bench-check: split re-run: %w", err)
-		}
-		report.Results = append(report.Results, EvaluateSplitCheck(&committed, current, tol)...)
+		// configuration is just the batch size.
+		recheck(cfg.SplitPath, func(c *SplitReport) (*SplitReport, error) {
+			return RunSplitBench(SplitBenchConfig{Batch: c.Batch})
+		}, EvaluateSplitCheck),
+		// The forward windows are already CI-sized (hundreds of ms per model
+		// per engine), so the committed window is always used.
+		recheck(cfg.ForwardPath, func(c *ForwardReport) (*ForwardReport, error) {
+			return RunForwardBench(ForwardBenchConfig{Batch: c.Batch, Duration: seconds(c.DurationSec)})
+		}, EvaluateForwardCheck),
 	}
 
-	if cfg.ForwardPath != "" {
-		var committed ForwardReport
-		if err := readJSON(cfg.ForwardPath, &committed); err != nil {
+	report := &CheckReport{Tolerance: tol, Pass: true}
+	for _, check := range checks {
+		results, err := check(tol)
+		if err != nil {
 			return nil, err
 		}
-		// The forward windows are already CI-sized (hundreds of ms per model
-		// per engine), so the committed window is always used; cfg.Duration
-		// exists to shorten the multi-second wire benchmarks above.
-		current, err := RunForwardBench(ForwardBenchConfig{
-			Batch:    committed.Batch,
-			Duration: time.Duration(committed.DurationSec * float64(time.Second)),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench-check: forward re-run: %w", err)
+		for _, c := range results {
+			report.Pass = report.Pass && c.Pass
 		}
-		report.Results = append(report.Results, EvaluateForwardCheck(&committed, current, tol)...)
+		report.Results = append(report.Results, results...)
 	}
-
 	if len(report.Results) == 0 {
 		return nil, fmt.Errorf("bench-check: nothing to check (no artifact paths)")
-	}
-	for _, c := range report.Results {
-		if !c.Pass {
-			report.Pass = false
-		}
 	}
 	return report, nil
 }
 
+// seconds and millis turn a report's recorded config back into a duration.
+func seconds(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
+func millis(v float64) time.Duration  { return time.Duration(v * float64(time.Millisecond)) }
+
 // netDelayFromMs restores the config's NetDelay from the recorded
-// milliseconds; a recorded 0 means raw loopback, which the config spells
+// milliseconds; a recorded 0 means no injected delay, which the config spells
 // as a negative delay.
 func netDelayFromMs(msv float64) time.Duration {
 	if msv <= 0 {
 		return -1
 	}
-	return time.Duration(msv * float64(time.Millisecond))
+	return millis(msv)
 }
 
 func readJSON(path string, v any) error {

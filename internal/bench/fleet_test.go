@@ -68,15 +68,15 @@ func TestEvaluateFleetCheck(t *testing.T) {
 	committed := &FleetReport{
 		ScalingX: 3.6,
 		Scales: []FleetScale{
-			{Pairs: 1, GoodputQPS: 400},
-			{Pairs: 4, GoodputQPS: 1440, Swap: FleetSwap{}},
+			{Pairs: 1, Load: Load{GoodputQPS: 400}},
+			{Pairs: 4, Load: Load{GoodputQPS: 1440}, Swap: FleetSwap{}},
 		},
 	}
 	pass := &FleetReport{
 		ScalingX: 3.3,
 		Scales: []FleetScale{
-			{Pairs: 1, GoodputQPS: 390},
-			{Pairs: 4, GoodputQPS: 1300, Swap: FleetSwap{}},
+			{Pairs: 1, Load: Load{GoodputQPS: 390}},
+			{Pairs: 4, Load: Load{GoodputQPS: 1300}, Swap: FleetSwap{}},
 		},
 	}
 	for _, c := range EvaluateFleetCheck(committed, pass, 0.20) {
@@ -90,8 +90,8 @@ func TestEvaluateFleetCheck(t *testing.T) {
 	collapsed := &FleetReport{
 		ScalingX: 2.0,
 		Scales: []FleetScale{
-			{Pairs: 1, GoodputQPS: 400},
-			{Pairs: 4, GoodputQPS: 800},
+			{Pairs: 1, Load: Load{GoodputQPS: 400}},
+			{Pairs: 4, Load: Load{GoodputQPS: 800}},
 		},
 	}
 	results := EvaluateFleetCheck(committed, collapsed, 0.20)
@@ -110,8 +110,8 @@ func TestEvaluateFleetCheck(t *testing.T) {
 	dirty := &FleetReport{
 		ScalingX: 3.6,
 		Scales: []FleetScale{
-			{Pairs: 1, GoodputQPS: 400},
-			{Pairs: 4, GoodputQPS: 1440, Swap: FleetSwap{FailedRequests: 1, StaleEntries: 1}},
+			{Pairs: 1, Load: Load{GoodputQPS: 400}},
+			{Pairs: 4, Load: Load{GoodputQPS: 1440}, Swap: FleetSwap{FailedRequests: 1, StaleEntries: 1}},
 		},
 	}
 	byName := map[string]CheckResult{}

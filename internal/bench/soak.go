@@ -1,33 +1,27 @@
 package bench
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/chaos"
 	"github.com/teamnet/teamnet/internal/cluster"
 	"github.com/teamnet/teamnet/internal/serve"
 	"github.com/teamnet/teamnet/internal/tensor"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // Chaos soak: the acceptance harness for the SLO-defense layer. Where the
-// serve benchmark measures one steady-state window, the soak holds Poisson
-// load against the full production stack — real gateway (degraded mode and
-// brownout controller on), real master (hedging and the shared retry budget
-// on), real snapshot-serving workers, every worker link behind its own
-// chaos proxy —
-// for minutes, while a scripted fault timeline stalls one expert, resets
-// another's link, and finally heals everything. The output is a time
-// series, one row per interval: goodput, latency quantiles, SLO burn, shed
-// rate, degraded-answer rate, hedge activity, brownout level.
+// serve benchmark measures one steady-state window, the soak holds the
+// open-loop generator's load (load.go) against the full production stack —
+// real gateway (degraded mode and brownout controller on), real master
+// (hedging and the shared retry budget on), real snapshot-serving workers,
+// every worker link behind its own chaos proxy (stack.go) — for minutes,
+// while a scripted fault timeline stalls one expert, resets another's link,
+// and finally heals everything. The output is a time series, one row per
+// interval: goodput, latency quantiles, SLO burn, shed rate,
+// degraded-answer rate, hedge activity, brownout level.
 //
 // The defense claim the series must support (checked in Summary): goodput
 // never reaches zero in any interval — faults thin answers, they do not
@@ -69,7 +63,7 @@ func DefaultSoakTimeline(d time.Duration) []SoakEvent {
 
 // SoakConfig sizes one soak run. Zero fields take the defaults (2m run, 5s
 // intervals, 800 req/s offered, 250ms deadline, 3 workers, 2ms one-way
-// link delay, the default timeline).
+// link delay). The fault script is always DefaultSoakTimeline(Duration).
 type SoakConfig struct {
 	TargetQPS int           // offered Poisson arrival rate, requests/second
 	Duration  time.Duration // total soak length
@@ -78,10 +72,7 @@ type SoakConfig struct {
 	Workers   int           // worker nodes, each behind its own chaos proxy
 	NetDelay  time.Duration // one-way link delay injected on every healthy link
 	MaxBatch  int           // gateway row budget
-	QueueSize int           // gateway admission lane size
-	GWWorkers int           // gateway dispatch workers
 	Seed      int64
-	Timeline  []SoakEvent // nil = DefaultSoakTimeline(Duration)
 }
 
 func (c SoakConfig) normalized() SoakConfig {
@@ -109,37 +100,19 @@ func (c SoakConfig) normalized() SoakConfig {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
 	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 512
-	}
-	if c.GWWorkers <= 0 {
-		c.GWWorkers = 4
-	}
 	if c.Seed == 0 {
 		c.Seed = 42
-	}
-	if c.Timeline == nil {
-		c.Timeline = DefaultSoakTimeline(c.Duration)
 	}
 	return c
 }
 
-// SoakInterval is one bucket of the time series. Offered counts arrivals in
-// the bucket; completion fields count by finish time, so a request spans
-// buckets only once. Cumulative gauge-like fields (HedgeFired, Degraded,
-// BudgetDenied) are deltas within the bucket; BrownoutLevel is sampled at
-// the bucket's end.
+// SoakInterval is one bucket of the time series: the generator's Load for
+// the bucket plus what the soak reads off the stack. The cumulative counters
+// (HedgeFired, BudgetDenied) are deltas within the bucket; BrownoutLevel is
+// sampled at the bucket's end.
 type SoakInterval struct {
-	T0Sec         float64 `json:"t0_sec"`
-	Offered       int     `json:"offered"`
-	Completed     int     `json:"completed"`
-	Degraded      int     `json:"degraded"` // completed with a partial ensemble
-	TimedOut      int     `json:"timed_out"`
-	Shed          int     `json:"shed"`
-	Errors        int     `json:"errors"`
-	GoodputQPS    float64 `json:"goodput_qps"`
-	P50Ms         float64 `json:"p50_ms"`
-	P99Ms         float64 `json:"p99_ms"`
+	T0Sec float64 `json:"t0_sec"`
+	Load
 	SLOBurn       float64 `json:"slo_burn"` // (timeouts+shed+errors) / offered
 	HedgeFired    int     `json:"hedge_fired"`
 	BudgetDenied  int     `json:"budget_denied"`
@@ -202,22 +175,23 @@ func (r *SoakReport) String() string {
 	return b.String()
 }
 
-// soakBucket accumulates one interval concurrently.
-type soakBucket struct {
-	offered   atomic.Int64
-	completed atomic.Int64
-	degraded  atomic.Int64
-	timedOut  atomic.Int64
-	shed      atomic.Int64
-	errorsN   atomic.Int64
+// soakSample is the stack's counters read at one interval's end.
+type soakSample struct{ hedgeFired, budgetDenied, brownoutLevel int64 }
 
-	latMu sync.Mutex
-	lats  []time.Duration
-
-	// sampled at the bucket's end by the sampler goroutine
-	hedgeFiredCum   int64
-	budgetDeniedCum int64
-	brownoutLevel   int64
+// applySoakEvent rewrites the link plan of the event's target worker(s).
+func applySoakEvent(st *stack, ev SoakEvent) {
+	var faults []chaos.Fault
+	switch ev.Action {
+	case SoakStall:
+		faults = []chaos.Fault{{Mode: chaos.Stall, Prob: 1}}
+	case SoakReset:
+		faults = []chaos.Fault{{Mode: chaos.Reset, Prob: 1}}
+	}
+	for w := range st.proxies {
+		if ev.Worker < 0 || ev.Worker == w {
+			st.setLink(w, faults...)
+		}
+	}
 }
 
 // RunSoak builds the full stack, runs the load and the fault timeline, and
@@ -226,258 +200,75 @@ type soakBucket struct {
 // where it gets judged.
 func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	cfg = cfg.normalized()
-
-	// --- stack: workers, each behind its own chaos proxy -------------------
-	master := cluster.NewMaster(nil, 10)
-	// The per-peer timeout must undercut the quorum soft deadline (~80% of
-	// the request deadline): a stalled peer has to FAIL its round trip — and
-	// feed the breaker toward quarantine — before the partial-answer path
-	// cancels it as a mere caller abort. At half the deadline, stalls are
-	// classified as peer faults within a few batches and the fleet stops
-	// paying the soft wait; at the full deadline they never would be.
-	master.SetTimeout(cfg.Deadline / 2)
-	master.SetSupervisor(cluster.SupervisorConfig{
-		MaxRetries:       1,
-		FailureThreshold: 3,
-		DialTimeout:      time.Second,
-		RetryBackoff:     &transport.Backoff{Base: 5 * time.Millisecond, Max: 25 * time.Millisecond},
-		ProbeBackoff:     &transport.Backoff{Base: 100 * time.Millisecond, Max: 500 * time.Millisecond},
-	})
-	master.SetHedge(cluster.HedgeConfig{Enabled: true})
-	master.SetRetryBudget(cluster.NewRetryBudget(cluster.RetryBudgetConfig{}))
-	var closers []func()
-	shutdown := func() {
-		for i := len(closers) - 1; i >= 0; i-- {
-			closers[i]()
-		}
+	st, err := newStack(stackSpec{workers: cfg.Workers, seed: cfg.Seed, netDelay: cfg.NetDelay, defend: cfg.Deadline})
+	if err != nil {
+		return nil, err
 	}
-	proxies := make([]*chaos.Proxy, cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
-		expert, err := throughputExpert(cfg.Seed + int64(i))
-		if err != nil {
-			shutdown()
-			return nil, err
-		}
-		worker := cluster.NewWorker(expert, i+1)
-		addr, err := worker.Listen("127.0.0.1:0")
-		if err != nil {
-			shutdown()
-			return nil, err
-		}
-		closers = append(closers, func() { worker.Close() })
-		var plan []chaos.Fault
-		if cfg.NetDelay > 0 {
-			plan = append(plan, chaos.Fault{Mode: chaos.Latency, Delay: cfg.NetDelay})
-		}
-		proxy := chaos.New(addr, plan...)
-		paddr, err := proxy.Listen("127.0.0.1:0")
-		if err != nil {
-			shutdown()
-			return nil, err
-		}
-		closers = append(closers, func() { proxy.Close() })
-		proxies[i] = proxy
-		if err := master.Connect(paddr); err != nil {
-			shutdown()
-			return nil, err
-		}
-	}
-	closers = append(closers, func() { master.Close() })
+	defer st.close()
+	gwCfg := gatewayConfig(cfg.MaxBatch)
+	gwCfg.Degraded = true
+	gwCfg.SLOTarget = cfg.Deadline
+	gw := serve.New(st.master, gwCfg)
+	defer gw.Close()
 
-	gw := serve.New(master, serve.Config{
-		MaxBatch:  cfg.MaxBatch,
-		QueueSize: cfg.QueueSize,
-		Workers:   cfg.GWWorkers,
-		Degraded:  true,
-		SLOTarget: cfg.Deadline,
-	})
-	closers = append(closers, func() { gw.Close() })
-	defer shutdown()
-
-	// healthyPlan restores a link's baseline (delay-only) behavior.
-	healthyPlan := func() []chaos.Fault {
-		if cfg.NetDelay > 0 {
-			return []chaos.Fault{{Mode: chaos.Latency, Delay: cfg.NetDelay}}
-		}
-		return nil
-	}
-	faultPlan := func(action string) []chaos.Fault {
-		plan := healthyPlan()
-		switch action {
-		case SoakStall:
-			plan = append(plan, chaos.Fault{Mode: chaos.Stall, Prob: 1})
-		case SoakReset:
-			plan = append(plan, chaos.Fault{Mode: chaos.Reset, Prob: 1})
-		}
-		return plan
+	rows := randRows(tensor.NewRNG(cfg.Seed+1), 64)
+	if err := st.warm(rows, 30); err != nil {
+		return nil, fmt.Errorf("bench: soak warmup: %w", err)
 	}
 
-	// Warmup: dial every link, seed the rtt histograms hedging reads.
-	rng := tensor.NewRNG(cfg.Seed + 1)
-	rows := make([]*tensor.Tensor, 64)
-	for i := range rows {
-		rows[i] = rng.Randn(1, 64)
+	// The script: the fault timeline, and a counter sample at every interval
+	// boundary (the last interval is sampled once its requests have drained).
+	timeline := DefaultSoakTimeline(cfg.Duration)
+	load := loadSpec{
+		qps: cfg.TargetQPS, window: cfg.Duration, deadline: cfg.Deadline, seed: cfg.Seed + 2,
+		bucket: cfg.Interval, pick: cycle(rows), call: predict(gw),
 	}
-	for i := 0; i < 30; i++ {
-		if _, _, err := master.Infer(rows[i%len(rows)]); err != nil {
-			return nil, fmt.Errorf("bench: soak warmup: %w", err)
+	nBuckets, _ := load.buckets()
+	samples := make([]soakSample, nBuckets)
+	sample := func(i int) {
+		samples[i] = soakSample{
+			hedgeFired:    st.master.Counters().Counter("hedge.fired").Value(),
+			budgetDenied:  st.master.Counters().Counter("retry_budget.denied").Value(),
+			brownoutLevel: gw.Gauges().Gauge("serve.brownout_level").Value(),
 		}
 	}
+	for _, ev := range timeline {
+		load.timeline = append(load.timeline, step{ev.At, func() { applySoakEvent(st, ev) }})
+	}
+	for i := 0; i < nBuckets-1; i++ {
+		load.timeline = append(load.timeline, step{time.Duration(i+1) * cfg.Interval, func() { sample(i) }})
+	}
+	sort.SliceStable(load.timeline, func(i, j int) bool { return load.timeline[i].at < load.timeline[j].at })
+	loads := load.run()
+	sample(nBuckets - 1)
 
-	// --- buckets, fault scheduler, counter sampler -------------------------
-	nBuckets := int((cfg.Duration + cfg.Interval - 1) / cfg.Interval)
-	buckets := make([]*soakBucket, nBuckets)
-	for i := range buckets {
-		buckets[i] = &soakBucket{}
-	}
-	start := time.Now()
-	bucketAt := func(t time.Time) *soakBucket {
-		idx := int(t.Sub(start) / cfg.Interval)
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= nBuckets {
-			idx = nBuckets - 1
-		}
-		return buckets[idx]
-	}
-
-	stop := make(chan struct{})
-	var aux sync.WaitGroup
-	aux.Add(1)
-	go func() { // fault timeline
-		defer aux.Done()
-		for _, ev := range cfg.Timeline {
-			select {
-			case <-time.After(time.Until(start.Add(ev.At))):
-			case <-stop:
-				return
-			}
-			targets := []int{ev.Worker}
-			if ev.Worker < 0 {
-				targets = targets[:0]
-				for i := range proxies {
-					targets = append(targets, i)
-				}
-			}
-			for _, w := range targets {
-				if w < 0 || w >= len(proxies) {
-					continue
-				}
-				if ev.Action == SoakHeal {
-					proxies[w].SetPlan(healthyPlan()...)
-				} else {
-					proxies[w].SetPlan(faultPlan(ev.Action)...)
-				}
-			}
-		}
-	}()
-	aux.Add(1)
-	go func() { // per-interval counter sampler
-		defer aux.Done()
-		for i := 0; i < nBuckets; i++ {
-			select {
-			case <-time.After(time.Until(start.Add(time.Duration(i+1) * cfg.Interval))):
-			case <-stop:
-				return
-			}
-			b := buckets[i]
-			b.hedgeFiredCum = master.Counters().Counter("hedge.fired").Value()
-			b.budgetDeniedCum = master.Counters().Counter("retry_budget.denied").Value()
-			b.brownoutLevel = gw.Gauges().Gauge("serve.brownout_level").Value()
-		}
-	}()
-
-	// --- open-loop Poisson load through the gateway ------------------------
-	fire := func(x *tensor.Tensor) {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-		defer cancel()
-		qs := time.Now()
-		res, err := gw.Predict(ctx, x)
-		done := time.Now()
-		b := bucketAt(done)
-		switch {
-		case err == nil:
-			b.completed.Add(1)
-			if res.Degraded {
-				b.degraded.Add(1)
-			}
-			b.latMu.Lock()
-			b.lats = append(b.lats, done.Sub(qs))
-			b.latMu.Unlock()
-		case errors.Is(err, serve.ErrQueueFull):
-			b.shed.Add(1)
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			b.timedOut.Add(1)
-		default:
-			b.errorsN.Add(1)
-		}
-	}
-	arrivalRNG := rand.New(rand.NewSource(cfg.Seed + 2))
-	end := start.Add(cfg.Duration)
-	next := start
-	sent := 0
-	var wg sync.WaitGroup
-	for {
-		gap := time.Duration(arrivalRNG.ExpFloat64() / float64(cfg.TargetQPS) * float64(time.Second))
-		next = next.Add(gap)
-		if next.After(end) {
-			break
-		}
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		now := time.Now()
-		bucketAt(now).offered.Add(1)
-		x := rows[sent%len(rows)]
-		sent++
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			fire(x)
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	aux.Wait()
-
-	// --- reduce ------------------------------------------------------------
 	report := &SoakReport{
 		TargetQPS:   cfg.TargetQPS,
 		DurationSec: cfg.Duration.Seconds(),
 		IntervalSec: cfg.Interval.Seconds(),
-		DeadlineMs:  float64(cfg.Deadline.Microseconds()) / 1e3,
-		NetDelayMs:  float64(cfg.NetDelay.Microseconds()) / 1e3,
+		DeadlineMs:  configMs(cfg.Deadline),
+		NetDelayMs:  configMs(cfg.NetDelay),
 		Workers:     cfg.Workers,
 		MaxBatch:    cfg.MaxBatch,
-		Timeline:    cfg.Timeline,
+		Timeline:    timeline,
 		Intervals:   make([]SoakInterval, nBuckets),
 	}
-	var prevHedge, prevDenied int64
-	for i, b := range buckets {
-		sort.Slice(b.lats, func(x, y int) bool { return b.lats[x] < b.lats[y] })
+	var prev soakSample
+	for i, load := range loads {
 		iv := SoakInterval{
 			T0Sec:         (time.Duration(i) * cfg.Interval).Seconds(),
-			Offered:       int(b.offered.Load()),
-			Completed:     int(b.completed.Load()),
-			Degraded:      int(b.degraded.Load()),
-			TimedOut:      int(b.timedOut.Load()),
-			Shed:          int(b.shed.Load()),
-			Errors:        int(b.errorsN.Load()),
-			GoodputQPS:    float64(b.completed.Load()) / cfg.Interval.Seconds(),
-			P50Ms:         ms(percentile(b.lats, 0.50)),
-			P99Ms:         ms(percentile(b.lats, 0.99)),
-			HedgeFired:    int(b.hedgeFiredCum - prevHedge),
-			BudgetDenied:  int(b.budgetDeniedCum - prevDenied),
-			BrownoutLevel: int(b.brownoutLevel),
+			Load:          load,
+			HedgeFired:    int(samples[i].hedgeFired - prev.hedgeFired),
+			BudgetDenied:  int(samples[i].budgetDenied - prev.budgetDenied),
+			BrownoutLevel: int(samples[i].brownoutLevel),
 		}
 		if iv.Offered > 0 {
 			iv.SLOBurn = float64(iv.TimedOut+iv.Shed+iv.Errors) / float64(iv.Offered)
 		}
-		prevHedge, prevDenied = b.hedgeFiredCum, b.budgetDeniedCum
+		prev = samples[i]
 		report.Intervals[i] = iv
 	}
-	report.Summary = summarize(cfg, report.Intervals, master)
+	report.Summary = summarize(cfg, timeline, report.Intervals, st.master)
 	return report, nil
 }
 
@@ -485,7 +276,7 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 // is the worst pre-fault interval's p99; recovery means the final interval
 // (after the heal event) answers with goodput and a p99 within 2× that
 // baseline plus scheduler slack — tails must come back down, not ratchet.
-func summarize(cfg SoakConfig, ivs []SoakInterval, master *cluster.Master) SoakSummary {
+func summarize(cfg SoakConfig, timeline []SoakEvent, ivs []SoakInterval, master *cluster.Master) SoakSummary {
 	s := SoakSummary{
 		HedgeFired:    int(master.Counters().Counter("hedge.fired").Value()),
 		HedgeWon:      int(master.Counters().Counter("hedge.won").Value()),
@@ -494,7 +285,7 @@ func summarize(cfg SoakConfig, ivs []SoakInterval, master *cluster.Master) SoakS
 		MinGoodputQPS: -1,
 	}
 	firstFault := cfg.Duration
-	for _, ev := range cfg.Timeline {
+	for _, ev := range timeline {
 		if ev.Action != SoakHeal && ev.At < firstFault {
 			firstFault = ev.At
 		}

@@ -2,14 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"github.com/teamnet/teamnet/internal/chaos"
-	"github.com/teamnet/teamnet/internal/cluster"
-	"github.com/teamnet/teamnet/internal/nn"
+	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
@@ -29,7 +26,7 @@ import (
 // caps throughput at one request per RTT however concurrent the worker's
 // inference snapshot is, while the pipeline shares the RTT across every request in
 // its window — that gap is what this benchmark measures. NetDelay < 0
-// selects raw loopback for comparison.
+// injects no delay (the proxy still forwards), for comparison.
 
 // ThroughputConfig sizes one serial-vs-mux comparison. Zero fields take the
 // defaults (8 clients, batch 4, 2s per mode, 2ms injected one-way link
@@ -38,7 +35,7 @@ type ThroughputConfig struct {
 	Clients  int           // concurrent closed-loop clients
 	Batch    int           // rows per query
 	Duration time.Duration // measured window per mode
-	NetDelay time.Duration // one-way link delay (edge RTT model); < 0 = raw loopback
+	NetDelay time.Duration // one-way link delay (edge RTT model); < 0 = none injected
 	Seed     int64
 }
 
@@ -95,13 +92,6 @@ func (r *ThroughputReport) String() string {
 	return b.String()
 }
 
-// throughputExpert builds one untrained paper-shaped MLP expert. Weights
-// are irrelevant to throughput; the FLOPs are real.
-func throughputExpert(seed int64) (*nn.Network, error) {
-	spec := nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "tp", Input: 64, Width: 128, Layers: 3, Classes: 10}}
-	return spec.Build(tensor.NewRNG(seed))
-}
-
 // RunThroughput measures the serial baseline first, then the mux pipeline,
 // each against a fresh worker so no state carries over.
 func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
@@ -114,15 +104,11 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bench: mux mode: %w", err)
 	}
-	delay := cfg.NetDelay
-	if delay < 0 {
-		delay = 0
-	}
 	report := &ThroughputReport{
 		Clients:     cfg.Clients,
 		Batch:       cfg.Batch,
 		DurationSec: cfg.Duration.Seconds(),
-		NetDelayMs:  float64(delay.Microseconds()) / 1e3,
+		NetDelayMs:  configMs(cfg.NetDelay),
 		Serial:      serial,
 		Mux:         mux,
 	}
@@ -133,40 +119,18 @@ func RunThroughput(cfg ThroughputConfig) (*ThroughputReport, error) {
 }
 
 func runThroughputMode(cfg ThroughputConfig, mux bool) (ThroughputResult, error) {
-	expert, err := throughputExpert(cfg.Seed)
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	worker := cluster.NewWorker(expert, 1)
-	addr, err := worker.Listen("127.0.0.1:0")
-	if err != nil {
-		return ThroughputResult{}, err
-	}
-	defer worker.Close()
-
-	// The edge link: a latency-injecting proxy in front of the worker. The
-	// delay is charged per forwarded chunk, so back-to-back pipelined frames
-	// share one delay while serial round trips each pay their own — the same
-	// physics as a real high-RTT link.
-	if cfg.NetDelay > 0 {
-		proxy := chaos.New(addr, chaos.Fault{Mode: chaos.Latency, Delay: cfg.NetDelay})
-		addr, err = proxy.Listen("127.0.0.1:0")
-		if err != nil {
-			return ThroughputResult{}, err
-		}
-		defer proxy.Close()
-	}
-
 	// Peer-only master: a local expert would add non-wire compute to every
 	// query and blur the transport comparison.
-	master := cluster.NewMaster(nil, 10)
-	defer master.Close()
-	master.SetTimeout(10 * time.Second)
-	if err := master.Connect(addr); err != nil {
+	st, err := newStack(stackSpec{workers: 1, seed: cfg.Seed, netDelay: cfg.NetDelay})
+	if err != nil {
 		return ThroughputResult{}, err
 	}
+	defer st.close()
 
 	x := tensor.NewRNG(cfg.Seed+1).Randn(cfg.Batch, 64)
+	if err := st.warm([]*tensor.Tensor{x}, 3); err != nil {
+		return ThroughputResult{}, err
+	}
 	// The serial baseline is the paper's protocol: one request on the link
 	// at a time, the next one sent only when the reply is in. On this
 	// single-peer master a one-slot gate around Infer is exactly that; a
@@ -177,13 +141,8 @@ func runThroughputMode(cfg ThroughputConfig, mux bool) (ThroughputResult, error)
 			oneInFlight.Lock()
 			defer oneInFlight.Unlock()
 		}
-		_, _, err := master.Infer(x)
+		_, _, err := st.master.Infer(x)
 		return err
-	}
-	for i := 0; i < 3; i++ { // warmup: connections dialed, pools touched
-		if err := infer(); err != nil {
-			return ThroughputResult{}, err
-		}
 	}
 
 	lats := make([][]time.Duration, cfg.Clients)
@@ -213,17 +172,14 @@ func runThroughputMode(cfg ThroughputConfig, mux bool) (ThroughputResult, error)
 		}
 	}
 
-	var all []time.Duration
+	var all metrics.Summary
 	for _, l := range lats {
-		all = append(all, l...)
+		for _, d := range l {
+			all.Observe(d)
+		}
 	}
-	if len(all) == 0 {
+	if all.N() == 0 {
 		return ThroughputResult{}, fmt.Errorf("no queries completed in %v", cfg.Duration)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	var sum time.Duration
-	for _, d := range all {
-		sum += d
 	}
 	mode := "serial"
 	if mux {
@@ -231,22 +187,11 @@ func runThroughputMode(cfg ThroughputConfig, mux bool) (ThroughputResult, error)
 	}
 	return ThroughputResult{
 		Mode:    mode,
-		Queries: len(all),
-		QPS:     float64(len(all)) / elapsed.Seconds(),
-		MeanMs:  float64(sum.Microseconds()) / float64(len(all)) / 1e3,
-		P50Ms:   ms(percentile(all, 0.50)),
-		P95Ms:   ms(percentile(all, 0.95)),
-		P99Ms:   ms(percentile(all, 0.99)),
+		Queries: all.N(),
+		QPS:     float64(all.N()) / elapsed.Seconds(),
+		MeanMs:  ms(all.Mean()),
+		P50Ms:   ms(all.Percentile(50)),
+		P95Ms:   ms(all.Percentile(95)),
+		P99Ms:   ms(all.Percentile(99)),
 	}, nil
 }
-
-// percentile reads q from a sorted latency slice (nearest-rank).
-func percentile(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 }

@@ -2,8 +2,9 @@
 // benchmarks and the CLI tools share:
 //
 //   - Summary: sample-retaining duration statistics for short offline runs
-//     (exact percentiles, unbounded memory — fine for a CLI, wrong for a
-//     server).
+//     (exact percentiles, unbounded memory — fine for a CLI or a benchmark
+//     harness, wrong for a server). The one sample quantile in internal/:
+//     every live harness in internal/bench reads its p50/p95/p99 here.
 //   - Counter / CounterSet: monotonic event counters, the supervisor's
 //     retry/redial/breaker accounting.
 //   - Histogram / HistogramSet: log-bucketed latency histograms with
@@ -92,25 +93,4 @@ func (s *Summary) Max() time.Duration {
 func (s *Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v max=%v",
 		s.N(), s.Mean(), s.Percentile(50), s.Percentile(95), s.Max())
-}
-
-// Stopwatch measures elapsed monotonic time.
-type Stopwatch struct {
-	start time.Time
-}
-
-// NewStopwatch returns a running stopwatch.
-func NewStopwatch() *Stopwatch { return &Stopwatch{start: time.Now()} }
-
-// Elapsed returns time since start (or the last Reset).
-func (w *Stopwatch) Elapsed() time.Duration { return time.Since(w.start) }
-
-// Reset restarts the stopwatch.
-func (w *Stopwatch) Reset() { w.start = time.Now() }
-
-// Timed runs fn and returns its duration.
-func Timed(fn func()) time.Duration {
-	start := time.Now()
-	fn()
-	return time.Since(start)
 }

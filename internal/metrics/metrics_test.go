@@ -48,23 +48,3 @@ func TestSummaryString(t *testing.T) {
 		t.Fatal("empty String")
 	}
 }
-
-func TestStopwatchMonotonic(t *testing.T) {
-	w := NewStopwatch()
-	a := w.Elapsed()
-	b := w.Elapsed()
-	if b < a {
-		t.Fatal("elapsed went backwards")
-	}
-	w.Reset()
-	if w.Elapsed() > a+time.Second {
-		t.Fatal("reset did not restart")
-	}
-}
-
-func TestTimed(t *testing.T) {
-	d := Timed(func() { time.Sleep(2 * time.Millisecond) })
-	if d < 2*time.Millisecond {
-		t.Fatalf("Timed = %v, want ≥ 2ms", d)
-	}
-}
