@@ -1,7 +1,9 @@
 # Build, test and verification entry points. `make verify` is the
 # robustness gate: formatting, vet, docs, plus the failure-path packages
-# (cluster runtime, transport, chaos proxy, trace) under the race detector —
-# the chaos-driven recovery tests only count if they pass with -race.
+# (cluster runtime, transport, chaos proxy, trace) and the two packages whose
+# whole job is concurrent reads during writes (metrics, admin) under the race
+# detector — the chaos-driven recovery tests only count if they pass with
+# -race.
 
 GO ?= go
 
@@ -44,14 +46,17 @@ loc:
 # write-coalescing and golden wire-bytes tests (wire_test.go), the
 # server-loop conformance table run against both Worker and MasterServer —
 # header verdicts, expired budget and version pin included (server_test.go)
-# — and the hostile-reply decoder seeds (hostile_test.go). The last line
+# — the hostile-reply decoder seeds (hostile_test.go), and the registry
+# tests that scrape while writers observe (internal/metrics
+# TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
+# internal/admin serves the same registries over HTTP). The last line
 # races the live benchmark harnesses at smoke size and the open-loop
 # generator's own tests (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
 # TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
 verify: fmt-check docs
 	$(GO) vet ./...
 	$(GO) test -short ./...
-	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/...
+	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...
 	$(GO) test -race -short -count=1 ./internal/bench/...
 
 bench:

@@ -159,9 +159,7 @@ func run() error {
 			}
 			return ok, healths
 		})
-		adm.AddCounters(master.Counters())
-		adm.AddGauges(master.Gauges())
-		adm.AddHistograms(master.Histograms())
+		adm.Add(master.Metrics())
 		adm.TracerFunc(master.Tracer)
 		// Live planner candidate table (JSON null until EnableSplit has a
 		// planner and a profile to report).

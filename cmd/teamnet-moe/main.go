@@ -126,11 +126,10 @@ func nodeMode(path string, expert int, listen, adminAddr string) error {
 			return true, map[string]any{
 				"role":     "moe-expert",
 				"addr":     addr,
-				"requests": srv.Counters().Counter("requests").Value(),
+				"requests": srv.Metrics().Counter("requests").Value(),
 			}
 		})
-		adm.AddCounters(srv.Counters())
-		adm.AddHistograms(srv.Histograms())
+		adm.Add(srv.Metrics())
 		adm.TracerFunc(srv.Tracer)
 		bound, err := adm.Listen(adminAddr)
 		if err != nil {
@@ -165,7 +164,7 @@ func inferMode(path, dsName string, queries, size int, seed int64, peers []strin
 		adm.HealthFunc(func() (bool, any) {
 			return true, map[string]any{"role": "moe-master", "peers": len(peers)}
 		})
-		adm.AddHistograms(master.Histograms())
+		adm.Add(master.Metrics())
 		adm.TracerFunc(master.Tracer)
 		bound, err := adm.Listen(adminAddr)
 		if err != nil {

@@ -147,14 +147,13 @@ func run() error {
 			return true, map[string]any{
 				"role":     "worker",
 				"addr":     addr,
-				"requests": worker.Counters().Counter("requests").Value(),
+				"requests": worker.Metrics().Counter("requests").Value(),
 			}
 		})
-		adm.AddCounters(worker.Counters())
+		adm.Add(worker.Metrics())
 		if proxy != nil {
-			adm.AddCounters(proxy.Counters())
+			adm.Add(proxy.Metrics())
 		}
-		adm.AddHistograms(worker.Histograms())
 		adm.TracerFunc(worker.Tracer)
 		bound, err := adm.Listen(*adminAddr)
 		if err != nil {
@@ -178,9 +177,9 @@ func run() error {
 		cancel()
 	}
 	if proxy != nil {
-		fmt.Printf("chaos injections:\n%s", proxy.Counters())
+		fmt.Printf("chaos injections:\n%s", proxy.Metrics())
 	}
-	if served := worker.Counters().String(); served != "" {
+	if served := worker.Metrics().String(); served != "" {
 		fmt.Printf("worker counters:\n%s", served)
 	}
 	var firstErr error

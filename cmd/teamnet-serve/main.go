@@ -328,21 +328,16 @@ func run() error {
 				"peers": healths,
 			}
 		})
-		adm.AddCounters(gw.Counters(), master.Counters())
-		adm.AddGauges(gw.Gauges(), master.Gauges())
+		adm.Add(gw.Metrics(), master.Metrics())
 		// Only the pinned remotes are registered: gossip-discovered links
-		// come and go on the announce loop's goroutine, and the metric sets
-		// registered here must outlive them.
+		// come and go on the announce loop's goroutine, and the registries
+		// added here must outlive them.
 		if router != nil {
-			adm.AddCounters(router.Counters())
-			adm.AddGauges(router.Gauges())
+			adm.Add(router.Metrics())
 			for _, rm := range staticRemotes {
-				adm.AddCounters(rm.Counters())
-				adm.AddGauges(rm.Gauges())
+				adm.Add(rm.Metrics())
 			}
 		}
-		adm.AddHistograms(gw.Histograms(), master.Histograms())
-		adm.AddValueHistograms(gw.ValueHistograms())
 		adm.TracerFunc(master.Tracer)
 		bound, err := adm.Listen(*adminAddr)
 		if err != nil {
@@ -381,7 +376,7 @@ func run() error {
 		firstErr = err
 	}
 	gw.Close()
-	if served := gw.Counters().String(); served != "" {
+	if served := gw.Metrics().String(); served != "" {
 		fmt.Printf("gateway counters:\n%s", served)
 	}
 	if adm != nil {

@@ -6,8 +6,8 @@
 //
 //	/healthz       supervision state as JSON; 200 when healthy, 503 when
 //	               any peer is quarantined (load balancers key off this)
-//	/metrics       Prometheus text exposition 0.0.4: every registered
-//	               counter set and latency histogram
+//	/metrics       Prometheus text exposition 0.0.4: every counter, gauge
+//	               and histogram of every registered metrics.Registry
 //	/traces        recent traces as JSON span trees; ?n=K bounds the
 //	               number of traces, ?id=<hex> selects one
 //	/debug/pprof/  the standard net/http/pprof profiles
@@ -15,9 +15,12 @@
 // Roles can also publish extra live JSON views (the master's /splitplan,
 // for example) with JSONFunc before Listen.
 //
-// The server holds references, not copies: counters, histograms, and the
-// tracer are read live on every request, so a scrape always sees current
-// values. All sources are optional — an empty server still serves /healthz
+// Metrics come in through one door: each component exports its one
+// *metrics.Registry as Metrics(), and the role hands them all to Add. The
+// server holds references, not copies: registries and the tracer are read
+// live on every request, so a scrape always sees current values (and each
+// histogram self-consistent — see metrics.WritePrometheus). All sources are
+// optional — an empty server still serves /healthz
 // (always ok) and an empty /metrics page, so the CLIs can wire whatever
 // the role has.
 package admin
@@ -40,16 +43,13 @@ import (
 // Server is one admin endpoint. Configure its sources, then Listen.
 // Methods are safe for concurrent use; sources may be added while serving.
 type Server struct {
-	mu        sync.Mutex
-	healthFn  func() (ok bool, detail any)
-	counters  []*metrics.CounterSet
-	gauges    []*metrics.GaugeSet
-	hists     []*metrics.HistogramSet
-	valueHist []*metrics.ValueHistogramSet
-	tracerFn  func() *trace.Tracer
-	jsonFns   map[string]func() any
-	srv       *http.Server
-	ln        net.Listener
+	mu       sync.Mutex
+	healthFn func() (ok bool, detail any)
+	regs     []*metrics.Registry
+	tracerFn func() *trace.Tracer
+	jsonFns  map[string]func() any
+	srv      *http.Server
+	ln       net.Listener
 }
 
 // New returns an unstarted admin server with no sources.
@@ -63,32 +63,10 @@ func (s *Server) HealthFunc(fn func() (ok bool, detail any)) {
 	s.mu.Unlock()
 }
 
-// AddCounters registers counter sets for /metrics.
-func (s *Server) AddCounters(cs ...*metrics.CounterSet) {
+// Add registers metric registries for /metrics.
+func (s *Server) Add(regs ...*metrics.Registry) {
 	s.mu.Lock()
-	s.counters = append(s.counters, cs...)
-	s.mu.Unlock()
-}
-
-// AddGauges registers gauge sets for /metrics.
-func (s *Server) AddGauges(gs ...*metrics.GaugeSet) {
-	s.mu.Lock()
-	s.gauges = append(s.gauges, gs...)
-	s.mu.Unlock()
-}
-
-// AddHistograms registers histogram sets for /metrics.
-func (s *Server) AddHistograms(hs ...*metrics.HistogramSet) {
-	s.mu.Lock()
-	s.hists = append(s.hists, hs...)
-	s.mu.Unlock()
-}
-
-// AddValueHistograms registers unitless value-histogram sets (batch sizes,
-// queue lengths) for /metrics.
-func (s *Server) AddValueHistograms(hs ...*metrics.ValueHistogramSet) {
-	s.mu.Lock()
-	s.valueHist = append(s.valueHist, hs...)
+	s.regs = append(s.regs, regs...)
 	s.mu.Unlock()
 }
 
@@ -213,14 +191,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	counters := append([]*metrics.CounterSet(nil), s.counters...)
-	gauges := append([]*metrics.GaugeSet(nil), s.gauges...)
-	hists := append([]*metrics.HistogramSet(nil), s.hists...)
-	valueHists := append([]*metrics.ValueHistogramSet(nil), s.valueHist...)
+	regs := append([]*metrics.Registry(nil), s.regs...)
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	metrics.WritePrometheus(w, counters, gauges, hists)
-	metrics.WriteValuePrometheus(w, valueHists)
+	metrics.WritePrometheus(w, regs...)
 }
 
 // tracesEntry is one trace in the /traces response.

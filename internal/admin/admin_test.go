@@ -28,18 +28,18 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestAdminEndpoints(t *testing.T) {
-	counters := metrics.NewCounterSet()
-	counters.Counter("requests").Add(7)
-	hists := metrics.NewHistogramSet()
-	hists.Observe("rtt", 3*time.Millisecond)
+	var worker, gateway metrics.Registry // two components through the one Add
+	worker.Counter("requests").Add(7)
+	worker.Histogram("rtt").Observe(int64(3 * time.Millisecond))
+	gateway.Gauge("serve.queue_depth").Set(2)
+	gateway.ValueHistogram("serve.batch_size").Observe(16)
 	tr := trace.New("test", 16)
 	root := tr.Record(trace.Context{}, "infer", "", "", time.Now(), time.Millisecond)
 	tr.Record(root, "network", "", "", time.Now(), 500*time.Microsecond)
 
 	s := New()
 	s.HealthFunc(func() (bool, any) { return true, map[string]int{"peers": 2} })
-	s.AddCounters(counters)
-	s.AddHistograms(hists)
+	s.Add(&worker, &gateway)
 	s.TracerFunc(func() *trace.Tracer { return tr })
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
@@ -67,7 +67,10 @@ func TestAdminEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics code %d", code)
 	}
-	for _, want := range []string{"teamnet_requests_total 7", "teamnet_rtt_seconds_count 1"} {
+	for _, want := range []string{
+		"teamnet_requests_total 7", "teamnet_rtt_seconds_count 1",
+		"teamnet_serve_queue_depth 2", "teamnet_serve_batch_size_sum 16",
+	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)
 		}

@@ -192,10 +192,10 @@ func runCacheMode(cfg CacheBenchConfig, withCache bool) (CacheBenchResult, error
 		pick: func(int) *tensor.Tensor { return keys[zipf.Uint64()] },
 		call: predict(gw),
 	}.run()[0]
-	counters := gw.Counters()
-	res.CacheHits = counters.Counter("serve.cache.hits").Value()
-	res.Misses = counters.Counter("serve.cache.misses").Value()
-	res.Coalesced = counters.Counter("serve.cache.coalesced").Value()
-	res.HitRatePct = gw.Gauges().Gauge("serve.cache.hit_rate_pct").Value()
+	m := gw.Metrics()
+	res.CacheHits = m.Counter("serve.cache.hits").Value()
+	res.Misses = m.Counter("serve.cache.misses").Value()
+	res.Coalesced = m.Counter("serve.cache.coalesced").Value()
+	res.HitRatePct = m.Gauge("serve.cache.hit_rate_pct").Value()
 	return res, nil
 }

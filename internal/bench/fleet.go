@@ -312,8 +312,8 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 		}
 		_, stale := gw.CacheStats()
 		swap.StaleEntries += stale
-		swap.StalePuts += gw.Counters().Counter("serve.cache.stale_puts").Value()
-		swap.Invalidations += gw.Counters().Counter("serve.cache.invalidations").Value()
+		swap.StalePuts += gw.Metrics().Counter("serve.cache.stale_puts").Value()
+		swap.Invalidations += gw.Metrics().Counter("serve.cache.invalidations").Value()
 	}
 	return &FleetScale{Pairs: pairs, Load: load, Swap: swap}, nil
 }

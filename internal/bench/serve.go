@@ -162,7 +162,7 @@ func runServeMode(cfg ServeBenchConfig, viaGateway bool) (ServeBenchResult, floa
 	}.run()[0]
 	meanBatch := 0.0
 	if viaGateway {
-		meanBatch = gw.ValueHistograms().Histogram("serve.batch_size").Mean()
+		meanBatch = gw.Metrics().ValueHistogram("serve.batch_size").Mean()
 	}
 	return res, meanBatch, nil
 }

@@ -227,9 +227,9 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 	samples := make([]soakSample, nBuckets)
 	sample := func(i int) {
 		samples[i] = soakSample{
-			hedgeFired:    st.master.Counters().Counter("hedge.fired").Value(),
-			budgetDenied:  st.master.Counters().Counter("retry_budget.denied").Value(),
-			brownoutLevel: gw.Gauges().Gauge("serve.brownout_level").Value(),
+			hedgeFired:    st.master.Metrics().Counter("hedge.fired").Value(),
+			budgetDenied:  st.master.Metrics().Counter("retry_budget.denied").Value(),
+			brownoutLevel: gw.Metrics().Gauge("serve.brownout_level").Value(),
 		}
 	}
 	for _, ev := range timeline {
@@ -278,10 +278,10 @@ func RunSoak(cfg SoakConfig) (*SoakReport, error) {
 // baseline plus scheduler slack — tails must come back down, not ratchet.
 func summarize(cfg SoakConfig, timeline []SoakEvent, ivs []SoakInterval, master *cluster.Master) SoakSummary {
 	s := SoakSummary{
-		HedgeFired:    int(master.Counters().Counter("hedge.fired").Value()),
-		HedgeWon:      int(master.Counters().Counter("hedge.won").Value()),
-		HedgeWasted:   int(master.Counters().Counter("hedge.wasted").Value()),
-		BudgetDenied:  int(master.Counters().Counter("retry_budget.denied").Value()),
+		HedgeFired:    int(master.Metrics().Counter("hedge.fired").Value()),
+		HedgeWon:      int(master.Metrics().Counter("hedge.won").Value()),
+		HedgeWasted:   int(master.Metrics().Counter("hedge.wasted").Value()),
+		BudgetDenied:  int(master.Metrics().Counter("retry_budget.denied").Value()),
 		MinGoodputQPS: -1,
 	}
 	firstFault := cfg.Duration

@@ -106,8 +106,8 @@ func ParsePlan(spec string) ([]Fault, error) {
 // plan to each byte chunk. Safe for concurrent use; the plan can change
 // while connections are live (new rolls see the new plan).
 type Proxy struct {
-	target   string
-	counters *metrics.CounterSet
+	target  string
+	metrics *metrics.Registry
 
 	mu        sync.Mutex
 	plan      []Fault
@@ -125,12 +125,12 @@ type Proxy struct {
 // The fault die is seeded deterministically; use Reseed for variety.
 func New(target string, plan ...Fault) *Proxy {
 	return &Proxy{
-		target:   target,
-		plan:     plan,
-		rng:      rand.New(rand.NewSource(1)),
-		conns:    make(map[net.Conn]struct{}),
-		counters: metrics.NewCounterSet(),
-		done:     make(chan struct{}),
+		target:  target,
+		plan:    plan,
+		rng:     rand.New(rand.NewSource(1)),
+		conns:   make(map[net.Conn]struct{}),
+		metrics: new(metrics.Registry),
+		done:    make(chan struct{}),
 	}
 }
 
@@ -152,9 +152,9 @@ func (p *Proxy) SetPlan(plan ...Fault) {
 // Heal clears the plan: the proxy becomes a transparent forwarder.
 func (p *Proxy) Heal() { p.SetPlan() }
 
-// Counters exposes injection counts ("injected.reset", "injected.stall",
+// Metrics exposes the injection counts ("injected.reset", "injected.stall",
 // "conns.accepted", ...).
-func (p *Proxy) Counters() *metrics.CounterSet { return p.counters }
+func (p *Proxy) Metrics() *metrics.Registry { return p.metrics }
 
 // Listen binds the proxy to addr ("127.0.0.1:0" for tests) and serves in
 // the background, returning the bound address.
@@ -188,7 +188,7 @@ func (p *Proxy) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return
 		}
-		p.counters.Counter("conns.accepted").Inc()
+		p.metrics.Counter("conns.accepted").Inc()
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -204,7 +204,7 @@ func (p *Proxy) acceptLoop(ln net.Listener) {
 		}
 		p.mu.Unlock()
 		if drop {
-			p.counters.Counter("injected.dropnth").Inc()
+			p.metrics.Counter("injected.dropnth").Inc()
 			hardClose(client)
 			continue
 		}
@@ -218,7 +218,7 @@ func (p *Proxy) serve(client net.Conn) {
 	defer p.wg.Done()
 	upstream, err := net.Dial("tcp", p.target)
 	if err != nil {
-		p.counters.Counter("conns.upstream_dial_failed").Inc()
+		p.metrics.Counter("conns.upstream_dial_failed").Inc()
 		client.Close()
 		return
 	}
@@ -270,7 +270,7 @@ func (p *Proxy) pump(dst, src net.Conn, connDone chan struct{}, finish func()) {
 					return
 				}
 			case Stall:
-				p.counters.Counter("injected.stall").Inc()
+				p.metrics.Counter("injected.stall").Inc()
 				// Go silent: swallow everything further on this direction
 				// until an endpoint gives up (peer deadline or proxy close
 				// error the read), like a WiFi link that stops delivering.
@@ -281,12 +281,12 @@ func (p *Proxy) pump(dst, src net.Conn, connDone chan struct{}, finish func()) {
 					}
 				}
 			case Reset:
-				p.counters.Counter("injected.reset").Inc()
+				p.metrics.Counter("injected.reset").Inc()
 				hardClose(dst)
 				finish()
 				return
 			case Truncate:
-				p.counters.Counter("injected.truncate").Inc()
+				p.metrics.Counter("injected.truncate").Inc()
 				cut := n / 2
 				if cut == 0 {
 					cut = 1
@@ -326,12 +326,12 @@ func (p *Proxy) roll(chunk []byte) (Mode, time.Duration) {
 		case Corrupt:
 			if p.rng.Float64() < f.Prob && len(chunk) > 0 {
 				chunk[p.rng.Intn(len(chunk))] ^= 0xFF
-				p.counters.Counter("injected.corrupt").Inc()
+				p.metrics.Counter("injected.corrupt").Inc()
 			}
 		}
 	}
 	if delay > 0 {
-		p.counters.Counter("injected.latency").Inc()
+		p.metrics.Counter("injected.latency").Inc()
 		return Latency, delay
 	}
 	return "", 0

@@ -84,7 +84,7 @@ func TestProxyTransparentWithEmptyPlan(t *testing.T) {
 	if string(got) != "hello" {
 		t.Fatalf("echo through proxy = %q", got)
 	}
-	if p.Counters().Snapshot()["conns.accepted"] != 1 {
+	if p.Metrics().Counter("conns.accepted").Value() != 1 {
 		t.Fatal("accepted counter not bumped")
 	}
 }
@@ -118,7 +118,7 @@ func TestProxyResetBreaksConnection(t *testing.T) {
 	if _, err := exchange(t, addr, []byte("x"), 2*time.Second); err == nil {
 		t.Fatal("exchange through reset-everything proxy succeeded")
 	}
-	if p.Counters().Snapshot()["injected.reset"] == 0 {
+	if p.Metrics().Counter("injected.reset").Value() == 0 {
 		t.Fatal("reset counter not bumped")
 	}
 }
@@ -152,7 +152,7 @@ func TestProxyTruncateCutsFrame(t *testing.T) {
 	if _, err := exchange(t, addr, make([]byte, 4096), time.Second); err == nil {
 		t.Fatal("exchange through truncating proxy succeeded")
 	}
-	if p.Counters().Snapshot()["injected.truncate"] == 0 {
+	if p.Metrics().Counter("injected.truncate").Value() == 0 {
 		t.Fatal("truncate counter not bumped")
 	}
 }
@@ -183,7 +183,7 @@ func TestProxyCorruptFlipsBytes(t *testing.T) {
 			t.Fatal("corrupting proxy delivered intact bytes")
 		}
 	}
-	if p.Counters().Snapshot()["injected.corrupt"] == 0 {
+	if p.Metrics().Counter("injected.corrupt").Value() == 0 {
 		t.Fatal("corrupt counter not bumped")
 	}
 }

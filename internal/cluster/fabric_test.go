@@ -272,8 +272,8 @@ func TestModelPushHotSwapOverWire(t *testing.T) {
 	if !changed {
 		t.Fatal("hot swap did not change the served model")
 	}
-	if master.Counters().Counter("model.swaps").Value() != 1 {
-		t.Fatalf("model.swaps = %d, want 1", master.Counters().Counter("model.swaps").Value())
+	if master.Metrics().Counter("model.swaps").Value() != 1 {
+		t.Fatalf("model.swaps = %d, want 1", master.Metrics().Counter("model.swaps").Value())
 	}
 }
 

@@ -95,14 +95,14 @@ func (m *Master) Hedge() HedgeConfig { return m.hedge.get() }
 // when hedging is off or the peer has too few samples.
 func (p *peerConn) hedgeDelay() (time.Duration, bool) {
 	cfg := p.hedge.get()
-	if !cfg.Enabled || p.hists == nil {
+	if !cfg.Enabled {
 		return 0, false
 	}
-	h := p.hists.Histogram("peer." + p.addr + ".rtt")
+	h := p.metrics.Histogram("peer." + p.addr + ".rtt")
 	if h.Count() < int64(cfg.MinSamples) {
 		return 0, false
 	}
-	d := h.Quantile(cfg.Quantile)
+	d := time.Duration(h.Quantile(cfg.Quantile))
 	if d < cfg.MinDelay {
 		d = cfg.MinDelay
 	}
@@ -110,14 +110,6 @@ func (p *peerConn) hedgeDelay() (time.Duration, bool) {
 		d = cfg.MaxDelay
 	}
 	return d, true
-}
-
-// hedgeCounter bumps a master-wide hedge counter; nil-safe for hand-built
-// test peers.
-func (p *peerConn) hedgeCounter(name string) {
-	if p.counters != nil {
-		p.counters.Counter(name).Inc()
-	}
 }
 
 // hedgeOutcome is one arm's result in the first-reply-wins race.
@@ -164,9 +156,9 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 				hcancel()
 				if fired {
 					if o.hedge {
-						p.hedgeCounter("hedge.won")
+						p.metrics.Counter("hedge.won").Inc()
 					} else {
-						p.hedgeCounter("hedge.wasted")
+						p.metrics.Counter("hedge.wasted").Inc()
 					}
 				}
 				return o.res, nil
@@ -185,7 +177,7 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 			}
 			fired = true
 			inflight++
-			p.hedgeCounter("hedge.fired")
+			p.metrics.Counter("hedge.fired").Inc()
 			tr.Record(peerCtx, "hedge", "", "", time.Now(), 0)
 			go run(hctx, true)
 		}

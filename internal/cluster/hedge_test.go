@@ -30,7 +30,7 @@ func TestHedgeDisabledByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := master.Counters().Counter("hedge.fired").Value(); got != 0 {
+	if got := master.Metrics().Counter("hedge.fired").Value(); got != 0 {
 		t.Fatalf("hedge.fired = %d with hedging disabled", got)
 	}
 	_ = worker
@@ -95,7 +95,7 @@ func TestHedgeFiresOnSlowPeer(t *testing.T) {
 			t.Fatalf("warmup %d: %v", i, err)
 		}
 	}
-	if got := master.Counters().Counter("hedge.fired").Value(); got != 0 {
+	if got := master.Metrics().Counter("hedge.fired").Value(); got != 0 {
 		t.Fatalf("hedge fired %d times against a fast peer", got)
 	}
 
@@ -110,9 +110,9 @@ func TestHedgeFiresOnSlowPeer(t *testing.T) {
 		}
 	}
 
-	fired := master.Counters().Counter("hedge.fired").Value()
-	won := master.Counters().Counter("hedge.won").Value()
-	wasted := master.Counters().Counter("hedge.wasted").Value()
+	fired := master.Metrics().Counter("hedge.fired").Value()
+	won := master.Metrics().Counter("hedge.won").Value()
+	wasted := master.Metrics().Counter("hedge.wasted").Value()
 	if fired == 0 {
 		t.Fatal("no hedge fired against an 80ms peer with a ~2ms timer")
 	}
@@ -159,10 +159,10 @@ func TestHedgeRespectsRetryBudget(t *testing.T) {
 			t.Fatalf("slow query %d: %v", i, err)
 		}
 	}
-	if fired := master.Counters().Counter("hedge.fired").Value(); fired != 0 {
+	if fired := master.Metrics().Counter("hedge.fired").Value(); fired != 0 {
 		t.Fatalf("a dry budget still funded %d hedges", fired)
 	}
-	if denied := master.Counters().Counter("retry_budget.denied.hedge").Value(); denied == 0 {
+	if denied := master.Metrics().Counter("retry_budget.denied.hedge").Value(); denied == 0 {
 		t.Fatal("budget denials were not counted under retry_budget.denied.hedge")
 	}
 }
@@ -173,11 +173,11 @@ func waitForGaugeZero(t *testing.T, m *Master, name string, within time.Duration
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for {
-		if m.Gauges().Gauge(name).Value() == 0 {
+		if m.Metrics().Gauge(name).Value() == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("gauge %s stuck at %d", name, m.Gauges().Gauge(name).Value())
+			t.Fatalf("gauge %s stuck at %d", name, m.Metrics().Gauge(name).Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

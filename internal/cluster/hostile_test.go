@@ -149,7 +149,7 @@ func TestHostileMasterReplyIsAnError(t *testing.T) {
 			if _, _, err := rm.InferContext(context.Background(), x); err == nil {
 				t.Fatal("gateway accepted a hostile master's reply")
 			}
-			if n := rm.Counters().Counter("fabric.link_down").Value(); n != 1 {
+			if n := rm.Metrics().Counter("fabric.link_down").Value(); n != 1 {
 				t.Fatalf("fabric.link_down = %d, want the pipeline torn down once", n)
 			}
 		})

@@ -55,14 +55,12 @@ type Master struct {
 	// atomic pointer so a versioned model push can hot-swap the snapshot
 	// while inferences are in flight: each query loads the pointer once
 	// and runs to completion on whichever snapshot it started with.
-	local    atomic.Pointer[nn.Snapshot]
-	classes  int
-	counters *metrics.CounterSet
-	gauges   *metrics.GaugeSet
-	hists    *metrics.HistogramSet
-	tracer   *tracerRef
-	hedge    *hedgeRef
-	budget   *budgetRef
+	local   atomic.Pointer[nn.Snapshot]
+	classes int
+	metrics *metrics.Registry
+	tracer  *tracerRef
+	hedge   *hedgeRef
+	budget  *budgetRef
 
 	mu        sync.Mutex
 	timeout   time.Duration // per-round-trip deadline; 0 = none
@@ -78,16 +76,14 @@ type Master struct {
 }
 
 type peerConn struct {
-	addr     string
-	classes  int // classifier width every reply is checked against
-	counters *metrics.CounterSet
-	gauges   *metrics.GaugeSet
-	hists    *metrics.HistogramSet
-	trc      *tracerRef
-	hedge    *hedgeRef
-	budget   *budgetRef
-	done     <-chan struct{}
-	wg       *sync.WaitGroup
+	addr    string
+	classes int // classifier width every reply is checked against
+	metrics *metrics.Registry
+	trc     *tracerRef
+	hedge   *hedgeRef
+	budget  *budgetRef
+	done    <-chan struct{}
+	wg      *sync.WaitGroup
 
 	// conn is the ping/probe control connection; muxEnsure adopts it as
 	// the pipeline's link when one is idle here (the eager dial from
@@ -113,15 +109,13 @@ type peerConn struct {
 // It panics on an uncompilable expert (programmer error at construction).
 func NewMaster(local *nn.Network, classes int) *Master {
 	m := &Master{
-		classes:  classes,
-		counters: metrics.NewCounterSet(),
-		gauges:   metrics.NewGaugeSet(),
-		hists:    metrics.NewHistogramSet(),
-		tracer:   &tracerRef{},
-		hedge:    &hedgeRef{},
-		budget:   &budgetRef{},
-		sup:      DefaultSupervisorConfig(),
-		done:     make(chan struct{}),
+		classes: classes,
+		metrics: new(metrics.Registry),
+		tracer:  &tracerRef{},
+		hedge:   &hedgeRef{},
+		budget:  &budgetRef{},
+		sup:     DefaultSupervisorConfig(),
+		done:    make(chan struct{}),
 	}
 	if local != nil {
 		m.local.Store(nn.MustSnapshot(local))
@@ -138,7 +132,7 @@ func NewMaster(local *nn.Network, classes int) *Master {
 // old expert are invalidated.
 func (m *Master) SwapLocal(snap *nn.Snapshot) {
 	m.local.Store(snap)
-	m.counters.Counter("model.swaps").Inc()
+	m.metrics.Counter("model.swaps").Inc()
 }
 
 // SetTracer installs (or, with nil, removes) the span collector for every
@@ -151,16 +145,13 @@ func (m *Master) SetTracer(tr *trace.Tracer) { m.tracer.set(tr) }
 // Tracer returns the installed tracer (nil when tracing is off).
 func (m *Master) Tracer() *trace.Tracer { return m.tracer.get() }
 
-// Histograms exposes the master's latency histograms: "infer.total",
-// "infer.serialize", "infer.gate", "local.compute" and the per-peer
-// "peer.<addr>.rtt" / "peer.<addr>.compute" / "peer.<addr>.ping" /
-// "peer.<addr>.probe" series.
-func (m *Master) Histograms() *metrics.HistogramSet { return m.hists }
-
-// Gauges exposes the master's level metrics: "mux.inflight" (requests
-// currently pipelined across all peer links) and "mux.queue_depth"
-// (requests waiting for an in-flight window slot).
-func (m *Master) Gauges() *metrics.GaugeSet { return m.gauges }
+// Metrics exposes the master's registry: the supervision counters; the
+// latency histograms "infer.total", "infer.serialize", "infer.gate",
+// "local.compute" and the per-peer "peer.<addr>.rtt" / "peer.<addr>.compute"
+// / "peer.<addr>.ping" / "peer.<addr>.probe" series; and the gauges
+// "mux.inflight" (requests currently pipelined across all peer links) and
+// "mux.queue_depth" (requests waiting for an in-flight window slot).
+func (m *Master) Metrics() *metrics.Registry { return m.metrics }
 
 // SetTimeout bounds every subsequent per-peer round trip. A worker that
 // exceeds the deadline fails that inference instead of wedging the master —
@@ -211,20 +202,18 @@ func (m *Master) Connect(addr string) error {
 		return fmt.Errorf("cluster: master is closed")
 	}
 	p := &peerConn{
-		addr:     addr,
-		classes:  m.classes,
-		counters: m.counters,
-		gauges:   m.gauges,
-		hists:    m.hists,
-		trc:      m.tracer,
-		hedge:    m.hedge,
-		budget:   m.budget,
-		done:     m.done,
-		wg:       &m.probeWG,
-		conn:     conn,
-		timeout:  timeout,
-		cfg:      cfg,
-		state:    PeerHealthy,
+		addr:    addr,
+		classes: m.classes,
+		metrics: m.metrics,
+		trc:     m.tracer,
+		hedge:   m.hedge,
+		budget:  m.budget,
+		done:    m.done,
+		wg:      &m.probeWG,
+		conn:    conn,
+		timeout: timeout,
+		cfg:     cfg,
+		state:   PeerHealthy,
 	}
 	m.peers = append(m.peers, p)
 	return nil
@@ -267,7 +256,7 @@ func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule Gather, so
 	start := time.Now()
 	defer func() {
 		root.EndErr(err)
-		m.hists.Observe("infer.total", time.Since(start))
+		m.metrics.Observe("infer.total", time.Since(start))
 	}()
 	// Peer round trips build their frame headers from ctx, so the root span
 	// rides to the workers as their trace parent; an untraced master sends
@@ -296,7 +285,7 @@ func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Cont
 	start := time.Now()
 	payload := transport.EncodeTensor(x)
 	d := time.Since(start)
-	m.hists.Observe("infer.serialize", d)
+	m.metrics.Observe("infer.serialize", d)
 	tr.Record(root, "serialize", "", "", start, d)
 	return peerQuery{reqType: MsgPredictMux, payload: payload, rows: x.Shape[0]}
 }
@@ -308,7 +297,7 @@ func (m *Master) localResult(local *nn.Snapshot, x *tensor.Tensor, tr *trace.Tra
 	start := time.Now()
 	probs, ent := local.PredictWithEntropy(x)
 	d := time.Since(start)
-	m.hists.Observe("local.compute", d)
+	m.metrics.Observe("local.compute", d)
 	tr.Record(root, "local.compute", "", "", start, d)
 	return PredictResult{Probs: probs, Entropy: ent.Data}
 }
@@ -362,7 +351,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 			if rule == Strict {
 				return nil, nil, fmt.Errorf("cluster: node %d: %w", slot, errPeerQuarantined{addr: p.addr, state: p.State()})
 			}
-			m.counters.Counter("route.skipped_quarantined").Inc()
+			m.metrics.Counter("route.skipped_quarantined").Inc()
 			continue
 		}
 		launched++
@@ -381,7 +370,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 			// expert just reports an error, like any other failed node.
 			defer func() {
 				if r := recover(); r != nil {
-					m.counters.Counter("local.panics_recovered").Inc()
+					m.metrics.Counter("local.panics_recovered").Inc()
 					resc <- slotResult{slot: 0, err: fmt.Errorf("local expert panic: %v", r)}
 				}
 			}()
@@ -412,12 +401,12 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 		case <-softC:
 			softC = nil
 			if live > 0 {
-				m.counters.Counter("infer.partial").Inc()
+				m.metrics.Counter("infer.partial").Inc()
 				return results, ok, nil
 			}
 		case <-ctx.Done():
 			if rule == Quorum && live > 0 {
-				m.counters.Counter("infer.partial").Inc()
+				m.metrics.Counter("infer.partial").Inc()
 				return results, ok, nil
 			}
 			return nil, nil, ctx.Err()
@@ -456,7 +445,7 @@ func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, result
 		copy(probs.RowSlice(b), results[bi].Probs.RowSlice(b))
 	}
 	d := time.Since(gateStart)
-	m.hists.Observe("infer.gate", d)
+	m.metrics.Observe("infer.gate", d)
 	tr.Record(root, "gate", "", "", gateStart, d)
 	return Reply{Probs: probs, Entropy: entropy, Winners: winners}
 }

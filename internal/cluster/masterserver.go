@@ -37,7 +37,7 @@ func NewMasterServer(master *Master, id int) *MasterServer {
 		member:      s.Member,
 		roster:      NewRoster(),
 		applyPush:   s.applyModelPush,
-		counters:    master.Counters(),
+		metrics:     master.metrics,
 		panicName:   "fabric.panics_recovered",
 		expiredName: "fabric.requests.expired",
 		kinds: map[byte]handler{
@@ -96,7 +96,7 @@ func (s *MasterServer) Listen(addr string) (string, error) {
 // ctx is the request's own: the gateway's remaining deadline bounds the
 // gather, and the gateway's span parents the master's "infer" tree.
 func (s *MasterServer) serveFabricPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
-	s.master.counters.Counter("fabric.requests").Inc()
+	s.master.metrics.Counter("fabric.requests").Inc()
 	req, err := decodeFabricRequest(body)
 	if err != nil {
 		return errorReply(err)
@@ -112,12 +112,12 @@ func (s *MasterServer) serveFabricPredict(ctx context.Context, body []byte) (byt
 // local expert snapshot, sharing the worker's serving body (recovered range
 // execution, full-precision result).
 func (s *MasterServer) serveSplitPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
-	s.master.counters.Counter("fabric.requests.split").Inc()
+	s.master.metrics.Counter("fabric.requests.split").Inc()
 	snap := s.master.LocalSnapshot()
 	if snap == nil {
 		return errorReply(errors.New("master has no local expert for split serving"))
 	}
-	return serveSplit(ctx, snap, body, s.master.tracer, s.master.Histograms())
+	return serveSplit(ctx, snap, body, s.master.tracer, s.master.metrics)
 }
 
 // applyModelPush swaps the master's local expert (or just re-labels on a

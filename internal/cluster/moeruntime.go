@@ -28,10 +28,9 @@ import (
 // recorded as "moe.expert.predict" spans under the caller's trace id when a
 // tracer is installed with SetTracer.
 type MoEExpertServer struct {
-	srv      *transport.RPCServer
-	counters *metrics.CounterSet
-	hists    *metrics.HistogramSet
-	tracer   *tracerRef
+	srv     *transport.RPCServer
+	metrics *metrics.Registry
+	tracer  *tracerRef
 }
 
 // ServeMoEExpert starts serving the expert on addr and returns the bound
@@ -42,21 +41,20 @@ func ServeMoEExpert(expert *nn.Network, addr string) (string, *MoEExpertServer, 
 		return "", nil, fmt.Errorf("cluster: moe expert snapshot: %w", err)
 	}
 	s := &MoEExpertServer{
-		srv:      transport.NewRPCServer(),
-		counters: metrics.NewCounterSet(),
-		hists:    metrics.NewHistogramSet(),
-		tracer:   &tracerRef{},
+		srv:     transport.NewRPCServer(),
+		metrics: new(metrics.Registry),
+		tracer:  &tracerRef{},
 	}
 	s.srv.Register("predict", func(req []byte) ([]byte, error) {
-		s.counters.Counter("requests").Inc()
+		s.metrics.Counter("requests").Inc()
 		x, _, err := transport.DecodeTensor(req)
 		if err != nil {
-			s.counters.Counter("errors.decode").Inc()
+			s.metrics.Counter("errors.decode").Inc()
 			return nil, fmt.Errorf("cluster: moe predict decode: %w", err)
 		}
 		start := time.Now()
 		probs := snap.Predict(x)
-		s.hists.Observe("predict", time.Since(start))
+		s.metrics.Observe("predict", time.Since(start))
 		return transport.EncodeTensor(probs), nil
 	})
 	// The RPC server times every handler call itself; for traced requests
@@ -75,11 +73,9 @@ func ServeMoEExpert(expert *nn.Network, addr string) (string, *MoEExpertServer, 
 	return bound, s, nil
 }
 
-// Counters exposes the expert server's request counters.
-func (s *MoEExpertServer) Counters() *metrics.CounterSet { return s.counters }
-
-// Histograms exposes the expert server's latency histograms ("predict").
-func (s *MoEExpertServer) Histograms() *metrics.HistogramSet { return s.hists }
+// Metrics exposes the expert server's registry: the request counters and
+// the "predict" latency histogram.
+func (s *MoEExpertServer) Metrics() *metrics.Registry { return s.metrics }
 
 // SetTracer installs (or, with nil, removes) the expert server's span
 // collector for traced RPC requests.
@@ -96,7 +92,7 @@ func (s *MoEExpertServer) Close() error { return s.srv.Close() }
 type MoEMaster struct {
 	model   *moe.SGMoE
 	clients []*transport.RPCClient // index = expert id
-	hists   *metrics.HistogramSet
+	metrics *metrics.Registry
 	tracer  *tracerRef
 }
 
@@ -105,7 +101,7 @@ func NewMoEMaster(model *moe.SGMoE, addrs []string) (*MoEMaster, error) {
 	if len(addrs) != model.K() {
 		return nil, fmt.Errorf("cluster: %d expert addrs for %d experts", len(addrs), model.K())
 	}
-	m := &MoEMaster{model: model, hists: metrics.NewHistogramSet(), tracer: &tracerRef{}}
+	m := &MoEMaster{model: model, metrics: new(metrics.Registry), tracer: &tracerRef{}}
 	for i, addr := range addrs {
 		cli, err := transport.DialRPC(addr)
 		if err != nil {
@@ -117,9 +113,9 @@ func NewMoEMaster(model *moe.SGMoE, addrs []string) (*MoEMaster, error) {
 	return m, nil
 }
 
-// Histograms exposes the master's latency histograms ("infer.total",
-// "gate", "expert.<i>.rtt", ...).
-func (m *MoEMaster) Histograms() *metrics.HistogramSet { return m.hists }
+// Metrics exposes the master's registry: the latency histograms
+// "infer.total", "gate", "expert.<i>.rtt", ...
+func (m *MoEMaster) Metrics() *metrics.Registry { return m.metrics }
 
 // SetTracer installs (or, with nil, removes) the span collector. When set,
 // Infer records a span tree per query and dispatches traced RPC calls so
@@ -139,7 +135,7 @@ func (m *MoEMaster) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
 	start := time.Now()
 	out, err := m.infer(x, tr, root.Ctx())
 	root.EndErr(err)
-	m.hists.Observe("infer.total", time.Since(start))
+	m.metrics.Observe("infer.total", time.Since(start))
 	return out, err
 }
 
@@ -148,7 +144,7 @@ func (m *MoEMaster) infer(x *tensor.Tensor, tr *trace.Tracer, root trace.Context
 	gateStart := time.Now()
 	indices, weights := m.model.GateSelect(x)
 	gateDur := time.Since(gateStart)
-	m.hists.Observe("gate", gateDur)
+	m.metrics.Observe("gate", gateDur)
 	tr.Record(root, "gate", "", "", gateStart, gateDur)
 
 	// Group rows by selected expert so each expert gets one call.
@@ -187,7 +183,7 @@ func (m *MoEMaster) infer(x *tensor.Tensor, tr *trace.Tracer, root trace.Context
 				r.probs, _, r.err = transport.DecodeTensor(resp)
 			}
 			if err == nil {
-				m.hists.Observe(fmt.Sprintf("expert.%d.rtt", e), rtt)
+				m.metrics.Observe(fmt.Sprintf("expert.%d.rtt", e), rtt)
 				if remote > 0 {
 					// The traced response reports server handler time;
 					// the remainder of the round trip is the wire.

@@ -382,7 +382,7 @@ func (p *peerConn) muxEnsure(cfg SupervisorConfig) (mc *muxClient, dialed bool, 
 		conn = c
 		dialed = true
 	}
-	p.muxc = newMuxClient(conn, p.gauges.Gauge("mux.inflight"), p.gauges.Gauge("mux.queue_depth"), p.muxLinkDown)
+	p.muxc = newMuxClient(conn, p.metrics.Gauge("mux.inflight"), p.metrics.Gauge("mux.queue_depth"), p.muxLinkDown)
 	return p.muxc, dialed, nil
 }
 

@@ -107,14 +107,14 @@ func TestMuxConcurrentInfer(t *testing.T) {
 		t.Fatalf("concurrent infer over mux: %v", err)
 	}
 
-	if got := worker.Counters().Counter("requests").Value(); got != goroutines*rounds {
+	if got := worker.Metrics().Counter("requests").Value(); got != goroutines*rounds {
 		t.Fatalf("worker served %d requests, want %d", got, goroutines*rounds)
 	}
 	// The pipeline drained: nothing in flight, nothing queued.
-	if v := master.Gauges().Gauge("mux.inflight").Value(); v != 0 {
+	if v := master.Metrics().Gauge("mux.inflight").Value(); v != 0 {
 		t.Fatalf("mux.inflight = %d after drain, want 0", v)
 	}
-	if v := master.Gauges().Gauge("mux.queue_depth").Value(); v != 0 {
+	if v := master.Metrics().Gauge("mux.queue_depth").Value(); v != 0 {
 		t.Fatalf("mux.queue_depth = %d after drain, want 0", v)
 	}
 }
@@ -217,7 +217,7 @@ func TestMuxStaleAdoptedConnNoDowngrade(t *testing.T) {
 	if _, _, err := master.Infer(x); err != nil {
 		t.Fatalf("first query after worker restart: %v", err)
 	}
-	if got := w2.Counters().Counter("requests").Value(); got != 1 {
+	if got := w2.Metrics().Counter("requests").Value(); got != 1 {
 		t.Fatalf("restarted worker served %d requests, want the one retry", got)
 	}
 	h := master.Health()[0]

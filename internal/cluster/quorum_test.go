@@ -59,7 +59,7 @@ func TestInferQuorumPartialOnSoftDeadline(t *testing.T) {
 	if probs.Shape[0] != 2 || len(winners) != 2 || probs.HasNaN() {
 		t.Fatalf("malformed partial answer: shape %v, %d winners", probs.Shape, len(winners))
 	}
-	if got := master.Counters().Counter("infer.partial").Value(); got == 0 {
+	if got := master.Metrics().Counter("infer.partial").Value(); got == 0 {
 		t.Fatal("partial answer was not counted under infer.partial")
 	}
 }
@@ -98,7 +98,7 @@ func TestInferQuorumCountsQuarantined(t *testing.T) {
 	}
 	waitForPeerState(t, master, 0, PeerOpen, 5*time.Second)
 
-	skippedBefore := master.Counters().Counter("route.skipped_quarantined").Value()
+	skippedBefore := master.Metrics().Counter("route.skipped_quarantined").Value()
 	_, _, live, total, err := master.InferQuorumContext(context.Background(), x, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestInferQuorumCountsQuarantined(t *testing.T) {
 	if total != 3 || live != 2 {
 		t.Fatalf("live/total = %d/%d, want 2/3 with one quarantined peer", live, total)
 	}
-	if got := master.Counters().Counter("route.skipped_quarantined").Value(); got <= skippedBefore {
+	if got := master.Metrics().Counter("route.skipped_quarantined").Value(); got <= skippedBefore {
 		t.Fatal("quarantined peer was not skipped at routing")
 	}
 }
@@ -167,7 +167,7 @@ func TestLocalPanicContained(t *testing.T) {
 	if err == nil {
 		t.Fatal("width-mismatched input produced an answer")
 	}
-	if got := master.Counters().Counter("local.panics_recovered").Value(); got == 0 {
+	if got := master.Metrics().Counter("local.panics_recovered").Value(); got == 0 {
 		t.Fatal("local panic was not recovered via the gather guard")
 	}
 

@@ -20,10 +20,9 @@ import (
 
 // RemoteMaster pipelines fabric inferences to one master address.
 type RemoteMaster struct {
-	addr     string
-	timeout  time.Duration // per-request link deadline; 0 = none
-	counters *metrics.CounterSet
-	gauges   *metrics.GaugeSet
+	addr    string
+	timeout time.Duration // per-request link deadline; 0 = none
+	metrics *metrics.Registry
 
 	mu     sync.Mutex
 	muxc   *muxClient
@@ -35,22 +34,19 @@ type RemoteMaster struct {
 // pipeline is torn down and redialed, like the peer mux link).
 func NewRemoteMaster(addr string, timeout time.Duration) *RemoteMaster {
 	return &RemoteMaster{
-		addr:     addr,
-		timeout:  timeout,
-		counters: metrics.NewCounterSet(),
-		gauges:   metrics.NewGaugeSet(),
+		addr:    addr,
+		timeout: timeout,
+		metrics: new(metrics.Registry),
 	}
 }
 
 // Addr returns the target master's address.
 func (r *RemoteMaster) Addr() string { return r.addr }
 
-// Counters exposes the client's counters ("fabric.requests",
-// "fabric.errors", "fabric.redials").
-func (r *RemoteMaster) Counters() *metrics.CounterSet { return r.counters }
-
-// Gauges exposes "fabric.inflight" and "fabric.queue_depth".
-func (r *RemoteMaster) Gauges() *metrics.GaugeSet { return r.gauges }
+// Metrics exposes the client's registry: the counters "fabric.requests",
+// "fabric.errors" and "fabric.redials", the gauges "fabric.inflight" and
+// "fabric.queue_depth".
+func (r *RemoteMaster) Metrics() *metrics.Registry { return r.metrics }
 
 // ensure returns a live mux client, dialing a fresh connection if the
 // previous pipeline died.
@@ -64,14 +60,14 @@ func (r *RemoteMaster) ensure() (*muxClient, error) {
 		return r.muxc, nil
 	}
 	if r.muxc != nil {
-		r.counters.Counter("fabric.redials").Inc()
+		r.metrics.Counter("fabric.redials").Inc()
 	}
 	conn, err := transport.Dial(r.addr, r.timeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: remote master dial %s: %w", r.addr, err)
 	}
-	r.muxc = newMuxClient(conn, r.gauges.Gauge("fabric.inflight"), r.gauges.Gauge("fabric.queue_depth"),
-		func(error) { r.counters.Counter("fabric.link_down").Inc() })
+	r.muxc = newMuxClient(conn, r.metrics.Gauge("fabric.inflight"), r.metrics.Gauge("fabric.queue_depth"),
+		func(error) { r.metrics.Counter("fabric.link_down").Inc() })
 	return r.muxc, nil
 }
 
@@ -82,20 +78,20 @@ func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 	}
 	mc, err := r.ensure()
 	if err != nil {
-		r.counters.Counter("fabric.errors").Inc()
+		r.metrics.Counter("fabric.errors").Inc()
 		return Reply{}, err
 	}
-	r.counters.Counter("fabric.requests").Inc()
+	r.metrics.Counter("fabric.requests").Inc()
 	// The frame header carries ctx across: the caller's remaining deadline
 	// as a budget, so the master bounds its own gather without clock
 	// synchronization, and the caller's span as the master's trace parent.
 	reply, _, err := mc.roundTrip(ctx, MsgFabricPredict, "", encodeFabricRequest(req), r.timeout, ctx.Done())
 	if err != nil {
-		r.counters.Counter("fabric.errors").Inc()
+		r.metrics.Counter("fabric.errors").Inc()
 		return Reply{}, err
 	}
 	if reply.typ == MsgErrorMux {
-		r.counters.Counter("fabric.errors").Inc()
+		r.metrics.Counter("fabric.errors").Inc()
 		return Reply{}, fmt.Errorf("cluster: master %s: %s", r.addr, reply.payload)
 	}
 	rep, err := decodeFabricResult(reply.payload, req.X.Shape[0])
@@ -103,7 +99,7 @@ func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 		// Undecodable or mis-shaped reply: corrupted pipeline, tear it down
 		// like the peer mux path does.
 		mc.fail(err)
-		r.counters.Counter("fabric.errors").Inc()
+		r.metrics.Counter("fabric.errors").Inc()
 	}
 	return rep, err
 }

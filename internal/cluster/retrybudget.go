@@ -148,8 +148,8 @@ func (p *peerConn) deposit() {
 }
 
 // allowSpend asks the budget for one speculative-send token, counting the
-// refusal under both the shared and the per-kind counter; nil-safe, and a
-// missing budget always allows.
+// refusal under both the shared and the per-kind counter; a missing budget
+// always allows.
 func (p *peerConn) allowSpend(kind string) bool {
 	b := p.budget.get()
 	if b == nil {
@@ -157,17 +157,14 @@ func (p *peerConn) allowSpend(kind string) bool {
 	}
 	ok := b.Allow()
 	p.budgetGauge(b)
-	if !ok && p.counters != nil {
-		p.counters.Counter("retry_budget.denied").Inc()
-		p.counters.Counter("retry_budget.denied." + kind).Inc()
+	if !ok {
+		p.metrics.Counter("retry_budget.denied").Inc()
+		p.metrics.Counter("retry_budget.denied." + kind).Inc()
 	}
 	return ok
 }
 
 // budgetGauge mirrors the balance onto the retry_budget.tokens gauge.
 func (p *peerConn) budgetGauge(b *RetryBudget) {
-	if p.gauges == nil {
-		return
-	}
-	p.gauges.Gauge("retry_budget.tokens").Set(int64(b.Tokens()))
+	p.metrics.Gauge("retry_budget.tokens").Set(int64(b.Tokens()))
 }

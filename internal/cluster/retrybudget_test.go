@@ -70,7 +70,7 @@ func TestRetryBudgetDefaults(t *testing.T) {
 	if m.RetryBudget() != nil {
 		t.Fatal("a fresh master has a budget installed")
 	}
-	p := &peerConn{budget: m.budget}
+	p := &peerConn{budget: m.budget, metrics: m.metrics}
 	if !p.allowSpend("retry") {
 		t.Fatal("nil budget must allow every spend")
 	}
@@ -112,10 +112,10 @@ func TestRetryBudgetStarvesRetries(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		bestEffort(master, x) //nolint:errcheck — the local expert answers; the sick peer is the point
 	}
-	if denied := master.Counters().Counter("retry_budget.denied.retry").Value(); denied == 0 {
+	if denied := master.Metrics().Counter("retry_budget.denied.retry").Value(); denied == 0 {
 		t.Fatal("dry budget never denied a retry against a resetting link")
 	}
-	if denied := master.Counters().Counter("retry_budget.denied").Value(); denied == 0 {
+	if denied := master.Metrics().Counter("retry_budget.denied").Value(); denied == 0 {
 		t.Fatal("shared denial counter never moved")
 	}
 }

@@ -25,7 +25,7 @@ type frameServer struct {
 	member      func() Member                           // this node's membership descriptor (and election id)
 	roster      *Roster                                 // membership view, fed by announce exchanges
 	applyPush   func(version string, snap *nn.Snapshot) // model-push hook; snap nil = re-label only
-	counters    *metrics.CounterSet
+	metrics     *metrics.Registry
 	panicName   string // counter bumped for every recovered panic
 	expiredName string // counter bumped for every request whose budget ran out unserved
 	// kinds maps a pipelined request frame type to its handler. Handlers run
@@ -126,7 +126,7 @@ func (s *frameServer) handleConn(conn net.Conn) {
 // pipelined handler, closes the connection it poisoned.
 func (s *frameServer) containPanic(poisoned net.Conn) {
 	if r := recover(); r != nil {
-		s.counters.Counter(s.panicName).Inc()
+		s.metrics.Counter(s.panicName).Inc()
 		if poisoned != nil {
 			poisoned.Close()
 		}
@@ -243,7 +243,7 @@ func (s *frameServer) serveRequest(handle handler, hdr requestHeader, arrived ti
 	ctx := context.Background()
 	if hdr.budget > 0 {
 		if time.Since(arrived) >= hdr.budget {
-			s.counters.Counter(s.expiredName).Inc()
+			s.metrics.Counter(s.expiredName).Inc()
 			return MsgErrorMux, []byte(expiredText), 0
 		}
 		var cancel context.CancelFunc

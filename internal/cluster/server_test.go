@@ -57,14 +57,14 @@ func startNode(t *testing.T, role string) servedNode {
 		w := NewWorker(tinyExpert(t, 220), 300)
 		n.srv, n.id, n.request, n.reply, listen = w.srv, 300, MsgPredictMux, MsgResultMux, w.Listen
 		n.body, n.label = transport.EncodeTensor(x), w.SetModelVersion
-		n.passes = w.Histograms().Histogram("predict").Count
+		n.passes = w.Metrics().Histogram("predict").Count
 		t.Cleanup(func() { w.Close() })
 	case RoleMaster:
 		m := NewMaster(tinyExpert(t, 221), 3)
 		s := NewMasterServer(m, 301)
 		n.srv, n.id, n.request, n.reply, listen = s.srv, 301, MsgFabricPredict, MsgFabricResult, s.Listen
 		n.body, n.label = encodeFabricRequest(Request{X: x}), s.SetModelVersion
-		n.passes = m.Histograms().Histogram("infer.total").Count
+		n.passes = m.Metrics().Histogram("infer.total").Count
 		t.Cleanup(func() { s.Close(); m.Close() })
 	}
 	n.srv.kinds[kindPanics] = func(context.Context, []byte) (byte, []byte, time.Duration) { panic("handler blew up") }
@@ -92,7 +92,7 @@ func (n servedNode) dial(t *testing.T) net.Conn {
 	return conn
 }
 
-func (n servedNode) panics() int64 { return n.srv.counters.Counter(n.srv.panicName).Value() }
+func (n servedNode) panics() int64 { return n.srv.metrics.Counter(n.srv.panicName).Value() }
 
 // exchange sends one frame and reads one back.
 func exchange(t *testing.T, conn net.Conn, typ byte, payload []byte) (byte, []byte) {
@@ -298,7 +298,7 @@ func TestServerLoopConformance(t *testing.T) {
 			if answers[1] != MsgErrorMux || answers[2] != n.reply {
 				t.Fatalf("answers by id %v: want the budgeted request expired and the unbudgeted one served", answers)
 			}
-			if got := n.srv.counters.Counter(n.srv.expiredName).Value(); got != 1 {
+			if got := n.srv.metrics.Counter(n.srv.expiredName).Value(); got != 1 {
 				t.Fatalf("%s = %d, want 1", n.srv.expiredName, got)
 			}
 			if got := n.passes(); got != 1 {

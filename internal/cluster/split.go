@@ -79,7 +79,7 @@ func (m *Master) splitPlannerFor(snap *nn.Snapshot) *split.Planner {
 	}
 	prof := m.splitPl.Profile()
 	if prof.Steps() != snap.Steps() || prof.Model != snap.Label() {
-		m.counters.Counter("split.reprofiled").Inc()
+		m.metrics.Counter("split.reprofiled").Inc()
 		m.splitPl = split.New(split.NewProfile(snap), m.splitOpts)
 	}
 	return m.splitPl
@@ -119,7 +119,7 @@ func (m *Master) splitQuery(ctx context.Context, x *tensor.Tensor, at SplitPoint
 	// span is the tail's trace parent.
 	res, err := m.inferSplit(trace.NewContext(ctx, root.Ctx()), x, at, snap, tr, root.Ctx())
 	root.EndErr(err)
-	m.hists.Observe("infer.split.total", time.Since(start))
+	m.metrics.Observe("infer.split.total", time.Since(start))
 	return res, err
 }
 
@@ -129,7 +129,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 	}
 	n := snap.Steps()
 	batch := x.Shape[0]
-	m.counters.Counter("split.queries").Inc()
+	m.metrics.Counter("split.queries").Inc()
 
 	var pl *split.Planner
 	peerAddr := ""
@@ -144,14 +144,14 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		d := pl.Decide(batch)
 		at, peerAddr = d.Split, d.Peer
 		if d.Explore {
-			m.counters.Counter("split.explore").Inc()
+			m.metrics.Counter("split.explore").Inc()
 		}
 	case at < 0 || at > n:
 		return Reply{}, fmt.Errorf("cluster: split index %d outside 0..%d", at, n)
 	default:
 		pl = m.splitPlannerFor(snap) // may be nil: static splits observe only if enabled
 	}
-	m.gauges.Gauge("split.point").Set(int64(at))
+	m.metrics.Gauge("split.point").Set(int64(at))
 
 	// Head: steps [0, at) on the local snapshot. The boundary FLOPs feed the
 	// planner's local compute fit.
@@ -160,20 +160,20 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		headStart := time.Now()
 		act = snap.ForwardRange(x, 0, at)
 		d := time.Since(headStart)
-		m.hists.Observe("split.head", d)
+		m.metrics.Observe("split.head", d)
 		tr.Record(root, "split.head", "", "", headStart, d)
 		if pl != nil {
 			pl.ObserveLocal(pl.Profile().Boundaries[at].HeadFLOPs*float64(batch), d)
 		}
 	}
 	if at == n {
-		m.counters.Counter("split.local").Inc()
+		m.metrics.Counter("split.local").Inc()
 		return splitAnswerLocal(act, at), nil
 	}
 
 	p := m.splitPeer(peerAddr)
 	if p == nil {
-		m.counters.Counter("split.fallback.no_peer").Inc()
+		m.metrics.Counter("split.fallback.no_peer").Inc()
 		res := m.finishSplitLocally(snap, act, at, tr, root)
 		res.Fallback = "no_peer"
 		return res, nil
@@ -185,7 +185,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		payload: encodeSplitRequest(at, act), rows: batch,
 	}, root)
 	if err == nil {
-		m.counters.Counter("split.remote").Inc()
+		m.metrics.Counter("split.remote").Inc()
 		if pl != nil {
 			net := rtt - compute
 			if net < 0 {
@@ -203,7 +203,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		// Mid-rollout fleet: the peer serves a different model version, so a
 		// tail there would answer with the wrong weights. Degrade to
 		// whole-query offload — the raw input is valid against any version.
-		m.counters.Counter("split.fallback.version").Inc()
+		m.metrics.Counter("split.fallback.version").Inc()
 		if qres, qerr := p.do(ctx, m.encodeInput(x, tr, root), root); qerr == nil {
 			return Reply{Probs: qres.Probs, Entropy: qres.Entropy, Split: 0, Peer: p.addr, Fallback: "version"}, nil
 		} else if ctx.Err() != nil {
@@ -214,7 +214,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 	}
 	// Transport fault (link death, quarantine race): we still
 	// hold the activation, so the query costs a local tail, never an error.
-	m.counters.Counter("split.fallback.transport").Inc()
+	m.metrics.Counter("split.fallback.transport").Inc()
 	res2 := m.finishSplitLocally(snap, act, at, tr, root)
 	res2.Fallback = "transport"
 	return res2, nil
@@ -258,7 +258,7 @@ func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at in
 	tensor.SoftmaxRowsInto(t.Data, t.Data, t.Shape[0], t.Shape[1])
 	ent := tensor.EntropyRows(t)
 	d := time.Since(start)
-	m.hists.Observe("split.tail.local", d)
+	m.metrics.Observe("split.tail.local", d)
 	tr.Record(root, "split.tail.local", "", "", start, d)
 	return Reply{Probs: t, Entropy: ent.Data, Split: at}
 }
@@ -273,24 +273,15 @@ func (m *Master) seedSplitPlanner(pl *split.Planner, batch int) {
 	if inputWidth < 0 {
 		return
 	}
-	names := make(map[string]bool)
-	for _, n := range m.hists.Names() {
-		names[n] = true
-	}
 	for _, p := range m.snapshotPeers() {
 		pl.EnsurePeer(p.addr) // visible to the probe scan even with no data
-		rttName := "peer." + p.addr + ".rtt"
-		compName := "peer." + p.addr + ".compute"
-		if !names[rttName] || !names[compName] {
+		rttH := m.metrics.Lookup("peer." + p.addr + ".rtt")
+		compH := m.metrics.Lookup("peer." + p.addr + ".compute")
+		if rttH == nil || compH == nil || rttH.Count() == 0 || compH.Count() == 0 {
 			continue
 		}
-		rttH := m.hists.Histogram(rttName)
-		compH := m.hists.Histogram(compName)
-		if rttH.Count() == 0 || compH.Count() == 0 {
-			continue
-		}
-		rtt := rttH.Quantile(0.5)
-		comp := compH.Quantile(0.5)
+		rtt := time.Duration(rttH.Quantile(0.5))
+		comp := time.Duration(compH.Quantile(0.5))
 		net := rtt - comp
 		if net < 0 {
 			net = 0

@@ -169,7 +169,7 @@ func TestSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 	if !res.Probs.AllClose(wantProbs, 1e-4) {
 		t.Fatal("whole-query fallback answer diverged from the model")
 	}
-	if m.Counters().Counter("split.fallback.version").Value() != 1 {
+	if m.Metrics().Counter("split.fallback.version").Value() != 1 {
 		t.Fatal("version fallback not counted")
 	}
 }
@@ -298,7 +298,7 @@ func TestSplitAutoPlans(t *testing.T) {
 		}
 		assertBitIdentical(t, "auto", res.Probs, wantProbs, res.Entropy, wantEnt.Data)
 	}
-	if m.Counters().Counter("split.explore").Value() == 0 {
+	if m.Metrics().Counter("split.explore").Value() == 0 {
 		t.Fatal("unmeasured peer was never probed")
 	}
 	rep := m.SplitPlanReport(2)

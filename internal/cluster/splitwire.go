@@ -90,7 +90,7 @@ func SplitResultWireBytes(batch, classes int) int {
 // serveSplit finishes one split request's tail on snap: the serving body
 // behind MsgSplitPredict on both the worker and the master's fabric
 // listener.
-func serveSplit(ctx context.Context, snap *nn.Snapshot, body []byte, tracer *tracerRef, hists *metrics.HistogramSet) (byte, []byte, time.Duration) {
+func serveSplit(ctx context.Context, snap *nn.Snapshot, body []byte, tracer *tracerRef, reg *metrics.Registry) (byte, []byte, time.Duration) {
 	at, x, err := decodeSplitRequest(body)
 	if err != nil {
 		return errorReply(err)
@@ -98,7 +98,7 @@ func serveSplit(ctx context.Context, snap *nn.Snapshot, body []byte, tracer *tra
 	if at < 0 || at > snap.Steps() {
 		return errorReply(fmt.Errorf("split index %d outside 0..%d", at, snap.Steps()))
 	}
-	res, compute, err := timeExpert(ctx, tracer, hists, "split.predict", "worker.split", func() (PredictResult, error) {
+	res, compute, err := timeExpert(ctx, tracer, reg, "split.predict", "worker.split", func() (PredictResult, error) {
 		return runSplitTail(snap, x, at)
 	})
 	if err != nil {
@@ -111,11 +111,11 @@ func serveSplit(ctx context.Context, snap *nn.Snapshot, body []byte, tracer *tra
 // accounts for it: its duration into the hist histogram, a span under the
 // request's trace parent when it has one, and the duration back for the
 // reply header.
-func timeExpert(ctx context.Context, tracer *tracerRef, hists *metrics.HistogramSet, hist, span string, run func() (PredictResult, error)) (PredictResult, time.Duration, error) {
+func timeExpert(ctx context.Context, tracer *tracerRef, reg *metrics.Registry, hist, span string, run func() (PredictResult, error)) (PredictResult, time.Duration, error) {
 	start := time.Now()
 	res, err := run()
 	compute := time.Since(start)
-	hists.Observe(hist, compute)
+	reg.Observe(hist, compute)
 	if parent := trace.FromContext(ctx); parent.Valid() {
 		status := ""
 		if err != nil {

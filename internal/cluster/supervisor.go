@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -151,42 +150,28 @@ func (m *Master) Health() []PeerHealth {
 	return out
 }
 
-// HealthReport renders Health plus the raw counter set and the latency
-// histogram digests, the block teamnet-infer prints after a run.
+// HealthReport renders Health plus the registry — raw counters, gauges and
+// the latency histogram digests — the block teamnet-infer prints after a
+// run.
 func (m *Master) HealthReport() string {
 	var b strings.Builder
 	for _, h := range m.Health() {
 		fmt.Fprintln(&b, h)
 	}
-	snap := m.counters.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s=%d\n", name, snap[name])
-	}
-	b.WriteString(m.hists.String())
+	b.WriteString(m.metrics.String())
 	return b.String()
 }
-
-// Counters exposes the master's supervision counter set.
-func (m *Master) Counters() *metrics.CounterSet { return m.counters }
 
 // --- peer implementation -------------------------------------------------
 
 func (p *peerConn) counter(name string) *metrics.Counter {
-	return p.counters.Counter("peer." + p.addr + "." + name)
+	return p.metrics.Counter("peer." + p.addr + "." + name)
 }
 
 // observe records one latency sample into the peer's named histogram
-// ("peer.<addr>.<name>"); nil-safe for hand-built test peers.
+// ("peer.<addr>.<name>").
 func (p *peerConn) observe(name string, d time.Duration) {
-	if p.hists == nil {
-		return
-	}
-	p.hists.Observe("peer."+p.addr+"."+name, d)
+	p.metrics.Observe("peer."+p.addr+"."+name, d)
 }
 
 // tracer returns the shared master tracer (nil = tracing off).

@@ -159,7 +159,7 @@ func TestBreakerTripsAndFastFails(t *testing.T) {
 	if _, _, live, err := bestEffort(master, x); err != nil || live != 1 {
 		t.Fatalf("best effort around open breaker: live=%d err=%v", live, err)
 	}
-	if master.Counters().Snapshot()["route.skipped_quarantined"] == 0 {
+	if master.Metrics().Counter("route.skipped_quarantined").Value() == 0 {
 		t.Fatal("skip counter not bumped")
 	}
 }
@@ -266,7 +266,7 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 	if typ != MsgErrorMux || !strings.Contains(string(payload), "panic") {
 		t.Fatalf("panic inside predict answered type=%d %q", typ, payload)
 	}
-	if got := w.Counters().Snapshot()["panics.recovered"]; got != 1 {
+	if got := w.Metrics().Counter("panics.recovered").Value(); got != 1 {
 		t.Fatalf("panics.recovered = %d, want 1", got)
 	}
 

@@ -142,7 +142,7 @@ func TestNewWorkerUntracedMasterInterop(t *testing.T) {
 	if probs.Shape[0] != 2 || len(winners) != 2 {
 		t.Fatalf("bad result shape %v / %d winners", probs.Shape, len(winners))
 	}
-	if n := master.Histograms().Histogram("peer." + addr + ".compute").Count(); n != 1 {
+	if n := master.Metrics().Histogram("peer." + addr + ".compute").Count(); n != 1 {
 		t.Fatalf("untraced master recorded %d compute samples, want 1", n)
 	}
 }
@@ -227,7 +227,7 @@ func TestPingRecordsLatencyHistogram(t *testing.T) {
 	if err := master.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	h := master.Histograms().Histogram("peer." + addr + ".ping")
+	h := master.Metrics().Histogram("peer." + addr + ".ping")
 	if h.Count() < 1 {
 		t.Fatal("Ping did not record a latency sample")
 	}

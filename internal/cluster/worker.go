@@ -30,14 +30,13 @@ type Worker struct {
 	// snap is the frozen expert, safe for concurrent inference. An atomic
 	// pointer so a versioned model push (MsgModelPush) can hot-swap it
 	// while requests are in flight: each predict loads the pointer once.
-	snap     atomic.Pointer[nn.Snapshot]
-	id       int // election identity; higher wins
-	counters *metrics.CounterSet
-	hists    *metrics.HistogramSet
-	tracer   *tracerRef
-	srv      *frameServer
-	mu       sync.Mutex // guards version
-	version  string     // model version label, set by SetModelVersion / pushes
+	snap    atomic.Pointer[nn.Snapshot]
+	id      int // election identity; higher wins
+	metrics *metrics.Registry
+	tracer  *tracerRef
+	srv     *frameServer
+	mu      sync.Mutex // guards version
+	version string     // model version label, set by SetModelVersion / pushes
 }
 
 // NewWorker compiles an expert network into a frozen inference snapshot
@@ -57,17 +56,16 @@ func NewWorkerSnapshot(snap *nn.Snapshot, id int) *Worker {
 		panic("cluster: worker needs an expert snapshot")
 	}
 	w := &Worker{
-		id:       id,
-		counters: metrics.NewCounterSet(),
-		hists:    metrics.NewHistogramSet(),
-		tracer:   &tracerRef{},
+		id:      id,
+		metrics: new(metrics.Registry),
+		tracer:  &tracerRef{},
 	}
 	w.snap.Store(snap)
 	w.srv = &frameServer{
 		member:      w.Member,
 		roster:      NewRoster(),
 		applyPush:   w.applyModelPush,
-		counters:    w.counters,
+		metrics:     w.metrics,
 		panicName:   "panics.recovered",
 		expiredName: "requests.expired",
 		kinds: map[byte]handler{
@@ -91,7 +89,7 @@ func (w *Worker) SwapSnapshot(snap *nn.Snapshot, version string) {
 	w.mu.Lock()
 	w.version = version
 	w.mu.Unlock()
-	w.counters.Counter("model.swaps").Inc()
+	w.metrics.Counter("model.swaps").Inc()
 }
 
 // SetModelVersion labels the currently served model without swapping
@@ -117,13 +115,10 @@ func (w *Worker) Member() Member {
 // Roster exposes the worker's membership view.
 func (w *Worker) Roster() *Roster { return w.srv.roster }
 
-// Counters exposes the worker's serving counters ("requests",
-// "requests.expired", "panics.recovered", ...).
-func (w *Worker) Counters() *metrics.CounterSet { return w.counters }
-
-// Histograms exposes the worker's latency histograms ("predict" — expert
-// compute time per served request).
-func (w *Worker) Histograms() *metrics.HistogramSet { return w.hists }
+// Metrics exposes the worker's registry: the serving counters ("requests",
+// "requests.expired", "panics.recovered", ...) and the latency histograms
+// ("predict" — expert compute time per served request).
+func (w *Worker) Metrics() *metrics.Registry { return w.metrics }
 
 // SetTracer installs (or, with nil, removes) the worker's span collector.
 // Requests carrying a trace parent then record "worker.predict" spans
@@ -147,12 +142,12 @@ func (w *Worker) Listen(addr string) (string, error) {
 // costs one MsgErrorMux, never the connection — the frame boundary is
 // intact and other requests are pipelined behind it.
 func (w *Worker) serveMuxPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
-	w.counters.Counter("requests").Inc()
+	w.metrics.Counter("requests").Inc()
 	x, _, err := transport.DecodeTensor(body)
 	if err != nil {
 		return errorReply(err)
 	}
-	res, compute, err := timeExpert(ctx, w.tracer, w.hists, "predict", "worker.predict", func() (PredictResult, error) {
+	res, compute, err := timeExpert(ctx, w.tracer, w.metrics, "predict", "worker.predict", func() (PredictResult, error) {
 		return w.predict(x)
 	})
 	if err != nil {
@@ -165,9 +160,9 @@ func (w *Worker) serveMuxPredict(ctx context.Context, body []byte) (byte, []byte
 // snapshot; split tails share the connection's handler window and write
 // lock with query traffic.
 func (w *Worker) serveSplitPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
-	w.counters.Counter("requests").Inc()
-	w.counters.Counter("requests.split").Inc()
-	return serveSplit(ctx, w.snap.Load(), body, w.tracer, w.hists)
+	w.metrics.Counter("requests").Inc()
+	w.metrics.Counter("requests.split").Inc()
+	return serveSplit(ctx, w.snap.Load(), body, w.tracer, w.metrics)
 }
 
 // predict runs the expert snapshot on x (step 3 of Fig 1d) and pairs
@@ -177,7 +172,7 @@ func (w *Worker) serveSplitPredict(ctx context.Context, body []byte) (byte, []by
 func (w *Worker) predict(x *tensor.Tensor) (res PredictResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.counters.Counter("panics.recovered").Inc()
+			w.metrics.Counter("panics.recovered").Inc()
 			err = fmt.Errorf("cluster: predict panic: %v", r)
 		}
 	}()

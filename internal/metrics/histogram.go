@@ -3,81 +3,93 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Histogram is a log-bucketed latency histogram safe for concurrent use:
-// observations land in exponentially growing duration buckets (factor 2
-// from 1µs), so p50/p95/p99 extraction costs one pass over ~32 counters
+// Histogram is a log-bucketed histogram of non-negative int64 observations,
+// safe for concurrent use: values land in exponentially growing buckets
+// (factor 2), so p50/p95/p99 extraction costs one pass over 32 counters
 // instead of retaining samples the way Summary does. This is what the
 // cluster runtime records every round trip, ping and probe into — bounded
 // memory under production traffic, where Summary's sample slice is not.
 //
-// The zero value is ready to use.
+// The unit is fixed at creation and read only by String and the exposition
+// writer: a duration histogram (the zero value; Registry.Histogram) takes
+// nanoseconds, buckets from 1µs and is exposed in seconds; a value
+// histogram (Registry.ValueHistogram) takes counts — the gateway's batch
+// sizes — and buckets from 1.
 type Histogram struct {
-	count   atomic.Int64
-	sumNano atomic.Int64
-	buckets [histBuckets]atomic.Int64 // bucket i counts d <= histBound(i)
+	raw bool // unitless counts rather than nanoseconds
+	sum atomic.Int64
+	// buckets[i] counts observations <= bound(i) and above bound(i-1); the
+	// last element is the +Inf overflow. There is no separate count: the
+	// count is the bucket sum, so every figure derived from one load()
+	// agrees with every other.
+	buckets [histBuckets + 1]atomic.Int64
 }
 
-// histBuckets log-2 buckets from 1µs: the last finite bound is
-// 1µs·2^30 ≈ 18 minutes; anything beyond lands in the implicit +Inf
-// overflow bucket.
+// histBuckets finite log-2 buckets: the last bound is 1µs·2^30 ≈ 18 minutes
+// for durations, 2^30 for values.
 const histBuckets = 31
 
-// histBound returns the inclusive upper bound of bucket i.
-func histBound(i int) time.Duration {
-	return time.Microsecond << uint(i)
+// bound returns the inclusive upper bound of finite bucket i.
+func (h *Histogram) bound(i int) int64 {
+	if h.raw {
+		return 1 << uint(i)
+	}
+	return int64(time.Microsecond) << uint(i)
 }
 
-// bucketFor returns the index of the first bucket whose bound holds d, or
-// histBuckets for the +Inf overflow.
-func bucketFor(d time.Duration) int {
-	if d < 0 {
-		d = 0
+// Observe records one value: int64(d) for a time.Duration d on a duration
+// histogram, the count itself on a value histogram. Negatives clamp to 0.
+func (h *Histogram) Observe(v int64) {
+	if v < 0 {
+		v = 0
 	}
-	for i := 0; i < histBuckets; i++ {
-		if d <= histBound(i) {
-			return i
-		}
+	i := 0
+	for i < histBuckets && v > h.bound(i) {
+		i++
 	}
-	return histBuckets
+	h.sum.Add(v)
+	h.buckets[i].Add(1)
 }
 
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	h.count.Add(1)
-	h.sumNano.Add(int64(d))
-	if i := bucketFor(d); i < histBuckets {
-		h.buckets[i].Add(1)
+// load copies the buckets once and totals them.
+func (h *Histogram) load() (b [histBuckets + 1]int64, total int64) {
+	for i := range h.buckets {
+		b[i] = h.buckets[i].Load()
+		total += b[i]
 	}
+	return b, total
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+func (h *Histogram) Count() int64 {
+	_, total := h.load()
+	return total
+}
 
-// Sum returns the total of all observed durations.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNano.Load()) }
+// Sum returns the total of all observations.
+func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Mean returns the average observation, or 0 with no samples.
-func (h *Histogram) Mean() time.Duration {
+func (h *Histogram) Mean() float64 {
 	n := h.Count()
 	if n == 0 {
 		return 0
 	}
-	return h.Sum() / time.Duration(n)
+	return float64(h.Sum()) / float64(n)
 }
 
-// Quantile returns the q-th quantile (0 < q <= 1) estimated by log-linear
+// Quantile returns the q-th quantile (0 < q <= 1) estimated by linear
 // interpolation inside the holding bucket — exact to within the bucket's
 // factor-2 width, which is the precision a latency breakdown needs. With no
 // samples it returns 0; observations beyond the last finite bucket report
-// that bucket's bound.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
+// that bucket's bound. Convert with time.Duration(...) on a duration
+// histogram.
+func (h *Histogram) Quantile(q float64) float64 {
+	b, total := h.load()
 	if total == 0 {
 		return 0
 	}
@@ -90,97 +102,27 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 	rank := int64(math.Ceil(q * float64(total)))
 	var cum int64
 	for i := 0; i < histBuckets; i++ {
-		c := h.buckets[i].Load()
-		if c == 0 {
-			continue
-		}
-		if cum+c >= rank {
-			lo := float64(time.Duration(0))
+		c := b[i]
+		if c > 0 && cum+c >= rank {
+			lo := 0.0
 			if i > 0 {
-				lo = float64(histBound(i - 1))
+				lo = float64(h.bound(i - 1))
 			}
-			hi := float64(histBound(i))
-			frac := float64(rank-cum) / float64(c)
-			return time.Duration(lo + frac*(hi-lo))
+			hi := float64(h.bound(i))
+			return lo + float64(rank-cum)/float64(c)*(hi-lo)
 		}
 		cum += c
 	}
-	return histBound(histBuckets - 1)
+	return float64(h.bound(histBuckets - 1))
 }
 
 // String renders a one-line digest matching Summary's shape.
 func (h *Histogram) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v",
-		h.Count(), h.Mean().Round(time.Microsecond),
-		h.Quantile(0.50).Round(time.Microsecond),
-		h.Quantile(0.95).Round(time.Microsecond),
-		h.Quantile(0.99).Round(time.Microsecond))
-}
-
-// cumulative returns (bound, cumulative count) pairs for every finite
-// bucket up to and including the first one that reaches the total, plus the
-// implicit overflow — the Prometheus exposition shape.
-func (h *Histogram) cumulative() (bounds []time.Duration, counts []int64) {
-	var cum int64
-	total := h.count.Load()
-	for i := 0; i < histBuckets; i++ {
-		cum += h.buckets[i].Load()
-		bounds = append(bounds, histBound(i))
-		counts = append(counts, cum)
-		if cum == total && i >= 9 { // always emit at least the <=512µs buckets
-			break
-		}
+	n, mean := h.Count(), h.Mean()
+	p50, p95, p99 := h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
+	if h.raw {
+		return fmt.Sprintf("n=%d mean=%.2f p50=%.1f p95=%.1f p99=%.1f", n, mean, p50, p95, p99)
 	}
-	return bounds, counts
-}
-
-// HistogramSet is a named collection of histograms created on first use,
-// the latency-distribution sibling of CounterSet. Safe for concurrent use.
-type HistogramSet struct {
-	mu sync.Mutex
-	m  map[string]*Histogram
-}
-
-// NewHistogramSet returns an empty set.
-func NewHistogramSet() *HistogramSet {
-	return &HistogramSet{m: make(map[string]*Histogram)}
-}
-
-// Histogram returns the histogram registered under name, creating it at
-// zero on first use.
-func (s *HistogramSet) Histogram(name string) *Histogram {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.m[name]
-	if !ok {
-		h = &Histogram{}
-		s.m[name] = h
-	}
-	return h
-}
-
-// Observe is shorthand for Histogram(name).Observe(d).
-func (s *HistogramSet) Observe(name string, d time.Duration) {
-	s.Histogram(name).Observe(d)
-}
-
-// Names returns the registered histogram names, sorted.
-func (s *HistogramSet) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.m))
-	for name := range s.m {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders one digest line per histogram, sorted by name.
-func (s *HistogramSet) String() string {
-	var out string
-	for _, name := range s.Names() {
-		out += fmt.Sprintf("%s: %s\n", name, s.Histogram(name).String())
-	}
-	return out
+	us := func(ns float64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
+	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v", n, us(mean), us(p50), us(p95), us(p99))
 }

@@ -1,18 +1,26 @@
 // Package metrics provides the small measurement kit the live runtime, the
 // benchmarks and the CLI tools share:
 //
+//   - Registry: the one named collection a component keeps and exports as
+//     Metrics() — counters, gauges, duration histograms and unitless value
+//     histograms by name, created on first use; the zero value works.
+//   - Counter: monotonic event counts, the supervisor's retry/redial/breaker
+//     accounting. Gauge: instantaneous levels that go up and down — queue
+//     depth, in-flight requests, retry-budget tokens.
+//   - Histogram: log-2-bucketed distributions with p50/p95/p99 extraction in
+//     bounded memory — what the cluster runtime records every round trip,
+//     ping and probe into. One type, one bucket array, one Quantile; the
+//     unit is fixed at creation: nanoseconds exposed as seconds
+//     (Registry.Histogram) or raw counts such as the gateway's batch sizes
+//     (Registry.ValueHistogram).
+//   - WritePrometheus: the one text exposition of any number of registries
+//     for the admin server's /metrics endpoint, mapping the supervisor's
+//     "peer.<addr>.<field>" series onto peer-labelled metric families and
+//     rendering each histogram from a single pass over its buckets.
 //   - Summary: sample-retaining duration statistics for short offline runs
 //     (exact percentiles, unbounded memory — fine for a CLI or a benchmark
 //     harness, wrong for a server). The one sample quantile in internal/:
 //     every live harness in internal/bench reads its p50/p95/p99 here.
-//   - Counter / CounterSet: monotonic event counters, the supervisor's
-//     retry/redial/breaker accounting.
-//   - Histogram / HistogramSet: log-bucketed latency histograms with
-//     p50/p95/p99 extraction in bounded memory — what the cluster runtime
-//     records every round trip, ping and probe into.
-//   - WritePrometheus: text exposition of counters and histograms for the
-//     admin server's /metrics endpoint, mapping the supervisor's
-//     "peer.<addr>.<field>" series onto peer-labelled metric families.
 //
 // The simulated experiments (internal/bench) produce modeled times instead;
 // this package measures the real thing when the runtime executes over
@@ -71,14 +79,6 @@ func (s *Summary) Percentile(p float64) time.Duration {
 		rank = len(s.samples) - 1
 	}
 	return s.samples[rank]
-}
-
-// Min returns the smallest observation, or 0 with no samples.
-func (s *Summary) Min() time.Duration {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	return s.Percentile(0.0001)
 }
 
 // Max returns the largest observation, or 0 with no samples.

@@ -1,10 +1,11 @@
 package metrics
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
+	"time"
 )
 
 // Prometheus text exposition (version 0.0.4) for the admin server's
@@ -17,9 +18,11 @@ import (
 //   - every other name is sanitized into teamnet_<name> with non-alphanumeric
 //     runes collapsed to '_'.
 //
-// Counters get the conventional _total suffix; histograms are exposed in
-// seconds with cumulative le buckets, _sum and _count, exactly the shape
-// prometheus' scraper and promql's histogram_quantile expect.
+// Counters get the conventional _total suffix and gauges are bare levels;
+// duration histograms are exposed in seconds (<name>_seconds) and value
+// histograms in their raw unit, both with cumulative le buckets, _sum and
+// _count — exactly the shape prometheus' scraper and promql's
+// histogram_quantile expect.
 
 // peerSeries splits a "peer.<addr>.<field>" name into its address and
 // field, reporting ok=false for names outside that pattern.
@@ -57,86 +60,74 @@ func escapeLabel(v string) string {
 	return strings.ReplaceAll(v, `"`, `\"`)
 }
 
-// promName renders the full series name (metric plus optional peer label)
-// for one flat runtime name.
-func promName(prefix, name, suffix string) string {
+// seriesName renders one exposition series for a flat runtime name: the
+// metric family (name plus suffix), the peer label when the name is a
+// per-peer series, and the le label when le is non-empty.
+func seriesName(name, suffix, le string) string {
+	var labels []string
 	if addr, field, ok := peerSeries(name); ok {
-		return fmt.Sprintf("%speer_%s%s{peer=%q}", prefix, sanitizeMetricName(field), suffix, escapeLabel(addr))
+		name = "peer." + field
+		labels = append(labels, fmt.Sprintf("peer=%q", escapeLabel(addr)))
 	}
-	return prefix + sanitizeMetricName(name) + suffix
+	if le != "" {
+		labels = append(labels, fmt.Sprintf("le=%q", le))
+	}
+	s := "teamnet_" + sanitizeMetricName(name) + suffix
+	if len(labels) > 0 {
+		s += "{" + strings.Join(labels, ",") + "}"
+	}
+	return s
 }
 
-// promBucketName renders a histogram bucket series with its le label.
-func promBucketName(prefix, name, le string) string {
-	if addr, field, ok := peerSeries(name); ok {
-		return fmt.Sprintf("%speer_%s_seconds_bucket{peer=%q,le=%q}",
-			prefix, sanitizeMetricName(field), escapeLabel(addr), le)
+// WritePrometheus renders every metric of the given registries in the
+// Prometheus text exposition format, metric names prefixed with "teamnet_".
+// Nil registries are skipped, so callers pass whatever the process keeps.
+//
+// Every line of one histogram comes from a single copy of its buckets, so
+// even while observations land mid-scrape the le counts never decrease,
+// the last finite bucket never exceeds +Inf, and +Inf equals _count. (_sum
+// is a separate atomic and may lead or trail by the observations in
+// flight.)
+func WritePrometheus(w io.Writer, regs ...*Registry) error {
+	var b bytes.Buffer
+	for _, r := range regs {
+		if r == nil {
+			continue
+		}
+		for _, s := range r.sorted() {
+			switch v := s.metric.(type) {
+			case *Counter:
+				fmt.Fprintf(&b, "%s %d\n", seriesName(s.name, "_total", ""), v.Value())
+			case *Gauge:
+				fmt.Fprintf(&b, "%s %d\n", seriesName(s.name, "", ""), v.Value())
+			case *Histogram:
+				writeHistogram(&b, s.name, v)
+			}
+		}
 	}
-	return fmt.Sprintf("%s%s_seconds_bucket{le=%q}", prefix, sanitizeMetricName(name), le)
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
-// WritePrometheus renders every counter, gauge and histogram of the given
-// sets in the Prometheus text exposition format, metric names prefixed with
-// "teamnet_". Counters get the conventional _total suffix; gauges are bare
-// instantaneous levels. Nil sets are skipped, so callers pass whatever
-// subsets the process actually keeps.
-func WritePrometheus(w io.Writer, counters []*CounterSet, gauges []*GaugeSet, hists []*HistogramSet) error {
-	const prefix = "teamnet_"
-	for _, cs := range counters {
-		if cs == nil {
-			continue
-		}
-		snap := cs.Snapshot()
-		names := make([]string, 0, len(snap))
-		for name := range snap {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if _, err := fmt.Fprintf(w, "%s %d\n", promName(prefix, name, "_total"), snap[name]); err != nil {
-				return err
-			}
+// writeHistogram renders h's bucket, _sum and _count lines. The finite
+// buckets stop at the first one that reaches the total (none does once an
+// observation has overflowed), but never before the tenth (<=512µs, <=512),
+// so an idle series still shows its low end.
+func writeHistogram(b *bytes.Buffer, name string, h *Histogram) {
+	suffix, unit := "_seconds", func(v int64) string { return fmt.Sprintf("%g", time.Duration(v).Seconds()) }
+	if h.raw {
+		suffix, unit = "", func(v int64) string { return fmt.Sprint(v) }
+	}
+	buckets, total := h.load()
+	var cum int64
+	for i := 0; i < histBuckets; i++ {
+		cum += buckets[i]
+		fmt.Fprintf(b, "%s %d\n", seriesName(name, suffix+"_bucket", unit(h.bound(i))), cum)
+		if cum == total && i >= 9 {
+			break
 		}
 	}
-	for _, gs := range gauges {
-		if gs == nil {
-			continue
-		}
-		snap := gs.Snapshot()
-		names := make([]string, 0, len(snap))
-		for name := range snap {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			if _, err := fmt.Fprintf(w, "%s %d\n", promName(prefix, name, ""), snap[name]); err != nil {
-				return err
-			}
-		}
-	}
-	for _, hs := range hists {
-		if hs == nil {
-			continue
-		}
-		for _, name := range hs.Names() {
-			h := hs.Histogram(name)
-			bounds, cumCounts := h.cumulative()
-			for i, bound := range bounds {
-				le := fmt.Sprintf("%g", bound.Seconds())
-				if _, err := fmt.Fprintf(w, "%s %d\n", promBucketName(prefix, name, le), cumCounts[i]); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", promBucketName(prefix, name, "+Inf"), h.Count()); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %g\n", promName(prefix, name, "_seconds_sum"), h.Sum().Seconds()); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s %d\n", promName(prefix, name, "_seconds_count"), h.Count()); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	fmt.Fprintf(b, "%s %d\n", seriesName(name, suffix+"_bucket", "+Inf"), total)
+	fmt.Fprintf(b, "%s %s\n", seriesName(name, suffix+"_sum", ""), unit(h.Sum()))
+	fmt.Fprintf(b, "%s %d\n", seriesName(name, suffix+"_count", ""), total)
 }

@@ -66,7 +66,7 @@ func submitRows(t *testing.T, gw *Gateway, opts Options, marks ...float64) *sync
 // the count lands: wait for it.
 func wantFlushes(t *testing.T, gw *Gateway, idle, full, width int64) {
 	t.Helper()
-	c := gw.Counters()
+	c := gw.Metrics()
 	got := func() [3]int64 {
 		return [3]int64{c.Counter("serve.flush.worker_idle").Value(), c.Counter("serve.flush.full").Value(), c.Counter("serve.flush.width").Value()}
 	}
@@ -94,10 +94,10 @@ func TestLoneRequestLeavesAtOnce(t *testing.T) {
 		t.Fatalf("backend saw batches of %v rows, want three batches of 1", got)
 	}
 	wantFlushes(t, gw, 3, 0, 0)
-	if h := gw.ValueHistograms().Histogram("serve.batch_size"); h.Count() != 3 || h.Sum() != 3 {
+	if h := gw.Metrics().ValueHistogram("serve.batch_size"); h.Count() != 3 || h.Sum() != 3 {
 		t.Fatalf("serve.batch_size saw %d batches / %d rows, want 3 / 3", h.Count(), h.Sum())
 	}
-	if got := gw.Histograms().Histogram("serve.dispatch_wait").Count(); got != 3 {
+	if got := gw.Metrics().Histogram("serve.dispatch_wait").Count(); got != 3 {
 		t.Fatalf("serve.dispatch_wait observed %d dispatches, want 3", got)
 	}
 }
@@ -202,7 +202,7 @@ func TestCloseDuringWorkerWait(t *testing.T) {
 	enqueue := func(x *tensor.Tensor) *request {
 		r := &request{x: x, ctx: context.Background(), enq: time.Now(), resc: make(chan response, 1)}
 		gw.lanes[laneIdx(PriorityNormal)] <- r
-		gw.gauges.Gauge("serve.queue_depth").Inc()
+		gw.metrics.Gauge("serve.queue_depth").Inc()
 		return r
 	}
 	reqs := []*request{enqueue(row(1, 0)), enqueue(row(2, 0)), enqueue(row(3, 0))}

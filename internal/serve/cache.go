@@ -254,13 +254,13 @@ func (g *Gateway) SetModelVersion(v string) {
 	if _, swapped := g.cache.setVersion(v); !swapped {
 		return
 	}
-	g.counters.Counter("serve.cache.invalidations").Inc()
+	g.metrics.Counter("serve.cache.invalidations").Inc()
 	// A swap starts a fresh measurement window: the lifetime ratio would
 	// blend old-model traffic in and hide the post-swap cold cache.
 	g.cacheHits.Store(0)
 	g.cacheLookups.Store(0)
-	g.gauges.Gauge("serve.cache.hit_rate_pct").Set(0)
-	g.gauges.Gauge("serve.cache.size").Set(int64(g.cache.len()))
+	g.metrics.Gauge("serve.cache.hit_rate_pct").Set(0)
+	g.metrics.Gauge("serve.cache.size").Set(int64(g.cache.len()))
 }
 
 // CacheStats reports the cache's live entry count and how many of those
@@ -300,11 +300,11 @@ func (g *Gateway) cacheGet(key cacheKey) (Result, bool) {
 	g.cacheLookups.Add(1)
 	if ok {
 		g.cacheHits.Add(1)
-		g.counters.Counter("serve.cache.hits").Inc()
+		g.metrics.Counter("serve.cache.hits").Inc()
 	} else {
-		g.counters.Counter("serve.cache.misses").Inc()
+		g.metrics.Counter("serve.cache.misses").Inc()
 		if expired {
-			g.counters.Counter("serve.cache.expired").Inc()
+			g.metrics.Counter("serve.cache.expired").Inc()
 		}
 	}
 	// The window counters reset on invalidation, so a racing reset can
@@ -315,9 +315,9 @@ func (g *Gateway) cacheGet(key cacheKey) (Result, bool) {
 		if pct > 100 {
 			pct = 100
 		}
-		g.gauges.Gauge("serve.cache.hit_rate_pct").Set(pct)
+		g.metrics.Gauge("serve.cache.hit_rate_pct").Set(pct)
 	}
-	g.gauges.Gauge("serve.cache.size").Set(int64(g.cache.len()))
+	g.metrics.Gauge("serve.cache.size").Set(int64(g.cache.len()))
 	return res, ok
 }
 
@@ -331,13 +331,13 @@ func (g *Gateway) cachePut(key cacheKey, version string, res Result) {
 	}
 	evicted, stale := g.cache.put(key, version, res, time.Now())
 	if stale {
-		g.counters.Counter("serve.cache.stale_puts").Inc()
+		g.metrics.Counter("serve.cache.stale_puts").Inc()
 		return
 	}
 	if evicted > 0 {
-		g.counters.Counter("serve.cache.evictions").Add(int64(evicted))
+		g.metrics.Counter("serve.cache.evictions").Add(int64(evicted))
 	}
-	g.gauges.Gauge("serve.cache.size").Set(int64(g.cache.len()))
+	g.metrics.Gauge("serve.cache.size").Set(int64(g.cache.len()))
 }
 
 // joinFlight either registers the caller as the leader for key (creating
@@ -395,7 +395,7 @@ func (g *Gateway) predictShaped(ctx context.Context, x *tensor.Tensor, opts Opti
 	if res, ok := g.cacheGet(key); ok {
 		res.Cached = true
 		e2e := time.Since(start)
-		g.hists.Observe("serve.e2e", e2e)
+		g.metrics.Observe("serve.e2e", e2e)
 		g.sloFinished(e2e, nil)
 		return res, nil
 	}
@@ -422,20 +422,20 @@ func (g *Gateway) predictShaped(ctx context.Context, x *tensor.Tensor, opts Opti
 				// propagate: N duplicates cost one admission attempt too.
 				return Result{}, fl.err
 			}
-			g.counters.Counter("serve.cache.coalesced").Inc()
+			g.metrics.Counter("serve.cache.coalesced").Inc()
 			res := cloneResult(fl.res)
 			if res.Degraded {
-				g.counters.Counter("serve.degraded").Inc()
+				g.metrics.Counter("serve.degraded").Inc()
 			}
 			e2e := time.Since(start)
-			g.hists.Observe("serve.e2e", e2e)
+			g.metrics.Observe("serve.e2e", e2e)
 			g.sloFinished(e2e, nil)
 			return res, nil
 		case <-ctx.Done():
 			// The waiter's own deadline fired first: it gets its context
 			// error (HTTP 504), never a late share scattered after the fact.
-			g.counters.Counter("serve.timeouts").Inc()
-			g.hists.Observe("serve.e2e", time.Since(start))
+			g.metrics.Counter("serve.timeouts").Inc()
+			g.metrics.Observe("serve.e2e", time.Since(start))
 			g.sloBurned()
 			return Result{}, ctx.Err()
 		case <-g.quit:

@@ -64,12 +64,12 @@ func TestCacheHitSkipsBackend(t *testing.T) {
 	if got := be.calls(); got != 1 {
 		t.Fatalf("backend ran %d times, want 1", got)
 	}
-	c := gw.Counters()
+	c := gw.Metrics()
 	if c.Counter("serve.cache.hits").Value() != 1 || c.Counter("serve.cache.misses").Value() != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1/1",
 			c.Counter("serve.cache.hits").Value(), c.Counter("serve.cache.misses").Value())
 	}
-	if got := gw.Gauges().Gauge("serve.cache.hit_rate_pct").Value(); got != 50 {
+	if got := gw.Metrics().Gauge("serve.cache.hit_rate_pct").Value(); got != 50 {
 		t.Fatalf("hit_rate_pct = %d, want 50", got)
 	}
 	// The cached result must not alias the stored copy: mutating it cannot
@@ -105,7 +105,7 @@ func TestCacheTTLExpiry(t *testing.T) {
 	if got := be.calls(); got != 2 {
 		t.Fatalf("backend ran %d times, want 2 (entry should have expired)", got)
 	}
-	if got := gw.Counters().Counter("serve.cache.expired").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.cache.expired").Value(); got != 1 {
 		t.Fatalf("serve.cache.expired = %d, want 1", got)
 	}
 }
@@ -122,10 +122,10 @@ func TestCacheLRUEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := gw.Counters().Counter("serve.cache.evictions").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.cache.evictions").Value(); got != 1 {
 		t.Fatalf("serve.cache.evictions = %d, want 1", got)
 	}
-	if got := gw.Gauges().Gauge("serve.cache.size").Value(); got != 2 {
+	if got := gw.Metrics().Gauge("serve.cache.size").Value(); got != 2 {
 		t.Fatalf("serve.cache.size = %d, want 2", got)
 	}
 	// Key 1 was the LRU victim: re-requesting it is a miss...
@@ -161,7 +161,7 @@ func TestSetModelVersionInvalidates(t *testing.T) {
 	if got := be.calls(); got != 2 {
 		t.Fatalf("backend ran %d times, want 2", got)
 	}
-	if got := gw.Counters().Counter("serve.cache.invalidations").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.cache.invalidations").Value(); got != 1 {
 		t.Fatalf("serve.cache.invalidations = %d, want 1", got)
 	}
 	// Same-version SetModelVersion is a no-op, not a purge.
@@ -226,7 +226,7 @@ func TestSingleflightCoalesce(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("%d identical requests cost %d inferences, want 1", waiters+1, calls)
 	}
-	if got := gw.Counters().Counter("serve.cache.coalesced").Value(); got != waiters {
+	if got := gw.Metrics().Counter("serve.cache.coalesced").Value(); got != waiters {
 		t.Fatalf("serve.cache.coalesced = %d, want %d", got, waiters)
 	}
 }
@@ -274,7 +274,7 @@ func TestWaiterDeadlineExpires(t *testing.T) {
 	if err := <-leaderDone; err != nil {
 		t.Fatalf("leader failed after waiter expiry: %v", err)
 	}
-	if got := gw.Counters().Counter("serve.cache.coalesced").Value(); got != 0 {
+	if got := gw.Metrics().Counter("serve.cache.coalesced").Value(); got != 0 {
 		t.Fatalf("expired waiter counted as coalesced (%d)", got)
 	}
 }
@@ -580,7 +580,7 @@ func TestConcurrentShapedTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := gw.Counters()
+	c := gw.Metrics()
 	served := c.Counter("serve.cache.hits").Value() + c.Counter("serve.cache.coalesced").Value()
 	if served == 0 {
 		t.Fatal("hot-key hammer produced zero cache hits and zero coalesced shares")
@@ -641,7 +641,7 @@ func TestHotSwapMidFlightSkipsStalePut(t *testing.T) {
 
 	// The hot swap lands mid-flight: exactly one purge, cache emptied.
 	gw.SetModelVersion("vB")
-	if got := gw.Counters().Counter("serve.cache.invalidations").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.cache.invalidations").Value(); got != 1 {
 		t.Fatalf("serve.cache.invalidations = %d, want exactly 1", got)
 	}
 	if size, _ := gw.CacheStats(); size != 0 {
@@ -662,10 +662,10 @@ func TestHotSwapMidFlightSkipsStalePut(t *testing.T) {
 		t.Fatalf("waiter share wrong (winner %d, cached %v), want leader's uncached result",
 			wr.res.Winners[0], wr.res.Cached)
 	}
-	if got := gw.Counters().Counter("serve.cache.coalesced").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.cache.coalesced").Value(); got != 1 {
 		t.Fatalf("serve.cache.coalesced = %d, want 1", got)
 	}
-	if got := gw.Counters().Counter("serve.cache.stale_puts").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.cache.stale_puts").Value(); got != 1 {
 		t.Fatalf("serve.cache.stale_puts = %d, want 1", got)
 	}
 	size, stale := gw.CacheStats()
@@ -684,7 +684,7 @@ func TestHotSwapMidFlightSkipsStalePut(t *testing.T) {
 	if res.Cached {
 		t.Fatal("post-swap request served a stale version-A answer")
 	}
-	if got := gw.Gauges().Gauge("serve.cache.hit_rate_pct").Value(); got != 0 {
+	if got := gw.Metrics().Gauge("serve.cache.hit_rate_pct").Value(); got != 0 {
 		t.Fatalf("hit_rate_pct = %d after window reset, want 0", got)
 	}
 }

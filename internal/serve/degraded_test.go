@@ -60,7 +60,7 @@ func TestDegradedScatter(t *testing.T) {
 	if be.quorumCalls.Load() == 0 || be.strictCalls.Load() != 0 {
 		t.Fatalf("dispatch took the wrong path: quorum=%d strict=%d", be.quorumCalls.Load(), be.strictCalls.Load())
 	}
-	if got := gw.Counters().Counter("serve.degraded").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.degraded").Value(); got != 1 {
 		t.Fatalf("serve.degraded = %d, want 1", got)
 	}
 
@@ -73,7 +73,7 @@ func TestDegradedScatter(t *testing.T) {
 	if res.Degraded {
 		t.Fatal("full-quorum answer flagged degraded")
 	}
-	if got := gw.Counters().Counter("serve.degraded").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.degraded").Value(); got != 1 {
 		t.Fatalf("serve.degraded moved to %d on a full answer", got)
 	}
 }
@@ -237,7 +237,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 	}
 
 	// Pin the internals: 50 queued, draining at 10/s → 5s.
-	gw.gauges.Gauge("serve.queue_depth").Set(50)
+	gw.metrics.Gauge("serve.queue_depth").Set(50)
 	gw.drainMu.Lock()
 	gw.drainRate = 10
 	gw.drainT = time.Now()
@@ -254,7 +254,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 	if got := gw.RetryAfter(); got != 30*time.Second {
 		t.Fatalf("RetryAfter = %v, want the 30s ceiling", got)
 	}
-	gw.gauges.Gauge("serve.queue_depth").Set(0)
+	gw.metrics.Gauge("serve.queue_depth").Set(0)
 }
 
 // TestBrownoutTightensAndRelaxes: a burst of SLO-missing traffic must step
@@ -273,7 +273,7 @@ func TestBrownoutTightensAndRelaxes(t *testing.T) {
 
 	// Keep >=20 finished-per-window flowing until the controller reacts.
 	deadline := time.Now().Add(10 * time.Second)
-	for gw.gauges.Gauge("serve.brownout_level").Value() == 0 {
+	for gw.metrics.Gauge("serve.brownout_level").Value() == 0 {
 		done := make(chan struct{}, 8)
 		for i := 0; i < 8; i++ {
 			go func() {
@@ -288,7 +288,7 @@ func TestBrownoutTightensAndRelaxes(t *testing.T) {
 			t.Fatal("brownout level never rose under 100% SLO burn")
 		}
 	}
-	if got := gw.Counters().Counter("serve.brownout.tightened").Value(); got == 0 {
+	if got := gw.Metrics().Counter("serve.brownout.tightened").Value(); got == 0 {
 		t.Fatal("tightening left no counter trace")
 	}
 	level := gw.level.Load()
@@ -298,13 +298,13 @@ func TestBrownoutTightensAndRelaxes(t *testing.T) {
 
 	// Silence: with no evidence the controller must relax back to zero.
 	deadline = time.Now().Add(10 * time.Second)
-	for gw.gauges.Gauge("serve.brownout_level").Value() != 0 {
+	for gw.metrics.Gauge("serve.brownout_level").Value() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("brownout level stuck at %d after traffic stopped", gw.gauges.Gauge("serve.brownout_level").Value())
+			t.Fatalf("brownout level stuck at %d after traffic stopped", gw.metrics.Gauge("serve.brownout_level").Value())
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if got := gw.Counters().Counter("serve.brownout.relaxed").Value(); got == 0 {
+	if got := gw.Metrics().Counter("serve.brownout.relaxed").Value(); got == 0 {
 		t.Fatal("relaxation left no counter trace")
 	}
 	if eff := gw.effQueue.Load(); eff != 64 {

@@ -90,7 +90,7 @@ func TestGatewayOverRealMaster(t *testing.T) {
 			t.Errorf("request %d: entropy %v, want %v", i, results[i].Entropy[0], wantEnt)
 		}
 	}
-	if rows := gw.Counters().Counter("serve.batched_rows").Value(); rows != n {
+	if rows := gw.Metrics().Counter("serve.batched_rows").Value(); rows != n {
 		t.Fatalf("serve.batched_rows = %d, want %d", rows, n)
 	}
 }

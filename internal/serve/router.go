@@ -64,8 +64,7 @@ func (t *routeTarget) observe(d time.Duration) {
 // Router dispatches inferences across a mutable set of Backend targets.
 type Router struct {
 	cooldown time.Duration
-	counters *metrics.CounterSet
-	gauges   *metrics.GaugeSet
+	metrics  *metrics.Registry
 
 	mu      sync.Mutex
 	targets []*routeTarget
@@ -79,17 +78,14 @@ func NewRouter(cooldown time.Duration) *Router {
 	}
 	return &Router{
 		cooldown: cooldown,
-		counters: metrics.NewCounterSet(),
-		gauges:   metrics.NewGaugeSet(),
+		metrics:  new(metrics.Registry),
 	}
 }
 
-// Counters exposes "serve.route.dispatched", "serve.route.failover",
-// "serve.route.errors" and "serve.route.cooldowns".
-func (r *Router) Counters() *metrics.CounterSet { return r.counters }
-
-// Gauges exposes "serve.route.targets".
-func (r *Router) Gauges() *metrics.GaugeSet { return r.gauges }
+// Metrics exposes the counters "serve.route.dispatched",
+// "serve.route.failover", "serve.route.errors" and "serve.route.cooldowns"
+// and the gauge "serve.route.targets".
+func (r *Router) Metrics() *metrics.Registry { return r.metrics }
 
 // Upsert adds a routing target (or replaces the backend under an existing
 // name, keeping its load history). The name is the routing identity —
@@ -104,7 +100,7 @@ func (r *Router) Upsert(name string, be Backend) {
 		}
 	}
 	r.targets = append(r.targets, &routeTarget{name: name, be: be})
-	r.gauges.Gauge("serve.route.targets").Set(int64(len(r.targets)))
+	r.metrics.Gauge("serve.route.targets").Set(int64(len(r.targets)))
 }
 
 // Remove drops a target (membership expiry). Unknown names are a no-op.
@@ -117,7 +113,7 @@ func (r *Router) Remove(name string) {
 			break
 		}
 	}
-	r.gauges.Gauge("serve.route.targets").Set(int64(len(r.targets)))
+	r.metrics.Gauge("serve.route.targets").Set(int64(len(r.targets)))
 }
 
 // Targets returns the current target names, in routing order.
@@ -180,9 +176,9 @@ func (r *Router) dispatch(ctx context.Context, fn func(t *routeTarget) error) er
 	var lastErr error
 	for i, t := range picks {
 		if i > 0 {
-			r.counters.Counter("serve.route.failover").Inc()
+			r.metrics.Counter("serve.route.failover").Inc()
 		}
-		r.counters.Counter("serve.route.dispatched").Inc()
+		r.metrics.Counter("serve.route.dispatched").Inc()
 		t.inflight.Add(1)
 		start := time.Now()
 		err := fn(t)
@@ -194,8 +190,8 @@ func (r *Router) dispatch(ctx context.Context, fn func(t *routeTarget) error) er
 		if ctx.Err() != nil {
 			return err
 		}
-		r.counters.Counter("serve.route.errors").Inc()
-		r.counters.Counter("serve.route.cooldowns").Inc()
+		r.metrics.Counter("serve.route.errors").Inc()
+		r.metrics.Counter("serve.route.cooldowns").Inc()
 		t.coolNs.Store(time.Now().Add(r.cooldown).UnixNano())
 		lastErr = err
 	}

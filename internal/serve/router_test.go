@@ -77,7 +77,7 @@ func TestRouterSpreadsLoad(t *testing.T) {
 	if a.count() == 0 || b.count() == 0 {
 		t.Fatalf("load not spread: a=%d b=%d", a.count(), b.count())
 	}
-	if got := r.Counters().Counter("serve.route.dispatched").Value(); got != n {
+	if got := r.Metrics().Counter("serve.route.dispatched").Value(); got != n {
 		t.Fatalf("dispatched = %d, want %d", got, n)
 	}
 }
@@ -99,7 +99,7 @@ func TestRouterFailoverAndCooldown(t *testing.T) {
 	if bad.count() == 0 {
 		t.Fatal("bad target was never tried")
 	}
-	if got := r.Counters().Counter("serve.route.failover").Value(); got == 0 {
+	if got := r.Metrics().Counter("serve.route.failover").Value(); got == 0 {
 		t.Fatal("no failover counted")
 	}
 	// Once cooling, the bad target stops receiving traffic entirely.

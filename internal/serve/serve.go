@@ -201,10 +201,7 @@ type Gateway struct {
 	cfg     Config
 	backend Backend
 
-	counters   *metrics.CounterSet
-	gauges     *metrics.GaugeSet
-	hists      *metrics.HistogramSet
-	valueHists *metrics.ValueHistogramSet
+	metrics *metrics.Registry
 
 	trMu sync.Mutex
 	tr   *trace.Tracer
@@ -247,15 +244,12 @@ type Gateway struct {
 func New(backend Backend, cfg Config) *Gateway {
 	cfg = cfg.normalized()
 	g := &Gateway{
-		cfg:        cfg,
-		backend:    backend,
-		counters:   metrics.NewCounterSet(),
-		gauges:     metrics.NewGaugeSet(),
-		hists:      metrics.NewHistogramSet(),
-		valueHists: metrics.NewValueHistogramSet(),
-		dispatch:   make(chan []*request),
-		quit:       make(chan struct{}),
-		flights:    make(map[cacheKey]*flight),
+		cfg:      cfg,
+		backend:  backend,
+		metrics:  new(metrics.Registry),
+		dispatch: make(chan []*request),
+		quit:     make(chan struct{}),
+		flights:  make(map[cacheKey]*flight),
 	}
 	if cfg.CacheSize > 0 {
 		g.cache = newResponseCache(cfg.CacheSize, cfg.CacheTTL)
@@ -284,26 +278,17 @@ func laneIdx(p Priority) int {
 	return 1
 }
 
-// Counters exposes the gateway's event counters ("serve.requests",
+// Metrics exposes the gateway's registry. Counters: "serve.requests",
 // "serve.shed.queue_full", "serve.shed.expired", "serve.timeouts",
 // "serve.batches", "serve.batch_errors", why each batch left the batcher —
 // "serve.flush.{worker_idle,full,width}" — and the demand-shaping series
-// "serve.cache.{hits,misses,expired,evictions,coalesced,invalidations}").
-func (g *Gateway) Counters() *metrics.CounterSet { return g.counters }
-
-// Gauges exposes the gateway's level metrics ("serve.queue_depth",
-// "serve.inflight_batches", "serve.cache.size",
-// "serve.cache.hit_rate_pct").
-func (g *Gateway) Gauges() *metrics.GaugeSet { return g.gauges }
-
-// Histograms exposes the gateway's latency histograms ("serve.queue_wait",
-// "serve.e2e", and "serve.dispatch_wait": batch first offered → a worker
+// "serve.cache.{hits,misses,expired,evictions,coalesced,invalidations}".
+// Gauges: "serve.queue_depth", "serve.inflight_batches", "serve.cache.size",
+// "serve.cache.hit_rate_pct". Latency histograms: "serve.queue_wait",
+// "serve.e2e", and "serve.dispatch_wait" (batch first offered → a worker
 // took it, microseconds on an idle gateway, a service time on a saturated
-// one).
-func (g *Gateway) Histograms() *metrics.HistogramSet { return g.hists }
-
-// ValueHistograms exposes the unitless histograms ("serve.batch_size").
-func (g *Gateway) ValueHistograms() *metrics.ValueHistogramSet { return g.valueHists }
+// one). Value histogram: "serve.batch_size".
+func (g *Gateway) Metrics() *metrics.Registry { return g.metrics }
 
 // SetTracer installs (or, with nil, removes) the gateway's span collector.
 // Install the master's tracer here so each "serve.batch" span and the
@@ -348,7 +333,7 @@ func (g *Gateway) PredictOpts(ctx context.Context, x *tensor.Tensor, opts Option
 			defer cancel()
 		}
 	}
-	g.counters.Counter("serve.requests").Inc()
+	g.metrics.Counter("serve.requests").Inc()
 	if g.shaped() {
 		return g.predictShaped(ctx, x, opts)
 	}
@@ -366,17 +351,17 @@ func (g *Gateway) predictQueued(ctx context.Context, x *tensor.Tensor, opts Opti
 	// buffered capacity, so the depth check comes first.
 	lane := g.lanes[laneIdx(opts.Priority)]
 	if len(lane) >= int(g.effQueue.Load()) {
-		g.counters.Counter("serve.shed.queue_full").Inc()
+		g.metrics.Counter("serve.shed.queue_full").Inc()
 		g.sloBurned()
 		return Result{}, ErrQueueFull
 	}
 	select {
 	case lane <- req:
-		g.gauges.Gauge("serve.queue_depth").Inc()
+		g.metrics.Gauge("serve.queue_depth").Inc()
 	case <-g.quit:
 		return Result{}, ErrClosed
 	default:
-		g.counters.Counter("serve.shed.queue_full").Inc()
+		g.metrics.Counter("serve.shed.queue_full").Inc()
 		g.sloBurned()
 		return Result{}, ErrQueueFull
 	}
@@ -384,15 +369,15 @@ func (g *Gateway) predictQueued(ctx context.Context, x *tensor.Tensor, opts Opti
 	select {
 	case r := <-req.resc:
 		e2e := time.Since(req.enq)
-		g.hists.Observe("serve.e2e", e2e)
+		g.metrics.Observe("serve.e2e", e2e)
 		g.sloFinished(e2e, r.err)
 		return r.res, r.err
 	case <-ctx.Done():
 		// The request may still be queued (the batcher will shed it as
 		// expired) or mid-batch (its row computes, nobody reads it); either
 		// way this caller is done waiting.
-		g.counters.Counter("serve.timeouts").Inc()
-		g.hists.Observe("serve.e2e", time.Since(req.enq))
+		g.metrics.Counter("serve.timeouts").Inc()
+		g.metrics.Observe("serve.e2e", time.Since(req.enq))
 		g.sloBurned()
 		return Result{}, ctx.Err()
 	case <-g.quit:
@@ -451,16 +436,16 @@ func (g *Gateway) brownoutLoop() {
 		case total >= minEvidence && float64(miss)/float64(total) > g.cfg.BrownoutBurn:
 			if level < brownoutMaxLevel {
 				level++
-				g.counters.Counter("serve.brownout.tightened").Inc()
+				g.metrics.Counter("serve.brownout.tightened").Inc()
 			}
 		case total < minEvidence || float64(miss)/float64(total) < g.cfg.BrownoutBurn/4:
 			if level > 0 {
 				level--
-				g.counters.Counter("serve.brownout.relaxed").Inc()
+				g.metrics.Counter("serve.brownout.relaxed").Inc()
 			}
 		}
 		g.level.Store(level)
-		g.gauges.Gauge("serve.brownout_level").Set(level)
+		g.metrics.Gauge("serve.brownout_level").Set(level)
 		cap := g.cfg.QueueSize >> level
 		if cap < 1 {
 			cap = 1
@@ -471,7 +456,7 @@ func (g *Gateway) brownoutLoop() {
 
 // noteDequeue feeds the drain-rate estimate behind RetryAfter.
 func (g *Gateway) noteDequeue() {
-	g.gauges.Gauge("serve.queue_depth").Dec()
+	g.metrics.Gauge("serve.queue_depth").Dec()
 	g.dequeued.Add(1)
 }
 
@@ -479,7 +464,7 @@ func (g *Gateway) noteDequeue() {
 // the queue has drained: current depth over the recent dequeue rate,
 // clamped into [1s, 30s]. With no drain observed yet it answers 1s.
 func (g *Gateway) RetryAfter() time.Duration {
-	depth := g.gauges.Gauge("serve.queue_depth").Value()
+	depth := g.metrics.Gauge("serve.queue_depth").Value()
 	now := time.Now()
 	n := g.dequeued.Load()
 	g.drainMu.Lock()
@@ -564,8 +549,8 @@ func (g *Gateway) batchLoop() {
 			var req *request
 			select {
 			case g.dispatch <- batch:
-				g.hists.Observe("serve.dispatch_wait", time.Since(offered))
-				g.counters.Counter(flush).Inc()
+				g.metrics.Observe("serve.dispatch_wait", time.Since(offered))
+				g.metrics.Counter(flush).Inc()
 				sent = true
 			case req = <-lanes[0]:
 			case req = <-lanes[1]:
@@ -635,7 +620,7 @@ func (g *Gateway) nextRequest() *request {
 // before it costs a broadcast.
 func (g *Gateway) shedExpired(r *request) bool {
 	if err := r.ctx.Err(); err != nil {
-		g.counters.Counter("serve.shed.expired").Inc()
+		g.metrics.Counter("serve.shed.expired").Inc()
 		r.resc <- response{err: err}
 		return true
 	}
@@ -686,20 +671,20 @@ func batchDeadline(batch []*request) (time.Time, bool) {
 // runBatch coalesces the batch's rows into one tensor, drives the backend,
 // and scatters per-row results back to each caller.
 func (g *Gateway) runBatch(batch []*request) {
-	g.gauges.Gauge("serve.inflight_batches").Inc()
-	defer g.gauges.Gauge("serve.inflight_batches").Dec()
+	g.metrics.Gauge("serve.inflight_batches").Inc()
+	defer g.metrics.Gauge("serve.inflight_batches").Dec()
 
 	rows := 0
 	for _, r := range batch {
 		rows += r.x.Shape[0]
 	}
-	g.counters.Counter("serve.batches").Inc()
-	g.counters.Counter("serve.batched_rows").Add(int64(rows))
-	g.valueHists.Observe("serve.batch_size", int64(rows))
+	g.metrics.Counter("serve.batches").Inc()
+	g.metrics.Counter("serve.batched_rows").Add(int64(rows))
+	g.metrics.ValueHistogram("serve.batch_size").Observe(int64(rows))
 
 	dispatchStart := time.Now()
 	for _, r := range batch {
-		g.hists.Observe("serve.queue_wait", dispatchStart.Sub(r.enq))
+		g.metrics.Observe("serve.queue_wait", dispatchStart.Sub(r.enq))
 	}
 
 	// Gather: one contiguous rows×features tensor.
@@ -740,7 +725,7 @@ func (g *Gateway) runBatch(batch []*request) {
 		err = fmt.Errorf("serve: backend returned %d result rows for a %d-row batch", resultRows(probs, winners), rows)
 	}
 	if err != nil {
-		g.counters.Counter("serve.batch_errors").Inc()
+		g.metrics.Counter("serve.batch_errors").Inc()
 		g.scatterError(tr, span.Ctx(), batch, dispatchStart, err)
 		return
 	}
@@ -760,7 +745,7 @@ func (g *Gateway) runBatch(batch []*request) {
 			Nodes:    nodes,
 		}
 		if degraded {
-			g.counters.Counter("serve.degraded").Inc()
+			g.metrics.Counter("serve.degraded").Inc()
 		}
 		for i := 0; i < n; i++ {
 			copy(res.Probs.RowSlice(i), probs.RowSlice(off+i))
@@ -792,7 +777,7 @@ func quorumSoft(ctx context.Context) time.Duration {
 func (g *Gateway) inferQuorumGuarded(ctx context.Context, db DegradedBackend, x *tensor.Tensor, soft time.Duration) (probs *tensor.Tensor, winners []int, live, nodes int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			g.counters.Counter("serve.panics").Inc()
+			g.metrics.Counter("serve.panics").Inc()
 			probs, winners, live, nodes = nil, nil, 0, 0
 			err = fmt.Errorf("serve: inference panic: %v", r)
 		}
@@ -809,7 +794,7 @@ func (g *Gateway) inferQuorumGuarded(ctx context.Context, db DegradedBackend, x 
 func (g *Gateway) inferGuarded(ctx context.Context, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			g.counters.Counter("serve.panics").Inc()
+			g.metrics.Counter("serve.panics").Inc()
 			probs, winners = nil, nil
 			err = fmt.Errorf("serve: inference panic: %v", r)
 		}

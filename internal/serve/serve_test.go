@@ -100,7 +100,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func queueDepth(gw *Gateway) int64 { return gw.Gauges().Gauge("serve.queue_depth").Value() }
+func queueDepth(gw *Gateway) int64 { return gw.Metrics().Gauge("serve.queue_depth").Value() }
 
 // TestConcurrentScatterOwnership is the core correctness property under
 // -race: N goroutines each submit one distinguishable row concurrently, the
@@ -166,13 +166,13 @@ func TestConcurrentScatterOwnership(t *testing.T) {
 	if batches == n {
 		t.Log("warning: no coalescing happened (every batch had 1 row) — timing-dependent, not failing")
 	}
-	if got := gw.Counters().Counter("serve.requests").Value(); got != n {
+	if got := gw.Metrics().Counter("serve.requests").Value(); got != n {
 		t.Fatalf("serve.requests = %d, want %d", got, n)
 	}
-	if got := gw.Counters().Counter("serve.batched_rows").Value(); got != n {
+	if got := gw.Metrics().Counter("serve.batched_rows").Value(); got != n {
 		t.Fatalf("serve.batched_rows = %d, want %d", got, n)
 	}
-	if got := gw.ValueHistograms().Histogram("serve.batch_size").Count(); got != int64(batches) {
+	if got := gw.Metrics().ValueHistogram("serve.batch_size").Count(); got != int64(batches) {
 		t.Fatalf("serve.batch_size observations = %d, want %d", got, batches)
 	}
 }
@@ -244,8 +244,8 @@ func TestDeadlineExpiry(t *testing.T) {
 	// The expiry lands either as a caller-side timeout (Predict's ctx arm
 	// won the race) or as a batch error (the backend returned ctx.Err()
 	// first and the scatter arm won); both must be counted somewhere.
-	counted := gw.Counters().Counter("serve.timeouts").Value() +
-		gw.Counters().Counter("serve.batch_errors").Value()
+	counted := gw.Metrics().Counter("serve.timeouts").Value() +
+		gw.Metrics().Counter("serve.batch_errors").Value()
 	if counted < 1 {
 		t.Fatalf("deadline expiry left no trace in serve.timeouts or serve.batch_errors")
 	}
@@ -262,15 +262,15 @@ func TestDeadlineExpiry(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled err = %v, want Canceled", err)
 	}
-	total := gw.Counters().Counter("serve.shed.expired").Value() +
-		gw.Counters().Counter("serve.timeouts").Value() +
-		gw.Counters().Counter("serve.batch_errors").Value()
+	total := gw.Metrics().Counter("serve.shed.expired").Value() +
+		gw.Metrics().Counter("serve.timeouts").Value() +
+		gw.Metrics().Counter("serve.batch_errors").Value()
 	if total < 2 {
 		t.Fatalf("expired requests not counted (shed.expired + timeouts + batch_errors = %d)", total)
 	}
 	// A pre-cancelled request can never win its way into a batch.
 	waitFor(t, "the batcher shedding the cancelled request", func() bool {
-		return gw.Counters().Counter("serve.shed.expired").Value() >= 1
+		return gw.Metrics().Counter("serve.shed.expired").Value() >= 1
 	})
 	be.echo.mu.Lock()
 	defer be.echo.mu.Unlock()
@@ -326,7 +326,7 @@ func TestQueueFullShed(t *testing.T) {
 	if time.Since(start) > 100*time.Millisecond {
 		t.Fatalf("shed took %v; admission must reject instantly", time.Since(start))
 	}
-	if got := gw.Counters().Counter("serve.shed.queue_full").Value(); got < 1 {
+	if got := gw.Metrics().Counter("serve.shed.queue_full").Value(); got < 1 {
 		t.Fatalf("serve.shed.queue_full = %d, want >= 1", got)
 	}
 	close(be.gate) // let the wedged requests finish
@@ -462,7 +462,7 @@ func TestBackendErrorScatters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := gw.Counters().Counter("serve.batch_errors").Value(); got < 1 {
+	if got := gw.Metrics().Counter("serve.batch_errors").Value(); got < 1 {
 		t.Fatalf("serve.batch_errors = %d, want >= 1", got)
 	}
 }
@@ -485,10 +485,10 @@ func TestBackendPanicScatters(t *testing.T) {
 	if _, err := gw.Predict(context.Background(), row(1, 0)); err == nil || !strings.Contains(err.Error(), "panic") {
 		t.Fatalf("err = %v, want inference panic error", err)
 	}
-	if got := gw.Counters().Counter("serve.panics").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.panics").Value(); got != 1 {
 		t.Fatalf("serve.panics = %d, want 1", got)
 	}
-	if got := gw.Counters().Counter("serve.batch_errors").Value(); got != 1 {
+	if got := gw.Metrics().Counter("serve.batch_errors").Value(); got != 1 {
 		t.Fatalf("serve.batch_errors = %d, want 1", got)
 	}
 	// The worker survived: the next request goes through normally.
@@ -528,7 +528,7 @@ func TestCloseFailsPending(t *testing.T) {
 			errsc <- err
 		}()
 	}
-	waitFor(t, "all four requests arriving", func() bool { return gw.Counters().Counter("serve.requests").Value() == 4 })
+	waitFor(t, "all four requests arriving", func() bool { return gw.Metrics().Counter("serve.requests").Value() == 4 })
 	done := make(chan struct{})
 	go func() { gw.Close(); close(done) }()
 	select {
@@ -557,10 +557,7 @@ func TestMetricsOnAdminEndpoint(t *testing.T) {
 	defer gw.Close()
 
 	adm := admin.New()
-	adm.AddCounters(gw.Counters())
-	adm.AddGauges(gw.Gauges())
-	adm.AddHistograms(gw.Histograms())
-	adm.AddValueHistograms(gw.ValueHistograms())
+	adm.Add(gw.Metrics())
 	addr, err := adm.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -607,8 +604,8 @@ func TestMetricsOnAdminEndpoint(t *testing.T) {
 	}
 	// Under this overload either sheds or timeouts (or both) must be > 0
 	// and visible.
-	sheds := gw.Counters().Counter("serve.shed.queue_full").Value() + gw.Counters().Counter("serve.shed.expired").Value()
-	timeouts := gw.Counters().Counter("serve.timeouts").Value()
+	sheds := gw.Metrics().Counter("serve.shed.queue_full").Value() + gw.Metrics().Counter("serve.shed.expired").Value()
+	timeouts := gw.Metrics().Counter("serve.timeouts").Value()
 	if sheds+timeouts == 0 {
 		t.Fatal("overload produced neither sheds nor timeouts")
 	}

@@ -116,7 +116,7 @@ func TestFrameCrossesLatencyLinkInOneDelay(t *testing.T) {
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	if n := link.Counters().Counter("injected.latency").Value(); n != 1 {
+	if n := link.Metrics().Counter("injected.latency").Value(); n != 1 {
 		t.Fatalf("the link delayed the frame %d times, want 1", n)
 	}
 }
