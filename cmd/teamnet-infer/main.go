@@ -24,9 +24,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +38,6 @@ import (
 	"github.com/teamnet/teamnet/internal/cluster"
 	"github.com/teamnet/teamnet/internal/core"
 	"github.com/teamnet/teamnet/internal/metrics"
-	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
 )
@@ -102,38 +99,29 @@ func run() error {
 		return nil
 	}
 
-	raw, err := os.ReadFile(*teamPath)
+	bundle, err := cli.ReadBundle(*teamPath)
 	if err != nil {
-		return fmt.Errorf("open bundle: %w", err)
+		return err
 	}
-	team, err := core.LoadTeam(bytes.NewReader(raw))
+	// The local model carries the same expert-scoped label teamnet-node
+	// serves under: split requests pin on label equality, so the split tail
+	// only runs on a peer serving the *same expert* (a replica); a peer
+	// serving a different expert of the team mismatches and the query
+	// degrades to whole-query offload instead of finishing the head on the
+	// wrong model's tail.
+	team, model, err := bundle.Load(*local)
 	if err != nil {
-		return fmt.Errorf("load bundle: %w", err)
+		return err
 	}
-
-	var localExpert *nn.Network
-	if *local >= 0 {
-		if *local >= team.K() {
-			return fmt.Errorf("local expert %d out of range [0, %d)", *local, team.K())
-		}
-		localExpert = team.Experts[*local]
-	}
-	master := cluster.NewMaster(localExpert, team.Classes)
+	master := cluster.NewMaster(nil, team.Classes)
 	defer master.Close()
+	if err := master.SetLocal(model); err != nil {
+		return err
+	}
 	master.SetTimeout(*timeout)
 	master.SetSupervisor(cluster.SupervisorConfig{MaxRetries: *retries})
-	// Same expert-scoped label teamnet-node serves under: split requests
-	// pin on version equality, so the split tail only runs on a peer
-	// serving the *same expert* (a replica); a peer serving a different
-	// expert of the team mismatches and the query degrades to whole-query
-	// offload instead of finishing the head on the wrong model's tail.
-	version := fmt.Sprintf("%x", sha256.Sum256(raw))[:16]
-	if *local >= 0 {
-		version += fmt.Sprintf("/e%d", *local)
-	}
-	master.SetModelVersion(version)
 	if splitOn {
-		if localExpert == nil {
+		if model.Snapshot == nil {
 			return fmt.Errorf("-split needs -local: the head of the network runs on the local expert")
 		}
 		if policy.Split == cluster.SplitAuto {

@@ -19,9 +19,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -33,7 +31,6 @@ import (
 	"github.com/teamnet/teamnet/internal/chaos"
 	"github.com/teamnet/teamnet/internal/cli"
 	"github.com/teamnet/teamnet/internal/cluster"
-	"github.com/teamnet/teamnet/internal/core"
 	"github.com/teamnet/teamnet/internal/trace"
 )
 
@@ -63,28 +60,23 @@ func run() error {
 		return err
 	}
 
-	raw, err := os.ReadFile(*teamPath)
+	if *expert < 0 {
+		return fmt.Errorf("expert %d out of range: a node serves one expert of the bundle", *expert)
+	}
+	bundle, err := cli.ReadBundle(*teamPath)
 	if err != nil {
-		return fmt.Errorf("open bundle: %w", err)
+		return err
 	}
-	team, err := core.LoadTeam(bytes.NewReader(raw))
+	// The model arrives compiled into a frozen inference snapshot, so every
+	// connection's requests run concurrently on one copy of the weights, and
+	// labelled with the bundle's content hash scoped by expert index
+	// (cli.Bundle.Load says why) until a versioned push hot-swaps it
+	// (DESIGN.md §12).
+	team, model, err := bundle.Load(*expert)
 	if err != nil {
-		return fmt.Errorf("load bundle: %w", err)
+		return err
 	}
-	if *expert < 0 || *expert >= team.K() {
-		return fmt.Errorf("expert %d out of range [0, %d)", *expert, team.K())
-	}
-
-	// The worker compiles the expert into a frozen inference snapshot, so
-	// every connection's requests run concurrently on one copy of the
-	// weights — no replica cloning needed. The bundle's content hash labels
-	// the served model until a versioned push hot-swaps it (DESIGN.md §12).
-	worker := cluster.NewWorker(team.Experts[*expert], *id)
-	// The label scopes the bundle hash by expert index: experts share a
-	// bundle but are different models, and split-tail requests (DESIGN.md
-	// §13) pin on this label — without the suffix, a head computed on one
-	// expert could be finished by another expert's tail.
-	worker.SetModelVersion(fmt.Sprintf("%x", sha256.Sum256(raw))[:16] + fmt.Sprintf("/e%d", *expert))
+	worker := cluster.NewWorkerModel(model, *id)
 
 	var proxy *chaos.Proxy
 	addr := *listen
@@ -110,7 +102,7 @@ func run() error {
 		}
 	}
 	fmt.Printf("serving expert %d/%d (%s) on %s, election id %d, model %s\n",
-		*expert, team.K(), team.Spec.Label(), addr, *id, worker.ModelVersion())
+		*expert, team.K(), team.Spec.Label(), addr, *id, model.Version)
 
 	// Membership: re-announce to the bootstrap set so masters and gateways
 	// see this worker join (and age it out of their rosters when it stops).

@@ -31,9 +31,7 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"net"
@@ -46,8 +44,6 @@ import (
 	"github.com/teamnet/teamnet/internal/admin"
 	"github.com/teamnet/teamnet/internal/cli"
 	"github.com/teamnet/teamnet/internal/cluster"
-	"github.com/teamnet/teamnet/internal/core"
-	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/serve"
 	"github.com/teamnet/teamnet/internal/trace"
 )
@@ -56,6 +52,21 @@ func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "teamnet-serve:", err)
 		os.Exit(1)
+	}
+}
+
+// newCutover returns the one way this process changes model, whoever asks —
+// a wire push to the fabric endpoint or the -swap-watch poll: the master's
+// local model first (weights and label in one store), then the gateway
+// re-labels and purges its response cache — so a cache key can never pair an
+// old version with new weights. A refused model changes neither.
+func newCutover(master *cluster.Master, gw *serve.Gateway) func(cluster.Model) error {
+	return func(next cluster.Model) error {
+		if err := master.SetLocal(next); err != nil {
+			return err
+		}
+		gw.SetModelVersion(cli.BundleLabel(next.Version))
+		return nil
 	}
 }
 
@@ -83,7 +94,7 @@ func run() error {
 		mastersFlag   = flag.String("masters", "", "comma-separated remote master fabric addresses to route across (least-loaded), alongside the local master")
 		bootstrap     = flag.String("bootstrap", "", "comma-separated fabric addresses to announce to; gossip-discovered masters join (and expired ones leave) the routing set")
 		announceEvery = flag.Duration("announce-every", 5*time.Second, "membership re-announce and expiry period when -bootstrap is set")
-		swapWatch     = flag.Duration("swap-watch", 0, "poll the -team bundle at this period and hot-swap the local expert in place when the file changes (0 = off)")
+		swapWatch     = flag.Duration("swap-watch", 0, "poll the -team bundle at this period and, when its content changes, swap the local expert's weights and label and re-key the response cache in place, with or without -fabric-listen (0 = off)")
 
 		degraded    = flag.Bool("degraded", true, "answer with partial ensembles (degraded: true + quorum metadata) when experts are quarantined or slow, instead of failing the batch")
 		slo         = flag.Duration("slo", 0, "latency SLO target for the brownout controller (0 = -deadline); sustained burn tightens the admission queue")
@@ -94,29 +105,25 @@ func run() error {
 	)
 	flag.Parse()
 
-	raw, err := os.ReadFile(*teamPath)
+	bundle, err := cli.ReadBundle(*teamPath)
 	if err != nil {
-		return fmt.Errorf("open bundle: %w", err)
+		return err
 	}
-	team, err := core.LoadTeam(bytes.NewReader(raw))
+	// The master's local model is labelled like the teamnet-node serving the
+	// same expert, so the two can finish each other's split tails. The
+	// bundle's own label scopes every response-cache key, so serving a
+	// different bundle (or cutting over to one later) can never replay
+	// answers computed by another model.
+	team, model, err := bundle.Load(*local)
 	if err != nil {
-		return fmt.Errorf("load bundle: %w", err)
+		return err
 	}
-	// The bundle's content hash is the model version: it scopes every
-	// response-cache key, so serving a different bundle (or hot-swapping
-	// one later via Gateway.SetModelVersion) can never replay answers
-	// computed by another model.
-	modelVersion := fmt.Sprintf("%x", sha256.Sum256(raw))[:16]
-
-	var localExpert *nn.Network
-	if *local >= 0 {
-		if *local >= team.K() {
-			return fmt.Errorf("local expert %d out of range [0, %d)", *local, team.K())
-		}
-		localExpert = team.Experts[*local]
-	}
-	master := cluster.NewMaster(localExpert, team.Classes)
+	label := bundle.Label // the long-lived closures below keep this, not the file's bytes
+	master := cluster.NewMaster(nil, team.Classes)
 	defer master.Close()
+	if err := master.SetLocal(model); err != nil {
+		return err
+	}
 	master.SetTimeout(*timeout)
 	master.SetSupervisor(cluster.SupervisorConfig{MaxRetries: *retries})
 	master.SetTracer(trace.New("gateway", 0))
@@ -183,18 +190,16 @@ func run() error {
 	})
 	defer gw.Close()
 	gw.SetTracer(master.Tracer())
-	gw.SetModelVersion(modelVersion)
+	gw.SetModelVersion(label)
+
+	cutover := newCutover(master, gw)
 
 	// Fabric endpoint: serve this master to other gateways, answer
-	// membership announces, and accept versioned model pushes. The onSwap
-	// hook is the cutover: the push is applied to the master first, then the
-	// co-located gateway re-labels and purges its response cache — so a
-	// cache key can never pair an old version with new weights.
+	// membership announces, and accept versioned model pushes.
 	var fabricSrv *cluster.MasterServer
 	if *fabricListen != "" {
 		fabricSrv = cluster.NewMasterServer(master, *fabricID)
-		fabricSrv.SetModelVersion(modelVersion)
-		fabricSrv.SetOnSwap(func(v string) { gw.SetModelVersion(v) })
+		fabricSrv.Cutover = cutover
 		bound, err := fabricSrv.Listen(*fabricListen)
 		if err != nil {
 			return err
@@ -263,50 +268,38 @@ func run() error {
 		defer func() { close(announceStop); <-announceDone }()
 	}
 
-	// Co-located hot-swap: poll the bundle file and swap the local expert in
-	// place when it changes, cutting the gateway over to the new content
-	// hash — the restartless deploy path for single-node setups.
+	// Co-located hot-swap: poll the bundle file and, when its content hash
+	// changes, cut the local expert and the gateway over to it — the
+	// restartless deploy path for single-node setups, fabric endpoint or not.
 	if *swapWatch > 0 {
 		watchStop := make(chan struct{})
 		watchDone := make(chan struct{})
-		lastVersion := modelVersion
 		go func() {
 			defer close(watchDone)
 			tick := time.NewTicker(*swapWatch)
 			defer tick.Stop()
-			for {
+			for last := label; ; {
 				select {
 				case <-tick.C:
 				case <-watchStop:
 					return
 				}
-				raw, err := os.ReadFile(*teamPath)
-				if err != nil {
+				fresh, err := cli.ReadBundle(*teamPath)
+				if err != nil || fresh.Label == last {
 					continue
 				}
-				version := fmt.Sprintf("%x", sha256.Sum256(raw))[:16]
-				if version == lastVersion {
-					continue
+				// One verdict per file content: a bundle that fails to load or
+				// is refused is not retried until the file changes again.
+				last = fresh.Label
+				_, next, err := fresh.Load(*local)
+				if err == nil {
+					err = cutover(next)
 				}
-				team, err := core.LoadTeam(bytes.NewReader(raw))
 				if err != nil {
 					fmt.Printf("warning: swap-watch: reload %s: %v\n", *teamPath, err)
 					continue
 				}
-				switch {
-				case fabricSrv != nil && *local >= 0 && *local < team.K():
-					if err := fabricSrv.SwapLocalNetwork(team.Experts[*local], version); err != nil {
-						fmt.Printf("warning: swap-watch: %v\n", err)
-						continue
-					}
-				case fabricSrv != nil:
-					fabricSrv.SetModelVersion(version)
-					gw.SetModelVersion(version)
-				default:
-					gw.SetModelVersion(version)
-				}
-				lastVersion = version
-				fmt.Printf("hot-swapped model %s from %s\n", version, *teamPath)
+				fmt.Printf("hot-swapped model %s from %s\n", last, *teamPath)
 			}
 		}()
 		defer func() { close(watchStop); <-watchDone }()
@@ -354,7 +347,7 @@ func run() error {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Printf("gateway on http://%s/predict (max batch %d, %d workers, %d peer(s), local expert: %v, cache %d entries/%v, coalesce %v, model %s)\n",
-		ln.Addr(), *maxBatch, *workers, master.Peers(), *local >= 0, *cacheSize, *cacheTTL, *coalesce, modelVersion)
+		ln.Addr(), *maxBatch, *workers, master.Peers(), *local >= 0, *cacheSize, *cacheTTL, *coalesce, label)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -192,12 +193,16 @@ func buildFleetPair(cfg FleetConfig, idx int) (*fleetPair, error) {
 	if err != nil {
 		return nil, err
 	}
+	vA := cluster.Model{Version: "vA"} // no snapshot: label the weights built above
+	err = st.master.SetLocal(vA)
 	for _, w := range st.workers {
-		w.SetModelVersion("vA")
+		err = errors.Join(err, w.Swap(vA))
 	}
 	p := &fleetPair{stack: st, srv: cluster.NewMasterServer(st.master, idx+1)}
-	p.srv.SetModelVersion("vA")
-	if p.addr, err = p.srv.Listen("127.0.0.1:0"); err != nil {
+	if err == nil {
+		p.addr, err = p.srv.Listen("127.0.0.1:0")
+	}
+	if err != nil {
 		st.close()
 		return nil, err
 	}
@@ -297,11 +302,11 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 	swap.FailedRequests = load.Errors
 	swap.Version = "vB"
 	for _, p := range fleet {
-		if p.srv.ModelVersion() != "vB" {
+		if p.srv.Member().Version != "vB" {
 			swap.Version = ""
 		}
 		for _, w := range p.workers {
-			if w.ModelVersion() != "vB" {
+			if w.Model().Version != "vB" {
 				swap.Version = ""
 			}
 		}

@@ -1,10 +1,16 @@
 package cli
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"github.com/teamnet/teamnet/internal/cluster"
+	"github.com/teamnet/teamnet/internal/core"
+	"github.com/teamnet/teamnet/internal/nn"
+	"github.com/teamnet/teamnet/internal/tensor"
 )
 
 func TestBuildDatasetDigits(t *testing.T) {
@@ -120,5 +126,80 @@ func TestLoadRealMNIST(t *testing.T) {
 	}
 	if _, err := LoadReal("svhn", nil, 0); err == nil {
 		t.Fatal("unknown real dataset accepted")
+	}
+}
+
+// writeBundle saves a two-expert team built from seed and returns its path.
+func writeBundle(t *testing.T, seed int64) string {
+	t.Helper()
+	spec := nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: 4, Width: 4, Layers: 2, Classes: 3}}
+	team := &core.Team{Spec: spec, Classes: 3}
+	for e := int64(0); e < 2; e++ {
+		net, err := spec.Build(tensor.NewRNG(seed + e))
+		if err != nil {
+			t.Fatal(err)
+		}
+		team.Experts = append(team.Experts, net)
+	}
+	var buf bytes.Buffer
+	if err := team.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "team.tnet")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestBundleLabelsAgreeAcrossBinaries pins the one label scheme: every
+// command cuts its node's label with ReadBundle + Load, so the same bundle
+// and the same expert index must give byte-equal labels whoever asks — a
+// split tail only runs where the pin matches — and a coordinator, like the
+// gateway's cache key, gets the bundle label.
+func TestBundleLabelsAgreeAcrossBinaries(t *testing.T) {
+	path := writeBundle(t, 1)
+	load := func(path string, expert int) (Bundle, cluster.Model) {
+		t.Helper()
+		b, err := ReadBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		team, model, err := b.Load(expert)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if team.K() != 2 || team.Classes != 3 {
+			t.Fatalf("loaded team K=%d classes=%d", team.K(), team.Classes)
+		}
+		return b, model
+	}
+	b, node := load(path, 1)   // teamnet-node -expert 1
+	_, master := load(path, 1) // teamnet-serve / teamnet-infer -local 1
+	if len(b.Label) != 16 || node.Version != b.Label+"/e1" || master.Version != node.Version {
+		t.Fatalf("bundle %q: node label %q, master label %q — want <bundle>/e1 from both", b.Label, node.Version, master.Version)
+	}
+	if node.Snapshot == nil || node.Snapshot.BoundaryWidth(0) != 4 {
+		t.Fatalf("expert model not compiled: %+v", node)
+	}
+	if _, other := load(path, 0); other.Version == node.Version {
+		t.Fatalf("experts 0 and 1 share the label %q", other.Version)
+	}
+	if _, coord := load(path, -1); coord.Snapshot != nil || coord.Version != b.Label {
+		t.Fatalf("coordinator model %+v, want no snapshot under the bundle label %q", coord, b.Label)
+	}
+	for v, want := range map[string]string{node.Version: b.Label, b.Label: b.Label, "v2/exp": "v2/exp", "vB": "vB"} {
+		if got := BundleLabel(v); got != want {
+			t.Fatalf("BundleLabel(%q) = %q, want %q", v, got, want)
+		}
+	}
+	if other, _ := load(writeBundle(t, 50), 1); other.Label == b.Label {
+		t.Fatal("different weights, same bundle label")
+	}
+	if _, _, err := b.Load(2); err == nil {
+		t.Fatal("expert index past the team accepted")
+	}
+	if _, err := ReadBundle(filepath.Join(t.TempDir(), "missing.tnet")); err == nil {
+		t.Fatal("missing bundle file accepted")
 	}
 }

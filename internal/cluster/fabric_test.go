@@ -89,10 +89,11 @@ func TestModelPushCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	version, snap, err := DecodeModelPush(payload)
+	pushed, err := DecodeModelPush(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
+	version, snap := pushed.Version, pushed.Snapshot
 	if version != "v7" || snap == nil {
 		t.Fatalf("version=%q snap=%v", version, snap)
 	}
@@ -111,12 +112,12 @@ func TestModelPushCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	version, snap, err = DecodeModelPush(vo)
-	if err != nil || version != "v8" || snap != nil {
-		t.Fatalf("version-only push: %q %v %v", version, snap, err)
+	pushed, err = DecodeModelPush(vo)
+	if err != nil || pushed.Version != "v8" || pushed.Snapshot != nil {
+		t.Fatalf("version-only push: %+v %v", pushed, err)
 	}
 
-	if _, _, err := DecodeModelPush([]byte{0}); err == nil {
+	if _, err := DecodeModelPush([]byte{0}); err == nil {
 		t.Fatal("truncated model push accepted")
 	}
 }
@@ -139,7 +140,7 @@ func TestMasterServerFabricEndToEnd(t *testing.T) {
 	}
 
 	srv := NewMasterServer(master, 7)
-	srv.SetModelVersion("vA")
+	install(t, master.SetLocal, Model{Version: "vA"})
 	maddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +207,7 @@ func TestModelPushHotSwapOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer worker.Close()
-	worker.SetModelVersion("vA")
+	install(t, worker.Swap, Model{Version: "vA"})
 
 	master := NewMaster(buildFabricNet(t, 2), 3)
 	defer master.Close()
@@ -214,19 +215,18 @@ func TestModelPushHotSwapOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := NewMasterServer(master, 7)
-	srv.SetModelVersion("vA")
+	install(t, master.SetLocal, Model{Version: "vA"})
+	swapCh := make(chan string, 1)
+	srv.Cutover = func(next Model) error {
+		err := master.SetLocal(next)
+		swapCh <- next.Version
+		return err
+	}
 	maddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-
-	var swapped []string
-	swapCh := make(chan string, 1)
-	srv.SetOnSwap(func(v string) {
-		swapped = append(swapped, v)
-		swapCh <- v
-	})
 
 	x := fabricInput(2)
 	before, _, err := master.Infer(x)
@@ -240,7 +240,7 @@ func TestModelPushHotSwapOverWire(t *testing.T) {
 	if err := PushModel(waddr, "vB", fabricSpec, newNet, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if got := worker.ModelVersion(); got != "vB" {
+	if got := worker.Model().Version; got != "vB" {
 		t.Fatalf("worker version %q after push, want vB", got)
 	}
 	if err := PushModel(maddr, "vB", fabricSpec, newNet, 2*time.Second); err != nil {
@@ -249,13 +249,13 @@ func TestModelPushHotSwapOverWire(t *testing.T) {
 	select {
 	case v := <-swapCh:
 		if v != "vB" {
-			t.Fatalf("onSwap saw %q, want vB", v)
+			t.Fatalf("cutover saw %q, want vB", v)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("onSwap hook never ran")
+		t.Fatal("cutover hook never ran")
 	}
-	if got := srv.ModelVersion(); got != "vB" {
-		t.Fatalf("master version %q after push, want vB", got)
+	if got, local := srv.Member().Version, master.Local().Version; got != "vB" || local != "vB" {
+		t.Fatalf("after the push the server announces %q and the master pins %q, want vB for both", got, local)
 	}
 
 	after, _, err := master.Infer(x)

@@ -22,10 +22,12 @@ func bestEffort(m *Master, x *tensor.Tensor) (probs *tensor.Tensor, winners []in
 	return rep.Probs, rep.Winners, rep.Live, err
 }
 
+// tinySpec compiles to three steps, so it has interior split boundaries.
+var tinySpec = nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: 4, Width: 4, Layers: 2, Classes: 3}}
+
 func tinyExpert(t *testing.T, seed int64) *nn.Network {
 	t.Helper()
-	spec := nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: 4, Width: 4, Layers: 2, Classes: 3}}
-	net, err := spec.Build(tensor.NewRNG(seed))
+	net, err := tinySpec.Build(tensor.NewRNG(seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,11 @@ func (r *tracerRef) set(tr *trace.Tracer) {
 // repeatedly-failing peer is quarantined by a circuit breaker and probed
 // back into rotation — the master survives worker churn without restarts.
 type Master struct {
-	// local is this node's frozen expert; nil = pure coordinator. An
-	// atomic pointer so a versioned model push can hot-swap the snapshot
-	// while inferences are in flight: each query loads the pointer once
-	// and runs to completion on whichever snapshot it started with.
-	local   atomic.Pointer[nn.Snapshot]
+	// local is this node's own model, never nil; no snapshot in it = pure
+	// coordinator. A versioned model push hot-swaps it while inferences are in
+	// flight: each query loads the pointer once and runs to completion on —
+	// and pins its split tail to — whichever model it started with.
+	local   atomic.Pointer[Model]
 	classes int
 	metrics *metrics.Registry
 	tracer  *tracerRef
@@ -68,7 +68,6 @@ type Master struct {
 	peers     []*peerConn
 	done      chan struct{} // closed by Close; stops retries and probes
 	closed    bool
-	version   string         // local expert's version label (split pinning)
 	splitPl   *split.Planner // partial-offload planner; nil until EnableSplit
 	splitOpts split.Options  // options the planner was built with (re-profiling)
 
@@ -117,23 +116,26 @@ func NewMaster(local *nn.Network, classes int) *Master {
 		sup:     DefaultSupervisorConfig(),
 		done:    make(chan struct{}),
 	}
+	model := new(Model)
 	if local != nil {
-		m.local.Store(nn.MustSnapshot(local))
+		model.Snapshot = nn.MustSnapshot(local)
 	}
+	m.local.Store(model)
 	return m
 }
 
-// SwapLocal hot-swaps the local expert for a new frozen snapshot without
-// interrupting in-flight inferences: queries that already loaded the old
-// snapshot finish on it, later queries see the new one. A nil snapshot
-// demotes the master to a pure coordinator. This is the master half of the
-// versioned model push (see modelpush.go); the caller is responsible for
-// bumping the gateway's model version afterwards so cached answers from the
-// old expert are invalidated.
-func (m *Master) SwapLocal(snap *nn.Snapshot) {
-	m.local.Store(snap)
-	m.metrics.Counter("model.swaps").Inc()
-}
+// SetLocal replaces the master's local model without interrupting in-flight
+// inferences: queries that already loaded the old one finish on it (and pin
+// their split tails to its label), later queries see next. A next without a
+// snapshot re-labels the weights being served; new weights of another input
+// width or another number of classes are refused (see publish). This is the
+// master half of the versioned model push (modelpush.go); the caller bumps
+// the gateway's model version afterwards to invalidate the old cached answers.
+func (m *Master) SetLocal(next Model) error { return publish(&m.local, next, m.classes, m.metrics) }
+
+// Local returns the master's local model (never nil; its Snapshot is nil for
+// a pure coordinator).
+func (m *Master) Local() *Model { return m.local.Load() }
 
 // SetTracer installs (or, with nil, removes) the span collector for every
 // subsequent inference: each query then records a span tree decomposing its
@@ -232,7 +234,7 @@ func (m *Master) Nodes() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := len(m.peers)
-	if m.local.Load() != nil {
+	if m.Local().Snapshot != nil {
 		n++
 	}
 	return n
@@ -292,7 +294,7 @@ func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Cont
 
 // localResult runs the given local-expert snapshot under a "local.compute"
 // span. The snapshot is passed in (loaded once per query) so a concurrent
-// SwapLocal cannot change the model mid-query.
+// SetLocal cannot change the model mid-query.
 func (m *Master) localResult(local *nn.Snapshot, x *tensor.Tensor, tr *trace.Tracer, root trace.Context) PredictResult {
 	start := time.Now()
 	probs, ent := local.PredictWithEntropy(x)
@@ -320,7 +322,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 		return nil, nil, err
 	}
 	peers := m.snapshotPeers()
-	local := m.local.Load()
+	local := m.Local().Snapshot
 	nodes := len(peers)
 	localIdx := -1
 	if local != nil {

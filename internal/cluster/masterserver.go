@@ -10,33 +10,36 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"time"
-
-	"github.com/teamnet/teamnet/internal/nn"
 )
 
-// MasterServer serves one Master over the fabric protocol.
+// MasterServer serves one Master over the fabric protocol. It keeps no model
+// state of its own: what it serves, and under which label, is its master's
+// local model.
 type MasterServer struct {
 	master *Master
 	id     int
 	srv    *frameServer
 
-	mu      sync.Mutex
-	version string
-	onSwap  func(version string) // cutover hook; runs after a push is applied
+	// Cutover is what an incoming model push runs before it is acked, and an
+	// error from it refuses the push: Master.SetLocal unless replaced (before
+	// Listen). A co-located gateway installs the function that swaps the
+	// master's local model and then re-labels the gateway, which purges its
+	// response cache — the swap-before-invalidate order the versioned cache
+	// put relies on.
+	Cutover func(Model) error
 }
 
 // NewMasterServer wraps master for serving. id is the node's election
 // identity (distinct per fabric node; higher wins).
 func NewMasterServer(master *Master, id int) *MasterServer {
-	s := &MasterServer{master: master, id: id}
+	s := &MasterServer{master: master, id: id, Cutover: master.SetLocal}
 	s.srv = &frameServer{
 		member:      s.Member,
 		roster:      NewRoster(),
-		applyPush:   s.applyModelPush,
+		model:       master.Local,
+		swap:        func(pushed Model) error { return s.Cutover(pushed) },
 		metrics:     master.metrics,
 		panicName:   "fabric.panics_recovered",
 		expiredName: "fabric.requests.expired",
@@ -48,34 +51,9 @@ func NewMasterServer(master *Master, id int) *MasterServer {
 	return s
 }
 
-// SetOnSwap installs the cutover hook: it runs after an incoming model push
-// has been applied (snapshot swapped, version recorded) and before the push
-// is acked. A co-located gateway uses it to call SetModelVersion, which
-// purges its response cache — the swap-before-invalidate ordering the
-// versioned cache put relies on.
-func (s *MasterServer) SetOnSwap(fn func(version string)) {
-	s.mu.Lock()
-	s.onSwap = fn
-	s.mu.Unlock()
-}
-
-// SetModelVersion labels the currently served model (startup label).
-func (s *MasterServer) SetModelVersion(v string) {
-	s.mu.Lock()
-	s.version = v
-	s.mu.Unlock()
-}
-
-// ModelVersion returns the served model's version label.
-func (s *MasterServer) ModelVersion() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.version
-}
-
 // Member returns this master's membership descriptor (valid after Listen).
 func (s *MasterServer) Member() Member {
-	return Member{Role: RoleMaster, Addr: s.srv.boundAddr(), ID: s.id, Version: s.ModelVersion()}
+	return Member{Role: RoleMaster, Addr: s.srv.boundAddr(), ID: s.id, Version: s.master.Local().Version}
 }
 
 // Roster exposes the server's membership view.
@@ -95,7 +73,7 @@ func (s *MasterServer) Listen(addr string) (string, error) {
 // per-request MsgErrorMux frames; the connection and the pipeline survive.
 // ctx is the request's own: the gateway's remaining deadline bounds the
 // gather, and the gateway's span parents the master's "infer" tree.
-func (s *MasterServer) serveFabricPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
+func (s *MasterServer) serveFabricPredict(ctx context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
 	s.master.metrics.Counter("fabric.requests").Inc()
 	req, err := decodeFabricRequest(body)
 	if err != nil {
@@ -109,49 +87,17 @@ func (s *MasterServer) serveFabricPredict(ctx context.Context, body []byte) (byt
 }
 
 // serveSplitPredict answers one partial-offload tail against the master's
-// local expert snapshot, sharing the worker's serving body (recovered range
-// execution, full-precision result).
-func (s *MasterServer) serveSplitPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
+// local model — the one its pin was checked against — sharing the worker's
+// serving body (recovered range execution, full-precision result).
+func (s *MasterServer) serveSplitPredict(ctx context.Context, local *Model, body []byte) (byte, []byte, time.Duration) {
 	s.master.metrics.Counter("fabric.requests.split").Inc()
-	snap := s.master.LocalSnapshot()
-	if snap == nil {
-		return errorReply(errors.New("master has no local expert for split serving"))
-	}
-	return serveSplit(ctx, snap, body, s.master.tracer, s.master.metrics)
-}
-
-// applyModelPush swaps the master's local expert (or just re-labels on a
-// version-only push, snap nil) and runs the cutover hook — the shared tail
-// of a wire push and a co-located reload.
-func (s *MasterServer) applyModelPush(version string, snap *nn.Snapshot) {
-	if snap != nil {
-		s.master.SwapLocal(snap)
-	}
-	s.mu.Lock()
-	s.version = version
-	hook := s.onSwap
-	s.mu.Unlock()
-	if hook != nil {
-		hook(version)
-	}
+	return serveSplit(ctx, local, body, s.master.tracer, s.master.metrics)
 }
 
 // Announce performs one client-side membership exchange against addr using
 // this server's own descriptor, merging the reply into its roster.
 func (s *MasterServer) Announce(addr string, timeout time.Duration) (Member, error) {
 	return Announce(addr, s.Member(), s.srv.roster, timeout)
-}
-
-// SwapLocalNetwork compiles net and hot-swaps the master's local expert
-// under the given version label, running the same cutover hook as a wire
-// push — the co-located (-swap-watch) reload path in teamnet-serve.
-func (s *MasterServer) SwapLocalNetwork(net *nn.Network, version string) error {
-	snap, err := nn.NewSnapshot(net)
-	if err != nil {
-		return err
-	}
-	s.applyModelPush(version, snap)
-	return nil
 }
 
 // Close stops serving, closes open connections and waits for in-flight

@@ -1,7 +1,8 @@
 package cluster
 
 // Versioned model distribution: push a new expert snapshot to a running
-// node over the wire, no restart. The payload is self-describing — an
+// node over the wire, no restart. The payload decodes to one Model (label
+// and weights, model.go) that one store swaps in. It is self-describing — an
 // nn.Spec (JSON) to rebuild the architecture plus the nn/snapshot codec
 // stream to load its weights — because the snapshot codec deliberately
 // refuses to invent structure: LoadNetworkInto wants a pre-built identical
@@ -60,49 +61,48 @@ func EncodeModelPush(version string, spec nn.Spec, net *nn.Network) ([]byte, err
 	return out.Bytes(), nil
 }
 
-// DecodeModelPush parses a MsgModelPush payload and, when it carries
-// weights, rebuilds the network and compiles a fresh inference snapshot.
-// snap is nil for a version-only push.
-func DecodeModelPush(payload []byte) (version string, snap *nn.Snapshot, err error) {
+// DecodeModelPush parses a MsgModelPush payload into the Model it carries:
+// when the push has weights it rebuilds the network and compiles a fresh
+// inference snapshot, and a version-only push decodes to a Model with no
+// snapshot — the form Swap and SetLocal take as "re-label".
+func DecodeModelPush(payload []byte) (Model, error) {
 	if len(payload) < 3 {
-		return "", nil, fmt.Errorf("cluster: model push payload %d bytes", len(payload))
+		return Model{}, fmt.Errorf("cluster: model push payload %d bytes", len(payload))
 	}
 	vlen := int(binary.BigEndian.Uint16(payload))
 	rest := payload[2:]
 	if vlen == 0 || vlen > maxPushVersionLen || len(rest) < vlen+1 {
-		return "", nil, fmt.Errorf("cluster: model push version length %d out of range", vlen)
+		return Model{}, fmt.Errorf("cluster: model push version length %d out of range", vlen)
 	}
-	version = string(rest[:vlen])
+	m := Model{Version: string(rest[:vlen])}
 	rest = rest[vlen:]
-	hasNet := rest[0]
-	rest = rest[1:]
-	if hasNet == 0 {
-		return version, nil, nil
+	if rest[0] == 0 {
+		return m, nil
 	}
+	rest = rest[1:]
 	if len(rest) < 4 {
-		return "", nil, fmt.Errorf("cluster: model push truncated before spec")
+		return Model{}, fmt.Errorf("cluster: model push truncated before spec")
 	}
 	specLen := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if specLen <= 0 || specLen > len(rest) {
-		return "", nil, fmt.Errorf("cluster: model push spec length %d out of range", specLen)
+		return Model{}, fmt.Errorf("cluster: model push spec length %d out of range", specLen)
 	}
 	var spec nn.Spec
 	if err := json.Unmarshal(rest[:specLen], &spec); err != nil {
-		return "", nil, fmt.Errorf("cluster: model push spec: %w", err)
+		return Model{}, fmt.Errorf("cluster: model push spec: %w", err)
 	}
 	net, err := spec.Build(tensor.NewRNG(0))
 	if err != nil {
-		return "", nil, fmt.Errorf("cluster: model push build: %w", err)
+		return Model{}, fmt.Errorf("cluster: model push build: %w", err)
 	}
 	if err := nn.LoadNetworkInto(bytes.NewReader(rest[specLen:]), net); err != nil {
-		return "", nil, fmt.Errorf("cluster: model push load: %w", err)
+		return Model{}, fmt.Errorf("cluster: model push load: %w", err)
 	}
-	snap, err = nn.NewSnapshot(net)
-	if err != nil {
-		return "", nil, fmt.Errorf("cluster: model push compile: %w", err)
+	if m.Snapshot, err = nn.NewSnapshot(net); err != nil {
+		return Model{}, fmt.Errorf("cluster: model push compile: %w", err)
 	}
-	return version, snap, nil
+	return m, nil
 }
 
 // PushModel delivers one versioned snapshot to a serving node (worker or

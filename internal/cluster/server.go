@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
-	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
@@ -22,9 +21,10 @@ import (
 // panic to the connection it happened on, and close only after every
 // handler has returned. What differs per node is the configuration below.
 type frameServer struct {
-	member      func() Member                           // this node's membership descriptor (and election id)
-	roster      *Roster                                 // membership view, fed by announce exchanges
-	applyPush   func(version string, snap *nn.Snapshot) // model-push hook; snap nil = re-label only
+	member      func() Member     // this node's membership descriptor (and election id)
+	roster      *Roster           // membership view, fed by announce exchanges
+	model       func() *Model     // the model this node serves, never nil
+	swap        func(Model) error // applies a model push; an error refuses it
 	metrics     *metrics.Registry
 	panicName   string // counter bumped for every recovered panic
 	expiredName string // counter bumped for every request whose budget ran out unserved
@@ -43,11 +43,13 @@ type frameServer struct {
 // handler answers one pipelined request. The header has been parsed and
 // honoured by the time it runs: ctx carries the request's remaining budget
 // as its deadline and the request's trace parent as its ambient span, so a
-// handler that sends requests of its own passes on what it received. body is
-// the payload after the header. It returns the reply frame type and body —
-// an error is just a MsgErrorMux reply — and the time its forward pass took
-// (0 if none ran), which goes back in the reply header.
-type handler func(ctx context.Context, body []byte) (replyType byte, reply []byte, compute time.Duration)
+// handler that sends requests of its own passes on what it received; model
+// is the served model the request's version pin was checked against, the one
+// a handler that runs the node's own expert must run. body is the payload
+// after the header. It returns the reply frame type and body — an error is
+// just a MsgErrorMux reply — and the time its forward pass took (0 if none
+// ran), which goes back in the reply header.
+type handler func(ctx context.Context, model *Model, body []byte) (replyType byte, reply []byte, compute time.Duration)
 
 // errorReply is a handler's verdict on a request it cannot serve.
 func errorReply(err error) (byte, []byte, time.Duration) {
@@ -214,12 +216,17 @@ func (s *frameServer) serveConn(conn net.Conn) {
 			// The swap happens before the ack is written, so a successful
 			// PushModel means the node already serves the new version. A bad
 			// push costs one error frame, not the connection: the frame
-			// boundary is intact.
-			if version, snap, perr := DecodeModelPush(payload); perr != nil {
+			// boundary is intact. So does a refused one — weights whose widths
+			// differ from the served model's — and nothing is swapped.
+			pushed, perr := DecodeModelPush(payload)
+			if perr == nil {
+				if perr = s.swap(pushed); perr != nil {
+					s.metrics.Counter("model.push_refused").Inc()
+				}
+			}
+			replyType, reply = MsgModelPushOK, []byte(pushed.Version)
+			if perr != nil {
 				replyType, reply = MsgError, []byte(perr.Error())
-			} else {
-				s.applyPush(version, snap)
-				replyType, reply = MsgModelPushOK, []byte(version)
 			}
 		default:
 			_ = cw.write(MsgError, []byte(fmt.Sprintf("unknown frame type %d", typ)))
@@ -238,7 +245,9 @@ func (s *frameServer) serveConn(conn net.Conn) {
 // model version this node is not serving is refused in
 // ErrSplitVersionMismatch's wire text, and the handler's ctx is bounded by
 // what is left of the budget (counted from arrival: no clock sync) and
-// carries the trace parent.
+// carries the trace parent. The served model is loaded once: the value the
+// pin is compared to is the value the handler computes on, so a swap landing
+// in between cannot put vB's weights behind a pin that passed against vA.
 func (s *frameServer) serveRequest(handle handler, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
 	ctx := context.Background()
 	if hdr.budget > 0 {
@@ -250,15 +259,14 @@ func (s *frameServer) serveRequest(handle handler, hdr requestHeader, arrived ti
 		ctx, cancel = context.WithDeadline(ctx, arrived.Add(hdr.budget))
 		defer cancel()
 	}
-	if hdr.pin != "" {
-		if serving := s.member().Version; hdr.pin != serving {
-			return MsgErrorMux, []byte(fmt.Sprintf("%sserving %q, request pinned to %q", splitVersionMismatchPrefix, serving, hdr.pin)), 0
-		}
+	model := s.model()
+	if hdr.pin != "" && hdr.pin != model.Version {
+		return MsgErrorMux, []byte(fmt.Sprintf("%sserving %q, request pinned to %q", splitVersionMismatchPrefix, model.Version, hdr.pin)), 0
 	}
 	if hdr.trace.Valid() {
 		ctx = trace.NewContext(ctx, hdr.trace)
 	}
-	return handle(ctx, body)
+	return handle(ctx, model, body)
 }
 
 // expiredText answers a request whose budget was spent before a handler

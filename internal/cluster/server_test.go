@@ -28,11 +28,11 @@ type servedNode struct {
 	addr    string
 	id      int
 	role    string
-	request byte                 // the node's primary pipelined request kind
-	reply   byte                 // ... and the reply kind that answers it
-	body    []byte               // a body of that kind the node serves
-	passes  func() int64         // forward passes run so far
-	label   func(version string) // sets the served model version
+	request byte              // the node's primary pipelined request kind
+	reply   byte              // ... and the reply kind that answers it
+	body    []byte            // a body of that kind the node serves
+	passes  func() int64      // forward passes run so far
+	swap    func(Model) error // the node's one model writer
 	// The injected blocking handler signals entered when it starts and
 	// returns once release is closed.
 	entered chan struct{}
@@ -56,19 +56,21 @@ func startNode(t *testing.T, role string) servedNode {
 	case RoleWorker:
 		w := NewWorker(tinyExpert(t, 220), 300)
 		n.srv, n.id, n.request, n.reply, listen = w.srv, 300, MsgPredictMux, MsgResultMux, w.Listen
-		n.body, n.label = transport.EncodeTensor(x), w.SetModelVersion
+		n.body, n.swap = transport.EncodeTensor(x), w.Swap
 		n.passes = w.Metrics().Histogram("predict").Count
 		t.Cleanup(func() { w.Close() })
 	case RoleMaster:
 		m := NewMaster(tinyExpert(t, 221), 3)
 		s := NewMasterServer(m, 301)
 		n.srv, n.id, n.request, n.reply, listen = s.srv, 301, MsgFabricPredict, MsgFabricResult, s.Listen
-		n.body, n.label = encodeFabricRequest(Request{X: x}), s.SetModelVersion
+		n.body, n.swap = encodeFabricRequest(Request{X: x}), m.SetLocal
 		n.passes = m.Metrics().Histogram("infer.total").Count
 		t.Cleanup(func() { s.Close(); m.Close() })
 	}
-	n.srv.kinds[kindPanics] = func(context.Context, []byte) (byte, []byte, time.Duration) { panic("handler blew up") }
-	n.srv.kinds[kindBlocks] = func(_ context.Context, body []byte) (byte, []byte, time.Duration) {
+	n.srv.kinds[kindPanics] = func(context.Context, *Model, []byte) (byte, []byte, time.Duration) {
+		panic("handler blew up")
+	}
+	n.srv.kinds[kindBlocks] = func(_ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
 		n.entered <- struct{}{}
 		<-n.release
 		return MsgErrorMux, body, 0
@@ -215,6 +217,40 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 			expectServing(t, conn)
 		}},
+		{"model push of another width is refused: one error frame, nothing swapped", func(t *testing.T, n servedNode) {
+			conn := n.dial(t)
+			push := func(version string, input, classes int) (byte, []byte) {
+				spec := nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: input, Width: 4, Layers: 2, Classes: classes}}
+				net, err := spec.Build(tensor.NewRNG(223))
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, err := EncodeModelPush(version, spec, net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return exchange(t, conn, MsgModelPush, payload)
+			}
+			served := n.srv.model()
+			for _, bad := range []struct{ input, classes int }{{5, 3}, {4, 4}} {
+				if typ, text := push("v9", bad.input, bad.classes); typ != MsgError || len(text) == 0 {
+					t.Fatalf("%d-wide, %d-class push onto a 4-wide, 3-class node answered type %d %q", bad.input, bad.classes, typ, text)
+				}
+				if n.srv.model() != served {
+					t.Fatalf("refused push replaced the served model with %+v", n.srv.model())
+				}
+				expectServing(t, conn)
+			}
+			if got := n.srv.metrics.Counter("model.push_refused").Value(); got != 2 {
+				t.Fatalf("model.push_refused = %d, want 2", got)
+			}
+			if typ, acked := push("v3", 4, 3); typ != MsgModelPushOK || string(acked) != "v3" {
+				t.Fatalf("same-width push answered type %d %q", typ, acked)
+			}
+			if got := n.srv.model(); got == served || got.Version != "v3" || got.Snapshot == served.Snapshot {
+				t.Fatalf("accepted push left the node serving %+v", got)
+			}
+		}},
 		{"unknown frame type is refused and the connection dropped", func(t *testing.T, n servedNode) {
 			// A reply kind is not a request either.
 			for _, typ := range []byte{0x7F, MsgResultMux} {
@@ -306,7 +342,7 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 		}},
 		{"version pin is checked on every kind and empty means any", func(t *testing.T, n servedNode) {
-			n.label("v1")
+			install(t, n.swap, Model{Version: "v1"})
 			conn := n.dial(t)
 			for _, typ := range []byte{n.request, MsgSplitPredict} {
 				rtyp, reply := exchange(t, conn, typ, requestPayload(requestHeader{id: 3, pin: "v2"}, n.body))

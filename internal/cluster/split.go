@@ -24,41 +24,22 @@ import (
 // (valid against any version), a transport fault finishes the tail
 // locally, and no peer at all means a plain local forward.
 
-// SetModelVersion labels the master's local expert version; split requests
-// pin it so a peer serving a different version refuses the tail.
-func (m *Master) SetModelVersion(v string) {
-	m.mu.Lock()
-	m.version = v
-	m.mu.Unlock()
-}
-
-// ModelVersion returns the local expert's version label.
-func (m *Master) ModelVersion() string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.version
-}
-
-// LocalSnapshot returns the master's current local expert snapshot (nil
-// for a pure coordinator).
-func (m *Master) LocalSnapshot() *nn.Snapshot { return m.local.Load() }
-
 // EnableSplit profiles the local expert and installs the online split
 // planner, re-planned at most every replan (0 = the planner default).
 // Required before a SplitAuto request. Call again after
 // swapping the local expert; a stale profile is also detected and
 // re-profiled automatically on the next auto query.
 func (m *Master) EnableSplit(replan time.Duration) error {
-	snap := m.local.Load()
+	snap := m.Local().Snapshot
 	if snap == nil {
 		return fmt.Errorf("cluster: split planning requires a local expert")
 	}
-	version := m.ModelVersion()
-	classes := m.classes
 	opts := split.Options{
 		Replan: replan,
+		// The pin rides in every split request: size it from the label being
+		// served when the planner asks, not the one served at enable time.
 		WireBytes: func(batch, width int) int {
-			return SplitRequestWireBytes(batch, width, len(version)) + SplitResultWireBytes(batch, classes)
+			return SplitRequestWireBytes(batch, width, len(m.Local().Version)) + SplitResultWireBytes(batch, m.classes)
 		},
 	}
 	m.mu.Lock()
@@ -88,7 +69,7 @@ func (m *Master) splitPlannerFor(snap *nn.Snapshot) *split.Planner {
 // SplitPlanReport returns the planner's full candidate cost table for a
 // batch size (the /splitplan admin view), or nil before EnableSplit.
 func (m *Master) SplitPlanReport(batch int) *split.Report {
-	snap := m.local.Load()
+	snap := m.Local().Snapshot
 	if snap == nil {
 		return nil
 	}
@@ -108,8 +89,8 @@ func (m *Master) SplitPlanReport(batch int) *split.Report {
 // visible on /metrics, and the split.point gauge reports the last boundary
 // executed.
 func (m *Master) splitQuery(ctx context.Context, x *tensor.Tensor, at SplitPoint) (Reply, error) {
-	snap := m.local.Load()
-	if snap == nil {
+	local := m.Local()
+	if local.Snapshot == nil {
 		return Reply{}, fmt.Errorf("cluster: split inference requires a local expert")
 	}
 	tr := m.tracer.get()
@@ -117,16 +98,21 @@ func (m *Master) splitQuery(ctx context.Context, x *tensor.Tensor, at SplitPoint
 	start := time.Now()
 	// The peer round trip builds its frame header from ctx: the split root
 	// span is the tail's trace parent.
-	res, err := m.inferSplit(trace.NewContext(ctx, root.Ctx()), x, at, snap, tr, root.Ctx())
+	res, err := m.inferSplit(trace.NewContext(ctx, root.Ctx()), x, at, local, tr, root.Ctx())
 	root.EndErr(err)
 	m.metrics.Observe("infer.split.total", time.Since(start))
 	return res, err
 }
 
-func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPoint, snap *nn.Snapshot, tr *trace.Tracer, root trace.Context) (Reply, error) {
+// inferSplit runs one split query on local, loaded once by the caller: the
+// head runs on its snapshot and the tail is pinned to its label, so the pin
+// names the weights that computed the activation whatever SetLocal does
+// meanwhile.
+func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPoint, local *Model, tr *trace.Tracer, root trace.Context) (Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return Reply{}, err
 	}
+	snap := local.Snapshot
 	n := snap.Steps()
 	batch := x.Shape[0]
 	m.metrics.Counter("split.queries").Inc()
@@ -179,9 +165,8 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		return res, nil
 	}
 
-	version := m.ModelVersion()
 	res, rtt, compute, err := p.doSplit(ctx, peerQuery{
-		reqType: MsgSplitPredict, pin: version, series: "split.",
+		reqType: MsgSplitPredict, pin: local.Version, series: "split.",
 		payload: encodeSplitRequest(at, act), rows: batch,
 	}, root)
 	if err == nil {
@@ -191,7 +176,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 			if net < 0 {
 				net = 0
 			}
-			wire := SplitRequestWireBytes(batch, act.Size()/batch, len(version)) + SplitResultWireBytes(batch, m.classes)
+			wire := SplitRequestWireBytes(batch, act.Size()/batch, len(local.Version)) + SplitResultWireBytes(batch, m.classes)
 			pl.ObservePeer(p.addr, pl.Profile().Boundaries[at].TailFLOPs*float64(batch), compute, wire, net)
 		}
 		return Reply{Probs: res.Probs, Entropy: res.Entropy, Split: at, Peer: p.addr}, nil

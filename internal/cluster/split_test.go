@@ -88,13 +88,13 @@ func assertBitIdentical(t *testing.T, label string, got, want *tensor.Tensor, go
 func TestSplitBitExactEveryZooModel(t *testing.T) {
 	for i, spec := range splitZooSpecs(t) {
 		snap, x := buildSplitSnapshot(t, spec, int64(20+i), 3)
-		w := NewWorkerSnapshot(snap, 1)
+		w := NewWorkerModel(Model{Snapshot: snap}, 1)
 		addr, err := w.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		m := NewMaster(nil, 10)
-		m.SwapLocal(snap)
+		install(t, m.SetLocal, Model{Snapshot: snap})
 		if err := m.Connect(addr); err != nil {
 			t.Fatal(err)
 		}
@@ -138,8 +138,7 @@ func TestSplitBitExactEveryZooModel(t *testing.T) {
 // answer, never a wrong-model tail.
 func TestSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 31, 2)
-	w := NewWorkerSnapshot(snap, 1)
-	w.SetModelVersion("v2")
+	w := NewWorkerModel(Model{Snapshot: snap, Version: "v2"}, 1)
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -147,8 +146,7 @@ func TestSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 	defer w.Close()
 	m := NewMaster(nil, 10)
 	defer m.Close()
-	m.SwapLocal(snap)
-	m.SetModelVersion("v1")
+	install(t, m.SetLocal, Model{Snapshot: snap, Version: "v1"})
 	if err := m.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
@@ -179,14 +177,14 @@ func TestSplitVersionMismatchFallsBackWholeQuery(t *testing.T) {
 // the answer stays bit-identical.
 func TestSplitTransportFaultFinishesLocally(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 37, 2)
-	w := NewWorkerSnapshot(snap, 1)
+	w := NewWorkerModel(Model{Snapshot: snap}, 1)
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := NewMaster(nil, 10)
 	defer m.Close()
-	m.SwapLocal(snap)
+	install(t, m.SetLocal, Model{Snapshot: snap})
 	if err := m.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +207,7 @@ func TestSplitNoPeerRunsLocal(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 41, 2)
 	m := NewMaster(nil, 10)
 	defer m.Close()
-	m.SwapLocal(snap)
+	install(t, m.SetLocal, Model{Snapshot: snap})
 
 	res, err := splitDo(m, x, SplitAt(snap.Steps()/2))
 	if err != nil {
@@ -236,7 +234,7 @@ func TestMasterServerServesSplitFrames(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 43, 2)
 	remote := NewMaster(nil, 10)
 	defer remote.Close()
-	remote.SwapLocal(snap)
+	install(t, remote.SetLocal, Model{Snapshot: snap})
 	srv := NewMasterServer(remote, 2)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -246,7 +244,7 @@ func TestMasterServerServesSplitFrames(t *testing.T) {
 
 	m := NewMaster(nil, 10)
 	defer m.Close()
-	m.SwapLocal(snap)
+	install(t, m.SetLocal, Model{Snapshot: snap})
 	if err := m.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +266,7 @@ func TestMasterServerServesSplitFrames(t *testing.T) {
 // with measured peer costs.
 func TestSplitAutoPlans(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 47, 2)
-	w := NewWorkerSnapshot(snap, 1)
+	w := NewWorkerModel(Model{Snapshot: snap}, 1)
 	addr, err := w.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +274,7 @@ func TestSplitAutoPlans(t *testing.T) {
 	defer w.Close()
 	m := NewMaster(nil, 10)
 	defer m.Close()
-	m.SwapLocal(snap)
+	install(t, m.SetLocal, Model{Snapshot: snap})
 	if err := m.Connect(addr); err != nil {
 		t.Fatal(err)
 	}

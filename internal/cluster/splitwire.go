@@ -18,9 +18,9 @@ import (
 // Partial-offload wire frames (DESIGN.md §13). A MsgSplitPredict body
 // carries the split index and the intermediate activation at full float64
 // precision; the model version the head was computed against rides as the
-// header's version pin. The peer finishes the tail [split, Steps) from its
-// atomic snapshot pointer and answers MsgSplitResult with full-precision
-// probabilities + entropies. Both directions avoid the query path's float32
+// header's version pin. The peer finishes the tail [split, Steps) on the
+// model that pin was checked against and answers MsgSplitResult with
+// full-precision probabilities + entropies. Both directions avoid the query path's float32
 // quantization because the split contract promises the distributed answer
 // is bit-identical to the full local forward.
 //
@@ -87,10 +87,14 @@ func SplitResultWireBytes(batch, classes int) int {
 	return probs + ent
 }
 
-// serveSplit finishes one split request's tail on snap: the serving body
-// behind MsgSplitPredict on both the worker and the master's fabric
-// listener.
-func serveSplit(ctx context.Context, snap *nn.Snapshot, body []byte, tracer *tracerRef, reg *metrics.Registry) (byte, []byte, time.Duration) {
+// serveSplit finishes one split request's tail on the served model — the one
+// serveRequest checked the pin against: the serving body behind
+// MsgSplitPredict on both the worker and the master's fabric listener.
+func serveSplit(ctx context.Context, served *Model, body []byte, tracer *tracerRef, reg *metrics.Registry) (byte, []byte, time.Duration) {
+	snap := served.Snapshot
+	if snap == nil {
+		return errorReply(errors.New("node has no local expert for split serving"))
+	}
 	at, x, err := decodeSplitRequest(body)
 	if err != nil {
 		return errorReply(err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,16 +26,14 @@ import (
 // additionally record a "worker.predict" span — under the propagated trace
 // id — into the worker's own tracer.
 type Worker struct {
-	// snap is the frozen expert, safe for concurrent inference. An atomic
-	// pointer so a versioned model push (MsgModelPush) can hot-swap it
-	// while requests are in flight: each predict loads the pointer once.
-	snap    atomic.Pointer[nn.Snapshot]
+	// model is the served expert and its label, never nil. The server loop
+	// loads it once per request and hands that value to the handler, so a
+	// hot-swap (Swap, MsgModelPush) never splits a request across two models.
+	model   atomic.Pointer[Model]
 	id      int // election identity; higher wins
 	metrics *metrics.Registry
 	tracer  *tracerRef
 	srv     *frameServer
-	mu      sync.Mutex // guards version
-	version string     // model version label, set by SetModelVersion / pushes
 }
 
 // NewWorker compiles an expert network into a frozen inference snapshot
@@ -46,13 +43,12 @@ type Worker struct {
 // elections). It panics on a nil or uncompilable expert (programmer error
 // at construction).
 func NewWorker(expert *nn.Network, id int) *Worker {
-	return NewWorkerSnapshot(nn.MustSnapshot(expert), id)
+	return NewWorkerModel(Model{Snapshot: nn.MustSnapshot(expert)}, id)
 }
 
-// NewWorkerSnapshot wraps an already-compiled snapshot for serving, for
-// callers that share one snapshot between serving and other consumers.
-func NewWorkerSnapshot(snap *nn.Snapshot, id int) *Worker {
-	if snap == nil {
+// NewWorkerModel serves an already-compiled, already-labelled model.
+func NewWorkerModel(model Model, id int) *Worker {
+	if model.Snapshot == nil {
 		panic("cluster: worker needs an expert snapshot")
 	}
 	w := &Worker{
@@ -60,11 +56,12 @@ func NewWorkerSnapshot(snap *nn.Snapshot, id int) *Worker {
 		metrics: new(metrics.Registry),
 		tracer:  &tracerRef{},
 	}
-	w.snap.Store(snap)
+	w.model.Store(&model)
 	w.srv = &frameServer{
 		member:      w.Member,
 		roster:      NewRoster(),
-		applyPush:   w.applyModelPush,
+		model:       w.Model,
+		swap:        w.Swap,
 		metrics:     w.metrics,
 		panicName:   "panics.recovered",
 		expiredName: "requests.expired",
@@ -76,40 +73,18 @@ func NewWorkerSnapshot(snap *nn.Snapshot, id int) *Worker {
 	return w
 }
 
-// SwapSnapshot hot-swaps the serving expert: in-flight predicts finish on
-// the snapshot they loaded, later requests run on the new one. version
-// labels the new model (reported in announce exchanges). This is what a
-// MsgModelPush applies; it is also exported for co-located swaps (e.g. a
-// -swap-watch reload in teamnet-node).
-func (w *Worker) SwapSnapshot(snap *nn.Snapshot, version string) {
-	if snap == nil {
-		panic("cluster: worker needs an expert snapshot")
-	}
-	w.snap.Store(snap)
-	w.mu.Lock()
-	w.version = version
-	w.mu.Unlock()
-	w.metrics.Counter("model.swaps").Inc()
-}
+// Swap replaces the served model: in-flight requests finish on the model
+// they loaded, later ones see next. A next without a snapshot re-labels the
+// weights being served; new weights of another input or classifier width are
+// refused (see publish). This is what a MsgModelPush applies.
+func (w *Worker) Swap(next Model) error { return publish(&w.model, next, 0, w.metrics) }
 
-// SetModelVersion labels the currently served model without swapping
-// weights (the startup label, derived from the bundle hash in teamnet-node).
-func (w *Worker) SetModelVersion(version string) {
-	w.mu.Lock()
-	w.version = version
-	w.mu.Unlock()
-}
-
-// ModelVersion returns the served model's version label.
-func (w *Worker) ModelVersion() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.version
-}
+// Model returns the served model (never nil).
+func (w *Worker) Model() *Model { return w.model.Load() }
 
 // Member returns this worker's membership descriptor (valid after Listen).
 func (w *Worker) Member() Member {
-	return Member{Role: RoleWorker, Addr: w.srv.boundAddr(), ID: w.id, Version: w.ModelVersion()}
+	return Member{Role: RoleWorker, Addr: w.srv.boundAddr(), ID: w.id, Version: w.Model().Version}
 }
 
 // Roster exposes the worker's membership view.
@@ -141,14 +116,14 @@ func (w *Worker) Listen(addr string) (string, error) {
 // serveMuxPredict answers one pipelined whole-query request. A decode error
 // costs one MsgErrorMux, never the connection — the frame boundary is
 // intact and other requests are pipelined behind it.
-func (w *Worker) serveMuxPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
+func (w *Worker) serveMuxPredict(ctx context.Context, model *Model, body []byte) (byte, []byte, time.Duration) {
 	w.metrics.Counter("requests").Inc()
 	x, _, err := transport.DecodeTensor(body)
 	if err != nil {
 		return errorReply(err)
 	}
 	res, compute, err := timeExpert(ctx, w.tracer, w.metrics, "predict", "worker.predict", func() (PredictResult, error) {
-		return w.predict(x)
+		return w.predict(model.Snapshot, x)
 	})
 	if err != nil {
 		return errorReply(err)
@@ -156,42 +131,29 @@ func (w *Worker) serveMuxPredict(ctx context.Context, body []byte) (byte, []byte
 	return MsgResultMux, EncodeResult(res), compute
 }
 
-// serveSplitPredict finishes one partial-offload tail on the served
-// snapshot; split tails share the connection's handler window and write
-// lock with query traffic.
-func (w *Worker) serveSplitPredict(ctx context.Context, body []byte) (byte, []byte, time.Duration) {
+// serveSplitPredict finishes one partial-offload tail on the model its pin
+// was checked against; split tails share the connection's handler window and
+// write lock with query traffic.
+func (w *Worker) serveSplitPredict(ctx context.Context, model *Model, body []byte) (byte, []byte, time.Duration) {
 	w.metrics.Counter("requests").Inc()
 	w.metrics.Counter("requests.split").Inc()
-	return serveSplit(ctx, w.snap.Load(), body, w.tracer, w.metrics)
+	return serveSplit(ctx, model, body, w.tracer, w.metrics)
 }
 
 // predict runs the expert snapshot on x (step 3 of Fig 1d) and pairs
 // every row with its predictive entropy. A panic inside the snapshot
 // (shape mismatch from a hostile or corrupted tensor) is recovered into an
 // error so the node keeps serving.
-func (w *Worker) predict(x *tensor.Tensor) (res PredictResult, err error) {
+func (w *Worker) predict(snap *nn.Snapshot, x *tensor.Tensor) (res PredictResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			w.metrics.Counter("panics.recovered").Inc()
 			err = fmt.Errorf("cluster: predict panic: %v", r)
 		}
 	}()
-	probs, ent := w.snap.Load().PredictWithEntropy(x)
+	probs, ent := snap.PredictWithEntropy(x)
 	return PredictResult{Probs: probs, Entropy: ent.Data}, nil
 }
-
-// applyModelPush applies one decoded MsgModelPush: swap the expert when the
-// push carries weights, or just re-label on a version-only push.
-func (w *Worker) applyModelPush(version string, snap *nn.Snapshot) {
-	if snap != nil {
-		w.SwapSnapshot(snap, version)
-	} else {
-		w.SetModelVersion(version)
-	}
-}
-
-// ID returns the worker's election identity.
-func (w *Worker) ID() int { return w.id }
 
 // Close stops serving, closes open connections and waits for in-flight
 // requests to return.

@@ -86,42 +86,6 @@ func tensorWireSize(t *tensor.Tensor) int {
 	return 1 + 4*len(t.Shape) + 4*t.Size()
 }
 
-// TensorWireSize reports how many bytes t occupies in the wire encoding —
-// the input to the edge-network cost model.
-func TensorWireSize(t *tensor.Tensor) int { return tensorWireSize(t) }
-
-// EncodeTensors concatenates several tensors into one payload.
-func EncodeTensors(ts ...*tensor.Tensor) []byte {
-	total := 0
-	for _, t := range ts {
-		total += tensorWireSize(t)
-	}
-	buf := make([]byte, total)
-	off := 0
-	for _, t := range ts {
-		off += EncodeTensorInto(buf[off:], t)
-	}
-	return buf
-}
-
-// DecodeTensors parses exactly n tensors from data.
-func DecodeTensors(data []byte, n int) ([]*tensor.Tensor, error) {
-	out := make([]*tensor.Tensor, 0, n)
-	off := 0
-	for i := 0; i < n; i++ {
-		t, used, err := DecodeTensor(data[off:])
-		if err != nil {
-			return nil, fmt.Errorf("transport: tensor %d of %d: %w", i, n, err)
-		}
-		out = append(out, t)
-		off += used
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("transport: %d trailing bytes after %d tensors", len(data)-off, n)
-	}
-	return out, nil
-}
-
 // EncodeFloats serializes a float64 slice (full precision — used for
 // control values like entropies where quantization would perturb arg-mins).
 func EncodeFloats(vs []float64) []byte {

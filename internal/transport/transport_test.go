@@ -86,8 +86,8 @@ func TestTensorCodecRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	src := rng.Randn(3, 4)
 	data := EncodeTensor(src)
-	if len(data) != TensorWireSize(src) {
-		t.Fatalf("encoded %d bytes, wire size says %d", len(data), TensorWireSize(src))
+	if len(data) != tensorWireSize(src) {
+		t.Fatalf("encoded %d bytes, wire size says %d", len(data), tensorWireSize(src))
 	}
 	got, used, err := DecodeTensor(data)
 	if err != nil {
@@ -124,26 +124,6 @@ func TestTensorCodecTruncated(t *testing.T) {
 		if _, _, err := DecodeTensor(data[:cut]); err == nil {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
-	}
-}
-
-func TestTensorsMultiRoundTrip(t *testing.T) {
-	rng := tensor.NewRNG(2)
-	a, b, c := rng.Randn(2, 3), rng.Randn(5), rng.Randn(1, 1)
-	data := EncodeTensors(a, b, c)
-	got, err := DecodeTensors(data, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].AllClose(a, 1e-5) || !got[1].AllClose(b, 1e-5) || !got[2].AllClose(c, 1e-5) {
-		t.Fatal("multi-tensor round trip corrupted")
-	}
-	// Wrong count or trailing bytes must fail.
-	if _, err := DecodeTensors(data, 2); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-	if _, err := DecodeTensors(data, 4); err == nil {
-		t.Fatal("over-read accepted")
 	}
 }
 
