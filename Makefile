@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check docs linkcheck loc bench bench-throughput bench-serve bench-soak bench-forward bench-cache bench-fleet bench-split bench-check clean
+.PHONY: build test verify fmt-check docs linkcheck loc bench bench-kernels bench-throughput bench-serve bench-soak bench-forward bench-cache bench-fleet bench-split bench-check clean
 
 build:
 	$(GO) build ./...
@@ -54,8 +54,14 @@ loc:
 # TestPushedMasterPinsSplitTailsToTheNewLabel, TestPublishIsOneStore; the
 # short half also runs cmd/teamnet-serve TestCutoverSwapsWeightsOnASingleNode
 # and internal/cli TestBundleLabelsAgreeAcrossBinaries) — the hostile-reply
-# decoder seeds (hostile_test.go), and the registry
-# tests that scrape while writers observe (internal/metrics
+# decoder seeds (hostile_test.go), the direct-convolution kernel tests
+# (internal/tensor conv_test.go: TestConvDirectMatchesReference over the
+# geometry table with the AVX tile and with the SIMD gate forced off,
+# FuzzConvDirect's seed corpus, TestReLUIntoBitPatterns; Linux only,
+# conv_guard_linux_test.go: TestConvDirectStaysInsideItsSlices runs the
+# bounds-check-free assembly against unmapped guard pages) with
+# internal/nn's TestSnapshotBitMatchesNetwork on SS-14 at 3×32×32, and the
+# registry tests that scrape while writers observe (internal/metrics
 # TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
 # internal/admin serves the same registries over HTTP). The last line
 # races the live benchmark harnesses at smoke size and the open-loop
@@ -69,6 +75,14 @@ verify: fmt-check docs
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
+
+# The compute kernels against this machine's measured ceiling: the
+# register-only no-FMA multiply/add peak, the direct-convolution tile at
+# SS-14's three stage shapes, and the SS-14 snapshot on 3×32×32 at 1 and 16
+# rows, each reporting GFLOP/s, at one and two cores (docs/BENCHMARKS.md).
+bench-kernels:
+	$(GO) test -run '^$$' -bench 'PeakMulAdd|ConvTile' -cpu 1,2 ./internal/tensor
+	$(GO) test -run '^$$' -bench 'ForwardSS14' -cpu 1,2 ./internal/nn
 
 # Closed-loop one-in-flight-vs-pipelined throughput comparison against a
 # real snapshot-serving worker over loopback (the baseline is a one-slot

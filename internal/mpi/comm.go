@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
@@ -143,7 +144,8 @@ func ConnectTCP(rank int, addrs []string) (*Comm, error) {
 	return c, nil
 }
 
-// dialRetry dials with brief retries so ranks can start in any order.
+// dialRetry gives a peer a second to reach its Listen (unpaused, a hundred
+// refused dials last ~3 ms), so ranks can start in any order on a busy host.
 func dialRetry(addr string) (net.Conn, error) {
 	var lastErr error
 	for attempt := 0; attempt < 100; attempt++ {
@@ -152,6 +154,7 @@ func dialRetry(addr string) (net.Conn, error) {
 			return conn, nil
 		}
 		lastErr = err
+		time.Sleep(10 * time.Millisecond)
 	}
 	return nil, lastErr
 }

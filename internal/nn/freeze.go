@@ -222,20 +222,7 @@ func compileStep(l Layer) (inferStep, error) {
 		}
 		return st, nil
 	case *Conv2D:
-		// Transpose the [patchLen, outC] kernel once at compile time; the
-		// conv step multiplies in the transposed orientation.
-		pl := l.Geom.PatchLen()
-		wt := make([]float64, l.Geom.OutC*pl)
-		for p := 0; p < pl; p++ {
-			for oc := 0; oc < l.Geom.OutC; oc++ {
-				wt[oc*pl+p] = l.W.Data[p*l.Geom.OutC+oc]
-			}
-		}
-		return &convStep{
-			geom: l.Geom,
-			wt:   wt,
-			b:    append([]float64(nil), l.B.Data...),
-		}, nil
+		return &convStep{geom: l.Geom, conv: tensor.NewDirectConv(l.Geom, l.W.Data, l.B.Data)}, nil
 	case *MaxPool2D:
 		return &maxPoolStep{c: l.C, h: l.H, w: l.W, k: l.K, outH: l.outH, outW: l.outW}, nil
 	case *GlobalAvgPool:
@@ -293,13 +280,7 @@ type reluStep struct{}
 
 func (reluStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	out := a.take(batch * width)
-	for i, v := range x {
-		if v > 0 {
-			out[i] = v
-		} else {
-			out[i] = 0
-		}
-	}
+	tensor.ReLUInto(out, x[:batch*width])
 	return out, width
 }
 
@@ -348,24 +329,15 @@ func (b *bnStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	return out, width
 }
 
-// convStep runs convolution in the transposed orientation: instead of the
-// training layer's (batch·spatial × PatchLen) × (PatchLen × OutC) product,
-// it computes the transpose — (OutC × PatchLen) × (PatchLen ×
-// batch·spatial) — over a transposed patch matrix. Both orientations suit
-// inference better than training's because the transposed product has
-// thousands-wide output rows (batch·spatial) instead of a few channels, so
-// the register-tiled GEMM kernel runs at full width; the transposed patch
-// matrix fills by contiguous image-row span copies instead of
-// patch-stride scatter; and the NCHW rearrangement of the result becomes
-// per-(channel, image) contiguous span copies with the bias add fused in.
-//
-// Bit-exactness with the training path is preserved: every output element
-// accumulates the same products (IEEE multiplication is commutative) in
-// the same increasing patch-position order, then adds the same bias.
+// convStep runs the convolution directly on a zero-padded copy of each
+// image (tensor.DirectConv, which also carries the bit-exactness argument):
+// the same products as the training layer's Im2Col × W, in the same
+// increasing patch-position order from +0, then the same bias — without the
+// PatchLen-times larger patch matrix. The packed weights are a private
+// copy, like every other step's parameters.
 type convStep struct {
 	geom tensor.ConvGeom
-	wt   []float64 // transposed kernel matrix, OutC × PatchLen
-	b    []float64
+	conv *tensor.DirectConv
 }
 
 func (c *convStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
@@ -373,29 +345,10 @@ func (c *convStep) run(a *arena, x []float64, batch, width int) ([]float64, int)
 	if width != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("nn: snapshot conv input width %d != %d·%d·%d", width, g.InC, g.InH, g.InW))
 	}
-	sp := g.OutH * g.OutW
-	rows := batch * sp
-	pl := g.PatchLen()
-	colsT := a.take(pl * rows)
-	tensor.Im2ColTransInto(colsT, x, batch, g)
-	yt := a.take(g.OutC * rows)
-	clear(yt)
-	tensor.GEMMAcc(yt, c.wt, colsT, g.OutC, pl, rows)
-	// Rearrange [outC, batch·spatial] to [batch, outC·spatial] NCHW
-	// (mirroring spatialToNCHW), adding the channel bias on the way out.
-	out := a.take(batch * g.OutC * sp)
-	for cc := 0; cc < g.OutC; cc++ {
-		bias := c.b[cc]
-		src := yt[cc*rows:]
-		for b := 0; b < batch; b++ {
-			srcRow := src[b*sp : b*sp+sp]
-			dstRow := out[(b*g.OutC+cc)*sp : (b*g.OutC+cc+1)*sp]
-			for s, v := range srcRow {
-				dstRow[s] = v + bias
-			}
-		}
-	}
-	return out, g.OutC * sp
+	outWidth := g.OutC * g.OutH * g.OutW
+	out := a.take(batch * outWidth)
+	c.conv.Forward(out, x, a.take(c.conv.ScratchLen()), batch)
+	return out, outWidth
 }
 
 type maxPoolStep struct {

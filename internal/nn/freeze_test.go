@@ -43,6 +43,23 @@ func zooModels(t *testing.T) []*Network {
 	return nets
 }
 
+// ss14Objects builds the expert the benchmark's objects_single workload
+// serves: SS-14 on 3×32×32 inputs, running statistics populated.
+func ss14Objects(tb testing.TB) *Network {
+	tb.Helper()
+	rng := tensor.NewRNG(49)
+	spec, err := ObjectsExpert(2, 3, 32, 32, 10)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net, err := spec.Build(rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	net.Forward(rng.Randn(2, inputWidth(net)), true)
+	return net
+}
+
 // inputWidth infers a network's input width from its first layer.
 func inputWidth(n *Network) int {
 	switch l := n.Layers[0].(type) {
@@ -97,6 +114,16 @@ func TestSnapshotBitMatchesNetwork(t *testing.T) {
 		snap.PredictWithEntropyInto(probs, ent, x)
 		if !bitEqual(wantP, probs) || !bitEqual(wantH, ent) {
 			t.Errorf("%s: PredictWithEntropyInto does not bit-match network", net.Label())
+		}
+	}
+	// The shape the benchmark serves: 32-, 16- and 8-wide planes, where the
+	// toy geometries above have 8, 4 and 2.
+	net := ss14Objects(t)
+	snap := MustSnapshot(net)
+	for _, rows := range []int{1, 3, 16} {
+		x := rng.Randn(rows, inputWidth(net))
+		if !bitEqual(net.Forward(x, false), snap.Forward(x)) {
+			t.Errorf("SS-14 on 3×32×32, %d rows: snapshot Forward does not bit-match network", rows)
 		}
 	}
 }
@@ -266,3 +293,24 @@ func BenchmarkForwardSS8x16(b *testing.B) {
 	net.Forward(rng.Randn(2, inputWidth(net)), true)
 	benchForwardPair(b, net, 16)
 }
+
+// benchForwardSS14 times the shape the benchmark's objects_single workload
+// serves — one SS-14 expert on 3×32×32 rows — through the snapshot alone,
+// reporting GFLOP/s from the network's own 2·MAC count so the figure reads
+// against tensor's BenchmarkPeakMulAdd (docs/BENCHMARKS.md).
+func benchForwardSS14(b *testing.B, rows int) {
+	net := ss14Objects(b)
+	x := tensor.NewRNG(50).Randn(rows, inputWidth(net))
+	snap := MustSnapshot(net)
+	out := snap.Forward(x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.ForwardInto(out, x)
+	}
+	flops := NetworkFLOPs(net) * float64(rows) * float64(b.N)
+	b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+}
+
+func BenchmarkForwardSS14x1(b *testing.B)  { benchForwardSS14(b, 1) }
+func BenchmarkForwardSS14x16(b *testing.B) { benchForwardSS14(b, 16) }

@@ -8,7 +8,8 @@ import (
 )
 
 // rangeZooSpecs is every model family the paper evaluates, at the bench
-// suite's test-scale geometry (64-pixel digits, 3×8×8 objects, 10 classes).
+// suite's test-scale geometry (64-pixel digits, 3×8×8 objects, 10 classes),
+// and the SS-14 expert at the 3×32×32 the benchmark serves.
 func rangeZooSpecs(t *testing.T) []Spec {
 	t.Helper()
 	specs := []Spec{DigitsBaseline(64, 10)}
@@ -27,7 +28,11 @@ func rangeZooSpecs(t *testing.T) []Spec {
 		}
 		specs = append(specs, s)
 	}
-	return specs
+	s, err := ObjectsExpert(2, 3, 32, 32, 10)
+	if err != nil {
+		t.Fatalf("ObjectsExpert(2) at 32×32: %v", err)
+	}
+	return append(specs, s)
 }
 
 func specInputWidth(s Spec) int {

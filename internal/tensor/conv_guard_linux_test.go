@@ -1,0 +1,68 @@
+//go:build linux
+
+package tensor
+
+import (
+	"math"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded returns n > 0 float64s whose last element ends on a PROT_NONE page:
+// one element read or written past the slice faults instead of landing in
+// whatever the heap put next.
+func guarded(t *testing.T, n int) []float64 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	size := (n*8+page-1)/page*page + page
+	mem, err := syscall.Mmap(-1, 0, size, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatalf("mmap: %v", err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // test teardown; nothing to do about a failed unmap
+	if err := syscall.Mprotect(mem[size-page:], syscall.PROT_NONE); err != nil {
+		t.Fatalf("mprotect: %v", err)
+	}
+	return unsafe.Slice((*float64)(unsafe.Pointer(&mem[size-page-n*8])), n)
+}
+
+// TestConvDirectStaysInsideItsSlices runs DirectConv with the input, the
+// padded-image scratch and the output each flush against an unmapped page.
+// The assembly tile checks no bounds; this is the proof that the offsets
+// Forward hands it stay inside slices of exactly the documented lengths —
+// across full tiles, the overlapped last group of a row, rows under four
+// wide (which read their three surplus pixels from ScratchLen's slack),
+// channel remainders and the odd group paired with itself.
+func TestConvDirectStaysInsideItsSlices(t *testing.T) {
+	geoms := append([]ConvGeom{
+		{InC: 3, InH: 32, InW: 32, OutC: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, // SS-14 stem
+		{InC: 2, InH: 3, InW: 9, OutC: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},    // overlapped group, odd group count, channel remainder
+		{InC: 2, InH: 2, InW: 2, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},    // 2-wide rows
+		{InC: 3, InH: 1, InW: 1, OutC: 5, KH: 1, KW: 1, Stride: 1},            // unpadded single pixel
+		{InC: 1, InH: 4, InW: 3, OutC: 4, KH: 3, KW: 3, Stride: 1},            // unpadded, 1-wide output
+		{InC: 2, InH: 7, InW: 5, OutC: 3, KH: 3, KW: 3, Stride: 2, Pad: 1},    // portable tile
+		{InC: 1, InH: 6, InW: 33, OutC: 4, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	}, ss14Stages...)
+	rng := NewRNG(17)
+	for _, g := range geoms {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		const batch = 2
+		w := rng.Randn(g.PatchLen(), g.OutC)
+		b := rng.Randn(g.OutC)
+		k := NewDirectConv(g, w.Data, b.Data)
+		x := guarded(t, batch*g.InC*g.InH*g.InW)
+		copy(x, rng.Randn(1, len(x)).Data)
+		out := guarded(t, batch*g.OutC*g.OutH*g.OutW)
+		k.Forward(out, x, guarded(t, k.ScratchLen()), batch)
+
+		want := convReference(&Tensor{Data: x, Shape: []int{batch, g.InC * g.InH * g.InW}}, g, w, b)
+		for i := range want {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%+v: out[%d] differs from the reference", g, i)
+			}
+		}
+	}
+}

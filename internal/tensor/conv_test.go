@@ -1,0 +1,218 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// convCase is one DirectConv check: a geometry, a batch and the seed of its
+// weights and inputs.
+type convCase struct {
+	inC, inH, inW, outC, k, stride, pad, batch int
+	seed                                       int64
+}
+
+func (c convCase) geom() (ConvGeom, bool) {
+	g := ConvGeom{InC: c.inC, InH: c.inH, InW: c.inW, OutC: c.outC, KH: c.k, KW: c.k, Stride: c.stride, Pad: c.pad}
+	return g, g.Validate() == nil
+}
+
+// convTable crosses kernel 1/3/5 × pad 0/1/2 × stride 1/2 × channel count
+// (whole 4-channel blocks and every remainder) × input width (below, at and
+// around the 4-pixel group and the 8-pixel tile), and cycles input channels,
+// heights and batch sizes through it. Geometries that collapse (a 5×5
+// kernel on an unpadded 2-wide image) are left out.
+func convTable() []convCase {
+	var cases []convCase
+	heights := []int{3, 5, 8, 2}
+	i := 0
+	for _, k := range []int{1, 3, 5} {
+		for _, pad := range []int{0, 1, 2} {
+			for _, stride := range []int{1, 2} {
+				for _, outC := range []int{1, 3, 4, 6, 8, 12, 48} {
+					for _, w := range []int{1, 2, 4, 7, 8, 9, 16, 32, 33} {
+						c := convCase{
+							inC: 1 + i%3, inH: max(heights[i%4], k-2*pad), inW: w, outC: outC,
+							k: k, stride: stride, pad: pad, batch: []int{1, 3, 16}[i/9%3], seed: int64(i),
+						}
+						if _, ok := c.geom(); ok {
+							cases = append(cases, c)
+						}
+						i++
+					}
+				}
+			}
+		}
+	}
+	return cases
+}
+
+// convReference is the training path's convolution: Im2Col × W, plus bias,
+// rearranged from (batch·spatial) × OutC rows to NCHW.
+func convReference(x *Tensor, g ConvGeom, w, b *Tensor) []float64 {
+	y := MatMul(Im2Col(x, g), w)
+	y.AddRowVector(b)
+	batch, sp := x.Shape[0], g.OutH*g.OutW
+	out := make([]float64, batch*g.OutC*sp)
+	for bi := 0; bi < batch; bi++ {
+		for s := 0; s < sp; s++ {
+			for c := 0; c < g.OutC; c++ {
+				out[(bi*g.OutC+c)*sp+s] = y.Data[(bi*sp+s)*g.OutC+c]
+			}
+		}
+	}
+	return out
+}
+
+// checkConvDirect runs one case through DirectConv with whichever tile the
+// SIMD gate selects and compares bit for bit with the reference. Odd seeds
+// pass the input through a ReLU first, so half of it is exact zeros — the
+// terms the matmul kernels skip and the direct tile multiplies.
+func checkConvDirect(t *testing.T, c convCase) {
+	t.Helper()
+	g, ok := c.geom()
+	if !ok {
+		t.Skip("geometry collapses")
+	}
+	rng := NewRNG(c.seed)
+	x := rng.Randn(c.batch, g.InC*g.InH*g.InW)
+	if c.seed%2 == 1 {
+		ReLUInto(x.Data, x.Data)
+	}
+	w := rng.Randn(g.PatchLen(), g.OutC)
+	b := rng.Randn(g.OutC)
+	want := convReference(x, g, w, b)
+
+	k := NewDirectConv(g, w.Data, b.Data)
+	got := make([]float64, len(want))
+	scratch := make([]float64, k.ScratchLen())
+	for i := range scratch {
+		scratch[i] = math.NaN() // dirty arena memory: Forward must not trust it
+	}
+	k.Forward(got, x.Data, scratch, c.batch)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%+v (simd %v): out[%d] = %x, reference %x", c, useSIMD, i,
+				math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestConvDirectMatchesReference pins DirectConv to the training path's
+// Im2Col × W over the geometry table, once with the tile the machine
+// selects and once with the SIMD gate forced off, so the portable tile —
+// the only one on other architectures, and the one that serves stride 2 —
+// runs on amd64 CI over every geometry too.
+func TestConvDirectMatchesReference(t *testing.T) {
+	for _, c := range convTable() {
+		checkConvDirect(t, c)
+		withSIMDOff(func() { checkConvDirect(t, c) })
+	}
+}
+
+// FuzzConvDirect explores geometries and data the table does not list; the
+// table is its seed corpus, so plain `go test` replays it.
+func FuzzConvDirect(f *testing.F) {
+	for _, c := range convTable() {
+		f.Add(uint8(c.inC), uint8(c.inH), uint8(c.inW), uint8(c.outC), uint8(c.k), uint8(c.stride), uint8(c.pad), uint8(c.batch), c.seed)
+	}
+	f.Fuzz(func(t *testing.T, inC, inH, inW, outC, k, stride, pad, batch uint8, seed int64) {
+		// Bounded so one input costs milliseconds, not the fuzzer's patience.
+		c := convCase{
+			inC: 1 + int(inC)%4, inH: 1 + int(inH)%12, inW: 1 + int(inW)%40, outC: 1 + int(outC)%50,
+			k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 3, batch: 1 + int(batch)%4, seed: seed,
+		}
+		checkConvDirect(t, c)
+		withSIMDOff(func() { checkConvDirect(t, c) })
+	})
+}
+
+func TestConvDirectPanicsOnShortSlices(t *testing.T) {
+	g := ConvGeom{InC: 2, InH: 5, InW: 6, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	k := NewDirectConv(g, make([]float64, g.PatchLen()*g.OutC), make([]float64, g.OutC))
+	in, out, scratch := 2*g.InC*g.InH*g.InW, 2*g.OutC*g.OutH*g.OutW, k.ScratchLen()
+	for _, short := range [][3]int{{out - 1, in, scratch}, {out, in - 1, scratch}, {out, in, scratch - 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Forward accepted slices of %v, one short of %d/%d/%d", short, out, in, scratch)
+				}
+			}()
+			k.Forward(make([]float64, short[0]), make([]float64, short[1]), make([]float64, short[2]), 2)
+		}()
+	}
+}
+
+// TestReLUIntoBitPatterns pins the vector ReLU to the comparison it
+// replaced on the values where max instructions disagree with one another:
+// zeros and NaNs of both signs, infinities, subnormals.
+func TestReLUIntoBitPatterns(t *testing.T) {
+	bits := []uint64{
+		0, 1 << 63, // ±0
+		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
+		0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000001, 0xfff4000000000002, // quiet and signalling NaN, both signs
+		1, 1<<63 | 1, 0x000fffffffffffff, 0x800fffffffffffff, // subnormals
+		math.Float64bits(1.5), math.Float64bits(-1.5), math.Float64bits(math.MaxFloat64), math.Float64bits(-math.SmallestNonzeroFloat64),
+	}
+	// Every length from 0 to 11 puts each pattern in the vector body and in
+	// the scalar tail.
+	for n := 0; n < 12; n++ {
+		for rot := range bits {
+			src := make([]float64, n)
+			want := make([]float64, n)
+			for i := range src {
+				v := math.Float64frombits(bits[(i+rot)%len(bits)])
+				src[i] = v
+				if v > 0 {
+					want[i] = v
+				}
+			}
+			got := make([]float64, n)
+			ReLUInto(got, src)
+			generic := make([]float64, n)
+			withSIMDOff(func() { ReLUInto(generic, src) })
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(generic[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d: ReLU(%x) = %x (simd %v), %x (portable), want %x", n,
+						math.Float64bits(src[i]), math.Float64bits(got[i]), useSIMD, math.Float64bits(generic[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
+// ss14Stages are the three stage shapes of SS-14 on 3×32×32, as OutC ×
+// PatchLen × plane: the second 3×3 convolution of each stage's blocks.
+var ss14Stages = []ConvGeom{
+	{InC: 12, InH: 32, InW: 32, OutC: 12, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 24, InH: 16, InW: 16, OutC: 24, KH: 3, KW: 3, Stride: 1, Pad: 1},
+	{InC: 48, InH: 8, InW: 8, OutC: 48, KH: 3, KW: 3, Stride: 1, Pad: 1},
+}
+
+// BenchmarkConvTile times DirectConv.Forward on one image at each SS-14
+// stage shape and reports GFLOP/s from 2·MACs, to be read as a share of
+// BenchmarkPeakMulAdd (docs/BENCHMARKS.md).
+func BenchmarkConvTile(b *testing.B) {
+	for _, g := range ss14Stages {
+		if err := g.Validate(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%dx%dx%dsq", g.OutC, g.PatchLen(), g.OutW), func(b *testing.B) {
+			rng := NewRNG(16)
+			k := NewDirectConv(g, rng.Randn(g.PatchLen(), g.OutC).Data, rng.Randn(g.OutC).Data)
+			x := rng.Randn(1, g.InC*g.InH*g.InW).Data
+			out := make([]float64, g.OutC*g.OutH*g.OutW)
+			scratch := make([]float64, k.ScratchLen())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k.Forward(out, x, scratch, 1)
+			}
+			flops := 2 * float64(g.PatchLen()*g.OutC*g.OutH*g.OutW) * float64(b.N)
+			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}

@@ -21,11 +21,13 @@ func (g *ConvGeom) Validate() error {
 	if g.KH <= 0 || g.KW <= 0 || g.Stride <= 0 || g.Pad < 0 {
 		return fmt.Errorf("tensor: conv kernel/stride/pad invalid: %+v", *g)
 	}
-	g.OutH = (g.InH+2*g.Pad-g.KH)/g.Stride + 1
-	g.OutW = (g.InW+2*g.Pad-g.KW)/g.Stride + 1
-	if g.OutH <= 0 || g.OutW <= 0 {
+	// Checked before dividing: Go truncates (2-3)/2 to 0, which would pass a
+	// kernel wider than the padded image as a 1-wide output.
+	if g.KH > g.InH+2*g.Pad || g.KW > g.InW+2*g.Pad {
 		return fmt.Errorf("tensor: conv output collapses to zero: %+v", *g)
 	}
+	g.OutH = (g.InH+2*g.Pad-g.KH)/g.Stride + 1
+	g.OutW = (g.InW+2*g.Pad-g.KW)/g.Stride + 1
 	return nil
 }
 
@@ -48,86 +50,6 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 	out := New(batch*g.OutH*g.OutW, g.PatchLen())
 	im2colFill(out.Data, x.Data, batch, g)
 	return out
-}
-
-// Im2ColInto is the buffer-reusing form of Im2Col for raw row-major slices:
-// it unrolls x (batch rows of InC·InH·InW values) into dst, which must hold
-// batch·OutH·OutW·PatchLen elements and is fully overwritten. The inference
-// snapshots use it to reuse one scratch patch matrix across forward calls
-// instead of allocating a fresh one per batch; it shares the fill loop with
-// Im2Col, so the two produce identical patch matrices.
-func Im2ColInto(dst, x []float64, batch int, g ConvGeom) {
-	need := batch * g.OutH * g.OutW * g.PatchLen()
-	if len(dst) < need || len(x) < batch*g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColInto slices too short for batch %d geom %+v", batch, g))
-	}
-	im2colFill(dst, x, batch, g)
-}
-
-// Im2ColTransInto unrolls x into the TRANSPOSE of the Im2Col patch matrix:
-// dst has PatchLen rows of batch·OutH·OutW columns, so dst[p·cols + pix] ==
-// Im2Col(x)[pix·PatchLen + p]. The row-major-patch form scatters every
-// element at patch-length stride; this orientation instead walks each
-// patch row (fixed channel and kernel tap) across the output pixels, where
-// stride-1 convolutions reduce to contiguous span copies of the input
-// image rows. The inference snapshots feed it to the transposed
-// convolution product Wᵀ × colsᵀ (see the conv step in internal/nn), whose
-// wide output rows suit the register-tiled kernel far better than a
-// few-channel output width. dst is fully overwritten, padding positions
-// included.
-func Im2ColTransInto(dst, x []float64, batch int, g ConvGeom) {
-	cols := batch * g.OutH * g.OutW
-	if len(dst) < cols*g.PatchLen() || len(x) < batch*g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("tensor: Im2ColTransInto slices too short for batch %d geom %+v", batch, g))
-	}
-	inC, inH, inW := g.InC, g.InH, g.InW
-	outH, outW := g.OutH, g.OutW
-	kh, kw := g.KH, g.KW
-	stride, pad := g.Stride, g.Pad
-	for c := 0; c < inC; c++ {
-		chOff := c * inH * inW
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				// The in-range span: ox with 0 ≤ ox·Stride − Pad + kx < InW.
-				lo := 0
-				if d := pad - kx; d > 0 {
-					lo = (d + stride - 1) / stride
-				}
-				hi := outW
-				if h := (inW - 1 + pad - kx) / stride; h+1 < hi {
-					hi = h + 1
-				}
-				if hi < lo {
-					hi = lo
-				}
-				prow := dst[((c*kh+ky)*kw+kx)*cols:]
-				for b := 0; b < batch; b++ {
-					imgOff := b*inC*inH*inW + chOff
-					for oy := 0; oy < outH; oy++ {
-						iy := oy*stride - pad + ky
-						drow := prow[(b*outH+oy)*outW : (b*outH+oy)*outW+outW]
-						if iy < 0 || iy >= inH {
-							clear(drow)
-							continue
-						}
-						clear(drow[:lo])
-						clear(drow[hi:])
-						rowOff := imgOff + iy*inW
-						if stride == 1 {
-							base := rowOff - pad + kx
-							copy(drow[lo:hi], x[base+lo:base+hi])
-							continue
-						}
-						si := rowOff + lo*stride - pad + kx
-						for ox := lo; ox < hi; ox++ {
-							drow[ox] = x[si]
-							si += stride
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 // im2colFill writes every receptive-field tap of dst, storing explicit
@@ -159,11 +81,13 @@ func im2colFill(dst, x []float64, batch int, g ConvGeom) {
 	for kx := 0; kx < kw; kx++ {
 		lo := 0
 		if d := pad - kx; d > 0 {
-			lo = (d + stride - 1) / stride
+			lo = min(outW, (d+stride-1)/stride) // all padding on a narrow image
 		}
-		hi := outW
-		if h := (inW - 1 + pad - kx) / stride; h+1 < hi {
-			hi = h + 1
+		// A tap right of the image at every ox (kx > InW−1+Pad) has an empty
+		// span; dividing the negative numerator would truncate it to one pixel.
+		hi := 0
+		if n := inW - 1 + pad - kx; n >= 0 {
+			hi = min(outW, n/stride+1)
 		}
 		if hi < lo {
 			hi = lo

@@ -34,27 +34,6 @@ func TestGEMMAccPanicsOnShortSlices(t *testing.T) {
 	GEMMAcc(make([]float64, 3), make([]float64, 4), make([]float64, 4), 2, 2, 2)
 }
 
-func TestIm2ColIntoMatchesIm2Col(t *testing.T) {
-	rng := NewRNG(12)
-	g := ConvGeom{InC: 3, InH: 7, InW: 5, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	const batch = 3
-	x := rng.Randn(batch, g.InC*g.InH*g.InW)
-	want := Im2Col(x, g)
-	got := make([]float64, len(want.Data))
-	for i := range got {
-		got[i] = math.NaN() // dirty scratch: Im2ColInto must fully overwrite
-	}
-	Im2ColInto(got, x.Data, batch, g)
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want.Data[i]) {
-			t.Fatalf("Im2ColInto diverges from Im2Col at %d", i)
-		}
-	}
-}
-
 func TestSoftmaxRowsIntoAliasedMatchesSoftmaxRows(t *testing.T) {
 	rng := NewRNG(13)
 	logits := rng.Randn(9, 6)

@@ -345,6 +345,29 @@ func Transpose(t *Tensor) *Tensor {
 	return out
 }
 
+// ReLUInto writes max(src[i], +0) into dst[:len(src)] — +0 for NaN and for
+// −0, exactly the value of `if v > 0 { v } else { 0 }`, the loop that serves
+// the tail and machines without AVX. That branch is unpredictable on
+// post-batch-norm activations (half are negative); VMAXPD has none. dst may
+// alias src.
+func ReLUInto(dst, src []float64) {
+	if len(dst) < len(src) {
+		panic(fmt.Sprintf("tensor: ReLUInto dst holds %d of %d elements", len(dst), len(src)))
+	}
+	i := 0
+	if useSIMD && len(src) >= 4 {
+		i = len(src) &^ 3
+		reluAVX(&dst[0], &src[0], i)
+	}
+	for ; i < len(src); i++ {
+		if v := src[i]; v > 0 {
+			dst[i] = v
+		} else {
+			dst[i] = 0
+		}
+	}
+}
+
 // Clip limits every element of t to the interval [lo, hi], in place.
 func (t *Tensor) Clip(lo, hi float64) {
 	for i, v := range t.Data {

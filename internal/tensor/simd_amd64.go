@@ -98,3 +98,20 @@ func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 		}
 	}
 }
+
+// convTile4x8AVX is the unit-stride direct-convolution tile; convTile4x8
+// (conv.go) states what it computes. Pointers address the first pixel of
+// each four-pixel group, chanStride counts elements. It checks no bounds:
+// DirectConv.Forward proves them.
+//
+//go:noescape
+func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+
+// reluAVX is ReLUInto's vector body; n is a multiple of 4.
+//
+//go:noescape
+func reluAVX(dst, src *float64, n int)
+
+// peakMulAddAVX runs iters rounds of eight independent register-only
+// VMULPD/VADDPD pairs, the machine peak of BenchmarkPeakMulAdd.
+func peakMulAddAVX(iters int)

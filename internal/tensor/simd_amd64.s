@@ -261,3 +261,149 @@ w32done:
 	VMOVUPD Y11, 224(DI)
 	VZEROUPPER
 	RET
+
+// func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+//
+// The direct-convolution register tile (see conv.go): Y0-Y3 accumulate
+// channels 0-3 of the four pixels at in0, Y4-Y7 those at in1. Each tap costs
+// two unaligned image loads, four weight broadcasts and eight VMULPD+VADDPD
+// pairs — separate multiply and add, never FMA, taps in increasing order
+// from +0 — so every element sees the operation sequence of the portable
+// tile. taps must be at least 1.
+TEXT ·convTile4x8AVX(SB), NOSPLIT, $0-72
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), R8
+	MOVQ chanStride+16(FP), R9
+	MOVQ in0+24(FP), SI
+	MOVQ in1+32(FP), DX
+	MOVQ w+40(FP), BX
+	MOVQ offs+48(FP), R10
+	MOVQ taps+56(FP), CX
+	MOVQ bias+64(FP), R11
+	SHLQ $3, R9              // channel plane stride in bytes
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+ctloop:
+	MOVQ (R10), AX
+	VMOVUPD (SI)(AX*8), Y8
+	VMOVUPD (DX)(AX*8), Y9
+	VBROADCASTSD (BX), Y10
+	VMULPD Y10, Y8, Y11
+	VADDPD Y11, Y0, Y0
+	VMULPD Y10, Y9, Y12
+	VADDPD Y12, Y4, Y4
+	VBROADCASTSD 8(BX), Y13
+	VMULPD Y13, Y8, Y14
+	VADDPD Y14, Y1, Y1
+	VMULPD Y13, Y9, Y15
+	VADDPD Y15, Y5, Y5
+	VBROADCASTSD 16(BX), Y10
+	VMULPD Y10, Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD Y10, Y9, Y12
+	VADDPD Y12, Y6, Y6
+	VBROADCASTSD 24(BX), Y13
+	VMULPD Y13, Y8, Y14
+	VADDPD Y14, Y3, Y3
+	VMULPD Y13, Y9, Y15
+	VADDPD Y15, Y7, Y7
+	ADDQ $8, R10
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  ctloop
+	VBROADCASTSD (R11), Y10
+	VADDPD Y10, Y0, Y0
+	VADDPD Y10, Y4, Y4
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y4, (R8)
+	VBROADCASTSD 8(R11), Y10
+	VADDPD Y10, Y1, Y1
+	VADDPD Y10, Y5, Y5
+	VMOVUPD Y1, (DI)(R9*1)
+	VMOVUPD Y5, (R8)(R9*1)
+	LEAQ (DI)(R9*2), DI
+	LEAQ (R8)(R9*2), R8
+	VBROADCASTSD 16(R11), Y10
+	VADDPD Y10, Y2, Y2
+	VADDPD Y10, Y6, Y6
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y6, (R8)
+	VBROADCASTSD 24(R11), Y10
+	VADDPD Y10, Y3, Y3
+	VADDPD Y10, Y7, Y7
+	VMOVUPD Y3, (DI)(R9*1)
+	VMOVUPD Y7, (R8)(R9*1)
+	VZEROUPPER
+	RET
+
+// func reluAVX(dst, src *float64, n int)
+//
+// dst[i] = src[i] > 0 ? src[i] : +0 for i in [0, n), n a multiple of 4.
+// VMAXPD returns its second source when the operands are unordered or both
+// zero; with +0 in that slot, NaN and −0 come out as +0, exactly as the Go
+// comparison decides them.
+TEXT ·reluAVX(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y0, Y0, Y0
+	SHRQ $2, CX
+	JZ   reludone
+reluloop:
+	VMOVUPD (SI), Y1
+	VMAXPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  reluloop
+reludone:
+	VZEROUPPER
+	RET
+
+// func peakMulAddAVX(iters int)
+//
+// The measured no-FMA float64 ceiling of one core: per iteration eight
+// independent VMULPD and eight VADDPD chains on registers only (64 flop),
+// the multiply/add mix of the convolution tile with its loads taken away.
+TEXT ·peakMulAddAVX(SB), NOSPLIT, $0-8
+	MOVQ iters+0(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	TESTQ CX, CX
+	JZ   peakdone
+peakloop:
+	VMULPD Y8, Y8, Y9
+	VADDPD Y9, Y0, Y0
+	VMULPD Y8, Y8, Y10
+	VADDPD Y10, Y1, Y1
+	VMULPD Y8, Y8, Y11
+	VADDPD Y11, Y2, Y2
+	VMULPD Y8, Y8, Y12
+	VADDPD Y12, Y3, Y3
+	VMULPD Y8, Y8, Y13
+	VADDPD Y13, Y4, Y4
+	VMULPD Y8, Y8, Y14
+	VADDPD Y14, Y5, Y5
+	VMULPD Y8, Y8, Y15
+	VADDPD Y15, Y6, Y6
+	VMULPD Y8, Y8, Y9
+	VADDPD Y9, Y7, Y7
+	DECQ CX
+	JNZ  peakloop
+peakdone:
+	VZEROUPPER
+	RET

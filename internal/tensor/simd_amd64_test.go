@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// withSIMDOff runs f with the SIMD gate forced off, so the portable kernels
+// execute on a machine that would never select them. Tests using it must
+// not run in parallel.
+func withSIMDOff(f func()) {
+	saved := useSIMD
+	useSIMD = false
+	defer func() { useSIMD = saved }()
+	f()
+}
+
 // TestMatMulSIMDMatchesGeneric pins the bit-exactness contract of the AVX
 // kernel: for every shape — register-tile widths, odd tails, k extents above
 // and below the k-blocking threshold — the SIMD traversal must produce
@@ -50,10 +60,7 @@ func TestMatMulSIMDMatchesGeneric(t *testing.T) {
 			matMulRangeSIMD(got, a, b, 0, sh.m, sh.k, sh.n)
 
 			want := append([]float64(nil), init...)
-			saved := useSIMD
-			useSIMD = false
-			matMulRange(want, a, b, 0, sh.m, sh.k, sh.n)
-			useSIMD = saved
+			withSIMDOff(func() { matMulRange(want, a, b, 0, sh.m, sh.k, sh.n) })
 
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -85,4 +92,18 @@ func TestMatMulSIMDNaNNotSkipped(t *testing.T) {
 			t.Fatalf("dst[%d] = %v, want NaN (NaN activation must not be skipped)", j, v)
 		}
 	}
+}
+
+// BenchmarkPeakMulAdd measures the no-FMA float64 ceiling of one core —
+// eight independent register-only VMULPD/VADDPD chains, no loads — the
+// figure BenchmarkConvTile and nn's BenchmarkForwardSS14 are read against.
+func BenchmarkPeakMulAdd(b *testing.B) {
+	if !useSIMD {
+		b.Skip("no AVX on this machine")
+	}
+	const iters = 1 << 16
+	for i := 0; i < b.N; i++ {
+		peakMulAddAVX(iters)
+	}
+	b.ReportMetric(64*float64(iters)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }

@@ -13,3 +13,10 @@ const useSIMD = false
 func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 	panic("tensor: matMulRangeSIMD called without SIMD support")
 }
+
+// Likewise unreachable: convTile4x8 and ReLUInto run their portable loops.
+func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64) {
+	panic("tensor: convTile4x8AVX called without SIMD support")
+}
+
+func reluAVX(dst, src *float64, n int) { panic("tensor: reluAVX called without SIMD support") }
