@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: build test verify fmt-check docs linkcheck loc bench bench-kernels bench-throughput bench-serve bench-soak bench-forward bench-cache bench-fleet bench-split bench-check clean
+.PHONY: build test verify fmt-check docs linkcheck one-loop loc bench bench-kernels bench-throughput bench-serve bench-soak bench-forward bench-cache bench-fleet bench-split bench-check clean
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,16 @@ docs:
 linkcheck:
 	$(GO) run ./cmd/teamnet-linkcheck README.md DESIGN.md docs/*.md
 
+# one-loop fails if a second accept loop or the deleted RPC stack comes back:
+# the runtime's one server loop is cluster.Node's (internal/cluster/server.go);
+# the only other accept loop under internal/ and cmd/ is the chaos proxy's.
+one-loop:
+	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
+	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
+		echo "accept loops in: $$got(want internal/chaos/chaos.go and internal/cluster/server.go only)"; exit 1; fi
+	@if grep -rn 'RPCServer\|RPCClient\|DialRPC' --include=*.go .; then \
+		echo "the second RPC stack is back"; exit 1; fi
+
 # loc prints the non-test Go lines of every internal/ package and their
 # total — the tracked number of ROADMAP aim 2 (same behaviour, least code) —
 # and the cmd/ total under it, so code moved across that line (a cmd main's
@@ -47,9 +57,9 @@ loc:
 # bound (internal/transport frame_test.go), the frame-header table and
 # FuzzDecodeHeader's seed corpus (internal/cluster header_test.go), the mux
 # write-coalescing and golden wire-bytes tests (wire_test.go), the
-# server-loop conformance table run against both Worker and MasterServer —
-# header verdicts, expired budget, version pin and refused model push
-# included (server_test.go) — the one-Model-per-node tests (model_test.go:
+# server-loop conformance table run against Node — header verdicts, expired
+# budget, version pin, refused model push and the mis-shaped tensor included
+# (server_test.go) — the one-Model-per-node tests (model_test.go:
 # TestServeRequestChecksAndServesOneModel, TestSwapVsPinHammer,
 # TestPushedMasterPinsSplitTailsToTheNewLabel, TestPublishIsOneStore; the
 # short half also runs cmd/teamnet-serve TestCutoverSwapsWeightsOnASingleNode
@@ -67,7 +77,7 @@ loc:
 # races the live benchmark harnesses at smoke size and the open-loop
 # generator's own tests (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
 # TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
-verify: fmt-check docs
+verify: fmt-check docs one-loop
 	$(GO) vet ./...
 	$(GO) test -short ./...
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...

@@ -1,9 +1,9 @@
 // Command teamnet-moe operates the SG-MoE baseline end-to-end, in parity
 // with the teamnet-train/node/infer trio: train a sparsely-gated mixture of
-// experts, serve one expert as an RPC node (the SG-MoE-G deployment), or
-// run the gate-then-dispatch master against a set of expert nodes.
+// experts, serve one expert as a node (the SG-MoE-G deployment), or run the
+// gate-then-dispatch master against a set of expert nodes.
 //
-//	teamnet-moe -mode train -dataset digits -k 2 -out moe.tnet
+//	teamnet-moe -mode train -dataset digits -k 2 -model moe.tnet
 //	teamnet-moe -mode node  -model moe.tnet -expert 1 -listen :7101
 //	teamnet-moe -mode infer -model moe.tnet -peers :7100,:7101 -queries 100
 package main
@@ -45,11 +45,11 @@ func run() error {
 		lr        = flag.Float64("lr", 0.002, "learning rate")
 		seed      = flag.Int64("seed", 42, "random seed")
 		modelPath = flag.String("model", "moe.tnet", "model bundle path")
-		expert    = flag.Int("expert", 0, "which expert to serve (node mode)")
+		expert    = flag.Int("expert", 0, "which expert to serve, also the node's election id (node mode)")
 		listen    = flag.String("listen", "127.0.0.1:7101", "listen address (node mode)")
 		peers     = flag.String("peers", "", "expert node addresses in expert order (infer mode)")
 		queries   = flag.Int("queries", 100, "inference count (infer mode)")
-		traceOn   = flag.Bool("trace", false, "record per-query spans and print each query's span tree (infer mode; requires trace-aware expert nodes)")
+		traceOn   = flag.Bool("trace", false, "record per-query spans and print each query's span tree (infer mode)")
 		adminAddr = flag.String("admin", "", "serve the HTTP admin endpoint (/healthz, /metrics, /traces, pprof) on this address")
 	)
 	flag.Parse()
@@ -114,11 +114,12 @@ func nodeMode(path string, expert int, listen, adminAddr string) error {
 	if expert < 0 || expert >= model.K() {
 		return fmt.Errorf("expert %d out of range [0, %d)", expert, model.K())
 	}
-	addr, srv, err := cluster.ServeMoEExpert(model.Experts[expert], listen)
+	srv := cluster.NewWorker(model.Experts[expert], expert)
+	addr, err := srv.Listen(listen)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serving SG-MoE expert %d/%d on %s (RPC)\n", expert, model.K(), addr)
+	fmt.Printf("serving SG-MoE expert %d/%d on %s\n", expert, model.K(), addr)
 	if adminAddr != "" {
 		srv.SetTracer(trace.New(addr, 0))
 		adm := admin.New()
@@ -188,10 +189,9 @@ func inferMode(path, dsName string, queries, size int, seed int64, peers []strin
 		}
 		lat.Observe(time.Since(start))
 		if traceOn {
-			if tr := master.Tracer(); tr != nil {
-				if ids := tr.TraceIDs(1); len(ids) == 1 {
-					fmt.Printf("query %d trace %016x:\n%s", i, ids[0], tr.Tree(ids[0]))
-				}
+			tr := master.Tracer() // installed above whenever -trace is set
+			if ids := tr.TraceIDs(1); len(ids) == 1 {
+				fmt.Printf("query %d trace %016x:\n%s", i, ids[0], tr.Tree(ids[0]))
 			}
 		}
 		if probs.Row(0).ArgMax() == ds.Y[i] {

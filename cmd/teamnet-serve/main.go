@@ -196,9 +196,9 @@ func run() error {
 
 	// Fabric endpoint: serve this master to other gateways, answer
 	// membership announces, and accept versioned model pushes.
-	var fabricSrv *cluster.MasterServer
+	var fabricSrv *cluster.Node
 	if *fabricListen != "" {
-		fabricSrv = cluster.NewMasterServer(master, *fabricID)
+		fabricSrv = cluster.NewNode(cluster.RoleMaster, master, *fabricID)
 		fabricSrv.Cutover = cutover
 		bound, err := fabricSrv.Listen(*fabricListen)
 		if err != nil {

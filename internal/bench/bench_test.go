@@ -182,6 +182,11 @@ func TestCostSGMoESlowerThanTeamNetDigits(t *testing.T) {
 	if mpiMs <= grpcMs {
 		t.Fatalf("SG-MoE-M (%.2f ms) should trail SG-MoE-G (%.2f ms) on digits", mpiMs, grpcMs)
 	}
+	// Every SG-MoE-G cell of the committed tables was priced with 36 envelope
+	// bytes per call; the constant must keep evaluating to that.
+	if grpcEnvelopeBytes != 36 {
+		t.Fatalf("gRPC envelope %d bytes, the paper tables were priced with 36", grpcEnvelopeBytes)
+	}
 }
 
 func TestCostKernelWorseThanBranch(t *testing.T) {

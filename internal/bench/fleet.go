@@ -17,7 +17,7 @@ import (
 // fabric. Where the soak drills one gateway/master pair, the fleet bench
 // scales whole pairs — each pair is a master (local expert + workers behind
 // chaos latency proxies, stack.go) exposed over the fabric by a
-// MasterServer, fronted by its own gateway whose Router spreads across
+// cluster.Node, fronted by its own gateway whose Router spreads across
 // EVERY master via RemoteMaster links. Gateways discover the masters through the announce
 // gossip, not a static list, so the membership layer is on the measured
 // path. Offered load is the open-loop generator's (load.go) at a fixed
@@ -139,7 +139,7 @@ func (r *FleetReport) String() string {
 // the master at addr.
 type fleetPair struct {
 	*stack
-	srv  *cluster.MasterServer
+	srv  *cluster.Node
 	addr string
 }
 
@@ -198,7 +198,7 @@ func buildFleetPair(cfg FleetConfig, idx int) (*fleetPair, error) {
 	for _, w := range st.workers {
 		err = errors.Join(err, w.Swap(vA))
 	}
-	p := &fleetPair{stack: st, srv: cluster.NewMasterServer(st.master, idx+1)}
+	p := &fleetPair{stack: st, srv: cluster.NewNode(cluster.RoleMaster, st.master, idx+1)}
 	if err == nil {
 		p.addr, err = p.srv.Listen("127.0.0.1:0")
 	}
@@ -230,7 +230,7 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 	// Anti-entropy membership: every master announces to the first, so its
 	// roster accumulates the whole fleet for gateways to bootstrap from.
 	for _, p := range fleet[1:] {
-		if _, err := p.srv.Announce(fleet[0].addr, 2*time.Second); err != nil {
+		if _, err := cluster.Announce(fleet[0].addr, p.srv.Member(), p.srv.Roster(), 2*time.Second); err != nil {
 			return nil, err
 		}
 	}

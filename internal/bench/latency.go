@@ -185,6 +185,14 @@ func shakeOutFeatures(s *nn.ShakeShake) int {
 	return 0
 }
 
+// grpcEnvelopeBytes is the per-call envelope of the paper's gRPC byte model
+// beyond the tensor body: a request envelope (8-byte call id, 2-byte method
+// length, the 7-byte method name "predict"), a response envelope (8-byte id,
+// 1-byte status) and two 5-byte frame headers. Together with edgesim's gRPC
+// per-message overhead it is all that sets an SG-MoE-G table cell apart from
+// a raw-socket one; the live SG-MoE-G runtime rides TeamNet's own frames.
+const grpcEnvelopeBytes = (8 + 2 + len("predict")) + (8 + 1) + 2*5
+
 // SGMoECost is the sparsely-gated runtime: the master evaluates the gate,
 // dispatches the input to the topK selected expert nodes over the given
 // transport (gRPC or MPI), and mixes the returned probabilities. The gate
@@ -195,7 +203,7 @@ func SGMoECost(dev edgesim.Device, link edgesim.Link, tr edgesim.Transport,
 	inBytes := transport.FrameWireSize(cluster.InputWireBytes(1, features))
 	resBytes := transport.FrameWireSize(tensorWireBytes(1, classes))
 	if tr.Name == "grpc" {
-		inBytes += transport.RPCWireOverhead("predict")
+		inBytes += grpcEnvelopeBytes
 	}
 	comm := n.Multicast(inBytes, topK) + n.Gather(resBytes, topK)
 	compute := dev.ComputeTime(nn.NetworkFLOPs(gate), gpu) +

@@ -47,7 +47,7 @@ type stackSpec struct {
 // pushes) and their link proxies.
 type stack struct {
 	master      *cluster.Master
-	workers     []*cluster.Worker
+	workers     []*cluster.Node
 	workerAddrs []string
 	proxies     []*chaos.Proxy
 	netDelay    time.Duration

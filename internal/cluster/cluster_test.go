@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -12,6 +14,7 @@ import (
 	"github.com/teamnet/teamnet/internal/mpi"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
+	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
@@ -159,7 +162,7 @@ func TestMasterQuadroWorkers(t *testing.T) {
 	}
 	team, _ := tr.Train(ds)
 
-	var workers []*Worker
+	var workers []*Node
 	master := NewMaster(nil, 10)
 	defer master.Close()
 	for i, e := range team.Experts {
@@ -382,23 +385,29 @@ func trainSmallMoE(t *testing.T) (*moe.SGMoE, *dataset.Dataset) {
 	return m, ds
 }
 
+// TestMoERPCEndToEnd runs SG-MoE-G over the one socket stack: every expert
+// node is a worker Node, the master gates locally and dispatches on its
+// supervised peer links. The mixed answer must match in-process inference,
+// and the trace must cross the wire the way TeamNet's does: nothing from an
+// untraced master, one trace id from "moe.infer" through "peer <addr>" (split
+// into network and compute by the reply header) to the expert node's
+// "worker.predict" from a traced one.
 func TestMoERPCEndToEnd(t *testing.T) {
 	model, ds := trainSmallMoE(t)
 	var addrs []string
-	var servers []*MoEExpertServer
-	for _, e := range model.Experts {
-		addr, srv, err := ServeMoEExpert(e, "127.0.0.1:0")
+	var expertTrs []*trace.Tracer
+	for i, e := range model.Experts {
+		node := NewWorker(e, i)
+		tr := trace.New("expert", 0)
+		node.SetTracer(tr)
+		addr, err := node.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer node.Close()
 		addrs = append(addrs, addr)
-		servers = append(servers, srv)
+		expertTrs = append(expertTrs, tr)
 	}
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
 	master, err := NewMoEMaster(model, addrs)
 	if err != nil {
 		t.Fatal(err)
@@ -406,14 +415,72 @@ func TestMoERPCEndToEnd(t *testing.T) {
 	defer master.Close()
 
 	x := ds.X.SelectRows([]int{0, 1, 2, 3, 4})
-	got, err := master.Infer(x)
+	want := model.Predict(x)
+	infer := func() {
+		t.Helper()
+		got, err := master.Infer(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.AllClose(want, 1e-4) {
+			t.Fatal("distributed SG-MoE-G diverges from in-process inference")
+		}
+	}
+	infer()
+	for i, tr := range expertTrs {
+		if tr.Len() != 0 {
+			t.Fatalf("expert %d recorded %v for an untraced master's query: a trace parent was sent", i, tr.Snapshot(0))
+		}
+	}
+
+	masterTr := trace.New("moe-master", 0)
+	master.SetTracer(masterTr)
+	infer()
+	ids := masterTr.TraceIDs(1)
+	if len(ids) != 1 {
+		t.Fatalf("master recorded %d traces, want 1", len(ids))
+	}
+	root, children := trace.Span{}, map[uint64][]string{}
+	for _, s := range masterTr.Trace(ids[0]) {
+		if s.Name == "moe.infer" {
+			root = s
+		}
+		children[s.ParentID] = append(children[s.ParentID], s.Name)
+	}
+	asked := 0
+	for i, tr := range expertTrs {
+		peer := "peer " + addrs[i]
+		if !slices.Contains(children[root.SpanID], peer) {
+			continue // top-k gating sent this expert no rows
+		}
+		asked++
+		for _, s := range masterTr.Trace(ids[0]) {
+			if s.Name == peer && (!slices.Contains(children[s.SpanID], "network") || !slices.Contains(children[s.SpanID], "compute")) {
+				t.Fatalf("%q has children %v, want the reply header's network/compute split", peer, children[s.SpanID])
+			}
+		}
+		spans := tr.Snapshot(0)
+		if len(spans) != 1 || spans[0].Name != "worker.predict" || spans[0].TraceID != ids[0] || spans[0].ParentID != root.SpanID {
+			t.Fatalf("expert %d recorded %+v, want one worker.predict under moe.infer %x of trace %x", i, spans, root.SpanID, ids[0])
+		}
+	}
+	if asked == 0 {
+		t.Fatalf("no peer span under moe.infer: %s", masterTr.Tree(ids[0]))
+	}
+
+	// A mis-shaped tensor (1×3 for a 144-wide expert) costs an expert node
+	// one error frame, not its process; the master's links keep answering.
+	conn, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := model.Predict(x)
-	if !got.AllClose(want, 1e-4) {
-		t.Fatal("RPC-distributed SG-MoE diverges from in-process inference")
+	defer conn.Close()
+	hostile := requestPayload(requestHeader{id: 1}, transport.EncodeTensor(tensor.NewRNG(18).Randn(1, 3)))
+	if typ, text := exchange(t, conn, MsgPredictMux, hostile); typ != MsgErrorMux {
+		t.Fatalf("mis-shaped tensor answered type %d %q", typ, text)
 	}
+	expectServing(t, conn)
+	infer()
 }
 
 func TestMoEMasterAddrCountMismatch(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 )
 
 // Fabric tests: membership gossip, versioned model push, and the
-// MasterServer/RemoteMaster wire pair. All run under -race via the full
+// Node/RemoteMaster wire pair. All run under -race via the full
 // test suite.
 
 // fabricSpec is a tiny MLP used across the fabric tests.
@@ -139,7 +139,7 @@ func TestMasterServerFabricEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewMasterServer(master, 7)
+	srv := NewNode(RoleMaster, master, 7)
 	install(t, master.SetLocal, Model{Version: "vA"})
 	maddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -214,7 +214,7 @@ func TestModelPushHotSwapOverWire(t *testing.T) {
 	if err := master.Connect(waddr); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewMasterServer(master, 7)
+	srv := NewNode(RoleMaster, master, 7)
 	install(t, master.SetLocal, Model{Version: "vA"})
 	swapCh := make(chan string, 1)
 	srv.Cutover = func(next Model) error {
@@ -282,7 +282,7 @@ func TestAnnounceGossipSpreadsMasters(t *testing.T) {
 	// against A alone must discover B through the gossip sample.
 	ma := NewMaster(buildFabricNet(t, 2), 3)
 	defer ma.Close()
-	srvA := NewMasterServer(ma, 1)
+	srvA := NewNode(RoleMaster, ma, 1)
 	addrA, err := srvA.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -291,13 +291,13 @@ func TestAnnounceGossipSpreadsMasters(t *testing.T) {
 
 	mb := NewMaster(buildFabricNet(t, 3), 3)
 	defer mb.Close()
-	srvB := NewMasterServer(mb, 2)
+	srvB := NewNode(RoleMaster, mb, 2)
 	if _, err := srvB.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
 	defer srvB.Close()
 
-	if _, err := srvB.Announce(addrA, 2*time.Second); err != nil {
+	if _, err := Announce(addrA, srvB.Member(), srvB.Roster(), 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	// B learned A from the exchange (anti-entropy runs both ways; the

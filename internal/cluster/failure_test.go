@@ -131,7 +131,7 @@ func TestWorkerSurvivesAbruptDisconnects(t *testing.T) {
 func TestMasterPartialFailureQuadro(t *testing.T) {
 	// Three healthy workers plus one that dies: the whole inference errors
 	// (the Figure 1(d) protocol gathers from every node).
-	var workers []*Worker
+	var workers []*Node
 	master := NewMaster(nil, 3)
 	defer master.Close()
 	for i := 0; i < 4; i++ {

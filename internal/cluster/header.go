@@ -18,7 +18,7 @@ import (
 //	reply:   hdr-version u8 · id u32 · compute_ns u64
 //
 // muxClient.roundTrip fills a request header from its ctx (deadline →
-// budget, trace.FromContext → trace) and frameServer.serveConn parses it
+// budget, trace.FromContext → trace) and Node.serveConn parses it
 // back into a ctx, so what a node receives is what it sends on. Everything a
 // frame says about the request rather than the tensor lives here and only
 // here; the four functions below are the only code that reads or writes it.

@@ -124,15 +124,6 @@ func NewMaster(local *nn.Network, classes int) *Master {
 	return m
 }
 
-// SetLocal replaces the master's local model without interrupting in-flight
-// inferences: queries that already loaded the old one finish on it (and pin
-// their split tails to its label), later queries see next. A next without a
-// snapshot re-labels the weights being served; new weights of another input
-// width or another number of classes are refused (see publish). This is the
-// master half of the versioned model push (modelpush.go); the caller bumps
-// the gateway's model version afterwards to invalidate the old cached answers.
-func (m *Master) SetLocal(next Model) error { return publish(&m.local, next, m.classes, m.metrics) }
-
 // Local returns the master's local model (never nil; its Snapshot is nil for
 // a pure coordinator).
 func (m *Master) Local() *Model { return m.local.Load() }

@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"fmt"
-	"sync/atomic"
 
-	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/nn"
 )
 
@@ -22,44 +20,45 @@ type Model struct {
 	Version  string
 }
 
-// publish is the one store behind Worker.Swap and Master.SetLocal: next
-// replaces the served model in a single pointer swap — with no snapshot it
-// re-labels the weights being served — and weights changing hands count one
-// "model.swaps" in reg. New weights must keep the served input width and
-// classifier width (classes when the node fixes one, else the served
-// snapshot's): a worker whose rows change width fails every reply's shape
-// check at its master, which reads as a link fault and trips the breaker on a
-// healthy node, and a master's gate would silently truncate or zero-pad them.
-func publish(p *atomic.Pointer[Model], next Model, classes int, reg *metrics.Registry) error {
+// SetLocal is the one store behind every model change (Node.Swap, a wire
+// push, a co-located gateway's cutover): next replaces the master's local
+// model in a single pointer swap, without interrupting in-flight inferences —
+// queries that already loaded the old one finish on it (and pin their split
+// tails to its label), later queries see next. With no snapshot, next
+// re-labels the weights being served; weights changing hands count one
+// "model.swaps". New weights must keep the served input width and the
+// master's classifier width: a worker whose rows change width fails every
+// reply's shape check at its master, which reads as a link fault and trips
+// the breaker on a healthy node, and a master's gate would silently truncate
+// or zero-pad them. A co-located gateway bumps its model version afterwards
+// to invalidate the old cached answers.
+func (m *Master) SetLocal(next Model) error {
 	for {
-		cur := p.Load()
-		m := next
-		if m.Snapshot == nil {
-			m.Snapshot = cur.Snapshot
-		} else if err := checkWidths(cur.Snapshot, m.Snapshot, classes); err != nil {
+		cur := m.local.Load()
+		served := next
+		if served.Snapshot == nil {
+			served.Snapshot = cur.Snapshot
+		} else if err := m.checkWidths(cur.Snapshot, served.Snapshot); err != nil {
 			return err
 		}
-		if p.CompareAndSwap(cur, &m) {
+		if m.local.CompareAndSwap(cur, &served) {
 			if next.Snapshot != nil && cur.Snapshot != nil {
-				reg.Counter("model.swaps").Inc()
+				m.metrics.Counter("model.swaps").Inc()
 			}
 			return nil
 		}
 	}
 }
 
-func checkWidths(cur, next *nn.Snapshot, classes int) error {
+func (m *Master) checkWidths(cur, next *nn.Snapshot) error {
 	in, out := next.BoundaryWidth(0), next.BoundaryWidth(next.Steps())
 	if cur != nil {
 		if want := cur.BoundaryWidth(0); in != want {
 			return fmt.Errorf("cluster: model takes %d-wide inputs, the served one %d", in, want)
 		}
-		if classes == 0 {
-			classes = cur.BoundaryWidth(cur.Steps())
-		}
 	}
-	if classes != 0 && out != classes {
-		return fmt.Errorf("cluster: model answers %d classes, this node serves %d", out, classes)
+	if out != m.classes {
+		return fmt.Errorf("cluster: model answers %d classes, this node serves %d", out, m.classes)
 	}
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
@@ -18,7 +17,7 @@ import (
 // is checked against, the weights it runs on and the label a master pins its
 // split tails to are read from one value.
 
-// install publishes next through a node's one writer (Worker.Swap,
+// install publishes next through a node's one writer (Node.Swap,
 // Master.SetLocal) and fails the test on a refusal.
 func install(t *testing.T, set func(Model) error, next Model) {
 	t.Helper()
@@ -27,33 +26,25 @@ func install(t *testing.T, set func(Model) error, next Model) {
 	}
 }
 
-// TestServeRequestChecksAndServesOneModel swaps the served model between the
-// pin check and the handler — deterministically, by handing serveRequest a
-// model source that returns vA on its first call and vB on every later one.
-// The handler must compute on the model whose label the pin passed against.
+// TestServeRequestChecksAndServesOneModel lands a swap between the pin check
+// and the forward pass — deterministically: the handler itself swaps the node
+// to vB before it looks at the model it was handed. That must still be the
+// model whose label the pin passed against.
 func TestServeRequestChecksAndServesOneModel(t *testing.T) {
-	vA, vB := &Model{Version: "vA"}, &Model{Version: "vB"}
-	loads := 0
-	s := &frameServer{metrics: new(metrics.Registry), model: func() *Model {
-		if loads++; loads == 1 {
-			return vA
-		}
-		return vB
-	}}
+	n := NewWorkerModel(Model{Snapshot: nn.MustSnapshot(tinyExpert(t, 60)), Version: "vA"}, 1)
+	vA := n.Model()
 	var served *Model
-	handle := func(_ context.Context, m *Model, _ []byte) (byte, []byte, time.Duration) {
+	k := kind{serve: func(n *Node, _ context.Context, m *Model, _ []byte) (byte, []byte, time.Duration) {
+		install(t, n.Swap, Model{Version: "vB"})
 		served = m
 		return MsgResultMux, nil, 0
-	}
-	if typ, _, _ := s.serveRequest(handle, requestHeader{id: 1, pin: "vA"}, time.Now(), nil); typ != MsgResultMux || served != vA {
+	}}
+	if typ, _, _ := n.serveRequest(k, requestHeader{id: 1, pin: "vA"}, time.Now(), nil); typ != MsgResultMux || served != vA {
 		t.Fatalf("request pinned to vA, checked against vA: reply type %d, handler ran on %+v", typ, served)
-	}
-	if loads != 1 {
-		t.Fatalf("served model loaded %d times for one request, want once", loads)
 	}
 	// The swap has landed: the same pin is now refused, before any handler.
 	served = nil
-	typ, text, _ := s.serveRequest(handle, requestHeader{id: 2, pin: "vA"}, time.Now(), nil)
+	typ, text, _ := n.serveRequest(k, requestHeader{id: 2, pin: "vA"}, time.Now(), nil)
 	if err := workerError(string(text)); typ != MsgErrorMux || !errors.Is(err, ErrSplitVersionMismatch) || served != nil {
 		t.Fatalf("request pinned to vA on a node serving vB: reply type %d %q, handler ran on %+v", typ, text, served)
 	}
@@ -111,7 +102,7 @@ func TestSwapVsPinHammer(t *testing.T) {
 			served := 0
 			for i := 0; i < 2000 || served == 0; i++ {
 				v := versions[(c+i)%2]
-				typ, reply, _ := w.srv.serveRequest(w.srv.kinds[MsgSplitPredict], requestHeader{id: uint32(i), pin: v.model.Version}, time.Now(), v.body)
+				typ, reply, _ := w.serveRequest(w.kinds[MsgSplitPredict], requestHeader{id: uint32(i), pin: v.model.Version}, time.Now(), v.body)
 				if typ == MsgErrorMux {
 					if !errors.Is(workerError(string(reply)), ErrSplitVersionMismatch) {
 						t.Errorf("tail pinned to %s refused with %q, want the version-mismatch verdict", v.model.Version, reply)
@@ -149,7 +140,7 @@ func bitEqual(a, b []float64) bool {
 	return true
 }
 
-// TestPushedMasterPinsSplitTailsToTheNewLabel: a wire push to a MasterServer
+// TestPushedMasterPinsSplitTailsToTheNewLabel: a wire push to a master Node
 // must move the label its master pins split tails to along with the weights
 // that compute the heads. The worker is already on vB; once the master is
 // pushed vB too, the next tail runs remotely — no version fallback.
@@ -169,7 +160,7 @@ func TestPushedMasterPinsSplitTailsToTheNewLabel(t *testing.T) {
 	if err := m.Connect(waddr); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewMasterServer(m, 2)
+	srv := NewNode(RoleMaster, m, 2)
 	maddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // -race via the verify target.
 
 // snapshotWorker starts a worker serving one seeded expert snapshot.
-func snapshotWorker(t *testing.T, seed int64, id int) (*Worker, string) {
+func snapshotWorker(t *testing.T, seed int64, id int) (*Node, string) {
 	t.Helper()
 	w := NewWorker(tinyExpert(t, seed), id)
 	addr, err := w.Listen("127.0.0.1:0")

@@ -1,9 +1,10 @@
 // Package cluster is the live distributed-inference runtime of Figure 1(d):
-// TeamNet experts served over raw TCP sockets by worker nodes, a master
-// that broadcasts sensor data, gathers predictions with uncertainties, and
+// TeamNet experts served over raw TCP sockets by nodes, a master that
+// broadcasts sensor data, gathers predictions with uncertainties, and
 // selects the least-uncertain answer; a bully leader election for the
 // distributed variant of step 5; and the SG-MoE runtimes (gate + selected
-// experts over RPC for SG-MoE-G, over the MPI substrate for SG-MoE-M).
+// experts over the same sockets for SG-MoE-G, over the MPI substrate for
+// SG-MoE-M).
 //
 // The runtime assumes an edge fault model — peers stall, reset, vanish and
 // return — and self-heals rather than failing fast: every peer runs the
@@ -21,9 +22,9 @@
 //
 // There is one request model, one wire protocol and one server loop:
 // Master.Do answers every Request (request.go), every request a node sends
-// is a mux frame under the one frame header (mux.go, header.go), every node
-// that listens runs the frame server in server.go, and all nodes of a fleet
-// run one build.
+// is a mux frame under the one frame header (mux.go, header.go), every
+// process that listens is a Node running the server loop in server.go
+// (node.go), and all nodes of a fleet run one build.
 //
 // Everything here runs over real connections — the unit tests and the live
 // benchmark mode exercise actual loopback TCP; the simulated experiments
@@ -45,11 +46,12 @@ const (
 	// MsgPing / MsgPong probe liveness.
 	MsgPing byte = iota + 1
 	MsgPong
-	// MsgElection / MsgElectionOK / MsgCoordinator implement the bully
-	// election (Section III's "leader election protocol" option).
+	// MsgElection / MsgElectionOK implement the bully election (Section
+	// III's "leader election protocol" option): a probe and the answering
+	// node's id.
 	MsgElection
 	MsgElectionOK
-	MsgCoordinator
+	_ // was a coordinator announcement nothing ever sent; the number stays reserved so no frame type moves
 	// MsgError reports a failed control exchange, or a stream the server is
 	// about to drop (unknown frame type), as text.
 	MsgError
@@ -77,7 +79,7 @@ const (
 	// MsgFabricPredict / MsgFabricResult are the gateway→master inference
 	// frames: mux-pipelined like MsgPredictMux, but the reply carries the
 	// combined ensemble answer (winners + live/total quorum) instead of one
-	// expert's probabilities + entropies (see masterserver.go).
+	// expert's probabilities + entropies (see node.go, fabric.go).
 	MsgFabricPredict
 	MsgFabricResult
 	// MsgSplitPredict / MsgSplitResult are the partial-offload frames: the
@@ -101,8 +103,8 @@ var replyTypeFor = map[byte]byte{
 }
 
 // connReadBuffer sizes the bufio.Reader in front of every long-lived read
-// loop (mux client, worker, master server), so a frame smaller than it costs
-// one read syscall instead of one for the header and one for the payload.
+// loop (mux client, node), so a frame smaller than it costs one read syscall
+// instead of one for the header and one for the payload.
 const connReadBuffer = 64 << 10
 
 // PredictResult is one node's answer for a batch: class probabilities and

@@ -1,6 +1,6 @@
 package cluster
 
-// RemoteMaster is the gateway-side client for one MasterServer: it
+// RemoteMaster is the gateway-side client for one master Node: it
 // satisfies the serve package's Backend and DegradedBackend contracts
 // (structurally — serve never imports cluster types) over a single
 // mux-pipelined TCP connection, so a gateway can treat a master three hops

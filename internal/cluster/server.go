@@ -8,48 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// frameServer is the one accept/read/dispatch loop of the runtime. Worker
-// and MasterServer are the same server with different request kinds: both
-// listen, track their connections, answer the control frames (ping,
-// election, announce, model push) in line, run pipelined requests
-// concurrently under a bounded window and reply out of order, contain a
-// panic to the connection it happened on, and close only after every
-// handler has returned. What differs per node is the configuration below.
-type frameServer struct {
-	member      func() Member     // this node's membership descriptor (and election id)
-	roster      *Roster           // membership view, fed by announce exchanges
-	model       func() *Model     // the model this node serves, never nil
-	swap        func(Model) error // applies a model push; an error refuses it
-	metrics     *metrics.Registry
-	panicName   string // counter bumped for every recovered panic
-	expiredName string // counter bumped for every request whose budget ran out unserved
-	// kinds maps a pipelined request frame type to its handler. Handlers run
-	// concurrently.
-	kinds map[byte]handler
-
-	mu     sync.Mutex
-	ln     net.Listener
-	addr   string // bound listen address, set by listen
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-	closed bool
-}
-
-// handler answers one pipelined request. The header has been parsed and
-// honoured by the time it runs: ctx carries the request's remaining budget
-// as its deadline and the request's trace parent as its ambient span, so a
-// handler that sends requests of its own passes on what it received; model
-// is the served model the request's version pin was checked against, the one
-// a handler that runs the node's own expert must run. body is the payload
-// after the header. It returns the reply frame type and body — an error is
-// just a MsgErrorMux reply — and the time its forward pass took (0 if none
-// ran), which goes back in the reply header.
-type handler func(ctx context.Context, model *Model, body []byte) (replyType byte, reply []byte, compute time.Duration)
+// The server loop: the one accept/read/dispatch loop of the runtime, run by
+// every Node. It listens, tracks its connections, answers the control frames
+// (ping, election, announce, model push) in line, runs pipelined requests
+// concurrently under a bounded window and replies out of order, contains a
+// panic to the connection it happened on, and closes only after every
+// handler has returned.
 
 // errorReply is a handler's verdict on a request it cannot serve.
 func errorReply(err error) (byte, []byte, time.Duration) {
@@ -63,47 +31,40 @@ func errorReply(err error) (byte, []byte, time.Duration) {
 // compute-parallelism bound.
 const handlerWindow = 64
 
-// listen binds to addr (use "127.0.0.1:0" for tests) and serves in the
+// Listen binds to addr (use "127.0.0.1:0" for tests) and serves in the
 // background. It returns the bound address.
-func (s *frameServer) listen(addr string) (string, error) {
+func (n *Node) Listen(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("cluster: %s listen %s: %w", n.role, addr, err)
 	}
-	s.mu.Lock()
-	s.ln = ln
-	s.addr = ln.Addr().String()
-	s.conns = make(map[net.Conn]struct{})
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
+	n.mu.Lock()
+	n.ln = ln
+	n.addr = ln.Addr().String()
+	n.conns = make(map[net.Conn]struct{})
+	n.mu.Unlock()
+	n.wg.Add(1)
+	go n.acceptLoop(ln)
 	return ln.Addr().String(), nil
 }
 
-// boundAddr returns the address listen bound ("" before it).
-func (s *frameServer) boundAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.addr
-}
-
-func (s *frameServer) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
+func (n *Node) acceptLoop(ln net.Listener) {
+	defer n.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		n.mu.Lock()
+		if n.closed {
+			n.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.handleConn(conn)
+		n.conns[conn] = struct{}{}
+		n.mu.Unlock()
+		n.wg.Add(1)
+		go n.handleConn(conn)
 	}
 }
 
@@ -112,23 +73,24 @@ func (s *frameServer) acceptLoop(ln net.Listener) {
 // promises that a malformed request costs one error frame, but a panic
 // escaping a handler's own recover (decode, trace or write paths) must cost
 // only this connection — never the serving process.
-func (s *frameServer) handleConn(conn net.Conn) {
-	defer s.wg.Done()
+func (n *Node) handleConn(conn net.Conn) {
+	defer n.wg.Done()
 	defer func() {
 		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		n.mu.Lock()
+		delete(n.conns, conn)
+		n.mu.Unlock()
 	}()
-	defer s.containPanic(nil)
-	s.serveConn(conn)
+	defer n.containPanic("", nil)
+	n.serveConn(conn)
 }
 
-// containPanic recovers a panic into the node's panic counter and, for a
-// pipelined handler, closes the connection it poisoned.
-func (s *frameServer) containPanic(poisoned net.Conn) {
+// containPanic recovers a panic into the panic counter of the request kind it
+// happened under ("" outside a handler) and, for a pipelined handler, closes
+// the connection it poisoned.
+func (n *Node) containPanic(series string, poisoned net.Conn) {
 	if r := recover(); r != nil {
-		s.metrics.Counter(s.panicName).Inc()
+		n.master.metrics.Counter(series + "panics.recovered").Inc()
 		if poisoned != nil {
 			poisoned.Close()
 		}
@@ -169,7 +131,7 @@ func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
 // is answered with MsgError and the connection dropped; anything a handler
 // can answer in band (a bad tensor, a bad model push) costs one error frame
 // and the connection keeps serving.
-func (s *frameServer) serveConn(conn net.Conn) {
+func (n *Node) serveConn(conn net.Conn) {
 	cw := &connWriter{conn: conn}
 	sem := make(chan struct{}, handlerWindow)
 	br := bufio.NewReaderSize(conn, connReadBuffer)
@@ -178,7 +140,7 @@ func (s *frameServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		if handle, ok := s.kinds[typ]; ok {
+		if k, ok := n.kinds[typ]; ok {
 			arrived := time.Now()
 			hdr, body, err := decodeRequestHeader(payload)
 			if err != nil {
@@ -186,12 +148,12 @@ func (s *frameServer) serveConn(conn net.Conn) {
 				return
 			}
 			sem <- struct{}{}
-			s.wg.Add(1)
+			n.wg.Add(1)
 			go func() {
-				defer s.wg.Done()
+				defer n.wg.Done()
 				defer func() { <-sem }()
-				defer s.containPanic(conn)
-				replyType, reply, compute := s.serveRequest(handle, hdr, arrived, body)
+				defer n.containPanic(k.series, conn)
+				replyType, reply, compute := n.serveRequest(k, hdr, arrived, body)
 				_ = cw.writeReply(replyType, replyHeader{id: hdr.id, compute: compute}, reply)
 			}()
 			continue
@@ -204,9 +166,9 @@ func (s *frameServer) serveConn(conn net.Conn) {
 		case MsgElection:
 			// Bully: any node hearing an election answers with its id (it
 			// will run its own election).
-			replyType, reply = MsgElectionOK, electionReply(s.member().ID)
+			replyType, reply = MsgElectionOK, electionReply(n.id)
 		case MsgAnnounce:
-			reply, err = handleAnnounce(s.roster, s.member(), payload)
+			reply, err = handleAnnounce(n.roster, n.Member(), payload)
 			if err != nil {
 				_ = cw.write(MsgError, []byte(err.Error()))
 				return
@@ -220,8 +182,8 @@ func (s *frameServer) serveConn(conn net.Conn) {
 			// differ from the served model's — and nothing is swapped.
 			pushed, perr := DecodeModelPush(payload)
 			if perr == nil {
-				if perr = s.swap(pushed); perr != nil {
-					s.metrics.Counter("model.push_refused").Inc()
+				if perr = n.Cutover(pushed); perr != nil {
+					n.master.metrics.Counter("model.push_refused").Inc()
 				}
 			}
 			replyType, reply = MsgModelPushOK, []byte(pushed.Version)
@@ -248,45 +210,46 @@ func (s *frameServer) serveConn(conn net.Conn) {
 // carries the trace parent. The served model is loaded once: the value the
 // pin is compared to is the value the handler computes on, so a swap landing
 // in between cannot put vB's weights behind a pin that passed against vA.
-func (s *frameServer) serveRequest(handle handler, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
+func (n *Node) serveRequest(k kind, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
 	ctx := context.Background()
 	if hdr.budget > 0 {
 		if time.Since(arrived) >= hdr.budget {
-			s.metrics.Counter(s.expiredName).Inc()
+			n.master.metrics.Counter(k.series + "requests.expired").Inc()
 			return MsgErrorMux, []byte(expiredText), 0
 		}
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, arrived.Add(hdr.budget))
 		defer cancel()
 	}
-	model := s.model()
+	model := n.Model()
 	if hdr.pin != "" && hdr.pin != model.Version {
 		return MsgErrorMux, []byte(fmt.Sprintf("%sserving %q, request pinned to %q", splitVersionMismatchPrefix, model.Version, hdr.pin)), 0
 	}
 	if hdr.trace.Valid() {
 		ctx = trace.NewContext(ctx, hdr.trace)
 	}
-	return handle(ctx, model, body)
+	n.master.metrics.Counter(k.series + "requests").Inc()
+	return k.serve(n, ctx, model, body)
 }
 
 // expiredText answers a request whose budget was spent before a handler
 // could start on it.
 const expiredText = "expired"
 
-// close stops accepting, closes open connections and returns once every
+// Close stops accepting, closes open connections and returns once every
 // connection goroutine and in-flight handler has.
-func (s *frameServer) close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	for conn := range s.conns {
+func (n *Node) Close() error {
+	n.mu.Lock()
+	n.closed = true
+	ln := n.ln
+	for conn := range n.conns {
 		conn.Close()
 	}
-	s.mu.Unlock()
+	n.mu.Unlock()
 	var err error
 	if ln != nil {
 		err = ln.Close()
 	}
-	s.wg.Wait()
+	n.wg.Wait()
 	return err
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"maps"
 	"net"
 	"strings"
 	"sync"
@@ -17,71 +18,81 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Conformance test for the shared server loop (server.go): every row runs
-// against a Worker and against a MasterServer, because both are the same
-// frameServer and must give the same verdict on every control frame, every
-// malformed stream and every panic.
+// Conformance test for the server loop (server.go). Every row runs against a
+// Node that has a snapshot and a master, so all three request kinds are live,
+// once per pipelined kind a client leads with: the header verdicts (short,
+// unknown version, expired, pinned) and their per-kind counters must come
+// out the same whether the request asks for the node's own expert or for
+// the master's combined answer. The node is built under the role whose
+// traffic that is.
 
-// servedNode is one node under test, reduced to what the rows need.
-type servedNode struct {
-	srv     *frameServer
-	addr    string
-	id      int
+// lead is the pipelined request kind a run of the rows drives.
+type lead struct {
 	role    string
-	request byte              // the node's primary pipelined request kind
-	reply   byte              // ... and the reply kind that answers it
-	body    []byte            // a body of that kind the node serves
-	passes  func() int64      // forward passes run so far
-	swap    func(Model) error // the node's one model writer
+	request byte   // the request kind
+	reply   byte   // ... and the reply kind that answers it
+	passes  string // the histogram that counts its forward passes
+	panics  string // the counter of panics recovered inside its forward pass
+	body    func(x *tensor.Tensor) []byte
+}
+
+var leads = []lead{
+	{RoleWorker, MsgPredictMux, MsgResultMux, "predict", "panics.recovered", transport.EncodeTensor},
+	{RoleMaster, MsgFabricPredict, MsgFabricResult, "infer.total", "local.panics_recovered", func(x *tensor.Tensor) []byte { return encodeFabricRequest(Request{X: x}) }},
+}
+
+// servedNode is one node under test and the request kind the rows lead with.
+type servedNode struct {
+	*Node
+	lead
+	addr string
+	body []byte // a body of the lead kind the node serves
 	// The injected blocking handler signals entered when it starts and
 	// returns once release is closed.
 	entered chan struct{}
 	release chan struct{}
 }
 
-// Frame types the rows inject into a node's kinds table before it listens.
+// Frame types the rows add to a node's kinds table before it listens.
 const (
 	kindPanics byte = 0x7D
 	kindBlocks byte = 0x7E
 )
 
-// startNode builds a fresh node of the given role with two extra request
-// kinds — one that panics, one that blocks — and starts it listening.
-func startNode(t *testing.T, role string) servedNode {
+const servedNodeID = 300
+
+// startNode builds a fresh node with two extra request kinds — one that
+// panics, one that blocks — and starts it listening.
+func startNode(t *testing.T, l lead) servedNode {
 	t.Helper()
-	n := servedNode{role: role, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	var listen func(string) (string, error)
-	x := tensor.NewRNG(222).Randn(1, 4)
-	switch role {
-	case RoleWorker:
-		w := NewWorker(tinyExpert(t, 220), 300)
-		n.srv, n.id, n.request, n.reply, listen = w.srv, 300, MsgPredictMux, MsgResultMux, w.Listen
-		n.body, n.swap = transport.EncodeTensor(x), w.Swap
-		n.passes = w.Metrics().Histogram("predict").Count
-		t.Cleanup(func() { w.Close() })
-	case RoleMaster:
-		m := NewMaster(tinyExpert(t, 221), 3)
-		s := NewMasterServer(m, 301)
-		n.srv, n.id, n.request, n.reply, listen = s.srv, 301, MsgFabricPredict, MsgFabricResult, s.Listen
-		n.body, n.swap = encodeFabricRequest(Request{X: x}), m.SetLocal
-		n.passes = m.Metrics().Histogram("infer.total").Count
-		t.Cleanup(func() { s.Close(); m.Close() })
-	}
-	n.srv.kinds[kindPanics] = func(context.Context, *Model, []byte) (byte, []byte, time.Duration) {
+	m := NewMaster(tinyExpert(t, 220), 3)
+	n := servedNode{Node: NewNode(l.role, m, servedNodeID), lead: l, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	n.body = l.body(tensor.NewRNG(222).Randn(1, 4))
+	t.Cleanup(func() { n.Close(); m.Close() })
+	n.kinds = maps.Clone(requestKinds)
+	n.kinds[kindPanics] = kind{serve: func(*Node, context.Context, *Model, []byte) (byte, []byte, time.Duration) {
 		panic("handler blew up")
-	}
-	n.srv.kinds[kindBlocks] = func(_ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
+	}, series: l.series()}
+	n.kinds[kindBlocks] = kind{serve: func(_ *Node, _ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
 		n.entered <- struct{}{}
 		<-n.release
 		return MsgErrorMux, body, 0
-	}
-	addr, err := listen("127.0.0.1:0")
+	}, series: "blocks."}
+	addr, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	n.addr = addr
 	return n
 }
+
+// series is the counter prefix of the lead kind.
+func (l lead) series() string { return requestKinds[l.request].series }
+
+func (n servedNode) counter(name string) int64 { return n.Metrics().Counter(name).Value() }
+
+// forwardPasses is the number of forward passes the lead kind has run so far.
+func (n servedNode) forwardPasses() int64 { return n.Metrics().Histogram(n.passes).Count() }
 
 func (n servedNode) dial(t *testing.T) net.Conn {
 	t.Helper()
@@ -93,8 +104,6 @@ func (n servedNode) dial(t *testing.T) net.Conn {
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	return conn
 }
-
-func (n servedNode) panics() int64 { return n.srv.metrics.Counter(n.srv.panicName).Value() }
 
 // exchange sends one frame and reads one back.
 func exchange(t *testing.T, conn net.Conn, typ byte, payload []byte) (byte, []byte) {
@@ -166,8 +175,8 @@ func TestServerLoopConformance(t *testing.T) {
 		}},
 		{"election answers the 4-byte id", func(t *testing.T, n servedNode) {
 			typ, reply := exchange(t, n.dial(t), MsgElection, nil)
-			if typ != MsgElectionOK || len(reply) != 4 || int(binary.BigEndian.Uint32(reply)) != n.id {
-				t.Fatalf("election reply type %d % x, want id %d in 4 bytes", typ, reply, n.id)
+			if typ != MsgElectionOK || len(reply) != 4 || int(binary.BigEndian.Uint32(reply)) != servedNodeID {
+				t.Fatalf("election reply type %d % x, want id %d in 4 bytes", typ, reply, servedNodeID)
 			}
 		}},
 		{"announce merges both rosters", func(t *testing.T, n servedNode) {
@@ -179,10 +188,10 @@ func TestServerLoopConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := (Member{Role: n.role, Addr: n.addr, ID: n.id}); from != want {
+			if want := (Member{Role: n.lead.role, Addr: n.addr, ID: servedNodeID}); from != want {
 				t.Fatalf("node announced itself as %+v, want %+v", from, want)
 			}
-			if got := n.srv.roster.Snapshot(); len(got) != 2 {
+			if got := n.Roster().Snapshot(); len(got) != 2 {
 				t.Fatalf("node roster %+v, want the caller and its gossip", got)
 			}
 			if got := mine.Snapshot(); len(got) != 3 {
@@ -212,7 +221,7 @@ func TestServerLoopConformance(t *testing.T) {
 			if typ, acked := exchange(t, conn, MsgModelPush, payload); typ != MsgModelPushOK || string(acked) != "v2" {
 				t.Fatalf("push answered type %d %q", typ, acked)
 			}
-			if v := n.srv.member().Version; v != "v2" {
+			if v := n.Member().Version; v != "v2" {
 				t.Fatalf("node version %q after push", v)
 			}
 			expectServing(t, conn)
@@ -231,23 +240,23 @@ func TestServerLoopConformance(t *testing.T) {
 				}
 				return exchange(t, conn, MsgModelPush, payload)
 			}
-			served := n.srv.model()
+			served := n.Model()
 			for _, bad := range []struct{ input, classes int }{{5, 3}, {4, 4}} {
 				if typ, text := push("v9", bad.input, bad.classes); typ != MsgError || len(text) == 0 {
 					t.Fatalf("%d-wide, %d-class push onto a 4-wide, 3-class node answered type %d %q", bad.input, bad.classes, typ, text)
 				}
-				if n.srv.model() != served {
-					t.Fatalf("refused push replaced the served model with %+v", n.srv.model())
+				if n.Model() != served {
+					t.Fatalf("refused push replaced the served model with %+v", n.Model())
 				}
 				expectServing(t, conn)
 			}
-			if got := n.srv.metrics.Counter("model.push_refused").Value(); got != 2 {
+			if got := n.counter("model.push_refused"); got != 2 {
 				t.Fatalf("model.push_refused = %d, want 2", got)
 			}
 			if typ, acked := push("v3", 4, 3); typ != MsgModelPushOK || string(acked) != "v3" {
 				t.Fatalf("same-width push answered type %d %q", typ, acked)
 			}
-			if got := n.srv.model(); got == served || got.Version != "v3" || got.Snapshot == served.Snapshot {
+			if got := n.Model(); got == served || got.Version != "v3" || got.Snapshot == served.Snapshot {
 				t.Fatalf("accepted push left the node serving %+v", got)
 			}
 		}},
@@ -297,6 +306,22 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 			expectServing(t, conn)
 		}},
+		{"mis-shaped tensor costs one MsgErrorMux and one recovered panic", func(t *testing.T, n servedNode) {
+			// A 1×3 input for a 4-wide expert: the forward pass panics. This
+			// frame killed a `teamnet-moe -mode node` process while SG-MoE-G
+			// expert nodes ran a server loop of their own.
+			conn := n.dial(t)
+			typ, reply := exchange(t, conn, n.request, requestPayload(requestHeader{id: 6}, n.lead.body(tensor.NewRNG(224).Randn(1, 3))))
+			if h, text, _ := decodeReplyHeader(reply); typ != MsgErrorMux || h.id != 6 || len(text) == 0 {
+				t.Fatalf("mis-shaped tensor answered type %d id %d %q", typ, h.id, text)
+			}
+			if got := n.counter(n.panics); got != 1 {
+				t.Fatalf("%s = %d, want 1", n.panics, got)
+			}
+			if rtyp, _ := exchange(t, conn, n.request, requestPayload(requestHeader{id: 7}, n.body)); rtyp != n.reply {
+				t.Fatalf("request after the panic answered type %d", rtyp)
+			}
+		}},
 		{"budget spent before a handler slot frees is answered expired without a forward pass", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
 			// Fill the connection's handler window, then queue two requests
@@ -334,15 +359,18 @@ func TestServerLoopConformance(t *testing.T) {
 			if answers[1] != MsgErrorMux || answers[2] != n.reply {
 				t.Fatalf("answers by id %v: want the budgeted request expired and the unbudgeted one served", answers)
 			}
-			if got := n.srv.metrics.Counter(n.srv.expiredName).Value(); got != 1 {
-				t.Fatalf("%s = %d, want 1", n.srv.expiredName, got)
+			if name := n.series() + "requests.expired"; n.counter(name) != 1 {
+				t.Fatalf("%s = %d, want 1", name, n.counter(name))
 			}
-			if got := n.passes(); got != 1 {
+			if name := n.series() + "requests"; n.counter(name) != 1 {
+				t.Fatalf("%s = %d, want only the unbudgeted request counted as served", name, n.counter(name))
+			}
+			if got := n.forwardPasses(); got != 1 {
 				t.Fatalf("%d forward passes, want only the unbudgeted request's", got)
 			}
 		}},
 		{"version pin is checked on every kind and empty means any", func(t *testing.T, n servedNode) {
-			install(t, n.swap, Model{Version: "v1"})
+			install(t, n.Swap, Model{Version: "v1"})
 			conn := n.dial(t)
 			for _, typ := range []byte{n.request, MsgSplitPredict} {
 				rtyp, reply := exchange(t, conn, typ, requestPayload(requestHeader{id: 3, pin: "v2"}, n.body))
@@ -351,7 +379,7 @@ func TestServerLoopConformance(t *testing.T) {
 					t.Fatalf("frame type %d pinned to another version answered type %d %q", typ, rtyp, text)
 				}
 			}
-			if got := n.passes(); got != 0 {
+			if got := n.forwardPasses(); got != 0 {
 				t.Fatalf("%d forward passes for refused requests", got)
 			}
 			for _, pin := range []string{"v1", ""} {
@@ -367,8 +395,8 @@ func TestServerLoopConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			expectClosed(t, poisoned)
-			if got := n.panics(); got != 1 {
-				t.Fatalf("%s = %d, want 1", n.srv.panicName, got)
+			if name := n.series() + "panics.recovered"; n.counter(name) != 1 {
+				t.Fatalf("%s = %d, want 1", name, n.counter(name))
 			}
 			expectServing(t, bystander)
 		}},
@@ -377,10 +405,10 @@ func TestServerLoopConformance(t *testing.T) {
 			if err := transport.WriteFrame(&conn.buf, MsgPing, nil); err != nil {
 				t.Fatal(err)
 			}
-			n.srv.wg.Add(1)
-			n.srv.handleConn(conn) // pong → Write panics → recover
-			if got := n.panics(); got != 1 || !conn.closed {
-				t.Fatalf("%s = %d, closed = %v; want 1, true", n.srv.panicName, got, conn.closed)
+			n.wg.Add(1)
+			n.handleConn(conn) // pong → Write panics → recover
+			if got := n.counter("panics.recovered"); got != 1 || !conn.closed {
+				t.Fatalf("panics.recovered = %d, closed = %v; want 1, true", got, conn.closed)
 			}
 			expectServing(t, n.dial(t))
 		}},
@@ -391,7 +419,7 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 			<-n.entered
 			closed := make(chan struct{})
-			go func() { n.srv.close(); close(closed) }()
+			go func() { n.Close(); close(closed) }()
 			select {
 			case <-closed:
 				t.Fatal("Close returned while a handler was still running")
@@ -405,10 +433,10 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 		}},
 	}
-	for _, role := range []string{RoleWorker, RoleMaster} {
+	for _, l := range leads {
 		for _, row := range rows {
-			t.Run(role+"/"+row.name, func(t *testing.T) {
-				row.run(t, startNode(t, role))
+			t.Run(l.role+"/"+row.name, func(t *testing.T) {
+				row.run(t, startNode(t, l))
 			})
 		}
 	}

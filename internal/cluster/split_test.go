@@ -235,7 +235,7 @@ func TestMasterServerServesSplitFrames(t *testing.T) {
 	remote := NewMaster(nil, 10)
 	defer remote.Close()
 	install(t, remote.SetLocal, Model{Snapshot: snap})
-	srv := NewMasterServer(remote, 2)
+	srv := NewNode(RoleMaster, remote, 2)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -8,10 +8,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
-	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
@@ -88,12 +86,13 @@ func SplitResultWireBytes(batch, classes int) int {
 }
 
 // serveSplit finishes one split request's tail on the served model — the one
-// serveRequest checked the pin against: the serving body behind
-// MsgSplitPredict on both the worker and the master's fabric listener.
-func serveSplit(ctx context.Context, served *Model, body []byte, tracer *tracerRef, reg *metrics.Registry) (byte, []byte, time.Duration) {
+// serveRequest checked the pin against. Split tails share the connection's
+// handler window and write lock with query traffic.
+func (n *Node) serveSplit(ctx context.Context, served *Model, body []byte) (byte, []byte, time.Duration) {
+	n.master.metrics.Counter("requests.split").Inc()
 	snap := served.Snapshot
 	if snap == nil {
-		return errorReply(errors.New("node has no local expert for split serving"))
+		return errorReply(errNoExpert)
 	}
 	at, x, err := decodeSplitRequest(body)
 	if err != nil {
@@ -102,32 +101,13 @@ func serveSplit(ctx context.Context, served *Model, body []byte, tracer *tracerR
 	if at < 0 || at > snap.Steps() {
 		return errorReply(fmt.Errorf("split index %d outside 0..%d", at, snap.Steps()))
 	}
-	res, compute, err := timeExpert(ctx, tracer, reg, "split.predict", "worker.split", func() (PredictResult, error) {
+	res, compute, err := n.timeExpert(ctx, "split.predict", "worker.split", func() (PredictResult, error) {
 		return runSplitTail(snap, x, at)
 	})
 	if err != nil {
 		return errorReply(err)
 	}
 	return MsgSplitResult, encodeResult(res, transport.EncodeTensor64), compute
-}
-
-// timeExpert runs one forward pass — whole or tail — the way every node
-// accounts for it: its duration into the hist histogram, a span under the
-// request's trace parent when it has one, and the duration back for the
-// reply header.
-func timeExpert(ctx context.Context, tracer *tracerRef, reg *metrics.Registry, hist, span string, run func() (PredictResult, error)) (PredictResult, time.Duration, error) {
-	start := time.Now()
-	res, err := run()
-	compute := time.Since(start)
-	reg.Observe(hist, compute)
-	if parent := trace.FromContext(ctx); parent.Valid() {
-		status := ""
-		if err != nil {
-			status = trace.StatusError
-		}
-		tracer.get().Record(parent, span, "", status, start, compute)
-	}
-	return res, compute, err
 }
 
 // runSplitTail finishes the tail and produces probabilities + entropies

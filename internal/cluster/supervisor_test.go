@@ -90,11 +90,11 @@ func TestInferRetriesTransientFailure(t *testing.T) {
 
 	// Break the established connection server-side; the listener stays up,
 	// so the in-request redial must recover transparently.
-	w1.srv.mu.Lock()
-	for conn := range w1.srv.conns {
+	w1.mu.Lock()
+	for conn := range w1.conns {
 		conn.Close()
 	}
-	w1.srv.mu.Unlock()
+	w1.mu.Unlock()
 	if _, _, err := master.Infer(x); err != nil {
 		t.Fatalf("Infer did not ride out a broken connection: %v", err)
 	}

@@ -23,7 +23,7 @@ func spanByName(spans []trace.Span) map[string]trace.Span {
 }
 
 // TestTracePropagationOverTCP is the tracing acceptance check: one query a
-// gateway sends under its own span crosses RemoteMaster → MasterServer →
+// gateway sends under its own span crosses RemoteMaster → Node →
 // Master → Worker over real loopback TCP and comes back as a single tree
 // with one trace id — gateway span → "infer" → "peer …" → network/compute,
 // with the worker's "worker.predict" under the same "infer" — every id
@@ -47,7 +47,7 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv := NewMasterServer(master, 7)
+	srv := NewNode(RoleMaster, master, 7)
 	maddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

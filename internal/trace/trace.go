@@ -8,8 +8,7 @@
 //
 //   - A Context is the propagatable identity of a span: {TraceID, SpanID}.
 //     The cluster protocol carries it as two fields of every pipelined
-//     frame's header (DESIGN.md §7), and the RPC layer carries it in a
-//     traced envelope.
+//     frame's header (DESIGN.md §7).
 //   - A Tracer owns a bounded ring of completed spans. Recording is cheap
 //     (one mutex, no allocation beyond the span) and dropping the oldest
 //     trace under pressure is by design: this is a flight recorder, not a

@@ -1,8 +1,7 @@
 // Package transport implements the wire layer of the reproduction: a
 // length-prefixed binary framing over io.Reader/Writer (used by the cluster
 // runtime and the MPI substrate, standing in for the paper's raw TCP
-// sockets) and a minimal request/response RPC system with method dispatch
-// (standing in for gRPC in the SG-MoE-G baseline).
+// sockets), the tensor codecs that ride in it, and dial/backoff helpers.
 //
 // Everything is stdlib-only and transport-agnostic: the same code runs over
 // real TCP connections, in-process pipes in unit tests, and the loopback

@@ -113,18 +113,3 @@ func FuzzReadFrame(f *testing.F) {
 		}
 	})
 }
-
-func FuzzRPCEnvelope(f *testing.F) {
-	f.Add(encodeRPCRequest(1, "predict", []byte("body")))
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1, 0, 200})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		id, method, body, err := decodeRPCEnvelope(data)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(encodeRPCRequest(id, method, body), data) {
-			t.Fatal("rpc envelope decode/encode not a retraction")
-		}
-	})
-}

@@ -69,14 +69,6 @@ func giantClaimFrame() []byte {
 	return append([]byte{0x04, 0, 0, 0, 9}, make([]byte, 10)...)
 }
 
-func rpcEnvelopeSeeds() [][]byte {
-	return [][]byte{
-		encodeRPCRequest(1, "predict", []byte("body")),
-		{},
-		{0, 0, 0, 0, 0, 0, 0, 1, 0, 200},
-	}
-}
-
 func TestDecodeTensorSeedCorpus(t *testing.T) {
 	for i, data := range decodeTensorSeeds() {
 		got, used, err := DecodeTensor(data)
@@ -170,18 +162,6 @@ func TestReadFrameSeedCorpus(t *testing.T) {
 		}
 		if !bytes.Equal(out.Bytes(), data[:out.Len()]) {
 			t.Fatalf("seed %d: frame decode/encode not a retraction", i)
-		}
-	}
-}
-
-func TestRPCEnvelopeSeedCorpus(t *testing.T) {
-	for i, data := range rpcEnvelopeSeeds() {
-		id, method, body, err := decodeRPCEnvelope(data)
-		if err != nil {
-			continue
-		}
-		if !bytes.Equal(encodeRPCRequest(id, method, body), data) {
-			t.Fatalf("seed %d: rpc envelope decode/encode not a retraction", i)
 		}
 	}
 }

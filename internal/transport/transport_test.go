@@ -2,10 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"io"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -155,168 +151,4 @@ func TestPropFrameRoundTripAnyPayload(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestRPCBasicCall(t *testing.T) {
-	srv := NewRPCServer()
-	srv.Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli, err := DialRPC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	resp, err := cli.Call("echo", []byte("ping"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "ping" {
-		t.Fatalf("echo = %q", resp)
-	}
-}
-
-func TestRPCUnknownMethod(t *testing.T) {
-	srv := NewRPCServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := DialRPC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Call("nope", nil); err == nil {
-		t.Fatal("unknown method succeeded")
-	}
-}
-
-func TestRPCHandlerError(t *testing.T) {
-	srv := NewRPCServer()
-	srv.Register("fail", func([]byte) ([]byte, error) { return nil, errors.New("deliberate") })
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := DialRPC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	_, err = cli.Call("fail", nil)
-	if err == nil || !bytes.Contains([]byte(err.Error()), []byte("deliberate")) {
-		t.Fatalf("error not propagated: %v", err)
-	}
-}
-
-func TestRPCConcurrentCalls(t *testing.T) {
-	srv := NewRPCServer()
-	srv.Register("double", func(req []byte) ([]byte, error) {
-		return []byte(fmt.Sprintf("%s%s", req, req)), nil
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := DialRPC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	var wg sync.WaitGroup
-	errs := make(chan error, 50)
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in := fmt.Sprintf("m%d", i)
-			resp, err := cli.Call("double", []byte(in))
-			if err != nil {
-				errs <- err
-				return
-			}
-			if string(resp) != in+in {
-				errs <- fmt.Errorf("call %d: got %q", i, resp)
-			}
-		}(i)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-func TestRPCCallAfterServerClose(t *testing.T) {
-	srv := NewRPCServer()
-	srv.Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cli, err := DialRPC(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Call("echo", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Subsequent calls must fail, not hang.
-	if _, err := cli.Call("echo", []byte("y")); err == nil {
-		t.Fatal("call after server close succeeded")
-	}
-}
-
-func TestRPCWireOverheadPositive(t *testing.T) {
-	if RPCWireOverhead("predict") <= 0 {
-		t.Fatal("non-positive overhead")
-	}
-	if RPCWireOverhead("long-method-name") <= RPCWireOverhead("m") {
-		t.Fatal("overhead must grow with method name")
-	}
-}
-
-// pipeRW adapts an io.Pipe pair for serveConn testing without sockets.
-type pipeRW struct {
-	io.Reader
-	io.Writer
-}
-
-func TestRPCServeConnDirect(t *testing.T) {
-	srv := NewRPCServer()
-	srv.Register("echo", func(req []byte) ([]byte, error) { return req, nil })
-	cr, sw := io.Pipe()
-	sr, cw := io.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.serveConn(pipeRW{Reader: sr, Writer: sw})
-	}()
-	env := encodeRPCRequest(1, "echo", []byte("direct"))
-	if err := WriteFrame(cw, rpcRequest, env); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := ReadFrame(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != rpcResponse || payload[8] != rpcOK || string(payload[9:]) != "direct" {
-		t.Fatalf("bad response: type=%d payload=%q", typ, payload)
-	}
-	cw.Close()
-	<-done
 }

@@ -120,8 +120,9 @@ func ObjectsExpert(k, c, h, w, classes int) (Spec, error) {
 
 // Runtime (Figure 1(d) over raw TCP sockets).
 type (
-	// Worker serves one expert on an edge node.
-	Worker = cluster.Worker
+	// Worker serves one expert on an edge node: the runtime's one listening
+	// type, here with no peers of its own.
+	Worker = cluster.Node
 	// Master broadcasts inputs, gathers results, and applies the arg-min
 	// gate.
 	Master = cluster.Master
