@@ -73,14 +73,20 @@ loc:
 # internal/nn's TestSnapshotBitMatchesNetwork on SS-14 at 3×32×32, and the
 # registry tests that scrape while writers observe (internal/metrics
 # TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
-# internal/admin serves the same registries over HTTP). The last line
-# races the live benchmark harnesses at smoke size and the open-loop
-# generator's own tests (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
-# TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
+# internal/admin serves the same registries over HTTP). Then the
+# pooled-buffer hammer (internal/cluster pool_test.go: TestPooledBufferHammer —
+# eight goroutines pipelining whole queries, split tails, fabric requests,
+# malformed tensors and spent budgets on one connection while the server
+# loop recycles its frame buffers and input tensors) 20 more times under the
+# race detector. The last line races the live benchmark harnesses at smoke
+# size and the open-loop generator's own tests (internal/bench load_test.go:
+# TestLoadOfferedIsOpenLoop, TestLoadOutcomeClasses, TestLoadBuckets — fake
+# calls, no sockets).
 verify: fmt-check docs one-loop
 	$(GO) vet ./...
 	$(GO) test -short ./...
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...
+	$(GO) test -race -run TestPooledBufferHammer -count=20 ./internal/cluster
 	$(GO) test -race -short -count=1 ./internal/bench/...
 
 bench:

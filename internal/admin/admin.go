@@ -7,7 +7,8 @@
 //	/healthz       supervision state as JSON; 200 when healthy, 503 when
 //	               any peer is quarantined (load balancers key off this)
 //	/metrics       Prometheus text exposition 0.0.4: every counter, gauge
-//	               and histogram of every registered metrics.Registry
+//	               and histogram of every registered metrics.Registry, then
+//	               the process's garbage-collector series (teamnet_go_*)
 //	/traces        recent traces as JSON span trees; ?n=K bounds the
 //	               number of traces, ?id=<hex> selects one
 //	/debug/pprof/  the standard net/http/pprof profiles
@@ -29,9 +30,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	rtmetrics "runtime/metrics"
 	"strconv"
 	"sync"
 	"time"
@@ -195,6 +198,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	metrics.WritePrometheus(w, regs...)
+	writeGoSeries(w)
+}
+
+// goSeries are the process-wide garbage-collector series every /metrics page
+// ends with, read from runtime/metrics at scrape time: GC cycles, the
+// runtime's estimate of the CPU time the collector took (comparable with
+// other /cpu/classes values, not with the OS's CPU clock) and the bytes the
+// heap has handed out. Divided by a request counter over the same interval
+// they are a process's GC cost per request.
+var goSeries = []struct{ name, key string }{
+	{"teamnet_go_gc_cycles_total", "/gc/cycles/total:gc-cycles"},
+	{"teamnet_go_gc_cpu_seconds_total", "/cpu/classes/gc/total:cpu-seconds"},
+	{"teamnet_go_heap_allocs_bytes_total", "/gc/heap/allocs:bytes"},
+}
+
+func writeGoSeries(w io.Writer) {
+	samples := make([]rtmetrics.Sample, len(goSeries))
+	for i, s := range goSeries {
+		samples[i].Name = s.key
+	}
+	rtmetrics.Read(samples)
+	for i, s := range samples {
+		switch s.Value.Kind() {
+		case rtmetrics.KindUint64:
+			fmt.Fprintf(w, "%s %d\n", goSeries[i].name, s.Value.Uint64())
+		case rtmetrics.KindFloat64:
+			fmt.Fprintf(w, "%s %g\n", goSeries[i].name, s.Value.Float64())
+		}
+	}
 }
 
 // tracesEntry is one trace in the /traces response.

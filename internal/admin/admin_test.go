@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -186,3 +188,53 @@ func TestAdminEmptySources(t *testing.T) {
 		t.Fatalf("empty /traces = %q (err %v)", body, err)
 	}
 }
+
+// TestAdminGoRuntimeSeries: every /metrics page — with no registry at all —
+// ends with the process's three collector series, read live: after the
+// process allocates and collects, heap bytes and GC cycles have grown and
+// the GC CPU estimate has not shrunk.
+func TestAdminGoRuntimeSeries(t *testing.T) {
+	s := New()
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	scrape := func() map[string]float64 {
+		code, body := get(t, "http://"+addr+"/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("/metrics code %d", code)
+		}
+		got := map[string]float64{}
+		for _, line := range strings.Split(strings.TrimSpace(body), "\n") {
+			name, value, _ := strings.Cut(line, " ")
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("/metrics line %q: %v", line, err)
+			}
+			got[name] = v
+		}
+		return got
+	}
+	names := []string{"teamnet_go_gc_cycles_total", "teamnet_go_gc_cpu_seconds_total", "teamnet_go_heap_allocs_bytes_total"}
+	before := scrape()
+	garbage = make([]byte, 1<<20)
+	runtime.GC()
+	after := scrape()
+	for _, name := range names {
+		if _, ok := after[name]; !ok || len(after) != len(names) {
+			t.Fatalf("/metrics of an admin server with no registries = %v, want exactly %v", after, names)
+		}
+	}
+	if after["teamnet_go_heap_allocs_bytes_total"]-before["teamnet_go_heap_allocs_bytes_total"] < 1<<20 {
+		t.Fatalf("heap allocs %v → %v across a 1 MiB allocation", before["teamnet_go_heap_allocs_bytes_total"], after["teamnet_go_heap_allocs_bytes_total"])
+	}
+	if after["teamnet_go_gc_cycles_total"] <= before["teamnet_go_gc_cycles_total"] {
+		t.Fatalf("gc cycles %v → %v across runtime.GC", before["teamnet_go_gc_cycles_total"], after["teamnet_go_gc_cycles_total"])
+	}
+	if after["teamnet_go_gc_cpu_seconds_total"] < before["teamnet_go_gc_cpu_seconds_total"] {
+		t.Fatalf("gc cpu seconds went back: %v → %v", before["teamnet_go_gc_cpu_seconds_total"], after["teamnet_go_gc_cpu_seconds_total"])
+	}
+}
+
+var garbage []byte

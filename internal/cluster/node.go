@@ -152,6 +152,19 @@ func (n *Node) Tracer() *trace.Tracer { return n.master.Tracer() }
 // errNoExpert answers an expert request kind on a pure coordinator.
 var errNoExpert = errors.New("cluster: node has no local expert")
 
+// inputs holds the tensors the two expert kinds decode their input into. One
+// leaves the pool per request and returns once the forward pass that read it
+// has returned: the snapshot copies its result out, so no reply aliases it.
+var inputs = sync.Pool{New: func() any { return new(tensor.Tensor) }}
+
+// releaseInput returns x to inputs unless it grew past what the server loop
+// pools (transport.MaxPooledScratch).
+func releaseInput(x *tensor.Tensor) {
+	if cap(x.Data)*8 <= transport.MaxPooledScratch {
+		inputs.Put(x)
+	}
+}
+
 // servePredict answers one pipelined whole-query request. A decode error
 // costs one MsgErrorMux, never the connection — the frame boundary is
 // intact and other requests are pipelined behind it.
@@ -159,7 +172,9 @@ func (n *Node) servePredict(ctx context.Context, model *Model, body []byte) (byt
 	if model.Snapshot == nil {
 		return errorReply(errNoExpert)
 	}
-	x, _, err := transport.DecodeTensor(body)
+	in := inputs.Get().(*tensor.Tensor)
+	defer releaseInput(in)
+	x, _, err := transport.DecodeTensor(body, in)
 	if err != nil {
 		return errorReply(err)
 	}

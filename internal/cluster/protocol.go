@@ -134,7 +134,7 @@ func encodeResult(r PredictResult, encodeTensor func(*tensor.Tensor) []byte) []b
 // against what was asked: rows of classes probabilities and one entropy per
 // row. Everything downstream (the arg-min gate) indexes by those dimensions
 // without looking again.
-func decodeResult(body []byte, decodeTensor func([]byte) (*tensor.Tensor, int, error), rows, classes int) (PredictResult, error) {
+func decodeResult(body []byte, decodeTensor func([]byte, ...*tensor.Tensor) (*tensor.Tensor, int, error), rows, classes int) (PredictResult, error) {
 	probs, used, err := decodeTensor(body)
 	if err != nil {
 		return PredictResult{}, fmt.Errorf("cluster: decode result probs: %w", err)

@@ -125,6 +125,24 @@ func (cw *connWriter) send(typ byte, prefix, payload []byte) error {
 	return cw.batch.Flush(cw.conn)
 }
 
+// frameBufs holds the buffers serveConn reads frames into. A buffer leaves
+// the pool for one frame and returns once that frame's reply has been
+// written — so a handler copies whatever it keeps of its body, as every
+// decoder does. A frame that outgrew its buffer arrives in fresh memory,
+// which then replaces the buffer unless it is past
+// transport.MaxPooledScratch: the pool settles at the size the traffic
+// sends, and a model push pins nothing.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// releaseFrame returns buf to frameBufs, holding payload's memory instead
+// when the frame outgrew it and still fits the cap.
+func releaseFrame(buf *[]byte, payload []byte) {
+	if c := cap(payload); c > cap(*buf) && c <= transport.MaxPooledScratch {
+		*buf = payload[:0]
+	}
+	frameBufs.Put(buf)
+}
+
 // serveConn reads frames until the connection ends. A frame that leaves the
 // stream unusable — an unknown type, a pipelined request without a header
 // this build can parse (so no id to answer under), an undecodable announce —
@@ -136,8 +154,10 @@ func (n *Node) serveConn(conn net.Conn) {
 	sem := make(chan struct{}, handlerWindow)
 	br := bufio.NewReaderSize(conn, connReadBuffer)
 	for {
-		typ, payload, err := transport.ReadFrame(br)
+		buf := frameBufs.Get().(*[]byte)
+		typ, payload, err := transport.ReadFrame(br, *buf)
 		if err != nil {
+			frameBufs.Put(buf)
 			return
 		}
 		if k, ok := n.kinds[typ]; ok {
@@ -155,6 +175,7 @@ func (n *Node) serveConn(conn net.Conn) {
 				defer n.containPanic(k.series, conn)
 				replyType, reply, compute := n.serveRequest(k, hdr, arrived, body)
 				_ = cw.writeReply(replyType, replyHeader{id: hdr.id, compute: compute}, reply)
+				releaseFrame(buf, payload)
 			}()
 			continue
 		}
@@ -197,6 +218,7 @@ func (n *Node) serveConn(conn net.Conn) {
 		if err := cw.write(replyType, reply); err != nil {
 			return
 		}
+		releaseFrame(buf, payload)
 	}
 }
 

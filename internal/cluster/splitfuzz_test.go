@@ -40,7 +40,7 @@ func splitRequestSeeds() [][]byte {
 // corpus test enforce.
 func checkSplitRequestBytes(t *testing.T, data []byte) {
 	t.Helper()
-	at, x, err := decodeSplitRequest(data)
+	at, x, err := decodeSplitRequest(data, nil)
 	if err != nil {
 		return
 	}
@@ -139,7 +139,7 @@ func TestDecodeSplitResultSeedCorpus(t *testing.T) {
 func TestSplitRequestRoundTripExact(t *testing.T) {
 	rng := tensor.NewRNG(23)
 	x := rng.Randn(4, 17)
-	at, got, err := decodeSplitRequest(encodeSplitRequest(6, x))
+	at, got, err := decodeSplitRequest(encodeSplitRequest(6, x), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

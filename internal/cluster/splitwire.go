@@ -57,12 +57,13 @@ func encodeSplitRequest(split int, x *tensor.Tensor) []byte {
 	return append(out, act...)
 }
 
-// decodeSplitRequest parses a split request body.
-func decodeSplitRequest(body []byte) (split int, x *tensor.Tensor, err error) {
+// decodeSplitRequest parses a split request body, the activation into dst
+// (nil: a fresh tensor; see transport.DecodeTensor).
+func decodeSplitRequest(body []byte, dst *tensor.Tensor) (split int, x *tensor.Tensor, err error) {
 	if len(body) < 4 {
 		return 0, nil, fmt.Errorf("cluster: split request truncated at split index")
 	}
-	x, _, err = transport.DecodeTensor64(body[4:])
+	x, _, err = transport.DecodeTensor64(body[4:], dst)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: split request activation: %w", err)
 	}
@@ -94,7 +95,9 @@ func (n *Node) serveSplit(ctx context.Context, served *Model, body []byte) (byte
 	if snap == nil {
 		return errorReply(errNoExpert)
 	}
-	at, x, err := decodeSplitRequest(body)
+	in := inputs.Get().(*tensor.Tensor)
+	defer releaseInput(in)
+	at, x, err := decodeSplitRequest(body, in)
 	if err != nil {
 		return errorReply(err)
 	}

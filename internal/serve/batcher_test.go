@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -230,5 +231,99 @@ func TestCloseDuringWorkerWait(t *testing.T) {
 		if len(r.resc) != 0 {
 			t.Fatalf("request %d was answered twice", i+1)
 		}
+	}
+}
+
+// TestBatchTensorOwnership: a batch of several requests computes on a fresh
+// tensor holding their rows in arrival order; a batch of one computes on the
+// caller's own tensor — same backing array, no gather copy — and gets the
+// backend's answer back without a scatter copy. No caller's tensor changes
+// either way.
+func TestBatchTensorOwnership(t *testing.T) {
+	gw, be, release := wedged(t, Config{MaxBatch: 16, Workers: 1})
+	marked := func(first float64, rows int) *tensor.Tensor {
+		x := tensor.New(rows, 3)
+		for r := 0; r < rows; r++ {
+			x.RowSlice(r)[0] = first + float64(r)
+		}
+		return x
+	}
+	var wg sync.WaitGroup
+	var callers, sent []*tensor.Tensor
+	results := make([]Result, 4)
+	for i, x := range []*tensor.Tensor{marked(10, 2), marked(20, 1), marked(30, 3), marked(40, 16)} {
+		callers, sent = append(callers, x), append(sent, x.Clone())
+		if i == 3 { // alone on the idle gateway once the others are answered
+			release(3) // the holder, the three-request batch, this request
+			wg.Wait()
+			var err error
+			if results[i], err = gw.Predict(context.Background(), x); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if results[i], err = gw.Predict(context.Background(), x); err != nil {
+				t.Error(err)
+			}
+		}()
+		// The first three queue one by one behind the held worker.
+		waitFor(t, "the request joining the offered batch", func() bool { return gw.dequeued.Load() == int64(2+i) })
+	}
+
+	be.echo.mu.Lock()
+	defer be.echo.mu.Unlock()
+	if !reflect.DeepEqual(be.echo.batches, []int{1, 6, 16}) {
+		t.Fatalf("batches of %v rows, want [1 6 16]", be.echo.batches)
+	}
+	gathered, lone := be.echo.inputs[1], be.echo.inputs[2]
+	for _, x := range callers {
+		if &gathered.Data[0] == &x.Data[0] {
+			t.Fatal("a three-request batch computed on one caller's tensor")
+		}
+	}
+	want := tensor.ConcatRows(sent[0], sent[1], sent[2])
+	if !reflect.DeepEqual(gathered.Data, want.Data) {
+		t.Fatalf("three-request batch rows %v, want the callers' rows in arrival order %v", gathered.Data, want.Data)
+	}
+	if lone != callers[3] || &lone.Data[0] != &callers[3].Data[0] {
+		t.Fatal("a one-request batch did not compute on the caller's own tensor")
+	}
+	if results[0].Probs == be.echo.outputs[1] || results[3].Probs != be.echo.outputs[2] {
+		t.Fatal("want a scatter copy for a member of a three-request batch, the backend's own answer for a batch of one")
+	}
+	for i, x := range callers {
+		if !reflect.DeepEqual(x, sent[i]) {
+			t.Fatalf("caller %d's tensor changed while it was served", i)
+		}
+	}
+}
+
+// TestLoneBatchCopiesNoTensor: a 16-row request on an idle gateway is a batch
+// of one, so it allocates less than the 100 KB its gather copy used to cost.
+func TestLoneBatchCopiesNoTensor(t *testing.T) {
+	gw := New(&echoBackend{}, Config{})
+	defer gw.Close()
+	x := tensor.New(16, 784)
+	predict := func() {
+		if _, err := gw.Predict(context.Background(), x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		predict()
+	}
+	const n = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		predict()
+	}
+	runtime.ReadMemStats(&after)
+	if per, gather := (after.TotalAlloc-before.TotalAlloc)/n, uint64(8*x.Size()); per >= gather {
+		t.Fatalf("a 16-row Predict allocates %d bytes, not less than its %d-byte tensor", per, gather)
 	}
 }

@@ -313,7 +313,10 @@ type Options struct {
 
 // Predict queues x (rows × features, 1..MaxBatch rows) on the normal lane
 // and blocks until its share of a dispatched batch scatters back, the
-// context expires, or the gateway sheds it.
+// context expires, or the gateway sheds it. The gateway only reads x, but a
+// batch of one hands x itself to the backend, which may still be reading it
+// after a Predict that timed out has returned: x is not the caller's to
+// modify again.
 func (g *Gateway) Predict(ctx context.Context, x *tensor.Tensor) (Result, error) {
 	return g.PredictOpts(ctx, x, Options{})
 }
@@ -669,7 +672,9 @@ func batchDeadline(batch []*request) (time.Time, bool) {
 }
 
 // runBatch coalesces the batch's rows into one tensor, drives the backend,
-// and scatters per-row results back to each caller.
+// and scatters per-row results back to each caller. A batch of one request
+// copies neither way: the backend computes on the caller's tensor and the
+// caller gets the backend's answer.
 func (g *Gateway) runBatch(batch []*request) {
 	g.metrics.Gauge("serve.inflight_batches").Inc()
 	defer g.metrics.Gauge("serve.inflight_batches").Dec()
@@ -687,14 +692,17 @@ func (g *Gateway) runBatch(batch []*request) {
 		g.metrics.Observe("serve.queue_wait", dispatchStart.Sub(r.enq))
 	}
 
-	// Gather: one contiguous rows×features tensor.
-	width := batch[0].x.Shape[1]
-	x := tensor.New(rows, width)
-	off := 0
-	for _, r := range batch {
-		for i := 0; i < r.x.Shape[0]; i++ {
-			copy(x.RowSlice(off), r.x.RowSlice(i))
-			off++
+	// Gather: one contiguous rows×features tensor — the caller's own when the
+	// batch is one request.
+	x := batch[0].x
+	if len(batch) > 1 {
+		x = tensor.New(rows, x.Shape[1])
+		off := 0
+		for _, r := range batch {
+			for i := 0; i < r.x.Shape[0]; i++ {
+				copy(x.RowSlice(off), r.x.RowSlice(i))
+				off++
+			}
 		}
 	}
 
@@ -731,24 +739,23 @@ func (g *Gateway) runBatch(batch []*request) {
 	}
 	ent := tensor.EntropyRows(probs)
 
-	// Scatter: each caller gets exactly its own rows back, plus a
-	// "serve.request" span (queue wait as a child) linked under the batch.
-	off = 0
+	// Scatter: each caller gets exactly its own rows back — the backend's
+	// whole answer when the batch is one request — plus a "serve.request"
+	// span (queue wait as a child) linked under the batch.
+	off := 0
 	for _, r := range batch {
 		n := r.x.Shape[0]
-		res := Result{
-			Probs:    tensor.New(n, probs.Shape[1]),
-			Winners:  append([]int(nil), winners[off:off+n]...),
-			Entropy:  append([]float64(nil), ent.Data[off:off+n]...),
-			Degraded: degraded,
-			Live:     live,
-			Nodes:    nodes,
+		res := Result{Probs: probs, Winners: winners, Entropy: ent.Data, Degraded: degraded, Live: live, Nodes: nodes}
+		if len(batch) > 1 {
+			res.Probs = tensor.New(n, probs.Shape[1])
+			for i := 0; i < n; i++ {
+				copy(res.Probs.RowSlice(i), probs.RowSlice(off+i))
+			}
+			res.Winners = append([]int(nil), winners[off:off+n]...)
+			res.Entropy = append([]float64(nil), ent.Data[off:off+n]...)
 		}
 		if degraded {
 			g.metrics.Counter("serve.degraded").Inc()
-		}
-		for i := 0; i < n; i++ {
-			copy(res.Probs.RowSlice(i), probs.RowSlice(off+i))
 		}
 		off += n
 		reqSpan := tr.Record(span.Ctx(), "serve.request", "", "", r.enq, time.Since(r.enq))

@@ -28,6 +28,8 @@ type echoBackend struct {
 	widths    []int
 	deadlines []time.Time // each batch's ctx deadline; zero = unbounded
 	marks     []float64
+	inputs    []*tensor.Tensor // the tensor each batch was handed
+	outputs   []*tensor.Tensor // ... and the probs it answered with
 }
 
 func (b *echoBackend) InferContext(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
@@ -53,6 +55,8 @@ func (b *echoBackend) InferContext(ctx context.Context, x *tensor.Tensor) (*tens
 	b.batches = append(b.batches, rows)
 	b.widths = append(b.widths, x.Shape[1])
 	b.deadlines = append(b.deadlines, dl)
+	b.inputs = append(b.inputs, x)
+	b.outputs = append(b.outputs, probs)
 	for r := 0; r < rows; r++ {
 		b.marks = append(b.marks, x.RowSlice(r)[0])
 	}

@@ -40,44 +40,70 @@ func EncodeTensorInto(buf []byte, t *tensor.Tensor) int {
 }
 
 // DecodeTensor parses a tensor from data, returning the tensor and the
-// number of bytes consumed.
-func DecodeTensor(data []byte) (*tensor.Tensor, int, error) {
+// number of bytes consumed. The tensor never aliases data. With no dst (or a
+// nil one) it is freshly allocated; otherwise it is dst, fully overwritten,
+// its Shape and Data storage reused where their capacity allows — the caller
+// owns dst and decides when its values may be overwritten again. A failed
+// decode leaves dst untouched.
+func DecodeTensor(data []byte, dst ...*tensor.Tensor) (*tensor.Tensor, int, error) {
+	t, off, err := decodeShape(data, 4, "tensor", dst)
+	if err != nil {
+		return nil, 0, err
+	}
+	for i := range t.Data {
+		t.Data[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(data[off:])))
+		off += 4
+	}
+	return t, off, nil
+}
+
+// decodeShape parses the rank and dims both tensor encodings start with,
+// checks that data holds the elem-byte values they promise, and returns the
+// tensor to decode them into (dst[0] when given, see DecodeTensor) and the
+// offset of the first value. what names the encoding in errors.
+func decodeShape(data []byte, elem int, what string, dst []*tensor.Tensor) (*tensor.Tensor, int, error) {
 	if len(data) < 1 {
-		return nil, 0, fmt.Errorf("transport: tensor truncated at rank byte")
+		return nil, 0, fmt.Errorf("transport: %s truncated at rank byte", what)
 	}
 	rank := int(data[0])
 	off := 1
 	if len(data) < off+4*rank {
-		return nil, 0, fmt.Errorf("transport: tensor truncated in shape")
+		return nil, 0, fmt.Errorf("transport: %s truncated in shape", what)
 	}
 	// The element count is the product of attacker-controlled dims, so both
 	// each dim and the running product are guarded: without the per-step
 	// check, four dims of 2^16 wrap the product past the size guard to 0 and
 	// yield a tensor whose Shape product disagrees with len(Data).
-	const maxElems = MaxFrameSize / 4
-	shape := make([]int, rank)
+	maxElems := MaxFrameSize / elem
 	size := 1
-	for i := range shape {
-		d := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
+	for i := 0; i < rank; i++ {
+		d := int(binary.BigEndian.Uint32(data[off+4*i:]))
 		if d > maxElems {
-			return nil, 0, fmt.Errorf("transport: tensor dim %d implausible", d)
+			return nil, 0, fmt.Errorf("transport: %s dim %d implausible", what, d)
 		}
-		shape[i] = d
 		size *= d
 		// Each factor is ≤ 2^24, so the unwrapped product stays below 2^48
 		// and this check sees the true value before it can overflow int64.
 		if size > maxElems {
-			return nil, 0, fmt.Errorf("transport: tensor size %d implausible", size)
+			return nil, 0, fmt.Errorf("transport: %s size %d implausible", what, size)
 		}
 	}
-	if len(data) < off+4*size {
-		return nil, 0, fmt.Errorf("transport: tensor truncated in data (want %d floats)", size)
+	if len(data) < off+4*rank+elem*size {
+		return nil, 0, fmt.Errorf("transport: %s truncated in data (want %d floats)", what, size)
 	}
-	t := tensor.New(shape...)
-	for i := 0; i < size; i++ {
-		t.Data[i] = float64(math.Float32frombits(binary.BigEndian.Uint32(data[off:])))
+	t := &tensor.Tensor{}
+	if len(dst) > 0 && dst[0] != nil {
+		t = dst[0]
+	}
+	t.Shape = t.Shape[:0]
+	for i := 0; i < rank; i++ {
+		t.Shape = append(t.Shape, int(binary.BigEndian.Uint32(data[off:])))
 		off += 4
+	}
+	if t.Data != nil && cap(t.Data) >= size {
+		t.Data = t.Data[:size]
+	} else {
+		t.Data = make([]float64, size)
 	}
 	return t, off, nil
 }

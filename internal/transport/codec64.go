@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
 	"github.com/teamnet/teamnet/internal/tensor"
@@ -37,38 +36,14 @@ func EncodeTensor64(t *tensor.Tensor) []byte {
 }
 
 // DecodeTensor64 parses a full-precision tensor from data, returning the
-// tensor and the number of bytes consumed.
-func DecodeTensor64(data []byte) (*tensor.Tensor, int, error) {
-	if len(data) < 1 {
-		return nil, 0, fmt.Errorf("transport: tensor64 truncated at rank byte")
+// tensor and the number of bytes consumed; dst is DecodeTensor's optional
+// destination, with the same ownership rule.
+func DecodeTensor64(data []byte, dst ...*tensor.Tensor) (*tensor.Tensor, int, error) {
+	t, off, err := decodeShape(data, 8, "tensor64", dst)
+	if err != nil {
+		return nil, 0, err
 	}
-	rank := int(data[0])
-	off := 1
-	if len(data) < off+4*rank {
-		return nil, 0, fmt.Errorf("transport: tensor64 truncated in shape")
-	}
-	// Same overflow discipline as DecodeTensor: dims are attacker-controlled,
-	// so each dim and the running product are checked before they can wrap.
-	const maxElems = MaxFrameSize / 8
-	shape := make([]int, rank)
-	size := 1
-	for i := range shape {
-		d := int(binary.BigEndian.Uint32(data[off:]))
-		off += 4
-		if d > maxElems {
-			return nil, 0, fmt.Errorf("transport: tensor64 dim %d implausible", d)
-		}
-		shape[i] = d
-		size *= d
-		if size > maxElems {
-			return nil, 0, fmt.Errorf("transport: tensor64 size %d implausible", size)
-		}
-	}
-	if len(data) < off+8*size {
-		return nil, 0, fmt.Errorf("transport: tensor64 truncated in data (want %d floats)", size)
-	}
-	t := tensor.New(shape...)
-	for i := 0; i < size; i++ {
+	for i := range t.Data {
 		t.Data[i] = math.Float64frombits(binary.BigEndian.Uint64(data[off:]))
 		off += 8
 	}

@@ -26,9 +26,10 @@ const MaxFrameSize = 64 << 20
 // Frame header layout: 4-byte big-endian payload length, 1-byte type.
 const frameHeaderSize = 5
 
-// maxPooledScratch caps the scratch a FrameBatch keeps between flushes: a
-// model push must not pin tens of megabytes behind every later 3 KiB frame.
-const maxPooledScratch = 1 << 20
+// MaxPooledScratch caps the scratch a FrameBatch keeps between flushes, and
+// the read buffers and decoded inputs the cluster server loop pools: a model
+// push must not pin tens of megabytes behind every later 3 KiB frame.
+const MaxPooledScratch = 1 << 20
 
 // FrameBatch gathers whole frames and sends them in one operation: a single
 // writev on a *net.TCPConn, exactly one Write of an assembled buffer on any
@@ -98,7 +99,7 @@ func (b *FrameBatch) Flush(w io.Writer) error {
 func (b *FrameBatch) reset() {
 	clear(b.vec) // drop the payload references
 	b.vec, b.out, b.head = b.vec[:0], nil, b.head[:0]
-	if cap(b.flat) > maxPooledScratch {
+	if cap(b.flat) > MaxPooledScratch {
 		b.flat = nil
 	}
 }
@@ -121,9 +122,13 @@ func WriteFrame(w io.Writer, msgType byte, parts ...[]byte) error {
 // five-byte header claiming 64 MiB costs its sender's bytes, not ours.
 const readFrameUpfront = 1 << 20
 
-// ReadFrame reads one typed frame from r. The payload is freshly allocated:
-// it never aliases a buffered reader's internal buffer.
-func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
+// ReadFrame reads one typed frame from r. The payload never aliases a
+// buffered reader's internal buffer. With no buf (or a nil one) it is
+// freshly allocated; with a buf whose capacity holds it, it is buf[:n] — the
+// caller owns that memory and decides when the payload's bytes may be
+// overwritten. A payload larger than cap(buf) is freshly allocated as if no
+// buf were given, so a length prefix never makes a caller's buffer grow.
+func ReadFrame(r io.Reader, buf ...[]byte) (msgType byte, payload []byte, err error) {
 	var hdr [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, fmt.Errorf("transport: read frame header: %w", err)
@@ -133,6 +138,13 @@ func ReadFrame(r io.Reader) (msgType byte, payload []byte, err error) {
 		return 0, nil, fmt.Errorf("transport: frame payload %d exceeds max %d", size, MaxFrameSize)
 	}
 	n := int(size)
+	if len(buf) > 0 && buf[0] != nil && cap(buf[0]) >= n {
+		payload = buf[0][:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return 0, nil, fmt.Errorf("transport: read frame payload: %w", err)
+		}
+		return hdr[4], payload, nil
+	}
 	payload = make([]byte, min(n, readFrameUpfront))
 	got := 0
 	for {

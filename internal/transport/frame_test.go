@@ -150,6 +150,43 @@ func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
 	}
 }
 
+// TestReadFrameIntoBuffer: a payload that fits the caller's buffer is read
+// into it; one that does not arrives in fresh memory with the buffer left
+// alone; and a buffer changes nothing about what a length prefix alone can
+// cost — five bytes claiming 64 MiB still buy at most readFrameUpfront.
+func TestReadFrameIntoBuffer(t *testing.T) {
+	buf := make([]byte, 64)
+	for _, size := range []int{0, 10, 64, 65} {
+		want := bytes.Repeat([]byte{byte(size)}, size)
+		var wire bytes.Buffer
+		if err := WriteFrame(&wire, 4, want); err != nil {
+			t.Fatal(err)
+		}
+		typ, got, err := ReadFrame(&wire, buf)
+		if err != nil || typ != 4 || !bytes.Equal(got, want) {
+			t.Fatalf("%d-byte frame into a 64-byte buffer: type %d, %d bytes, err %v", size, typ, len(got), err)
+		}
+		if into := cap(got) > 0 && &got[:1][0] == &buf[0]; into != (size <= cap(buf)) {
+			t.Fatalf("%d-byte frame read into the 64-byte buffer: %v", size, into)
+		}
+	}
+	if buf[0] != 64 {
+		t.Fatalf("the 65-byte frame wrote into the buffer it did not fit")
+	}
+
+	big := make([]byte, readFrameUpfront)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(giantClaimFrame()), big)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated 64 MiB frame accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 2*readFrameUpfront {
+		t.Fatalf("ten payload bytes beside a 1 MiB buffer cost %d bytes of allocation, want <= %d", grew, 2*readFrameUpfront)
+	}
+}
+
 // TestReadFrameBufferedPayloadsDoNotAlias: behind a bufio.Reader (how the
 // long-lived read loops read), a payload handed to a handler is its own
 // memory: scribbling over it corrupts neither the frames still sitting in

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/teamnet/teamnet/internal/tensor"
@@ -44,6 +46,7 @@ func FuzzDecodeTensor(f *testing.F) {
 		if !bytes.Equal(EncodeTensor(got), data[:used]) {
 			t.Fatal("decode/encode not a retraction")
 		}
+		sameIntoStaleDst(t, got, data, DecodeTensor)
 	})
 }
 
@@ -69,7 +72,20 @@ func FuzzDecodeTensor64(f *testing.F) {
 		if !bytes.Equal(EncodeTensor64(got), data[:used]) {
 			t.Fatal("tensor64 decode/encode not a retraction")
 		}
+		sameIntoStaleDst(t, got, data, DecodeTensor64)
 	})
+}
+
+// sameIntoStaleDst checks that decoding data into a used destination — a
+// stale shape of another rank, stale values — yields the bits a fresh decode
+// did.
+func sameIntoStaleDst(t *testing.T, fresh *tensor.Tensor, data []byte, decode func([]byte, ...*tensor.Tensor) (*tensor.Tensor, int, error)) {
+	t.Helper()
+	got, _, err := decode(data, tensor.Full(-7, 3, 1, 2))
+	sameBits := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if err != nil || !got.SameShape(fresh) || !slices.EqualFunc(got.Data, fresh.Data, sameBits) {
+		t.Fatalf("decode into a used dst gave %v (err %v), a fresh decode %v", got, err, fresh)
+	}
 }
 
 func FuzzDecodeFloats(f *testing.F) {

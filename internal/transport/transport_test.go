@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -150,5 +151,45 @@ func TestPropFrameRoundTripAnyPayload(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeIntoDestination: a decoder handed a destination decodes into it —
+// its storage reused when the capacity holds the tensor, grown when it does
+// not — with exactly the shape and bits a fresh decode yields; a failed
+// decode leaves it untouched.
+func TestDecodeIntoDestination(t *testing.T) {
+	src := tensor.NewRNG(3).Randn(3, 4)
+	for _, codec := range []struct {
+		name   string
+		encode func(*tensor.Tensor) []byte
+		decode func([]byte, ...*tensor.Tensor) (*tensor.Tensor, int, error)
+	}{{"float32", EncodeTensor, DecodeTensor}, {"float64", EncodeTensor64, DecodeTensor64}} {
+		data := codec.encode(src)
+		want, _, err := codec.decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, dst := range []*tensor.Tensor{tensor.Full(-7, 2, 5, 3), tensor.Full(-7, 1, 2)} {
+			storage := &dst.Data[0]
+			roomy := cap(dst.Data) >= src.Size()
+			got, used, err := codec.decode(data, dst)
+			if err != nil || used != len(data) || got != dst {
+				t.Fatalf("%s: decode into a dst returned %p (dst %p), %d bytes, err %v", codec.name, got, dst, used, err)
+			}
+			if !got.SameShape(want) || !reflect.DeepEqual(got.Data, want.Data) {
+				t.Fatalf("%s: decoded into a dst as %v %v, fresh decode %v %v", codec.name, got.Shape, got.Data, want.Shape, want.Data)
+			}
+			if reused := &got.Data[0] == storage; reused != roomy {
+				t.Fatalf("%s: storage reused = %v with capacity for the tensor = %v", codec.name, reused, roomy)
+			}
+		}
+		dst := tensor.Full(-7, 2, 6)
+		if _, _, err := codec.decode(data[:len(data)-1], dst); err == nil {
+			t.Fatalf("%s: truncated tensor accepted", codec.name)
+		}
+		if !reflect.DeepEqual(dst, tensor.Full(-7, 2, 6)) {
+			t.Fatalf("%s: a failed decode wrote into its dst: %v %v", codec.name, dst.Shape, dst.Data)
+		}
 	}
 }
