@@ -29,15 +29,21 @@ docs:
 linkcheck:
 	$(GO) run ./cmd/teamnet-linkcheck README.md DESIGN.md docs/*.md
 
-# one-loop fails if a second accept loop or the deleted RPC stack comes back:
-# the runtime's one server loop is cluster.Node's (internal/cluster/server.go);
-# the only other accept loop under internal/ and cmd/ is the chaos proxy's.
+# one-loop fails if a second accept loop, the deleted RPC stack or a retired
+# request kind comes back: the runtime's one server loop is cluster.Node's
+# (internal/cluster/server.go); the only other code that accepts connections
+# is the chaos proxy's; every request on the wire is one MsgDo.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
 		echo "accept loops in: $$got(want internal/chaos/chaos.go and internal/cluster/server.go only)"; exit 1; fi
+	@got=$$(grep -rln --include=*.go --exclude=*_test.go '\.Accept()' . | sort | tr '\n' ' '); \
+	if [ "$$got" != "./internal/chaos/chaos.go ./internal/cluster/server.go " ]; then \
+		echo ".Accept() in: $$got(want internal/chaos/chaos.go and internal/cluster/server.go only)"; exit 1; fi
 	@if grep -rn 'RPCServer\|RPCClient\|DialRPC' --include=*.go .; then \
 		echo "the second RPC stack is back"; exit 1; fi
+	@if grep -rnw 'MsgPredictMux\|MsgSplitPredict\|MsgFabricPredict\|MsgResultMux\|MsgSplitResult\|MsgFabricResult\|PredictResult\|ConnectTCP' --include=*.go .; then \
+		echo "a retired request kind or accept path is back (one request on the wire: MsgDo)"; exit 1; fi
 
 # loc prints the non-test Go lines of every internal/ package and their
 # total — the tracked number of ROADMAP aim 2 (same behaviour, least code) —
@@ -63,8 +69,10 @@ loc:
 # TestServeRequestChecksAndServesOneModel, TestSwapVsPinHammer,
 # TestPushedMasterPinsSplitTailsToTheNewLabel, TestPublishIsOneStore; the
 # short half also runs cmd/teamnet-serve TestCutoverSwapsWeightsOnASingleNode
-# and internal/cli TestBundleLabelsAgreeAcrossBinaries) — the hostile-reply
-# decoder seeds (hostile_test.go), the direct-convolution kernel tests
+# and internal/cli TestBundleLabelsAgreeAcrossBinaries) — the MsgDo codec's
+# seed corpora (codec_test.go: TestDecodeRequestSeedCorpus,
+# TestDecodeResultSeedCorpus, which hold the hostile replies of
+# hostile_test.go), the direct-convolution kernel tests
 # (internal/tensor conv_test.go: TestConvDirectMatchesReference over the
 # geometry table with the AVX tile and with the SIMD gate forced off,
 # FuzzConvDirect's seed corpus, TestReLUIntoBitPatterns; Linux only,
@@ -75,8 +83,9 @@ loc:
 # TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
 # internal/admin serves the same registries over HTTP). Then the
 # pooled-buffer hammer (internal/cluster pool_test.go: TestPooledBufferHammer —
-# eight goroutines pipelining whole queries, split tails, fabric requests,
-# malformed tensors and spent budgets on one connection while the server
+# eight goroutines pipelining MsgDo under three policies — whole queries,
+# split tails, ensemble requests — with malformed tensors and spent budgets
+# on one connection while the server
 # loop recycles its frame buffers and input tensors) 20 more times under the
 # race detector. The last line races the live benchmark harnesses at smoke
 # size and the open-loop generator's own tests (internal/bench load_test.go:

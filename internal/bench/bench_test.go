@@ -290,6 +290,21 @@ func TestBalancedLatencyHelpers(t *testing.T) {
 	if tensorWireBytes(1, 10) != 1+8+40 {
 		t.Fatalf("tensorWireBytes = %d", tensorWireBytes(1, 10))
 	}
+	// The paper's envelope, pinned: the tables are priced at these sizes
+	// whatever the runtime's frames become.
+	for _, c := range []struct {
+		name      string
+		got, want int
+	}{
+		{"input", tensorWireBytes(1, 784), 1 + 8 + 4*784},
+		{"result", resultWireBytes(3, 10), 1 + 8 + 4*3*10 + 4 + 8*3},
+		{"split request", splitRequestWireBytes(2, 33), 2 + 4 + (9 + 8*2*33)},
+		{"split result", splitResultWireBytes(2, 10), 9 + 8*2*10 + 4 + 8*2},
+	} {
+		if c.got != c.want {
+			t.Fatalf("%s: %d bytes, want %d", c.name, c.got, c.want)
+		}
+	}
 	var zero Cost
 	if zero.TotalSec() != 0 || zero.Ms() != 0 {
 		t.Fatal("zero cost not zero")

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"github.com/teamnet/teamnet/internal/cluster"
 	"github.com/teamnet/teamnet/internal/edgesim"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/transport"
@@ -9,8 +8,8 @@ import (
 
 // Latency cost model: every system's per-inference critical path, composed
 // from the real FLOP counts of the built architectures (nn.LayerFLOPs) and
-// the real byte counts of the implemented protocols (cluster/transport wire
-// sizes), priced on an edgesim device + link + transport.
+// the byte counts of the protocols' messages (the envelope below), priced on
+// an edgesim device + link + transport.
 //
 // All latencies are for a single-sample inference (batch 1), matching the
 // paper's per-request measurements.
@@ -59,8 +58,8 @@ func BaselineCost(dev edgesim.Device, net *nn.Network, inputDim int, gpu bool) C
 // paper's argument for why TeamNet's combiner is cheaper than MoE gating.
 func TeamNetCost(dev edgesim.Device, link edgesim.Link, expert *nn.Network, k, features, classes int, gpu bool) Cost {
 	n := edgesim.Net{Link: link, Transport: edgesim.Socket()}
-	inBytes := transport.FrameWireSize(cluster.InputWireBytes(1, features))
-	resBytes := transport.FrameWireSize(cluster.ResultWireBytes(1, classes))
+	inBytes := transport.FrameWireSize(tensorWireBytes(1, features))
+	resBytes := transport.FrameWireSize(resultWireBytes(1, classes))
 	comm := n.Multicast(inBytes, k-1) + n.Gather(resBytes, k-1)
 	return Cost{
 		ComputeSec: dev.ComputeTime(nn.NetworkFLOPs(expert), gpu),
@@ -75,7 +74,7 @@ func TeamNetCost(dev edgesim.Device, link edgesim.Link, expert *nn.Network, k, f
 // MPI transport. Per-layer collectives on WiFi are the dominant term.
 func MPIMatrixCost(dev edgesim.Device, link edgesim.Link, mlp *nn.Network, k, features int, gpu bool) Cost {
 	n := edgesim.Net{Link: link, Transport: edgesim.MPI()}
-	inBytes := transport.FrameWireSize(cluster.InputWireBytes(1, features))
+	inBytes := transport.FrameWireSize(tensorWireBytes(1, features))
 	comm := n.Multicast(inBytes, k-1) // initial input distribution
 	compute := 0.0
 	for _, layer := range mlp.Layers {
@@ -100,7 +99,7 @@ func MPIMatrixCost(dev edgesim.Device, link edgesim.Link, mlp *nn.Network, k, fe
 // all-gather per convolution (internal/mpi's KernelInference).
 func MPIKernelCost(dev edgesim.Device, link edgesim.Link, net *nn.Network, k, features int, gpu bool) Cost {
 	n := edgesim.Net{Link: link, Transport: edgesim.MPI()}
-	inBytes := transport.FrameWireSize(cluster.InputWireBytes(1, features))
+	inBytes := transport.FrameWireSize(tensorWireBytes(1, features))
 	cost := Cost{
 		CommSec:    n.Multicast(inBytes, k-1),
 		ModelBytes: net.SizeBytes() / int64(k),
@@ -141,7 +140,7 @@ func addKernelConv(cost *Cost, dev edgesim.Device, n edgesim.Net, l *nn.Conv2D, 
 // BranchInference).
 func MPIBranchCost(dev edgesim.Device, link edgesim.Link, net *nn.Network, features int, gpu bool) Cost {
 	n := edgesim.Net{Link: link, Transport: edgesim.MPI()}
-	inBytes := transport.FrameWireSize(cluster.InputWireBytes(1, features))
+	inBytes := transport.FrameWireSize(tensorWireBytes(1, features))
 	cost := Cost{
 		CommSec:    n.Unicast(inBytes),
 		ModelBytes: net.SizeBytes() / 2,
@@ -200,7 +199,7 @@ const grpcEnvelopeBytes = (8 + 2 + len("predict")) + (8 + 1) + 2*5
 func SGMoECost(dev edgesim.Device, link edgesim.Link, tr edgesim.Transport,
 	gate, expert *nn.Network, topK, features, classes int, gpu bool) Cost {
 	n := edgesim.Net{Link: link, Transport: tr}
-	inBytes := transport.FrameWireSize(cluster.InputWireBytes(1, features))
+	inBytes := transport.FrameWireSize(tensorWireBytes(1, features))
 	resBytes := transport.FrameWireSize(tensorWireBytes(1, classes))
 	if tr.Name == "grpc" {
 		inBytes += grpcEnvelopeBytes
@@ -217,7 +216,29 @@ func SGMoECost(dev edgesim.Device, link edgesim.Link, tr edgesim.Transport,
 	}
 }
 
+// The paper's envelope: the byte counts every table prices, owned by the cost
+// model rather than read from the live codec, so a change to the runtime's
+// frames moves no table cell. A message is a rank-2 tensor — one rank byte,
+// two u32 dims, the values — and an expert's answer adds its float64
+// entropies, one per row, behind a u32 count. Inputs and answers travel
+// float32; the split sweep's activations and answers travel float64, the
+// precision of the bit-identity contract.
+
 // tensorWireBytes is the wire size of a rank-2 [rows, cols] float32 tensor.
 func tensorWireBytes(rows, cols int) int {
 	return 1 + 4*2 + 4*rows*cols
 }
+
+// tensor64WireBytes is tensorWireBytes's float64 twin.
+func tensor64WireBytes(rows, cols int) int {
+	return 1 + 4*2 + 8*rows*cols
+}
+
+// resultWireBytes is one expert's answer for rows samples: the float32
+// probabilities and the entropies.
+func resultWireBytes(rows, classes int) int {
+	return tensorWireBytes(rows, classes) + entropyWireBytes(rows)
+}
+
+// entropyWireBytes is the count and the float64 entropies of rows samples.
+func entropyWireBytes(rows int) int { return 4 + 8*rows }

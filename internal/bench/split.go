@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/teamnet/teamnet/internal/cluster"
 	"github.com/teamnet/teamnet/internal/edgesim"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/split"
@@ -106,10 +105,23 @@ func splitCost(prof split.Profile, b split.Boundary, head, tail edgesim.Device, 
 		return head.ComputeTime(prof.TotalFLOPs*float64(batch), false)
 	}
 	sec := head.ComputeTime(b.HeadFLOPs*float64(batch), false)
-	sec += net.Unicast(cluster.SplitRequestWireBytes(batch, b.Width, 0))
-	sec += net.Unicast(cluster.SplitResultWireBytes(batch, classes))
+	sec += net.Unicast(splitRequestWireBytes(batch, b.Width))
+	sec += net.Unicast(splitResultWireBytes(batch, classes))
 	sec += tail.ComputeTime(b.TailFLOPs*float64(batch), true)
 	return sec
+}
+
+// splitRequestWireBytes is a tail request in the paper's envelope (see
+// latency.go): a u16 version-pin length (no pin here), the u32 split index
+// and the float64 activation.
+func splitRequestWireBytes(batch, width int) int {
+	return 2 + 4 + tensor64WireBytes(batch, width)
+}
+
+// splitResultWireBytes is a tail's answer: float64 probabilities and the
+// entropies.
+func splitResultWireBytes(batch, classes int) int {
+	return tensor64WireBytes(batch, classes) + entropyWireBytes(batch)
 }
 
 // calibratePlanner feeds the planner exact observations of the device and
@@ -119,11 +131,11 @@ func splitCost(prof split.Profile, b split.Boundary, head, tail edgesim.Device, 
 // by the planner's own unit tests).
 func calibratePlanner(pl *split.Planner, prof split.Profile, head, tail edgesim.Device, net edgesim.Net, batch, classes int) {
 	const peer = "sim-peer"
-	resBytes := cluster.SplitResultWireBytes(batch, classes)
+	resBytes := splitResultWireBytes(batch, classes)
 	for _, frac := range []float64{0.2, 0.6, 1.0} {
 		f := prof.TotalFLOPs * frac
 		pl.ObserveLocal(f, secToDur(head.ComputeTime(f, false)))
-		reqBytes := cluster.SplitRequestWireBytes(batch, int(float64(prof.Boundaries[0].Width)*frac)+1, 0)
+		reqBytes := splitRequestWireBytes(batch, int(float64(prof.Boundaries[0].Width)*frac)+1)
 		netSec := net.Unicast(reqBytes) + net.Unicast(resBytes)
 		pl.ObservePeer(peer, f, secToDur(tail.ComputeTime(f, true)), reqBytes+resBytes, secToDur(netSec))
 	}
@@ -178,7 +190,7 @@ func RunSplitBench(cfg SplitBenchConfig) (*SplitReport, error) {
 			Transport: edgesim.Socket(),
 		}
 		pl := split.New(prof, split.Options{WireBytes: func(b, width int) int {
-			return cluster.SplitRequestWireBytes(b, width, 0) + cluster.SplitResultWireBytes(b, classes)
+			return splitRequestWireBytes(b, width) + splitResultWireBytes(b, classes)
 		}})
 		calibratePlanner(pl, prof, head, tail, wire, batch, classes)
 		d := pl.Plan(batch)

@@ -15,7 +15,6 @@ import (
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // trainSmallTeam trains a 2-expert TeamNet quickly for runtime tests.
@@ -42,41 +41,41 @@ func trainSmallTeam(t *testing.T) (*core.Team, *dataset.Dataset) {
 
 func TestResultCodecRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(1)
-	res := PredictResult{Probs: rng.RandUniform(0, 1, 3, 5), Entropy: []float64{0.1, 0.9, 0.5}}
-	got, err := decodeResult(EncodeResult(res), transport.DecodeTensor, 3, 5)
+	sent := Reply{Probs: rng.RandUniform(0, 1, 3, 5), Entropy: []float64{0.1, 0.9, 0.5}, Winners: make([]int, 3), Live: 1, Total: 1}
+	got, err := decodeReply(encodeReply(sent, false), false, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Probs.AllClose(res.Probs, 1e-5) {
+	if !got.Probs.AllClose(sent.Probs, 1e-5) {
 		t.Fatal("probs corrupted")
 	}
-	for i, e := range res.Entropy {
-		if got.Entropy[i] != e {
-			t.Fatal("entropy corrupted (must be exact float64)")
-		}
+	if !bitEqual(got.Entropy, sent.Entropy) {
+		t.Fatal("entropy corrupted (must be exact float64)")
 	}
 }
 
 func TestResultCodecRejectsMismatch(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	res := PredictResult{Probs: rng.RandUniform(0, 1, 3, 5), Entropy: []float64{0.1}}
-	if _, err := decodeResult(EncodeResult(res), transport.DecodeTensor, 3, 5); err == nil {
+	short := Reply{Probs: rng.RandUniform(0, 1, 3, 5), Entropy: []float64{0.1}, Winners: make([]int, 3)}
+	if _, err := decodeReply(encodeReply(short, false), false, 3, 5); err == nil {
 		t.Fatal("row/entropy mismatch accepted")
 	}
-	if _, err := decodeResult([]byte{1, 2}, transport.DecodeTensor, 3, 5); err == nil {
+	if _, err := decodeReply([]byte{1, 2}, false, 3, 5); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }
 
+// TestWireByteHelpersMatchEncoding pins the codec's one size function
+// against what it encodes, for a whole query and for a split tail.
 func TestWireByteHelpersMatchEncoding(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	x := rng.Randn(4, 144)
-	if got, want := InputWireBytes(4, 144), len(transport.EncodeTensor(x)); got != want {
-		t.Fatalf("InputWireBytes = %d, encoded = %d", got, want)
-	}
-	res := PredictResult{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4)}
-	if got, want := ResultWireBytes(4, 10), len(EncodeResult(res)); got != want {
-		t.Fatalf("ResultWireBytes = %d, encoded = %d", got, want)
+	for _, p := range []Policy{{Gather: Own}, {Gather: Own, Split: SplitAt(2)}} {
+		x := rng.Randn(4, 144)
+		rep := Reply{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4), Winners: make([]int, 4)}
+		want := 2 + len("v1.2") + len(encodeRequest(Request{X: x, Policy: p})) + len(encodeReply(rep, p.wide()))
+		if got := doWireBytes(p, len("v1.2"), 4, 144, 10); got != want {
+			t.Fatalf("%+v: doWireBytes = %d, encoded = %d", p, got, want)
+		}
 	}
 }
 
@@ -475,8 +474,8 @@ func TestMoERPCEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hostile := requestPayload(requestHeader{id: 1}, transport.EncodeTensor(tensor.NewRNG(18).Randn(1, 3)))
-	if typ, text := exchange(t, conn, MsgPredictMux, hostile); typ != MsgErrorMux {
+	hostile := requestPayload(requestHeader{id: 1}, ownBody(tensor.NewRNG(18).Randn(1, 3)))
+	if typ, text := exchange(t, conn, MsgDo, hostile); typ != MsgErrorMux {
 		t.Fatalf("mis-shaped tensor answered type %d %q", typ, text)
 	}
 	expectServing(t, conn)

@@ -3,16 +3,19 @@ package cluster
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
+	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
+	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Fabric tests: membership gossip, versioned model push, and the
-// Node/RemoteMaster wire pair. All run under -race via the full
-// test suite.
+// Fabric tests: membership gossip, versioned model push, the
+// Node/RemoteMaster wire pair, and an Own request over the wire. All run
+// under -race via the full test suite.
 
 // fabricSpec is a tiny MLP used across the fabric tests.
 var fabricSpec = nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: 4, Width: 8, Layers: 1, Classes: 3}}
@@ -34,52 +37,99 @@ func fabricInput(rows int) *tensor.Tensor {
 	return x
 }
 
-func TestFabricCodecRoundTrip(t *testing.T) {
-	x := fabricInput(3)
-	body := encodeFabricRequest(Request{X: x, Policy: Policy{Gather: Quorum, Soft: 42}})
-	req, err := decodeFabricRequest(body)
+// doOver sends req to the node at addr as one MsgDo and decodes its MsgReply.
+func doOver(t *testing.T, addr string, req Request) Reply {
+	t.Helper()
+	conn, err := transport.Dial(addr, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Policy != (Policy{Gather: Quorum, Soft: 42}) {
-		t.Fatalf("policy round trip: %+v", req.Policy)
-	}
-	got := req.X
-	// Tensors ride the wire as float32 (see transport.EncodeTensor).
-	for i := range x.Data {
-		if got.Data[i] != float64(float32(x.Data[i])) {
-			t.Fatalf("tensor element %d diverged", i)
-		}
-	}
-
-	probs := tensor.New(2, 3)
-	for i := range probs.Data {
-		probs.Data[i] = float64(i) / 6
-	}
-	res := encodeFabricResult(Reply{Probs: probs, Winners: []int{1, 0}, Live: 2, Total: 3})
-	rep, err := decodeFabricResult(res, 2)
+	mc := newMuxClient(conn, new(metrics.Gauge), new(metrics.Gauge), nil)
+	defer mc.close()
+	r, _, err := mc.roundTrip(context.Background(), "", encodeRequest(req), 5*time.Second, testDone(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, winners, live, total := rep.Probs, rep.Winners, rep.Live, rep.Total
-	if live != 2 || total != 3 || winners[0] != 1 || winners[1] != 0 {
-		t.Fatalf("result round trip: live=%d total=%d winners=%v", live, total, winners)
+	if r.typ != MsgReply {
+		t.Fatalf("%+v answered type %d %q", req.Policy, r.typ, r.payload)
 	}
-	for i := range probs.Data {
-		if gp.Data[i] != float64(float32(probs.Data[i])) {
-			t.Fatalf("probs element %d diverged", i)
+	rep, err := decodeReply(r.payload, req.Policy.wide(), req.X.Shape[0], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// TestOwnRequestRunsOnlyThisNodesExpert: {Own, SplitOff} to a master node
+// with live peers is answered by that node's expert alone — no broadcast, no
+// peer asked — bit-identical to its forward pass of the float32 input.
+func TestOwnRequestRunsOnlyThisNodesExpert(t *testing.T) {
+	var workers []*Node
+	master := NewMaster(buildFabricNet(t, 2), 3)
+	defer master.Close()
+	for i := range 2 {
+		w, addr := snapshotWorker(t, int64(40+i), i+1)
+		workers = append(workers, w)
+		if err := master.Connect(addr); err != nil {
+			t.Fatal(err)
 		}
 	}
+	srv := NewNode(RoleMaster, master, 7)
+	maddr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 
-	if _, err := decodeFabricRequest([]byte{9}); err == nil {
-		t.Fatal("truncated fabric request accepted")
+	x := fabricInput(2)
+	rep := doOver(t, maddr, Request{X: x, Policy: Policy{Gather: Own}})
+	wireX, _, err := transport.DecodeTensor(transport.EncodeTensor(x))
+	if err != nil {
+		t.Fatal(err)
 	}
-	body[0] = byte(Quorum) + 1
-	if _, err := decodeFabricRequest(body); err == nil {
-		t.Fatal("fabric request with an unknown gather rule accepted")
+	wantProbs, wantEnt := master.Local().Snapshot.PredictWithEntropy(wireX)
+	roundToFloat32(wantProbs) // the answer travels float32
+	assertBitIdentical(t, "own answer", rep.Probs, wantProbs, rep.Entropy, wantEnt.Data)
+	if rep.Live != 1 || rep.Total != 1 || !slices.Equal(rep.Winners, []int{0, 0}) {
+		t.Fatalf("own answer live=%d total=%d winners=%v, want 1/1 and this node's", rep.Live, rep.Total, rep.Winners)
 	}
-	if _, err := decodeFabricResult([]byte{0, 1}, 2); err == nil {
-		t.Fatal("truncated fabric result accepted")
+	for i, w := range workers {
+		if got := w.Metrics().Counter("requests").Value(); got != 0 {
+			t.Fatalf("peer %d served %d requests for an own request", i, got)
+		}
+	}
+	if got := srv.Metrics().Counter("requests").Value(); got != 1 {
+		t.Fatalf("the master node served %d requests, want 1", got)
+	}
+}
+
+// TestOwnRequestBitMatchesTheLocalForward: on one node, a tail entering at
+// boundary 0 answers exactly ForwardRange → softmax of the float64 input,
+// and a whole query exactly PredictWithEntropy of the float32 one.
+func TestOwnRequestBitMatchesTheLocalForward(t *testing.T) {
+	w, addr := snapshotWorker(t, 44, 1)
+	snap := w.Model().Snapshot
+	x := tensor.NewRNG(45).Randn(3, 4)
+
+	rep := doOver(t, addr, Request{X: x, Policy: Policy{Gather: Own, Split: SplitAt(0)}})
+	logits := snap.ForwardRange(x, 0, snap.Steps())
+	tensor.SoftmaxRowsInto(logits.Data, logits.Data, 3, 3)
+	assertBitIdentical(t, "{Own, SplitAt(0)}", rep.Probs, logits, rep.Entropy, tensor.EntropyRows(logits).Data)
+
+	rep = doOver(t, addr, Request{X: x, Policy: Policy{Gather: Own}})
+	wireX, _, err := transport.DecodeTensor(transport.EncodeTensor(x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs, ent := snap.PredictWithEntropy(wireX)
+	roundToFloat32(probs) // the answer travels float32
+	assertBitIdentical(t, "{Own, SplitOff}", rep.Probs, probs, rep.Entropy, ent.Data)
+}
+
+// roundToFloat32 rounds t's values as a float32 wire encoding does.
+func roundToFloat32(t *tensor.Tensor) {
+	for i, v := range t.Data {
+		t.Data[i] = float64(float32(v))
 	}
 }
 

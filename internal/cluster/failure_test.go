@@ -85,7 +85,7 @@ func TestWorkerRejectsMalformedPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := transport.WriteFrame(conn, MsgPredictMux, requestPayload(requestHeader{id: 7}, []byte{0xFF, 0x01})); err != nil {
+	if err := transport.WriteFrame(conn, MsgDo, requestPayload(requestHeader{id: 7}, []byte{0xFF, 0x01})); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := transport.ReadFrame(conn)

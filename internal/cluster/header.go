@@ -9,9 +9,9 @@ import (
 	"github.com/teamnet/teamnet/internal/trace"
 )
 
-// The frame header (DESIGN.md §7). Every pipelined frame — MsgPredictMux,
-// MsgFabricPredict, MsgSplitPredict and their replies — starts with one
-// versioned header, sent as the frame prefix in the same write as the body:
+// The frame header (DESIGN.md §7). Every pipelined frame — MsgDo, and the
+// MsgReply or MsgErrorMux that answers it — starts with one versioned
+// header, sent as the frame prefix in the same write as the body:
 //
 //	request: hdr-version u8 · id u32 · budget_ns u64 · trace_id u64 ·
 //	         span_id u64 · pin length u16 · pin bytes
@@ -19,9 +19,11 @@ import (
 //
 // muxClient.roundTrip fills a request header from its ctx (deadline →
 // budget, trace.FromContext → trace) and Node.serveConn parses it
-// back into a ctx, so what a node receives is what it sends on. Everything a
-// frame says about the request rather than the tensor lives here and only
-// here; the four functions below are the only code that reads or writes it.
+// back into a ctx, so what a node receives is what it sends on. What a frame
+// says about the request's context — which one it is, its deadline, trace
+// and version pin — lives here and only here; the four functions below are
+// the only code that reads or writes it. How to answer it, the Policy, is
+// the MsgDo body's (protocol.go).
 
 // headerVersion is the layout above. A node that reads any other value
 // refuses the stream: all nodes of a fleet run one build (DESIGN.md §8).

@@ -96,7 +96,7 @@ func TestRoundTripFillsHeaderFromCtx(t *testing.T) {
 		{deadline, "v1", requestHeader{id: 1, budget: time.Minute, trace: span, pin: "v1"}},
 		{context.Background(), "", requestHeader{id: 2}},
 	} {
-		go mc.roundTrip(tc.ctx, MsgPredictMux, tc.pin, []byte{0xB0}, 0, testDone(t))
+		go mc.roundTrip(tc.ctx, tc.pin, []byte{0xB0}, 0, testDone(t))
 		_, payload, err := transport.ReadFrame(far)
 		if err != nil {
 			t.Fatal(err)
@@ -113,7 +113,7 @@ func TestRoundTripFillsHeaderFromCtx(t *testing.T) {
 			t.Fatalf("header on the wire %+v, want %+v", got, tc.want)
 		}
 	}
-	if _, _, err := mc.roundTrip(context.Background(), MsgSplitPredict, strings.Repeat("x", maxVersionPin+1), nil, 0, nil); err == nil {
+	if _, _, err := mc.roundTrip(context.Background(), strings.Repeat("x", maxVersionPin+1), nil, 0, nil); err == nil {
 		t.Fatal("a version pin longer than its length field was sent")
 	}
 }

@@ -14,7 +14,7 @@ import (
 // peer is healthy. Instead of waiting the full per-peer timeout, a hedged
 // round trip arms a timer at the peer's own live p95 (read from the
 // "peer.<addr>.rtt" histogram the runtime already records) and, when it
-// fires, launches a duplicate Predict down the same mux link. First reply
+// fires, launches a duplicate request down the same mux link. First reply
 // wins; the loser is cancelled via its context, which the mux path treats
 // as a caller abort — no breaker accounting, the link stays up, the late
 // reply is dropped by id. The duplicate is only sent when the shared
@@ -114,7 +114,7 @@ func (p *peerConn) hedgeDelay() (time.Duration, bool) {
 
 // hedgeOutcome is one arm's result in the first-reply-wins race.
 type hedgeOutcome struct {
-	res   PredictResult
+	res   Reply
 	err   error
 	hedge bool // true for the duplicate arm
 }
@@ -126,7 +126,7 @@ type hedgeOutcome struct {
 // other arm (a caller abort: no breaker accounting, the link survives). If
 // the first arm to finish failed, the race keeps waiting on the other — a
 // hedge doubles as an instant retry against a dying link.
-func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery, delay time.Duration) (PredictResult, error) {
+func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery, delay time.Duration) (Reply, error) {
 	outc := make(chan hedgeOutcome, 2)
 	run := func(actx context.Context, hedged bool) {
 		adone, stop := joinDone(actx, p.done)
@@ -182,5 +182,5 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 			go run(hctx, true)
 		}
 	}
-	return PredictResult{}, firstErr
+	return Reply{}, firstErr
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,33 +15,51 @@ import (
 // bytes say, the receiver must turn a reply of the wrong shape into a decode
 // error (a link fault, one breaker strike) — never index into it. The
 // rank-0 body below killed the whole serving process before the decoders
-// checked rank.
+// checked rank. The fuzz target over the same decoder is FuzzDecodeResult
+// (codec_test.go), whose corpus holds these bodies.
 
-// hostileResults are MsgResultMux bodies that parse as tensor ‖ floats but
-// do not answer a 2-row query of a 3-class model.
+// hostileResults are MsgReply bodies that parse as far as the probabilities
+// but do not answer a peer's 2-row query of a 3-class model.
 func hostileResults() map[string][]byte {
 	rng := tensor.NewRNG(210)
-	result := func(probs *tensor.Tensor, entropies ...float64) []byte {
-		return EncodeResult(PredictResult{Probs: probs, Entropy: entropies})
+	reply := func(probs *tensor.Tensor) []byte {
+		return encodeReply(Reply{Probs: probs, Entropy: []float64{0.5, 0.5}, Winners: []int{0, 0}, Live: 1, Total: 1}, false)
 	}
 	return map[string][]byte{
-		"rank 0":     append([]byte{0, 0, 0, 0, 0}, transport.EncodeFloats([]float64{0.5})...),
-		"rank 1":     result(rng.Randn(2), 0.5, 0.5),
-		"short rows": result(rng.Randn(1, 3), 0.5),
-		"wrong cols": result(rng.Randn(2, 5), 0.5, 0.5),
+		"rank 0":     reply(&tensor.Tensor{Data: []float64{0.5}}),
+		"rank 1":     reply(rng.Randn(2)),
+		"short rows": reply(rng.Randn(1, 3)),
+		"wrong cols": reply(rng.Randn(2, 5)),
 	}
 }
 
-// hostileFabricResults are MsgFabricResult bodies that do not answer a
-// 2-row fabric request.
+// hostileFabricResults are MsgReply bodies that do not answer a gateway's
+// 2-row request (a gateway does not check the class count).
 func hostileFabricResults() map[string][]byte {
 	rng := tensor.NewRNG(211)
-	return map[string][]byte{
-		"rank 0":     append([]byte{0, 1, 0, 1, 0, 0, 0, 0}, 0, 0, 0, 0, 0),
-		"rank 1":     encodeFabricResult(Reply{Probs: rng.Randn(2), Winners: []int{0, 0}, Live: 1, Total: 1}),
-		"short rows": encodeFabricResult(Reply{Probs: rng.Randn(1, 3), Winners: []int{0}, Live: 1, Total: 1}),
-		"no winners": encodeFabricResult(Reply{Probs: rng.Randn(2, 3), Live: 1, Total: 1}),
+	reply := func(probs *tensor.Tensor, winners ...int) []byte {
+		return encodeReply(Reply{Probs: probs, Entropy: []float64{0.5, 0.5}, Winners: winners, Live: 1, Total: 1}, false)
 	}
+	return map[string][]byte{
+		"rank 0":     reply(&tensor.Tensor{Data: []float64{0.5}}, 0, 0),
+		"rank 1":     reply(rng.Randn(2), 0, 0),
+		"short rows": reply(rng.Randn(1, 3), 0, 0),
+		"no winners": reply(rng.Randn(2, 3)),
+	}
+}
+
+// sortedBodies lists a hostile set's bodies in name order.
+func sortedBodies(set map[string][]byte) [][]byte {
+	names := make([]string, 0, len(set))
+	for name := range set {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	out := make([][]byte, len(names))
+	for i, name := range names {
+		out[i] = set[name]
+	}
+	return out
 }
 
 // hostileReplies wraps each hostile body in a well-formed reply header and
@@ -63,9 +82,9 @@ func hostileReplies(bodies map[string][]byte, valid []byte) map[string]func(id u
 	return out
 }
 
-// cannedReplier answers pings and answers every frame of reqType with one
-// canned payload made for the request's id.
-func cannedReplier(t *testing.T, reqType, resType byte, reply func(id uint32) []byte) string {
+// cannedReplier answers pings and answers every MsgDo with one canned
+// frame of resType made for the request's id.
+func cannedReplier(t *testing.T, resType byte, reply func(id uint32) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -89,7 +108,7 @@ func cannedReplier(t *testing.T, reqType, resType byte, reply func(id uint32) []
 					switch typ {
 					case MsgPing:
 						err = cw.write(MsgPong, nil)
-					case reqType:
+					case MsgDo:
 						var h requestHeader
 						if h, _, err = decodeRequestHeader(payload); err == nil {
 							err = cw.write(resType, reply(h.id))
@@ -108,9 +127,9 @@ func cannedReplier(t *testing.T, reqType, resType byte, reply func(id uint32) []
 func TestHostileWorkerReplyIsALinkFault(t *testing.T) {
 	_, healthy := snapshotWorker(t, 212, 1)
 	x := tensor.NewRNG(213).Randn(2, 4)
-	for name, reply := range hostileReplies(hostileResults(), resultSeeds()[0]) {
+	for name, reply := range hostileReplies(hostileResults(), replySeeds()[0].body) {
 		t.Run(name, func(t *testing.T) {
-			hostile := cannedReplier(t, MsgPredictMux, MsgResultMux, reply)
+			hostile := cannedReplier(t, MsgReply, reply)
 			master := NewMaster(tinyExpert(t, 214), 3)
 			defer master.Close()
 			cfg := fastSupervisor()
@@ -142,9 +161,9 @@ func TestHostileWorkerReplyIsALinkFault(t *testing.T) {
 
 func TestHostileMasterReplyIsAnError(t *testing.T) {
 	x := tensor.NewRNG(215).Randn(2, 4)
-	for name, reply := range hostileReplies(hostileFabricResults(), fabricResultSeeds()[0]) {
+	for name, reply := range hostileReplies(hostileFabricResults(), replySeeds()[0].body) {
 		t.Run(name, func(t *testing.T) {
-			rm := NewRemoteMaster(cannedReplier(t, MsgFabricPredict, MsgFabricResult, reply), 2*time.Second)
+			rm := NewRemoteMaster(cannedReplier(t, MsgReply, reply), 2*time.Second)
 			defer rm.Close()
 			if _, _, err := rm.InferContext(context.Background(), x); err == nil {
 				t.Fatal("gateway accepted a hostile master's reply")
@@ -153,78 +172,5 @@ func TestHostileMasterReplyIsAnError(t *testing.T) {
 				t.Fatalf("fabric.link_down = %d, want the pipeline torn down once", n)
 			}
 		})
-	}
-}
-
-// The decoders' contract, checked over whatever bytes the fuzzer finds: a
-// reply is either refused or has exactly the shape that was asked for.
-
-func checkResultBytes(t *testing.T, data []byte) {
-	t.Helper()
-	res, err := decodeResult(data, transport.DecodeTensor, 2, 3)
-	if err != nil {
-		return
-	}
-	if sh := res.Probs.Shape; len(sh) != 2 || sh[0] != 2 || sh[1] != 3 || len(res.Entropy) != 2 {
-		t.Fatalf("accepted shape %v with %d entropies for a 2x3 query", sh, len(res.Entropy))
-	}
-}
-
-func checkFabricResultBytes(t *testing.T, data []byte) {
-	t.Helper()
-	rep, err := decodeFabricResult(data, 2)
-	if err != nil {
-		return
-	}
-	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != 2 || len(rep.Winners) != 2 {
-		t.Fatalf("accepted shape %v with %d winners for a 2-row request", sh, len(rep.Winners))
-	}
-}
-
-func resultSeeds() [][]byte {
-	rng := tensor.NewRNG(216)
-	valid := EncodeResult(PredictResult{Probs: rng.RandUniform(0, 1, 2, 3), Entropy: []float64{0.1, 0.9}})
-	seeds := [][]byte{valid, append(valid[:len(valid):len(valid)], 0xDE, 0xAD), {}, valid[:5], valid[:len(valid)-3]}
-	for _, body := range hostileResults() {
-		seeds = append(seeds, body)
-	}
-	return seeds
-}
-
-func fabricResultSeeds() [][]byte {
-	valid := encodeFabricResult(Reply{Probs: tensor.NewRNG(217).RandUniform(0, 1, 2, 3), Winners: []int{1, 0}, Live: 2, Total: 3})
-	seeds := [][]byte{valid, {}, valid[:7], valid[:len(valid)-3]}
-	for _, body := range hostileFabricResults() {
-		seeds = append(seeds, body)
-	}
-	return seeds
-}
-
-func FuzzDecodeResult(f *testing.F) {
-	for _, s := range resultSeeds() {
-		f.Add(s)
-	}
-	f.Fuzz(checkResultBytes)
-}
-
-func FuzzDecodeFabricResult(f *testing.F) {
-	for _, s := range fabricResultSeeds() {
-		f.Add(s)
-	}
-	f.Fuzz(checkFabricResultBytes)
-}
-
-func TestDecodeResultSeedCorpus(t *testing.T) {
-	for i, s := range resultSeeds() {
-		if res, err := decodeResult(s, transport.DecodeTensor, 2, 3); (err == nil) != (i < 2) {
-			t.Fatalf("seed %d: err=%v res=%v, only the first two seeds are valid", i, err, res.Probs)
-		}
-		checkResultBytes(t, s)
-	}
-	for i, s := range fabricResultSeeds() {
-		if _, err := decodeFabricResult(s, 2); (err == nil) != (i < 1) {
-			t.Fatalf("fabric seed %d: err=%v, only the first seed is valid", i, err)
-		}
-		checkFabricResultBytes(t, s)
 	}
 }

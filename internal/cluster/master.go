@@ -243,7 +243,7 @@ func (m *Master) snapshotPeers() []*peerConn {
 // combine (step 5). A span parent stamped into ctx with trace.NewContext —
 // by the serve gateway for each coalesced batch, by the frame server for a
 // request that arrived over the fabric — parents the "infer" span tree.
-func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule Gather, soft time.Duration) (rep Reply, err error) {
+func (m *Master) ensemble(ctx context.Context, local *nn.Snapshot, x *tensor.Tensor, rule Gather, soft time.Duration) (rep Reply, err error) {
 	tr := m.tracer.get()
 	root := tr.Start(trace.FromContext(ctx), "infer")
 	start := time.Now()
@@ -254,7 +254,7 @@ func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule Gather, so
 	// Peer round trips build their frame headers from ctx, so the root span
 	// rides to the workers as their trace parent; an untraced master sends
 	// none, whatever its own caller stamped.
-	results, ok, err := m.gather(trace.NewContext(ctx, root.Ctx()), x, tr, root.Ctx(), rule, soft)
+	results, ok, err := m.gather(trace.NewContext(ctx, root.Ctx()), local, x, tr, root.Ctx(), rule, soft)
 	if err != nil {
 		return Reply{}, err
 	}
@@ -272,48 +272,49 @@ func (m *Master) ensemble(ctx context.Context, x *tensor.Tensor, rule Gather, so
 	return rep, nil
 }
 
-// encodeInput serializes the broadcast payload under a "serialize" span.
-// The same payload is shared by every peer round trip.
+// encodeInput serializes the broadcast request — x for each peer's own
+// expert — under a "serialize" span. The same payload is shared by every
+// peer round trip.
 func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Context) peerQuery {
 	start := time.Now()
-	payload := transport.EncodeTensor(x)
+	q := ownQuery(x, SplitOff)
 	d := time.Since(start)
 	m.metrics.Observe("infer.serialize", d)
 	tr.Record(root, "serialize", "", "", start, d)
-	return peerQuery{reqType: MsgPredictMux, payload: payload, rows: x.Shape[0]}
+	return q
 }
 
 // localResult runs the given local-expert snapshot under a "local.compute"
 // span. The snapshot is passed in (loaded once per query) so a concurrent
 // SetLocal cannot change the model mid-query.
-func (m *Master) localResult(local *nn.Snapshot, x *tensor.Tensor, tr *trace.Tracer, root trace.Context) PredictResult {
+func (m *Master) localResult(local *nn.Snapshot, x *tensor.Tensor, tr *trace.Tracer, root trace.Context) Reply {
 	start := time.Now()
 	probs, ent := local.PredictWithEntropy(x)
 	d := time.Since(start)
 	m.metrics.Observe("local.compute", d)
 	tr.Record(root, "local.compute", "", "", start, d)
-	return PredictResult{Probs: probs, Entropy: ent.Data}
+	return Reply{Probs: probs, Entropy: ent.Data}
 }
 
 // slotResult is one node's report back to the gather loop.
 type slotResult struct {
 	slot int
-	res  PredictResult
+	res  Reply
 	err  error
 }
 
 // gather is the package's one broadcast loop (Fig 1d steps 2–4): it fans
-// the input out to the local expert and every peer, then collects results
+// the input out to local, the loaded local expert (nil: none), and every
+// peer, then collects results
 // until every launched node reported or rule lets it stop sooner. Early
 // returns cancel the straggler round trips via a derived context, which the
 // peer paths treat as a caller abort: no breaker accounting, the mux link
 // stays up.
-func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, rule Gather, soft time.Duration) (results []PredictResult, ok []bool, err error) {
+func (m *Master) gather(ctx context.Context, local *nn.Snapshot, x *tensor.Tensor, tr *trace.Tracer, root trace.Context, rule Gather, soft time.Duration) (results []Reply, ok []bool, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
 	peers := m.snapshotPeers()
-	local := m.Local().Snapshot
 	nodes := len(peers)
 	localIdx := -1
 	if local != nil {
@@ -324,7 +325,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 		return nil, nil, fmt.Errorf("cluster: master has neither local expert nor peers")
 	}
 
-	results = make([]PredictResult, nodes)
+	results = make([]Reply, nodes)
 	ok = make([]bool, nodes)
 	resc := make(chan slotResult, nodes)
 	wctx, cancel := context.WithCancel(ctx)
@@ -418,7 +419,7 @@ func (m *Master) gather(ctx context.Context, x *tensor.Tensor, tr *trace.Tracer,
 // combine is the package's one arg-min loop (Fig 1d step 5): per sample,
 // the least-uncertain answer across the ok slots. A peer's result was
 // shape-checked against the batch where it was decoded.
-func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, results []PredictResult, ok []bool) Reply {
+func (m *Master) combine(tr *trace.Tracer, root trace.Context, batch int, results []Reply, ok []bool) Reply {
 	gateStart := time.Now()
 	probs := tensor.New(batch, m.classes)
 	winners := make([]int, batch)

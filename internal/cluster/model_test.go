@@ -10,7 +10,6 @@ import (
 
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // Tests for the one-Model-per-node invariant (model.go): the label a request
@@ -34,12 +33,12 @@ func TestServeRequestChecksAndServesOneModel(t *testing.T) {
 	n := NewWorkerModel(Model{Snapshot: nn.MustSnapshot(tinyExpert(t, 60)), Version: "vA"}, 1)
 	vA := n.Model()
 	var served *Model
-	k := kind{serve: func(n *Node, _ context.Context, m *Model, _ []byte) (byte, []byte, time.Duration) {
+	k := func(n *Node, _ context.Context, m *Model, _ []byte) (byte, []byte, time.Duration) {
 		install(t, n.Swap, Model{Version: "vB"})
 		served = m
-		return MsgResultMux, nil, 0
-	}}
-	if typ, _, _ := n.serveRequest(k, requestHeader{id: 1, pin: "vA"}, time.Now(), nil); typ != MsgResultMux || served != vA {
+		return MsgReply, nil, 0
+	}
+	if typ, _, _ := n.serveRequest(k, requestHeader{id: 1, pin: "vA"}, time.Now(), nil); typ != MsgReply || served != vA {
 		t.Fatalf("request pinned to vA, checked against vA: reply type %d, handler ran on %+v", typ, served)
 	}
 	// The swap has landed: the same pin is now refused, before any handler.
@@ -61,7 +60,7 @@ func TestSwapVsPinHammer(t *testing.T) {
 	type version struct {
 		model Model
 		body  []byte // the split request a head on this version sends
-		want  PredictResult
+		want  Reply
 	}
 	versions := make([]version, 2)
 	for i, label := range []string{"vA", "vB"} {
@@ -69,8 +68,8 @@ func TestSwapVsPinHammer(t *testing.T) {
 		probs, ent := snap.PredictWithEntropy(x)
 		versions[i] = version{
 			model: Model{Snapshot: snap, Version: label},
-			body:  encodeSplitRequest(at, snap.ForwardRange(x, 0, at)),
-			want:  PredictResult{Probs: probs, Entropy: ent.Data},
+			body:  encodeRequest(Request{X: snap.ForwardRange(x, 0, at), Policy: Policy{Gather: Own, Split: SplitAt(at)}}),
+			want:  Reply{Probs: probs, Entropy: ent.Data},
 		}
 	}
 	w := NewWorkerModel(versions[0].model, 1)
@@ -102,7 +101,7 @@ func TestSwapVsPinHammer(t *testing.T) {
 			served := 0
 			for i := 0; i < 2000 || served == 0; i++ {
 				v := versions[(c+i)%2]
-				typ, reply, _ := w.serveRequest(w.kinds[MsgSplitPredict], requestHeader{id: uint32(i), pin: v.model.Version}, time.Now(), v.body)
+				typ, reply, _ := w.serveRequest(w.kinds[MsgDo], requestHeader{id: uint32(i), pin: v.model.Version}, time.Now(), v.body)
 				if typ == MsgErrorMux {
 					if !errors.Is(workerError(string(reply)), ErrSplitVersionMismatch) {
 						t.Errorf("tail pinned to %s refused with %q, want the version-mismatch verdict", v.model.Version, reply)
@@ -110,7 +109,7 @@ func TestSwapVsPinHammer(t *testing.T) {
 					}
 					continue
 				}
-				got, err := decodeResult(reply, transport.DecodeTensor64, 2, 3)
+				got, err := decodeReply(reply, true, 2, 3)
 				if err != nil {
 					t.Error(err)
 					return

@@ -11,7 +11,6 @@ import (
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // SG-MoE distributed runtimes (paper Section VI-A): "each expert is
@@ -28,7 +27,7 @@ import (
 // computed (bench.SGMoECost), not re-enacted here.
 
 // MoEMaster runs the SG-MoE gate locally and dispatches each selected
-// expert's rows as a MsgPredictMux request on that expert's peer link (the
+// expert's rows as an {Own, SplitOff} request on that expert's peer link (the
 // SG-MoE-G master side), reading the reply's probabilities and ignoring its
 // entropies. The links are a coordinator Master's, so a query inherits the
 // frame header (budget, trace parent), the "peer <addr>" span with its
@@ -92,7 +91,7 @@ func (m *MoEMaster) Infer(x *tensor.Tensor) (out *tensor.Tensor, err error) {
 	return moeDispatch(m.model, x, indices, weights,
 		func(e int, rows *tensor.Tensor) error {
 			replies[e] = make(chan slotResult, 1)
-			q := peerQuery{reqType: MsgPredictMux, payload: transport.EncodeTensor(rows), rows: rows.Shape[0]}
+			q := ownQuery(rows, SplitOff)
 			go func() {
 				res, err := peers[e].do(ctx, q, root.Ctx())
 				replies[e] <- slotResult{res: res, err: err}

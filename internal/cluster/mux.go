@@ -24,10 +24,10 @@ import (
 //	waiters ──▶ window (bounded in-flight) ──▶ writer goroutine ──▶ TCP
 //	waiters ◀── pending map (by request id) ◀── reader goroutine ◀── TCP
 //
-// Every request is tagged with a uint32 id in its frame header (header.go),
-// the server runs them concurrently and replies out of order, and the single
-// reader matches replies back to waiters. One TCP connection per peer
-// carries the whole pipeline, whatever mix of request kinds rides it.
+// Every request is one MsgDo tagged with a uint32 id in its frame header
+// (header.go), the server runs them concurrently and replies out of order,
+// and the single reader matches replies back to waiters. One TCP connection
+// per peer carries the whole pipeline, whatever mix of policies rides it.
 //
 // Failure semantics integrate with the supervisor state machine: a link
 // failure (read/write error, per-request timeout) tears the client down,
@@ -45,7 +45,7 @@ const muxWindow = 32
 
 // muxReply is one matched response delivered to a waiter.
 type muxReply struct {
-	typ     byte
+	typ     byte          // MsgReply or MsgErrorMux
 	payload []byte        // reply body, header already stripped
 	compute time.Duration // the header's compute time
 	err     error
@@ -72,14 +72,13 @@ type muxClient struct {
 }
 
 type muxWrite struct {
-	typ     byte
 	hdr     requestHeader
 	payload []byte
 }
 
 // newMuxClient takes ownership of conn and starts the writer and reader.
 // The same pipeline drives the master→worker peer link and the
-// gateway→master fabric link; the request kind is per round trip.
+// gateway→master fabric link; the policy is per request.
 func newMuxClient(conn net.Conn, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
 	mc := &muxClient{
 		conn:     conn,
@@ -157,7 +156,7 @@ func (mc *muxClient) writeLoop() {
 func (mc *muxClient) writeBurst(batch *transport.FrameBatch, hdr *[]byte, w muxWrite) error {
 	for {
 		*hdr = appendRequestHeader((*hdr)[:0], w.hdr)
-		if err := batch.Add(w.typ, *hdr, w.payload); err != nil {
+		if err := batch.Add(MsgDo, *hdr, w.payload); err != nil {
 			return err
 		}
 		select {
@@ -169,7 +168,7 @@ func (mc *muxClient) writeBurst(batch *transport.FrameBatch, hdr *[]byte, w muxW
 }
 
 // readLoop is the single reader: it matches replies to pending waiters.
-// Anything that is not a pipelined reply under a header of this build —
+// Anything that is not a MsgReply or MsgErrorMux under a header of this build —
 // including a MsgError, which a server only sends before it hangs up — is a
 // link fault.
 func (mc *muxClient) readLoop() {
@@ -181,7 +180,7 @@ func (mc *muxClient) readLoop() {
 			return
 		}
 		switch typ {
-		case MsgResultMux, MsgFabricResult, MsgSplitResult, MsgErrorMux:
+		case MsgReply, MsgErrorMux:
 			h, body, perr := decodeReplyHeader(payload)
 			if perr != nil {
 				mc.fail(perr)
@@ -232,11 +231,11 @@ func (mc *muxClient) unregister(id uint32) {
 	mc.mu.Unlock()
 }
 
-// roundTrip pipelines one request of the given kind: acquire a window slot,
-// send, await the matched reply within timeout. It is where the request
-// header is filled: the id it registers, ctx's remaining deadline as the
-// budget, ctx's ambient span (trace.FromContext) as the trace parent, and
-// pin. The reply it returns is reqType's reply kind or MsgErrorMux.
+// roundTrip pipelines one MsgDo whose body is payload: acquire a window
+// slot, send, await the matched reply within timeout. It is where the
+// request header is filled: the id it registers, ctx's remaining deadline as
+// the budget, ctx's ambient span (trace.FromContext) as the trace parent,
+// and pin.
 //
 // done aborts the waits — it merges master shutdown with the caller's ctx
 // cancellation (joinDone); abortErr(ctx) names which one fired. A caller
@@ -244,7 +243,7 @@ func (mc *muxClient) unregister(id uint32) {
 // stays up), whereas a timeout is a link failure — with requests pipelined
 // behind each other a stalled link wedges them all, so it is torn down (and
 // the breaker fed once) like any other link fault.
-func (mc *muxClient) roundTrip(ctx context.Context, reqType byte, pin string, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
+func (mc *muxClient) roundTrip(ctx context.Context, pin string, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
 	if len(pin) > maxVersionPin {
 		return muxReply{}, 0, fmt.Errorf("cluster: model version label of %d bytes exceeds %d", len(pin), maxVersionPin)
 	}
@@ -290,7 +289,7 @@ func (mc *muxClient) roundTrip(ctx context.Context, reqType byte, pin string, pa
 		hdr.budget = max(dl.Sub(start), 1)
 	}
 	select {
-	case mc.writeCh <- muxWrite{typ: reqType, hdr: hdr, payload: payload}:
+	case mc.writeCh <- muxWrite{hdr: hdr, payload: payload}:
 	case <-mc.downCh:
 		mc.unregister(id)
 		return muxReply{}, 0, mc.downError()
@@ -301,15 +300,7 @@ func (mc *muxClient) roundTrip(ctx context.Context, reqType byte, pin string, pa
 	select {
 	case r := <-ch:
 		rtt := time.Since(start)
-		if r.err != nil {
-			return muxReply{}, rtt, r.err
-		}
-		if r.typ != MsgErrorMux && r.typ != replyTypeFor[reqType] {
-			err := fmt.Errorf("cluster: frame type %d answers a request of type %d", r.typ, reqType)
-			mc.fail(err)
-			return muxReply{}, rtt, err
-		}
-		return r, rtt, nil
+		return r, rtt, r.err
 	case <-timeoutCh:
 		mc.unregister(id)
 		err := fmt.Errorf("cluster: mux request %d exceeded %v", id, timeout)
@@ -398,7 +389,7 @@ func (p *peerConn) muxTimeout() time.Duration {
 // pipelined requests costs one strike, not N. A caller-cancelled ctx
 // (muxCallerAbort) abandons the request without retrying or feeding the
 // breaker — the link stays up.
-func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery) (PredictResult, error) {
+func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery) (Reply, error) {
 	var lastErr error
 	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -409,7 +400,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 			backoffStart := time.Now()
 			if !cfg.RetryBackoff.Sleep(attempt-1, done) {
 				if err := ctx.Err(); err != nil {
-					return PredictResult{}, err
+					return Reply{}, err
 				}
 				break // master closing
 			}
@@ -430,22 +421,22 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 			// The worker answered: the request itself is bad, its budget was
 			// spent ("expired") or its version pin refused. No retry, no
 			// breaker accounting.
-			return PredictResult{}, err
+			return Reply{}, err
 		case muxCallerAbort:
 			// The caller's deadline fired or it was cancelled: the peer did
 			// nothing wrong. No retry, no breaker accounting.
-			return PredictResult{}, err
+			return Reply{}, err
 		case muxDialFault:
 			p.recordFailure()
 		case muxLinkFault:
 			// Already counted once by muxLinkDown.
 		}
 	}
-	return PredictResult{}, fmt.Errorf("cluster: peer %s: %w", p.addr, lastErr)
+	return Reply{}, fmt.Errorf("cluster: peer %s: %w", p.addr, lastErr)
 }
 
-// muxOnce performs one pipelined round trip of q's kind.
-func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (PredictResult, attemptTiming, error, muxOutcome) {
+// muxOnce performs one pipelined round trip of q.
+func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (Reply, attemptTiming, error, muxOutcome) {
 	var tm attemptTiming
 	dialStart := time.Now()
 	mc, dialed, err := p.muxEnsure(cfg)
@@ -455,31 +446,27 @@ func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg Superv
 		tm.dialDur = time.Since(dialStart)
 	}
 	if err != nil {
-		return PredictResult{}, tm, err, muxDialFault
+		return Reply{}, tm, err, muxDialFault
 	}
 	p.counter(q.series + "requests").Inc()
 	tm.rttStart = time.Now()
-	r, rtt, err := mc.roundTrip(ctx, q.reqType, q.pin, q.payload, p.muxTimeout(), done)
+	r, rtt, err := mc.roundTrip(ctx, q.pin, q.payload, p.muxTimeout(), done)
 	tm.rtt = rtt
 	if err != nil {
 		if ctx.Err() != nil {
-			return PredictResult{}, tm, err, muxCallerAbort
+			return Reply{}, tm, err, muxCallerAbort
 		}
-		return PredictResult{}, tm, err, muxLinkFault
+		return Reply{}, tm, err, muxLinkFault
 	}
 	if r.typ == MsgErrorMux {
-		return PredictResult{}, tm, workerError(string(r.payload)), muxWorkerErr
+		return Reply{}, tm, workerError(string(r.payload)), muxWorkerErr
 	}
-	decodeTensor := transport.DecodeTensor
-	if r.typ == MsgSplitResult {
-		decodeTensor = transport.DecodeTensor64
-	}
-	res, derr := decodeResult(r.payload, decodeTensor, q.rows, p.classes)
+	res, derr := decodeReply(r.payload, q.wide, q.rows, p.classes)
 	if derr != nil {
-		// Undecodable or mis-shaped result: a corrupted link or a hostile
+		// Undecodable or mis-shaped reply: a corrupted link or a hostile
 		// peer, not a bad request — tear the pipeline down.
 		mc.fail(derr)
-		return PredictResult{}, tm, derr, muxLinkFault
+		return Reply{}, tm, derr, muxLinkFault
 	}
 	tm.remote = r.compute
 	return res, tm, nil, muxOK

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -22,18 +21,12 @@ import (
 // local model is what the node serves and what a model push swaps; its
 // registry and tracer are the node's. A node whose master has no peers is a
 // plain worker; one whose master has peers and no local expert is a pure
-// coordinator; every mix in between answers the same request kinds:
-//
-//   - MsgPredictMux: this node's expert on the input — probabilities and
-//     predictive entropies, the expert's compute time in the reply header
-//     and, for a request that carries a trace parent, a "worker.predict"
-//     span in the node's tracer.
-//   - MsgSplitPredict: a partial-offload tail finished on that expert.
-//   - MsgFabricPredict: the combined answer of Master.Do — for a node
-//     without peers, its own expert's with Live = Total = 1.
-//
-// A kind the node has nothing to answer with (an expert kind on a pure
-// coordinator) costs the caller one MsgErrorMux.
+// coordinator; every mix in between answers the one request kind, MsgDo, by
+// handing the Request to its master's Do: {Own, SplitOff} runs this node's
+// expert, {Own, SplitAt(k)} a partial-offload tail on it, and an ensemble
+// policy the master's combined answer — for a node without peers, its own
+// expert's with Live = Total = 1. A request the node has nothing to answer
+// with (an Own one on a pure coordinator) costs the caller one MsgErrorMux.
 type Node struct {
 	role   string // what Member announces: RoleWorker or RoleMaster
 	id     int    // election identity; higher wins
@@ -50,7 +43,7 @@ type Node struct {
 
 	// kinds is requestKinds on every node; a field so the conformance rows
 	// can add a kind that panics and one that blocks.
-	kinds map[byte]kind
+	kinds map[byte]handler
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -60,29 +53,20 @@ type Node struct {
 	closed bool
 }
 
-// kind is how one pipelined request frame type is served. The header has
-// been parsed and honoured by the time serve runs: ctx carries the request's
+// handler serves one pipelined request frame type. The header has been
+// parsed and honoured by the time it runs: ctx carries the request's
 // remaining budget as its deadline and the request's trace parent as its
 // ambient span, so a handler that sends requests of its own passes on what
 // it received; model is the served model the request's version pin was
 // checked against, the one a handler that runs the node's own expert must
-// run. body is the payload after the header. serve returns the reply frame
-// type and body — an error is just a MsgErrorMux reply — and the time its
-// forward pass took (0 if none ran), which goes back in the reply header.
-// Handlers run concurrently.
-type kind struct {
-	serve func(n *Node, ctx context.Context, model *Model, body []byte) (replyType byte, reply []byte, compute time.Duration)
-	// series prefixes the kind's counters: "requests" (served),
-	// "requests.expired" (budget ran out unserved), "panics.recovered".
-	series string
-}
+// run. body is the payload after the header. A handler returns the reply
+// frame type and body — an error is just a MsgErrorMux reply — and the time
+// its forward pass took (0 if none ran), which goes back in the reply
+// header. Handlers run concurrently.
+type handler func(n *Node, ctx context.Context, model *Model, body []byte) (replyType byte, reply []byte, compute time.Duration)
 
-// requestKinds is the request table of every node.
-var requestKinds = map[byte]kind{
-	MsgPredictMux:    {(*Node).servePredict, ""},
-	MsgSplitPredict:  {(*Node).serveSplit, ""},
-	MsgFabricPredict: {(*Node).serveFabric, "fabric."},
-}
+// requestKinds is the request table of every node: one kind.
+var requestKinds = map[byte]handler{MsgDo: (*Node).serveDo}
 
 // NewNode wraps master for serving under the given role (RoleWorker,
 // RoleMaster). id is the node's election identity (any distinct non-negative
@@ -135,10 +119,9 @@ func (n *Node) Member() Member {
 func (n *Node) Roster() *Roster { return n.roster }
 
 // Metrics exposes the node's registry, which is its master's: next to the
-// master's own series, the serving counters per request kind ("requests",
-// "requests.split", "requests.expired", "panics.recovered", and the same
-// under "fabric." for fabric requests) and the expert's compute-time
-// histograms "predict" and "split.predict".
+// master's own series, the serving counters "requests" (served),
+// "requests.expired" (budget ran out unserved) and "panics.recovered", and
+// the histogram "predict" of the node's own forward passes, whole or tail.
 func (n *Node) Metrics() *metrics.Registry { return n.master.metrics }
 
 // SetTracer installs (or, with nil, removes) the span collector of the node
@@ -149,12 +132,12 @@ func (n *Node) SetTracer(tr *trace.Tracer) { n.master.SetTracer(tr) }
 // Tracer returns the installed tracer (nil when tracing is off).
 func (n *Node) Tracer() *trace.Tracer { return n.master.Tracer() }
 
-// errNoExpert answers an expert request kind on a pure coordinator.
+// errNoExpert answers an Own request on a pure coordinator.
 var errNoExpert = errors.New("cluster: node has no local expert")
 
-// inputs holds the tensors the two expert kinds decode their input into. One
-// leaves the pool per request and returns once the forward pass that read it
-// has returned: the snapshot copies its result out, so no reply aliases it.
+// inputs holds the tensors Own requests decode their input into. One leaves
+// the pool per request and returns once the forward pass that read it has
+// returned: the snapshot copies its result out, so no reply aliases it.
 var inputs = sync.Pool{New: func() any { return new(tensor.Tensor) }}
 
 // releaseInput returns x to inputs unless it grew past what the server loop
@@ -165,75 +148,28 @@ func releaseInput(x *tensor.Tensor) {
 	}
 }
 
-// servePredict answers one pipelined whole-query request. A decode error
-// costs one MsgErrorMux, never the connection — the frame boundary is
-// intact and other requests are pipelined behind it.
-func (n *Node) servePredict(ctx context.Context, model *Model, body []byte) (byte, []byte, time.Duration) {
-	if model.Snapshot == nil {
-		return errorReply(errNoExpert)
-	}
+// serveDo answers one MsgDo: it decodes the Request, answers it with the
+// master's Do on the model the header's version pin was checked against,
+// and encodes the Reply. A decode error or a refused request costs one
+// MsgErrorMux, never the connection — the frame boundary is intact and other
+// requests are pipelined behind it. An Own request's input is decoded into a
+// pooled tensor, released once Do, and with it the forward pass that read
+// it, has returned; the reply header carries how long that took.
+func (n *Node) serveDo(ctx context.Context, model *Model, body []byte) (byte, []byte, time.Duration) {
 	in := inputs.Get().(*tensor.Tensor)
 	defer releaseInput(in)
-	x, _, err := transport.DecodeTensor(body, in)
+	req, err := decodeRequest(body, in)
 	if err != nil {
 		return errorReply(err)
 	}
-	res, compute, err := n.timeExpert(ctx, "predict", "worker.predict", func() (PredictResult, error) {
-		return n.predict(model.Snapshot, x)
-	})
-	if err != nil {
-		return errorReply(err)
-	}
-	return MsgResultMux, EncodeResult(res), compute
-}
-
-// predict runs the expert snapshot on x (step 3 of Fig 1d) and pairs
-// every row with its predictive entropy. A panic inside the snapshot
-// (shape mismatch from a hostile or corrupted tensor) is recovered into an
-// error so the node keeps serving.
-func (n *Node) predict(snap *nn.Snapshot, x *tensor.Tensor) (res PredictResult, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			n.master.metrics.Counter("panics.recovered").Inc()
-			err = fmt.Errorf("cluster: predict panic: %v", r)
-		}
-	}()
-	probs, ent := snap.PredictWithEntropy(x)
-	return PredictResult{Probs: probs, Entropy: ent.Data}, nil
-}
-
-// serveFabric answers one pipelined fabric request with the master's
-// combined answer. Failures are per-request MsgErrorMux frames; the
-// connection and the pipeline survive. ctx is the request's own: the
-// gateway's remaining deadline bounds the gather, and the gateway's span
-// parents the master's "infer" tree.
-func (n *Node) serveFabric(ctx context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
-	req, err := decodeFabricRequest(body)
-	if err != nil {
-		return errorReply(err)
-	}
-	rep, err := n.master.Do(ctx, req)
-	if err != nil {
-		return errorReply(err)
-	}
-	return MsgFabricResult, encodeFabricResult(rep), 0
-}
-
-// timeExpert runs one forward pass — whole or tail — the way every node
-// accounts for it: its duration into the hist histogram, a span under the
-// request's trace parent when it has one, and the duration back for the
-// reply header.
-func (n *Node) timeExpert(ctx context.Context, hist, span string, run func() (PredictResult, error)) (PredictResult, time.Duration, error) {
 	start := time.Now()
-	res, err := run()
-	compute := time.Since(start)
-	n.master.metrics.Observe(hist, compute)
-	if parent := trace.FromContext(ctx); parent.Valid() {
-		status := ""
-		if err != nil {
-			status = trace.StatusError
-		}
-		n.master.Tracer().Record(parent, span, "", status, start, compute)
+	rep, err := n.master.do(ctx, model, req)
+	if err != nil {
+		return errorReply(err)
 	}
-	return res, compute, err
+	var compute time.Duration
+	if req.Policy.Gather == Own {
+		compute = time.Since(start)
+	}
+	return MsgReply, encodeReply(rep, req.Policy.wide()), compute
 }

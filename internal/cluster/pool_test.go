@@ -52,17 +52,15 @@ func TestExpertNodeAllocationBudget(t *testing.T) {
 	_, snap, addr := servedExpert(t, nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: 784, Width: 64, Layers: 2, Classes: 10}})
 	x := tensor.NewRNG(78).RandUniform(0, 1, 16, 784)
 	for _, c := range []struct {
-		name  string
-		typ   byte
-		body  []byte
-		reply byte
+		name string
+		req  Request
 	}{
-		{"whole query", MsgPredictMux, transport.EncodeTensor(x), MsgResultMux},
-		{"split tail", MsgSplitPredict, encodeSplitRequest(0, snap.ForwardRange(x, 0, 0)), MsgSplitResult},
+		{"whole query", Request{X: x, Policy: Policy{Gather: Own}}},
+		{"split tail", Request{X: snap.ForwardRange(x, 0, 0), Policy: Policy{Gather: Own, Split: SplitAt(0)}}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var frame bytes.Buffer
-			if err := transport.WriteFrame(&frame, c.typ, requestPayload(requestHeader{id: 1, pin: "v1"}, c.body)); err != nil {
+			if err := transport.WriteFrame(&frame, MsgDo, requestPayload(requestHeader{id: 1, pin: "v1"}, encodeRequest(c.req))); err != nil {
 				t.Fatal(err)
 			}
 			conn, err := net.Dial("tcp", addr)
@@ -77,8 +75,8 @@ func TestExpertNodeAllocationBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 				typ, _, err := transport.ReadFrame(br, reply)
-				if err != nil || typ != c.reply {
-					t.Fatalf("reply type %d, err %v; want type %d", typ, err, c.reply)
+				if err != nil || typ != MsgReply {
+					t.Fatalf("reply type %d, err %v; want type %d", typ, err, MsgReply)
 				}
 			}
 			for i := 0; i < 50; i++ { // warm-up: pools fill, snapshot arenas grow
@@ -109,9 +107,10 @@ type hammerCase struct {
 }
 
 // TestPooledBufferHammer: eight goroutines pipeline a mix on one connection —
-// whole queries, split tails and fabric requests of 1–16 rows, malformed
-// tensors, spent budgets — while the node recycles frame buffers and input
-// tensors under them. Every success must be bit-identical to the forward
+// MsgDo under three policies, a whole query and a split tail for the node's
+// own expert and an ensemble request for its master, of 1–16 rows, then
+// malformed tensors and spent budgets — while the node recycles frame
+// buffers and input tensors under them. Every success must be bit-identical to the forward
 // pass run here on the same rows, every bad frame must get exactly its
 // MsgErrorMux, and the connection must keep serving. A buffer handed to the
 // next frame while a handler still reads it shows up as a wrong answer, or
@@ -132,49 +131,49 @@ func TestPooledBufferHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 		probs, ent := snap.PredictWithEntropy(wireX)
+		answer := Reply{Probs: probs, Entropy: ent.Data, Winners: make([]int, rows), Live: 1, Total: 1}
 		hdr := requestHeader{id: id}
-		var typ byte
 		var body []byte
 		c := &cases[i]
+		c.replyType = MsgReply
 		switch kind := rng.Intn(5); kind {
 		case 0:
-			typ, body = MsgPredictMux, transport.EncodeTensor(x)
-			c.replyType, c.reply = MsgResultMux, EncodeResult(PredictResult{Probs: probs, Entropy: ent.Data})
+			body, c.reply = ownBody(x), encodeReply(answer, false)
 		case 1:
 			at := rng.Intn(snap.Steps() + 1)
 			hdr.pin = "v1"
-			typ, body = MsgSplitPredict, encodeSplitRequest(at, snap.ForwardRange(x, 0, at))
-			_, head, err := decodeSplitRequest(body, nil)
+			tail := Request{X: snap.ForwardRange(x, 0, at), Policy: Policy{Gather: Own, Split: SplitAt(at)}}
+			body = encodeRequest(tail)
+			head, err := decodeRequest(body, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tail, err := runSplitTail(snap, head, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.replyType, c.reply = MsgSplitResult, encodeResult(tail, transport.EncodeTensor64)
+			answer = runSplitTail(snap, head.X, at)
+			answer.Winners, answer.Live, answer.Total = make([]int, rows), 1, 1
+			c.reply = encodeReply(answer, true)
 		case 2:
-			typ, body = MsgFabricPredict, encodeFabricRequest(Request{X: x})
-			c.replyType, c.reply = MsgFabricResult, encodeFabricResult(Reply{Live: 1, Total: 1, Winners: make([]int, rows), Probs: probs})
+			// The master's combined answer: a node without peers gates its
+			// own expert alone.
+			body, c.reply = encodeRequest(Request{X: x}), encodeReply(answer, false)
 		case 3:
 			// Malformed: a rank byte and nothing after it, or an input of the
 			// wrong width (the forward pass panics and is recovered).
 			switch rng.Intn(3) {
 			case 0:
-				typ, body = MsgPredictMux, []byte{2}
+				body = ownBody(x)[:requestPrefixSize+1]
 			case 1:
-				typ, body = MsgPredictMux, transport.EncodeTensor(xs.Randn(rows, 23))
+				body = ownBody(xs.Randn(rows, 23))
 			case 2:
-				typ, body = MsgSplitPredict, encodeSplitRequest(0, xs.Randn(rows, 23))
+				body = encodeRequest(Request{X: xs.Randn(rows, 23), Policy: Policy{Gather: Own, Split: SplitAt(0)}})
 			}
 			c.replyType = MsgErrorMux
 		case 4:
 			hdr.budget = time.Nanosecond // spent before any handler slot
-			typ, body = MsgPredictMux, transport.EncodeTensor(x)
+			body = ownBody(x)
 			c.replyType, c.reply = MsgErrorMux, []byte(expiredText)
 		}
 		var frame bytes.Buffer
-		if err := transport.WriteFrame(&frame, typ, requestPayload(hdr, body)); err != nil {
+		if err := transport.WriteFrame(&frame, MsgDo, requestPayload(hdr, body)); err != nil {
 			t.Fatal(err)
 		}
 		c.frame = frame.Bytes()

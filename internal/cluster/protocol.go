@@ -22,18 +22,21 @@
 //
 // There is one request model, one wire protocol and one server loop:
 // Master.Do answers every Request (request.go), every request a node sends
-// is a mux frame under the one frame header (mux.go, header.go), every
-// process that listens is a Node running the server loop in server.go
-// (node.go), and all nodes of a fleet run one build.
+// is one MsgDo frame under the one frame header, answered by one MsgReply
+// (this file, mux.go, header.go), every process that listens is a Node
+// running the server loop in server.go (node.go), and all nodes of a fleet
+// run one build.
 //
 // Everything here runs over real connections — the unit tests and the live
 // benchmark mode exercise actual loopback TCP; the simulated experiments
-// price the same protocol's byte counts through internal/edgesim.
+// price the paper's protocol through internal/edgesim.
 package cluster
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"time"
 
@@ -55,15 +58,9 @@ const (
 	// MsgError reports a failed control exchange, or a stream the server is
 	// about to drop (unknown frame type), as text.
 	MsgError
-	// MsgPredictMux carries an input tensor master → worker (Fig 1d step
-	// 2), MsgResultMux probabilities + per-sample entropies back (step 4),
-	// MsgErrorMux a per-request failure as text. Every payload of these and
-	// of the fabric and split frames below starts with the frame header
-	// (header.go), whose request id lets many concurrent queries share one
-	// TCP connection per peer with replies out of order (see mux.go and
-	// DESIGN.md §8).
-	MsgPredictMux
-	MsgResultMux
+	_ // 7 and 8: the retired whole-query request and its result
+	_
+	// MsgErrorMux answers a MsgDo with a per-request failure as text.
 	MsgErrorMux
 	// MsgAnnounce / MsgAnnounceOK carry fabric membership: a JSON-encoded
 	// announcement (the sender's Member descriptor plus a bounded sample of
@@ -76,100 +73,175 @@ const (
 	// and workers hot-swap models without restart (see modelpush.go).
 	MsgModelPush
 	MsgModelPushOK
-	// MsgFabricPredict / MsgFabricResult are the gateway→master inference
-	// frames: mux-pipelined like MsgPredictMux, but the reply carries the
-	// combined ensemble answer (winners + live/total quorum) instead of one
-	// expert's probabilities + entropies (see node.go, fabric.go).
-	MsgFabricPredict
-	MsgFabricResult
-	// MsgSplitPredict / MsgSplitResult are the partial-offload frames: the
-	// master runs the head of the network locally and ships the intermediate
-	// activation (full float64 precision — the split contract is bit-identity
-	// with the local forward) plus the split index, pinned to its model
-	// version in the header; the peer finishes the tail from its atomic
-	// snapshot pointer.
-	// Mux-pipelined like MsgPredictMux and answered on the same link
-	// (MsgSplitResult / MsgErrorMux; see splitwire.go and DESIGN.md §13).
-	MsgSplitPredict
-	MsgSplitResult
+	// 14 to 17: the retired fabric and split request kinds and their results.
+	// Every retired kind's number stays reserved, so a node of an older build
+	// is refused with "unknown frame type" instead of being misparsed.
+	_
+	_
+	_
+	_
+	// MsgDo carries one Request — a master's broadcast to a peer (Fig 1d
+	// step 2), a split tail, a gateway's query to a master — and MsgReply
+	// its Reply (step 4). Both payloads start with the frame header
+	// (header.go), whose request id lets many concurrent requests share one
+	// TCP connection per peer with replies out of order (see mux.go and
+	// DESIGN.md §8).
+	MsgDo
+	MsgReply
 )
-
-// replyTypeFor maps each pipelined request frame type to the reply that
-// answers it; MsgErrorMux answers any of them.
-var replyTypeFor = map[byte]byte{
-	MsgPredictMux:    MsgResultMux,
-	MsgFabricPredict: MsgFabricResult,
-	MsgSplitPredict:  MsgSplitResult,
-}
 
 // connReadBuffer sizes the bufio.Reader in front of every long-lived read
 // loop (mux client, node), so a frame smaller than it costs one read syscall
 // instead of one for the header and one for the payload.
 const connReadBuffer = 64 << 10
 
-// PredictResult is one node's answer for a batch: class probabilities and
-// the predictive entropy per sample.
-type PredictResult struct {
-	Probs   *tensor.Tensor
-	Entropy []float64
+// The MsgDo codec (DESIGN.md §13): every pipelined request is a Request and
+// every answer a Reply. After the frame header, which carries the
+// deadline, the trace parent and the version pin:
+//
+//	request: gather u8 · soft_ns u64 · split u32 · tensor
+//	reply:   live u16 · total u16 · n u32 · winners i32×n · probs tensor ·
+//	         entropies (transport.EncodeFloats)
+//
+// split is the Policy's SplitPoint as an int32 (0 = SplitOff, -1 =
+// SplitAuto, k+1 = SplitAt(k)). Precision follows the policy: a request
+// under a split policy — for an Own request, the boundary its input enters
+// at — and its reply carry their tensors at float64, because the split
+// contract is bit-identity with the local forward; every other request and
+// reply carries float32 (transport.EncodeTensor). Entropies are always
+// float64: quantizing them would perturb the arg-min.
+
+const (
+	requestPrefixSize = 1 + 8 + 4 // gather, soft, split
+	replyPrefixSize   = 2 + 2 + 4 // live, total, n
+)
+
+// wide reports whether p's frames carry float64 tensors.
+func (p Policy) wide() bool { return p.Split != SplitOff }
+
+func tensorBytes(t *tensor.Tensor, wide bool) int {
+	if wide {
+		return transport.Tensor64WireSize(t)
+	}
+	return transport.TensorWireSize(t)
 }
 
-// EncodeResult serializes a whole-query PredictResult body: float32
-// probabilities, float64 entropies.
-func EncodeResult(r PredictResult) []byte { return encodeResult(r, transport.EncodeTensor) }
-
-// encodeResult serializes a PredictResult body under the given tensor codec:
-// transport.EncodeTensor for MsgResultMux, the full-precision
-// transport.EncodeTensor64 for MsgSplitResult.
-func encodeResult(r PredictResult, encodeTensor func(*tensor.Tensor) []byte) []byte {
-	probs := encodeTensor(r.Probs)
-	ent := transport.EncodeFloats(r.Entropy)
-	out := make([]byte, 0, len(probs)+len(ent))
-	out = append(out, probs...)
-	return append(out, ent...)
+func encodeTensorInto(buf []byte, t *tensor.Tensor, wide bool) {
+	if wide {
+		transport.EncodeTensor64Into(buf, t)
+	} else {
+		transport.EncodeTensorInto(buf, t)
+	}
 }
 
-// decodeResult parses a PredictResult body under the given tensor codec.
-// The reply comes from another machine, so its shape is checked here, once,
-// against what was asked: rows of classes probabilities and one entropy per
-// row. Everything downstream (the arg-min gate) indexes by those dimensions
+func decodeTensor(data []byte, wide bool, dst *tensor.Tensor) (*tensor.Tensor, int, error) {
+	if wide {
+		return transport.DecodeTensor64(data, dst)
+	}
+	return transport.DecodeTensor(data, dst)
+}
+
+// encodeRequest builds a MsgDo body: the policy and X in one buffer.
+func encodeRequest(req Request) []byte {
+	p := req.Policy
+	out := make([]byte, requestPrefixSize+tensorBytes(req.X, p.wide()))
+	out[0] = byte(p.Gather)
+	binary.BigEndian.PutUint64(out[1:], uint64(max(p.Soft, 0)))
+	binary.BigEndian.PutUint32(out[9:], uint32(int32(p.Split)))
+	encodeTensorInto(out[requestPrefixSize:], req.X, p.wide())
+	return out
+}
+
+// decodeRequest parses a MsgDo body. An Own request's X is decoded into dst
+// (nil: a fresh tensor), which its owner may reuse once the forward pass has
+// returned. Any other request's X is always fresh: the gather it feeds can
+// return on quorum while the local forward still reads it.
+func decodeRequest(body []byte, dst *tensor.Tensor) (Request, error) {
+	if len(body) < requestPrefixSize {
+		return Request{}, fmt.Errorf("cluster: request of %d bytes, need %d before the tensor", len(body), requestPrefixSize)
+	}
+	gather, soft := Gather(body[0]), binary.BigEndian.Uint64(body[1:])
+	split := SplitPoint(int32(binary.BigEndian.Uint32(body[9:])))
+	if gather > Own || soft > math.MaxInt64 || split < SplitAuto {
+		return Request{}, fmt.Errorf("cluster: request gather rule %d, soft deadline %d ns, split point %d", gather, soft, split)
+	}
+	p := Policy{Gather: gather, Soft: time.Duration(soft), Split: split}
+	if gather != Own {
+		dst = nil
+	}
+	x, _, err := decodeTensor(body[requestPrefixSize:], p.wide(), dst)
+	if err != nil {
+		return Request{}, fmt.Errorf("cluster: request tensor: %w", err)
+	}
+	return Request{X: x, Policy: p}, nil
+}
+
+// encodeReply builds a MsgReply body in one buffer; wide is the precision of
+// the request it answers.
+func encodeReply(rep Reply, wide bool) []byte {
+	n := len(rep.Winners)
+	probs := replyPrefixSize + 4*n
+	entropies := probs + tensorBytes(rep.Probs, wide)
+	out := make([]byte, entropies+4+8*len(rep.Entropy))
+	binary.BigEndian.PutUint16(out, uint16(rep.Live))
+	binary.BigEndian.PutUint16(out[2:], uint16(rep.Total))
+	binary.BigEndian.PutUint32(out[4:], uint32(n))
+	for i, w := range rep.Winners {
+		binary.BigEndian.PutUint32(out[replyPrefixSize+4*i:], uint32(int32(w)))
+	}
+	encodeTensorInto(out[probs:], rep.Probs, wide)
+	transport.EncodeFloatsInto(out[entropies:], rep.Entropy)
+	return out
+}
+
+// decodeReply parses a MsgReply body. The reply comes from another machine,
+// so its shape is checked here, once, against what was asked: rows answers
+// of classes probabilities (classes 0: any width — a gateway does not know
+// the model's), one winner and one entropy per row. Everything downstream
+// (the arg-min gate, the gateway's scatter) indexes by those dimensions
 // without looking again.
-func decodeResult(body []byte, decodeTensor func([]byte, ...*tensor.Tensor) (*tensor.Tensor, int, error), rows, classes int) (PredictResult, error) {
-	probs, used, err := decodeTensor(body)
-	if err != nil {
-		return PredictResult{}, fmt.Errorf("cluster: decode result probs: %w", err)
+func decodeReply(body []byte, wide bool, rows, classes int) (Reply, error) {
+	if len(body) < replyPrefixSize {
+		return Reply{}, fmt.Errorf("cluster: reply of %d bytes, need %d before the winners", len(body), replyPrefixSize)
 	}
-	ent, _, err := transport.DecodeFloats(body[used:])
-	if err != nil {
-		return PredictResult{}, fmt.Errorf("cluster: decode result entropy: %w", err)
+	// The count is checked against rows before it sizes anything.
+	n := int(binary.BigEndian.Uint32(body[4:]))
+	probs := replyPrefixSize + 4*n
+	if n != rows || len(body) < probs {
+		return Reply{}, fmt.Errorf("cluster: reply of %d winners in %d bytes, want %d", n, len(body), rows)
 	}
-	if err := checkResultShape(probs, len(ent), rows, classes); err != nil {
-		return PredictResult{}, err
+	rep := Reply{Live: int(binary.BigEndian.Uint16(body)), Total: int(binary.BigEndian.Uint16(body[2:])), Winners: make([]int, n)}
+	for i := range rep.Winners {
+		rep.Winners[i] = int(int32(binary.BigEndian.Uint32(body[replyPrefixSize+4*i:])))
 	}
-	return PredictResult{Probs: probs, Entropy: ent}, nil
+	var used int
+	var err error
+	if rep.Probs, used, err = decodeTensor(body[probs:], wide, nil); err != nil {
+		return Reply{}, fmt.Errorf("cluster: reply probs: %w", err)
+	}
+	if rep.Entropy, _, err = transport.DecodeFloats(body[probs+used:]); err != nil {
+		return Reply{}, fmt.Errorf("cluster: reply entropies: %w", err)
+	}
+	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != rows || (classes > 0 && sh[1] != classes) || len(rep.Entropy) != rows {
+		return Reply{}, fmt.Errorf("cluster: reply shape %v with %d entropies, want %d rows of %d classes and %d entropies",
+			sh, len(rep.Entropy), rows, classes, rows)
+	}
+	return rep, nil
 }
 
-// checkResultShape is the one shape rule for a result that crossed the
-// wire: a rank-2 rows×classes tensor with one entropy per row.
-func checkResultShape(probs *tensor.Tensor, entropies, rows, classes int) error {
-	if len(probs.Shape) != 2 || probs.Shape[0] != rows || probs.Shape[1] != classes || entropies != rows {
-		return fmt.Errorf("cluster: result shape %v with %d entropies, want [%d %d] with %d",
-			probs.Shape, entropies, rows, classes, rows)
+// doWireBytes is the codec's one size function: the payload bytes of a
+// request for rows×width inputs under p, pinned to a label of pin bytes,
+// plus those of its rows×classes reply. Of the frame header only the pin
+// counts (its u16 length and its bytes); the rest is the same for every
+// request. The split planner prices a round trip with it.
+func doWireBytes(p Policy, pin, rows, width, classes int) int {
+	elem := 4
+	if p.wide() {
+		elem = 8
 	}
-	return nil
-}
-
-// ResultWireBytes reports the on-wire payload size of a result for a batch
-// of the given dimensions — used by the cost model.
-func ResultWireBytes(batch, classes int) int {
-	probs := 1 + 4*2 + 4*batch*classes
-	ent := 4 + 8*batch
-	return probs + ent
-}
-
-// InputWireBytes reports the on-wire payload size of a broadcast input.
-func InputWireBytes(batch, features int) int {
-	return 1 + 4*2 + 4*batch*features
+	tensor := func(cols int) int { return 1 + 4*2 + elem*rows*cols }
+	return 2 + pin + requestPrefixSize + tensor(width) +
+		replyPrefixSize + 4*rows + tensor(classes) + 4 + 8*rows
 }
 
 // controlCall performs one control exchange on conn within timeout (0 = no

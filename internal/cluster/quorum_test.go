@@ -198,7 +198,7 @@ func TestLocalPanicContained(t *testing.T) {
 func TestStrictFailureCancelsOtherWaits(t *testing.T) {
 	_, stalledA := chaosWorker(t, 160, 1, chaos.Fault{Mode: chaos.Stall, Prob: 1})
 	_, stalledB := chaosWorker(t, 161, 2, chaos.Fault{Mode: chaos.Stall, Prob: 1})
-	failing := cannedReplier(t, MsgPredictMux, MsgErrorMux, func(id uint32) []byte {
+	failing := cannedReplier(t, MsgErrorMux, func(id uint32) []byte {
 		return replyPayload(replyHeader{id: id}, []byte(expiredText))
 	})
 

@@ -71,7 +71,7 @@ func (r *RemoteMaster) ensure() (*muxClient, error) {
 	return r.muxc, nil
 }
 
-// call performs one fabric round trip.
+// call performs one fabric round trip: req as a MsgDo, its MsgReply back.
 func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return Reply{}, err
@@ -85,7 +85,7 @@ func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 	// The frame header carries ctx across: the caller's remaining deadline
 	// as a budget, so the master bounds its own gather without clock
 	// synchronization, and the caller's span as the master's trace parent.
-	reply, _, err := mc.roundTrip(ctx, MsgFabricPredict, "", encodeFabricRequest(req), r.timeout, ctx.Done())
+	reply, _, err := mc.roundTrip(ctx, "", encodeRequest(req), r.timeout, ctx.Done())
 	if err != nil {
 		r.metrics.Counter("fabric.errors").Inc()
 		return Reply{}, err
@@ -94,7 +94,7 @@ func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 		r.metrics.Counter("fabric.errors").Inc()
 		return Reply{}, fmt.Errorf("cluster: master %s: %s", r.addr, reply.payload)
 	}
-	rep, err := decodeFabricResult(reply.payload, req.X.Shape[0])
+	rep, err := decodeReply(reply.payload, req.Policy.wide(), req.X.Shape[0], 0)
 	if err != nil {
 		// Undecodable or mis-shaped reply: corrupted pipeline, tear it down
 		// like the peer mux path does.

@@ -2,16 +2,22 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"time"
 
+	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
+	"github.com/teamnet/teamnet/internal/trace"
 )
 
 // The request model: every inference a Master answers is one Request
-// through one entry point, Do. How to answer is a Policy value; what a query
-// needs beyond its policy — deadline, cancellation, trace parent — rides in
-// ctx and from there into the frame header of every round trip the query
-// makes (header.go).
+// through one entry point, Do — in process, and over the wire as one MsgDo
+// frame that any Node answers with its master's Do (protocol.go, node.go).
+// How to answer is a Policy value: what a master asks of each peer, a split
+// tail and a gateway's query are three policies of one Request. What a
+// query needs beyond its policy — deadline, cancellation, trace parent —
+// rides in ctx and from there into the frame header of every round trip
+// the query makes (header.go).
 
 // Request is one inference: the input batch and how to answer it.
 type Request struct {
@@ -27,9 +33,10 @@ type Policy struct {
 	// Soft, under Quorum, is the time after dispatch at which whatever
 	// subset has answered becomes the answer (0 = wait for ctx).
 	Soft time.Duration
-	// Split, when not SplitOff, answers from the local expert by partial
-	// offload instead of from the ensemble: head here, tail on one peer.
-	// Gather and Soft do not apply to a split query.
+	// Split, under Own, names the boundary the input enters at. Under any
+	// other rule, a Split other than SplitOff answers by partial offload
+	// instead of from the ensemble — head on the local expert, tail on one
+	// peer — and Soft does not apply.
 	Split SplitPoint
 }
 
@@ -56,6 +63,13 @@ const (
 	// says it is degraded. Stragglers are cancelled (a caller abort, not a
 	// peer fault). It errors only when ctx expires with nothing gathered.
 	Quorum
+	// Own answers from this node's own expert alone: no broadcast, Live =
+	// Total = 1, every row's winner 0. Policy.Split names the boundary the
+	// input enters at: SplitOff for the raw input, SplitAt(k) for the
+	// activation at boundary k, whose tail [k, Steps) runs here. SplitAuto is
+	// refused, and so is a boundary past Steps(). A master asks each peer
+	// {Own, SplitOff}, and a split tail is {Own, SplitAt(k)}.
+	Own
 )
 
 // SplitPoint selects partial offload and its boundary. The zero value,
@@ -85,7 +99,8 @@ type Reply struct {
 
 	// Winners is, per sample, the node whose answer was selected (0 = this
 	// node, 1.. = peers in connection order); Live counts the nodes whose
-	// results were gated and Total the ensemble. Zero for a split query.
+	// results were gated and Total the ensemble. An Own or split query is
+	// answered by this node's expert: every winner 0, Live = Total = 1.
 	Winners     []int
 	Live, Total int
 
@@ -104,17 +119,71 @@ type Reply struct {
 
 // Do answers one request (Fig 1d): broadcast, parallel local + remote
 // prediction, gather, arg-min-entropy selection — or, for a split policy,
-// head locally and tail on a peer. When ctx expires or is cancelled,
-// in-flight peer waits abort promptly (the mux link stays up — a caller
-// giving up is not a peer fault) and the error is the ctx error, so
-// upstream queues stop burning round trips on requests nobody is waiting
-// for; what is left of ctx's deadline reaches every peer as the request's
-// budget.
+// head locally and tail on a peer, or, under Own, the local expert alone.
+// When ctx expires or is cancelled, in-flight peer waits abort promptly (the
+// mux link stays up — a caller giving up is not a peer fault) and the error
+// is the ctx error, so upstream queues stop burning round trips on requests
+// nobody is waiting for; what is left of ctx's deadline reaches every peer
+// as the request's budget.
 func (m *Master) Do(ctx context.Context, req Request) (Reply, error) {
-	if req.Policy.Split != SplitOff {
-		return m.splitQuery(ctx, req.X, req.Policy.Split)
+	return m.do(ctx, m.Local(), req)
+}
+
+// do is Do on local, loaded once by the caller: a Node passes the model its
+// request's version pin was checked against, so a swap landing in between
+// cannot put other weights behind a pin that passed.
+func (m *Master) do(ctx context.Context, local *Model, req Request) (Reply, error) {
+	switch p := req.Policy; {
+	case p.Gather == Own:
+		return m.own(ctx, local.Snapshot, req.X, p.Split)
+	case p.Split != SplitOff:
+		return m.splitQuery(ctx, local, req.X, p.Split)
+	default:
+		return m.ensemble(ctx, local.Snapshot, req.X, p.Gather, p.Soft)
 	}
-	return m.ensemble(ctx, req.X, req.Policy.Gather, req.Policy.Soft)
+}
+
+// own answers an Own request on snap: the whole forward pass, or the tail
+// from the boundary the input enters at, with exactly PredictWithEntropy's
+// operations either way — so a tail is bit-identical to the full local
+// forward. The pass lands in the "predict" histogram and, under a trace
+// parent, in a "worker.predict" span whose node label names a tail's
+// boundary. A panic inside it (an input of the wrong width) is recovered
+// into an error and counted in "panics.recovered", so a node keeps serving.
+func (m *Master) own(ctx context.Context, snap *nn.Snapshot, x *tensor.Tensor, at SplitPoint) (rep Reply, err error) {
+	if snap == nil {
+		return Reply{}, errNoExpert
+	}
+	if at < SplitOff || at.boundary() > snap.Steps() {
+		return Reply{}, fmt.Errorf("cluster: an own request enters at SplitOff or SplitAt(0..%d), not split point %d", snap.Steps(), at)
+	}
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			m.metrics.Counter("panics.recovered").Inc()
+			err = fmt.Errorf("cluster: predict panic: %v", r)
+		}
+		d := time.Since(start)
+		m.metrics.Observe("predict", d)
+		if parent := trace.FromContext(ctx); parent.Valid() {
+			tr, node, status := m.Tracer(), "", ""
+			if at != SplitOff {
+				node = fmt.Sprintf("%s split=%d", tr.Node(), at.boundary())
+			}
+			if err != nil {
+				status = trace.StatusError
+			}
+			tr.Record(parent, "worker.predict", node, status, start, d)
+		}
+	}()
+	if at == SplitOff {
+		probs, ent := snap.PredictWithEntropy(x)
+		rep = Reply{Probs: probs, Entropy: ent.Data}
+	} else {
+		rep = runSplitTail(snap, x, at.boundary())
+	}
+	rep.Winners, rep.Live, rep.Total = make([]int, x.Shape[0]), 1, 1
+	return rep, nil
 }
 
 // Infer is Do under the zero Policy and no deadline: the paper's protocol.

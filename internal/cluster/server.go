@@ -81,16 +81,15 @@ func (n *Node) handleConn(conn net.Conn) {
 		delete(n.conns, conn)
 		n.mu.Unlock()
 	}()
-	defer n.containPanic("", nil)
+	defer n.containPanic(nil)
 	n.serveConn(conn)
 }
 
-// containPanic recovers a panic into the panic counter of the request kind it
-// happened under ("" outside a handler) and, for a pipelined handler, closes
-// the connection it poisoned.
-func (n *Node) containPanic(series string, poisoned net.Conn) {
+// containPanic recovers a panic into "panics.recovered" and, for a pipelined
+// handler, closes the connection it poisoned.
+func (n *Node) containPanic(poisoned net.Conn) {
 	if r := recover(); r != nil {
-		n.master.metrics.Counter(series + "panics.recovered").Inc()
+		n.master.metrics.Counter("panics.recovered").Inc()
 		if poisoned != nil {
 			poisoned.Close()
 		}
@@ -172,7 +171,7 @@ func (n *Node) serveConn(conn net.Conn) {
 			go func() {
 				defer n.wg.Done()
 				defer func() { <-sem }()
-				defer n.containPanic(k.series, conn)
+				defer n.containPanic(conn)
 				replyType, reply, compute := n.serveRequest(k, hdr, arrived, body)
 				_ = cw.writeReply(replyType, replyHeader{id: hdr.id, compute: compute}, reply)
 				releaseFrame(buf, payload)
@@ -232,11 +231,11 @@ func (n *Node) serveConn(conn net.Conn) {
 // carries the trace parent. The served model is loaded once: the value the
 // pin is compared to is the value the handler computes on, so a swap landing
 // in between cannot put vB's weights behind a pin that passed against vA.
-func (n *Node) serveRequest(k kind, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
+func (n *Node) serveRequest(k handler, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
 	ctx := context.Background()
 	if hdr.budget > 0 {
 		if time.Since(arrived) >= hdr.budget {
-			n.master.metrics.Counter(k.series + "requests.expired").Inc()
+			n.master.metrics.Counter("requests.expired").Inc()
 			return MsgErrorMux, []byte(expiredText), 0
 		}
 		var cancel context.CancelFunc
@@ -250,8 +249,8 @@ func (n *Node) serveRequest(k kind, hdr requestHeader, arrived time.Time, body [
 	if hdr.trace.Valid() {
 		ctx = trace.NewContext(ctx, hdr.trace)
 	}
-	n.master.metrics.Counter(k.series + "requests").Inc()
-	return k.serve(n, ctx, model, body)
+	n.master.metrics.Counter("requests").Inc()
+	return k(n, ctx, model, body)
 }
 
 // expiredText answers a request whose budget was spent before a handler

@@ -18,35 +18,18 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Conformance test for the server loop (server.go). Every row runs against a
-// Node that has a snapshot and a master, so all three request kinds are live,
-// once per pipelined kind a client leads with: the header verdicts (short,
-// unknown version, expired, pinned) and their per-kind counters must come
-// out the same whether the request asks for the node's own expert or for
-// the master's combined answer. The node is built under the role whose
-// traffic that is.
+// Conformance test for the server loop (server.go). Every row runs once,
+// against a worker Node — a snapshot and a master without peers — leading
+// with the request a master sends each peer: {Own, SplitOff}, the node's own
+// expert. There is one request kind, so the header verdicts (short, unknown
+// version, expired, pinned) and the one set of serving counters cover every
+// policy.
 
-// lead is the pipelined request kind a run of the rows drives.
-type lead struct {
-	role    string
-	request byte   // the request kind
-	reply   byte   // ... and the reply kind that answers it
-	passes  string // the histogram that counts its forward passes
-	panics  string // the counter of panics recovered inside its forward pass
-	body    func(x *tensor.Tensor) []byte
-}
-
-var leads = []lead{
-	{RoleWorker, MsgPredictMux, MsgResultMux, "predict", "panics.recovered", transport.EncodeTensor},
-	{RoleMaster, MsgFabricPredict, MsgFabricResult, "infer.total", "local.panics_recovered", func(x *tensor.Tensor) []byte { return encodeFabricRequest(Request{X: x}) }},
-}
-
-// servedNode is one node under test and the request kind the rows lead with.
+// servedNode is one node under test.
 type servedNode struct {
 	*Node
-	lead
 	addr string
-	body []byte // a body of the lead kind the node serves
+	body []byte // a well-formed request body for the node's expert
 	// The injected blocking handler signals entered when it starts and
 	// returns once release is closed.
 	entered chan struct{}
@@ -61,23 +44,28 @@ const (
 
 const servedNodeID = 300
 
+// ownBody is x as a MsgDo body for the node's own expert.
+func ownBody(x *tensor.Tensor) []byte {
+	return encodeRequest(Request{X: x, Policy: Policy{Gather: Own}})
+}
+
 // startNode builds a fresh node with two extra request kinds — one that
 // panics, one that blocks — and starts it listening.
-func startNode(t *testing.T, l lead) servedNode {
+func startNode(t *testing.T) servedNode {
 	t.Helper()
 	m := NewMaster(tinyExpert(t, 220), 3)
-	n := servedNode{Node: NewNode(l.role, m, servedNodeID), lead: l, entered: make(chan struct{}, 1), release: make(chan struct{})}
-	n.body = l.body(tensor.NewRNG(222).Randn(1, 4))
+	n := servedNode{Node: NewNode(RoleWorker, m, servedNodeID), entered: make(chan struct{}, 1), release: make(chan struct{})}
+	n.body = ownBody(tensor.NewRNG(222).Randn(1, 4))
 	t.Cleanup(func() { n.Close(); m.Close() })
 	n.kinds = maps.Clone(requestKinds)
-	n.kinds[kindPanics] = kind{serve: func(*Node, context.Context, *Model, []byte) (byte, []byte, time.Duration) {
+	n.kinds[kindPanics] = func(*Node, context.Context, *Model, []byte) (byte, []byte, time.Duration) {
 		panic("handler blew up")
-	}, series: l.series()}
-	n.kinds[kindBlocks] = kind{serve: func(_ *Node, _ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
+	}
+	n.kinds[kindBlocks] = func(_ *Node, _ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
 		n.entered <- struct{}{}
 		<-n.release
 		return MsgErrorMux, body, 0
-	}, series: "blocks."}
+	}
 	addr, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -86,13 +74,10 @@ func startNode(t *testing.T, l lead) servedNode {
 	return n
 }
 
-// series is the counter prefix of the lead kind.
-func (l lead) series() string { return requestKinds[l.request].series }
-
 func (n servedNode) counter(name string) int64 { return n.Metrics().Counter(name).Value() }
 
-// forwardPasses is the number of forward passes the lead kind has run so far.
-func (n servedNode) forwardPasses() int64 { return n.Metrics().Histogram(n.passes).Count() }
+// forwardPasses is the number of own forward passes the node has run so far.
+func (n servedNode) forwardPasses() int64 { return n.Metrics().Histogram("predict").Count() }
 
 func (n servedNode) dial(t *testing.T) net.Conn {
 	t.Helper()
@@ -188,7 +173,7 @@ func TestServerLoopConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := (Member{Role: n.lead.role, Addr: n.addr, ID: servedNodeID}); from != want {
+			if want := (Member{Role: RoleWorker, Addr: n.addr, ID: servedNodeID}); from != want {
 				t.Fatalf("node announced itself as %+v, want %+v", from, want)
 			}
 			if got := n.Roster().Snapshot(); len(got) != 2 {
@@ -261,8 +246,8 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 		}},
 		{"unknown frame type is refused and the connection dropped", func(t *testing.T, n servedNode) {
-			// A reply kind is not a request either.
-			for _, typ := range []byte{0x7F, MsgResultMux} {
+			// A reply kind is not a request either, nor is a retired one.
+			for _, typ := range []byte{0x7F, MsgReply, 7} {
 				conn := n.dial(t)
 				rtyp, text := exchange(t, conn, typ, nil)
 				if rtyp != MsgError || !strings.Contains(string(text), "unknown frame type") {
@@ -273,14 +258,12 @@ func TestServerLoopConformance(t *testing.T) {
 		}},
 		{"request too short for a header is refused and the connection dropped", func(t *testing.T, n servedNode) {
 			whole := requestPayload(requestHeader{id: 1, pin: "v1"}, nil)
-			for _, typ := range []byte{n.request, MsgSplitPredict} {
-				for _, short := range [][]byte{{}, whole[:2], whole[:requestHeaderFixed-1], whole[:len(whole)-1]} {
-					conn := n.dial(t)
-					if rtyp, _ := exchange(t, conn, typ, short); rtyp != MsgError {
-						t.Fatalf("%d-byte frame type %d answered type %d", len(short), typ, rtyp)
-					}
-					expectClosed(t, conn)
+			for _, short := range [][]byte{{}, whole[:2], whole[:requestHeaderFixed-1], whole[:len(whole)-1]} {
+				conn := n.dial(t)
+				if rtyp, _ := exchange(t, conn, MsgDo, short); rtyp != MsgError {
+					t.Fatalf("%d-byte MsgDo answered type %d", len(short), rtyp)
 				}
+				expectClosed(t, conn)
 			}
 		}},
 		{"unknown header version is refused and the connection dropped", func(t *testing.T, n servedNode) {
@@ -291,7 +274,7 @@ func TestServerLoopConformance(t *testing.T) {
 			next[0] = headerVersion + 1
 			for _, payload := range [][]byte{old, next} {
 				conn := n.dial(t)
-				rtyp, text := exchange(t, conn, n.request, payload)
+				rtyp, text := exchange(t, conn, MsgDo, payload)
 				if rtyp != MsgError || !strings.Contains(string(text), "header version") {
 					t.Fatalf("header version %d answered type %d %q", payload[0], rtyp, text)
 				}
@@ -300,7 +283,7 @@ func TestServerLoopConformance(t *testing.T) {
 		}},
 		{"malformed request body costs one MsgErrorMux", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
-			typ, reply := exchange(t, conn, n.request, requestPayload(requestHeader{id: 5}, []byte{0xFF}))
+			typ, reply := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 5}, []byte{0xFF}))
 			if h, text, _ := decodeReplyHeader(reply); typ != MsgErrorMux || h.id != 5 || len(text) == 0 {
 				t.Fatalf("malformed body answered type %d id %d %q", typ, h.id, text)
 			}
@@ -311,14 +294,14 @@ func TestServerLoopConformance(t *testing.T) {
 			// frame killed a `teamnet-moe -mode node` process while SG-MoE-G
 			// expert nodes ran a server loop of their own.
 			conn := n.dial(t)
-			typ, reply := exchange(t, conn, n.request, requestPayload(requestHeader{id: 6}, n.lead.body(tensor.NewRNG(224).Randn(1, 3))))
+			typ, reply := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 6}, ownBody(tensor.NewRNG(224).Randn(1, 3))))
 			if h, text, _ := decodeReplyHeader(reply); typ != MsgErrorMux || h.id != 6 || len(text) == 0 {
 				t.Fatalf("mis-shaped tensor answered type %d id %d %q", typ, h.id, text)
 			}
-			if got := n.counter(n.panics); got != 1 {
-				t.Fatalf("%s = %d, want 1", n.panics, got)
+			if got := n.counter("panics.recovered"); got != 1 {
+				t.Fatalf("panics.recovered = %d, want 1", got)
 			}
-			if rtyp, _ := exchange(t, conn, n.request, requestPayload(requestHeader{id: 7}, n.body)); rtyp != n.reply {
+			if rtyp, _ := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 7}, n.body)); rtyp != MsgReply {
 				t.Fatalf("request after the panic answered type %d", rtyp)
 			}
 		}},
@@ -333,7 +316,7 @@ func TestServerLoopConformance(t *testing.T) {
 				<-n.entered
 			}
 			for _, h := range []requestHeader{{id: 1, budget: 10 * time.Millisecond}, {id: 2}} {
-				if err := transport.WriteFrame(conn, n.request, requestPayload(h, n.body)); err != nil {
+				if err := transport.WriteFrame(conn, MsgDo, requestPayload(h, n.body)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -356,34 +339,35 @@ func TestServerLoopConformance(t *testing.T) {
 					answers[h.id] = typ
 				}
 			}
-			if answers[1] != MsgErrorMux || answers[2] != n.reply {
+			if answers[1] != MsgErrorMux || answers[2] != MsgReply {
 				t.Fatalf("answers by id %v: want the budgeted request expired and the unbudgeted one served", answers)
 			}
-			if name := n.series() + "requests.expired"; n.counter(name) != 1 {
-				t.Fatalf("%s = %d, want 1", name, n.counter(name))
+			if got := n.counter("requests.expired"); got != 1 {
+				t.Fatalf("requests.expired = %d, want 1", got)
 			}
-			if name := n.series() + "requests"; n.counter(name) != 1 {
-				t.Fatalf("%s = %d, want only the unbudgeted request counted as served", name, n.counter(name))
+			if got := n.counter("requests"); got != handlerWindow+1 {
+				t.Fatalf("requests = %d, want the %d blocked ones and the unbudgeted one counted as served", got, handlerWindow)
 			}
 			if got := n.forwardPasses(); got != 1 {
 				t.Fatalf("%d forward passes, want only the unbudgeted request's", got)
 			}
 		}},
-		{"version pin is checked on every kind and empty means any", func(t *testing.T, n servedNode) {
+		{"version pin is checked under every policy and empty means any", func(t *testing.T, n servedNode) {
 			install(t, n.Swap, Model{Version: "v1"})
 			conn := n.dial(t)
-			for _, typ := range []byte{n.request, MsgSplitPredict} {
-				rtyp, reply := exchange(t, conn, typ, requestPayload(requestHeader{id: 3, pin: "v2"}, n.body))
+			x := tensor.NewRNG(225).Randn(1, 4)
+			for _, p := range []Policy{{Gather: Own}, {Gather: Own, Split: SplitAt(1)}, {Gather: Quorum}} {
+				rtyp, reply := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 3, pin: "v2"}, encodeRequest(Request{X: x, Policy: p})))
 				_, text, _ := decodeReplyHeader(reply)
 				if err := workerError(string(text)); rtyp != MsgErrorMux || !errors.Is(err, ErrSplitVersionMismatch) {
-					t.Fatalf("frame type %d pinned to another version answered type %d %q", typ, rtyp, text)
+					t.Fatalf("%+v pinned to another version answered type %d %q", p, rtyp, text)
 				}
 			}
 			if got := n.forwardPasses(); got != 0 {
 				t.Fatalf("%d forward passes for refused requests", got)
 			}
 			for _, pin := range []string{"v1", ""} {
-				if rtyp, reply := exchange(t, conn, n.request, requestPayload(requestHeader{id: 4, pin: pin}, n.body)); rtyp != n.reply {
+				if rtyp, reply := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 4, pin: pin}, n.body)); rtyp != MsgReply {
 					t.Fatalf("pin %q on a node serving v1 answered type %d %q", pin, rtyp, reply)
 				}
 			}
@@ -395,8 +379,8 @@ func TestServerLoopConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			expectClosed(t, poisoned)
-			if name := n.series() + "panics.recovered"; n.counter(name) != 1 {
-				t.Fatalf("%s = %d, want 1", name, n.counter(name))
+			if got := n.counter("panics.recovered"); got != 1 {
+				t.Fatalf("panics.recovered = %d, want 1", got)
 			}
 			expectServing(t, bystander)
 		}},
@@ -433,11 +417,9 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 		}},
 	}
-	for _, l := range leads {
-		for _, row := range rows {
-			t.Run(l.role+"/"+row.name, func(t *testing.T) {
-				row.run(t, startNode(t, l))
-			})
-		}
+	for _, row := range rows {
+		t.Run(RoleWorker+"/"+row.name, func(t *testing.T) {
+			row.run(t, startNode(t))
+		})
 	}
 }

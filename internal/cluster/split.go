@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/nn"
@@ -23,6 +24,35 @@ import (
 // version-mismatched peer (mid-rollout fleet) gets the whole query instead
 // (valid against any version), a transport fault finishes the tail
 // locally, and no peer at all means a plain local forward.
+//
+// A tail is one MsgDo: {Own, SplitAt(k)}, the activation at float64
+// (protocol.go), pinned to the model version the head was computed against
+// by the header's version pin. Version mismatches are a first-class
+// outcome, not a generic error: a mid-rollout fleet has heads and tails from
+// different model versions for a few seconds, and executing a tail against
+// the wrong weights would produce a confidently wrong answer. The serving
+// node refuses with a typed, wire-recognizable error and the caller degrades
+// to whole-query offload (which carries the raw input, valid against any
+// version).
+
+// ErrSplitVersionMismatch reports that the serving peer's model version
+// differs from the version a request was pinned to (for a split request,
+// the version its head was computed against).
+var ErrSplitVersionMismatch = errors.New("cluster: split model version mismatch")
+
+// splitVersionMismatchPrefix is the wire text of a version refusal; the
+// client maps it back to ErrSplitVersionMismatch so callers can branch on
+// errors.Is across the network boundary.
+const splitVersionMismatchPrefix = "split version mismatch: "
+
+// workerError rehydrates a MsgErrorMux text into an error, typed when the
+// text is a version refusal.
+func workerError(text string) error {
+	if strings.HasPrefix(text, splitVersionMismatchPrefix) {
+		return fmt.Errorf("%w: %s", ErrSplitVersionMismatch, strings.TrimPrefix(text, splitVersionMismatchPrefix))
+	}
+	return fmt.Errorf("worker error: %s", text)
+}
 
 // EnableSplit profiles the local expert and installs the online split
 // planner, re-planned at most every replan (0 = the planner default).
@@ -39,7 +69,7 @@ func (m *Master) EnableSplit(replan time.Duration) error {
 		// The pin rides in every split request: size it from the label being
 		// served when the planner asks, not the one served at enable time.
 		WireBytes: func(batch, width int) int {
-			return SplitRequestWireBytes(batch, width, len(m.Local().Version)) + SplitResultWireBytes(batch, m.classes)
+			return doWireBytes(splitTail, len(m.Local().Version), batch, width, m.classes)
 		},
 	}
 	m.mu.Lock()
@@ -88,8 +118,7 @@ func (m *Master) SplitPlanReport(batch int) *split.Report {
 // split.remote, split.explore and split.fallback.* make the offload mix
 // visible on /metrics, and the split.point gauge reports the last boundary
 // executed.
-func (m *Master) splitQuery(ctx context.Context, x *tensor.Tensor, at SplitPoint) (Reply, error) {
-	local := m.Local()
+func (m *Master) splitQuery(ctx context.Context, local *Model, x *tensor.Tensor, at SplitPoint) (Reply, error) {
 	if local.Snapshot == nil {
 		return Reply{}, fmt.Errorf("cluster: split inference requires a local expert")
 	}
@@ -101,8 +130,15 @@ func (m *Master) splitQuery(ctx context.Context, x *tensor.Tensor, at SplitPoint
 	res, err := m.inferSplit(trace.NewContext(ctx, root.Ctx()), x, at, local, tr, root.Ctx())
 	root.EndErr(err)
 	m.metrics.Observe("infer.split.total", time.Since(start))
+	if err == nil {
+		// Like an own answer, a split one is this node's expert's.
+		res.Winners, res.Live, res.Total = make([]int, x.Shape[0]), 1, 1
+	}
 	return res, err
 }
+
+// splitTail is the policy a tail's wire cost is priced under.
+var splitTail = Policy{Gather: Own, Split: SplitAt(0)}
 
 // inferSplit runs one split query on local, loaded once by the caller: the
 // head runs on its snapshot and the tail is pinned to its label, so the pin
@@ -154,7 +190,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 	}
 	if at == n {
 		m.metrics.Counter("split.local").Inc()
-		return splitAnswerLocal(act, at), nil
+		return runSplitTail(snap, act, at), nil
 	}
 
 	p := m.splitPeer(peerAddr)
@@ -165,10 +201,9 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		return res, nil
 	}
 
-	res, rtt, compute, err := p.doSplit(ctx, peerQuery{
-		reqType: MsgSplitPredict, pin: local.Version, series: "split.",
-		payload: encodeSplitRequest(at, act), rows: batch,
-	}, root)
+	q := ownQuery(act, SplitAt(at))
+	q.pin, q.series = local.Version, "split."
+	res, rtt, compute, err := p.doSplit(ctx, q, root)
 	if err == nil {
 		m.metrics.Counter("split.remote").Inc()
 		if pl != nil {
@@ -176,7 +211,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 			if net < 0 {
 				net = 0
 			}
-			wire := SplitRequestWireBytes(batch, act.Size()/batch, len(local.Version)) + SplitResultWireBytes(batch, m.classes)
+			wire := doWireBytes(splitTail, len(local.Version), batch, act.Size()/batch, m.classes)
 			pl.ObservePeer(p.addr, pl.Profile().Boundaries[at].TailFLOPs*float64(batch), compute, wire, net)
 		}
 		return Reply{Probs: res.Probs, Entropy: res.Entropy, Split: at, Peer: p.addr}, nil
@@ -225,27 +260,25 @@ func (m *Master) splitPeer(addr string) *peerConn {
 	return fallback
 }
 
-// splitAnswerLocal turns a completed local forward (act = logits at
-// boundary n) into a Reply with exactly PredictWithEntropy's operations,
-// preserving bit-identity.
-func splitAnswerLocal(logits *tensor.Tensor, at int) Reply {
-	probs := logits.Clone()
-	tensor.SoftmaxRowsInto(probs.Data, probs.Data, probs.Shape[0], probs.Shape[1])
-	ent := tensor.EntropyRows(probs)
-	return Reply{Probs: probs, Entropy: ent.Data, Split: at}
+// runSplitTail finishes the tail [split, Steps) and produces probabilities
+// + entropies with exactly the operations PredictWithEntropy applies after
+// its forward pass, so a tail — remote, recovered locally, or the empty one
+// of a whole-local split — is bit-identical to the full local forward.
+func runSplitTail(snap *nn.Snapshot, x *tensor.Tensor, split int) Reply {
+	t := snap.ForwardRange(x, split, snap.Steps())
+	tensor.SoftmaxRowsInto(t.Data, t.Data, t.Shape[0], t.Shape[1])
+	return Reply{Probs: t, Entropy: tensor.EntropyRows(t).Data, Split: split}
 }
 
 // finishSplitLocally runs the tail [at, Steps) on the local snapshot — the
 // transport-fault recovery path, bit-identical to having never offloaded.
 func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at int, tr *trace.Tracer, root trace.Context) Reply {
 	start := time.Now()
-	t := snap.ForwardRange(act, at, snap.Steps())
-	tensor.SoftmaxRowsInto(t.Data, t.Data, t.Shape[0], t.Shape[1])
-	ent := tensor.EntropyRows(t)
+	rep := runSplitTail(snap, act, at)
 	d := time.Since(start)
 	m.metrics.Observe("split.tail.local", d)
 	tr.Record(root, "split.tail.local", "", "", start, d)
-	return Reply{Probs: t, Entropy: ent.Data, Split: at}
+	return rep
 }
 
 // seedSplitPlanner primes unmeasured peers from the whole-query trace
@@ -271,7 +304,7 @@ func (m *Master) seedSplitPlanner(pl *split.Planner, batch int) {
 		if net < 0 {
 			net = 0
 		}
-		wire := InputWireBytes(batch, inputWidth) + ResultWireBytes(batch, m.classes)
+		wire := doWireBytes(Policy{Gather: Own}, 0, batch, inputWidth, m.classes)
 		pl.SeedPeer(p.addr, prof.TotalFLOPs*float64(batch), comp, wire, net)
 	}
 }
@@ -284,12 +317,12 @@ func (m *Master) seedSplitPlanner(pl *split.Planner, batch int) {
 // histograms stay apart from the whole-query rtt/compute ones: split round
 // trips carry different byte/FLOP mixes, and mixing them would pollute the
 // hedge policy's rtt-p95 seeding.
-func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (res PredictResult, rtt, compute time.Duration, err error) {
+func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (res Reply, rtt, compute time.Duration, err error) {
 	cfg := p.config()
 	tr := p.tracer()
 	if !p.available() {
 		tr.Record(parent, "peer "+p.addr, "", trace.StatusSkipped, time.Now(), 0)
-		return PredictResult{}, 0, 0, errPeerQuarantined{addr: p.addr, state: p.State()}
+		return Reply{}, 0, 0, errPeerQuarantined{addr: p.addr, state: p.State()}
 	}
 	done, stop := joinDone(ctx, p.done)
 	defer stop()

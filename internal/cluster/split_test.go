@@ -8,7 +8,6 @@ import (
 
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // splitZooSpecs mirrors the nn package's range-test zoo: every model family
@@ -227,9 +226,9 @@ func TestSplitNoPeerRunsLocal(t *testing.T) {
 	}
 }
 
-// TestMasterServerServesSplitFrames pins that the fabric listener answers
-// MsgSplitPredict from its master's local expert — a master can offload
-// tails to another master, not just to workers.
+// TestMasterServerServesSplitFrames pins that a master's node answers a
+// split tail ({Own, SplitAt(k)}) from its master's local expert — a master
+// can offload tails to another master, not just to workers.
 func TestMasterServerServesSplitFrames(t *testing.T) {
 	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 43, 2)
 	remote := NewMaster(nil, 10)
@@ -311,18 +310,17 @@ func TestSplitAutoPlans(t *testing.T) {
 	}
 }
 
-// TestSplitWireBytesMatchEncoding pins the planner's byte model against the
-// real codecs.
+// TestSplitWireBytesMatchEncoding pins the planner's byte model — the
+// codec's one size function under a tail's policy — against the real
+// encoding of a tail and its answer.
 func TestSplitWireBytesMatchEncoding(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	act := rng.Randn(4, 33)
 	// The request is priced as its version pin (u16 length + bytes, carried
 	// by the frame header) plus its body.
-	if got, want := SplitRequestWireBytes(4, 33, len("v1.2")), 2+len("v1.2")+len(encodeSplitRequest(5, act)); got != want {
-		t.Fatalf("SplitRequestWireBytes = %d, encoded = %d", got, want)
-	}
-	res := PredictResult{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4)}
-	if got, want := SplitResultWireBytes(4, 10), len(encodeResult(res, transport.EncodeTensor64)); got != want {
-		t.Fatalf("SplitResultWireBytes = %d, encoded = %d", got, want)
+	req := encodeRequest(Request{X: act, Policy: Policy{Gather: Own, Split: SplitAt(5)}})
+	rep := encodeReply(Reply{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4), Winners: make([]int, 4)}, true)
+	if got, want := doWireBytes(splitTail, len("v1.2"), 4, 33, 10), 2+len("v1.2")+len(req)+len(rep); got != want {
+		t.Fatalf("doWireBytes = %d, encoded = %d", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
+	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
@@ -382,16 +383,23 @@ type attemptTiming struct {
 	remote    time.Duration // worker-reported compute time, 0 if no forward pass ran
 }
 
-// peerQuery is one request as every peer round trip sees it.
+// peerQuery is one request as every peer round trip sees it: an Own request
+// for the peer's expert alone.
 type peerQuery struct {
-	reqType byte   // MsgPredictMux (whole query) or MsgSplitPredict (tail)
+	wide    bool   // the tensors travel float64: a split tail (protocol.go)
 	pin     string // model version the peer must be serving; "" = any
-	series  string // prefix of the peer's counters and histograms for this kind: "" or "split."
-	payload []byte // encoded body, shared by all peers of a broadcast
+	series  string // prefix of the peer's counters and histograms: "" or "split."
+	payload []byte // encoded MsgDo body, shared by all peers of a broadcast
 	rows    int    // batch size: a reply must carry exactly this many rows
 }
 
-// do performs one supervised predict round trip on the peer's multiplexed
+// ownQuery is x sent for a peer's own expert alone, entering at boundary at.
+func ownQuery(x *tensor.Tensor, at SplitPoint) peerQuery {
+	p := Policy{Gather: Own, Split: at}
+	return peerQuery{wide: p.wide(), payload: encodeRequest(Request{X: x, Policy: p}), rows: x.Shape[0]}
+}
+
+// do performs one supervised round trip of q on the peer's multiplexed
 // pipeline (mux.go), so concurrent Infer calls share one connection per
 // peer: bounded retries over transient I/O errors with backoff, redialing
 // broken links, feeding the breaker once per link death. Worker-reported
@@ -406,18 +414,18 @@ type peerQuery struct {
 // ctx carries the caller's deadline/cancellation: an expired ctx aborts
 // waits (window, reply, backoff) with the ctx error and WITHOUT feeding the
 // breaker — a caller that stopped waiting is not evidence against the peer.
-func (p *peerConn) do(ctx context.Context, q peerQuery, parent trace.Context) (PredictResult, error) {
+func (p *peerConn) do(ctx context.Context, q peerQuery, parent trace.Context) (Reply, error) {
 	cfg := p.config()
 	tr := p.tracer()
 	if !p.available() {
 		tr.Record(parent, "peer "+p.addr, "", trace.StatusError, time.Now(), 0)
-		return PredictResult{}, errPeerQuarantined{addr: p.addr, state: p.State()}
+		return Reply{}, errPeerQuarantined{addr: p.addr, state: p.State()}
 	}
 	done, stop := joinDone(ctx, p.done)
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
 	p.deposit() // first-attempt volume funds the shared retry budget
-	var res PredictResult
+	var res Reply
 	var err error
 	if delay, hok := p.hedgeDelay(); hok {
 		res, err = p.muxHedged(ctx, cfg, tr, sp.Ctx(), q, delay)

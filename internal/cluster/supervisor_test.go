@@ -255,8 +255,8 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	bad := requestPayload(requestHeader{id: 1}, transport.EncodeTensor(tensor.NewRNG(59).Randn(1, 5)))
-	if err := transport.WriteFrame(conn, MsgPredictMux, bad); err != nil {
+	bad := requestPayload(requestHeader{id: 1}, ownBody(tensor.NewRNG(59).Randn(1, 5)))
+	if err := transport.WriteFrame(conn, MsgDo, bad); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := transport.ReadFrame(conn)
@@ -271,18 +271,18 @@ func TestWorkerRecoversPredictPanic(t *testing.T) {
 	}
 
 	// Same connection, valid request: the goroutine must have survived.
-	good := requestPayload(requestHeader{id: 2}, transport.EncodeTensor(tensor.NewRNG(60).Randn(1, 4)))
-	if err := transport.WriteFrame(conn, MsgPredictMux, good); err != nil {
+	good := requestPayload(requestHeader{id: 2}, ownBody(tensor.NewRNG(60).Randn(1, 4)))
+	if err := transport.WriteFrame(conn, MsgDo, good); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = transport.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if typ != MsgResultMux {
+	if typ != MsgReply {
 		t.Fatalf("post-panic request answered type=%d %q", typ, payload)
 	}
-	if _, err := decodeResult(payload[replyHeaderSize:], transport.DecodeTensor, 1, 3); err != nil {
+	if _, err := decodeReply(payload[replyHeaderSize:], false, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -61,38 +61,39 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
-// TestWireBytesGolden pins every pipelined frame kind, byte for byte: frame
-// length and type, the header, the body. The requests go through the mux
-// client (the first id on a link is 1; no ctx deadline, so budget 0 — the
-// header table in header_test.go pins a non-zero budget), the replies
-// through the server-side writer.
+// TestWireBytesGolden pins the one request kind under each policy shape a
+// node sends — a peer's whole query, a split tail, a gateway's query — and
+// its reply, byte for byte: frame length and type, the header, the body.
+// The requests go through the mux client (the first id on a link is 1; no
+// ctx deadline, so budget 0 — the header table in header_test.go pins a
+// non-zero budget), the replies through the server-side writer.
 func TestWireBytesGolden(t *testing.T) {
 	x := tensor.New(1, 1)
 	x.Data[0] = 0.5
 	traced := trace.NewContext(context.Background(), trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99})
 
 	for _, tc := range []struct {
-		name    string
-		ctx     context.Context
-		reqType byte
-		pin     string
-		body    []byte
-		want    string
+		name string
+		ctx  context.Context
+		pin  string
+		req  Request
+		want string
 	}{
-		{"MsgPredictMux traced", traced, MsgPredictMux, "", transport.EncodeTensor(x), `
-			0000002c 07
+		{"{Own, SplitOff} traced", traced, "", Request{X: x, Policy: Policy{Gather: Own}}, `
+			00000039 12
 			01 00000001 0000000000000000 1122334455667788 0000000000000099 0000
+			03 0000000000000000 00000000
 			02 00000001 00000001 3f000000`},
-		{"MsgFabricPredict quorum", context.Background(), MsgFabricPredict, "", encodeFabricRequest(Request{X: x, Policy: Policy{Gather: Quorum, Soft: 5 * time.Millisecond}}), `
-			00000035 0e
-			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000
-			02 00000000004c4b40
-			02 00000001 00000001 3f000000`},
-		{"MsgSplitPredict pinned", traced, MsgSplitPredict, "v1", encodeSplitRequest(2, x), `
-			00000036 10
+		{"{Own, SplitAt(2)} traced and pinned", traced, "v1", Request{X: x, Policy: Policy{Gather: Own, Split: SplitAt(2)}}, `
+			0000003f 12
 			01 00000001 0000000000000000 1122334455667788 0000000000000099 0002 7631
-			00000002
+			03 0000000000000000 00000003
 			02 00000001 00000001 3fe0000000000000`},
+		{"{Quorum, 5ms}", context.Background(), "", Request{X: x, Policy: Policy{Gather: Quorum, Soft: 5 * time.Millisecond}}, `
+			00000039 12
+			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000
+			02 00000000004c4b40 00000000
+			02 00000001 00000001 3f000000`},
 	} {
 		want := unhex(t, tc.want)
 		got := sent(t, len(want), func(conn net.Conn) {
@@ -100,24 +101,25 @@ func TestWireBytesGolden(t *testing.T) {
 			defer mc.close()
 			done := make(chan struct{})
 			time.AfterFunc(5*time.Second, func() { close(done) })
-			mc.roundTrip(tc.ctx, tc.reqType, tc.pin, tc.body, 0, done)
+			mc.roundTrip(tc.ctx, tc.pin, encodeRequest(tc.req), 0, done)
 		})
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: wire bytes moved\n got %x\nwant %x", tc.name, got, want)
 		}
 	}
 
-	result := EncodeResult(PredictResult{Probs: x, Entropy: []float64{0.25}})
+	reply := encodeReply(Reply{Probs: x, Entropy: []float64{0.25}, Winners: []int{0}, Live: 1, Total: 1}, false)
 	for _, tc := range []struct {
 		name string
 		send func(cw *connWriter) error
 		want string
 	}{
-		{"MsgResultMux", func(cw *connWriter) error {
-			return cw.writeReply(MsgResultMux, replyHeader{id: 0xA1B2C3D4, compute: 3 * time.Millisecond}, result)
+		{"MsgReply", func(cw *connWriter) error {
+			return cw.writeReply(MsgReply, replyHeader{id: 0xA1B2C3D4, compute: 3 * time.Millisecond}, reply)
 		}, `
-			00000026 08
+			00000032 13
 			01 a1b2c3d4 00000000002dc6c0
+			0001 0001 00000001 00000000
 			02 00000001 00000001 3f000000
 			00000001 3fd0000000000000`},
 		{"MsgErrorMux", func(cw *connWriter) error {
@@ -126,11 +128,6 @@ func TestWireBytesGolden(t *testing.T) {
 			00000011 09
 			01 00000009 0000000000000000
 			626f6f6d`},
-		{"MsgFabricResult empty", func(cw *connWriter) error {
-			return cw.writeReply(MsgFabricResult, replyHeader{id: 2}, nil)
-		}, `
-			0000000d 0f
-			01 00000002 0000000000000000`},
 		{"MsgPong", func(cw *connWriter) error { return cw.write(MsgPong, nil) }, `00000000 02`},
 	} {
 		want := unhex(t, tc.want)
@@ -178,7 +175,7 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			payload := bytes.Repeat([]byte{mark}, 64)
-			r, _, err := mc.roundTrip(ctx, MsgPredictMux, "", payload, 0, ctx.Done())
+			r, _, err := mc.roundTrip(ctx, "", payload, 0, ctx.Done())
 			if err == nil && !bytes.Equal(r.payload, payload) {
 				err = io.ErrUnexpectedEOF // someone else's reply
 			}
@@ -211,14 +208,14 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 	cw := &connWriter{conn: far}
 	for i := 0; i <= k; i++ {
 		typ, payload, err := transport.ReadFrame(far)
-		if err != nil || typ != MsgPredictMux {
+		if err != nil || typ != MsgDo {
 			t.Fatalf("frame %d: type %d err %v", i, typ, err)
 		}
 		h, body, err := decodeRequestHeader(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go cw.writeReply(MsgResultMux, replyHeader{id: h.id}, body)
+		go cw.writeReply(MsgReply, replyHeader{id: h.id}, body)
 	}
 	wg.Wait()
 	close(errs)
@@ -257,7 +254,7 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 				return
 			}
 			h, _, _ := decodeRequestHeader(payload)
-			if cw.writeReply(MsgResultMux, replyHeader{id: h.id}, ack) != nil {
+			if cw.writeReply(MsgReply, replyHeader{id: h.id}, ack) != nil {
 				return
 			}
 		}
@@ -274,7 +271,7 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := mc.roundTrip(ctx, MsgPredictMux, "", payload, 0, nil); err != nil {
+		if _, _, err := mc.roundTrip(ctx, "", payload, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

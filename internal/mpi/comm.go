@@ -1,8 +1,9 @@
 // Package mpi implements the message-passing substrate behind the paper's
 // three baseline parallelization schemes (MPI-Matrix, MPI-Kernel,
 // MPI-Branch) and the SG-MoE-M transport: a fixed-size world of ranks with
-// point-to-point sends and root-centric collectives, running over any
-// net.Conn mesh (in-process pipes in tests, TCP in deployments).
+// point-to-point sends and root-centric collectives, running over a mesh of
+// in-process pipes (NewLocalWorld) that still carries every tensor through
+// the real wire encoding.
 //
 // The substrate deliberately mirrors how the paper uses MPI: per-layer
 // collectives whose frequency — not sophistication — is what makes the MPI
@@ -19,7 +20,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
@@ -80,83 +80,6 @@ func NewLocalWorld(n int) []*Comm {
 		}
 	}
 	return comms
-}
-
-// ConnectTCP assembles a world over TCP: rank r listens on addrs[r],
-// accepts connections from lower ranks, and dials higher ranks. All ranks
-// must call ConnectTCP concurrently with the same address list.
-func ConnectTCP(rank int, addrs []string) (*Comm, error) {
-	n := len(addrs)
-	if rank < 0 || rank >= n {
-		return nil, fmt.Errorf("mpi: rank %d outside world of %d", rank, n)
-	}
-	c := &Comm{rank: rank, size: n, peers: make([]net.Conn, n)}
-	ln, err := net.Listen("tcp", addrs[rank])
-	if err != nil {
-		return nil, fmt.Errorf("mpi: rank %d listen %s: %w", rank, addrs[rank], err)
-	}
-	defer ln.Close()
-
-	errc := make(chan error, 1)
-	var wg sync.WaitGroup
-	// Accept one connection from every lower rank; the peer identifies
-	// itself with a one-byte rank header.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < rank; i++ {
-			conn, err := ln.Accept()
-			if err != nil {
-				select {
-				case errc <- fmt.Errorf("mpi: rank %d accept: %w", rank, err):
-				default:
-				}
-				return
-			}
-			var hdr [1]byte
-			if _, err := conn.Read(hdr[:]); err != nil {
-				select {
-				case errc <- fmt.Errorf("mpi: rank %d read peer rank: %w", rank, err):
-				default:
-				}
-				return
-			}
-			c.peers[hdr[0]] = conn
-		}
-	}()
-	// Dial every higher rank.
-	for peer := rank + 1; peer < n; peer++ {
-		conn, err := dialRetry(addrs[peer])
-		if err != nil {
-			return nil, fmt.Errorf("mpi: rank %d dial rank %d: %w", rank, peer, err)
-		}
-		if _, err := conn.Write([]byte{byte(rank)}); err != nil {
-			return nil, fmt.Errorf("mpi: rank %d identify to %d: %w", rank, peer, err)
-		}
-		c.peers[peer] = conn
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return nil, err
-	default:
-	}
-	return c, nil
-}
-
-// dialRetry gives a peer a second to reach its Listen (unpaused, a hundred
-// refused dials last ~3 ms), so ranks can start in any order on a busy host.
-func dialRetry(addr string) (net.Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt < 100; attempt++ {
-		conn, err := net.Dial("tcp", addr)
-		if err == nil {
-			return conn, nil
-		}
-		lastErr = err
-		time.Sleep(10 * time.Millisecond)
-	}
-	return nil, lastErr
 }
 
 // Close tears down all peer links.

@@ -209,35 +209,6 @@ func TestExchangeBothDirections(t *testing.T) {
 	})
 }
 
-func TestConnectTCPWorld(t *testing.T) {
-	addrs := []string{"127.0.0.1:39141", "127.0.0.1:39142", "127.0.0.1:39143"}
-	comms := make([]*Comm, 3)
-	errs := make([]error, 3)
-	var wg sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			comms[r], errs[r] = ConnectTCP(r, addrs)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d connect: %v", r, err)
-		}
-	}
-	defer closeWorld(comms)
-	got := runWorld(t, comms, func(c *Comm) (*tensor.Tensor, error) {
-		return c.AllreduceSum(tensor.FromSlice([]float64{float64(c.Rank())}, 1))
-	})
-	for _, g := range got {
-		if g.Data[0] != 3 {
-			t.Fatalf("TCP allreduce = %v", g.Data[0])
-		}
-	}
-}
-
 func TestMatrixInferenceMatchesLocal(t *testing.T) {
 	rng := tensor.NewRNG(2)
 	net, err := nn.MLPSpec{Label: "m", Input: 20, Width: 16, Layers: 4, Classes: 5}.Build(rng)

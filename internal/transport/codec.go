@@ -15,7 +15,7 @@ import (
 
 // EncodeTensor serializes t into a fresh byte slice.
 func EncodeTensor(t *tensor.Tensor) []byte {
-	buf := make([]byte, tensorWireSize(t))
+	buf := make([]byte, TensorWireSize(t))
 	n := EncodeTensorInto(buf, t)
 	return buf[:n]
 }
@@ -23,6 +23,17 @@ func EncodeTensor(t *tensor.Tensor) []byte {
 // EncodeTensorInto writes t into buf (which must be large enough) and
 // returns the encoded length.
 func EncodeTensorInto(buf []byte, t *tensor.Tensor) int {
+	off := encodeShape(buf, t)
+	for _, v := range t.Data {
+		binary.BigEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
+		off += 4
+	}
+	return off
+}
+
+// encodeShape writes the rank and dims both tensor encodings start with and
+// returns the offset of the first value.
+func encodeShape(buf []byte, t *tensor.Tensor) int {
 	if len(t.Shape) > 255 {
 		panic("transport: tensor rank exceeds 255")
 	}
@@ -30,10 +41,6 @@ func EncodeTensorInto(buf []byte, t *tensor.Tensor) int {
 	off := 1
 	for _, d := range t.Shape {
 		binary.BigEndian.PutUint32(buf[off:], uint32(d))
-		off += 4
-	}
-	for _, v := range t.Data {
-		binary.BigEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
 		off += 4
 	}
 	return off
@@ -108,7 +115,8 @@ func decodeShape(data []byte, elem int, what string, dst []*tensor.Tensor) (*ten
 	return t, off, nil
 }
 
-func tensorWireSize(t *tensor.Tensor) int {
+// TensorWireSize reports how many bytes t occupies in this encoding.
+func TensorWireSize(t *tensor.Tensor) int {
 	return 1 + 4*len(t.Shape) + 4*t.Size()
 }
 
@@ -116,11 +124,18 @@ func tensorWireSize(t *tensor.Tensor) int {
 // control values like entropies where quantization would perturb arg-mins).
 func EncodeFloats(vs []float64) []byte {
 	buf := make([]byte, 4+8*len(vs))
+	EncodeFloatsInto(buf, vs)
+	return buf
+}
+
+// EncodeFloatsInto writes vs into buf (which must hold 4+8·len(vs) bytes)
+// and returns the encoded length.
+func EncodeFloatsInto(buf []byte, vs []float64) int {
 	binary.BigEndian.PutUint32(buf, uint32(len(vs)))
 	for i, v := range vs {
 		binary.BigEndian.PutUint64(buf[4+8*i:], math.Float64bits(v))
 	}
-	return buf
+	return 4 + 8*len(vs)
 }
 
 // DecodeFloats parses a float64 slice, returning the values and bytes used.

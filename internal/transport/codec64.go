@@ -18,21 +18,19 @@ import (
 
 // EncodeTensor64 serializes t at full float64 precision.
 func EncodeTensor64(t *tensor.Tensor) []byte {
-	if len(t.Shape) > 255 {
-		panic("transport: tensor rank exceeds 255")
-	}
 	buf := make([]byte, Tensor64WireSize(t))
-	buf[0] = byte(len(t.Shape))
-	off := 1
-	for _, d := range t.Shape {
-		binary.BigEndian.PutUint32(buf[off:], uint32(d))
-		off += 4
-	}
+	return buf[:EncodeTensor64Into(buf, t)]
+}
+
+// EncodeTensor64Into writes t at full precision into buf (which must be
+// large enough) and returns the encoded length.
+func EncodeTensor64Into(buf []byte, t *tensor.Tensor) int {
+	off := encodeShape(buf, t)
 	for _, v := range t.Data {
 		binary.BigEndian.PutUint64(buf[off:], math.Float64bits(v))
 		off += 8
 	}
-	return buf[:off]
+	return off
 }
 
 // DecodeTensor64 parses a full-precision tensor from data, returning the

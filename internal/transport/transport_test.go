@@ -83,8 +83,8 @@ func TestTensorCodecRoundTrip(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	src := rng.Randn(3, 4)
 	data := EncodeTensor(src)
-	if len(data) != tensorWireSize(src) {
-		t.Fatalf("encoded %d bytes, wire size says %d", len(data), tensorWireSize(src))
+	if len(data) != TensorWireSize(src) {
+		t.Fatalf("encoded %d bytes, wire size says %d", len(data), TensorWireSize(src))
 	}
 	got, used, err := DecodeTensor(data)
 	if err != nil {
