@@ -70,7 +70,8 @@ loc:
 # TestPushedMasterPinsSplitTailsToTheNewLabel, TestPublishIsOneStore; the
 # short half also runs cmd/teamnet-serve TestCutoverSwapsWeightsOnASingleNode
 # and internal/cli TestBundleLabelsAgreeAcrossBinaries) — the MsgDo codec's
-# seed corpora (codec_test.go: TestDecodeRequestSeedCorpus,
+# seed corpora (codec_test.go: TestDecodeSplitRequestSeedCorpus,
+# TestDecodeRequestSeedCorpus, TestDecodeSplitResultSeedCorpus,
 # TestDecodeResultSeedCorpus, which hold the hostile replies of
 # hostile_test.go), the direct-convolution kernel tests
 # (internal/tensor conv_test.go: TestConvDirectMatchesReference over the

@@ -13,11 +13,13 @@ import (
 )
 
 // Tests of the MsgDo codec (protocol.go): a round trip under every policy
-// shape, and one fuzz target per direction. Request and reply bodies arrive
-// from the network, so the decoders must be total — any byte string either
-// parses into a value whose re-encoding is a prefix of the bytes decoded
-// (retraction), or fails cleanly. The seed corpora run as ordinary tests on
-// every `make verify`, the fuzz engines on demand via `go test -fuzz`.
+// shape, and fuzz targets over both directions — for requests, split tails
+// and every other policy shape; for replies, one target per way an asker
+// reads them. Request and reply bodies arrive from the network, so the
+// decoders must be total — any byte string either parses into a value whose
+// re-encoding is a prefix of the bytes decoded (retraction), or fails
+// cleanly. The seed corpora run as ordinary tests on every `make verify`,
+// the fuzz engines on demand via `go test -fuzz`.
 
 // TestDoCodecRoundTrip: every policy shape survives the wire, its tensor at
 // the precision the policy names — float32 for a whole query, bit for bit
@@ -124,26 +126,22 @@ type requestSeed struct {
 	ok   bool
 }
 
-// requestSeeds covers the request grammar: valid bodies of every policy
-// shape, every truncation point, a tensor header that lies about its size,
-// and a policy no build sends. (The version pin is the frame header's:
-// header_test.go.)
-func requestSeeds() []requestSeed {
+// splitTailBody is x as the MsgDo body a master sends the peer running its
+// tail from boundary at: {Own, SplitAt(at)}.
+func splitTailBody(at int, x *tensor.Tensor) []byte {
+	return encodeRequest(Request{X: x, Policy: Policy{Gather: Own, Split: SplitAt(at)}})
+}
+
+// splitRequestSeeds covers the request grammar as a split tail sends it:
+// valid bodies, every truncation point, and a tensor header that lies about
+// its size. (The version pin is the frame header's: header_test.go.)
+func splitRequestSeeds() []requestSeed {
 	rng := tensor.NewRNG(17)
-	tail := func(at int, x *tensor.Tensor) []byte {
-		return encodeRequest(Request{X: x, Policy: Policy{Gather: Own, Split: SplitAt(at)}})
-	}
-	valid := tail(3, rng.Randn(2, 5))
+	valid := splitTailBody(3, rng.Randn(2, 5))
 	prefix := valid[:requestPrefixSize:requestPrefixSize]
-	x := rng.Randn(2, 5)
-	pastOwn := encodeRequest(Request{X: x, Policy: Policy{Gather: Own}})
-	pastOwn[0]++
-	softOverflow := encodeRequest(Request{X: x, Policy: Policy{Gather: Quorum}})
-	softOverflow[1] = 0x80
-	belowAuto := encodeRequest(Request{X: x, Policy: Policy{Gather: Own, Split: SplitAuto - 1}})
 	return []requestSeed{
 		{valid, true},
-		{tail(0, rng.Randn(1, 1)), true},
+		{splitTailBody(0, rng.Randn(1, 1)), true},
 		{[]byte{}, false},
 		{valid[:requestPrefixSize-1], false}, // truncated inside the split field
 		{prefix, false},                      // the policy, no tensor
@@ -151,6 +149,19 @@ func requestSeeds() []requestSeed {
 		{append(prefix, 255), false},         // tensor rank 255 with no dims
 		// tensor dims whose product overflows the element cap
 		{append(prefix, 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), false},
+	}
+}
+
+// requestSeeds covers the rest of the request grammar: the policy shapes a
+// whole query takes, and policies no build sends.
+func requestSeeds() []requestSeed {
+	x := tensor.NewRNG(18).Randn(2, 5)
+	pastOwn := encodeRequest(Request{X: x, Policy: Policy{Gather: Own}})
+	pastOwn[0]++
+	softOverflow := encodeRequest(Request{X: x, Policy: Policy{Gather: Quorum}})
+	softOverflow[1] = 0x80
+	belowAuto := encodeRequest(Request{X: x, Policy: Policy{Gather: Own, Split: SplitAuto - 1}})
+	return []requestSeed{
 		{encodeRequest(Request{X: x, Policy: Policy{Gather: Own}}), true},
 		{encodeRequest(Request{X: x, Policy: Policy{Gather: Quorum, Soft: 5 * time.Millisecond}}), true},
 		{pastOwn, false},      // a gather rule past the last one
@@ -159,7 +170,7 @@ func requestSeeds() []requestSeed {
 		{encodeRequest(Request{X: x, Policy: Policy{Gather: Own, Split: SplitAuto}}), true},
 		{belowAuto, false}, // a split point below SplitAuto
 		// a float32-length tensor under a split, which reads float64
-		{append(tail(1, x)[:requestPrefixSize:requestPrefixSize], transport.EncodeTensor(x)...), false},
+		{append(splitTailBody(1, x)[:requestPrefixSize:requestPrefixSize], transport.EncodeTensor(x)...), false},
 	}
 }
 
@@ -187,6 +198,28 @@ func checkRequestBytes(t *testing.T, data []byte) error {
 	return nil
 }
 
+func checkRequestSeeds(t *testing.T, seeds []requestSeed) {
+	t.Helper()
+	for i, s := range seeds {
+		if err := checkRequestBytes(t, s.body); (err == nil) != s.ok {
+			t.Fatalf("seed %d: err %v, want decoded=%v", i, err, s.ok)
+		}
+	}
+}
+
+func FuzzDecodeSplitRequest(f *testing.F) {
+	for _, s := range splitRequestSeeds() {
+		f.Add(s.body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRequestBytes(t, data)
+	})
+}
+
+func TestDecodeSplitRequestSeedCorpus(t *testing.T) {
+	checkRequestSeeds(t, splitRequestSeeds())
+}
+
 func FuzzDecodeRequest(f *testing.F) {
 	for _, s := range requestSeeds() {
 		f.Add(s.body)
@@ -197,71 +230,87 @@ func FuzzDecodeRequest(f *testing.F) {
 }
 
 func TestDecodeRequestSeedCorpus(t *testing.T) {
-	for i, s := range requestSeeds() {
-		if err := checkRequestBytes(t, s.body); (err == nil) != s.ok {
-			t.Fatalf("seed %d: err %v, want decoded=%v", i, err, s.ok)
-		}
-	}
+	checkRequestSeeds(t, requestSeeds())
 }
 
-// replySeed is one reply body of the corpus, the request it claims to
-// answer — its precision, its rows, its classes (0: unchecked, as at a
-// gateway) — and whether it decodes as that answer.
-type replySeed struct {
-	body          []byte
+// reading is how an asker reads a reply: at the precision its request named,
+// expecting its rows and its classes (0: unchecked, as at a gateway).
+type reading struct {
 	wide          bool
 	rows, classes uint8
-	ok            bool
 }
 
-// replySeeds covers the reply grammar as the three askers read it — a
-// master reading a peer's 2×3 answer, a master reading a 3×4 tail, a
-// gateway reading a master's 2-row answer — with trailing bytes the decoder
-// ignores, truncations, rows, classes, winners or entropies short of what
-// was asked, a lying tensor header, and a reply too short for the precision
-// it is read at.
+// The three askers of the seed corpora.
+var (
+	peerReading    = reading{false, 2, 3} // a master reading a peer's answer to a 2-row query of a 3-class model
+	tailReading    = reading{true, 3, 4}  // a master reading a peer's 3×4 split tail
+	gatewayReading = reading{false, 2, 0} // a gateway reading a master's answer to a 2-row request
+)
+
+// replySeed is one reply body of the corpus, how it is read, and whether it
+// decodes as that answer.
+type replySeed struct {
+	body []byte
+	reading
+	ok bool
+}
+
+func trailer(b []byte) []byte { return append(b[:len(b):len(b)], 0xDE, 0xAD) }
+
+// replySeeds covers the reply grammar as a master reads a peer's answer —
+// trailing bytes the decoder ignores, truncations, rows or classes short of
+// what was asked, a lying tensor header — and a reply too short for the
+// precision it is read at.
 func replySeeds() []replySeed {
-	rng := tensor.NewRNG(216)
-	var seeds []replySeed
-	add := func(body []byte, wide bool, rows, classes uint8, ok bool) {
-		seeds = append(seeds, replySeed{body, wide, rows, classes, ok})
+	peer := encodeReply(Reply{Probs: tensor.NewRNG(216).RandUniform(0, 1, 2, 3), Entropy: []float64{0.1, 0.9}, Winners: []int{0, 0}, Live: 1, Total: 1}, false)
+	seeds := []replySeed{
+		{peer, peerReading, true},
+		{trailer(peer), peerReading, true},
+		{[]byte{}, peerReading, false},
+		{peer[:5], peerReading, false},
+		{peer[:len(peer)-3], peerReading, false},
 	}
-	trailer := func(b []byte) []byte { return append(b[:len(b):len(b)], 0xDE, 0xAD) }
-
-	peer := encodeReply(Reply{Probs: rng.RandUniform(0, 1, 2, 3), Entropy: []float64{0.1, 0.9}, Winners: []int{0, 0}, Live: 1, Total: 1}, false)
-	add(peer, false, 2, 3, true)
-	add(trailer(peer), false, 2, 3, true)
-	add([]byte{}, false, 2, 3, false)
-	add(peer[:5], false, 2, 3, false)
-	add(peer[:len(peer)-3], false, 2, 3, false)
 	for _, body := range sortedBodies(hostileResults()) {
-		add(body, false, 2, 3, false)
+		seeds = append(seeds, replySeed{body, peerReading, false})
 	}
-
-	rng = tensor.NewRNG(19)
-	tail := encodeReply(Reply{Probs: rng.RandUniform(0, 1, 3, 4), Entropy: []float64{0.1, 0.5, 0.9}, Winners: make([]int, 3), Live: 1, Total: 1}, true)
-	add(tail, true, 3, 4, true)
-	add(trailer(tail), true, 3, 4, true)
-	add(encodeReply(Reply{Probs: rng.Randn(3, 4), Entropy: []float64{0.1}, Winners: make([]int, 3)}, true), true, 3, 4, false) // one entropy for three rows
-	add(encodeReply(Reply{Probs: rng.Randn(4), Entropy: []float64{0.1, 0.1, 0.1}, Winners: make([]int, 3)}, true), true, 3, 4, false)
-	add([]byte{}, true, 3, 4, false)
-	add(tail[:5], true, 3, 4, false)
-	add(tail[:len(tail)-3], true, 3, 4, false)
-
-	master := encodeReply(Reply{Probs: tensor.NewRNG(217).RandUniform(0, 1, 2, 3), Entropy: []float64{0.2, 0.4}, Winners: []int{1, 0}, Live: 2, Total: 3}, false)
-	add(master, false, 2, 0, true)
-	add([]byte{}, false, 2, 0, false)
-	add(master[:7], false, 2, 0, false)
-	add(master[:len(master)-3], false, 2, 0, false)
-	for _, body := range sortedBodies(hostileFabricResults()) {
-		add(body, false, 2, 0, false)
-	}
-
 	winners := replyPrefix(2)
-	add(append(winners[:len(winners):len(winners)], 255), false, 2, 3, false) // probs rank 255 with no dims
-	add(append(winners[:len(winners):len(winners)], 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), false, 2, 3, false)
-	add([]byte{0, 1, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, false, 2, 3, false) // 2^32-1 winners, no bytes for them
-	add(peer, true, 2, 3, false)                                        // a whole-query reply read as a tail's
+	return append(seeds,
+		replySeed{append(winners[:len(winners):len(winners)], 255), peerReading, false}, // probs rank 255 with no dims
+		replySeed{append(winners[:len(winners):len(winners)], 2, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF), peerReading, false},
+		replySeed{[]byte{0, 1, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF}, peerReading, false}, // 2^32-1 winners, no bytes for them
+		replySeed{peer, reading{true, 2, 3}, false},                               // a whole-query reply read as a tail's
+	)
+}
+
+// splitReplySeeds covers the reply grammar as a master reads a 3×4 tail,
+// including entropies short of the rows and a rank-1 tensor.
+func splitReplySeeds() []replySeed {
+	rng := tensor.NewRNG(19)
+	tail := encodeReply(Reply{Probs: rng.RandUniform(0, 1, 3, 4), Entropy: []float64{0.1, 0.5, 0.9}, Winners: make([]int, 3), Live: 1, Total: 1}, true)
+	return []replySeed{
+		{tail, tailReading, true},
+		{trailer(tail), tailReading, true},
+		{encodeReply(Reply{Probs: rng.Randn(3, 4), Entropy: []float64{0.1}, Winners: make([]int, 3)}, true), tailReading, false}, // one entropy for three rows
+		{encodeReply(Reply{Probs: rng.Randn(4), Entropy: []float64{0.1, 0.1, 0.1}, Winners: make([]int, 3)}, true), tailReading, false},
+		{[]byte{}, tailReading, false},
+		{tail[:5], tailReading, false},
+		{tail[:len(tail)-3], tailReading, false},
+	}
+}
+
+// fabricReplySeeds covers the reply grammar as a gateway reads a master's
+// 2-row answer, including winners short of the rows.
+func fabricReplySeeds() []replySeed {
+	master := encodeReply(Reply{Probs: tensor.NewRNG(217).RandUniform(0, 1, 2, 3), Entropy: []float64{0.2, 0.4}, Winners: []int{1, 0}, Live: 2, Total: 3}, false)
+	seeds := []replySeed{
+		{master, gatewayReading, true},
+		{[]byte{}, gatewayReading, false},
+		{master[:7], gatewayReading, false},
+		{master[:len(master)-3], gatewayReading, false},
+	}
+	for _, body := range sortedBodies(hostileFabricResults()) {
+		seeds = append(seeds, replySeed{body, gatewayReading, false})
+	}
 	return seeds
 }
 
@@ -271,34 +320,69 @@ func replyPrefix(n int) []byte {
 	return encodeReply(Reply{Probs: tensor.New(0), Winners: make([]int, n), Live: 1, Total: 1}, false)[:replyPrefixSize+4*n]
 }
 
-func checkReplyBytes(t *testing.T, data []byte, wide bool, rows, classes uint8) error {
+// checkReplyBytes is the invariant every reply fuzz target and seed corpus
+// test enforces: data read as r is refused or is exactly the answer r asked
+// for.
+func checkReplyBytes(t *testing.T, data []byte, r reading) error {
 	t.Helper()
-	rep, err := decodeReply(data, wide, int(rows), int(classes))
+	rep, err := decodeReply(data, r.wide, int(r.rows), int(r.classes))
 	if err != nil {
 		return err
 	}
-	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != int(rows) || (classes > 0 && sh[1] != int(classes)) || len(rep.Winners) != int(rows) || len(rep.Entropy) != int(rows) {
-		t.Fatalf("accepted shape %v with %d winners and %d entropies for %d rows of %d classes", sh, len(rep.Winners), len(rep.Entropy), rows, classes)
+	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != int(r.rows) || (r.classes > 0 && sh[1] != int(r.classes)) || len(rep.Winners) != int(r.rows) || len(rep.Entropy) != int(r.rows) {
+		t.Fatalf("accepted shape %v with %d winners and %d entropies for %d rows of %d classes", sh, len(rep.Winners), len(rep.Entropy), r.rows, r.classes)
 	}
-	if got := encodeReply(rep, wide); !bytes.HasPrefix(data, got) {
+	if got := encodeReply(rep, r.wide); !bytes.HasPrefix(data, got) {
 		t.Fatalf("re-encoding (%d bytes) is not a prefix of the %d bytes decoded", len(got), len(data))
 	}
 	return nil
 }
 
+func checkReplySeeds(t *testing.T, seeds []replySeed) {
+	t.Helper()
+	for i, s := range seeds {
+		if err := checkReplyBytes(t, s.body, s.reading); (err == nil) != s.ok {
+			t.Fatalf("seed %d: err %v, want decoded=%v", i, err, s.ok)
+		}
+	}
+}
+
+// FuzzDecodeResult fuzzes the reading along with the bytes.
 func FuzzDecodeResult(f *testing.F) {
 	for _, s := range replySeeds() {
 		f.Add(s.body, s.wide, s.rows, s.classes)
 	}
 	f.Fuzz(func(t *testing.T, data []byte, wide bool, rows, classes uint8) {
-		checkReplyBytes(t, data, wide, rows, classes)
+		checkReplyBytes(t, data, reading{wide, rows, classes})
 	})
 }
 
 func TestDecodeResultSeedCorpus(t *testing.T) {
-	for i, s := range replySeeds() {
-		if err := checkReplyBytes(t, s.body, s.wide, s.rows, s.classes); (err == nil) != s.ok {
-			t.Fatalf("seed %d: err %v, want decoded=%v", i, err, s.ok)
-		}
+	checkReplySeeds(t, replySeeds())
+	checkReplySeeds(t, fabricReplySeeds())
+}
+
+// FuzzDecodeSplitResult fuzzes bytes read as a master reads a 3×4 tail.
+func FuzzDecodeSplitResult(f *testing.F) {
+	for _, s := range splitReplySeeds() {
+		f.Add(s.body)
 	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReplyBytes(t, data, tailReading)
+	})
+}
+
+func TestDecodeSplitResultSeedCorpus(t *testing.T) {
+	checkReplySeeds(t, splitReplySeeds())
+}
+
+// FuzzDecodeFabricResult fuzzes bytes read as a gateway reads a master's
+// 2-row answer.
+func FuzzDecodeFabricResult(f *testing.F) {
+	for _, s := range fabricReplySeeds() {
+		f.Add(s.body)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReplyBytes(t, data, gatewayReading)
+	})
 }

@@ -15,8 +15,9 @@ import (
 // bytes say, the receiver must turn a reply of the wrong shape into a decode
 // error (a link fault, one breaker strike) — never index into it. The
 // rank-0 body below killed the whole serving process before the decoders
-// checked rank. The fuzz target over the same decoder is FuzzDecodeResult
-// (codec_test.go), whose corpus holds these bodies.
+// checked rank. The fuzz targets over the same decoder, read as a master
+// and as a gateway read it, are FuzzDecodeResult and FuzzDecodeFabricResult
+// (codec_test.go), whose corpora hold these bodies.
 
 // hostileResults are MsgReply bodies that parse as far as the probabilities
 // but do not answer a peer's 2-row query of a 3-class model.
@@ -161,7 +162,7 @@ func TestHostileWorkerReplyIsALinkFault(t *testing.T) {
 
 func TestHostileMasterReplyIsAnError(t *testing.T) {
 	x := tensor.NewRNG(215).Randn(2, 4)
-	for name, reply := range hostileReplies(hostileFabricResults(), replySeeds()[0].body) {
+	for name, reply := range hostileReplies(hostileFabricResults(), fabricReplySeeds()[0].body) {
 		t.Run(name, func(t *testing.T) {
 			rm := NewRemoteMaster(cannedReplier(t, MsgReply, reply), 2*time.Second)
 			defer rm.Close()

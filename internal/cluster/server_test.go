@@ -18,18 +18,38 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Conformance test for the server loop (server.go). Every row runs once,
-// against a worker Node — a snapshot and a master without peers — leading
-// with the request a master sends each peer: {Own, SplitOff}, the node's own
-// expert. There is one request kind, so the header verdicts (short, unknown
-// version, expired, pinned) and the one set of serving counters cover every
-// policy.
+// Conformance test for the server loop (server.go). Every row runs against a
+// Node that has a snapshot and a master without peers, once per policy a
+// client leads with: the header verdicts (short, unknown version, expired,
+// pinned) and the serving counters must come out the same whether the
+// request asks for the node's own expert — {Own}, what a master sends each
+// peer — or for the master's combined answer — {Strict}, what a gateway
+// sends. The node is built under the role whose traffic that is.
 
-// servedNode is one node under test.
+// lead is the request a run of the rows drives.
+type lead struct {
+	role   string
+	gather Gather
+	passes string // the histogram that counts its forward passes
+	panics string // the counter of panics recovered inside its forward pass
+}
+
+var leads = []lead{
+	{RoleWorker, Own, "predict", "panics.recovered"},
+	{RoleMaster, Strict, "infer.total", "local.panics_recovered"},
+}
+
+// body is x as a MsgDo body under the lead's policy.
+func (l lead) body(x *tensor.Tensor) []byte {
+	return encodeRequest(Request{X: x, Policy: Policy{Gather: l.gather}})
+}
+
+// servedNode is one node under test and the request the rows lead with.
 type servedNode struct {
 	*Node
+	lead
 	addr string
-	body []byte // a well-formed request body for the node's expert
+	body []byte // a well-formed request body of the lead's policy
 	// The injected blocking handler signals entered when it starts and
 	// returns once release is closed.
 	entered chan struct{}
@@ -45,17 +65,15 @@ const (
 const servedNodeID = 300
 
 // ownBody is x as a MsgDo body for the node's own expert.
-func ownBody(x *tensor.Tensor) []byte {
-	return encodeRequest(Request{X: x, Policy: Policy{Gather: Own}})
-}
+func ownBody(x *tensor.Tensor) []byte { return lead{gather: Own}.body(x) }
 
 // startNode builds a fresh node with two extra request kinds — one that
 // panics, one that blocks — and starts it listening.
-func startNode(t *testing.T) servedNode {
+func startNode(t *testing.T, l lead) servedNode {
 	t.Helper()
 	m := NewMaster(tinyExpert(t, 220), 3)
-	n := servedNode{Node: NewNode(RoleWorker, m, servedNodeID), entered: make(chan struct{}, 1), release: make(chan struct{})}
-	n.body = ownBody(tensor.NewRNG(222).Randn(1, 4))
+	n := servedNode{Node: NewNode(l.role, m, servedNodeID), lead: l, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	n.body = l.body(tensor.NewRNG(222).Randn(1, 4))
 	t.Cleanup(func() { n.Close(); m.Close() })
 	n.kinds = maps.Clone(requestKinds)
 	n.kinds[kindPanics] = func(*Node, context.Context, *Model, []byte) (byte, []byte, time.Duration) {
@@ -76,8 +94,9 @@ func startNode(t *testing.T) servedNode {
 
 func (n servedNode) counter(name string) int64 { return n.Metrics().Counter(name).Value() }
 
-// forwardPasses is the number of own forward passes the node has run so far.
-func (n servedNode) forwardPasses() int64 { return n.Metrics().Histogram("predict").Count() }
+// forwardPasses is the number of forward passes the lead's requests have run
+// so far.
+func (n servedNode) forwardPasses() int64 { return n.Metrics().Histogram(n.passes).Count() }
 
 func (n servedNode) dial(t *testing.T) net.Conn {
 	t.Helper()
@@ -173,7 +192,7 @@ func TestServerLoopConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := (Member{Role: RoleWorker, Addr: n.addr, ID: servedNodeID}); from != want {
+			if want := (Member{Role: n.lead.role, Addr: n.addr, ID: servedNodeID}); from != want {
 				t.Fatalf("node announced itself as %+v, want %+v", from, want)
 			}
 			if got := n.Roster().Snapshot(); len(got) != 2 {
@@ -294,12 +313,12 @@ func TestServerLoopConformance(t *testing.T) {
 			// frame killed a `teamnet-moe -mode node` process while SG-MoE-G
 			// expert nodes ran a server loop of their own.
 			conn := n.dial(t)
-			typ, reply := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 6}, ownBody(tensor.NewRNG(224).Randn(1, 3))))
+			typ, reply := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 6}, n.lead.body(tensor.NewRNG(224).Randn(1, 3))))
 			if h, text, _ := decodeReplyHeader(reply); typ != MsgErrorMux || h.id != 6 || len(text) == 0 {
 				t.Fatalf("mis-shaped tensor answered type %d id %d %q", typ, h.id, text)
 			}
-			if got := n.counter("panics.recovered"); got != 1 {
-				t.Fatalf("panics.recovered = %d, want 1", got)
+			if got := n.counter(n.panics); got != 1 {
+				t.Fatalf("%s = %d, want 1", n.panics, got)
 			}
 			if rtyp, _ := exchange(t, conn, MsgDo, requestPayload(requestHeader{id: 7}, n.body)); rtyp != MsgReply {
 				t.Fatalf("request after the panic answered type %d", rtyp)
@@ -417,9 +436,11 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 		}},
 	}
-	for _, row := range rows {
-		t.Run(RoleWorker+"/"+row.name, func(t *testing.T) {
-			row.run(t, startNode(t))
-		})
+	for _, l := range leads {
+		for _, row := range rows {
+			t.Run(l.role+"/"+row.name, func(t *testing.T) {
+				row.run(t, startNode(t, l))
+			})
+		}
 	}
 }
