@@ -29,10 +29,12 @@ docs:
 linkcheck:
 	$(GO) run ./cmd/teamnet-linkcheck README.md DESIGN.md docs/*.md
 
-# one-loop fails if a second accept loop, the deleted RPC stack or a retired
-# request kind comes back: the runtime's one server loop is cluster.Node's
-# (internal/cluster/server.go); the only other code that accepts connections
-# is the chaos proxy's; every request on the wire is one MsgDo.
+# one-loop fails if a second accept loop, the deleted RPC stack, a retired
+# request or reply kind or the headerless control client comes back: the
+# runtime's one server loop is cluster.Node's (internal/cluster/server.go);
+# the only other code that accepts connections is the chaos proxy's; every
+# exchange on the wire is a kind in requestKinds — MsgDo for an inference —
+# under the frame header, answered by MsgReply or MsgErrorMux.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -44,6 +46,8 @@ one-loop:
 		echo "the second RPC stack is back"; exit 1; fi
 	@if grep -rnw 'MsgPredictMux\|MsgSplitPredict\|MsgFabricPredict\|MsgResultMux\|MsgSplitResult\|MsgFabricResult\|PredictResult\|ConnectTCP' --include=*.go .; then \
 		echo "a retired request kind or accept path is back (one request on the wire: MsgDo)"; exit 1; fi
+	@if grep -rnw 'controlCall\|controlDial\|MsgPong\|MsgElectionOK\|MsgAnnounceOK\|MsgModelPushOK' --include=*.go .; then \
+		echo "the headerless control protocol is back (every exchange is a kind in requestKinds)"; exit 1; fi
 
 # loc prints the non-test Go lines of every internal/ package and their
 # total — the tracked number of ROADMAP aim 2 (same behaviour, least code) —

@@ -106,11 +106,12 @@ func run() error {
 
 	// Membership: re-announce to the bootstrap set so masters and gateways
 	// see this worker join (and age it out of their rosters when it stops).
-	var announceStop chan struct{}
+	var announceStop, announceDone chan struct{}
 	if *bootstrap != "" {
 		addrs := cli.SplitList(*bootstrap)
-		announceStop = make(chan struct{})
+		announceStop, announceDone = make(chan struct{}), make(chan struct{})
 		go func() {
+			defer close(announceDone)
 			tick := time.NewTicker(*announceEvery)
 			defer tick.Stop()
 			for {
@@ -160,7 +161,9 @@ func run() error {
 	<-sig
 	fmt.Println("shutting down")
 	if announceStop != nil {
+		// Joined before the worker closes: an announce in flight reads it.
 		close(announceStop)
+		<-announceDone
 	}
 	if adm != nil {
 		// Graceful: a scrape racing the shutdown still gets its response.

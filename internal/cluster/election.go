@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -42,16 +43,16 @@ func ElectLeader(myID int, peerAddrs []string) (isLeader bool, leaderID int, err
 	return leaderID == myID, leaderID, nil
 }
 
-// electionReply encodes this node's election id as 4 big-endian bytes.
-func electionReply(id int) []byte {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], uint32(id))
-	return b[:]
+// serveElection answers an election probe with this node's id as 4
+// big-endian bytes. Bully: any node hearing an election answers (it will run
+// its own election).
+func (n *Node) serveElection(context.Context, *Model, []byte) (byte, []byte, time.Duration) {
+	return MsgReply, binary.BigEndian.AppendUint32(nil, uint32(n.id)), 0
 }
 
 // probePeerID asks one node for its election id.
 func probePeerID(addr string) (int, error) {
-	reply, err := controlDial(addr, electProbeTimeout, MsgElection, nil, MsgElectionOK)
+	reply, err := dialCall(addr, electProbeTimeout, MsgElection, nil)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: election %s: %w", addr, err)
 	}

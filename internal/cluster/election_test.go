@@ -61,8 +61,8 @@ func TestElectionWideIDs(t *testing.T) {
 	}
 }
 
-// rawElectionPeer answers one election probe with a payload of the given raw
-// bytes — modeling corrupt replies.
+// rawElectionPeer answers one election probe, under its id, with a reply
+// body of the given raw bytes — modeling corrupt replies.
 func rawElectionPeer(t *testing.T, reply []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -78,10 +78,13 @@ func rawElectionPeer(t *testing.T, reply []byte) string {
 			}
 			go func(conn net.Conn) {
 				defer conn.Close()
-				if typ, _, err := transport.ReadFrame(conn); err != nil || typ != MsgElection {
+				typ, payload, err := transport.ReadFrame(conn)
+				if err != nil || typ != MsgElection {
 					return
 				}
-				transport.WriteFrame(conn, MsgElectionOK, reply) //nolint:errcheck
+				if h, _, err := decodeRequestHeader(payload); err == nil {
+					(&connWriter{conn: conn}).writeReply(MsgReply, replyHeader{id: h.id}, reply) //nolint:errcheck
+				}
 			}(conn)
 		}
 	}()

@@ -46,7 +46,7 @@ func doOver(t *testing.T, addr string, req Request) Reply {
 	}
 	mc := newMuxClient(conn, new(metrics.Gauge), new(metrics.Gauge), nil)
 	defer mc.close()
-	r, _, err := mc.roundTrip(context.Background(), "", encodeRequest(req), 5*time.Second, testDone(t))
+	r, _, err := mc.roundTrip(context.Background(), MsgDo, "", encodeRequest(req), 5*time.Second, testDone(t))
 	if err != nil {
 		t.Fatal(err)
 	}

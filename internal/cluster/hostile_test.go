@@ -83,8 +83,8 @@ func hostileReplies(bodies map[string][]byte, valid []byte) map[string]func(id u
 	return out
 }
 
-// cannedReplier answers pings and answers every MsgDo with one canned
-// frame of resType made for the request's id.
+// cannedReplier answers pings with the empty reply and every MsgDo with one
+// canned frame of resType made for the request's id.
 func cannedReplier(t *testing.T, resType byte, reply func(id uint32) []byte) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -106,14 +106,13 @@ func cannedReplier(t *testing.T, resType byte, reply func(id uint32) []byte) str
 					if err != nil {
 						return
 					}
-					switch typ {
-					case MsgPing:
-						err = cw.write(MsgPong, nil)
-					case MsgDo:
-						var h requestHeader
-						if h, _, err = decodeRequestHeader(payload); err == nil {
-							err = cw.write(resType, reply(h.id))
-						}
+					h, _, err := decodeRequestHeader(payload)
+					switch {
+					case err != nil:
+					case typ == MsgPing:
+						err = cw.writeReply(MsgReply, replyHeader{id: h.id}, nil)
+					case typ == MsgDo:
+						err = cw.write(resType, reply(h.id))
 					}
 					if err != nil {
 						return

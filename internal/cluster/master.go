@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"github.com/teamnet/teamnet/internal/split"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // tracerRef shares one swappable tracer between a master and its peers, so
@@ -84,15 +82,10 @@ type peerConn struct {
 	done    <-chan struct{}
 	wg      *sync.WaitGroup
 
-	// conn is the ping/probe control connection; muxEnsure adopts it as
-	// the pipeline's link when one is idle here (the eager dial from
-	// Connect, a successful probe).
-	mu      sync.Mutex
-	conn    net.Conn
-	timeout time.Duration
-
-	muxMu sync.Mutex // guards the pipelined mux client (see mux.go)
-	muxc  *muxClient
+	// link is the peer's one connection: queries, split tails and pings
+	// ride it (see mux.go).
+	link    *link
+	timeout atomic.Int64 // per-round-trip deadline in ns; 0 = none
 
 	stateMu sync.Mutex // guards the supervision state machine
 	cfg     SupervisorConfig
@@ -155,9 +148,7 @@ func (m *Master) SetTimeout(d time.Duration) {
 	defer m.mu.Unlock()
 	m.timeout = d
 	for _, p := range m.peers {
-		p.mu.Lock()
-		p.timeout = d
-		p.mu.Unlock()
+		p.timeout.Store(int64(d))
 	}
 }
 
@@ -176,24 +167,11 @@ func (m *Master) SetSupervisor(cfg SupervisorConfig) {
 	}
 }
 
-// Connect dials a worker and adds it to the broadcast set. The initial dial
-// is eager — a wrong address should fail loudly at setup — but from then on
-// the supervisor owns the connection and redials it as needed.
+// Connect dials a worker's link and adds it to the broadcast set. The
+// initial dial is eager — a wrong address should fail loudly at setup — but
+// from then on the supervisor owns the link and redials it as needed.
 func (m *Master) Connect(addr string) error {
 	m.mu.Lock()
-	cfg := m.sup
-	timeout := m.timeout
-	m.mu.Unlock()
-	conn, err := transport.Dial(addr, cfg.DialTimeout)
-	if err != nil {
-		return fmt.Errorf("cluster: master dial %s: %w", addr, err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		conn.Close()
-		return fmt.Errorf("cluster: master is closed")
-	}
 	p := &peerConn{
 		addr:    addr,
 		classes: m.classes,
@@ -203,10 +181,21 @@ func (m *Master) Connect(addr string) error {
 		budget:  m.budget,
 		done:    m.done,
 		wg:      &m.probeWG,
-		conn:    conn,
-		timeout: timeout,
-		cfg:     cfg,
+		cfg:     m.sup,
 		state:   PeerHealthy,
+	}
+	p.timeout.Store(int64(m.timeout))
+	m.mu.Unlock()
+	p.link = &link{addr: addr, inflight: m.metrics.Gauge("mux.inflight"), queued: m.metrics.Gauge("mux.queue_depth"),
+		redials: p.counter("redials"), onDown: p.muxLinkDown}
+	if _, _, err := p.link.get(p.cfg.DialTimeout); err != nil {
+		return fmt.Errorf("cluster: master dial %s: %w", addr, err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.closed {
+		p.link.close()
+		return fmt.Errorf("cluster: master is closed")
 	}
 	m.peers = append(m.peers, p)
 	return nil
@@ -486,19 +475,10 @@ func (m *Master) Close() error {
 	close(m.done)
 	m.mu.Unlock()
 
-	var firstErr error
 	for _, p := range peers {
 		p.markClosed()
-		p.closeMux()
-		p.mu.Lock()
-		if p.conn != nil {
-			if err := p.conn.Close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			p.conn = nil
-		}
-		p.mu.Unlock()
+		p.link.close()
 	}
 	m.probeWG.Wait()
-	return firstErr
+	return nil
 }

@@ -13,6 +13,7 @@ package cluster
 // roster only has to be eventually right.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -40,7 +41,7 @@ type Member struct {
 // key is the roster identity: one entry per (role, addr).
 func (m Member) key() string { return m.Role + "|" + m.Addr }
 
-// announcement is the MsgAnnounce / MsgAnnounceOK wire payload.
+// announcement is the MsgAnnounce body and the body of its reply.
 type announcement struct {
 	From  Member   `json:"from"`
 	Known []Member `json:"known,omitempty"`
@@ -190,17 +191,17 @@ func decodeAnnouncement(payload []byte) (announcement, error) {
 	return a, nil
 }
 
-// handleAnnounce is the server half of one exchange: merge the sender's
-// view into roster, then answer with self plus a gossip sample. Shared by
-// workers and master servers.
-func handleAnnounce(roster *Roster, self Member, payload []byte) (reply []byte, err error) {
-	a, err := decodeAnnouncement(payload)
+// serveAnnounce is the server half of one exchange: merge the sender's view
+// into the node's roster, then answer with the node's descriptor plus a
+// gossip sample. An undecodable announcement costs one MsgErrorMux.
+func (n *Node) serveAnnounce(_ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
+	a, err := decodeAnnouncement(body)
 	if err != nil {
-		return nil, err
+		return errorReply(err)
 	}
-	roster.Upsert(a.From)
-	roster.Merge(a.Known)
-	return encodeAnnouncement(self, roster.gossipSample()), nil
+	n.roster.Upsert(a.From)
+	n.roster.Merge(a.Known)
+	return MsgReply, encodeAnnouncement(n.Member(), n.roster.gossipSample()), 0
 }
 
 // Announce performs the client half of one membership exchange: dial addr,
@@ -213,7 +214,7 @@ func Announce(addr string, self Member, roster *Roster, timeout time.Duration) (
 	if roster != nil {
 		known = roster.gossipSample()
 	}
-	reply, err := controlDial(addr, timeout, MsgAnnounce, encodeAnnouncement(self, known), MsgAnnounceOK)
+	reply, err := dialCall(addr, timeout, MsgAnnounce, encodeAnnouncement(self, known))
 	if err != nil {
 		return Member{}, fmt.Errorf("cluster: announce %s: %w", addr, err)
 	}

@@ -38,12 +38,12 @@ func TestServeRequestChecksAndServesOneModel(t *testing.T) {
 		served = m
 		return MsgReply, nil, 0
 	}
-	if typ, _, _ := n.serveRequest(k, requestHeader{id: 1, pin: "vA"}, time.Now(), nil); typ != MsgReply || served != vA {
+	if typ, _, _ := n.serveRequest(MsgDo, k, requestHeader{id: 1, pin: "vA"}, time.Now(), nil); typ != MsgReply || served != vA {
 		t.Fatalf("request pinned to vA, checked against vA: reply type %d, handler ran on %+v", typ, served)
 	}
 	// The swap has landed: the same pin is now refused, before any handler.
 	served = nil
-	typ, text, _ := n.serveRequest(k, requestHeader{id: 2, pin: "vA"}, time.Now(), nil)
+	typ, text, _ := n.serveRequest(MsgDo, k, requestHeader{id: 2, pin: "vA"}, time.Now(), nil)
 	if err := workerError(string(text)); typ != MsgErrorMux || !errors.Is(err, ErrSplitVersionMismatch) || served != nil {
 		t.Fatalf("request pinned to vA on a node serving vB: reply type %d %q, handler ran on %+v", typ, text, served)
 	}
@@ -101,7 +101,7 @@ func TestSwapVsPinHammer(t *testing.T) {
 			served := 0
 			for i := 0; i < 2000 || served == 0; i++ {
 				v := versions[(c+i)%2]
-				typ, reply, _ := w.serveRequest(w.kinds[MsgDo], requestHeader{id: uint32(i), pin: v.model.Version}, time.Now(), v.body)
+				typ, reply, _ := w.serveRequest(MsgDo, w.kinds[MsgDo], requestHeader{id: uint32(i), pin: v.model.Version}, time.Now(), v.body)
 				if typ == MsgErrorMux {
 					if !errors.Is(workerError(string(reply)), ErrSplitVersionMismatch) {
 						t.Errorf("tail pinned to %s refused with %q, want the version-mismatch verdict", v.model.Version, reply)

@@ -18,6 +18,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -105,16 +106,33 @@ func DecodeModelPush(payload []byte) (Model, error) {
 	return m, nil
 }
 
+// servePush applies one model push. The swap happens before the ack — the
+// reply carrying the version — so a successful PushModel means the node
+// already serves the new version. A bad push costs one MsgErrorMux, and so
+// does a refused one — weights whose widths differ from the served model's —
+// with nothing swapped and "model.push_refused" counted.
+func (n *Node) servePush(_ context.Context, _ *Model, body []byte) (byte, []byte, time.Duration) {
+	pushed, err := DecodeModelPush(body)
+	if err != nil {
+		return errorReply(err)
+	}
+	if err := n.Cutover(pushed); err != nil {
+		n.master.metrics.Counter("model.push_refused").Inc()
+		return errorReply(err)
+	}
+	return MsgReply, []byte(pushed.Version), 0
+}
+
 // PushModel delivers one versioned snapshot to a serving node (worker or
-// master server) and waits for the MsgModelPushOK acknowledgement. The
-// receiver compiles and swaps atomically before acking, so a successful
-// return means the node is already serving the new version.
+// master server) and waits for the acknowledgement. The receiver compiles
+// and swaps atomically before acking, so a successful return means the node
+// is already serving the new version.
 func PushModel(addr, version string, spec nn.Spec, net *nn.Network, timeout time.Duration) error {
 	payload, err := EncodeModelPush(version, spec, net)
 	if err != nil {
 		return err
 	}
-	acked, err := controlDial(addr, timeout, MsgModelPush, payload, MsgModelPushOK)
+	acked, err := dialCall(addr, timeout, MsgModelPush, payload)
 	if err != nil {
 		return fmt.Errorf("cluster: model push %s: %w", addr, err)
 	}

@@ -14,29 +14,33 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Multiplexed peer transport: the one master→worker (and gateway→master)
-// request protocol. The paper's protocol is strictly one-in-flight per peer
-// link — fine for a single sensing loop, fatal for multi-user traffic, where
-// every concurrent Master.Infer would serialize behind the previous one no
-// matter how much parallel capacity the worker's snapshot has. A muxClient
-// pipelines instead:
+// Multiplexed peer transport: the one client of the wire protocol, for
+// master→worker, gateway→master and every one-off exchange alike. The
+// paper's protocol is strictly one-in-flight per peer link — fine for a
+// single sensing loop, fatal for multi-user traffic, where every concurrent
+// Master.Infer would serialize behind the previous one no matter how much
+// parallel capacity the worker's snapshot has. A muxClient pipelines
+// instead:
 //
 //	waiters ──▶ window (bounded in-flight) ──▶ writer goroutine ──▶ TCP
 //	waiters ◀── pending map (by request id) ◀── reader goroutine ◀── TCP
 //
-// Every request is one MsgDo tagged with a uint32 id in its frame header
-// (header.go), the server runs them concurrently and replies out of order,
-// and the single reader matches replies back to waiters. One TCP connection
-// per peer carries the whole pipeline, whatever mix of policies rides it.
+// Every request is one frame of a kind in requestKinds — MsgDo, or a ping,
+// election, announce or model push — tagged with a uint32 id in its frame
+// header (header.go); the server runs them concurrently and replies out of
+// order, and the single reader matches replies back to waiters. One TCP
+// connection per peer, its link, carries the whole pipeline, whatever mix
+// of policies and kinds rides it: the supervisor's pings share it with the
+// queries whose liveness they judge.
 //
 // Failure semantics integrate with the supervisor state machine: a link
 // failure (read/write error, per-request timeout) tears the client down,
 // fails every pending request with the same error, and feeds the breaker
-// exactly once — not once per waiter. That includes a silent close on the
-// connection adopted from Connect's eager dial: the socket may be stale
-// (worker restarted since Connect), so it is one link fault and the retry
-// answers on a fresh dial. Every node of a fleet runs one build (DESIGN.md
-// §8); a peer that answers with anything but mux frames is a link fault too.
+// exactly once — not once per waiter. That includes the death of a link
+// nobody was using, such as the one Connect dials when the worker restarts
+// before the first query: one link fault, and the next request redials.
+// Every node of a fleet runs one build (DESIGN.md §8); a peer that answers
+// with anything but mux frames is a link fault too.
 
 // muxWindow bounds the in-flight requests one mux link may carry. Beyond
 // it, waiters queue (reported by the mux.queue_depth gauge) — backpressure
@@ -72,6 +76,7 @@ type muxClient struct {
 }
 
 type muxWrite struct {
+	typ     byte
 	hdr     requestHeader
 	payload []byte
 }
@@ -156,7 +161,7 @@ func (mc *muxClient) writeLoop() {
 func (mc *muxClient) writeBurst(batch *transport.FrameBatch, hdr *[]byte, w muxWrite) error {
 	for {
 		*hdr = appendRequestHeader((*hdr)[:0], w.hdr)
-		if err := batch.Add(MsgDo, *hdr, w.payload); err != nil {
+		if err := batch.Add(w.typ, *hdr, w.payload); err != nil {
 			return err
 		}
 		select {
@@ -231,8 +236,8 @@ func (mc *muxClient) unregister(id uint32) {
 	mc.mu.Unlock()
 }
 
-// roundTrip pipelines one MsgDo whose body is payload: acquire a window
-// slot, send, await the matched reply within timeout. It is where the
+// roundTrip pipelines one request of kind typ whose body is payload: acquire
+// a window slot, send, await the matched reply within timeout. It is where the
 // request header is filled: the id it registers, ctx's remaining deadline as
 // the budget, ctx's ambient span (trace.FromContext) as the trace parent,
 // and pin.
@@ -243,7 +248,7 @@ func (mc *muxClient) unregister(id uint32) {
 // stays up), whereas a timeout is a link failure — with requests pipelined
 // behind each other a stalled link wedges them all, so it is torn down (and
 // the breaker fed once) like any other link fault.
-func (mc *muxClient) roundTrip(ctx context.Context, pin string, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
+func (mc *muxClient) roundTrip(ctx context.Context, typ byte, pin string, payload []byte, timeout time.Duration, done <-chan struct{}) (muxReply, time.Duration, error) {
 	if len(pin) > maxVersionPin {
 		return muxReply{}, 0, fmt.Errorf("cluster: model version label of %d bytes exceeds %d", len(pin), maxVersionPin)
 	}
@@ -289,7 +294,7 @@ func (mc *muxClient) roundTrip(ctx context.Context, pin string, payload []byte, 
 		hdr.budget = max(dl.Sub(start), 1)
 	}
 	select {
-	case mc.writeCh <- muxWrite{hdr: hdr, payload: payload}:
+	case mc.writeCh <- muxWrite{typ: typ, hdr: hdr, payload: payload}:
 	case <-mc.downCh:
 		mc.unregister(id)
 		return muxReply{}, 0, mc.downError()
@@ -322,6 +327,103 @@ func (mc *muxClient) downError() error {
 	return errors.New("cluster: mux link down")
 }
 
+// link is the one connection a client keeps to one address: a mux client,
+// dialed on demand. A peer's link and a gateway's RemoteMaster are each one.
+type link struct {
+	addr             string
+	inflight, queued *metrics.Gauge
+	redials          *metrics.Counter // dials that replace a client
+	onDown           func(error)      // the supervision hook of every client get dials
+
+	mu     sync.Mutex
+	mc     *muxClient
+	closed bool
+}
+
+// get returns the live client, dialing a fresh connection within timeout if
+// there is none or the last one died. dialed reports whether this call
+// dialed, for span attribution.
+func (l *link) get(timeout time.Duration) (mc *muxClient, dialed bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return nil, false, fmt.Errorf("cluster: link to %s is closed", l.addr)
+	}
+	if l.mc != nil && l.mc.alive() {
+		return l.mc, false, nil
+	}
+	if l.mc != nil {
+		l.redials.Inc()
+	}
+	if mc, err = l.dial(timeout, l.onDown); err == nil {
+		l.mc = mc
+	}
+	return mc, true, err
+}
+
+// dial starts a client with the hook onDown over a fresh connection, without
+// installing it.
+func (l *link) dial(timeout time.Duration, onDown func(error)) (*muxClient, error) {
+	conn, err := transport.Dial(l.addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	return newMuxClient(conn, l.inflight, l.queued, onDown), nil
+}
+
+// replace installs a probe's mc in place of the quarantined peer's client,
+// dead or stalled, which it closes without running the hook. It reports false
+// once the link is closed; the caller closes an mc it could not install.
+func (l *link) replace(mc *muxClient) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return false
+	}
+	if l.mc != nil {
+		l.mc.close()
+	}
+	l.mc = mc
+	return true
+}
+
+// close shuts the link down for good without running the hook — shutdown,
+// not a failure; pending requests fail promptly.
+func (l *link) close() {
+	l.mu.Lock()
+	l.closed = true
+	mc := l.mc
+	l.mu.Unlock()
+	if mc != nil {
+		mc.close()
+	}
+}
+
+// dialCall makes one round trip of a typ request carrying body on a link
+// dialed for it, then closes the link: the client of the one-off exchanges
+// (election, announce, model push). timeout bounds the dial and, as the
+// request's budget, the round trip (0: no bound). A MsgErrorMux answer is
+// returned as the node's error text.
+func dialCall(addr string, timeout time.Duration, typ byte, body []byte) ([]byte, error) {
+	conn, err := transport.Dial(addr, timeout)
+	if err != nil {
+		return nil, err
+	}
+	mc := newMuxClient(conn, new(metrics.Gauge), new(metrics.Gauge), nil)
+	defer mc.close()
+	ctx := context.Background()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	r, _, err := mc.roundTrip(ctx, typ, "", body, 0, ctx.Done())
+	if err == nil && r.typ == MsgErrorMux {
+		err = errors.New(string(r.payload))
+	}
+	return r.payload, err
+}
+
 // --- peerConn integration -------------------------------------------------
 
 // muxOutcome classifies one mux attempt for the supervisor's accounting.
@@ -340,49 +442,8 @@ const (
 // pending on the pipeline.
 func (p *peerConn) muxLinkDown(error) { p.recordFailure() }
 
-// closeMux tears the mux link down on master shutdown (no breaker).
-func (p *peerConn) closeMux() {
-	p.muxMu.Lock()
-	mc := p.muxc
-	p.muxMu.Unlock()
-	if mc != nil {
-		mc.close()
-	}
-}
-
-// muxEnsure returns the live mux client, building one if the previous link
-// died: it adopts the peer's idle control connection when present (the
-// eager dial from Connect), else redials. dialed reports whether this call
-// dialed, for span attribution.
-func (p *peerConn) muxEnsure(cfg SupervisorConfig) (mc *muxClient, dialed bool, err error) {
-	p.muxMu.Lock()
-	defer p.muxMu.Unlock()
-	if p.muxc != nil && p.muxc.alive() {
-		return p.muxc, false, nil
-	}
-	p.mu.Lock()
-	conn := p.conn
-	p.conn = nil
-	p.mu.Unlock()
-	if conn == nil {
-		p.counter("redials").Inc()
-		c, derr := transport.Dial(p.addr, cfg.DialTimeout)
-		if derr != nil {
-			return nil, true, derr
-		}
-		conn = c
-		dialed = true
-	}
-	p.muxc = newMuxClient(conn, p.metrics.Gauge("mux.inflight"), p.metrics.Gauge("mux.queue_depth"), p.muxLinkDown)
-	return p.muxc, dialed, nil
-}
-
-// muxTimeout reads the per-request deadline under the conn lock.
-func (p *peerConn) muxTimeout() time.Duration {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.timeout
-}
+// muxTimeout reads the per-request deadline.
+func (p *peerConn) muxTimeout() time.Duration { return time.Duration(p.timeout.Load()) }
 
 // muxAttempts is do's bounded retry loop with span emission under peerCtx.
 // Breaker accounting sits on the link-down hook, so a failure with N
@@ -439,7 +500,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (Reply, attemptTiming, error, muxOutcome) {
 	var tm attemptTiming
 	dialStart := time.Now()
-	mc, dialed, err := p.muxEnsure(cfg)
+	mc, dialed, err := p.link.get(cfg.DialTimeout)
 	if dialed {
 		tm.dialed = true
 		tm.dialStart = dialStart
@@ -450,7 +511,7 @@ func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg Superv
 	}
 	p.counter(q.series + "requests").Inc()
 	tm.rttStart = time.Now()
-	r, rtt, err := mc.roundTrip(ctx, q.pin, q.payload, p.muxTimeout(), done)
+	r, rtt, err := mc.roundTrip(ctx, MsgDo, q.pin, q.payload, p.muxTimeout(), done)
 	tm.rtt = rtt
 	if err != nil {
 		if ctx.Err() != nil {

@@ -21,7 +21,7 @@ import (
 // local model is what the node serves and what a model push swaps; its
 // registry and tracer are the node's. A node whose master has no peers is a
 // plain worker; one whose master has peers and no local expert is a pure
-// coordinator; every mix in between answers the one request kind, MsgDo, by
+// coordinator; every mix in between answers the one inference kind, MsgDo, by
 // handing the Request to its master's Do: {Own, SplitOff} runs this node's
 // expert, {Own, SplitAt(k)} a partial-offload tail on it, and an ensemble
 // policy the master's combined answer — for a node without peers, its own
@@ -53,7 +53,7 @@ type Node struct {
 	closed bool
 }
 
-// handler serves one pipelined request frame type. The header has been
+// handler serves one request frame type. The header has been
 // parsed and honoured by the time it runs: ctx carries the request's
 // remaining budget as its deadline and the request's trace parent as its
 // ambient span, so a handler that sends requests of its own passes on what
@@ -65,8 +65,15 @@ type Node struct {
 // header. Handlers run concurrently.
 type handler func(n *Node, ctx context.Context, model *Model, body []byte) (replyType byte, reply []byte, compute time.Duration)
 
-// requestKinds is the request table of every node: one kind.
-var requestKinds = map[byte]handler{MsgDo: (*Node).serveDo}
+// requestKinds is the request table of every node: every exchange a process
+// starts with a node is one of these kinds.
+var requestKinds = map[byte]handler{
+	MsgDo:        (*Node).serveDo,
+	MsgPing:      (*Node).servePing,
+	MsgElection:  (*Node).serveElection,
+	MsgAnnounce:  (*Node).serveAnnounce,
+	MsgModelPush: (*Node).servePush,
+}
 
 // NewNode wraps master for serving under the given role (RoleWorker,
 // RoleMaster). id is the node's election identity (any distinct non-negative
@@ -119,7 +126,7 @@ func (n *Node) Member() Member {
 func (n *Node) Roster() *Roster { return n.roster }
 
 // Metrics exposes the node's registry, which is its master's: next to the
-// master's own series, the serving counters "requests" (served),
+// master's own series, the serving counters "requests" (MsgDo served),
 // "requests.expired" (budget ran out unserved) and "panics.recovered", and
 // the histogram "predict" of the node's own forward passes, whole or tail.
 func (n *Node) Metrics() *metrics.Registry { return n.master.metrics }
@@ -154,8 +161,10 @@ func releaseInput(x *tensor.Tensor) {
 // MsgErrorMux, never the connection — the frame boundary is intact and other
 // requests are pipelined behind it. An Own request's input is decoded into a
 // pooled tensor, released once Do, and with it the forward pass that read
-// it, has returned; the reply header carries how long that took.
+// it, has returned; the reply header carries how long that took. It is the
+// one handler counted in "requests".
 func (n *Node) serveDo(ctx context.Context, model *Model, body []byte) (byte, []byte, time.Duration) {
+	n.master.metrics.Counter("requests").Inc()
 	in := inputs.Get().(*tensor.Tensor)
 	defer releaseInput(in)
 	req, err := decodeRequest(body, in)
@@ -172,4 +181,9 @@ func (n *Node) serveDo(ctx context.Context, model *Model, body []byte) (byte, []
 		compute = time.Since(start)
 	}
 	return MsgReply, encodeReply(rep, req.Policy.wide()), compute
+}
+
+// servePing answers a liveness probe with an empty reply.
+func (n *Node) servePing(context.Context, *Model, []byte) (byte, []byte, time.Duration) {
+	return MsgReply, nil, 0
 }

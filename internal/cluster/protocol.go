@@ -21,11 +21,11 @@
 // (header.go, DESIGN.md §7).
 //
 // There is one request model, one wire protocol and one server loop:
-// Master.Do answers every Request (request.go), every request a node sends
-// is one MsgDo frame under the one frame header, answered by one MsgReply
-// (this file, mux.go, header.go), every process that listens is a Node
-// running the server loop in server.go (node.go), and all nodes of a fleet
-// run one build.
+// Master.Do answers every Request (request.go); every exchange between two
+// processes — a MsgDo inference, a ping, an election, an announce, a model
+// push — is one request under the one frame header on a mux link (this file,
+// mux.go, header.go); every process that listens is a Node running the
+// server loop in server.go (node.go); all nodes of a fleet run one build.
 //
 // Everything here runs over real connections — the unit tests and the live
 // benchmark mode exercise actual loopback TCP; the simulated experiments
@@ -34,58 +34,55 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
-	"net"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Frame types of the TeamNet socket protocol.
+// Frame types of the TeamNet socket protocol. Every frame but MsgError starts
+// with the frame header (header.go), whose id lets concurrent requests share
+// one connection per peer with replies out of order (mux.go, DESIGN.md §8).
+// Every request kind is served from requestKinds and answered by MsgReply or
+// MsgErrorMux; a retired kind's number stays reserved, so an older build's
+// frame is refused as "unknown frame type" instead of being misparsed.
 const (
-	// MsgPing / MsgPong probe liveness.
+	// MsgPing probes liveness; its reply is empty. 2 was its reply, the
+	// retired pong.
 	MsgPing byte = iota + 1
-	MsgPong
-	// MsgElection / MsgElectionOK implement the bully election (Section
-	// III's "leader election protocol" option): a probe and the answering
-	// node's id.
+	_
+	// MsgElection implements the bully election (Section III's "leader
+	// election protocol" option): its reply is the answering node's id.
 	MsgElection
-	MsgElectionOK
-	_ // was a coordinator announcement nothing ever sent; the number stays reserved so no frame type moves
-	// MsgError reports a failed control exchange, or a stream the server is
-	// about to drop (unknown frame type), as text.
+	_ // 4: the retired election answer
+	_ // 5: a coordinator announcement nothing ever sent
+	// MsgError is the text a server sends on a stream it is about to drop:
+	// an unknown frame type, or a request without a header this build parses.
 	MsgError
 	_ // 7 and 8: the retired whole-query request and its result
 	_
-	// MsgErrorMux answers a MsgDo with a per-request failure as text.
+	// MsgErrorMux answers a request with a per-request failure as text.
 	MsgErrorMux
-	// MsgAnnounce / MsgAnnounceOK carry fabric membership: a JSON-encoded
-	// announcement (the sender's Member descriptor plus a bounded sample of
-	// its roster) exchanged gateway↔master↔worker; each exchange merges
-	// both sides' rosters — cheap anti-entropy gossip (see membership.go).
+	// MsgAnnounce carries fabric membership — the sender's Member descriptor
+	// plus a bounded sample of its roster, as JSON, answered in kind: cheap
+	// anti-entropy gossip between gateways, masters and workers (membership.go).
 	MsgAnnounce
-	MsgAnnounceOK
-	// MsgModelPush / MsgModelPushOK distribute a versioned expert snapshot
-	// over the wire (nn.Spec JSON + the nn/snapshot codec stream) so masters
-	// and workers hot-swap models without restart (see modelpush.go).
+	_ // 11: the retired announce answer
+	// MsgModelPush hot-swaps a node's model without restart: a versioned
+	// snapshot (nn.Spec JSON + the nn/snapshot codec stream), answered with
+	// the version now served (modelpush.go).
 	MsgModelPush
-	MsgModelPushOK
+	_ // 13: the retired model-push ack
 	// 14 to 17: the retired fabric and split request kinds and their results.
-	// Every retired kind's number stays reserved, so a node of an older build
-	// is refused with "unknown frame type" instead of being misparsed.
 	_
 	_
 	_
 	_
 	// MsgDo carries one Request — a master's broadcast to a peer (Fig 1d
 	// step 2), a split tail, a gateway's query to a master — and MsgReply
-	// its Reply (step 4). Both payloads start with the frame header
-	// (header.go), whose request id lets many concurrent requests share one
-	// TCP connection per peer with replies out of order (see mux.go and
-	// DESIGN.md §8).
+	// its Reply (step 4), or any other request kind's answer.
 	MsgDo
 	MsgReply
 )
@@ -95,8 +92,8 @@ const (
 // instead of one for the header and one for the payload.
 const connReadBuffer = 64 << 10
 
-// The MsgDo codec (DESIGN.md §13): every pipelined request is a Request and
-// every answer a Reply. After the frame header, which carries the
+// The MsgDo codec (DESIGN.md §13): every inference request is a Request and
+// every answer to one a Reply. After the frame header, which carries the
 // deadline, the trace parent and the version pin:
 //
 //	request: gather u8 · soft_ns u64 · split u32 · tensor
@@ -242,42 +239,4 @@ func doWireBytes(p Policy, pin, rows, width, classes int) int {
 	tensor := func(cols int) int { return 1 + 4*2 + elem*rows*cols }
 	return 2 + pin + requestPrefixSize + tensor(width) +
 		replyPrefixSize + 4*rows + tensor(classes) + 4 + 8*rows
-}
-
-// controlCall performs one control exchange on conn within timeout (0 = no
-// deadline): send reqType, read one frame, and return its payload if it is
-// wantType. A MsgError reply surfaces as the peer's error text.
-func controlCall(conn net.Conn, timeout time.Duration, reqType byte, payload []byte, wantType byte) ([]byte, error) {
-	if timeout > 0 {
-		if err := conn.SetDeadline(time.Now().Add(timeout)); err != nil {
-			return nil, fmt.Errorf("set deadline: %w", err)
-		}
-		defer conn.SetDeadline(time.Time{}) //nolint:errcheck // best-effort reset
-	}
-	if err := transport.WriteFrame(conn, reqType, payload); err != nil {
-		return nil, err
-	}
-	typ, reply, err := transport.ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case wantType:
-		return reply, nil
-	case MsgError:
-		return nil, errors.New(string(reply))
-	default:
-		return nil, fmt.Errorf("unexpected frame type %d", typ)
-	}
-}
-
-// controlDial is controlCall on a connection dialed for the one exchange;
-// timeout bounds the dial and the round trip each.
-func controlDial(addr string, timeout time.Duration, reqType byte, payload []byte, wantType byte) ([]byte, error) {
-	conn, err := transport.Dial(addr, timeout)
-	if err != nil {
-		return nil, fmt.Errorf("dial: %w", err)
-	}
-	defer conn.Close()
-	return controlCall(conn, timeout, reqType, payload, wantType)
 }

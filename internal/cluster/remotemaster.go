@@ -10,89 +10,60 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/tensor"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // RemoteMaster pipelines fabric inferences to one master address.
 type RemoteMaster struct {
-	addr    string
 	timeout time.Duration // per-request link deadline; 0 = none
 	metrics *metrics.Registry
-
-	mu     sync.Mutex
-	muxc   *muxClient
-	closed bool
+	link    *link
 }
 
 // NewRemoteMaster returns a client for the master serving at addr. Nothing
 // is dialed until the first call; timeout bounds each round trip (a stalled
 // pipeline is torn down and redialed, like the peer mux link).
 func NewRemoteMaster(addr string, timeout time.Duration) *RemoteMaster {
-	return &RemoteMaster{
-		addr:    addr,
-		timeout: timeout,
-		metrics: new(metrics.Registry),
-	}
+	reg := new(metrics.Registry)
+	return &RemoteMaster{timeout: timeout, metrics: reg, link: &link{
+		addr: addr, inflight: reg.Gauge("fabric.inflight"), queued: reg.Gauge("fabric.queue_depth"),
+		redials: reg.Counter("fabric.redials"), onDown: func(error) { reg.Counter("fabric.link_down").Inc() },
+	}}
 }
 
 // Addr returns the target master's address.
-func (r *RemoteMaster) Addr() string { return r.addr }
+func (r *RemoteMaster) Addr() string { return r.link.addr }
 
 // Metrics exposes the client's registry: the counters "fabric.requests",
-// "fabric.errors" and "fabric.redials", the gauges "fabric.inflight" and
-// "fabric.queue_depth".
+// "fabric.errors", "fabric.redials" and "fabric.link_down", the gauges
+// "fabric.inflight" and "fabric.queue_depth".
 func (r *RemoteMaster) Metrics() *metrics.Registry { return r.metrics }
-
-// ensure returns a live mux client, dialing a fresh connection if the
-// previous pipeline died.
-func (r *RemoteMaster) ensure() (*muxClient, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, fmt.Errorf("cluster: remote master %s is closed", r.addr)
-	}
-	if r.muxc != nil && r.muxc.alive() {
-		return r.muxc, nil
-	}
-	if r.muxc != nil {
-		r.metrics.Counter("fabric.redials").Inc()
-	}
-	conn, err := transport.Dial(r.addr, r.timeout)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: remote master dial %s: %w", r.addr, err)
-	}
-	r.muxc = newMuxClient(conn, r.metrics.Gauge("fabric.inflight"), r.metrics.Gauge("fabric.queue_depth"),
-		func(error) { r.metrics.Counter("fabric.link_down").Inc() })
-	return r.muxc, nil
-}
 
 // call performs one fabric round trip: req as a MsgDo, its MsgReply back.
 func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return Reply{}, err
 	}
-	mc, err := r.ensure()
+	mc, _, err := r.link.get(r.timeout)
 	if err != nil {
 		r.metrics.Counter("fabric.errors").Inc()
-		return Reply{}, err
+		return Reply{}, fmt.Errorf("cluster: remote master: %w", err)
 	}
 	r.metrics.Counter("fabric.requests").Inc()
 	// The frame header carries ctx across: the caller's remaining deadline
 	// as a budget, so the master bounds its own gather without clock
 	// synchronization, and the caller's span as the master's trace parent.
-	reply, _, err := mc.roundTrip(ctx, "", encodeRequest(req), r.timeout, ctx.Done())
+	reply, _, err := mc.roundTrip(ctx, MsgDo, "", encodeRequest(req), r.timeout, ctx.Done())
 	if err != nil {
 		r.metrics.Counter("fabric.errors").Inc()
 		return Reply{}, err
 	}
 	if reply.typ == MsgErrorMux {
 		r.metrics.Counter("fabric.errors").Inc()
-		return Reply{}, fmt.Errorf("cluster: master %s: %s", r.addr, reply.payload)
+		return Reply{}, fmt.Errorf("cluster: master %s: %s", r.Addr(), reply.payload)
 	}
 	rep, err := decodeReply(reply.payload, req.Policy.wide(), req.X.Shape[0], 0)
 	if err != nil {
@@ -121,13 +92,6 @@ func (r *RemoteMaster) InferQuorumContext(ctx context.Context, x *tensor.Tensor,
 
 // Close tears the pipeline down; pending requests fail promptly.
 func (r *RemoteMaster) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	mc := r.muxc
-	r.muxc = nil
-	r.mu.Unlock()
-	if mc != nil {
-		mc.close()
-	}
+	r.link.close()
 	return nil
 }

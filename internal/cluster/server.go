@@ -13,11 +13,11 @@ import (
 )
 
 // The server loop: the one accept/read/dispatch loop of the runtime, run by
-// every Node. It listens, tracks its connections, answers the control frames
-// (ping, election, announce, model push) in line, runs pipelined requests
-// concurrently under a bounded window and replies out of order, contains a
-// panic to the connection it happened on, and closes only after every
-// handler has returned.
+// every Node. It listens, tracks its connections, runs every request —
+// inference, ping, election, announce, model push alike — concurrently under
+// a bounded window and replies out of order, contains a panic to the
+// connection it happened on, and closes only after every handler has
+// returned.
 
 // errorReply is a handler's verdict on a request it cannot serve.
 func errorReply(err error) (byte, []byte, time.Duration) {
@@ -142,12 +142,13 @@ func releaseFrame(buf *[]byte, payload []byte) {
 	frameBufs.Put(buf)
 }
 
-// serveConn reads frames until the connection ends. A frame that leaves the
-// stream unusable — an unknown type, a pipelined request without a header
-// this build can parse (so no id to answer under), an undecodable announce —
-// is answered with MsgError and the connection dropped; anything a handler
-// can answer in band (a bad tensor, a bad model push) costs one error frame
-// and the connection keeps serving.
+// serveConn reads frames until the connection ends. A frame has two
+// outcomes. A request of a kind in n.kinds under a header this build parses
+// runs in its own goroutine and is answered under its id; whatever its
+// handler cannot serve — a bad tensor, a bad announce, a refused model push —
+// costs one MsgErrorMux and the connection keeps serving. Anything else — an
+// unknown type, a frame without such a header, so no id to answer under —
+// is answered with MsgError and the connection dropped.
 func (n *Node) serveConn(conn net.Conn) {
 	cw := &connWriter{conn: conn}
 	sem := make(chan struct{}, handlerWindow)
@@ -159,83 +160,47 @@ func (n *Node) serveConn(conn net.Conn) {
 			frameBufs.Put(buf)
 			return
 		}
-		if k, ok := n.kinds[typ]; ok {
-			arrived := time.Now()
-			hdr, body, err := decodeRequestHeader(payload)
-			if err != nil {
-				_ = cw.write(MsgError, []byte(err.Error()))
-				return
-			}
-			sem <- struct{}{}
-			n.wg.Add(1)
-			go func() {
-				defer n.wg.Done()
-				defer func() { <-sem }()
-				defer n.containPanic(conn)
-				replyType, reply, compute := n.serveRequest(k, hdr, arrived, body)
-				_ = cw.writeReply(replyType, replyHeader{id: hdr.id, compute: compute}, reply)
-				releaseFrame(buf, payload)
-			}()
-			continue
+		arrived := time.Now()
+		hdr, body, err := decodeRequestHeader(payload)
+		k, ok := n.kinds[typ]
+		if !ok {
+			err = fmt.Errorf("unknown frame type %d", typ)
 		}
-		var replyType byte
-		var reply []byte
-		switch typ {
-		case MsgPing:
-			replyType = MsgPong
-		case MsgElection:
-			// Bully: any node hearing an election answers with its id (it
-			// will run its own election).
-			replyType, reply = MsgElectionOK, electionReply(n.id)
-		case MsgAnnounce:
-			reply, err = handleAnnounce(n.roster, n.Member(), payload)
-			if err != nil {
-				_ = cw.write(MsgError, []byte(err.Error()))
-				return
-			}
-			replyType = MsgAnnounceOK
-		case MsgModelPush:
-			// The swap happens before the ack is written, so a successful
-			// PushModel means the node already serves the new version. A bad
-			// push costs one error frame, not the connection: the frame
-			// boundary is intact. So does a refused one — weights whose widths
-			// differ from the served model's — and nothing is swapped.
-			pushed, perr := DecodeModelPush(payload)
-			if perr == nil {
-				if perr = n.Cutover(pushed); perr != nil {
-					n.master.metrics.Counter("model.push_refused").Inc()
-				}
-			}
-			replyType, reply = MsgModelPushOK, []byte(pushed.Version)
-			if perr != nil {
-				replyType, reply = MsgError, []byte(perr.Error())
-			}
-		default:
-			_ = cw.write(MsgError, []byte(fmt.Sprintf("unknown frame type %d", typ)))
+		if err != nil {
+			_ = cw.write(MsgError, []byte(err.Error()))
 			return
 		}
-		if err := cw.write(replyType, reply); err != nil {
-			return
-		}
-		releaseFrame(buf, payload)
+		sem <- struct{}{}
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			defer func() { <-sem }()
+			defer n.containPanic(conn)
+			replyType, reply, compute := n.serveRequest(typ, k, hdr, arrived, body)
+			_ = cw.writeReply(replyType, replyHeader{id: hdr.id, compute: compute}, reply)
+			releaseFrame(buf, payload)
+		}()
 	}
 }
 
-// serveRequest is the prelude every pipelined request passes before its
-// handler, the one reader of the header's budget, version pin and trace: a
-// request whose budget ran out while it waited for a handler slot is
-// answered "expired" with its body never decoded, a request pinned to a
-// model version this node is not serving is refused in
-// ErrSplitVersionMismatch's wire text, and the handler's ctx is bounded by
-// what is left of the budget (counted from arrival: no clock sync) and
-// carries the trace parent. The served model is loaded once: the value the
-// pin is compared to is the value the handler computes on, so a swap landing
-// in between cannot put vB's weights behind a pin that passed against vA.
-func (n *Node) serveRequest(k handler, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
+// serveRequest is the prelude every request of kind typ passes before its
+// handler k, the one reader of the header's budget, version pin and trace: a
+// request whose budget ran out while it waited for a handler slot is answered
+// "expired" with its body never decoded (a MsgDo counted in
+// "requests.expired"), a request pinned to a model version this node is not
+// serving is refused in ErrSplitVersionMismatch's wire text, and the
+// handler's ctx is bounded by what is left of the budget (counted from
+// arrival: no clock sync) and carries the trace parent. The served model is
+// loaded once: the value the pin is compared to is the value the handler
+// computes on, so a swap landing in between cannot put vB's weights behind a
+// pin that passed against vA.
+func (n *Node) serveRequest(typ byte, k handler, hdr requestHeader, arrived time.Time, body []byte) (byte, []byte, time.Duration) {
 	ctx := context.Background()
 	if hdr.budget > 0 {
 		if time.Since(arrived) >= hdr.budget {
-			n.master.metrics.Counter("requests.expired").Inc()
+			if typ == MsgDo {
+				n.master.metrics.Counter("requests.expired").Inc()
+			}
 			return MsgErrorMux, []byte(expiredText), 0
 		}
 		var cancel context.CancelFunc
@@ -249,7 +214,6 @@ func (n *Node) serveRequest(k handler, hdr requestHeader, arrived time.Time, bod
 	if hdr.trace.Valid() {
 		ctx = trace.NewContext(ctx, hdr.trace)
 	}
-	n.master.metrics.Counter("requests").Inc()
 	return k(n, ctx, model, body)
 }
 

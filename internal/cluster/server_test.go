@@ -122,6 +122,18 @@ func exchange(t *testing.T, conn net.Conn, typ byte, payload []byte) (byte, []by
 	return rtyp, reply
 }
 
+// ask sends one request of kind typ under id 1 and returns the type and body
+// of the reply, which must answer that id.
+func ask(t *testing.T, conn net.Conn, typ byte, body []byte) (byte, []byte) {
+	t.Helper()
+	rtyp, reply := exchange(t, conn, typ, requestPayload(requestHeader{id: 1}, body))
+	h, rbody, err := decodeReplyHeader(reply)
+	if err != nil || h.id != 1 {
+		t.Fatalf("frame type %d answered type %d %q: header %+v, %v", typ, rtyp, reply, h, err)
+	}
+	return rtyp, rbody
+}
+
 // expectClosed asserts the server hung up: the next read ends the stream.
 func expectClosed(t *testing.T, conn net.Conn) {
 	t.Helper()
@@ -130,12 +142,29 @@ func expectClosed(t *testing.T, conn net.Conn) {
 	}
 }
 
-// expectServing asserts the connection still answers.
+// expectServing asserts the connection still answers a ping with the empty
+// reply.
 func expectServing(t *testing.T, conn net.Conn) {
 	t.Helper()
-	if typ, _ := exchange(t, conn, MsgPing, nil); typ != MsgPong {
-		t.Fatalf("ping answered with type %d", typ)
+	if typ, body := ask(t, conn, MsgPing, nil); typ != MsgReply || len(body) != 0 {
+		t.Fatalf("ping answered with type %d %q", typ, body)
 	}
+}
+
+// pushPayload is a model push of fresh weights for an input-wide,
+// classes-way MLP.
+func pushPayload(t *testing.T, version string, input, classes int) []byte {
+	t.Helper()
+	spec := nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: input, Width: 4, Layers: 2, Classes: classes}}
+	net, err := spec.Build(tensor.NewRNG(223))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := EncodeModelPush(version, spec, net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // panicConn is a net.Conn stub whose read side replays canned frames and
@@ -178,8 +207,8 @@ func TestServerLoopConformance(t *testing.T) {
 			expectServing(t, n.dial(t))
 		}},
 		{"election answers the 4-byte id", func(t *testing.T, n servedNode) {
-			typ, reply := exchange(t, n.dial(t), MsgElection, nil)
-			if typ != MsgElectionOK || len(reply) != 4 || int(binary.BigEndian.Uint32(reply)) != servedNodeID {
+			typ, reply := ask(t, n.dial(t), MsgElection, nil)
+			if typ != MsgReply || len(reply) != 4 || int(binary.BigEndian.Uint32(reply)) != servedNodeID {
 				t.Fatalf("election reply type %d % x, want id %d in 4 bytes", typ, reply, servedNodeID)
 			}
 		}},
@@ -202,16 +231,16 @@ func TestServerLoopConformance(t *testing.T) {
 				t.Fatalf("caller roster %+v, want the node merged in", got)
 			}
 		}},
-		{"undecodable announce drops the connection", func(t *testing.T, n servedNode) {
+		{"undecodable announce draws one error frame and the connection serves on", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
-			if typ, _ := exchange(t, conn, MsgAnnounce, []byte("{")); typ != MsgError {
-				t.Fatalf("bad announce answered with type %d", typ)
+			if typ, text := ask(t, conn, MsgAnnounce, []byte("{")); typ != MsgErrorMux || len(text) == 0 {
+				t.Fatalf("bad announce answered type %d %q", typ, text)
 			}
-			expectClosed(t, conn)
+			expectServing(t, conn)
 		}},
 		{"bad model push costs one error frame", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
-			if typ, text := exchange(t, conn, MsgModelPush, []byte{0}); typ != MsgError || len(text) == 0 {
+			if typ, text := ask(t, conn, MsgModelPush, []byte{0}); typ != MsgErrorMux || len(text) == 0 {
 				t.Fatalf("bad push answered type %d %q", typ, text)
 			}
 			expectServing(t, conn)
@@ -222,7 +251,7 @@ func TestServerLoopConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			conn := n.dial(t)
-			if typ, acked := exchange(t, conn, MsgModelPush, payload); typ != MsgModelPushOK || string(acked) != "v2" {
+			if typ, acked := ask(t, conn, MsgModelPush, payload); typ != MsgReply || string(acked) != "v2" {
 				t.Fatalf("push answered type %d %q", typ, acked)
 			}
 			if v := n.Member().Version; v != "v2" {
@@ -233,20 +262,11 @@ func TestServerLoopConformance(t *testing.T) {
 		{"model push of another width is refused: one error frame, nothing swapped", func(t *testing.T, n servedNode) {
 			conn := n.dial(t)
 			push := func(version string, input, classes int) (byte, []byte) {
-				spec := nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: input, Width: 4, Layers: 2, Classes: classes}}
-				net, err := spec.Build(tensor.NewRNG(223))
-				if err != nil {
-					t.Fatal(err)
-				}
-				payload, err := EncodeModelPush(version, spec, net)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return exchange(t, conn, MsgModelPush, payload)
+				return ask(t, conn, MsgModelPush, pushPayload(t, version, input, classes))
 			}
 			served := n.Model()
 			for _, bad := range []struct{ input, classes int }{{5, 3}, {4, 4}} {
-				if typ, text := push("v9", bad.input, bad.classes); typ != MsgError || len(text) == 0 {
+				if typ, text := push("v9", bad.input, bad.classes); typ != MsgErrorMux || len(text) == 0 {
 					t.Fatalf("%d-wide, %d-class push onto a 4-wide, 3-class node answered type %d %q", bad.input, bad.classes, typ, text)
 				}
 				if n.Model() != served {
@@ -257,7 +277,7 @@ func TestServerLoopConformance(t *testing.T) {
 			if got := n.counter("model.push_refused"); got != 2 {
 				t.Fatalf("model.push_refused = %d, want 2", got)
 			}
-			if typ, acked := push("v3", 4, 3); typ != MsgModelPushOK || string(acked) != "v3" {
+			if typ, acked := push("v3", 4, 3); typ != MsgReply || string(acked) != "v3" {
 				t.Fatalf("same-width push answered type %d %q", typ, acked)
 			}
 			if got := n.Model(); got == served || got.Version != "v3" || got.Snapshot == served.Snapshot {
@@ -265,8 +285,9 @@ func TestServerLoopConformance(t *testing.T) {
 			}
 		}},
 		{"unknown frame type is refused and the connection dropped", func(t *testing.T, n servedNode) {
-			// A reply kind is not a request either, nor is a retired one.
-			for _, typ := range []byte{0x7F, MsgReply, 7} {
+			// A reply kind is not a request either, nor is a retired one: the
+			// whole-query request, the pong.
+			for _, typ := range []byte{0x7F, MsgReply, 7, 2} {
 				conn := n.dial(t)
 				rtyp, text := exchange(t, conn, typ, nil)
 				if rtyp != MsgError || !strings.Contains(string(text), "unknown frame type") {
@@ -284,6 +305,15 @@ func TestServerLoopConformance(t *testing.T) {
 				}
 				expectClosed(t, conn)
 			}
+		}},
+		{"headerless ping is refused and the connection dropped", func(t *testing.T, n servedNode) {
+			// What a node of the build before every exchange took the header
+			// sends: it must fail loudly.
+			conn := n.dial(t)
+			if rtyp, text := exchange(t, conn, MsgPing, nil); rtyp != MsgError || !strings.Contains(string(text), "header") {
+				t.Fatalf("headerless ping answered type %d %q", rtyp, text)
+			}
+			expectClosed(t, conn)
 		}},
 		{"unknown header version is refused and the connection dropped", func(t *testing.T, n servedNode) {
 			// What a PR-15 node sends: a 4-byte id, then the body. It must
@@ -364,11 +394,46 @@ func TestServerLoopConformance(t *testing.T) {
 			if got := n.counter("requests.expired"); got != 1 {
 				t.Fatalf("requests.expired = %d, want 1", got)
 			}
-			if got := n.counter("requests"); got != handlerWindow+1 {
-				t.Fatalf("requests = %d, want the %d blocked ones and the unbudgeted one counted as served", got, handlerWindow)
+			if got := n.counter("requests"); got != 1 {
+				t.Fatalf("requests = %d, want the unbudgeted MsgDo alone counted as served", got)
 			}
 			if got := n.forwardPasses(); got != 1 {
 				t.Fatalf("%d forward passes, want only the unbudgeted request's", got)
+			}
+		}},
+		{"model push whose budget is spent before a handler slot frees is answered expired and swaps nothing", func(t *testing.T, n servedNode) {
+			conn := n.dial(t)
+			for i := 0; i < handlerWindow; i++ {
+				if err := transport.WriteFrame(conn, kindBlocks, requestPayload(requestHeader{id: 1000 + uint32(i)}, nil)); err != nil {
+					t.Fatal(err)
+				}
+				<-n.entered
+			}
+			// A budget far shorter than the wait for a slot, which only frees
+			// once the blocked handlers are released below.
+			push := requestPayload(requestHeader{id: 1, budget: time.Nanosecond}, pushPayload(t, "v2", 4, 3))
+			if err := transport.WriteFrame(conn, MsgModelPush, push); err != nil {
+				t.Fatal(err)
+			}
+			served := n.Model()
+			close(n.release)
+			for {
+				typ, reply, err := transport.ReadFrame(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if h, text, _ := decodeReplyHeader(reply); h.id == 1 {
+					if typ != MsgErrorMux || string(text) != expiredText {
+						t.Fatalf("push past its budget answered type %d %q", typ, text)
+					}
+					break
+				}
+			}
+			if n.Model() != served {
+				t.Fatalf("expired push replaced the served model with %+v", n.Model())
+			}
+			if got := n.counter("requests.expired"); got != 0 {
+				t.Fatalf("requests.expired = %d, want 0: it counts MsgDo alone", got)
 			}
 		}},
 		{"version pin is checked under every policy and empty means any", func(t *testing.T, n servedNode) {
@@ -409,7 +474,7 @@ func TestServerLoopConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			n.wg.Add(1)
-			n.handleConn(conn) // pong → Write panics → recover
+			n.handleConn(conn) // headerless → MsgError → Write panics → recover
 			if got := n.counter("panics.recovered"); got != 1 || !conn.closed {
 				t.Fatalf("panics.recovered = %d, closed = %v; want 1, true", got, conn.closed)
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
@@ -29,9 +30,10 @@ import (
 // Healthy and suspect peers are routed; an open peer is skipped by a
 // best-effort or quorum Request and fails a strict one fast. A background
 // probe redials and pings the quarantined peer on an exponential-backoff-
-// with-jitter schedule and re-admits it on the first successful pong — so a
-// worker that reboots, or a WiFi link that heals, rejoins rotation without
-// anyone restarting the master.
+// with-jitter schedule and re-admits it on the first answered ping, whose
+// link becomes the peer's — so a worker that reboots, or a WiFi link that
+// heals, rejoins rotation without anyone restarting the master. Pings, like
+// queries, ride the peer's one mux link (mux.go).
 
 // PeerState is one node of the supervision state machine.
 type PeerState int32
@@ -253,7 +255,7 @@ func (p *peerConn) startProbeLocked() {
 }
 
 // probeLoop redials and pings an open peer until it answers or the master
-// closes. On success the fresh connection is installed and the peer rejoins
+// closes. On success the fresh link is installed and the peer rejoins
 // rotation.
 func (p *peerConn) probeLoop() {
 	defer p.wg.Done()
@@ -298,67 +300,62 @@ func (p *peerConn) endProbe(s PeerState) {
 	}
 }
 
-// probeOnce dials a fresh connection and round-trips one ping. On success
-// the connection replaces the peer's broken one. Each probe redial spends
-// from the shared retry budget; when the bucket is dry the probe is skipped
-// this round (the backoff loop tries again — the budget's time trickle
-// guarantees probes never starve forever).
+// probeOnce pings the peer on a freshly dialed link. On success the link
+// replaces the peer's old one. Until then it is the probe's, not the
+// peer's: its death is the failed probe, and costs no strike — the breaker
+// is already open. Each probe redial spends from the shared retry budget;
+// when the bucket is dry the probe is skipped this round (the backoff loop
+// tries again — the budget's time trickle guarantees probes never starve
+// forever).
 func (p *peerConn) probeOnce(cfg SupervisorConfig) bool {
 	if !p.allowSpend("probe") {
 		return false
 	}
 	p.counter("redials").Inc()
-	conn, err := transport.Dial(p.addr, cfg.DialTimeout)
+	var admitted atomic.Bool
+	mc, err := p.link.dial(cfg.DialTimeout, func(err error) {
+		if admitted.Load() {
+			p.muxLinkDown(err)
+		}
+	})
 	if err != nil {
 		return false
 	}
-	deadline := p.pingDeadline(cfg)
-	pingStart := time.Now()
-	if _, err := controlCall(conn, deadline, MsgPing, nil, MsgPong); err != nil {
-		conn.Close()
+	if _, err := p.pingOn(mc, cfg, "probe"); err != nil {
+		mc.close()
 		return false
 	}
-	// A successful probe is a real measurement of the healing link — record
-	// it instead of discarding the timing.
-	p.observe("probe", time.Since(pingStart))
-	p.mu.Lock()
-	if p.conn != nil {
-		p.conn.Close()
+	admitted.Store(true)
+	if !p.link.replace(mc) {
+		mc.close()
 	}
-	p.conn = conn
-	p.mu.Unlock()
 	return true
 }
 
-// pingDeadline bounds a liveness probe: the configured per-peer timeout if
-// set, else the dial timeout — a probe must never wedge.
-func (p *peerConn) pingDeadline(cfg SupervisorConfig) time.Duration {
-	if t := p.muxTimeout(); t > 0 {
-		return t
+// pingOn round-trips one MsgPing on mc, window wait included, within a budget
+// of the per-peer timeout if set, else the dial timeout, and records an
+// answered ping's round trip in the peer's histogram named series. A ping out
+// of budget or answered with an error is abandoned alone, mc and its queries
+// carry on; linkDown reports that mc died under it, a death its hook has
+// counted.
+func (p *peerConn) pingOn(mc *muxClient, cfg SupervisorConfig, series string) (linkDown bool, err error) {
+	timeout := p.muxTimeout()
+	if timeout <= 0 {
+		timeout = cfg.DialTimeout
 	}
-	return cfg.DialTimeout
-}
-
-// ensureConnLocked redials the peer if its connection is down; p.mu held.
-func (p *peerConn) ensureConnLocked(cfg SupervisorConfig) error {
-	if p.conn != nil {
-		return nil
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	done, stop := joinDone(ctx, p.done)
+	defer stop()
+	r, rtt, err := mc.roundTrip(ctx, MsgPing, "", nil, 0, done)
+	switch {
+	case err != nil:
+		return ctx.Err() == nil, err
+	case r.typ != MsgReply:
+		return false, errors.New(string(r.payload))
 	}
-	p.counter("redials").Inc()
-	conn, err := transport.Dial(p.addr, cfg.DialTimeout)
-	if err != nil {
-		return err
-	}
-	p.conn = conn
-	return nil
-}
-
-// dropConnLocked discards a connection after an I/O error; p.mu held.
-func (p *peerConn) dropConnLocked() {
-	if p.conn != nil {
-		p.conn.Close()
-		p.conn = nil
-	}
+	p.observe(series, rtt)
+	return false, nil
 }
 
 // errPeerQuarantined marks fast-fail on an open breaker.
@@ -500,31 +497,25 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, series s
 	}
 }
 
-// ping round-trips one liveness probe on the peer's live connection,
-// redialing first if it is down. Errors feed the breaker like any other
-// transient failure; successful round trips land in the peer's "ping"
-// latency histogram — a health sweep doubles as a latency measurement.
+// ping round-trips one MsgPing on the peer's link — the one its queries
+// ride — redialing first if it is down. A failure costs one strike: here,
+// unless the link died under the ping and struck through its hook. Successful
+// round trips land in the peer's "ping" latency histogram — a health sweep
+// doubles as a latency measurement.
 func (p *peerConn) ping() error {
 	cfg := p.config()
-	deadline := p.pingDeadline(cfg)
-	p.mu.Lock()
-	err := p.ensureConnLocked(cfg)
+	mc, _, err := p.link.get(cfg.DialTimeout)
+	linkDown := false
 	if err == nil {
-		start := time.Now()
-		_, err = controlCall(p.conn, deadline, MsgPing, nil, MsgPong)
-		if err != nil {
-			p.dropConnLocked()
-		} else {
-			p.observe("ping", time.Since(start))
+		if linkDown, err = p.pingOn(mc, cfg, "ping"); err == nil {
+			p.recordSuccess()
+			return nil
 		}
 	}
-	p.mu.Unlock()
-	if err != nil {
+	if !linkDown {
 		p.recordFailure()
-		return fmt.Errorf("cluster: ping %s: %w", p.addr, err)
 	}
-	p.recordSuccess()
-	return nil
+	return fmt.Errorf("cluster: ping %s: %w", p.addr, err)
 }
 
 // markClosed stops supervision; the probe loop exits via the done channel.

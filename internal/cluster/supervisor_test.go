@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -194,6 +196,49 @@ func TestPingAppliesTimeoutOnSilentPeer(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("ping took %v, timeout not applied", elapsed)
+	}
+	// Each unanswered ping is one strike and is abandoned alone: the link
+	// stays up, so the second ping is sent on it without a redial.
+	if err := master.Ping(); err == nil {
+		t.Fatal("second ping of silent peer succeeded")
+	}
+	if h := master.Health()[0]; h.Failures != 2 || h.Redials != 0 {
+		t.Fatalf("want two strikes on one link: %+v", h)
+	}
+	if v := master.Metrics().Gauge("mux.inflight").Value(); v != 0 {
+		t.Fatalf("mux.inflight = %d after the abandoned pings, want 0", v)
+	}
+}
+
+// TestPingErrorAnswerKeepsLink: a ping answered with an error costs one
+// strike, and the link it was answered on keeps carrying queries.
+func TestPingErrorAnswerKeepsLink(t *testing.T) {
+	worker := NewWorker(tinyExpert(t, 59), 1)
+	worker.kinds = map[byte]handler{
+		MsgDo: (*Node).serveDo,
+		MsgPing: func(*Node, context.Context, *Model, []byte) (byte, []byte, time.Duration) {
+			return errorReply(errors.New("draining"))
+		},
+	}
+	addr, err := worker.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer worker.Close()
+
+	master := NewMaster(nil, 3)
+	defer master.Close()
+	if err := master.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Ping(); err == nil || !strings.Contains(err.Error(), "draining") {
+		t.Fatalf("ping answered with an error reported %v", err)
+	}
+	if _, _, err := master.Infer(tensor.NewRNG(60).Randn(1, 4)); err != nil {
+		t.Fatalf("query after the refused ping: %v", err)
+	}
+	if h := master.Health()[0]; h.Failures != 1 || h.Redials != 0 || h.State != PeerHealthy {
+		t.Fatalf("want one strike and the query on the same link: %+v", h)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
+	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
@@ -61,39 +62,55 @@ func unhex(t *testing.T, s string) []byte {
 	return b
 }
 
-// TestWireBytesGolden pins the one request kind under each policy shape a
-// node sends — a peer's whole query, a split tail, a gateway's query — and
-// its reply, byte for byte: frame length and type, the header, the body.
-// The requests go through the mux client (the first id on a link is 1; no
-// ctx deadline, so budget 0 — the header table in header_test.go pins a
-// non-zero budget), the replies through the server-side writer.
+// TestWireBytesGolden pins the one inference kind under each policy shape a
+// node sends — a peer's whole query, a split tail, a gateway's query — the
+// ping, election and model-push requests, and their replies, byte for byte:
+// frame length and type, the header, the body. The requests go through the
+// mux client (the first id on a link is 1; no ctx deadline, so budget 0 —
+// the header table in header_test.go pins a non-zero budget), the replies
+// through the server-side writer.
 func TestWireBytesGolden(t *testing.T) {
 	x := tensor.New(1, 1)
 	x.Data[0] = 0.5
 	traced := trace.NewContext(context.Background(), trace.Context{TraceID: 0x1122334455667788, SpanID: 0x99})
+	push, err := EncodeModelPush("v2", nn.Spec{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name string
 		ctx  context.Context
+		typ  byte
 		pin  string
-		req  Request
+		body []byte
 		want string
 	}{
-		{"{Own, SplitOff} traced", traced, "", Request{X: x, Policy: Policy{Gather: Own}}, `
+		{"{Own, SplitOff} traced", traced, MsgDo, "", encodeRequest(Request{X: x, Policy: Policy{Gather: Own}}), `
 			00000039 12
 			01 00000001 0000000000000000 1122334455667788 0000000000000099 0000
 			03 0000000000000000 00000000
 			02 00000001 00000001 3f000000`},
-		{"{Own, SplitAt(2)} traced and pinned", traced, "v1", Request{X: x, Policy: Policy{Gather: Own, Split: SplitAt(2)}}, `
+		{"{Own, SplitAt(2)} traced and pinned", traced, MsgDo, "v1", encodeRequest(Request{X: x, Policy: Policy{Gather: Own, Split: SplitAt(2)}}), `
 			0000003f 12
 			01 00000001 0000000000000000 1122334455667788 0000000000000099 0002 7631
 			03 0000000000000000 00000003
 			02 00000001 00000001 3fe0000000000000`},
-		{"{Quorum, 5ms}", context.Background(), "", Request{X: x, Policy: Policy{Gather: Quorum, Soft: 5 * time.Millisecond}}, `
+		{"{Quorum, 5ms}", context.Background(), MsgDo, "", encodeRequest(Request{X: x, Policy: Policy{Gather: Quorum, Soft: 5 * time.Millisecond}}), `
 			00000039 12
 			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000
 			02 00000000004c4b40 00000000
 			02 00000001 00000001 3f000000`},
+		{"MsgPing", context.Background(), MsgPing, "", nil, `
+			0000001f 01
+			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000`},
+		{"MsgElection", context.Background(), MsgElection, "", nil, `
+			0000001f 03
+			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000`},
+		{"version-only MsgModelPush", context.Background(), MsgModelPush, "", push, `
+			00000024 0c
+			01 00000001 0000000000000000 0000000000000000 0000000000000000 0000
+			0002 7632 00`},
 	} {
 		want := unhex(t, tc.want)
 		got := sent(t, len(want), func(conn net.Conn) {
@@ -101,7 +118,7 @@ func TestWireBytesGolden(t *testing.T) {
 			defer mc.close()
 			done := make(chan struct{})
 			time.AfterFunc(5*time.Second, func() { close(done) })
-			mc.roundTrip(tc.ctx, tc.pin, encodeRequest(tc.req), 0, done)
+			mc.roundTrip(tc.ctx, tc.typ, tc.pin, tc.body, 0, done)
 		})
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: wire bytes moved\n got %x\nwant %x", tc.name, got, want)
@@ -128,18 +145,25 @@ func TestWireBytesGolden(t *testing.T) {
 			00000011 09
 			01 00000009 0000000000000000
 			626f6f6d`},
-		{"MsgPong", func(cw *connWriter) error { return cw.write(MsgPong, nil) }, `00000000 02`},
+		{"MsgReply to a ping", func(cw *connWriter) error {
+			_, reply, _ := (&Node{}).servePing(context.Background(), nil, nil)
+			return cw.writeReply(MsgReply, replyHeader{id: 1}, reply)
+		}, `
+			0000000d 13
+			01 00000001 0000000000000000`},
+		{"MsgReply to an election", func(cw *connWriter) error {
+			_, reply, _ := (&Node{id: 300}).serveElection(context.Background(), nil, nil)
+			return cw.writeReply(MsgReply, replyHeader{id: 1}, reply)
+		}, `
+			00000011 13
+			01 00000001 0000000000000000
+			0000012c`},
 	} {
 		want := unhex(t, tc.want)
 		got := sent(t, len(want), func(conn net.Conn) { tc.send(&connWriter{conn: conn}) })
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: wire bytes moved\n got %x\nwant %x", tc.name, got, want)
 		}
-	}
-
-	got := sent(t, 5, func(conn net.Conn) { transport.WriteFrame(conn, MsgPing, nil) })
-	if want := []byte{0, 0, 0, 0, 1}; !bytes.Equal(got, want) {
-		t.Errorf("MsgPing on the wire = %x, want %x", got, want)
 	}
 }
 
@@ -175,7 +199,7 @@ func TestMuxWriteLoopCoalescesBlockedWriters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			payload := bytes.Repeat([]byte{mark}, 64)
-			r, _, err := mc.roundTrip(ctx, "", payload, 0, ctx.Done())
+			r, _, err := mc.roundTrip(ctx, MsgDo, "", payload, 0, ctx.Done())
 			if err == nil && !bytes.Equal(r.payload, payload) {
 				err = io.ErrUnexpectedEOF // someone else's reply
 			}
@@ -271,7 +295,7 @@ func BenchmarkMuxRoundTrip(b *testing.B) {
 	b.SetBytes(int64(len(payload)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := mc.roundTrip(ctx, "", payload, 0, nil); err != nil {
+		if _, _, err := mc.roundTrip(ctx, MsgDo, "", payload, 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
