@@ -5,26 +5,21 @@
 // counts for latency and resources).
 //
 // It also hosts the serving-stack benchmarks (docs/BENCHMARKS.md):
-// -throughput drives a real master and snapshot-serving worker over
-// loopback with closed-loop clients, comparing the serial one-in-flight
-// peer protocol against the multiplexed pipeline (DESIGN.md §8); -serve
-// compares direct inference against the batching gateway under open-loop
-// Poisson load (§9); -forward compares the training Network against the
-// frozen inference Snapshot (§10); -cache compares the gateway with
-// demand shaping off and on over a Zipf-skewed workload (§11); -soak
-// drills the SLO-defense layer through a scripted fault timeline; -fleet
-// scales gateway/master pairs across the serving fabric and hot-swaps the
-// model mid-run (§12); -split sweeps the partial-offload planner across
-// edgesim link profiles (§13); and -check re-runs the committed
-// BENCH_*.json configurations as a regression gate.
+// -forward compares the training Network against the frozen inference
+// Snapshot (DESIGN.md §10); -soak drills the SLO-defense layer through a
+// scripted fault timeline; -fleet scales gateway/master pairs across the
+// serving fabric and hot-swaps the model mid-run (§12); -split sweeps the
+// partial-offload planner across edgesim link profiles (§13); and -check
+// re-runs the committed fleet, split and forward configurations as a
+// regression gate. End-to-end serving speed is measured by the repository
+// benchmark (BENCHMARK.json, go run ./benchmark), not here.
 //
 // Examples:
 //
 //	teamnet-bench -list
 //	teamnet-bench -experiment table1a
 //	teamnet-bench -all -scale full > results.txt
-//	teamnet-bench -throughput -clients 8 -out BENCH_throughput.json
-//	teamnet-bench -cache -duration 3s -out BENCH_cache.json
+//	teamnet-bench -split -out BENCH_split.json
 //	teamnet-bench -check -check-duration 2s
 package main
 
@@ -58,24 +53,10 @@ func run() error {
 		plotsDir   = flag.String("plots", "", "also write SVG figures into this directory")
 		seed       = flag.Int64("seed", 42, "random seed")
 
-		throughput = flag.Bool("throughput", false, "run the closed-loop serial-vs-mux throughput benchmark")
-		clients    = flag.Int("clients", 8, "throughput: concurrent closed-loop clients")
-		batch      = flag.Int("batch", 4, "throughput: rows per query")
-		duration   = flag.Duration("duration", 2*time.Second, "throughput/serve/cache: measured window per mode")
-		netDelay   = flag.Duration("netdelay", 2*time.Millisecond, "throughput/serve/cache/soak/fleet: one-way link delay (edge RTT model; negative = none injected)")
-		out        = flag.String("out", "", "every serving-stack mode (-throughput, -serve, -cache, -forward, -soak, -fleet, -split, -check): also write the report as JSON to this file")
-
-		serveBench = flag.Bool("serve", false, "run the open-loop direct-vs-gateway serving benchmark")
-		targetQPS  = flag.Int("qps", 8000, "serve: offered Poisson arrival rate, requests/second")
-		reqDl      = flag.Duration("req-deadline", 300*time.Millisecond, "serve/cache/fleet: per-request deadline")
-		maxBatch   = flag.Int("max-batch", 16, "serve/cache/soak/fleet: gateway row budget per coalesced batch")
-
-		cacheBench = flag.Bool("cache", false, "run the open-loop uncached-vs-cached demand-shaping benchmark on a Zipf-skewed workload")
-		cacheQPS   = flag.Int("cache-qps", 20000, "cache: offered Poisson arrival rate, requests/second")
-		cacheKeys  = flag.Int("cache-keys", 512, "cache: distinct feature vectors in the Zipf key space")
-		cacheZipf  = flag.Float64("cache-zipf", 1.1, "cache: Zipf skew exponent (s > 1; larger = hotter head)")
-		cacheSize  = flag.Int("cache-entries", 4096, "cache: response-cache entries in the cached mode")
-		cacheTTL   = flag.Duration("cache-ttl", 30*time.Second, "cache: response-cache TTL in the cached mode")
+		netDelay = flag.Duration("netdelay", 2*time.Millisecond, "soak/fleet: one-way link delay (edge RTT model; negative = none injected)")
+		out      = flag.String("out", "", "every serving-stack mode (-forward, -soak, -fleet, -split, -check): also write the report as JSON to this file")
+		reqDl    = flag.Duration("req-deadline", 300*time.Millisecond, "fleet: per-request deadline")
+		maxBatch = flag.Int("max-batch", 16, "soak/fleet: gateway row budget per coalesced batch")
 
 		forward = flag.Bool("forward", false, "run the batch forward-pass benchmark: every zoo model on the training engine vs the frozen inference snapshot")
 		fwBatch = flag.Int("forward-batch", 16, "forward: rows per forward pass")
@@ -98,13 +79,10 @@ func run() error {
 		splitBatch = flag.Int("split-batch", 1, "split: rows per query")
 
 		check    = flag.Bool("check", false, "re-run benchmarks with committed configs and fail on >tolerance regression")
-		checkTp  = flag.String("check-throughput", "BENCH_throughput.json", "check: committed throughput artifact (\"\" skips)")
-		checkSv  = flag.String("check-serve", "BENCH_serve.json", "check: committed serve artifact (\"\" skips)")
 		checkFw  = flag.String("check-forward", "BENCH_forward.json", "check: committed forward artifact (\"\" skips)")
-		checkCa  = flag.String("check-cache", "BENCH_cache.json", "check: committed demand-shaping artifact (\"\" skips)")
 		checkFl  = flag.String("check-fleet", "BENCH_fleet.json", "check: committed fleet artifact (\"\" skips)")
 		checkSp  = flag.String("check-split", "BENCH_split.json", "check: committed split-planning artifact (\"\" skips)")
-		checkDur = flag.Duration("check-duration", 0, "check: re-run window per mode (0 = the committed window)")
+		checkDur = flag.Duration("check-duration", 0, "check: fleet re-run window per scale (0 = the committed window)")
 		checkTol = flag.Float64("check-tolerance", bench.CheckTolerance, "check: allowed relative regression")
 	)
 	flag.Parse()
@@ -117,42 +95,6 @@ func run() error {
 		}
 		fmt.Println(report)
 		return writeReport(report, *out)
-	}
-
-	if *throughput {
-		return emit(bench.RunThroughput(bench.ThroughputConfig{
-			Clients:  *clients,
-			Batch:    *batch,
-			Duration: *duration,
-			NetDelay: *netDelay,
-			Seed:     *seed,
-		}))
-	}
-
-	if *serveBench {
-		return emit(bench.RunServeBench(bench.ServeBenchConfig{
-			TargetQPS: *targetQPS,
-			Duration:  *duration,
-			Deadline:  *reqDl,
-			NetDelay:  *netDelay,
-			MaxBatch:  *maxBatch,
-			Seed:      *seed,
-		}))
-	}
-
-	if *cacheBench {
-		return emit(bench.RunCacheBench(bench.CacheBenchConfig{
-			QPS:       *cacheQPS,
-			Duration:  *duration,
-			Deadline:  *reqDl,
-			NetDelay:  *netDelay,
-			MaxBatch:  *maxBatch,
-			KeySpace:  *cacheKeys,
-			ZipfS:     *cacheZipf,
-			CacheSize: *cacheSize,
-			CacheTTL:  *cacheTTL,
-			Seed:      *seed,
-		}))
 	}
 
 	if *forward {
@@ -219,14 +161,11 @@ func run() error {
 
 	if *check {
 		report, err := bench.RunBenchCheck(bench.CheckConfig{
-			ThroughputPath: *checkTp,
-			ServePath:      *checkSv,
-			ForwardPath:    *checkFw,
-			CachePath:      *checkCa,
-			FleetPath:      *checkFl,
-			SplitPath:      *checkSp,
-			Duration:       *checkDur,
-			Tolerance:      *checkTol,
+			ForwardPath: *checkFw,
+			FleetPath:   *checkFl,
+			SplitPath:   *checkSp,
+			Duration:    *checkDur,
+			Tolerance:   *checkTol,
 		})
 		if err := emit(report, err); err != nil {
 			return err

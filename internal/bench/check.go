@@ -8,16 +8,14 @@ import (
 	"time"
 )
 
-// Regression check: `make bench-check` re-runs the transport, serving,
-// demand-shaping, fleet and forward-pass benchmarks with the configuration
-// recorded in the committed BENCH_throughput.json / BENCH_serve.json /
-// BENCH_cache.json / BENCH_fleet.json / BENCH_forward.json artifacts and
-// fails when the
-// headline numbers regress past tolerance — >20% lower goodput/QPS or >20%
-// higher p99 by default. A short re-run is noisy, so
-// each p99 limit also carries a small absolute grace; throughput limits are
-// purely relative. The forward check additionally pins the snapshot's
-// zero-allocation steady state as an exact invariant.
+// Regression check: `make bench-check` re-runs the fleet, split-planning and
+// forward-pass benchmarks with the configuration recorded in the committed
+// BENCH_fleet.json / BENCH_split.json / BENCH_forward.json artifacts and
+// fails when a headline number regresses past tolerance — >20% lower
+// goodput or rows/sec by default — or an exact invariant breaks: the fleet's
+// hot-swap outcome, the snapshot's zero-allocation steady state, the split
+// plan. End-to-end speed is judged by the repository benchmark
+// (BENCHMARK.json), not here.
 
 // CheckTolerance is the default allowed relative regression (20%).
 const CheckTolerance = 0.20
@@ -28,14 +26,11 @@ const checkP99GraceMs = 3.0
 
 // CheckConfig points the regression check at the committed artifacts.
 type CheckConfig struct {
-	ThroughputPath string        // committed BENCH_throughput.json ("" skips)
-	ServePath      string        // committed BENCH_serve.json ("" skips)
-	ForwardPath    string        // committed BENCH_forward.json ("" skips)
-	CachePath      string        // committed BENCH_cache.json ("" skips)
-	FleetPath      string        // committed BENCH_fleet.json ("" skips)
-	SplitPath      string        // committed BENCH_split.json ("" skips)
-	Duration       time.Duration // re-run window per mode; 0 = the committed window
-	Tolerance      float64       // allowed relative regression; 0 = CheckTolerance
+	ForwardPath string        // committed BENCH_forward.json ("" skips)
+	FleetPath   string        // committed BENCH_fleet.json ("" skips)
+	SplitPath   string        // committed BENCH_split.json ("" skips)
+	Duration    time.Duration // fleet re-run window per scale; 0 = the committed window
+	Tolerance   float64       // allowed relative regression; 0 = CheckTolerance
 }
 
 // CheckResult is one compared metric.
@@ -86,47 +81,11 @@ func checkCeiling(name string, committed, current, tol float64) CheckResult {
 	return checkCeilingGrace(name, committed, current, tol, checkP99GraceMs)
 }
 
-// checkCeilingGrace is checkCeiling with an explicit absolute grace, for
-// metrics whose committed value sits near zero (a cache-hit p99 is
-// microseconds, so the relative term is meaningless and run-to-run
-// scheduler noise dominates).
+// checkCeilingGrace is checkCeiling with an explicit absolute grace; a
+// metric with no run-to-run noise (the analytic split sweep) passes 0.
 func checkCeilingGrace(name string, committed, current, tol, graceMs float64) CheckResult {
 	limit := committed*(1+tol) + graceMs
 	return CheckResult{Name: name, Committed: committed, Current: current, Limit: limit, Pass: current <= limit}
-}
-
-// EvaluateThroughputCheck reduces a committed/current report pair to the
-// compared metrics (pure; unit-tested without running anything).
-func EvaluateThroughputCheck(committed, current *ThroughputReport, tol float64) []CheckResult {
-	return []CheckResult{
-		checkFloor("throughput.mux.qps", committed.Mux.QPS, current.Mux.QPS, tol),
-		checkCeiling("throughput.mux.p99_ms", committed.Mux.P99Ms, current.Mux.P99Ms, tol),
-	}
-}
-
-// EvaluateServeCheck is the serving benchmark's half: gateway goodput floor
-// and gateway p99 ceiling.
-func EvaluateServeCheck(committed, current *ServeBenchReport, tol float64) []CheckResult {
-	return []CheckResult{
-		checkFloor("serve.gateway.goodput_qps", committed.Gateway.GoodputQPS, current.Gateway.GoodputQPS, tol),
-		checkCeiling("serve.gateway.p99_ms", committed.Gateway.P99Ms, current.Gateway.P99Ms, tol),
-	}
-}
-
-// EvaluateCacheCheck gates the demand-shaping benchmark: the cached mode's
-// goodput floor and p99 ceiling, plus a floor on the cached/uncached
-// speedup itself — the layer's reason to exist — so the cache can't quietly
-// degrade to a pass-through while absolute numbers drift within tolerance.
-func EvaluateCacheCheck(committed, current *CacheBenchReport, tol float64) []CheckResult {
-	return []CheckResult{
-		checkFloor("cache.cached.goodput_qps", committed.Cached.GoodputQPS, current.Cached.GoodputQPS, tol),
-		// The cached p99 is dominated by the rare misses that traverse the
-		// full batching path, so short re-runs see multi-ms swings on a
-		// near-zero base; a wider grace keeps the ceiling meaningful
-		// without tripping on scheduler noise.
-		checkCeilingGrace("cache.cached.p99_ms", committed.Cached.P99Ms, current.Cached.P99Ms, tol, 15),
-		checkFloor("cache.speedup", committed.Speedup, current.Speedup, tol),
-	}
 }
 
 // EvaluateFleetCheck gates the serving fabric: aggregate goodput at the
@@ -164,54 +123,15 @@ func recheck[R any](path string, rerun func(committed *R) (*R, error), evaluate 
 }
 
 // RunBenchCheck loads the committed artifacts, re-runs each benchmark with
-// the committed configuration (at cfg.Duration when set), and compares. A
-// regression is reported in the CheckReport, not as an error — errors mean
-// the check itself could not run.
+// the committed configuration (the fleet at cfg.Duration when set), and
+// compares. A regression is reported in the CheckReport, not as an error —
+// errors mean the check itself could not run.
 func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 	tol := cfg.Tolerance
 	if tol <= 0 {
 		tol = CheckTolerance
 	}
-	// window is the re-run window of the wire benchmarks: cfg.Duration
-	// exists to shorten their multi-second committed windows.
-	window := func(committedSec float64) time.Duration {
-		if cfg.Duration > 0 {
-			return cfg.Duration
-		}
-		return seconds(committedSec)
-	}
-
 	checks := []func(tol float64) ([]CheckResult, error){
-		recheck(cfg.ThroughputPath, func(c *ThroughputReport) (*ThroughputReport, error) {
-			return RunThroughput(ThroughputConfig{
-				Clients:  c.Clients,
-				Batch:    c.Batch,
-				Duration: window(c.DurationSec),
-				NetDelay: netDelayFromMs(c.NetDelayMs),
-			})
-		}, EvaluateThroughputCheck),
-		recheck(cfg.ServePath, func(c *ServeBenchReport) (*ServeBenchReport, error) {
-			return RunServeBench(ServeBenchConfig{
-				TargetQPS: c.TargetQPS,
-				Duration:  window(c.DurationSec),
-				Deadline:  millis(c.DeadlineMs),
-				NetDelay:  netDelayFromMs(c.NetDelayMs),
-				MaxBatch:  c.MaxBatch,
-			})
-		}, EvaluateServeCheck),
-		recheck(cfg.CachePath, func(c *CacheBenchReport) (*CacheBenchReport, error) {
-			return RunCacheBench(CacheBenchConfig{
-				QPS:       c.QPS,
-				Duration:  window(c.DurationSec),
-				Deadline:  millis(c.DeadlineMs),
-				NetDelay:  netDelayFromMs(c.NetDelayMs),
-				MaxBatch:  c.MaxBatch,
-				KeySpace:  c.KeySpace,
-				ZipfS:     c.ZipfS,
-				CacheSize: c.CacheSize,
-				CacheTTL:  seconds(c.CacheTTLSec),
-			})
-		}, EvaluateCacheCheck),
 		recheck(cfg.FleetPath, func(c *FleetReport) (*FleetReport, error) {
 			if len(c.Scales) == 0 {
 				return nil, fmt.Errorf("artifact records no scales")
@@ -220,9 +140,14 @@ func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 			for i, s := range c.Scales {
 				scales[i] = s.Pairs
 			}
+			// cfg.Duration exists to shorten the multi-second committed window.
+			window := seconds(c.DurationSec)
+			if cfg.Duration > 0 {
+				window = cfg.Duration
+			}
 			return RunFleetBench(FleetConfig{
 				PairQPS:        c.PairQPS,
-				Duration:       window(c.DurationSec),
+				Duration:       window,
 				Deadline:       millis(c.DeadlineMs),
 				Scales:         scales,
 				WorkersPerPair: c.WorkersPerPair,

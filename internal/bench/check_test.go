@@ -28,21 +28,23 @@ func TestCheckFloorAndCeiling(t *testing.T) {
 }
 
 func TestEvaluateChecksAndReportString(t *testing.T) {
-	committed := &ThroughputReport{Mux: ThroughputResult{QPS: 1200, P99Ms: 12}}
-	current := &ThroughputReport{Mux: ThroughputResult{QPS: 1100, P99Ms: 13}}
-	results := EvaluateThroughputCheck(committed, current, 0.2)
-	if len(results) != 2 || !results[0].Pass || !results[1].Pass {
-		t.Fatalf("mild drift flagged as regression: %+v", results)
+	committed := &FleetReport{ScalingX: 3.6, Scales: []FleetScale{{Pairs: 4, Load: Load{GoodputQPS: 1440}}}}
+	current := &FleetReport{ScalingX: 3.4, Scales: []FleetScale{{Pairs: 4, Load: Load{GoodputQPS: 1350}}}}
+	results := EvaluateFleetCheck(committed, current, 0.2)
+	for _, c := range results {
+		if !c.Pass {
+			t.Fatalf("mild drift flagged as regression: %+v", c)
+		}
 	}
 
-	cs := &ServeBenchReport{Gateway: ServeBenchResult{Load: Load{GoodputQPS: 8000, P99Ms: 30}}}
-	cur := &ServeBenchReport{Gateway: ServeBenchResult{Load: Load{GoodputQPS: 100, P99Ms: 300}}}
-	sresults := EvaluateServeCheck(cs, cur, 0.2)
-	if sresults[0].Pass || sresults[1].Pass {
-		t.Fatalf("collapse not flagged: %+v", sresults)
+	cf := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", SnapshotRowsPerSec: 8000}}}
+	cur := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", SnapshotRowsPerSec: 100, SnapshotAllocsPerOp: 3}}}
+	fresults := EvaluateForwardCheck(cf, cur, 0.2)
+	if len(fresults) != 2 || fresults[0].Pass || fresults[1].Pass {
+		t.Fatalf("collapse not flagged: %+v", fresults)
 	}
 
-	report := &CheckReport{Tolerance: 0.2, Results: append(results, sresults...)}
+	report := &CheckReport{Tolerance: 0.2, Results: append(results, fresults...)}
 	report.Pass = false
 	s := report.String()
 	if !strings.Contains(s, "REGRESSED") || !strings.Contains(s, "FAIL") {
@@ -54,40 +56,8 @@ func TestRunBenchCheckNeedsArtifacts(t *testing.T) {
 	if _, err := RunBenchCheck(CheckConfig{}); err == nil {
 		t.Fatal("no artifact paths must be an error, not a silent pass")
 	}
-	if _, err := RunBenchCheck(CheckConfig{ThroughputPath: "does/not/exist.json"}); err == nil {
+	if _, err := RunBenchCheck(CheckConfig{FleetPath: "does/not/exist.json"}); err == nil {
 		t.Fatal("a missing artifact must be an error")
-	}
-}
-
-func TestEvaluateCacheCheck(t *testing.T) {
-	committed := &CacheBenchReport{
-		Cached:  CacheBenchResult{Load: Load{GoodputQPS: 20000, P99Ms: 3}},
-		Speedup: 2.3,
-	}
-	// Mild drift: goodput -5%, p99 noise within the widened grace, speedup flat.
-	cur := &CacheBenchReport{
-		Cached:  CacheBenchResult{Load: Load{GoodputQPS: 19000, P99Ms: 9}},
-		Speedup: 2.2,
-	}
-	results := EvaluateCacheCheck(committed, cur, 0.2)
-	if len(results) != 3 {
-		t.Fatalf("want 3 compared metrics, got %+v", results)
-	}
-	for _, c := range results {
-		if !c.Pass {
-			t.Fatalf("mild drift flagged as regression: %+v", c)
-		}
-	}
-
-	// A cache degraded to a pass-through: absolute goodput might still sit
-	// inside tolerance of a low baseline, but the speedup floor must trip.
-	flat := &CacheBenchReport{
-		Cached:  CacheBenchResult{Load: Load{GoodputQPS: 20000, P99Ms: 3}},
-		Speedup: 1.0,
-	}
-	results = EvaluateCacheCheck(committed, flat, 0.2)
-	if results[2].Pass {
-		t.Fatalf("speedup collapse 2.3 -> 1.0 must fail: %+v", results[2])
 	}
 }
 
@@ -117,18 +87,17 @@ func missingKeys(path string, file, back any) []string {
 	return missing
 }
 
-// TestCommittedArtifactSchemas holds the report types to the committed live
+// TestCommittedArtifactSchemas holds the report types to the committed
 // artifacts: each file unmarshals into its type, and every key the file
 // carries comes back under the same name and nesting when the value is
 // marshalled again. New keys are allowed; renaming or moving one is not —
 // bench-check reads these files with these types.
 func TestCommittedArtifactSchemas(t *testing.T) {
 	for name, report := range map[string]any{
-		"throughput": &ThroughputReport{},
-		"serve":      &ServeBenchReport{},
-		"cache":      &CacheBenchReport{},
-		"soak":       &SoakReport{},
-		"fleet":      &FleetReport{},
+		"soak":    &SoakReport{},
+		"fleet":   &FleetReport{},
+		"forward": &ForwardReport{},
+		"split":   &SplitReport{},
 	} {
 		raw, err := os.ReadFile("../../BENCH_" + name + ".json")
 		if err != nil {

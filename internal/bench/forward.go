@@ -11,13 +11,12 @@ import (
 )
 
 // Compute-kernel benchmark: the acceptance harness for the batch-throughput
-// forward pass. Where the throughput and serve benchmarks measure the wire
-// (transport pipelining, gateway coalescing), this one measures the matmul
-// under them: every model family in the zoo runs a fixed-size batch through
-// both inference engines — the training Network (one mutable activation
-// cache, the engine the replica pool used to clone) and the frozen Snapshot
-// (shared weights, pooled scratch arenas, the engine the cluster serves
-// from) — and reports sustained rows/second for each plus the snapshot's
+// forward pass. Where the soak and fleet benchmarks measure the wire, this
+// one measures the matmul under it: every model family in the zoo runs a
+// fixed-size batch through both inference engines — the training Network
+// (one mutable activation cache, the engine the replica pool used to clone)
+// and the frozen Snapshot (shared weights, pooled scratch arenas, the engine
+// the cluster serves from) — and reports sustained rows/second for each plus the snapshot's
 // steady-state heap allocations per forward pass.
 //
 // The allocation count is the load-bearing number: the snapshot's arena

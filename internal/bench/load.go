@@ -12,8 +12,8 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
-// Open-loop load generator: the one instrument the serve, cache, soak and
-// fleet harnesses measure with. Single-row requests arrive on a Poisson
+// Open-loop load generator: the one instrument the soak and fleet harnesses
+// measure with. Single-row requests arrive on a Poisson
 // clock — exponential gaps paced against absolute time — whether or not
 // earlier ones have finished, so a slow system cannot slow the clock down;
 // that back-pressure immunity is the whole point of open loop. Every request

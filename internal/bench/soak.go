@@ -12,10 +12,9 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
-// Chaos soak: the acceptance harness for the SLO-defense layer. Where the
-// serve benchmark measures one steady-state window, the soak holds the
-// open-loop generator's load (load.go) against the full production stack —
-// real gateway (degraded mode and brownout controller on), real master
+// Chaos soak: the acceptance harness for the SLO-defense layer. The soak
+// holds the open-loop generator's load (load.go) against the full production
+// stack — real gateway (degraded mode and brownout controller on), real master
 // (hedging and the shared retry budget on), real snapshot-serving workers,
 // every worker link behind its own chaos proxy (stack.go) — for minutes,
 // while a scripted fault timeline stalls one expert, resets another's link,
