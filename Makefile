@@ -29,12 +29,14 @@ docs:
 linkcheck:
 	$(GO) run ./cmd/teamnet-linkcheck README.md DESIGN.md docs/*.md
 
-# one-loop fails if a second accept loop, the deleted RPC stack, a retired
-# request or reply kind or the headerless control client comes back: the
-# runtime's one server loop is cluster.Node's (internal/cluster/server.go);
-# the only other code that accepts connections is the chaos proxy's; every
-# exchange on the wire is a kind in requestKinds — MsgDo for an inference —
-# under the frame header, answered by MsgReply or MsgErrorMux.
+# one-loop is the retired-name gate. It fails if a second accept loop, the
+# deleted RPC stack, a retired request or reply kind, the headerless control
+# client or a per-peer copy of a master setting comes back: the runtime's one
+# server loop is cluster.Node's (internal/cluster/server.go); the only other
+# code that accepts connections is the chaos proxy's; every exchange on the
+# wire is a kind in requestKinds — MsgDo for an inference — under the frame
+# header, answered by MsgReply or MsgErrorMux; and a peer reads its master's
+# tracer, hedge switch and retry budget, whose tuning is constants.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -48,6 +50,8 @@ one-loop:
 		echo "a retired request kind or accept path is back (one request on the wire: MsgDo)"; exit 1; fi
 	@if grep -rnw 'controlCall\|controlDial\|MsgPong\|MsgElectionOK\|MsgAnnounceOK\|MsgModelPushOK' --include=*.go .; then \
 		echo "the headerless control protocol is back (every exchange is a kind in requestKinds)"; exit 1; fi
+	@if grep -rnw 'tracerRef\|hedgeRef\|budgetRef\|HedgeConfig\|RetryBudgetConfig' --include=*.go .; then \
+		echo "a per-peer settings ref or a retired tuning struct is back (a peer reads its master)"; exit 1; fi
 
 # loc prints the non-test Go lines of every internal/ package and their
 # total — the tracked number of ROADMAP aim 2 (same behaviour, least code) —
@@ -149,7 +153,7 @@ bench-split:
 
 # Regression gate: re-runs the fleet, split and forward benchmarks with the
 # committed BENCH_fleet.json, BENCH_split.json and BENCH_forward.json
-# configurations and fails on >20% goodput or rows-per-sec loss, a fleet
+# configurations and fails on >20% goodput or snapshot-speedup loss, a fleet
 # scaling collapse, any hot-swap failure or stale entry, any snapshot
 # forward allocation, or a split-plan drift. A shorter re-run window keeps
 # the fleet CI-sized. End-to-end serving speed is judged by BENCHMARK.json

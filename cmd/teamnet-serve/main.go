@@ -127,11 +127,9 @@ func run() error {
 	master.SetTimeout(*timeout)
 	master.SetSupervisor(cluster.SupervisorConfig{MaxRetries: *retries})
 	master.SetTracer(trace.New("gateway", 0))
-	if *hedge {
-		master.SetHedge(cluster.HedgeConfig{Enabled: true})
-	}
+	master.SetHedge(*hedge)
 	if *retryBudget > 0 {
-		master.SetRetryBudget(cluster.NewRetryBudget(cluster.RetryBudgetConfig{Ratio: *retryBudget}))
+		master.SetRetryBudget(cluster.NewRetryBudget(*retryBudget))
 	}
 	for _, addr := range cli.SplitList(*peers) {
 		if err := master.Connect(addr); err != nil {

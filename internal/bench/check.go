@@ -12,17 +12,13 @@ import (
 // forward-pass benchmarks with the configuration recorded in the committed
 // BENCH_fleet.json / BENCH_split.json / BENCH_forward.json artifacts and
 // fails when a headline number regresses past tolerance — >20% lower
-// goodput or rows/sec by default — or an exact invariant breaks: the fleet's
+// goodput or snapshot speedup by default — or an exact invariant breaks: the fleet's
 // hot-swap outcome, the snapshot's zero-allocation steady state, the split
 // plan. End-to-end speed is judged by the repository benchmark
 // (BENCHMARK.json), not here.
 
 // CheckTolerance is the default allowed relative regression (20%).
 const CheckTolerance = 0.20
-
-// checkP99GraceMs absorbs scheduler noise in short re-runs: a p99 within
-// committed×(1+tol)+grace passes.
-const checkP99GraceMs = 3.0
 
 // CheckConfig points the regression check at the committed artifacts.
 type CheckConfig struct {
@@ -75,14 +71,9 @@ func checkFloor(name string, committed, current, tol float64) CheckResult {
 	return CheckResult{Name: name, Committed: committed, Current: current, Limit: limit, Pass: current >= limit}
 }
 
-// checkCeiling compares a lower-is-better latency metric: current must stay
-// under committed×(1+tol) plus the absolute grace.
-func checkCeiling(name string, committed, current, tol float64) CheckResult {
-	return checkCeilingGrace(name, committed, current, tol, checkP99GraceMs)
-}
-
-// checkCeilingGrace is checkCeiling with an explicit absolute grace; a
-// metric with no run-to-run noise (the analytic split sweep) passes 0.
+// checkCeilingGrace compares a lower-is-better latency metric: current must
+// stay under committed×(1+tol) plus the absolute grace; a metric with no
+// run-to-run noise (the analytic split sweep) passes 0.
 func checkCeilingGrace(name string, committed, current, tol, graceMs float64) CheckResult {
 	limit := committed*(1+tol) + graceMs
 	return CheckResult{Name: name, Committed: committed, Current: current, Limit: limit, Pass: current <= limit}

@@ -19,10 +19,10 @@ func TestCheckFloorAndCeiling(t *testing.T) {
 		t.Fatalf("799 vs 1000 at 20%% tolerance must fail: %+v", c)
 	}
 	// Ceiling: limit = committed×1.2 + 3ms grace.
-	if c := checkCeiling("p99", 10, 14.9, 0.2); !c.Pass {
+	if c := checkCeilingGrace("p99", 10, 14.9, 0.2, 3); !c.Pass {
 		t.Fatalf("14.9ms vs 10ms (limit 15ms) must pass: %+v", c)
 	}
-	if c := checkCeiling("p99", 10, 15.1, 0.2); c.Pass {
+	if c := checkCeilingGrace("p99", 10, 15.1, 0.2, 3); c.Pass {
 		t.Fatalf("15.1ms vs 10ms (limit 15ms) must fail: %+v", c)
 	}
 }
@@ -37,8 +37,8 @@ func TestEvaluateChecksAndReportString(t *testing.T) {
 		}
 	}
 
-	cf := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", SnapshotRowsPerSec: 8000}}}
-	cur := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", SnapshotRowsPerSec: 100, SnapshotAllocsPerOp: 3}}}
+	cf := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", Speedup: 1.5}}}
+	cur := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", Speedup: 0.2, SnapshotAllocsPerOp: 3}}}
 	fresults := EvaluateForwardCheck(cf, cur, 0.2)
 	if len(fresults) != 2 || fresults[0].Pass || fresults[1].Pass {
 		t.Fatalf("collapse not flagged: %+v", fresults)

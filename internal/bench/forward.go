@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -127,13 +128,9 @@ func RunForwardBench(cfg ForwardBenchConfig) (*ForwardReport, error) {
 			return nil, fmt.Errorf("bench: snapshot %s: %w", spec.Label(), err)
 		}
 		res := ForwardResult{Model: spec.Label(), Params: net.ParamCount()}
-		res.NetworkRowsPerSec = measureRowsPerSec(cfg.Duration, cfg.Batch, func() {
-			net.Forward(x, false)
-		})
 		out := snap.Forward(x) // sized destination; also warms the arena pool
-		res.SnapshotRowsPerSec = measureRowsPerSec(cfg.Duration, cfg.Batch, func() {
-			snap.ForwardInto(out, x)
-		})
+		res.NetworkRowsPerSec, res.SnapshotRowsPerSec = measureRowsPerSec(cfg.Duration, cfg.Batch,
+			func() { net.Forward(x, false) }, func() { snap.ForwardInto(out, x) })
 		if res.NetworkRowsPerSec > 0 {
 			res.Speedup = res.SnapshotRowsPerSec / res.NetworkRowsPerSec
 		}
@@ -145,29 +142,48 @@ func RunForwardBench(cfg ForwardBenchConfig) (*ForwardReport, error) {
 	return report, nil
 }
 
-// measureRowsPerSec runs f (one batch forward) in a closed loop for roughly
-// the window and returns sustained rows/second. One untimed call warms
-// caches and pools first.
-func measureRowsPerSec(window time.Duration, batch int, f func()) float64 {
-	f()
-	start := time.Now()
-	deadline := start.Add(window)
-	n := 0
-	for time.Now().Before(deadline) {
+// forwardSlices is how many turns each engine takes in measureRowsPerSec.
+const forwardSlices = 10
+
+// measureRowsPerSec runs net and snap (one batch forward each) in closed
+// loops for roughly the window apiece and returns each one's sustained
+// rows/second. The engines take turns in forwardSlices slices, so a change
+// in the host's load reaches both and their ratio — the speedup the gate
+// floors — is this host's. One untimed call each warms caches and pools
+// first.
+func measureRowsPerSec(window time.Duration, batch int, net, snap func()) (netRate, snapRate float64) {
+	engines := [2]func(){net, snap}
+	var calls [2]int
+	var spent [2]time.Duration
+	for _, f := range engines {
 		f()
-		n++
 	}
-	elapsed := time.Since(start)
-	if elapsed <= 0 || n == 0 {
-		return 0
+	for i := 0; i < forwardSlices; i++ {
+		for e, f := range engines {
+			runtime.GC() // the other engine's garbage is not this one's cost
+			start := time.Now()
+			for deadline := start.Add(window / forwardSlices); time.Now().Before(deadline); calls[e]++ {
+				f()
+			}
+			spent[e] += time.Since(start)
+		}
 	}
-	return float64(n*batch) / elapsed.Seconds()
+	rate := func(e int) float64 {
+		if calls[e] == 0 || spent[e] <= 0 {
+			return 0
+		}
+		return float64(calls[e]*batch) / spent[e].Seconds()
+	}
+	return rate(0), rate(1)
 }
 
 // EvaluateForwardCheck reduces a committed/current report pair to the
-// compared metrics: a relative floor on every model's snapshot throughput
-// and the exact zero-allocation invariant. Models are matched by label, so
-// adding a model to the zoo does not break old artifacts.
+// compared metrics: a relative floor on every model's speedup — snapshot
+// over network rows/second, both measured in the same run, so the gate
+// compares this host against itself rather than against the absolute
+// throughput of the host that committed the artifact — and the exact
+// zero-allocation invariant. Models are matched by label, so adding a model
+// to the zoo does not break old artifacts.
 func EvaluateForwardCheck(committed, current *ForwardReport, tol float64) []CheckResult {
 	byModel := make(map[string]ForwardResult, len(current.Results))
 	for _, m := range current.Results {
@@ -177,13 +193,10 @@ func EvaluateForwardCheck(committed, current *ForwardReport, tol float64) []Chec
 	for _, c := range committed.Results {
 		cur, ok := byModel[c.Model]
 		if !ok {
-			out = append(out, CheckResult{
-				Name: "forward." + c.Model + ".snapshot_rows_per_sec", Committed: c.SnapshotRowsPerSec,
-			})
+			out = append(out, CheckResult{Name: "forward." + c.Model + ".speedup", Committed: c.Speedup})
 			continue
 		}
-		out = append(out, checkFloor("forward."+c.Model+".snapshot_rows_per_sec",
-			c.SnapshotRowsPerSec, cur.SnapshotRowsPerSec, tol))
+		out = append(out, checkFloor("forward."+c.Model+".speedup", c.Speedup, cur.Speedup, tol))
 		// Zero allocations is an invariant, not a baseline: the committed
 		// value plays no part, any nonzero count fails.
 		out = append(out, CheckResult{

@@ -44,38 +44,40 @@ func TestRunForwardBenchSmoke(t *testing.T) {
 	}
 }
 
-// TestEvaluateForwardCheck exercises the pure comparison: throughput floors
-// at tolerance, the allocation invariant exactly, and a model missing from
-// the re-run failing rather than silently passing.
+// TestEvaluateForwardCheck exercises the pure comparison: speedup floors at
+// tolerance whatever the absolute throughput, the allocation invariant
+// exactly, and a model missing from the re-run failing rather than silently
+// passing.
 func TestEvaluateForwardCheck(t *testing.T) {
 	committed := &ForwardReport{Batch: 16, Results: []ForwardResult{
-		{Model: "MLP-8", SnapshotRowsPerSec: 1000, SnapshotAllocsPerOp: 0},
-		{Model: "SS-8", SnapshotRowsPerSec: 500, SnapshotAllocsPerOp: 0},
+		{Model: "MLP-8", SnapshotRowsPerSec: 1000, Speedup: 2, SnapshotAllocsPerOp: 0},
+		{Model: "SS-8", SnapshotRowsPerSec: 500, Speedup: 4, SnapshotAllocsPerOp: 0},
 	}}
+	// A host at a third of the committed throughput, same speedup less 10%.
 	current := &ForwardReport{Batch: 16, Results: []ForwardResult{
-		{Model: "MLP-8", SnapshotRowsPerSec: 900, SnapshotAllocsPerOp: 0},
+		{Model: "MLP-8", SnapshotRowsPerSec: 330, Speedup: 1.8, SnapshotAllocsPerOp: 0},
 	}}
 	results := EvaluateForwardCheck(committed, current, 0.20)
 	got := map[string]bool{}
 	for _, r := range results {
 		got[r.Name] = r.Pass
 	}
-	if !got["forward.MLP-8.snapshot_rows_per_sec"] {
-		t.Fatal("10% dip failed a 20% floor")
+	if !got["forward.MLP-8.speedup"] {
+		t.Fatal("10% speedup dip on a slower host failed a 20% floor")
 	}
 	if !got["forward.MLP-8.allocs_per_op"] {
 		t.Fatal("zero allocs failed the invariant")
 	}
-	if pass, ok := got["forward.SS-8.snapshot_rows_per_sec"]; !ok || pass {
+	if pass, ok := got["forward.SS-8.speedup"]; !ok || pass {
 		t.Fatalf("missing model must fail: %v %v", ok, pass)
 	}
 
 	// A regressed floor and a single alloc both fail.
-	current.Results[0].SnapshotRowsPerSec = 700
+	current.Results[0].Speedup = 1.5
 	current.Results[0].SnapshotAllocsPerOp = 1
 	for _, r := range EvaluateForwardCheck(committed, current, 0.20) {
 		switch r.Name {
-		case "forward.MLP-8.snapshot_rows_per_sec", "forward.MLP-8.allocs_per_op":
+		case "forward.MLP-8.speedup", "forward.MLP-8.allocs_per_op":
 			if r.Pass {
 				t.Fatalf("%s passed, want fail", r.Name)
 			}

@@ -144,8 +144,8 @@ func defend(m *cluster.Master, deadline time.Duration) {
 		RetryBackoff:     &transport.Backoff{Base: 5 * time.Millisecond, Max: 25 * time.Millisecond},
 		ProbeBackoff:     &transport.Backoff{Base: 100 * time.Millisecond, Max: 500 * time.Millisecond},
 	})
-	m.SetHedge(cluster.HedgeConfig{Enabled: true})
-	m.SetRetryBudget(cluster.NewRetryBudget(cluster.RetryBudgetConfig{}))
+	m.SetHedge(true)
+	m.SetRetryBudget(cluster.NewRetryBudget(0))
 }
 
 // randRows draws n single-row queries of the expert's input width.

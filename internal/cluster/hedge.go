@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"sync"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/trace"
@@ -25,91 +24,33 @@ import (
 // answered first), "hedge.wasted" (primary answered after the duplicate was
 // already in flight).
 
-// HedgeConfig tunes per-peer request hedging. The zero value disables
-// hedging; enabling it with zero fields uses the defaults.
-type HedgeConfig struct {
-	// Enabled turns hedging on. Off by default: hedging spends bandwidth to
-	// buy tail latency, a trade the serving layer opts into explicitly.
-	Enabled bool
-	// Quantile of the peer's live rtt histogram that arms the hedge timer.
-	// Default 0.95.
-	Quantile float64
-	// MinSamples is how many rtt observations a peer needs before its
-	// histogram is trusted to seed timers. Default 20.
-	MinSamples int
-	// MinDelay / MaxDelay clamp the timer: never hedge faster than MinDelay
-	// (default 2ms — sub-RTT duplicates are pure waste) and never wait
-	// longer than MaxDelay (default 250ms) even if the histogram says so.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-}
+// The hedge timer's tuning: the peer's live p95 once its histogram holds
+// hedgeMinSamples round trips, clamped into [hedgeMinDelay, hedgeMaxDelay] —
+// never faster (sub-RTT duplicates are pure waste), never slower (whatever
+// the histogram says).
+const (
+	hedgeQuantile   = 0.95
+	hedgeMinSamples = 20
+	hedgeMinDelay   = 2 * time.Millisecond
+	hedgeMaxDelay   = 250 * time.Millisecond
+)
 
-func (c HedgeConfig) normalized() HedgeConfig {
-	if c.Quantile <= 0 || c.Quantile > 1 {
-		c.Quantile = 0.95
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 20
-	}
-	if c.MinDelay <= 0 {
-		c.MinDelay = 2 * time.Millisecond
-	}
-	if c.MaxDelay <= 0 {
-		c.MaxDelay = 250 * time.Millisecond
-	}
-	return c
-}
+// SetHedge turns per-peer request hedging on or off. Off by default: hedging
+// spends bandwidth to buy tail latency, a trade the serving layer opts into
+// explicitly. Affects peers connected before and after the call.
+func (m *Master) SetHedge(on bool) { m.hedge.Store(on) }
 
-// hedgeRef shares one swappable hedge policy between a master and its
-// peers, the tracerRef pattern: SetHedge affects peers connected before and
-// after the call.
-type hedgeRef struct {
-	mu  sync.Mutex
-	cfg HedgeConfig
-}
-
-func (r *hedgeRef) get() HedgeConfig {
-	if r == nil {
-		return HedgeConfig{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cfg
-}
-
-func (r *hedgeRef) set(cfg HedgeConfig) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cfg = cfg
-}
-
-// SetHedge installs the hedging policy (zero fields defaulted). Affects
-// peers connected before and after the call.
-func (m *Master) SetHedge(cfg HedgeConfig) { m.hedge.set(cfg.normalized()) }
-
-// Hedge returns the installed hedging policy.
-func (m *Master) Hedge() HedgeConfig { return m.hedge.get() }
-
-// hedgeDelay resolves this peer's hedge timer from its live rtt histogram:
-// the configured quantile clamped into [MinDelay, MaxDelay]. ok is false
-// when hedging is off or the peer has too few samples.
+// hedgeDelay resolves this peer's hedge timer from its live rtt histogram.
+// ok is false when hedging is off or the peer has too few samples.
 func (p *peerConn) hedgeDelay() (time.Duration, bool) {
-	cfg := p.hedge.get()
-	if !cfg.Enabled {
+	if !p.m.hedge.Load() {
 		return 0, false
 	}
-	h := p.metrics.Histogram("peer." + p.addr + ".rtt")
-	if h.Count() < int64(cfg.MinSamples) {
+	h := p.m.metrics.Histogram("peer." + p.addr + ".rtt")
+	if h.Count() < hedgeMinSamples {
 		return 0, false
 	}
-	d := time.Duration(h.Quantile(cfg.Quantile))
-	if d < cfg.MinDelay {
-		d = cfg.MinDelay
-	}
-	if d > cfg.MaxDelay {
-		d = cfg.MaxDelay
-	}
-	return d, true
+	return min(max(time.Duration(h.Quantile(hedgeQuantile)), hedgeMinDelay), hedgeMaxDelay), true
 }
 
 // hedgeOutcome is one arm's result in the first-reply-wins race.
@@ -129,7 +70,7 @@ type hedgeOutcome struct {
 func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trace.Tracer, peerCtx trace.Context, q peerQuery, delay time.Duration) (Reply, error) {
 	outc := make(chan hedgeOutcome, 2)
 	run := func(actx context.Context, hedged bool) {
-		adone, stop := joinDone(actx, p.done)
+		adone, stop := joinDone(actx, p.m.done)
 		defer stop()
 		res, err := p.muxAttempts(actx, adone, cfg, tr, peerCtx, q)
 		outc <- hedgeOutcome{res: res, err: err, hedge: hedged}
@@ -156,9 +97,9 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 				hcancel()
 				if fired {
 					if o.hedge {
-						p.metrics.Counter("hedge.won").Inc()
+						p.m.metrics.Counter("hedge.won").Inc()
 					} else {
-						p.metrics.Counter("hedge.wasted").Inc()
+						p.m.metrics.Counter("hedge.wasted").Inc()
 					}
 				}
 				return o.res, nil
@@ -177,7 +118,7 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 			}
 			fired = true
 			inflight++
-			p.metrics.Counter("hedge.fired").Inc()
+			p.m.metrics.Counter("hedge.fired").Inc()
 			tr.Record(peerCtx, "hedge", "", "", time.Now(), 0)
 			go run(hctx, true)
 		}

@@ -37,7 +37,8 @@ func TestHedgeDisabledByDefault(t *testing.T) {
 }
 
 // TestHedgeDelaySeededFromHistogram: the timer comes from the peer's live
-// rtt quantile, gated on MinSamples and clamped into [MinDelay, MaxDelay].
+// rtt quantile, gated on hedgeMinSamples and clamped into [hedgeMinDelay,
+// hedgeMaxDelay].
 func TestHedgeDelaySeededFromHistogram(t *testing.T) {
 	_, addr := snapshotWorker(t, 112, 1)
 	master := NewMaster(nil, 3)
@@ -45,32 +46,39 @@ func TestHedgeDelaySeededFromHistogram(t *testing.T) {
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	master.SetHedge(HedgeConfig{Enabled: true, MinSamples: 5, MinDelay: 2 * time.Millisecond, MaxDelay: 250 * time.Millisecond})
+	master.SetHedge(true)
 	p := master.peers[0]
 
 	if _, ok := p.hedgeDelay(); ok {
 		t.Fatal("hedgeDelay trusted an empty histogram")
 	}
 	x := tensor.NewRNG(113).Randn(1, 4)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < hedgeMinSamples-1; i++ {
 		if _, _, err := master.Infer(x); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, ok := p.hedgeDelay(); ok {
+		t.Fatalf("hedgeDelay trusted %d samples, want %d", hedgeMinSamples-1, hedgeMinSamples)
+	}
+	if _, _, err := master.Infer(x); err != nil {
+		t.Fatal(err)
 	}
 	d, ok := p.hedgeDelay()
 	if !ok {
 		t.Fatal("hedgeDelay refused a warmed histogram")
 	}
-	// A loopback round trip against a tiny expert sits well under MinDelay,
-	// so the clamp must hold; and nothing can exceed MaxDelay.
+	// A loopback round trip against a tiny expert sits well under
+	// hedgeMinDelay, so the clamp must hold; and nothing can exceed
+	// hedgeMaxDelay.
 	if d < 2*time.Millisecond || d > 250*time.Millisecond {
 		t.Fatalf("hedge delay %v outside [2ms, 250ms]", d)
 	}
 
-	// Flip the policy off: the shared ref must take effect immediately.
-	master.SetHedge(HedgeConfig{})
+	// Flip hedging off: the peer reads the master's switch immediately.
+	master.SetHedge(false)
 	if _, ok := p.hedgeDelay(); ok {
-		t.Fatal("hedgeDelay still armed after SetHedge(HedgeConfig{})")
+		t.Fatal("hedgeDelay still armed after SetHedge(false)")
 	}
 }
 
@@ -87,10 +95,10 @@ func TestHedgeFiresOnSlowPeer(t *testing.T) {
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	master.SetHedge(HedgeConfig{Enabled: true, MinSamples: 3})
+	master.SetHedge(true)
 
 	x := tensor.NewRNG(115).Randn(1, 4)
-	for i := 0; i < 6; i++ { // warmup: fast samples seed a ~MinDelay timer
+	for i := 0; i < hedgeMinSamples; i++ { // warmup: fast samples seed a ~hedgeMinDelay timer
 		if _, _, err := master.Infer(x); err != nil {
 			t.Fatalf("warmup %d: %v", i, err)
 		}
@@ -138,17 +146,17 @@ func TestHedgeRespectsRetryBudget(t *testing.T) {
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	master.SetHedge(HedgeConfig{Enabled: true, MinSamples: 3})
+	master.SetHedge(true)
 
 	x := tensor.NewRNG(117).Randn(1, 4)
-	for i := 0; i < 6; i++ {
+	for i := 0; i < hedgeMinSamples; i++ {
 		if _, _, err := master.Infer(x); err != nil {
 			t.Fatalf("warmup %d: %v", i, err)
 		}
 	}
 
 	// Drain a near-zero-refill budget dry, then slow the link.
-	b := NewRetryBudget(RetryBudgetConfig{Ratio: 1e-9, Burst: 1, RefillPerSec: 1e-9})
+	b := newRetryBudget(1e-9, 1, 1e-9)
 	for b.Allow() {
 	}
 	master.SetRetryBudget(b)

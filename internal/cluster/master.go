@@ -15,30 +15,6 @@ import (
 	"github.com/teamnet/teamnet/internal/trace"
 )
 
-// tracerRef shares one swappable tracer between a master and its peers, so
-// SetTracer takes effect on connections made before and after the call. A
-// nil tracer (the default) disables span collection; histograms and
-// counters are always recorded.
-type tracerRef struct {
-	mu sync.Mutex
-	tr *trace.Tracer
-}
-
-func (r *tracerRef) get() *trace.Tracer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tr
-}
-
-func (r *tracerRef) set(tr *trace.Tracer) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.tr = tr
-}
-
 // Master is the sensing node of Figure 1(d): it holds its own local expert,
 // broadcasts each input to all worker peers (step 2), runs its expert in
 // parallel with theirs (step 3), gathers results with uncertainties
@@ -56,13 +32,17 @@ type Master struct {
 	local   atomic.Pointer[Model]
 	classes int
 	metrics *metrics.Registry
-	tracer  *tracerRef
-	hedge   *hedgeRef
-	budget  *budgetRef
+
+	// The settings every peer reads from here at each round trip, one value
+	// each, swapped whole by its setter: a setter reaches the peers connected
+	// before and after it without a lock between m.mu and a peer's stateMu.
+	tracer  atomic.Pointer[trace.Tracer] // nil = no span collection
+	timeout atomic.Int64                 // per-round-trip deadline in ns; 0 = none
+	sup     atomic.Pointer[SupervisorConfig]
+	hedge   atomic.Bool
+	budget  atomic.Pointer[RetryBudget] // nil = unlimited
 
 	mu        sync.Mutex
-	timeout   time.Duration // per-round-trip deadline; 0 = none
-	sup       SupervisorConfig
 	peers     []*peerConn
 	done      chan struct{} // closed by Close; stops retries and probes
 	closed    bool
@@ -72,23 +52,15 @@ type Master struct {
 	probeWG sync.WaitGroup // background probe loops
 }
 
+// peerConn is one supervised worker of m; every setting it uses is m's.
 type peerConn struct {
-	addr    string
-	classes int // classifier width every reply is checked against
-	metrics *metrics.Registry
-	trc     *tracerRef
-	hedge   *hedgeRef
-	budget  *budgetRef
-	done    <-chan struct{}
-	wg      *sync.WaitGroup
-
+	m    *Master
+	addr string
 	// link is the peer's one connection: queries, split tails and pings
 	// ride it (see mux.go).
-	link    *link
-	timeout atomic.Int64 // per-round-trip deadline in ns; 0 = none
+	link *link
 
 	stateMu sync.Mutex // guards the supervision state machine
-	cfg     SupervisorConfig
 	state   PeerState
 	fails   int
 	probing bool
@@ -100,15 +72,8 @@ type peerConn struct {
 // it. classes is the classifier width, needed to shape gathered results.
 // It panics on an uncompilable expert (programmer error at construction).
 func NewMaster(local *nn.Network, classes int) *Master {
-	m := &Master{
-		classes: classes,
-		metrics: new(metrics.Registry),
-		tracer:  &tracerRef{},
-		hedge:   &hedgeRef{},
-		budget:  &budgetRef{},
-		sup:     DefaultSupervisorConfig(),
-		done:    make(chan struct{}),
-	}
+	m := &Master{classes: classes, metrics: new(metrics.Registry), done: make(chan struct{})}
+	m.SetSupervisor(DefaultSupervisorConfig())
 	model := new(Model)
 	if local != nil {
 		model.Snapshot = nn.MustSnapshot(local)
@@ -126,10 +91,10 @@ func (m *Master) Local() *Model { return m.local.Load() }
 // latency into serialize, per-peer network, remote compute and gating.
 // Histograms and counters are recorded regardless. Affects peers connected
 // before and after the call.
-func (m *Master) SetTracer(tr *trace.Tracer) { m.tracer.set(tr) }
+func (m *Master) SetTracer(tr *trace.Tracer) { m.tracer.Store(tr) }
 
 // Tracer returns the installed tracer (nil when tracing is off).
-func (m *Master) Tracer() *trace.Tracer { return m.tracer.get() }
+func (m *Master) Tracer() *trace.Tracer { return m.tracer.Load() }
 
 // Metrics exposes the master's registry: the supervision counters; the
 // latency histograms "infer.total", "infer.serialize", "infer.gate",
@@ -143,52 +108,24 @@ func (m *Master) Metrics() *metrics.Registry { return m.metrics }
 // exceeds the deadline fails that inference instead of wedging the master —
 // on a lossy edge network a bounded error beats an unbounded wait. Zero
 // disables the deadline. Affects peers connected before and after the call.
-func (m *Master) SetTimeout(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.timeout = d
-	for _, p := range m.peers {
-		p.timeout.Store(int64(d))
-	}
-}
+func (m *Master) SetTimeout(d time.Duration) { m.timeout.Store(int64(d)) }
 
 // SetSupervisor replaces the peer lifecycle policy (retry budget, breaker
 // threshold, backoff schedules). Zero fields fall back to defaults. Affects
 // peers connected before and after the call.
 func (m *Master) SetSupervisor(cfg SupervisorConfig) {
 	cfg = cfg.normalized()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.sup = cfg
-	for _, p := range m.peers {
-		p.stateMu.Lock()
-		p.cfg = cfg
-		p.stateMu.Unlock()
-	}
+	m.sup.Store(&cfg)
 }
 
 // Connect dials a worker's link and adds it to the broadcast set. The
 // initial dial is eager — a wrong address should fail loudly at setup — but
 // from then on the supervisor owns the link and redials it as needed.
 func (m *Master) Connect(addr string) error {
-	m.mu.Lock()
-	p := &peerConn{
-		addr:    addr,
-		classes: m.classes,
-		metrics: m.metrics,
-		trc:     m.tracer,
-		hedge:   m.hedge,
-		budget:  m.budget,
-		done:    m.done,
-		wg:      &m.probeWG,
-		cfg:     m.sup,
-		state:   PeerHealthy,
-	}
-	p.timeout.Store(int64(m.timeout))
-	m.mu.Unlock()
+	p := &peerConn{m: m, addr: addr, state: PeerHealthy}
 	p.link = &link{addr: addr, inflight: m.metrics.Gauge("mux.inflight"), queued: m.metrics.Gauge("mux.queue_depth"),
 		redials: p.counter("redials"), onDown: p.muxLinkDown}
-	if _, _, err := p.link.get(p.cfg.DialTimeout); err != nil {
+	if _, _, err := p.link.get(m.sup.Load().DialTimeout); err != nil {
 		return fmt.Errorf("cluster: master dial %s: %w", addr, err)
 	}
 	m.mu.Lock()
@@ -233,7 +170,7 @@ func (m *Master) snapshotPeers() []*peerConn {
 // by the serve gateway for each coalesced batch, by the frame server for a
 // request that arrived over the fabric — parents the "infer" span tree.
 func (m *Master) ensemble(ctx context.Context, local *nn.Snapshot, x *tensor.Tensor, rule Gather, soft time.Duration) (rep Reply, err error) {
-	tr := m.tracer.get()
+	tr := m.Tracer()
 	root := tr.Start(trace.FromContext(ctx), "infer")
 	start := time.Now()
 	defer func() {
@@ -266,7 +203,7 @@ func (m *Master) ensemble(ctx context.Context, local *nn.Snapshot, x *tensor.Ten
 // peer round trip.
 func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Context) peerQuery {
 	start := time.Now()
-	q := ownQuery(x, SplitOff)
+	q := queryOf(Request{X: x, Policy: Policy{Gather: Own}}, m.classes)
 	d := time.Since(start)
 	m.metrics.Observe("infer.serialize", d)
 	tr.Record(root, "serialize", "", "", start, d)

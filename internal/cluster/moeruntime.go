@@ -91,7 +91,7 @@ func (m *MoEMaster) Infer(x *tensor.Tensor) (out *tensor.Tensor, err error) {
 	return moeDispatch(m.model, x, indices, weights,
 		func(e int, rows *tensor.Tensor) error {
 			replies[e] = make(chan slotResult, 1)
-			q := ownQuery(rows, SplitOff)
+			q := queryOf(Request{X: rows, Policy: Policy{Gather: Own}}, m.master.classes)
 			go func() {
 				res, err := peers[e].do(ctx, q, root.Ctx())
 				replies[e] <- slotResult{res: res, err: err}

@@ -399,6 +399,43 @@ func (l *link) close() {
 	}
 }
 
+// attempt makes one MsgDo round trip of q — the one a peer's query, split
+// tail and a gateway's request each make: the live client (dialed within dial
+// if there is none), counted in requests, the reply awaited within timeout. A
+// MsgErrorMux answer comes back as the node's error text (muxWorkerErr); a
+// reply that does not decode to q's shape fails the client — a corrupted
+// link or a hostile peer, not a bad request.
+func (l *link) attempt(ctx context.Context, done <-chan struct{}, q peerQuery, dial, timeout time.Duration, requests *metrics.Counter) (Reply, attemptTiming, error, muxOutcome) {
+	var tm attemptTiming
+	dialStart := time.Now()
+	mc, dialed, err := l.get(dial)
+	if dialed {
+		tm.dialed, tm.dialStart, tm.dialDur = true, dialStart, time.Since(dialStart)
+	}
+	if err != nil {
+		return Reply{}, tm, err, muxDialFault
+	}
+	requests.Inc()
+	tm.rttStart = time.Now()
+	r, rtt, err := mc.roundTrip(ctx, MsgDo, q.pin, q.payload, timeout, done)
+	tm.rtt = rtt
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return Reply{}, tm, err, muxCallerAbort
+	case err != nil:
+		return Reply{}, tm, err, muxLinkFault
+	case r.typ == MsgErrorMux:
+		return Reply{}, tm, errors.New(string(r.payload)), muxWorkerErr
+	}
+	res, err := decodeReply(r.payload, q.wide, q.rows, q.classes)
+	if err != nil {
+		mc.fail(err)
+		return Reply{}, tm, err, muxLinkFault
+	}
+	tm.remote = r.compute
+	return res, tm, nil, muxOK
+}
+
 // dialCall makes one round trip of a typ request carrying body on a link
 // dialed for it, then closes the link: the client of the one-off exchanges
 // (election, announce, model push). timeout bounds the dial and, as the
@@ -442,9 +479,6 @@ const (
 // pending on the pipeline.
 func (p *peerConn) muxLinkDown(error) { p.recordFailure() }
 
-// muxTimeout reads the per-request deadline.
-func (p *peerConn) muxTimeout() time.Duration { return time.Duration(p.timeout.Load()) }
-
 // muxAttempts is do's bounded retry loop with span emission under peerCtx.
 // Breaker accounting sits on the link-down hook, so a failure with N
 // pipelined requests costs one strike, not N. A caller-cancelled ctx
@@ -470,7 +504,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 				break // breaker tripped while we backed off
 			}
 		}
-		res, tm, err, outcome := p.muxOnce(ctx, done, cfg, q)
+		res, tm, err, outcome := p.attempt(ctx, done, cfg.DialTimeout, q)
 		p.emitAttempt(tr, peerCtx, q.series, tm, err)
 		if err == nil {
 			p.recordSuccess()
@@ -496,39 +530,13 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 	return Reply{}, fmt.Errorf("cluster: peer %s: %w", p.addr, lastErr)
 }
 
-// muxOnce performs one pipelined round trip of q.
-func (p *peerConn) muxOnce(ctx context.Context, done <-chan struct{}, cfg SupervisorConfig, q peerQuery) (Reply, attemptTiming, error, muxOutcome) {
-	var tm attemptTiming
-	dialStart := time.Now()
-	mc, dialed, err := p.link.get(cfg.DialTimeout)
-	if dialed {
-		tm.dialed = true
-		tm.dialStart = dialStart
-		tm.dialDur = time.Since(dialStart)
+// attempt is one MsgDo attempt of q on the peer's link: dialed within dial,
+// bounded by the master's timeout, a worker's refusal rehydrated
+// (workerError).
+func (p *peerConn) attempt(ctx context.Context, done <-chan struct{}, dial time.Duration, q peerQuery) (Reply, attemptTiming, error, muxOutcome) {
+	res, tm, err, outcome := p.link.attempt(ctx, done, q, dial, time.Duration(p.m.timeout.Load()), p.counter(q.series+"requests"))
+	if outcome == muxWorkerErr {
+		err = workerError(err.Error())
 	}
-	if err != nil {
-		return Reply{}, tm, err, muxDialFault
-	}
-	p.counter(q.series + "requests").Inc()
-	tm.rttStart = time.Now()
-	r, rtt, err := mc.roundTrip(ctx, MsgDo, q.pin, q.payload, p.muxTimeout(), done)
-	tm.rtt = rtt
-	if err != nil {
-		if ctx.Err() != nil {
-			return Reply{}, tm, err, muxCallerAbort
-		}
-		return Reply{}, tm, err, muxLinkFault
-	}
-	if r.typ == MsgErrorMux {
-		return Reply{}, tm, workerError(string(r.payload)), muxWorkerErr
-	}
-	res, derr := decodeReply(r.payload, q.wide, q.rows, p.classes)
-	if derr != nil {
-		// Undecodable or mis-shaped reply: a corrupted link or a hostile
-		// peer, not a bad request — tear the pipeline down.
-		mc.fail(derr)
-		return Reply{}, tm, derr, muxLinkFault
-	}
-	tm.remote = r.compute
-	return res, tm, nil, muxOK
+	return res, tm, err, outcome
 }

@@ -42,37 +42,26 @@ func (r *RemoteMaster) Addr() string { return r.link.addr }
 // "fabric.inflight" and "fabric.queue_depth".
 func (r *RemoteMaster) Metrics() *metrics.Registry { return r.metrics }
 
-// call performs one fabric round trip: req as a MsgDo, its MsgReply back.
+// call performs one fabric round trip — req as a MsgDo, its MsgReply back —
+// as the single attempt a peer makes, without its retries or breaker.
 func (r *RemoteMaster) call(ctx context.Context, req Request) (Reply, error) {
 	if err := ctx.Err(); err != nil {
 		return Reply{}, err
 	}
-	mc, _, err := r.link.get(r.timeout)
-	if err != nil {
-		r.metrics.Counter("fabric.errors").Inc()
-		return Reply{}, fmt.Errorf("cluster: remote master: %w", err)
-	}
-	r.metrics.Counter("fabric.requests").Inc()
 	// The frame header carries ctx across: the caller's remaining deadline
 	// as a budget, so the master bounds its own gather without clock
 	// synchronization, and the caller's span as the master's trace parent.
-	reply, _, err := mc.roundTrip(ctx, MsgDo, "", encodeRequest(req), r.timeout, ctx.Done())
-	if err != nil {
-		r.metrics.Counter("fabric.errors").Inc()
-		return Reply{}, err
+	rep, _, err, outcome := r.link.attempt(ctx, ctx.Done(), queryOf(req, 0), r.timeout, r.timeout, r.metrics.Counter("fabric.requests"))
+	switch outcome {
+	case muxOK:
+		return rep, nil
+	case muxDialFault:
+		err = fmt.Errorf("cluster: remote master: %w", err)
+	case muxWorkerErr:
+		err = fmt.Errorf("cluster: master %s: %w", r.Addr(), err)
 	}
-	if reply.typ == MsgErrorMux {
-		r.metrics.Counter("fabric.errors").Inc()
-		return Reply{}, fmt.Errorf("cluster: master %s: %s", r.Addr(), reply.payload)
-	}
-	rep, err := decodeReply(reply.payload, req.Policy.wide(), req.X.Shape[0], 0)
-	if err != nil {
-		// Undecodable or mis-shaped reply: corrupted pipeline, tear it down
-		// like the peer mux path does.
-		mc.fail(err)
-		r.metrics.Counter("fabric.errors").Inc()
-	}
-	return rep, err
+	r.metrics.Counter("fabric.errors").Inc()
+	return Reply{}, err
 }
 
 // InferContext asks the master for a strict full-ensemble inference

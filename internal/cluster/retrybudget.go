@@ -19,68 +19,62 @@ import (
 // quarantine probes alive even when request volume drops to zero, so a
 // drained budget can never permanently strand a healed peer.
 
-// RetryBudgetConfig tunes the shared budget. The zero value means "use the
-// defaults" for every field.
-type RetryBudgetConfig struct {
-	// Ratio is the fraction of a token each first-attempt round trip
-	// deposits — the steady-state retry allowance as a share of request
-	// volume. Default 0.1.
-	Ratio float64
-	// Burst caps the bucket: the largest retry burst the budget will fund
-	// after a quiet healthy period. Default 16.
-	Burst float64
-	// RefillPerSec is the traffic-independent trickle that keeps probe
-	// redials alive with zero request volume. Default 1.
-	RefillPerSec float64
-}
-
-func (c RetryBudgetConfig) normalized() RetryBudgetConfig {
-	if c.Ratio <= 0 {
-		c.Ratio = 0.1
-	}
-	if c.Burst <= 0 {
-		c.Burst = 16
-	}
-	if c.RefillPerSec <= 0 {
-		c.RefillPerSec = 1
-	}
-	return c
-}
+// The budget's tuning. Every first-attempt round trip deposits the ratio a
+// budget was built with (retryBudgetRatio unless NewRetryBudget says
+// otherwise); retryBudgetBurst caps the bucket, the largest retry burst it
+// funds after a quiet healthy period; retryBudgetRefill tokens per second
+// trickle in whatever the traffic, keeping probe redials alive with zero
+// request volume.
+const (
+	retryBudgetRatio  = 0.1
+	retryBudgetBurst  = 16
+	retryBudgetRefill = 1
+)
 
 // RetryBudget is the shared token bucket. Safe for concurrent use; the
 // bucket starts full so startup redials are never starved.
 type RetryBudget struct {
+	ratio, burst, refill float64 // deposit per round trip, cap, tokens/s trickle
+
 	mu     sync.Mutex
-	cfg    RetryBudgetConfig
 	tokens float64
 	last   time.Time
 }
 
-// NewRetryBudget returns a full bucket under cfg (zero fields defaulted).
-func NewRetryBudget(cfg RetryBudgetConfig) *RetryBudget {
-	cfg = cfg.normalized()
-	return &RetryBudget{cfg: cfg, tokens: cfg.Burst, last: time.Now()}
+// NewRetryBudget returns a full bucket whose round trips each deposit ratio
+// tokens (0 or less: the default, 0.1).
+func NewRetryBudget(ratio float64) *RetryBudget {
+	if ratio <= 0 {
+		ratio = retryBudgetRatio
+	}
+	return newRetryBudget(ratio, retryBudgetBurst, retryBudgetRefill)
+}
+
+// newRetryBudget is a full bucket of any shape, for tests that need a tiny
+// or non-refilling one.
+func newRetryBudget(ratio, burst, refill float64) *RetryBudget {
+	return &RetryBudget{ratio: ratio, burst: burst, refill: refill, tokens: burst, last: time.Now()}
 }
 
 // trickleLocked applies the time-based refill; mu must be held.
 func (b *RetryBudget) trickleLocked(now time.Time) {
 	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.cfg.RefillPerSec
+		b.tokens += now.Sub(b.last).Seconds() * b.refill
 	}
 	b.last = now
-	if b.tokens > b.cfg.Burst {
-		b.tokens = b.cfg.Burst
+	if b.tokens > b.burst {
+		b.tokens = b.burst
 	}
 }
 
-// Deposit credits one first-attempt round trip (Ratio tokens).
+// Deposit credits one first-attempt round trip (its ratio in tokens).
 func (b *RetryBudget) Deposit() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.trickleLocked(time.Now())
-	b.tokens += b.cfg.Ratio
-	if b.tokens > b.cfg.Burst {
-		b.tokens = b.cfg.Burst
+	b.tokens += b.ratio
+	if b.tokens > b.burst {
+		b.tokens = b.burst
 	}
 }
 
@@ -106,40 +100,14 @@ func (b *RetryBudget) Tokens() float64 {
 	return b.tokens
 }
 
-// budgetRef shares one swappable budget between a master and its peers, the
-// same pattern as tracerRef: SetRetryBudget takes effect on peers connected
-// before and after the call. A nil budget (the default) means unlimited.
-type budgetRef struct {
-	mu sync.Mutex
-	b  *RetryBudget
-}
-
-func (r *budgetRef) get() *RetryBudget {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.b
-}
-
-func (r *budgetRef) set(b *RetryBudget) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.b = b
-}
-
 // SetRetryBudget installs (or, with nil, removes) the master-wide retry
 // budget shared by every peer's retries, probe redials and hedges. Affects
 // peers connected before and after the call.
-func (m *Master) SetRetryBudget(b *RetryBudget) { m.budget.set(b) }
-
-// RetryBudget returns the installed budget (nil when unlimited).
-func (m *Master) RetryBudget() *RetryBudget { return m.budget.get() }
+func (m *Master) SetRetryBudget(b *RetryBudget) { m.budget.Store(b) }
 
 // deposit credits the budget for one first-attempt round trip; nil-safe.
 func (p *peerConn) deposit() {
-	b := p.budget.get()
+	b := p.m.budget.Load()
 	if b == nil {
 		return
 	}
@@ -151,20 +119,20 @@ func (p *peerConn) deposit() {
 // refusal under both the shared and the per-kind counter; a missing budget
 // always allows.
 func (p *peerConn) allowSpend(kind string) bool {
-	b := p.budget.get()
+	b := p.m.budget.Load()
 	if b == nil {
 		return true
 	}
 	ok := b.Allow()
 	p.budgetGauge(b)
 	if !ok {
-		p.metrics.Counter("retry_budget.denied").Inc()
-		p.metrics.Counter("retry_budget.denied." + kind).Inc()
+		p.m.metrics.Counter("retry_budget.denied").Inc()
+		p.m.metrics.Counter("retry_budget.denied." + kind).Inc()
 	}
 	return ok
 }
 
 // budgetGauge mirrors the balance onto the retry_budget.tokens gauge.
 func (p *peerConn) budgetGauge(b *RetryBudget) {
-	p.metrics.Gauge("retry_budget.tokens").Set(int64(b.Tokens()))
+	p.m.metrics.Gauge("retry_budget.tokens").Set(int64(b.Tokens()))
 }

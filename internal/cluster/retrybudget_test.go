@@ -15,12 +15,12 @@ import (
 // target.
 
 // TestRetryBudgetBucketMath pins the token arithmetic without any cluster
-// machinery: a full bucket funds Burst sends, runs dry, and refills by
-// Ratio per deposit. The trickle is pinned near zero so time cannot help.
+// machinery: a full bucket funds burst sends, runs dry, and refills by
+// ratio per deposit. The trickle is pinned near zero so time cannot help.
 func TestRetryBudgetBucketMath(t *testing.T) {
-	b := NewRetryBudget(RetryBudgetConfig{Ratio: 0.5, Burst: 2, RefillPerSec: 1e-9})
+	b := newRetryBudget(0.5, 2, 1e-9)
 	if !b.Allow() || !b.Allow() {
-		t.Fatal("a fresh bucket must fund Burst sends")
+		t.Fatal("a fresh bucket must fund burst sends")
 	}
 	if b.Allow() {
 		t.Fatal("a drained bucket funded a third send")
@@ -33,12 +33,12 @@ func TestRetryBudgetBucketMath(t *testing.T) {
 	if !b.Allow() {
 		t.Fatal("two deposits at Ratio 0.5 must fund one send")
 	}
-	// The cap holds: endless deposits never exceed Burst.
+	// The cap holds: endless deposits never exceed burst.
 	for i := 0; i < 100; i++ {
 		b.Deposit()
 	}
 	if tok := b.Tokens(); tok > 2+1e-6 {
-		t.Fatalf("bucket overflowed its Burst cap: %v tokens", tok)
+		t.Fatalf("bucket overflowed its burst cap: %v tokens", tok)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestRetryBudgetBucketMath(t *testing.T) {
 // trickle alone must eventually fund a send, so probe redials can never be
 // permanently starved by a drained budget.
 func TestRetryBudgetTrickleRefill(t *testing.T) {
-	b := NewRetryBudget(RetryBudgetConfig{Ratio: 0.1, Burst: 4, RefillPerSec: 200})
+	b := newRetryBudget(0.1, 4, 200)
 	for b.Allow() {
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -58,19 +58,25 @@ func TestRetryBudgetTrickleRefill(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetDefaults: the zero config normalizes to the documented
-// defaults and a nil master budget means unlimited.
+// TestRetryBudgetDefaults: the documented constants, NewRetryBudget(0)'s
+// default ratio, a caller's ratio kept, and a nil master budget means
+// unlimited.
 func TestRetryBudgetDefaults(t *testing.T) {
-	cfg := RetryBudgetConfig{}.normalized()
-	if cfg.Ratio != 0.1 || cfg.Burst != 16 || cfg.RefillPerSec != 1 {
-		t.Fatalf("zero config normalized to %+v", cfg)
+	if retryBudgetRatio != 0.1 || retryBudgetBurst != 16 || retryBudgetRefill != 1 {
+		t.Fatalf("constants ratio=%v burst=%v refill=%v", retryBudgetRatio, retryBudgetBurst, retryBudgetRefill)
+	}
+	if b := NewRetryBudget(0); b.ratio != 0.1 || b.burst != 16 || b.refill != 1 || b.Tokens() != 16 {
+		t.Fatalf("NewRetryBudget(0) = ratio %v burst %v refill %v tokens %v", b.ratio, b.burst, b.refill, b.Tokens())
+	}
+	if b := NewRetryBudget(0.25); b.ratio != 0.25 {
+		t.Fatalf("NewRetryBudget(0.25) deposits %v", b.ratio)
 	}
 	m := NewMaster(nil, 3)
 	defer m.Close()
-	if m.RetryBudget() != nil {
+	if m.budget.Load() != nil {
 		t.Fatal("a fresh master has a budget installed")
 	}
-	p := &peerConn{budget: m.budget, metrics: m.metrics}
+	p := &peerConn{m: m}
 	if !p.allowSpend("retry") {
 		t.Fatal("nil budget must allow every spend")
 	}
@@ -100,11 +106,11 @@ func TestRetryBudgetStarvesRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := NewRetryBudget(RetryBudgetConfig{Ratio: 1e-9, Burst: 1, RefillPerSec: 1e-9})
+	b := newRetryBudget(1e-9, 1, 1e-9)
 	for b.Allow() {
 	}
 	master.SetRetryBudget(b)
-	if master.RetryBudget() != b {
+	if master.budget.Load() != b {
 		t.Fatal("SetRetryBudget did not install")
 	}
 
@@ -121,7 +127,7 @@ func TestRetryBudgetStarvesRetries(t *testing.T) {
 }
 
 // TestRetryBudgetDepositsOnTraffic: healthy round trips refill the bucket
-// at Ratio, so a drained budget recovers once the storm passes and real
+// at its ratio, so a drained budget recovers once the storm passes and real
 // traffic resumes.
 func TestRetryBudgetDepositsOnTraffic(t *testing.T) {
 	_, addr := snapshotWorker(t, 123, 1)
@@ -130,7 +136,7 @@ func TestRetryBudgetDepositsOnTraffic(t *testing.T) {
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	b := NewRetryBudget(RetryBudgetConfig{Ratio: 0.5, Burst: 4, RefillPerSec: 1e-9})
+	b := newRetryBudget(0.5, 4, 1e-9)
 	for b.Allow() {
 	}
 	master.SetRetryBudget(b)

@@ -122,7 +122,7 @@ func (m *Master) splitQuery(ctx context.Context, local *Model, x *tensor.Tensor,
 	if local.Snapshot == nil {
 		return Reply{}, fmt.Errorf("cluster: split inference requires a local expert")
 	}
-	tr := m.tracer.get()
+	tr := m.Tracer()
 	root := tr.Start(trace.FromContext(ctx), "infer.split")
 	start := time.Now()
 	// The peer round trip builds its frame header from ctx: the split root
@@ -201,7 +201,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		return res, nil
 	}
 
-	q := ownQuery(act, SplitAt(at))
+	q := queryOf(Request{X: act, Policy: Policy{Gather: Own, Split: SplitAt(at)}}, m.classes)
 	q.pin, q.series = local.Version, "split."
 	res, rtt, compute, err := p.doSplit(ctx, q, root)
 	if err == nil {
@@ -310,24 +310,23 @@ func (m *Master) seedSplitPlanner(pl *split.Planner, batch int) {
 }
 
 // doSplit performs one partial-offload round trip on the peer's mux
-// pipeline: muxOnce under the same outcome accounting as muxAttempts, but a
-// single attempt. Unlike do it never retries or hedges — the caller holds
+// pipeline: attempt under the same outcome accounting as muxAttempts, but a
+// single one. Unlike do it never retries or hedges — the caller holds
 // the activation and can always finish locally, so a failed attempt is
 // better spent there than on speculative wire traffic. The "split."-series
 // histograms stay apart from the whole-query rtt/compute ones: split round
 // trips carry different byte/FLOP mixes, and mixing them would pollute the
 // hedge policy's rtt-p95 seeding.
 func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (res Reply, rtt, compute time.Duration, err error) {
-	cfg := p.config()
-	tr := p.tracer()
+	tr := p.m.Tracer()
 	if !p.available() {
 		tr.Record(parent, "peer "+p.addr, "", trace.StatusSkipped, time.Now(), 0)
 		return Reply{}, 0, 0, errPeerQuarantined{addr: p.addr, state: p.State()}
 	}
-	done, stop := joinDone(ctx, p.done)
+	done, stop := joinDone(ctx, p.m.done)
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
-	res, tm, err, outcome := p.muxOnce(ctx, done, cfg, q)
+	res, tm, err, outcome := p.attempt(ctx, done, p.m.sup.Load().DialTimeout, q)
 	p.emitAttempt(tr, sp.Ctx(), q.series, tm, err)
 	sp.EndErr(err)
 	switch outcome {

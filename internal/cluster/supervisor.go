@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
-	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
 	"github.com/teamnet/teamnet/internal/transport"
 )
@@ -143,9 +142,7 @@ func (h PeerHealth) String() string {
 
 // Health snapshots every peer's supervision state in connection order.
 func (m *Master) Health() []PeerHealth {
-	m.mu.Lock()
-	peers := append([]*peerConn(nil), m.peers...)
-	m.mu.Unlock()
+	peers := m.snapshotPeers()
 	out := make([]PeerHealth, len(peers))
 	for i, p := range peers {
 		out[i] = p.health()
@@ -168,22 +165,13 @@ func (m *Master) HealthReport() string {
 // --- peer implementation -------------------------------------------------
 
 func (p *peerConn) counter(name string) *metrics.Counter {
-	return p.metrics.Counter("peer." + p.addr + "." + name)
+	return p.m.metrics.Counter("peer." + p.addr + "." + name)
 }
 
 // observe records one latency sample into the peer's named histogram
 // ("peer.<addr>.<name>").
 func (p *peerConn) observe(name string, d time.Duration) {
-	p.metrics.Observe("peer."+p.addr+"."+name, d)
-}
-
-// tracer returns the shared master tracer (nil = tracing off).
-func (p *peerConn) tracer() *trace.Tracer { return p.trc.get() }
-
-func (p *peerConn) config() SupervisorConfig {
-	p.stateMu.Lock()
-	defer p.stateMu.Unlock()
-	return p.cfg
+	p.m.metrics.Observe("peer."+p.addr+"."+name, d)
 }
 
 // State returns the peer's current supervision state.
@@ -235,7 +223,7 @@ func (p *peerConn) recordFailure() {
 	if p.state == PeerOpen || p.state == PeerHalfOpen {
 		return
 	}
-	if p.fails >= p.cfg.FailureThreshold {
+	if p.fails >= p.m.sup.Load().FailureThreshold {
 		p.state = PeerOpen
 		p.counter("trips").Inc()
 		p.startProbeLocked()
@@ -250,7 +238,7 @@ func (p *peerConn) startProbeLocked() {
 		return
 	}
 	p.probing = true
-	p.wg.Add(1)
+	p.m.probeWG.Add(1)
 	go p.probeLoop()
 }
 
@@ -258,10 +246,10 @@ func (p *peerConn) startProbeLocked() {
 // closes. On success the fresh link is installed and the peer rejoins
 // rotation.
 func (p *peerConn) probeLoop() {
-	defer p.wg.Done()
-	cfg := p.config()
+	defer p.m.probeWG.Done()
+	cfg := *p.m.sup.Load()
 	for attempt := 0; ; attempt++ {
-		if !cfg.ProbeBackoff.Sleep(attempt, p.done) {
+		if !cfg.ProbeBackoff.Sleep(attempt, p.m.done) {
 			p.endProbe(PeerOpen)
 			return
 		}
@@ -339,13 +327,13 @@ func (p *peerConn) probeOnce(cfg SupervisorConfig) bool {
 // carry on; linkDown reports that mc died under it, a death its hook has
 // counted.
 func (p *peerConn) pingOn(mc *muxClient, cfg SupervisorConfig, series string) (linkDown bool, err error) {
-	timeout := p.muxTimeout()
+	timeout := time.Duration(p.m.timeout.Load())
 	if timeout <= 0 {
 		timeout = cfg.DialTimeout
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	done, stop := joinDone(ctx, p.done)
+	done, stop := joinDone(ctx, p.m.done)
 	defer stop()
 	r, rtt, err := mc.roundTrip(ctx, MsgPing, "", nil, 0, done)
 	switch {
@@ -380,20 +368,21 @@ type attemptTiming struct {
 	remote    time.Duration // worker-reported compute time, 0 if no forward pass ran
 }
 
-// peerQuery is one request as every peer round trip sees it: an Own request
-// for the peer's expert alone.
+// peerQuery is one MsgDo as every round trip sees it: a master's Own request
+// to a peer, or a gateway's request to its master.
 type peerQuery struct {
 	wide    bool   // the tensors travel float64: a split tail (protocol.go)
 	pin     string // model version the peer must be serving; "" = any
 	series  string // prefix of the peer's counters and histograms: "" or "split."
 	payload []byte // encoded MsgDo body, shared by all peers of a broadcast
 	rows    int    // batch size: a reply must carry exactly this many rows
+	classes int    // classifier width a reply must carry; 0 = any
 }
 
-// ownQuery is x sent for a peer's own expert alone, entering at boundary at.
-func ownQuery(x *tensor.Tensor, at SplitPoint) peerQuery {
-	p := Policy{Gather: Own, Split: at}
-	return peerQuery{wide: p.wide(), payload: encodeRequest(Request{X: x, Policy: p}), rows: x.Shape[0]}
+// queryOf encodes req once for every round trip that sends it, checking its
+// replies against classes (0 = any width).
+func queryOf(req Request, classes int) peerQuery {
+	return peerQuery{wide: req.Policy.wide(), payload: encodeRequest(req), rows: req.X.Shape[0], classes: classes}
 }
 
 // do performs one supervised round trip of q on the peer's multiplexed
@@ -412,13 +401,13 @@ func ownQuery(x *tensor.Tensor, at SplitPoint) peerQuery {
 // waits (window, reply, backoff) with the ctx error and WITHOUT feeding the
 // breaker — a caller that stopped waiting is not evidence against the peer.
 func (p *peerConn) do(ctx context.Context, q peerQuery, parent trace.Context) (Reply, error) {
-	cfg := p.config()
-	tr := p.tracer()
+	cfg := *p.m.sup.Load()
+	tr := p.m.Tracer()
 	if !p.available() {
 		tr.Record(parent, "peer "+p.addr, "", trace.StatusError, time.Now(), 0)
 		return Reply{}, errPeerQuarantined{addr: p.addr, state: p.State()}
 	}
-	done, stop := joinDone(ctx, p.done)
+	done, stop := joinDone(ctx, p.m.done)
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
 	p.deposit() // first-attempt volume funds the shared retry budget
@@ -503,7 +492,7 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, series s
 // round trips land in the peer's "ping" latency histogram — a health sweep
 // doubles as a latency measurement.
 func (p *peerConn) ping() error {
-	cfg := p.config()
+	cfg := *p.m.sup.Load()
 	mc, _, err := p.link.get(cfg.DialTimeout)
 	linkDown := false
 	if err == nil {

@@ -203,8 +203,7 @@ type Gateway struct {
 
 	metrics *metrics.Registry
 
-	trMu sync.Mutex
-	tr   *trace.Tracer
+	tr atomic.Pointer[trace.Tracer] // nil = no span collection
 
 	lanes    [2]chan *request // index by laneIdx: 0 = high, 1 = normal
 	dispatch chan []*request
@@ -293,18 +292,10 @@ func (g *Gateway) Metrics() *metrics.Registry { return g.metrics }
 // SetTracer installs (or, with nil, removes) the gateway's span collector.
 // Install the master's tracer here so each "serve.batch" span and the
 // cluster's "infer" subtree land in one ring.
-func (g *Gateway) SetTracer(tr *trace.Tracer) {
-	g.trMu.Lock()
-	g.tr = tr
-	g.trMu.Unlock()
-}
+func (g *Gateway) SetTracer(tr *trace.Tracer) { g.tr.Store(tr) }
 
 // Tracer returns the installed tracer (nil when tracing is off).
-func (g *Gateway) Tracer() *trace.Tracer {
-	g.trMu.Lock()
-	defer g.trMu.Unlock()
-	return g.tr
-}
+func (g *Gateway) Tracer() *trace.Tracer { return g.tr.Load() }
 
 // Options tune one Predict call.
 type Options struct {
