@@ -1,9 +1,9 @@
 # Build, test and verification entry points. `make verify` is the
-# robustness gate: formatting, vet, docs, plus the failure-path packages
-# (cluster runtime, transport, chaos proxy, trace) and the two packages whose
-# whole job is concurrent reads during writes (metrics, admin) under the race
-# detector — the chaos-driven recovery tests only count if they pass with
-# -race.
+# robustness gate: formatting, vet, docs and reachability, markdown links,
+# plus the failure-path packages (cluster runtime, transport, chaos proxy,
+# trace) and the two packages whose whole job is concurrent reads during
+# writes (metrics, admin) under the race detector — the chaos-driven
+# recovery tests only count if they pass with -race.
 
 GO ?= go
 
@@ -20,7 +20,11 @@ fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# docs fails if any internal package lacks package-level godoc.
+# docs fails if any internal package lacks package-level godoc, or if any
+# package-level declaration in the non-test files of internal/ has no caller:
+# no reference from non-test code or another package's tests, under the
+# amd64 or the arm64 file set, and no allowlist entry with its reason
+# (cmd/teamnet-doccheck/reach.go).
 docs:
 	$(GO) run ./cmd/teamnet-doccheck ./internal
 
@@ -100,7 +104,7 @@ loc:
 # fleet, forward) at smoke size and the open-loop generator's own tests
 # (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
 # TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
-verify: fmt-check docs one-loop
+verify: fmt-check docs linkcheck one-loop
 	$(GO) vet ./...
 	$(GO) test -short ./...
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...

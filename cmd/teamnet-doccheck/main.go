@@ -1,8 +1,16 @@
-// Command teamnet-doccheck enforces the repo's documentation floor: every
-// internal package must carry package-level godoc. It parses each package
-// with go/parser (comments only, no type checking) and fails the build —
-// exit status 1, one line per offender — when a package has no package
-// comment, so `make docs` can gate CI on the docs keeping up with the code.
+// Command teamnet-doccheck enforces two floors on internal/ and fails the
+// build — exit status 1, one line per offender — when either is broken, so
+// `make docs` gates CI on them.
+//
+// Documentation: every internal package carries package-level godoc.
+//
+// Reachability: every package-level func, method, type, var and const in
+// the non-test files of internal/ has a caller. The check type-checks the
+// whole module (go/types, standard library only) under both the amd64 and
+// the arm64 file sets and flags a declaration that neither non-test code
+// nor another package's tests reach, unless it is a method satisfying an
+// interface its type implements or an allowlist entry (reach.go) gives the
+// reason it stays.
 //
 //	teamnet-doccheck ./internal
 package main
@@ -23,18 +31,36 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	missing, err := check(root)
-	if err != nil {
+	fatal := func(err error) {
 		fmt.Fprintln(os.Stderr, "teamnet-doccheck:", err)
 		os.Exit(2)
 	}
-	if len(missing) > 0 {
-		for _, pkg := range missing {
-			fmt.Fprintf(os.Stderr, "missing package documentation: %s\n", pkg)
-		}
+	missing, err := check(root)
+	if err != nil {
+		fatal(err)
+	}
+	for _, pkg := range missing {
+		fmt.Fprintf(os.Stderr, "missing package documentation: %s\n", pkg)
+	}
+	abs, err := filepath.Abs(root)
+	if err != nil {
+		fatal(err)
+	}
+	// root is the module's internal/ directory, so its parent is the module.
+	flagged, problems, err := unreachable(filepath.Dir(abs), allowlist)
+	if err != nil {
+		fatal(err)
+	}
+	for _, f := range flagged {
+		fmt.Fprintf(os.Stderr, "no caller: %s\n", f)
+	}
+	for _, p := range problems {
+		fmt.Fprintln(os.Stderr, p)
+	}
+	if len(missing)+len(flagged)+len(problems) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("doccheck: all packages documented")
+	fmt.Printf("doccheck: all packages documented, every declaration reached (%d allowlisted)\n", len(allowlist))
 }
 
 // check walks root for directories containing non-test Go files and returns

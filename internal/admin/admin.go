@@ -129,16 +129,6 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address ("" before Listen).
-func (s *Server) Addr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
 // Close stops the server immediately, dropping in-flight requests.
 func (s *Server) Close() error {
 	s.mu.Lock()

@@ -126,11 +126,12 @@ func (l *Lab) AblationCombiner() (*Matrix, error) {
 	return m, nil
 }
 
-// AblationEarlyExit sweeps the adaptive-inference entropy threshold (the
-// DDNN-style extension in internal/cluster): low thresholds always
-// broadcast (the paper's protocol), high thresholds answer locally. For
-// each threshold it reports the escalation rate, the modeled mean latency
-// on the Jetson-CPU profile, and the resulting accuracy.
+// AblationEarlyExit sweeps an adaptive-inference entropy threshold, priced
+// offline over the local expert: low thresholds always broadcast (the
+// paper's protocol), high thresholds answer locally. No runtime applies the
+// threshold yet (ROADMAP item 5). For each threshold it reports the
+// escalation rate, the modeled mean latency on the Jetson-CPU profile, and
+// the resulting accuracy.
 func (l *Lab) AblationEarlyExit() (*Matrix, error) {
 	team, _, err := l.DigitsTeam(2)
 	if err != nil {

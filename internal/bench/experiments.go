@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Result is any renderable experiment output (Table, Series or Matrix).
 type Result interface {
@@ -68,18 +64,4 @@ func Describe(id string) string {
 		}
 	}
 	return ""
-}
-
-// PaperIDs returns only the paper-artifact experiments (no ablations or
-// live validations), sorted.
-func PaperIDs() []string {
-	var out []string
-	for _, e := range registry {
-		if strings.HasPrefix(e.id, "ablation") || strings.HasPrefix(e.id, "live") {
-			continue
-		}
-		out = append(out, e.id)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -201,28 +201,3 @@ func (l *Lab) Fig9(k int) (*Matrix, error) {
 	}
 	return m, nil
 }
-
-// MachineAnimalAffinity summarizes a Fig9 matrix: for each expert, its mean
-// share of machine classes minus its mean share of animal classes. Strong
-// positive or negative values mean category specialization.
-func MachineAnimalAffinity(m *Matrix) []float64 {
-	out := make([]float64, len(m.RowNames))
-	for e := range m.RowNames {
-		mach, anim := 0.0, 0.0
-		nm, na := 0, 0
-		for c := range m.ColNames {
-			if isMachineIndex(c) {
-				mach += m.Values[e][c]
-				nm++
-			} else {
-				anim += m.Values[e][c]
-				na++
-			}
-		}
-		out[e] = mach/float64(nm) - anim/float64(na)
-	}
-	return out
-}
-
-// isMachineIndex mirrors dataset.IsMachine for the canonical class order.
-func isMachineIndex(c int) bool { return c == 0 || c == 1 || c == 8 || c == 9 }

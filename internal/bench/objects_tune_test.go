@@ -26,7 +26,6 @@ func TestTuneObjects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("K=%d affinity=%v", k, MachineAnimalAffinity(m))
 		t.Logf("\n%s", m)
 	}
 }

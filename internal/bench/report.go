@@ -76,17 +76,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Find returns the row for a system name (optionally qualified by node
-// count; nodes < 0 matches any), or false.
-func (t *Table) Find(system string, nodes int) (Row, bool) {
-	for _, r := range t.Rows {
-		if r.System == system && (nodes < 0 || r.Nodes == nodes) {
-			return r, true
-		}
-	}
-	return Row{}, false
-}
-
 func formatCell(v float64) string {
 	if math.IsNaN(v) {
 		return "-"

@@ -171,16 +171,6 @@ func (p *Proxy) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// Addr returns the bound address, or "" before Listen.
-func (p *Proxy) Addr() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln == nil {
-		return ""
-	}
-	return p.ln.Addr().String()
-}
-
 func (p *Proxy) acceptLoop(ln net.Listener) {
 	defer p.wg.Done()
 	for {

@@ -120,6 +120,21 @@ func TestMasterWorkerEndToEnd(t *testing.T) {
 	}
 }
 
+// Accuracy measures the master's combined accuracy over a labelled set.
+func (m *Master) Accuracy(x *tensor.Tensor, y []int) (float64, error) {
+	probs, _, err := m.Infer(x)
+	if err != nil {
+		return 0, err
+	}
+	correct := 0
+	for i, label := range y {
+		if probs.Row(i).ArgMax() == label {
+			correct++
+		}
+	}
+	return float64(correct) / float64(len(y)), nil
+}
+
 func TestMasterAccuracyMatchesTeam(t *testing.T) {
 	team, ds := trainSmallTeam(t)
 	worker := NewWorker(team.Experts[1], 1)

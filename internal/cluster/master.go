@@ -145,18 +145,6 @@ func (m *Master) Peers() int {
 	return len(m.peers)
 }
 
-// Nodes returns the full ensemble size: connected peers plus the local
-// expert when present — the denominator for degraded-mode quorum reporting.
-func (m *Master) Nodes() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := len(m.peers)
-	if m.Local().Snapshot != nil {
-		n++
-	}
-	return n
-}
-
 // snapshotPeers copies the peer slice for lock-free fan-out.
 func (m *Master) snapshotPeers() []*peerConn {
 	m.mu.Lock()
@@ -382,21 +370,6 @@ func (m *Master) Ping() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Accuracy measures combined accuracy over a labelled set.
-func (m *Master) Accuracy(x *tensor.Tensor, y []int) (float64, error) {
-	probs, _, err := m.Infer(x)
-	if err != nil {
-		return 0, err
-	}
-	correct := 0
-	for i, label := range y {
-		if probs.Row(i).ArgMax() == label {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(y)), nil
 }
 
 // Close drops all peer connections and stops background supervision.

@@ -160,13 +160,6 @@ func (r *Roster) Masters() []string {
 	return out
 }
 
-// Len reports the entry count.
-func (r *Roster) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.entries)
-}
-
 // gossipSample returns at most maxGossip members to ride along an announce.
 func (r *Roster) gossipSample() []Member {
 	ms := r.Snapshot()

@@ -5,6 +5,13 @@ import (
 	"time"
 )
 
+// Len reports the entry count.
+func (r *Roster) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
+}
+
 // TestRosterReadmitsExpiredMemberWithNewVersion pins the crash-and-return
 // edge case: a member whose entry TTL-expired re-announces under a new
 // model version and must be live again immediately, with the new version —

@@ -98,7 +98,7 @@ const connReadBuffer = 64 << 10
 //
 //	request: gather u8 · soft_ns u64 · split u32 · tensor
 //	reply:   live u16 · total u16 · n u32 · winners i32×n · probs tensor ·
-//	         entropies (transport.EncodeFloats)
+//	         entropies (transport.EncodeFloatsInto)
 //
 // split is the Policy's SplitPoint as an int32 (0 = SplitOff, -1 =
 // SplitAuto, k+1 = SplitAt(k)). Precision follows the policy: a request

@@ -90,22 +90,6 @@ func (e *Evaluation) Precision() []float64 {
 	return out
 }
 
-// WorstClass returns the class index with the lowest recall (first on
-// ties), or -1 for an empty evaluation.
-func (e *Evaluation) WorstClass() int {
-	if e.Total == 0 {
-		return -1
-	}
-	rec := e.Recall()
-	worst, wi := 2.0, -1
-	for c, r := range rec {
-		if r < worst {
-			worst, wi = r, c
-		}
-	}
-	return wi
-}
-
 // String renders a per-class report plus the confusion matrix.
 func (e *Evaluation) String() string {
 	var b strings.Builder

@@ -178,8 +178,8 @@ func TestPropEntropyMatrixMatchesPerExpert(t *testing.T) {
 	}
 	rng := tensor.NewRNG(5)
 	x := rng.RandUniform(0, 1, 9, 144)
-	h, probs := EntropyMatrix(tr.Experts(), x)
-	for i, e := range tr.Experts() {
+	h, probs := EntropyMatrix(tr.experts, x)
+	for i, e := range tr.experts {
 		p, ent := e.PredictWithEntropy(x)
 		if !p.Equal(probs[i]) {
 			t.Fatalf("expert %d probs differ", i)

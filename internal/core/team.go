@@ -227,15 +227,3 @@ func (t *Team) CloneExpert(i, n int) ([]*nn.Network, error) {
 	}
 	return out, nil
 }
-
-// MeanWinnerEntropy returns the batch-mean entropy of the winning expert —
-// a confidence diagnostic used by the examples.
-func (t *Team) MeanWinnerEntropy(x *tensor.Tensor) float64 {
-	h, _ := EntropyMatrix(t.Experts, x)
-	winners := HardGate(h)
-	total := 0.0
-	for b, w := range winners {
-		total += h.At(b, w)
-	}
-	return total / float64(len(winners))
-}

@@ -262,9 +262,6 @@ func NewTrainer(cfg Config) (*Trainer, error) {
 	}, nil
 }
 
-// Experts exposes the expert networks (aliased) for evaluation.
-func (t *Trainer) Experts() []*nn.Network { return t.experts }
-
 // Train runs Algorithm 1: for each of r epochs, reshuffle the data, and for
 // each mini-batch evaluate the entropy matrix, fit the gate Ḡ (Algorithm 2),
 // and update each expert on its partition (Algorithm 3). It returns the

@@ -105,12 +105,3 @@ func (d *Dataset) Batches(batchSize int, rng *tensor.RNG) []Batch {
 	}
 	return out
 }
-
-// ClassCounts returns the number of samples per class.
-func (d *Dataset) ClassCounts() []int {
-	counts := make([]int, d.Classes)
-	for _, y := range d.Y {
-		counts[y]++
-	}
-	return counts
-}

@@ -8,6 +8,15 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
+// ClassCounts returns the number of samples per class.
+func (d *Dataset) ClassCounts() []int {
+	counts := make([]int, d.Classes)
+	for _, y := range d.Y {
+		counts[y]++
+	}
+	return counts
+}
+
 func TestDigitsShapeAndBalance(t *testing.T) {
 	d := Digits(DigitsConfig{N: 100, Seed: 1})
 	if d.Len() != 100 || d.Features() != 28*28 || d.C != 1 {

@@ -42,9 +42,6 @@ func (g *Gauge) Inc() { g.v.Add(1) }
 // Dec subtracts one.
 func (g *Gauge) Dec() { g.v.Add(-1) }
 
-// Add adds n (n may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Set replaces the current value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 

@@ -34,9 +34,8 @@ func TestRegistryCreatesOnFirstUse(t *testing.T) {
 		t.Fatalf("a=%d b=%d, want 4 and 1", a, b)
 	}
 	g := r.Gauge("depth")
-	g.Set(5)
+	g.Set(2)
 	g.Inc()
-	g.Add(-3)
 	g.Dec()
 	if got := r.Gauge("depth").Value(); got != 2 {
 		t.Fatalf("gauge = %d, want 2", got)

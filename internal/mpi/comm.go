@@ -195,25 +195,6 @@ func (c *Comm) Gather(root int, t *tensor.Tensor) ([]*tensor.Tensor, error) {
 	return nil, nil
 }
 
-// Scatter hands parts[r] to rank r from root; non-roots pass nil parts.
-func (c *Comm) Scatter(root int, parts []*tensor.Tensor) (*tensor.Tensor, error) {
-	if c.rank == root {
-		if len(parts) != c.size {
-			return nil, fmt.Errorf("mpi: scatter needs %d parts, got %d", c.size, len(parts))
-		}
-		for r := 0; r < c.size; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.Send(r, parts[r]); err != nil {
-				return nil, err
-			}
-		}
-		return parts[root], nil
-	}
-	return c.Recv(root)
-}
-
 // Allgather gives every rank the full list of per-rank tensors, implemented
 // as gather-to-0 plus per-rank rebroadcast.
 func (c *Comm) Allgather(t *tensor.Tensor) ([]*tensor.Tensor, error) {
@@ -259,14 +240,4 @@ func (c *Comm) AllreduceSum(t *tensor.Tensor) (*tensor.Tensor, error) {
 		return c.Bcast(0, sum)
 	}
 	return c.Bcast(0, nil)
-}
-
-// Barrier synchronizes all ranks.
-func (c *Comm) Barrier() error {
-	token := tensor.New(1)
-	if _, err := c.Gather(0, token); err != nil {
-		return err
-	}
-	_, err := c.Bcast(0, token)
-	return err
 }

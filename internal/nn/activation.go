@@ -92,9 +92,6 @@ type Sigmoid struct {
 
 var _ Layer = (*Sigmoid)(nil)
 
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
 // Name implements Layer.
 func (s *Sigmoid) Name() string { return "sigmoid" }
 
@@ -128,14 +125,6 @@ type Dropout struct {
 }
 
 var _ Layer = (*Dropout)(nil)
-
-// NewDropout returns a Dropout layer with the given drop rate in [0, 1).
-func NewDropout(rate float64, rng *tensor.RNG) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic("nn: dropout rate must be in [0, 1)")
-	}
-	return &Dropout{rate: rate, rng: rng}
-}
 
 // Name implements Layer.
 func (d *Dropout) Name() string { return "dropout" }

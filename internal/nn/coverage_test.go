@@ -6,6 +6,17 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
+// NewSigmoid returns a Sigmoid activation layer.
+func NewSigmoid() *Sigmoid { return &Sigmoid{} }
+
+// NewDropout returns a Dropout layer with the given drop rate in [0, 1).
+func NewDropout(rate float64, rng *tensor.RNG) *Dropout {
+	if rate < 0 || rate >= 1 {
+		panic("nn: dropout rate must be in [0, 1)")
+	}
+	return &Dropout{rate: rate, rng: rng}
+}
+
 func TestDropoutBackwardMatchesMask(t *testing.T) {
 	rng := tensor.NewRNG(31)
 	d := NewDropout(0.4, rng)
@@ -113,13 +124,12 @@ func TestShakeShakeDescribeAndCount(t *testing.T) {
 	}
 	// Two branch denses plus the skip dense.
 	want := 3 * (3*3 + 3)
-	if got := ParamCount(ss); got != want {
+	if got := NewNetwork("ss", ss).ParamCount(); got != want {
 		t.Fatalf("shake param count %d, want %d", got, want)
 	}
 	if len(ss.Grads()) != len(ss.Params()) {
 		t.Fatal("params/grads misaligned")
 	}
-	ss.SetDeterministic(tensor.NewRNG(1))
 }
 
 func TestNetworkFLOPsPositive(t *testing.T) {

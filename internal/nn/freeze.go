@@ -103,19 +103,6 @@ func (s *Snapshot) PredictWithEntropy(x *tensor.Tensor) (probs, entropy *tensor.
 	return probs, tensor.EntropyRows(probs)
 }
 
-// PredictWithEntropyInto is the zero-allocation form of PredictWithEntropy:
-// probs must be [batch, classes] and entropy [batch] (or any rank-1 of
-// batch elements); both are fully overwritten.
-func (s *Snapshot) PredictWithEntropyInto(probs, entropy, x *tensor.Tensor) {
-	s.ForwardInto(probs, x)
-	batch, classes := probs.Shape[0], probs.Shape[1]
-	if entropy.Size() != batch {
-		panic(fmt.Sprintf("nn: Snapshot.PredictWithEntropyInto entropy size %d != batch %d", entropy.Size(), batch))
-	}
-	tensor.SoftmaxRowsInto(probs.Data, probs.Data, batch, classes)
-	tensor.EntropyRowsInto(entropy.Data, probs.Data, batch, classes)
-}
-
 // release resets an arena and returns it to the pool; deferred so that a
 // panic on malformed input (the cluster worker turns those into RPC errors)
 // cannot leak or corrupt scratch state.

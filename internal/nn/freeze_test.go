@@ -109,12 +109,6 @@ func TestSnapshotBitMatchesNetwork(t *testing.T) {
 		if !bitEqual(wantP, gotP) || !bitEqual(wantH, gotH) {
 			t.Errorf("%s: snapshot PredictWithEntropy does not bit-match network", net.Label())
 		}
-		probs := tensor.New(wantP.Shape[0], wantP.Shape[1])
-		ent := tensor.New(wantH.Size())
-		snap.PredictWithEntropyInto(probs, ent, x)
-		if !bitEqual(wantP, probs) || !bitEqual(wantH, ent) {
-			t.Errorf("%s: PredictWithEntropyInto does not bit-match network", net.Label())
-		}
 	}
 	// The shape the benchmark serves: 32-, 16- and 8-wide planes, where the
 	// toy geometries above have 8, 4 and 2.
@@ -190,7 +184,7 @@ func TestSnapshotConcurrentForward(t *testing.T) {
 }
 
 // TestSnapshotZeroAllocSteadyState gates the zero-allocation property: a
-// warmed-up ForwardInto / PredictWithEntropyInto must not touch the heap.
+// warmed-up ForwardInto must not touch the heap.
 // The 64-row batch through MLP-8 is large enough to take the parallel
 // matmul dispatch path, so the kernel worker-pool hand-off is covered too.
 func TestSnapshotZeroAllocSteadyState(t *testing.T) {
@@ -205,19 +199,13 @@ func TestSnapshotZeroAllocSteadyState(t *testing.T) {
 	snap := MustSnapshot(net)
 	x := rng.Randn(64, 64)
 	probs := tensor.New(64, 10)
-	ent := tensor.New(64)
 	for i := 0; i < 3; i++ { // warm up arenas and kernel pool
-		snap.PredictWithEntropyInto(probs, ent, x)
+		snap.ForwardInto(probs, x)
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		snap.ForwardInto(probs, x)
 	}); allocs != 0 {
 		t.Errorf("ForwardInto steady state allocates %.1f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		snap.PredictWithEntropyInto(probs, ent, x)
-	}); allocs != 0 {
-		t.Errorf("PredictWithEntropyInto steady state allocates %.1f allocs/op, want 0", allocs)
 	}
 }
 

@@ -51,29 +51,3 @@ type Stateful interface {
 	Layer
 	State() []*tensor.Tensor
 }
-
-// ParamCount returns the total number of trainable scalars in a layer, or 0
-// for stateless layers. Model size drives the edge-device memory model in
-// internal/edgesim.
-func ParamCount(l Layer) int {
-	pl, ok := l.(ParamLayer)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, p := range pl.Params() {
-		n += p.Size()
-	}
-	return n
-}
-
-// ZeroGrads clears the accumulated gradients of a layer, if any.
-func ZeroGrads(l Layer) {
-	pl, ok := l.(ParamLayer)
-	if !ok {
-		return
-	}
-	for _, g := range pl.Grads() {
-		g.Zero()
-	}
-}

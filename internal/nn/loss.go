@@ -29,31 +29,3 @@ func SoftmaxCrossEntropy(logits *tensor.Tensor, labels []int) (loss float64, pro
 	grad.ScaleInPlace(inv)
 	return loss, probs, grad
 }
-
-// CrossEntropyPerSample returns the per-sample negative log-likelihood for
-// a matrix of probability rows; used by diagnostics and by the SG-MoE
-// training loop, which weights per-sample losses by gate values.
-func CrossEntropyPerSample(probs *tensor.Tensor, labels []int) *tensor.Tensor {
-	batch := probs.Shape[0]
-	out := tensor.New(batch)
-	for i, y := range labels {
-		out.Data[i] = -math.Log(math.Max(probs.At(i, y), 1e-300))
-	}
-	return out
-}
-
-// MSE returns the mean-squared-error loss and its gradient with respect to
-// pred. Used by unit tests and the TeamNet meta-estimator.
-func MSE(pred, target *tensor.Tensor) (loss float64, grad *tensor.Tensor) {
-	if !pred.SameShape(target) {
-		panic("nn: MSE shape mismatch")
-	}
-	n := float64(pred.Size())
-	grad = tensor.New(pred.Shape...)
-	for i, p := range pred.Data {
-		d := p - target.Data[i]
-		loss += d * d
-		grad.Data[i] = 2 * d / n
-	}
-	return loss / n, grad
-}

@@ -1,8 +1,6 @@
 package nn
 
 import (
-	"strings"
-
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
@@ -28,15 +26,6 @@ func NewNetwork(label string, layers ...Layer) *Network {
 // Label returns the human-readable model name ("MLP-8", "2xSS-14 expert",
 // ...), used in benchmark tables.
 func (n *Network) Label() string { return n.label }
-
-// Describe returns a one-line architecture summary.
-func (n *Network) Describe() string {
-	names := make([]string, len(n.Layers))
-	for i, l := range n.Layers {
-		names[i] = l.Name()
-	}
-	return n.label + ": " + strings.Join(names, " → ")
-}
 
 // Forward runs the network on a [batch, features] input and returns the
 // final activations (logits, for classifiers).

@@ -15,28 +15,6 @@ type Optimizer interface {
 	Step(params, grads []*tensor.Tensor)
 }
 
-// SGD is plain stochastic gradient descent with optional L2 weight decay:
-// θ ← θ - η (g + λθ). This is the update of the paper's Algorithm 3.
-type SGD struct {
-	LR          float64
-	WeightDecay float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer with learning rate lr.
-func NewSGD(lr float64) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Tensor) {
-	for i, p := range params {
-		g := grads[i]
-		for j := range p.Data {
-			p.Data[j] -= s.LR * (g.Data[j] + s.WeightDecay*p.Data[j])
-		}
-	}
-}
-
 // Momentum is SGD with classical momentum: v ← μv + g; θ ← θ - ηv.
 type Momentum struct {
 	LR, Mu      float64
@@ -69,7 +47,7 @@ func (m *Momentum) Step(params, grads []*tensor.Tensor) {
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction. TeamNet's
 // gate parameters Θ and the SG-MoE joint architecture train with Adam; the
-// expert networks use SGD/momentum per Algorithm 3.
+// expert networks use momentum per Algorithm 3.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	WeightDecay           float64

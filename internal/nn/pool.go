@@ -33,9 +33,6 @@ func (m *MaxPool2D) Name() string {
 	return fmt.Sprintf("maxpool(%dx%dx%d,k%d)", m.C, m.H, m.W, m.K)
 }
 
-// OutFeatures returns the flattened output width.
-func (m *MaxPool2D) OutFeatures() int { return m.C * m.outH * m.outW }
-
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	batch := x.Shape[0]

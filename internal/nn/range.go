@@ -66,21 +66,6 @@ func (s *Snapshot) ForwardRange(x *tensor.Tensor, from, to int) *tensor.Tensor {
 	return res
 }
 
-// ForwardRangeInto is the zero-allocation form of ForwardRange: dst must
-// already have the output shape [batch, outWidth] and is fully
-// overwritten. Safe to call concurrently (with distinct dst).
-func (s *Snapshot) ForwardRangeInto(dst, x *tensor.Tensor, from, to int) {
-	batch, width := snapshotInputDims(x)
-	s.checkRange(from, to, width)
-	ar := s.arenas.Get().(*arena)
-	defer s.release(ar)
-	out, w := runSteps(ar, s.steps[from:to], x.Data, batch, width)
-	if len(dst.Shape) != 2 || dst.Shape[0] != batch || dst.Shape[1] != w {
-		panic(fmt.Sprintf("nn: Snapshot.ForwardRangeInto dst shape %v != [%d %d]", dst.Shape, batch, w))
-	}
-	copy(dst.Data, out)
-}
-
 func (s *Snapshot) checkRange(from, to, width int) {
 	if from < 0 || to < from || to > len(s.steps) {
 		panic(fmt.Sprintf("nn: Snapshot step range [%d, %d) outside 0..%d", from, to, len(s.steps)))

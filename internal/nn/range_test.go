@@ -117,31 +117,6 @@ func TestLayerCostsMatchNetworkFLOPs(t *testing.T) {
 	}
 }
 
-// TestForwardRangeIntoZeroAlloc pins the zero-allocation steady state of
-// range execution, matching the full-pass guarantee.
-func TestForwardRangeIntoZeroAlloc(t *testing.T) {
-	if raceDetectorEnabled {
-		t.Skip("sync.Pool drops Puts under the race detector, so steady state allocates by design")
-	}
-	rng := tensor.NewRNG(3)
-	spec := DigitsBaseline(64, 10)
-	net, err := spec.Build(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := MustSnapshot(net)
-	x := rng.Randn(4, 64)
-	mid := snap.Steps() / 2
-	head := snap.ForwardRange(x, 0, mid) // sized destinations; warms the arena pool
-	tail := snap.ForwardRange(head, mid, snap.Steps())
-	if allocs := testing.AllocsPerRun(50, func() {
-		snap.ForwardRangeInto(head, x, 0, mid)
-		snap.ForwardRangeInto(tail, head, mid, snap.Steps())
-	}); allocs != 0 {
-		t.Fatalf("ForwardRangeInto allocates %.0f per run, want 0", allocs)
-	}
-}
-
 // TestForwardRangePanicsOutOfRange pins the validation the serving side
 // relies on (it recovers these panics into RPC errors).
 func TestForwardRangePanicsOutOfRange(t *testing.T) {

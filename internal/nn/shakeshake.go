@@ -106,7 +106,3 @@ func (s *ShakeShake) State() []*tensor.Tensor {
 	}
 	return out
 }
-
-// SetDeterministic pins the training-time mixing coefficient source; used by
-// the MPI-Branch scheme so distributed and local execution agree bit-for-bit.
-func (s *ShakeShake) SetDeterministic(rng *tensor.RNG) { s.rng = rng }

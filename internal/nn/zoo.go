@@ -54,9 +54,6 @@ type ShakeSpec struct {
 	Classes        int    `json:"classes"`
 }
 
-// Depth returns the paper-style layer count 2 + stages·blocks·2.
-func (s ShakeSpec) Depth() int { return 2 + len(s.Widths)*s.BlocksPerStage*2 }
-
 // Build constructs the network with weights drawn from rng. The layout is:
 // 3×3 stem conv → stages of Shake-Shake blocks with 2× max-pool between
 // stages → global average pool → dense classifier.

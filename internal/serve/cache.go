@@ -284,12 +284,6 @@ func (g *Gateway) ModelVersion() string {
 // shaped reports whether the demand-shaping layer is in the request path.
 func (g *Gateway) shaped() bool { return g.cache != nil || g.cfg.Coalesce }
 
-// digestFor computes the request's content address under the current model
-// version.
-func (g *Gateway) digestFor(x *tensor.Tensor) cacheKey {
-	return digest(g.ModelVersion(), x)
-}
-
 // cacheGet is the counted lookup: it maintains the hit/miss/expired
 // counters, the hit-rate gauge, and the size gauge.
 func (g *Gateway) cacheGet(key cacheKey) (Result, bool) {
@@ -363,17 +357,6 @@ func (g *Gateway) finishFlight(key cacheKey, fl *flight, res Result, err error) 
 	fl.res = res
 	fl.err = err
 	close(fl.done)
-}
-
-// flightWaiters reports how many callers are coalesced behind key's leader
-// (tests use this to sequence deterministically).
-func (g *Gateway) flightWaiters(key cacheKey) int64 {
-	g.flightMu.Lock()
-	defer g.flightMu.Unlock()
-	if fl, ok := g.flights[key]; ok {
-		return fl.waiters
-	}
-	return 0
 }
 
 // isContextErr reports a leader outcome that was the leader's own doing

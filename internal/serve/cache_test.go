@@ -21,6 +21,23 @@ import (
 // Demand-shaping tests: the content-addressed response cache and the
 // singleflight coalescer (cache.go). All run under -race via make verify.
 
+// digestFor computes the request's content address under the current model
+// version.
+func (g *Gateway) digestFor(x *tensor.Tensor) cacheKey {
+	return digest(g.ModelVersion(), x)
+}
+
+// flightWaiters reports how many callers are coalesced behind key's leader,
+// so tests can sequence deterministically.
+func (g *Gateway) flightWaiters(key cacheKey) int64 {
+	g.flightMu.Lock()
+	defer g.flightMu.Unlock()
+	if fl, ok := g.flights[key]; ok {
+		return fl.waiters
+	}
+	return 0
+}
+
 // countingBackend wraps echoBackend with a call counter so tests can prove
 // how many inferences a traffic pattern actually cost.
 type countingBackend struct {

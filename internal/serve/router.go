@@ -116,17 +116,6 @@ func (r *Router) Remove(name string) {
 	r.metrics.Gauge("serve.route.targets").Set(int64(len(r.targets)))
 }
 
-// Targets returns the current target names, in routing order.
-func (r *Router) Targets() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.targets))
-	for i, t := range r.targets {
-		out[i] = t.name
-	}
-	return out
-}
-
 // pick returns up to want distinct targets, best score first. Cooling
 // targets rank behind healthy ones instead of vanishing, so a fleet that is
 // entirely cooling still serves (degraded beats down).

@@ -130,14 +130,6 @@ func (p *Planner) peer(addr string) *peerModel {
 	return m
 }
 
-// Forget drops a peer's cost state (e.g. after it leaves the roster).
-func (p *Planner) Forget(addr string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.peers, addr)
-	p.planned = time.Time{}
-}
-
 // Decide returns the current plan for a batch, recomputing at most every
 // Replan. An unmeasured peer due for a probe preempts the cached plan with
 // a whole-remote Explore decision so its link and compute fits get their

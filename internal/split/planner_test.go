@@ -132,6 +132,14 @@ func TestPlannerPicksCheapestBoundary(t *testing.T) {
 	}
 }
 
+// Forget drops a peer's cost state.
+func (p *Planner) Forget(addr string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	delete(p.peers, addr)
+	p.planned = time.Time{}
+}
+
 func TestPlannerProbesUnmeasuredPeer(t *testing.T) {
 	p := New(testProfile(t), Options{ProbeEvery: time.Hour})
 	p.ObserveLocal(1e5, time.Millisecond)

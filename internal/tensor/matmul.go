@@ -362,50 +362,6 @@ func MatMulTransB(a, b *Tensor) *Tensor {
 	return out
 }
 
-// MatVec returns a × x for a rank-2 a (m×k) and rank-1 x (k).
-func MatVec(a, x *Tensor) *Tensor {
-	a.mustRank(2)
-	m, k := a.Shape[0], a.Shape[1]
-	if x.Size() != k {
-		panic(fmt.Sprintf("tensor: MatVec shapes %v × %v invalid", a.Shape, x.Shape))
-	}
-	out := New(m)
-	for i := 0; i < m; i++ {
-		row := a.Data[i*k : (i+1)*k]
-		s := 0.0
-		for j, v := range row {
-			s += v * x.Data[j]
-		}
-		out.Data[i] = s
-	}
-	return out
-}
-
-// Dot returns the inner product of two equally-sized tensors (flattened).
-func Dot(a, b *Tensor) float64 {
-	mustSameSize("Dot", a, b)
-	s := 0.0
-	for i, v := range a.Data {
-		s += v * b.Data[i]
-	}
-	return s
-}
-
-// Outer returns the outer product a ⊗ b of two rank-1 tensors as an
-// (len(a) × len(b)) matrix.
-func Outer(a, b *Tensor) *Tensor {
-	m, n := a.Size(), b.Size()
-	out := New(m, n)
-	for i := 0; i < m; i++ {
-		av := a.Data[i]
-		row := out.Data[i*n : (i+1)*n]
-		for j, bv := range b.Data {
-			row[j] = av * bv
-		}
-	}
-	return out
-}
-
 // RowBlock returns the half-open row range [lo, hi) of a rank-2 tensor as a
 // view sharing backing storage. It is the partitioning primitive of the
 // MPI-Matrix scheme, which splits weight matrices across edge nodes by rows.
@@ -437,32 +393,6 @@ func ConcatRows(parts ...*Tensor) *Tensor {
 	for _, p := range parts {
 		copy(out.Data[off:], p.Data)
 		off += len(p.Data)
-	}
-	return out
-}
-
-// ConcatCols stacks rank-2 tensors with equal row counts horizontally into a
-// new tensor, the gather step of column-partitioned (kernel-split) layers.
-func ConcatCols(parts ...*Tensor) *Tensor {
-	if len(parts) == 0 {
-		panic("tensor: ConcatCols of no tensors")
-	}
-	r := parts[0].Rows()
-	cols := 0
-	for _, p := range parts {
-		if p.Rows() != r {
-			panic(fmt.Sprintf("tensor: ConcatCols row mismatch %d vs %d", p.Rows(), r))
-		}
-		cols += p.Cols()
-	}
-	out := New(r, cols)
-	off := 0
-	for _, p := range parts {
-		pc := p.Cols()
-		for i := 0; i < r; i++ {
-			copy(out.Data[i*cols+off:i*cols+off+pc], p.Data[i*pc:(i+1)*pc])
-		}
-		off += pc
 	}
 	return out
 }

@@ -34,25 +34,6 @@ func Sub(t, u *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns the element-wise (Hadamard) product t ⊙ u in a new tensor.
-func Mul(t, u *Tensor) *Tensor {
-	mustSameShape("Mul", t, u)
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = v * u.Data[i]
-	}
-	return out
-}
-
-// MulInto computes dst = t ⊙ u element-wise. dst may alias t or u.
-func MulInto(dst, t, u *Tensor) {
-	mustSameShape("MulInto", t, u)
-	mustSameSize("MulInto", dst, t)
-	for i, v := range t.Data {
-		dst.Data[i] = v * u.Data[i]
-	}
-}
-
 // Scale returns v * t in a new tensor.
 func Scale(t *Tensor, v float64) *Tensor {
 	out := New(t.Shape...)
@@ -76,15 +57,6 @@ func (t *Tensor) AddScaled(u *Tensor, alpha float64) {
 	for i, v := range u.Data {
 		t.Data[i] += alpha * v
 	}
-}
-
-// AddScalar returns t + v element-wise in a new tensor.
-func AddScalar(t *Tensor, v float64) *Tensor {
-	out := New(t.Shape...)
-	for i, x := range t.Data {
-		out.Data[i] = x + v
-	}
-	return out
 }
 
 // Apply returns f applied element-wise to t in a new tensor.
@@ -284,26 +256,6 @@ func SoftmaxRowsInto(dst, src []float64, rows, cols int) {
 	}
 }
 
-// Softmax computes a numerically-stable softmax of a rank-1 tensor.
-func Softmax(t *Tensor) *Tensor {
-	out := New(t.Shape...)
-	softmaxInto(out.Data, t.Data)
-	return out
-}
-
-// Entropy returns the Shannon entropy (natural log) of a probability vector.
-// Zero probabilities contribute zero, by the usual 0·log 0 = 0 convention.
-// This is the predictive-entropy primitive of TeamNet (Section IV-A).
-func Entropy(p *Tensor) float64 {
-	h := 0.0
-	for _, v := range p.Data {
-		if v > 0 {
-			h -= v * math.Log(v)
-		}
-	}
-	return h
-}
-
 // EntropyRows returns the Shannon entropy of each row of a rank-2 tensor of
 // probability vectors.
 func EntropyRows(p *Tensor) *Tensor {
@@ -332,19 +284,6 @@ func EntropyRowsInto(dst, p []float64, rows, cols int) {
 	}
 }
 
-// Transpose returns the transpose of a rank-2 tensor in a new tensor.
-func Transpose(t *Tensor) *Tensor {
-	t.mustRank(2)
-	r, c := t.Shape[0], t.Shape[1]
-	out := New(c, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < c; j++ {
-			out.Data[j*r+i] = t.Data[i*c+j]
-		}
-	}
-	return out
-}
-
 // ReLUInto writes max(src[i], +0) into dst[:len(src)] — +0 for NaN and for
 // −0, exactly the value of `if v > 0 { v } else { 0 }`, the loop that serves
 // the tail and machines without AVX. That branch is unpredictable on
@@ -364,17 +303,6 @@ func ReLUInto(dst, src []float64) {
 			dst[i] = v
 		} else {
 			dst[i] = 0
-		}
-	}
-}
-
-// Clip limits every element of t to the interval [lo, hi], in place.
-func (t *Tensor) Clip(lo, hi float64) {
-	for i, v := range t.Data {
-		if v < lo {
-			t.Data[i] = lo
-		} else if v > hi {
-			t.Data[i] = hi
 		}
 	}
 }

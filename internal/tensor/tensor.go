@@ -18,10 +18,9 @@ import (
 
 // Tensor is a dense, row-major array of float64 values.
 //
-// The zero value is not usable; construct tensors with New, Zeros, FromSlice
-// or the random constructors in random.go. Data is exported for fast,
-// index-free access by hot loops; the shape must be treated as immutable
-// (use Reshape to obtain a differently-shaped view).
+// The zero value is not usable; construct tensors with New, FromSlice or
+// the random constructors in random.go. Data is exported for fast,
+// index-free access by hot loops; the shape must be treated as immutable.
 type Tensor struct {
 	// Data is the row-major backing storage. len(Data) == product(Shape).
 	Data []float64
@@ -42,10 +41,6 @@ func New(shape ...int) *Tensor {
 	}
 	return &Tensor{Data: make([]float64, n), Shape: append([]int(nil), shape...)}
 }
-
-// Zeros is an alias of New, provided for readability at call sites that
-// emphasise the initial value rather than allocation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
 
 // Ones returns a tensor of the given shape with every element set to 1.
 func Ones(shape ...int) *Tensor {
@@ -151,36 +146,6 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// Reshape returns a view of t with a new shape sharing the same backing
-// data. One dimension may be -1, in which case it is inferred. It panics if
-// the element counts differ.
-func (t *Tensor) Reshape(shape ...int) *Tensor {
-	out := append([]int(nil), shape...)
-	infer := -1
-	n := 1
-	for i, d := range out {
-		if d == -1 {
-			if infer != -1 {
-				panic("tensor: at most one dimension may be -1 in Reshape")
-			}
-			infer = i
-			continue
-		}
-		n *= d
-	}
-	if infer >= 0 {
-		if n == 0 || len(t.Data)%n != 0 {
-			panic(fmt.Sprintf("tensor: cannot infer dimension for shape %v from %d elements", shape, len(t.Data)))
-		}
-		out[infer] = len(t.Data) / n
-		n *= out[infer]
-	}
-	if n != len(t.Data) {
-		panic(fmt.Sprintf("tensor: reshape %v incompatible with %d elements", shape, len(t.Data)))
-	}
-	return &Tensor{Data: t.Data, Shape: out}
-}
-
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {
 	u := New(t.Shape...)
@@ -195,13 +160,6 @@ func (t *Tensor) CopyFrom(u *Tensor) {
 		panic(fmt.Sprintf("tensor: CopyFrom size mismatch %d vs %d", len(t.Data), len(u.Data)))
 	}
 	copy(t.Data, u.Data)
-}
-
-// Fill sets every element of t to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
 }
 
 // Zero sets every element of t to 0.

@@ -110,7 +110,7 @@ func (t *Tracer) Node() string {
 
 // Live span support ---------------------------------------------------------
 
-// Active is an in-flight span returned by Start. End (or EndStatus)
+// Active is an in-flight span returned by Start. End (or EndErr)
 // completes it into the tracer's ring. A nil *Active is a no-op.
 type Active struct {
 	t     *Tracer
@@ -150,14 +150,6 @@ func (a *Active) Ctx() Context {
 	return a.span.Context()
 }
 
-// SetStatus overrides the span's final status (default "ok").
-func (a *Active) SetStatus(status string) {
-	if a == nil {
-		return
-	}
-	a.span.Status = status
-}
-
 // End completes the span and records it. Idempotent.
 func (a *Active) End() {
 	if a == nil || a.ended {
@@ -166,15 +158,6 @@ func (a *Active) End() {
 	a.ended = true
 	a.span.Duration = time.Since(a.span.Start)
 	a.t.record(a.span)
-}
-
-// EndStatus sets the status and ends in one call.
-func (a *Active) EndStatus(status string) {
-	if a == nil {
-		return
-	}
-	a.span.Status = status
-	a.End()
 }
 
 // EndErr ends with StatusError when err != nil, StatusOK otherwise.
@@ -188,14 +171,13 @@ func (a *Active) EndErr(err error) {
 	a.End()
 }
 
-// Retroactive / modeled span support ---------------------------------------
+// Retroactive span support --------------------------------------------------
 
 // Record inserts a completed span with an explicit start and duration,
 // returning its context so children can attach. This is how instrumentation
 // reconstructs sub-stages it measured by hand (e.g. splitting a round trip
-// into network and remote-compute time), and how the edgesim cost model
-// emits modeled span trees. node == "" uses the tracer's own label. Returns
-// a zero Context on a nil tracer.
+// into network and remote-compute time). node == "" uses the tracer's own
+// label. Returns a zero Context on a nil tracer.
 func (t *Tracer) Record(parent Context, name, node, status string, start time.Time, d time.Duration) Context {
 	if t == nil {
 		return Context{}

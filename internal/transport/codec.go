@@ -120,14 +120,6 @@ func TensorWireSize(t *tensor.Tensor) int {
 	return 1 + 4*len(t.Shape) + 4*t.Size()
 }
 
-// EncodeFloats serializes a float64 slice (full precision — used for
-// control values like entropies where quantization would perturb arg-mins).
-func EncodeFloats(vs []float64) []byte {
-	buf := make([]byte, 4+8*len(vs))
-	EncodeFloatsInto(buf, vs)
-	return buf
-}
-
 // EncodeFloatsInto writes vs into buf (which must hold 4+8·len(vs) bytes)
 // and returns the encoded length.
 func EncodeFloatsInto(buf []byte, vs []float64) int {

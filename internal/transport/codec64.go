@@ -16,12 +16,6 @@ import (
 // probabilities) would break that equality, so split frames pay the 2×
 // bytes for exactness; the planner's cost model charges them accordingly.
 
-// EncodeTensor64 serializes t at full float64 precision.
-func EncodeTensor64(t *tensor.Tensor) []byte {
-	buf := make([]byte, Tensor64WireSize(t))
-	return buf[:EncodeTensor64Into(buf, t)]
-}
-
 // EncodeTensor64Into writes t at full precision into buf (which must be
 // large enough) and returns the encoded length.
 func EncodeTensor64Into(buf []byte, t *tensor.Tensor) int {

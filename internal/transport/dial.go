@@ -50,13 +50,6 @@ func DefaultBackoff() *Backoff {
 	return &Backoff{Base: 25 * time.Millisecond, Max: 2 * time.Second, Jitter: 0.2}
 }
 
-// Seed makes the jitter stream deterministic — tests only.
-func (b *Backoff) Seed(seed int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.rng = rand.New(rand.NewSource(seed))
-}
-
 // Delay returns the wait before retry attempt n (n ≥ 0). It never returns a
 // negative duration and saturates at Max for large n.
 func (b *Backoff) Delay(attempt int) time.Duration {

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -37,6 +38,13 @@ func TestBackoffScheduleDoublesAndCaps(t *testing.T) {
 	if got := b.Delay(200); got != 80*time.Millisecond {
 		t.Fatalf("Delay(200) = %v", got)
 	}
+}
+
+// Seed makes the jitter stream deterministic.
+func (b *Backoff) Seed(seed int64) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.rng = rand.New(rand.NewSource(seed))
 }
 
 func TestBackoffJitterStaysInBand(t *testing.T) {

@@ -27,6 +27,20 @@ func decodeTensorSeeds() [][]byte {
 	}
 }
 
+// EncodeTensor64 serializes t at full float64 precision: the encoder the
+// full-precision decoder's seeds and round trips are built with.
+func EncodeTensor64(t *tensor.Tensor) []byte {
+	buf := make([]byte, Tensor64WireSize(t))
+	return buf[:EncodeTensor64Into(buf, t)]
+}
+
+// EncodeFloats serializes a float64 slice at full precision.
+func EncodeFloats(vs []float64) []byte {
+	buf := make([]byte, 4+8*len(vs))
+	EncodeFloatsInto(buf, vs)
+	return buf
+}
+
 func decodeTensor64Seeds() [][]byte {
 	return [][]byte{
 		{},
