@@ -1,13 +1,13 @@
 # Build, test and verification entry points. `make verify` is the
 # robustness gate: formatting, vet, docs and reachability, markdown links,
-# plus the failure-path packages (cluster runtime, transport, chaos proxy,
+# the no-FMA numeric contract of the assembly kernels, plus the failure-path packages (cluster runtime, transport, chaos proxy,
 # trace) and the two packages whose whole job is concurrent reads during
 # writes (metrics, admin) under the race detector — the chaos-driven
 # recovery tests only count if they pass with -race.
 
 GO ?= go
 
-.PHONY: build test verify fmt-check docs linkcheck one-loop loc bench bench-kernels bench-soak bench-forward bench-fleet bench-split bench-check clean
+.PHONY: build test verify fmt-check docs linkcheck one-loop no-fma loc bench bench-kernels bench-soak bench-forward bench-fleet bench-split bench-check clean
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,14 @@ one-loop:
 	@if grep -rnw 'tracerRef\|hedgeRef\|budgetRef\|HedgeConfig\|RetryBudgetConfig' --include=*.go .; then \
 		echo "a per-peer settings ref or a retired tuning struct is back (a peer reads its master)"; exit 1; fi
 
+# no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
+# keeps multiply and add as separate, separately rounded instructions, so its
+# output is bit-identical to the portable Go loops and to Im2Col × W; a fused
+# multiply-add in the assembly would round once where they round twice.
+no-fma:
+	@if grep -nE 'VFN?MADD|VFN?MSUB' internal/tensor/*.s; then \
+		echo "fused multiply-add in the tensor assembly (the kernels multiply and add separately)"; exit 1; fi
+
 # loc prints the non-test Go lines of every internal/ package and their
 # total — the tracked number of ROADMAP aim 2 (same behaviour, least code) —
 # and the cmd/ total under it, so code moved across that line (a cmd main's
@@ -87,11 +95,13 @@ loc:
 # TestDecodeResultSeedCorpus, which hold the hostile replies of
 # hostile_test.go), the direct-convolution kernel tests
 # (internal/tensor conv_test.go: TestConvDirectMatchesReference over the
-# geometry table with the AVX tile and with the SIMD gate forced off,
-# FuzzConvDirect's seed corpus, TestReLUIntoBitPatterns; Linux only,
-# conv_guard_linux_test.go: TestConvDirectStaysInsideItsSlices runs the
-# bounds-check-free assembly against unmapped guard pages) with
-# internal/nn's TestSnapshotBitMatchesNetwork on SS-14 at 3×32×32, and the
+# geometry table in three legs — the zmm tile, the ymm tile with the
+# AVX-512 gate forced off, the portable tile with both gates off —
+# FuzzConvDirect's seed corpus under the same legs, TestReLUIntoBitPatterns;
+# Linux only, conv_guard_linux_test.go: TestConvDirectStaysInsideItsSlices
+# runs the bounds-check-free zmm and ymm assembly against unmapped guard
+# pages) with internal/nn's TestSnapshotBitMatchesNetwork on SS-14 at
+# 3×32×32 with the zmm tiles and with the ymm tiles, and the
 # registry tests that scrape while writers observe (internal/metrics
 # TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
 # internal/admin serves the same registries over HTTP). Then the
@@ -104,7 +114,7 @@ loc:
 # fleet, forward) at smoke size and the open-loop generator's own tests
 # (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
 # TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
-verify: fmt-check docs linkcheck one-loop
+verify: fmt-check docs linkcheck one-loop no-fma
 	$(GO) vet ./...
 	$(GO) test -short ./...
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...
@@ -115,8 +125,9 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # The compute kernels against this machine's measured ceiling: the
-# register-only no-FMA multiply/add peak, the direct-convolution tile at
-# SS-14's three stage shapes, and the SS-14 snapshot on 3×32×32 at 1 and 16
+# register-only no-FMA multiply/add peak at ymm and at zmm width, the zmm
+# and ymm direct-convolution tiles at SS-14's three stage shapes (each also
+# as a share of its own width's peak), and the SS-14 snapshot on 3×32×32 at 1 and 16
 # rows, each reporting GFLOP/s, at one and two cores (docs/BENCHMARKS.md).
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'PeakMulAdd|ConvTile' -cpu 1,2 ./internal/tensor

@@ -84,84 +84,3 @@ func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	}
 	return out
 }
-
-// Sigmoid is the logistic activation 1/(1+e^{-x}).
-type Sigmoid struct {
-	lastY *tensor.Tensor
-}
-
-var _ Layer = (*Sigmoid)(nil)
-
-// Name implements Layer.
-func (s *Sigmoid) Name() string { return "sigmoid" }
-
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	y := tensor.Apply(x, func(v float64) float64 { return 1 / (1 + math.Exp(-v)) })
-	s.lastY = y
-	return y
-}
-
-// Backward implements Layer; dσ/dx = σ(1-σ).
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if s.lastY == nil {
-		panic("nn: Sigmoid.Backward before Forward")
-	}
-	out := tensor.New(grad.Shape...)
-	for i, g := range grad.Data {
-		y := s.lastY.Data[i]
-		out.Data[i] = g * y * (1 - y)
-	}
-	return out
-}
-
-// Dropout zeroes a random fraction of activations at training time and
-// rescales the survivors by 1/(1-rate) (inverted dropout); it is the
-// identity at inference time.
-type Dropout struct {
-	rate float64
-	rng  *tensor.RNG
-	keep []bool
-}
-
-var _ Layer = (*Dropout)(nil)
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return "dropout" }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !train || d.rate == 0 {
-		d.keep = nil
-		return x
-	}
-	if cap(d.keep) < x.Size() {
-		d.keep = make([]bool, x.Size())
-	}
-	d.keep = d.keep[:x.Size()]
-	scale := 1 / (1 - d.rate)
-	y := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		k := d.rng.Float64() >= d.rate
-		d.keep[i] = k
-		if k {
-			y.Data[i] = v * scale
-		}
-	}
-	return y
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if d.keep == nil { // eval-mode forward: identity
-		return grad
-	}
-	scale := 1 / (1 - d.rate)
-	out := tensor.New(grad.Shape...)
-	for i, g := range grad.Data {
-		if d.keep[i] {
-			out.Data[i] = g * scale
-		}
-	}
-	return out
-}

@@ -6,50 +6,6 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// NewDropout returns a Dropout layer with the given drop rate in [0, 1).
-func NewDropout(rate float64, rng *tensor.RNG) *Dropout {
-	if rate < 0 || rate >= 1 {
-		panic("nn: dropout rate must be in [0, 1)")
-	}
-	return &Dropout{rate: rate, rng: rng}
-}
-
-func TestDropoutBackwardMatchesMask(t *testing.T) {
-	rng := tensor.NewRNG(31)
-	d := NewDropout(0.4, rng)
-	x := tensor.Ones(4, 8)
-	y := d.Forward(x, true)
-	grad := tensor.Ones(4, 8)
-	gx := d.Backward(grad)
-	// Gradient must flow exactly where activations survived, with the same
-	// inverted-dropout scale.
-	for i := range y.Data {
-		if (y.Data[i] == 0) != (gx.Data[i] == 0) {
-			t.Fatalf("element %d: forward %v but grad %v", i, y.Data[i], gx.Data[i])
-		}
-		if y.Data[i] != 0 && gx.Data[i] != y.Data[i] {
-			t.Fatalf("element %d: scale mismatch %v vs %v", i, gx.Data[i], y.Data[i])
-		}
-	}
-	// Eval-mode backward is identity.
-	d.Forward(x, false)
-	if !d.Backward(grad).Equal(grad) {
-		t.Fatal("eval-mode dropout backward not identity")
-	}
-}
-
-func TestDropoutInvalidRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("rate 1.0 accepted")
-		}
-	}()
-	NewDropout(1.0, tensor.NewRNG(1))
-}
-
 func TestMaxPoolInvalidGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -62,8 +18,7 @@ func TestMaxPoolInvalidGeometryPanics(t *testing.T) {
 func TestLayerNames(t *testing.T) {
 	rng := tensor.NewRNG(32)
 	layers := []Layer{
-		NewDense(2, 3, rng), NewReLU(), NewTanh(), NewSigmoid(),
-		NewDropout(0.1, rng), NewBatchNorm(2, 3),
+		NewDense(2, 3, rng), NewReLU(), NewTanh(), NewBatchNorm(2, 3),
 		NewMaxPool2D(1, 4, 4, 2), NewGlobalAvgPool(2, 2, 2),
 	}
 	for _, l := range layers {
@@ -78,7 +33,6 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 	cases := []Layer{
 		NewDense(2, 2, rng),
 		NewTanh(),
-		NewSigmoid(),
 		NewBatchNorm(1, 2),
 	}
 	for _, l := range cases {

@@ -28,7 +28,7 @@ func LayerFLOPs(l Layer) float64 {
 		return float64(v.C * v.H * v.W)
 	case *GlobalAvgPool:
 		return float64(v.C * v.H * v.W)
-	case *ReLU, *Tanh, *Sigmoid, *Dropout:
+	case *ReLU, *Tanh:
 		return 0 // negligible next to the matmuls; counted as free
 	default:
 		return 0

@@ -192,10 +192,6 @@ func compileStep(l Layer) (inferStep, error) {
 		return reluStep{}, nil
 	case *Tanh:
 		return tanhStep{}, nil
-	case *Sigmoid:
-		return sigmoidStep{}, nil
-	case *Dropout:
-		return nil, nil // identity at inference
 	case *BatchNorm:
 		st := &bnStep{
 			c: l.C, s: l.S,
@@ -277,16 +273,6 @@ func (tanhStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	out := a.take(batch * width)
 	for i, v := range x {
 		out[i] = math.Tanh(v)
-	}
-	return out, width
-}
-
-type sigmoidStep struct{}
-
-func (sigmoidStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
-	out := a.take(batch * width)
-	for i, v := range x {
-		out[i] = 1 / (1 + math.Exp(-v))
 	}
 	return out, width
 }

@@ -111,28 +111,35 @@ func TestSnapshotBitMatchesNetwork(t *testing.T) {
 		}
 	}
 	// The shape the benchmark serves: 32-, 16- and 8-wide planes, where the
-	// toy geometries above have 8, 4 and 2.
+	// toy geometries above have 8, 4 and 2. Compiled twice: with the zmm
+	// convolution tiles where the machine has them, and with the ymm tiles.
 	net := ss14Objects(t)
-	snap := MustSnapshot(net)
-	for _, rows := range []int{1, 3, 16} {
-		x := rng.Randn(rows, inputWidth(net))
-		if !bitEqual(net.Forward(x, false), snap.Forward(x)) {
-			t.Errorf("SS-14 on 3×32×32, %d rows: snapshot Forward does not bit-match network", rows)
+	for _, tiles := range []struct {
+		name string
+		run  func(func())
+	}{{"machine's", func(f func()) { f() }}, {"ymm", tensor.WithoutAVX512}} {
+		var snap *Snapshot
+		tiles.run(func() { snap = MustSnapshot(net) })
+		for _, rows := range []int{1, 3, 16} {
+			x := rng.Randn(rows, inputWidth(net))
+			if !bitEqual(net.Forward(x, false), snap.Forward(x)) {
+				t.Errorf("SS-14 on 3×32×32, %d rows, %s tiles: snapshot Forward does not bit-match network", rows, tiles.name)
+			}
 		}
 	}
 }
 
-// TestSnapshotBitMatchesMixedActivations covers the gate-style layers the
-// zoo specs do not use: Tanh, Sigmoid, and inference-mode Dropout.
+// TestSnapshotBitMatchesMixedActivations covers the gate-style layer the
+// zoo specs do not use: Tanh, beside and after ReLU.
 func TestSnapshotBitMatchesMixedActivations(t *testing.T) {
 	rng := tensor.NewRNG(43)
 	net := NewNetwork("gate",
-		NewDense(12, 16, rng), NewTanh(), NewDropout(0.3, rng),
-		NewDense(16, 8, rng), NewSigmoid())
+		NewDense(12, 16, rng), NewTanh(),
+		NewDense(16, 8, rng), NewReLU(), NewDense(8, 8, rng), NewTanh())
 	x := rng.Randn(7, 12)
 	snap := MustSnapshot(net)
 	if !bitEqual(net.Forward(x, false), snap.Forward(x)) {
-		t.Fatal("snapshot of tanh/dropout/sigmoid net does not bit-match network")
+		t.Fatal("snapshot of tanh/relu net does not bit-match network")
 	}
 }
 

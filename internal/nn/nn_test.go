@@ -72,30 +72,6 @@ func TestClipGrads(t *testing.T) {
 	}
 }
 
-func TestDropoutTrainVsEval(t *testing.T) {
-	rng := tensor.NewRNG(5)
-	d := NewDropout(0.5, rng)
-	x := tensor.Ones(10, 100)
-	yTrain := d.Forward(x, true)
-	zeros := 0
-	for _, v := range yTrain.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros < 300 || zeros > 700 {
-		t.Fatalf("dropout zeroed %d/1000, want ≈500", zeros)
-	}
-	yEval := d.Forward(x, false)
-	if !yEval.Equal(x) {
-		t.Fatal("dropout not identity at eval")
-	}
-	// Inverted dropout preserves expectation.
-	if mean := yTrain.Mean(); math.Abs(mean-1) > 0.15 {
-		t.Fatalf("dropout mean %v, want ≈1", mean)
-	}
-}
-
 func TestBatchNormNormalizesTrainingBatch(t *testing.T) {
 	rng := tensor.NewRNG(6)
 	bn := NewBatchNorm(2, 1)

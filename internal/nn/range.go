@@ -224,8 +224,6 @@ func stepName(st inferStep) string {
 		return "relu"
 	case tanhStep:
 		return "tanh"
-	case sigmoidStep:
-		return "sigmoid"
 	case *bnStep:
 		return "batchnorm"
 	case *convStep:

@@ -5,10 +5,13 @@ import "fmt"
 // Direct convolution for the inference snapshots (internal/nn). Training
 // lowers a convolution to Im2Col(x) × W; DirectConv computes the same sums
 // straight from a zero-padded copy of the image: a register tile of 4 output
-// channels × 8 output pixels walks the receptive field tap by tap, so every
-// input load is reused across four channels, every weight across eight
-// pixels, and the working set is the padded image (L1/L2-resident) instead
-// of a PatchLen-times-inflated patch matrix.
+// channels × two groups of output pixels walks the receptive field tap by
+// tap, so every input load is reused across four channels, every weight
+// across the tile's pixels, and the working set is the padded image
+// (L1/L2-resident) instead of a PatchLen-times-inflated patch matrix. A
+// group is eight pixels (the zmm tile) where AVX-512 is usable, the stride
+// is 1 and output rows are at least eight wide, else four (the ymm tile, or
+// the portable one).
 //
 // Bit-exactness with Im2Col × W + bias: every output element is a sum that
 // starts at +0 and adds input·weight over the taps in increasing patch
@@ -27,10 +30,11 @@ type DirectConv struct {
 	w     []float64  // [ceil(OutC/4)][PatchLen][4]; missing channels are zero
 	bias  []float64  // padded likewise
 	offs  []int      // tap p → element offset into the padded image
-	tiles []convTile // the output plane cut into pairs of 4-pixel groups
+	wide  bool       // 8-pixel groups on the zmm tile, else 4-pixel groups
+	tiles []convTile // the output plane cut into pairs of pixel groups
 }
 
-// convTile places one register tile: two groups of four output pixels
+// convTile places one register tile: two groups of output pixels
 // (consecutive in an output row), as offsets of each group's first pixel
 // into the padded image and into an output channel plane.
 type convTile struct{ in0, in1, out0, out1 int }
@@ -39,7 +43,8 @@ type convTile struct{ in0, in1, out0, out1 int }
 // and the OutC biases b for g (validated, as Conv2D holds it).
 func NewDirectConv(g ConvGeom, w, b []float64) *DirectConv {
 	pl, blocks := g.PatchLen(), (g.OutC+3)/4
-	k := &DirectConv{g: g, w: make([]float64, blocks*pl*4), bias: make([]float64, blocks*4), offs: make([]int, pl)}
+	k := &DirectConv{g: g, w: make([]float64, blocks*pl*4), bias: make([]float64, blocks*4), offs: make([]int, pl),
+		wide: useAVX512 && g.Stride == 1 && g.OutW >= 8}
 	copy(k.bias, b[:g.OutC])
 	for p := 0; p < pl; p++ {
 		for oc := 0; oc < g.OutC; oc++ {
@@ -51,15 +56,16 @@ func NewDirectConv(g ConvGeom, w, b []float64) *DirectConv {
 		c, ky, kx := p/(g.KH*g.KW), p/g.KW%g.KH, p%g.KW
 		k.offs[p] = (c*hp+ky)*wp + kx
 	}
-	// Groups of four pixels tile each output row; a row that does not divide
-	// by four ends on a group moved left to overlap its neighbour (the shared
+	// Groups of gw pixels tile each output row; a row that does not divide
+	// by gw ends on a group moved left to overlap its neighbour (the shared
 	// pixels are computed twice, to the same bits), and a row under four wide
-	// is one group whose surplus pixels Forward discards. An odd group count
-	// pairs the last group with itself.
-	perRow := (g.OutW + 3) / 4
+	// is one 4-pixel group whose surplus pixels Forward discards. An odd
+	// group count pairs the last group with itself.
+	gw := k.groupWidth()
+	perRow := (g.OutW + gw - 1) / gw
 	n := g.OutH * perRow
 	group := func(i int) (in, out int) {
-		oy, ox := i/perRow, min(i%perRow*4, max(g.OutW-4, 0))
+		oy, ox := i/perRow, min(i%perRow*gw, max(g.OutW-gw, 0))
 		return (oy*wp + ox) * g.Stride, oy*g.OutW + ox
 	}
 	for i := 0; i < n; i += 2 {
@@ -69,6 +75,14 @@ func NewDirectConv(g ConvGeom, w, b []float64) *DirectConv {
 		k.tiles = append(k.tiles, t)
 	}
 	return k
+}
+
+// groupWidth is the pixel count of one group of the chosen tile set.
+func (k *DirectConv) groupWidth() int {
+	if k.wide {
+		return 8
+	}
+	return 4
 }
 
 // ScratchLen is the length of the scratch slice Forward needs: one padded
@@ -91,7 +105,8 @@ func (k *DirectConv) Forward(out, x, scratch []float64, batch int) {
 		panic(fmt.Sprintf("tensor: DirectConv.Forward slices too short for batch %d geom %+v", batch, g))
 	}
 	clear(scratch[:k.ScratchLen()]) // the borders stay zero; every image overwrites the interior
-	wp, valid := g.InW+2*g.Pad, min(g.OutW, 4)
+	gw := k.groupWidth()
+	wp, valid := g.InW+2*g.Pad, min(g.OutW, gw)
 	for b := 0; b < batch; b++ {
 		for r := 0; r < g.InC*g.InH; r++ {
 			c, y := r/g.InH, r%g.InH
@@ -100,32 +115,43 @@ func (k *DirectConv) Forward(out, x, scratch []float64, batch int) {
 		img := out[b*g.OutC*sp : (b+1)*g.OutC*sp]
 		for oc := 0; oc < g.OutC; oc += 4 {
 			w, bias := k.w[oc*pl:(oc+4)*pl], k.bias[oc:oc+4]
-			if valid == 4 && oc+4 <= g.OutC {
+			if valid == gw && oc+4 <= g.OutC {
 				planes := img[oc*sp : (oc+4)*sp]
 				for _, t := range k.tiles {
-					convTile4x8(planes, t.out0, t.out1, sp, scratch, t.in0, t.in1, g.Stride, w, k.offs, bias)
+					k.tile(planes, t.out0, t.out1, sp, scratch, t.in0, t.in1, w, bias)
 				}
 				continue
 			}
 			// A tile with surplus channels or pixels lands in a block of its
 			// own shape, and only the part that exists is copied out.
-			var blk [32]float64
+			var blk [4 * 16]float64
 			for _, t := range k.tiles {
-				convTile4x8(blk[:], 0, 4, 8, scratch, t.in0, t.in1, g.Stride, w, k.offs, bias)
+				k.tile(blk[:], 0, gw, 2*gw, scratch, t.in0, t.in1, w, bias)
 				for c := 0; c < min(4, g.OutC-oc); c++ {
-					copy(img[(oc+c)*sp+t.out0:][:valid], blk[c*8:])
-					copy(img[(oc+c)*sp+t.out1:][:valid], blk[c*8+4:])
+					copy(img[(oc+c)*sp+t.out0:][:valid], blk[c*2*gw:])
+					copy(img[(oc+c)*sp+t.out1:][:valid], blk[c*2*gw+gw:])
 				}
 			}
 		}
 	}
 }
 
+// tile runs one register tile of the set NewDirectConv chose.
+func (k *DirectConv) tile(out []float64, out0, out1, chanStride int, in []float64, in0, in1 int, w, bias []float64) {
+	if k.wide {
+		convTile4x16AVX512(&out[out0], &out[out1], chanStride, &in[in0], &in[in1], &w[0], &k.offs[0], len(k.offs), &bias[0])
+		return
+	}
+	convTile4x8(out, out0, out1, chanStride, in, in0, in1, k.g.Stride, w, k.offs, bias)
+}
+
 // convTile4x8 computes one register tile: for channel c ∈ [0,4) and pixel
 // j ∈ [0,4) of each group, out[c·chanStride + out0 + j] = Σ_p in[in0 +
 // j·stride + offs[p]] · w[4p+c] + bias[c] (and likewise out1/in1), the sum
 // taken from +0 in increasing p. The AVX tile covers unit stride; the
-// portable loop below performs the identical operations per element.
+// portable loop below performs the identical operations per element, and
+// so does the zmm tile (8-pixel groups) that NewDirectConv may choose
+// instead.
 func convTile4x8(out []float64, out0, out1, chanStride int, in []float64, in0, in1, stride int, w []float64, offs []int, bias []float64) {
 	if useSIMD && stride == 1 {
 		convTile4x8AVX(&out[out0], &out[out1], chanStride, &in[in0], &in[in1], &w[0], &offs[0], len(offs), &bias[0])

@@ -28,13 +28,27 @@ func guarded(t *testing.T, n int) []float64 {
 }
 
 // TestConvDirectStaysInsideItsSlices runs DirectConv with the input, the
-// padded-image scratch and the output each flush against an unmapped page.
-// The assembly tile checks no bounds; this is the proof that the offsets
-// Forward hands it stay inside slices of exactly the documented lengths —
-// across full tiles, the overlapped last group of a row, rows under four
-// wide (which read their three surplus pixels from ScratchLen's slack),
-// channel remainders and the odd group paired with itself.
+// padded-image scratch and the output each flush against an unmapped page,
+// under each tile set. The assembly tiles check no bounds; this is the proof
+// that the offsets Forward hands them stay inside slices of exactly the
+// documented lengths — across full tiles, the overlapped last group of a
+// row, rows under four wide (which read their three surplus pixels from
+// ScratchLen's slack), channel remainders and the odd group paired with
+// itself, and for the zmm tile, whose 64-byte loads reach furthest right,
+// rows of exactly eight and of 8k±1 pixels.
 func TestConvDirectStaysInsideItsSlices(t *testing.T) {
+	for _, leg := range convLegs() {
+		t.Run(leg.name, func(t *testing.T) {
+			if leg.missing {
+				t.Skipf("no %s tile on this machine", leg.name)
+			}
+			leg.run(func() { checkGuarded(t) })
+		})
+	}
+}
+
+// checkGuarded is one leg of TestConvDirectStaysInsideItsSlices.
+func checkGuarded(t *testing.T) {
 	geoms := append([]ConvGeom{
 		{InC: 3, InH: 32, InW: 32, OutC: 12, KH: 3, KW: 3, Stride: 1, Pad: 1}, // SS-14 stem
 		{InC: 2, InH: 3, InW: 9, OutC: 6, KH: 3, KW: 3, Stride: 1, Pad: 1},    // overlapped group, odd group count, channel remainder
@@ -43,6 +57,10 @@ func TestConvDirectStaysInsideItsSlices(t *testing.T) {
 		{InC: 1, InH: 4, InW: 3, OutC: 4, KH: 3, KW: 3, Stride: 1},            // unpadded, 1-wide output
 		{InC: 2, InH: 7, InW: 5, OutC: 3, KH: 3, KW: 3, Stride: 2, Pad: 1},    // portable tile
 		{InC: 1, InH: 6, InW: 33, OutC: 4, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		{InC: 2, InH: 3, InW: 8, OutC: 4, KH: 1, KW: 1, Stride: 1},          // unpadded, one 8-pixel group per row
+		{InC: 1, InH: 4, InW: 17, OutC: 5, KH: 3, KW: 3, Stride: 1},         // unpadded 15-wide output, channel remainder
+		{InC: 2, InH: 3, InW: 17, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}, // 8k+1, odd group count
+		{InC: 1, InH: 5, InW: 24, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, // three groups a row
 	}, ss14Stages...)
 	rng := NewRNG(17)
 	for _, g := range geoms {

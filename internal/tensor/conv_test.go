@@ -20,8 +20,9 @@ func (c convCase) geom() (ConvGeom, bool) {
 
 // convTable crosses kernel 1/3/5 × pad 0/1/2 × stride 1/2 × channel count
 // (whole 4-channel blocks and every remainder) × input width (below, at and
-// around the 4-pixel group and the 8-pixel tile), and cycles input channels,
-// heights and batch sizes through it. Geometries that collapse (a 5×5
+// around the 4-pixel group and the 8-pixel tile; 8k−1, 8k+1 and an odd count
+// of 8-pixel groups for the zmm tile: 12, 15, 17, 24), and cycles input
+// channels, heights and batch sizes through it. Geometries that collapse (a 5×5
 // kernel on an unpadded 2-wide image) are left out.
 func convTable() []convCase {
 	var cases []convCase
@@ -31,7 +32,7 @@ func convTable() []convCase {
 		for _, pad := range []int{0, 1, 2} {
 			for _, stride := range []int{1, 2} {
 				for _, outC := range []int{1, 3, 4, 6, 8, 12, 48} {
-					for _, w := range []int{1, 2, 4, 7, 8, 9, 16, 32, 33} {
+					for _, w := range []int{1, 2, 4, 7, 8, 9, 12, 15, 16, 17, 24, 32, 33} {
 						c := convCase{
 							inC: 1 + i%3, inH: max(heights[i%4], k-2*pad), inW: w, outC: outC,
 							k: k, stride: stride, pad: pad, batch: []int{1, 3, 16}[i/9%3], seed: int64(i),
@@ -65,8 +66,8 @@ func convReference(x *Tensor, g ConvGeom, w, b *Tensor) []float64 {
 	return out
 }
 
-// checkConvDirect runs one case through DirectConv with whichever tile the
-// SIMD gate selects and compares bit for bit with the reference. Odd seeds
+// checkConvDirect runs one case through DirectConv with whichever tile set
+// the SIMD gates select and compares bit for bit with the reference. Odd seeds
 // pass the input through a ReLU first, so half of it is exact zeros — the
 // terms the matmul kernels skip and the direct tile multiplies.
 func checkConvDirect(t *testing.T, c convCase) {
@@ -93,21 +94,50 @@ func checkConvDirect(t *testing.T, c convCase) {
 	k.Forward(got, x.Data, scratch, c.batch)
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%+v (simd %v): out[%d] = %x, reference %x", c, useSIMD, i,
+			t.Fatalf("%+v (simd %v, wide %v): out[%d] = %x, reference %x", c, useSIMD, k.wide, i,
 				math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }
 
+// convLeg runs checks under one tile set; missing says the machine cannot.
+type convLeg struct {
+	name    string
+	missing bool
+	run     func(f func())
+}
+
+// convLegs are the three tile sets DirectConv can run: the zmm tiles
+// (8-pixel groups where they apply), the ymm tiles (AVX-512 gate forced
+// off) and the portable tile (both gates off) — the only one on other
+// architectures, and the one that serves stride 2.
+func convLegs() []convLeg {
+	return []convLeg{
+		{"zmm", !useAVX512, func(f func()) { f() }},
+		{"ymm", !useSIMD, WithoutAVX512},
+		{"portable", false, withSIMDOff},
+	}
+}
+
 // TestConvDirectMatchesReference pins DirectConv to the training path's
-// Im2Col × W over the geometry table, once with the tile the machine
-// selects and once with the SIMD gate forced off, so the portable tile —
-// the only one on other architectures, and the one that serves stride 2 —
-// runs on amd64 CI over every geometry too.
+// Im2Col × W over the geometry table under each of the three tile sets, so
+// the zmm tile, the ymm tile and the portable tile are bit-identical to the
+// reference and so to one another. A leg the machine cannot run skips.
 func TestConvDirectMatchesReference(t *testing.T) {
-	for _, c := range convTable() {
-		checkConvDirect(t, c)
-		withSIMDOff(func() { checkConvDirect(t, c) })
+	for _, leg := range convLegs() {
+		t.Run(leg.name, func(t *testing.T) {
+			if leg.missing {
+				t.Skipf("no %s tile on this machine", leg.name)
+			}
+			leg.run(func() {
+				if g := ss14Stages[0]; leg.name == "zmm" && (g.Validate() != nil || !NewDirectConv(g, make([]float64, g.PatchLen()*g.OutC), make([]float64, g.OutC)).wide) {
+					t.Fatal("the zmm leg did not choose 8-pixel groups for the SS-14 stem")
+				}
+				for _, c := range convTable() {
+					checkConvDirect(t, c)
+				}
+			})
+		})
 	}
 }
 
@@ -123,8 +153,11 @@ func FuzzConvDirect(f *testing.F) {
 			inC: 1 + int(inC)%4, inH: 1 + int(inH)%12, inW: 1 + int(inW)%40, outC: 1 + int(outC)%50,
 			k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 3, batch: 1 + int(batch)%4, seed: seed,
 		}
-		checkConvDirect(t, c)
-		withSIMDOff(func() { checkConvDirect(t, c) })
+		for _, leg := range convLegs() {
+			if !leg.missing {
+				leg.run(func() { checkConvDirect(t, c) })
+			}
+		}
 	})
 }
 
@@ -194,25 +227,36 @@ var ss14Stages = []ConvGeom{
 }
 
 // BenchmarkConvTile times DirectConv.Forward on one image at each SS-14
-// stage shape and reports GFLOP/s from 2·MACs, to be read as a share of
-// BenchmarkPeakMulAdd (docs/BENCHMARKS.md).
+// stage shape, on the zmm and on the ymm tiles, and reports GFLOP/s from
+// 2·MACs and its share of BenchmarkPeakMulAdd's peak at the register width
+// of the tile that ran (docs/BENCHMARKS.md).
 func BenchmarkConvTile(b *testing.B) {
-	for _, g := range ss14Stages {
-		if err := g.Validate(); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(fmt.Sprintf("%dx%dx%dsq", g.OutC, g.PatchLen(), g.OutW), func(b *testing.B) {
-			rng := NewRNG(16)
-			k := NewDirectConv(g, rng.Randn(g.PatchLen(), g.OutC).Data, rng.Randn(g.OutC).Data)
-			x := rng.Randn(1, g.InC*g.InH*g.InW).Data
-			out := make([]float64, g.OutC*g.OutH*g.OutW)
-			scratch := make([]float64, k.ScratchLen())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				k.Forward(out, x, scratch, 1)
+	for _, leg := range convLegs()[:2] {
+		for _, g := range ss14Stages {
+			if err := g.Validate(); err != nil {
+				b.Fatal(err)
 			}
-			flops := 2 * float64(g.PatchLen()*g.OutC*g.OutH*g.OutW) * float64(b.N)
-			b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
-		})
+			b.Run(fmt.Sprintf("%s/%dx%dx%dsq", leg.name, g.OutC, g.PatchLen(), g.OutW), func(b *testing.B) {
+				if leg.missing {
+					b.Skipf("no %s tile on this machine", leg.name)
+				}
+				rng := NewRNG(16)
+				var k *DirectConv
+				leg.run(func() { k = NewDirectConv(g, rng.Randn(g.PatchLen(), g.OutC).Data, rng.Randn(g.OutC).Data) })
+				x := rng.Randn(1, g.InC*g.InH*g.InW).Data
+				out := make([]float64, g.OutC*g.OutH*g.OutW)
+				scratch := make([]float64, k.ScratchLen())
+				peak := peakGFLOPS(k.groupWidth())
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k.Forward(out, x, scratch, 1)
+				}
+				gflops := 2 * float64(g.PatchLen()*g.OutC*g.OutH*g.OutW) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+				b.ReportMetric(gflops, "GFLOP/s")
+				if peak > 0 {
+					b.ReportMetric(100*gflops/peak, "%peak")
+				}
+			})
+		}
 	}
 }

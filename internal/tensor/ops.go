@@ -84,15 +84,6 @@ func (t *Tensor) Sum() float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean of all elements; it returns 0 for an
-// empty tensor.
-func (t *Tensor) Mean() float64 {
-	if len(t.Data) == 0 {
-		return 0
-	}
-	return t.Sum() / float64(len(t.Data))
-}
-
 // Max returns the maximum element; it panics on an empty tensor.
 func (t *Tensor) Max() float64 {
 	if len(t.Data) == 0 {

@@ -26,6 +26,24 @@ var useSIMD = cpuHasAVX()
 // cpuHasAVX reports whether the CPU and OS support AVX ymm state.
 func cpuHasAVX() bool
 
+// useAVX512 gates the zmm convolution tile: AVX-512F must be present and
+// the OS must save zmm state. NewDirectConv reads it once per convolution.
+var useAVX512 = useSIMD && cpuHasAVX512()
+
+// cpuHasAVX512 reports whether the CPU and OS support AVX-512F zmm state.
+func cpuHasAVX512() bool
+
+// WithoutAVX512 runs f with the zmm convolution tile switched off, so every
+// DirectConv built inside f takes the 4-pixel ymm tiles: tests and
+// benchmarks outside this package compare the two tile sets with it. It
+// must not race with NewDirectConv.
+func WithoutAVX512(f func()) {
+	saved := useAVX512
+	useAVX512 = false
+	defer func() { useAVX512 = saved }()
+	f()
+}
+
 // gemmRowChunkAVX computes dst[j] += arow[t]·b[t·stride+j] for t ∈ [0, kn)
 // and j ∈ [0, 4·groups). groups selects the register tile — 1, 2, 3, 4, 6
 // or 8 groups of four columns (4 to 32 columns). dst must have 4·groups
@@ -107,11 +125,19 @@ func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 //go:noescape
 func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
 
+// convTile4x16AVX512 is convTile4x8AVX at zmm width: each pointer addresses
+// the first pixel of an eight-pixel group. Only NewDirectConv's wide tile
+// set, chosen under useAVX512, calls it.
+//
+//go:noescape
+func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+
 // reluAVX is ReLUInto's vector body; n is a multiple of 4.
 //
 //go:noescape
 func reluAVX(dst, src *float64, n int)
 
 // peakMulAddAVX runs iters rounds of eight independent register-only
-// VMULPD/VADDPD pairs, the machine peak of BenchmarkPeakMulAdd.
-func peakMulAddAVX(iters int)
+// VMULPD/VADDPD pairs on registers of lanes float64s (4: ymm, 8: zmm), the
+// machine peak of BenchmarkPeakMulAdd.
+func peakMulAddAVX(iters, lanes int)

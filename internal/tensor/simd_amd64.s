@@ -24,6 +24,36 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuHasAVX512() bool
+//
+// AVX-512F needs the CPU feature flag (CPUID.(7,0):EBX bit 16, leaf 7 being
+// in range) and OS support for saving zmm state (OSXSAVE, then XCR0 bits 1-2
+// for xmm/ymm and 5-7 for the opmask registers and all 32 zmm uppers).
+TEXT ·cpuHasAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  no512
+	MOVL $1, AX
+	CPUID
+	ANDL $(1<<27), CX
+	JZ   no512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $(1<<16), BX
+	JZ   no512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xE6, AX
+	CMPL AX, $0xE6
+	JNE  no512
+	MOVB $1, ret+0(FP)
+	RET
+no512:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func gemmRowChunkAVX(dst, arow, b *float64, kn, stride, groups int)
 //
 // dst[j] += arow[t]*b[t*stride+j] for t in [0,kn), j in [0,4*groups), with
@@ -342,6 +372,85 @@ ctloop:
 	VZEROUPPER
 	RET
 
+// func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+//
+// convTile4x8AVX at zmm width: Z0-Z3 accumulate channels 0-3 of the eight
+// pixels at in0, Z4-Z7 those at in1. Each tap costs two unaligned 64-byte
+// image loads, four weight broadcasts and eight VMULPD+VADDPD pairs — the
+// ymm tile's per-element operation sequence, so its output bits are the
+// same. taps must be at least 1.
+TEXT ·convTile4x16AVX512(SB), NOSPLIT, $0-72
+	MOVQ out0+0(FP), DI
+	MOVQ out1+8(FP), R8
+	MOVQ chanStride+16(FP), R9
+	MOVQ in0+24(FP), SI
+	MOVQ in1+32(FP), DX
+	MOVQ w+40(FP), BX
+	MOVQ offs+48(FP), R10
+	MOVQ taps+56(FP), CX
+	MOVQ bias+64(FP), R11
+	SHLQ $3, R9              // channel plane stride in bytes
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+zloop:
+	MOVQ (R10), AX
+	VMOVUPD (SI)(AX*8), Z8
+	VMOVUPD (DX)(AX*8), Z9
+	VBROADCASTSD (BX), Z10
+	VMULPD Z10, Z8, Z11
+	VADDPD Z11, Z0, Z0
+	VMULPD Z10, Z9, Z12
+	VADDPD Z12, Z4, Z4
+	VBROADCASTSD 8(BX), Z13
+	VMULPD Z13, Z8, Z14
+	VADDPD Z14, Z1, Z1
+	VMULPD Z13, Z9, Z15
+	VADDPD Z15, Z5, Z5
+	VBROADCASTSD 16(BX), Z10
+	VMULPD Z10, Z8, Z11
+	VADDPD Z11, Z2, Z2
+	VMULPD Z10, Z9, Z12
+	VADDPD Z12, Z6, Z6
+	VBROADCASTSD 24(BX), Z13
+	VMULPD Z13, Z8, Z14
+	VADDPD Z14, Z3, Z3
+	VMULPD Z13, Z9, Z15
+	VADDPD Z15, Z7, Z7
+	ADDQ $8, R10
+	ADDQ $32, BX
+	DECQ CX
+	JNZ  zloop
+	VBROADCASTSD (R11), Z10
+	VADDPD Z10, Z0, Z0
+	VADDPD Z10, Z4, Z4
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z4, (R8)
+	VBROADCASTSD 8(R11), Z10
+	VADDPD Z10, Z1, Z1
+	VADDPD Z10, Z5, Z5
+	VMOVUPD Z1, (DI)(R9*1)
+	VMOVUPD Z5, (R8)(R9*1)
+	LEAQ (DI)(R9*2), DI
+	LEAQ (R8)(R9*2), R8
+	VBROADCASTSD 16(R11), Z10
+	VADDPD Z10, Z2, Z2
+	VADDPD Z10, Z6, Z6
+	VMOVUPD Z2, (DI)
+	VMOVUPD Z6, (R8)
+	VBROADCASTSD 24(R11), Z10
+	VADDPD Z10, Z3, Z3
+	VADDPD Z10, Z7, Z7
+	VMOVUPD Z3, (DI)(R9*1)
+	VMOVUPD Z7, (R8)(R9*1)
+	VZEROUPPER
+	RET
+
 // func reluAVX(dst, src *float64, n int)
 //
 // dst[i] = src[i] > 0 ? src[i] : +0 for i in [0, n), n a multiple of 4.
@@ -367,13 +476,19 @@ reludone:
 	VZEROUPPER
 	RET
 
-// func peakMulAddAVX(iters int)
+// func peakMulAddAVX(iters, lanes int)
 //
-// The measured no-FMA float64 ceiling of one core: per iteration eight
-// independent VMULPD and eight VADDPD chains on registers only (64 flop),
-// the multiply/add mix of the convolution tile with its loads taken away.
-TEXT ·peakMulAddAVX(SB), NOSPLIT, $0-8
+// The measured no-FMA float64 ceiling of one core at one register width:
+// per iteration eight independent VMULPD and eight VADDPD chains on
+// registers only (16·lanes flop), the multiply/add mix of the convolution
+// tile with its loads taken away. lanes is 4 (ymm) or 8 (zmm).
+TEXT ·peakMulAddAVX(SB), NOSPLIT, $0-16
 	MOVQ iters+0(FP), CX
+	MOVQ lanes+8(FP), DX
+	TESTQ CX, CX
+	JZ   peakdone
+	CMPQ DX, $8
+	JEQ  peakzmm
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -383,8 +498,6 @@ TEXT ·peakMulAddAVX(SB), NOSPLIT, $0-8
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
 	VXORPD Y8, Y8, Y8
-	TESTQ CX, CX
-	JZ   peakdone
 peakloop:
 	VMULPD Y8, Y8, Y9
 	VADDPD Y9, Y0, Y0
@@ -404,6 +517,36 @@ peakloop:
 	VADDPD Y9, Y7, Y7
 	DECQ CX
 	JNZ  peakloop
+	JMP  peakdone
+peakzmm:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	VPXORQ Z8, Z8, Z8
+peakzloop:
+	VMULPD Z8, Z8, Z9
+	VADDPD Z9, Z0, Z0
+	VMULPD Z8, Z8, Z10
+	VADDPD Z10, Z1, Z1
+	VMULPD Z8, Z8, Z11
+	VADDPD Z11, Z2, Z2
+	VMULPD Z8, Z8, Z12
+	VADDPD Z12, Z3, Z3
+	VMULPD Z8, Z8, Z13
+	VADDPD Z13, Z4, Z4
+	VMULPD Z8, Z8, Z14
+	VADDPD Z14, Z5, Z5
+	VMULPD Z8, Z8, Z15
+	VADDPD Z15, Z6, Z6
+	VMULPD Z8, Z8, Z9
+	VADDPD Z9, Z7, Z7
+	DECQ CX
+	JNZ  peakzloop
 peakdone:
 	VZEROUPPER
 	RET

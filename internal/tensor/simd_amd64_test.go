@@ -5,16 +5,17 @@ package tensor
 import (
 	"math"
 	"testing"
+	"time"
 )
 
-// withSIMDOff runs f with the SIMD gate forced off, so the portable kernels
-// execute on a machine that would never select them. Tests using it must
-// not run in parallel.
+// withSIMDOff runs f with both SIMD gates forced off, so the portable
+// kernels execute on a machine that would never select them. Tests using it
+// must not run in parallel.
 func withSIMDOff(f func()) {
 	saved := useSIMD
 	useSIMD = false
 	defer func() { useSIMD = saved }()
-	f()
+	WithoutAVX512(f)
 }
 
 // TestMatMulSIMDMatchesGeneric pins the bit-exactness contract of the AVX
@@ -94,16 +95,51 @@ func TestMatMulSIMDNaNNotSkipped(t *testing.T) {
 	}
 }
 
-// BenchmarkPeakMulAdd measures the no-FMA float64 ceiling of one core —
-// eight independent register-only VMULPD/VADDPD chains, no loads — the
-// figure BenchmarkConvTile and nn's BenchmarkForwardSS14 are read against.
+// BenchmarkPeakMulAdd measures the no-FMA float64 ceiling of one core at
+// ymm and at zmm width — eight independent register-only VMULPD/VADDPD
+// chains, no loads — the figures BenchmarkConvTile and nn's
+// BenchmarkForwardSS14 are read against.
 func BenchmarkPeakMulAdd(b *testing.B) {
-	if !useSIMD {
-		b.Skip("no AVX on this machine")
+	for _, lanes := range []int{4, 8} {
+		b.Run(regName(lanes), func(b *testing.B) {
+			if !peakRuns(lanes) {
+				b.Skip("no ", regName(lanes), " registers on this machine")
+			}
+			const iters = 1 << 16
+			for i := 0; i < b.N; i++ {
+				peakMulAddAVX(iters, lanes)
+			}
+			b.ReportMetric(16*float64(lanes*iters)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+		})
+	}
+}
+
+// peaks caches peakGFLOPS per width, so every benchmark of one run reads
+// its share against the same figure.
+var peaks = map[int]float64{}
+
+// peakGFLOPS is the best of fifty short runs of the lanes-wide peak loop,
+// in GFLOP/s, or 0 where that width cannot run.
+func peakGFLOPS(lanes int) float64 {
+	if p, ok := peaks[lanes]; ok || !peakRuns(lanes) {
+		return p
 	}
 	const iters = 1 << 16
-	for i := 0; i < b.N; i++ {
-		peakMulAddAVX(iters)
+	best := 0.0
+	for r := 0; r < 50; r++ {
+		start := time.Now()
+		peakMulAddAVX(iters, lanes)
+		best = max(best, 16*float64(lanes*iters)/time.Since(start).Seconds()/1e9)
 	}
-	b.ReportMetric(64*float64(iters)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+	peaks[lanes] = best
+	return best
+}
+
+func peakRuns(lanes int) bool { return useSIMD && (lanes == 4 || useAVX512) }
+
+func regName(lanes int) string {
+	if lanes == 8 {
+		return "zmm"
+	}
+	return "ymm"
 }

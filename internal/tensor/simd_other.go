@@ -8,6 +8,12 @@ package tensor
 // platforms either way.
 const useSIMD = false
 
+// useAVX512 likewise: DirectConv keeps the 4-pixel tiles.
+const useAVX512 = false
+
+// WithoutAVX512 runs f: there is no zmm tile to switch off here.
+func WithoutAVX512(f func()) { f() }
+
 // matMulRangeSIMD is never called when useSIMD is false; this stub keeps
 // the dispatch in matMulRange compiling on every platform.
 func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
@@ -17,6 +23,10 @@ func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 // Likewise unreachable: convTile4x8 and ReLUInto run their portable loops.
 func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64) {
 	panic("tensor: convTile4x8AVX called without SIMD support")
+}
+
+func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64) {
+	panic("tensor: convTile4x16AVX512 called without SIMD support")
 }
 
 func reluAVX(dst, src *float64, n int) { panic("tensor: reluAVX called without SIMD support") }
