@@ -97,11 +97,18 @@ loc:
 # (internal/tensor conv_test.go: TestConvDirectMatchesReference over the
 # geometry table in three legs — the zmm tile, the ymm tile with the
 # AVX-512 gate forced off, the portable tile with both gates off —
-# FuzzConvDirect's seed corpus under the same legs, TestReLUIntoBitPatterns;
-# Linux only, conv_guard_linux_test.go: TestConvDirectStaysInsideItsSlices
-# runs the bounds-check-free zmm and ymm assembly against unmapped guard
-# pages) with internal/nn's TestSnapshotBitMatchesNetwork on SS-14 at
-# 3×32×32 with the zmm tiles and with the ymm tiles, and the
+# FuzzConvDirect's seed corpus under the same legs,
+# TestConvDirectIgnoresDirtyScratch — the border-only pad on NaN-filled
+# scratch — and TestReLUIntoBitPatterns; kernels_test.go:
+# TestAffineIntoBitPatterns, TestMaxPoolIntoBitPatterns and
+# TestMixHalvesIntoBitPatterns, the batch-norm, max-pool and shake-mix kernels
+# against their scalar expressions on NaN, ±0, ±Inf and subnormals, each with
+# the machine's kernels and with SIMD off; Linux only,
+# conv_guard_linux_test.go: TestConvDirectStaysInsideItsSlices and
+# TestStepKernelsStayInsideTheirSlices run the bounds-check-free assembly
+# against unmapped guard pages) with internal/nn's
+# TestSnapshotBitMatchesNetwork on SS-14 at 3×32×32 with the zmm tiles, with
+# the ymm tiles and with every assembly kernel off, and the
 # registry tests that scrape while writers observe (internal/metrics
 # TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
 # internal/admin serves the same registries over HTTP). Then the
@@ -128,7 +135,9 @@ bench:
 # register-only no-FMA multiply/add peak at ymm and at zmm width, the zmm
 # and ymm direct-convolution tiles at SS-14's three stage shapes (each also
 # as a share of its own width's peak), and the SS-14 snapshot on 3×32×32 at 1 and 16
-# rows, each reporting GFLOP/s, at one and two cores (docs/BENCHMARKS.md).
+# rows, each reporting GFLOP/s, at one and two cores; then one SS-14 row
+# attributed to its step kinds (BenchmarkForwardSS14Steps: ns per row in
+# conv, batch norm, ReLU, max pool, shake mix, pooling and dense) (docs/BENCHMARKS.md).
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'PeakMulAdd|ConvTile' -cpu 1,2 ./internal/tensor
 	$(GO) test -run '^$$' -bench 'ForwardSS14' -cpu 1,2 ./internal/nn

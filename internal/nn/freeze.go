@@ -127,6 +127,7 @@ type arena struct {
 	buf      []float64
 	off      int
 	overflow [][]float64
+	padded   []float64 // convPadded's buffer, kept across passes
 }
 
 func (a *arena) take(n int) []float64 {
@@ -138,6 +139,18 @@ func (a *arena) take(n int) []float64 {
 	blk := make([]float64, n)
 	a.overflow = append(a.overflow, blk)
 	return blk
+}
+
+// convPadded returns the n-element padded-image scratch of a conv step.
+// Every conv step of every pass shares one buffer: steps run one at a time,
+// and DirectConv.Forward writes each element it reads, so what the last
+// conv left there does not matter — and one hot buffer stays in cache where
+// a fresh arena slice per conv would not.
+func (a *arena) convPadded(n int) []float64 {
+	if len(a.padded) < n {
+		a.padded = make([]float64, n)
+	}
+	return a.padded[:n]
 }
 
 func (a *arena) reset() {
@@ -287,17 +300,9 @@ func (b *bnStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 		panic(fmt.Sprintf("nn: snapshot batchnorm features %d != %d·%d", width, b.c, b.s))
 	}
 	out := a.take(batch * width)
-	for c := 0; c < b.c; c++ {
-		mean := b.mean[c]
-		invStd := b.invStd[c]
-		g, bt := b.gamma[c], b.beta[c]
-		for bi := 0; bi < batch; bi++ {
-			src := x[bi*b.c*b.s+c*b.s:]
-			dst := out[bi*b.c*b.s+c*b.s:]
-			for s := 0; s < b.s; s++ {
-				dst[s] = g*((src[s]-mean)*invStd) + bt
-			}
-		}
+	for p := 0; p < batch*b.c; p++ {
+		c := p % b.c
+		tensor.AffineInto(out[p*b.s:(p+1)*b.s], x[p*b.s:(p+1)*b.s], b.mean[c], b.invStd[c], b.gamma[c], b.beta[c])
 	}
 	return out, width
 }
@@ -320,7 +325,7 @@ func (c *convStep) run(a *arena, x []float64, batch, width int) ([]float64, int)
 	}
 	outWidth := g.OutC * g.OutH * g.OutW
 	out := a.take(batch * outWidth)
-	c.conv.Forward(out, x, a.take(c.conv.ScratchLen()), batch)
+	c.conv.Forward(out, x, a.convPadded(c.conv.ScratchLen()), batch)
 	return out, outWidth
 }
 
@@ -333,26 +338,7 @@ func (m *maxPoolStep) run(a *arena, x []float64, batch, width int) ([]float64, i
 		panic(fmt.Sprintf("nn: snapshot maxpool input width %d != %d·%d·%d", width, m.c, m.h, m.w))
 	}
 	out := a.take(batch * m.c * m.outH * m.outW)
-	for b := 0; b < batch; b++ {
-		img := x[b*m.c*m.h*m.w:]
-		dst := out[b*m.c*m.outH*m.outW:]
-		for c := 0; c < m.c; c++ {
-			for oy := 0; oy < m.outH; oy++ {
-				for ox := 0; ox < m.outW; ox++ {
-					best := math.Inf(-1)
-					for ky := 0; ky < m.k; ky++ {
-						for kx := 0; kx < m.k; kx++ {
-							off := c*m.h*m.w + (oy*m.k+ky)*m.w + ox*m.k + kx
-							if img[off] > best {
-								best = img[off]
-							}
-						}
-					}
-					dst[c*m.outH*m.outW+oy*m.outW+ox] = best
-				}
-			}
-		}
-	}
+	tensor.MaxPoolInto(out, x, batch*m.c, m.h, m.w, m.k)
 	return out, m.c * m.outH * m.outW
 }
 
@@ -398,13 +384,8 @@ func (s *shakeStep) run(a *arena, x []float64, batch, width int) ([]float64, int
 		panic(fmt.Sprintf("nn: snapshot shake-shake residual width %d != branch width %d (missing skip projection?)", rw, w1))
 	}
 	out := a.take(batch * w1)
-	// Inference mixes the branches 0.5/0.5; the three adds below mirror the
-	// Scale/Add/Add sequence of ShakeShake.Forward term for term.
-	for i := range out {
-		v1 := y1[i] * 0.5
-		v2 := y2[i] * 0.5
-		t := v1 + v2
-		out[i] = t + res[i]
-	}
+	// Inference mixes the branches 0.5/0.5: (y1·0.5 + y2·0.5) + res mirrors
+	// the Scale/Add/Add sequence of ShakeShake.Forward term for term.
+	tensor.MixHalvesInto(out, y1[:batch*w1], y2, res)
 	return out, w1
 }

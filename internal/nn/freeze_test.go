@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 )
@@ -111,21 +113,27 @@ func TestSnapshotBitMatchesNetwork(t *testing.T) {
 		}
 	}
 	// The shape the benchmark serves: 32-, 16- and 8-wide planes, where the
-	// toy geometries above have 8, 4 and 2. Compiled twice: with the zmm
-	// convolution tiles where the machine has them, and with the ymm tiles.
+	// toy geometries above have 8, 4 and 2. Compiled and run three times:
+	// with the machine's kernels (the zmm convolution tiles where it has
+	// them), with the ymm tiles, and with every assembly kernel off.
 	net := ss14Objects(t)
-	for _, tiles := range []struct {
+	var xs, wants []*tensor.Tensor
+	for _, rows := range []int{1, 3, 16} {
+		x := rng.Randn(rows, inputWidth(net))
+		xs, wants = append(xs, x), append(wants, net.Forward(x, false))
+	}
+	for _, kernels := range []struct {
 		name string
 		run  func(func())
-	}{{"machine's", func(f func()) { f() }}, {"ymm", tensor.WithoutAVX512}} {
-		var snap *Snapshot
-		tiles.run(func() { snap = MustSnapshot(net) })
-		for _, rows := range []int{1, 3, 16} {
-			x := rng.Randn(rows, inputWidth(net))
-			if !bitEqual(net.Forward(x, false), snap.Forward(x)) {
-				t.Errorf("SS-14 on 3×32×32, %d rows, %s tiles: snapshot Forward does not bit-match network", rows, tiles.name)
+	}{{"machine's", func(f func()) { f() }}, {"ymm", tensor.WithoutAVX512}, {"portable", tensor.WithoutSIMD}} {
+		kernels.run(func() {
+			snap := MustSnapshot(net)
+			for i, x := range xs {
+				if !bitEqual(wants[i], snap.Forward(x)) {
+					t.Errorf("SS-14 on 3×32×32, %d rows, %s kernels: snapshot Forward does not bit-match network", x.Shape[0], kernels.name)
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -309,3 +317,73 @@ func benchForwardSS14(b *testing.B, rows int) {
 
 func BenchmarkForwardSS14x1(b *testing.B)  { benchForwardSS14(b, 1) }
 func BenchmarkForwardSS14x16(b *testing.B) { benchForwardSS14(b, 16) }
+
+// BenchmarkForwardSS14Steps attributes one SS-14 row on 3×32×32 — the
+// objects_single shape — to the kinds of compiled step: it walks the
+// snapshot's steps, shake-shake branches and skip projections included,
+// timing each, and reports the nanoseconds per row spent in every kind
+// (conv, batchnorm, relu, maxpool, shake-mix, gap, dense) as custom metrics
+// (docs/BENCHMARKS.md). The walk's output is checked against Forward first.
+func BenchmarkForwardSS14Steps(b *testing.B) {
+	net := ss14Objects(b)
+	x := tensor.NewRNG(50).Randn(1, inputWidth(net))
+	snap := MustSnapshot(net)
+	spent := map[string]time.Duration{}
+	ar := &arena{}
+	out, _ := timeSteps(ar, snap.steps, x.Data, 1, x.Shape[1], spent)
+	if want := snap.Forward(x); !bitEqual(want, &tensor.Tensor{Data: out, Shape: want.Shape}) {
+		b.Fatal("the timed walk does not reproduce Snapshot.Forward")
+	}
+	ar.reset()
+	clear(spent)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		timeSteps(ar, snap.steps, x.Data, 1, x.Shape[1], spent)
+		ar.reset()
+	}
+	for _, kind := range []string{"conv", "batchnorm", "relu", "maxpool", "shake-mix", "gap", "dense"} {
+		b.ReportMetric(float64(spent[kind].Nanoseconds())/float64(b.N), kind+"-ns/row")
+	}
+}
+
+// timeSteps is runSteps with a stopwatch around every step, adding each
+// step's time to spent under its kind. A shake-shake step is walked into:
+// its branches and skip are timed step by step and its own share is the mix.
+func timeSteps(a *arena, steps []inferStep, x []float64, batch, width int, spent map[string]time.Duration) ([]float64, int) {
+	for _, st := range steps {
+		if s, ok := st.(*shakeStep); ok {
+			y1, w := timeSteps(a, s.b1, x, batch, width, spent)
+			y2, _ := timeSteps(a, s.b2, x, batch, width, spent)
+			res := x
+			if s.skip != nil {
+				res, _ = timeSteps(a, []inferStep{s.skip}, x, batch, width, spent)
+			}
+			start := time.Now()
+			out := a.take(batch * w)
+			tensor.MixHalvesInto(out, y1[:batch*w], y2, res)
+			spent["shake-mix"] += time.Since(start)
+			x, width = out, w
+			continue
+		}
+		start := time.Now()
+		x, width = st.run(a, x, batch, width)
+		d := time.Since(start)
+		switch st.(type) {
+		case *convStep:
+			spent["conv"] += d
+		case *bnStep:
+			spent["batchnorm"] += d
+		case reluStep:
+			spent["relu"] += d
+		case *maxPoolStep:
+			spent["maxpool"] += d
+		case *gapStep:
+			spent["gap"] += d
+		case *denseStep:
+			spent["dense"] += d
+		default:
+			spent[fmt.Sprintf("%T", st)] += d
+		}
+	}
+	return x, width
+}

@@ -104,14 +104,26 @@ func (k *DirectConv) Forward(out, x, scratch []float64, batch int) {
 	if batch < 0 || len(out) < batch*g.OutC*sp || len(x) < batch*inLen || len(scratch) < k.ScratchLen() {
 		panic(fmt.Sprintf("tensor: DirectConv.Forward slices too short for batch %d geom %+v", batch, g))
 	}
-	clear(scratch[:k.ScratchLen()]) // the borders stay zero; every image overwrites the interior
 	gw := k.groupWidth()
 	wp, valid := g.InW+2*g.Pad, min(g.OutW, gw)
 	for b := 0; b < batch; b++ {
-		for r := 0; r < g.InC*g.InH; r++ {
-			c, y := r/g.InH, r%g.InH
-			copy(scratch[(c*(g.InH+2*g.Pad)+y+g.Pad)*wp+g.Pad:][:g.InW], x[b*inLen+r*g.InW:])
+		// One pass over the padded image: each image row is copied into the
+		// interior after zeroing the pad border before it — from the last
+		// row's end, 2·Pad wide within a plane, 2·Pad·wp wider where a plane
+		// starts — and then the bottom border and the tail are zeroed. Every
+		// element a tile reads is written here, whatever scratch held.
+		src, lo, o := x[b*inLen:(b+1)*inLen], 0, g.Pad*wp+g.Pad
+		for c := 0; c < g.InC; c++ {
+			for y := 0; y < g.InH; y++ {
+				for i := lo; i < o; i++ {
+					scratch[i] = 0
+				}
+				copy(scratch[o:o+g.InW], src[:g.InW])
+				src, lo, o = src[g.InW:], o+g.InW, o+wp
+			}
+			o += 2 * g.Pad * wp
 		}
+		clear(scratch[lo:k.ScratchLen()])
 		img := out[b*g.OutC*sp : (b+1)*g.OutC*sp]
 		for oc := 0; oc < g.OutC; oc += 4 {
 			w, bias := k.w[oc*pl:(oc+4)*pl], k.bias[oc:oc+4]

@@ -3,6 +3,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"syscall"
 	"testing"
@@ -82,5 +83,43 @@ func checkGuarded(t *testing.T) {
 				t.Fatalf("%+v: out[%d] differs from the reference", g, i)
 			}
 		}
+	}
+}
+
+// TestStepKernelsStayInsideTheirSlices runs AffineInto, MaxPoolInto and
+// MixHalvesInto with every input and output flush against an unmapped page:
+// their vector bodies check no bounds, so this is the proof that the last
+// vector of a slice, and of a pool's last row pair, ends inside it.
+func TestStepKernelsStayInsideTheirSlices(t *testing.T) {
+	rng := NewRNG(29)
+	for n := 1; n <= 67; n++ {
+		src, dst := guarded(t, n), guarded(t, n)
+		copy(src, rng.Randn(n).Data)
+		want := make([]float64, n)
+		for i, x := range src {
+			want[i] = -1.25*((x-0.5)*2) + 0.75
+		}
+		AffineInto(dst, src, 0.5, 2, -1.25, 0.75)
+		sameBits(t, fmt.Sprintf("guarded AffineInto n=%d", n), dst, want)
+
+		b, r := guarded(t, n), guarded(t, n)
+		copy(b, rng.Randn(n).Data)
+		copy(r, rng.Randn(n).Data)
+		for i := range want {
+			want[i] = (src[i]*0.5 + b[i]*0.5) + r[i]
+		}
+		MixHalvesInto(dst, src, b, r)
+		sameBits(t, fmt.Sprintf("guarded MixHalvesInto n=%d", n), dst, want)
+	}
+	for _, c := range poolCases {
+		if c.planes*c.h*c.w == 0 {
+			continue
+		}
+		src := guarded(t, c.planes*c.h*c.w)
+		copy(src, poolInput(c, rng))
+		want := maxPoolReference(src, c)
+		dst := guarded(t, len(want))
+		MaxPoolInto(dst, src, c.planes, c.h, c.w, c.k)
+		sameBits(t, fmt.Sprintf("guarded MaxPoolInto %+v", c), dst, want)
 	}
 }

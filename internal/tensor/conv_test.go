@@ -100,6 +100,35 @@ func checkConvDirect(t *testing.T, c convCase) {
 	}
 }
 
+// TestConvDirectIgnoresDirtyScratch pins the border-only pad: Forward zeroes
+// the pad border and the tail and overwrites each image's interior rows, and
+// nothing else, so it must not matter what the scratch held before. Every
+// case of the table runs through one shared scratch, first filled with NaN —
+// as the snapshot's one padded-image buffer holds the last conv's image, of
+// another shape — and the output must match Im2Col × W bit for bit.
+func TestConvDirectIgnoresDirtyScratch(t *testing.T) {
+	var scratch []float64
+	for _, c := range convTable() {
+		g, ok := c.geom()
+		if !ok {
+			continue
+		}
+		rng := NewRNG(c.seed)
+		x := rng.Randn(c.batch, g.InC*g.InH*g.InW)
+		w, b := rng.Randn(g.PatchLen(), g.OutC), rng.Randn(g.OutC)
+		k := NewDirectConv(g, w.Data, b.Data)
+		if len(scratch) < k.ScratchLen() {
+			scratch = make([]float64, 2*k.ScratchLen())
+			for i := range scratch {
+				scratch[i] = math.NaN()
+			}
+		}
+		got := make([]float64, c.batch*g.OutC*g.OutH*g.OutW)
+		k.Forward(got, x.Data, scratch, c.batch)
+		sameBits(t, fmt.Sprintf("%+v on dirty scratch", c), got, convReference(x, g, w, b))
+	}
+}
+
 // convLeg runs checks under one tile set; missing says the machine cannot.
 type convLeg struct {
 	name    string
@@ -115,7 +144,7 @@ func convLegs() []convLeg {
 	return []convLeg{
 		{"zmm", !useAVX512, func(f func()) { f() }},
 		{"ymm", !useSIMD, WithoutAVX512},
-		{"portable", false, withSIMDOff},
+		{"portable", false, WithoutSIMD},
 	}
 }
 
@@ -184,21 +213,14 @@ func TestConvDirectPanicsOnShortSlices(t *testing.T) {
 // replaced on the values where max instructions disagree with one another:
 // zeros and NaNs of both signs, infinities, subnormals.
 func TestReLUIntoBitPatterns(t *testing.T) {
-	bits := []uint64{
-		0, 1 << 63, // ±0
-		0x7ff0000000000000, 0xfff0000000000000, // ±Inf
-		0x7ff8000000000000, 0xfff8000000000000, 0x7ff0000000000001, 0xfff4000000000002, // quiet and signalling NaN, both signs
-		1, 1<<63 | 1, 0x000fffffffffffff, 0x800fffffffffffff, // subnormals
-		math.Float64bits(1.5), math.Float64bits(-1.5), math.Float64bits(math.MaxFloat64), math.Float64bits(-math.SmallestNonzeroFloat64),
-	}
 	// Every length from 0 to 11 puts each pattern in the vector body and in
 	// the scalar tail.
 	for n := 0; n < 12; n++ {
-		for rot := range bits {
+		for rot := range specialBits {
 			src := make([]float64, n)
 			want := make([]float64, n)
 			for i := range src {
-				v := math.Float64frombits(bits[(i+rot)%len(bits)])
+				v := math.Float64frombits(specialBits[(i+rot)%len(specialBits)])
 				src[i] = v
 				if v > 0 {
 					want[i] = v
@@ -207,7 +229,7 @@ func TestReLUIntoBitPatterns(t *testing.T) {
 			got := make([]float64, n)
 			ReLUInto(got, src)
 			generic := make([]float64, n)
-			withSIMDOff(func() { ReLUInto(generic, src) })
+			WithoutSIMD(func() { ReLUInto(generic, src) })
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(generic[i]) != math.Float64bits(want[i]) {
 					t.Fatalf("n=%d: ReLU(%x) = %x (simd %v), %x (portable), want %x", n,

@@ -298,6 +298,76 @@ func ReLUInto(dst, src []float64) {
 	}
 }
 
+// AffineInto writes g·((src[i]−mean)·invStd) + bt into dst[:len(src)], batch
+// norm's inference expression for one channel plane. The vector body and the
+// loop that serves the tail and machines without AVX both subtract, multiply,
+// multiply and add as separately rounded steps in that order, never fused, so
+// they agree bit for bit. dst may alias src.
+func AffineInto(dst, src []float64, mean, invStd, g, bt float64) {
+	if len(dst) < len(src) {
+		panic(fmt.Sprintf("tensor: AffineInto dst holds %d of %d elements", len(dst), len(src)))
+	}
+	i := 0
+	if useSIMD && len(src) >= 4 {
+		i = len(src) &^ 3
+		affineAVX(&dst[0], &src[0], i, mean, invStd, g, bt)
+	}
+	for ; i < len(src); i++ {
+		dst[i] = g*((src[i]-mean)*invStd) + bt
+	}
+}
+
+// MaxPoolInto writes the k×k, stride-k max pool of planes h×w planes of src
+// (h and w multiples of k) into dst, planes of h/k × w/k. Each window starts
+// at −Inf and takes a tap, in row-major window order, when the tap is greater
+// — so NaN taps never win, an all-NaN window gives −Inf and a ±0 tie keeps the
+// earlier tap. With AVX, k = 2 and output rows a multiple of four wide, the
+// vector body decides every window the same way; other shapes take the loop.
+func MaxPoolInto(dst, src []float64, planes, h, w, k int) {
+	outH, outW := h/k, w/k
+	if planes < 0 || k <= 0 || h%k != 0 || w%k != 0 || len(src) < planes*h*w || len(dst) < planes*outH*outW {
+		panic(fmt.Sprintf("tensor: MaxPoolInto of %d %dx%d planes, k %d: src holds %d, dst %d", planes, h, w, k, len(src), len(dst)))
+	}
+	if useSIMD && k == 2 && outW%4 == 0 && planes*outH*outW > 0 {
+		maxPool2x2AVX(&dst[0], &src[0], planes*outH, outW)
+		return
+	}
+	for p := 0; p < planes; p++ {
+		img, out := src[p*h*w:(p+1)*h*w], dst[p*outH*outW:(p+1)*outH*outW]
+		for oy := 0; oy < outH; oy++ {
+			for ox := 0; ox < outW; ox++ {
+				best := math.Inf(-1)
+				for ky := 0; ky < k; ky++ {
+					for _, v := range img[(oy*k+ky)*w+ox*k:][:k] {
+						if v > best {
+							best = v
+						}
+					}
+				}
+				out[oy*outW+ox] = best
+			}
+		}
+	}
+}
+
+// MixHalvesInto writes (a[i]·0.5 + b[i]·0.5) + r[i] into dst[:len(a)], the
+// shake-shake inference mix of two branches and a residual: two multiplies
+// and two adds, separately rounded in that order by the vector body and by
+// the loop alike. dst may alias any input.
+func MixHalvesInto(dst, a, b, r []float64) {
+	if len(dst) < len(a) || len(b) < len(a) || len(r) < len(a) {
+		panic(fmt.Sprintf("tensor: MixHalvesInto of %d elements: dst holds %d, b %d, r %d", len(a), len(dst), len(b), len(r)))
+	}
+	i := 0
+	if useSIMD && len(a) >= 4 {
+		i = len(a) &^ 3
+		mixHalvesAVX(&dst[0], &a[0], &b[0], &r[0], i)
+	}
+	for ; i < len(a); i++ {
+		dst[i] = (a[i]*0.5 + b[i]*0.5) + r[i]
+	}
+}
+
 // HasNaN reports whether any element is NaN or infinite, a guard used by
 // training loops to fail fast on divergence.
 func (t *Tensor) HasNaN() bool {

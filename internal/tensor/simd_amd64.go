@@ -44,6 +44,16 @@ func WithoutAVX512(f func()) {
 	f()
 }
 
+// WithoutSIMD runs f with every assembly kernel switched off, so tests
+// outside this package can run the portable loops on a machine that would
+// never select them. It must not race with any kernel call.
+func WithoutSIMD(f func()) {
+	saved := useSIMD
+	useSIMD = false
+	defer func() { useSIMD = saved }()
+	WithoutAVX512(f)
+}
+
 // gemmRowChunkAVX computes dst[j] += arow[t]·b[t·stride+j] for t ∈ [0, kn)
 // and j ∈ [0, 4·groups). groups selects the register tile — 1, 2, 3, 4, 6
 // or 8 groups of four columns (4 to 32 columns). dst must have 4·groups
@@ -136,6 +146,23 @@ func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float6
 //
 //go:noescape
 func reluAVX(dst, src *float64, n int)
+
+// affineAVX is AffineInto's vector body; n is a multiple of 4.
+//
+//go:noescape
+func affineAVX(dst, src *float64, n int, mean, invStd, gamma, beta float64)
+
+// maxPool2x2AVX is MaxPoolInto's vector body for k = 2: rows output rows of
+// outW pixels, outW a multiple of 4, from rows pairs of 2·outW-pixel input
+// rows.
+//
+//go:noescape
+func maxPool2x2AVX(dst, src *float64, rows, outW int)
+
+// mixHalvesAVX is MixHalvesInto's vector body; n is a multiple of 4.
+//
+//go:noescape
+func mixHalvesAVX(dst, a, b, r *float64, n int)
 
 // peakMulAddAVX runs iters rounds of eight independent register-only
 // VMULPD/VADDPD pairs on registers of lanes float64s (4: ymm, 8: zmm), the

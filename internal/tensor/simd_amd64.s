@@ -476,6 +476,131 @@ reludone:
 	VZEROUPPER
 	RET
 
+// func affineAVX(dst, src *float64, n int, mean, invStd, gamma, beta float64)
+//
+// dst[i] = gamma*((src[i]-mean)*invStd) + beta for i in [0, n), n a multiple of 4:
+// subtract, multiply, multiply, add, each a separate rounded instruction with
+// the Go expression's left operand as its first source, so every element
+// gets the scalar loop's bits.
+TEXT ·affineAVX(SB), NOSPLIT, $0-56
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD mean+24(FP), Y1
+	VBROADCASTSD invStd+32(FP), Y2
+	VBROADCASTSD gamma+40(FP), Y3
+	VBROADCASTSD beta+48(FP), Y4
+	SHRQ $2, CX
+	JZ   affdone
+affloop:
+	VMOVUPD (SI), Y0
+	VSUBPD Y1, Y0, Y0        // x − mean
+	VMULPD Y2, Y0, Y0        // (x − mean)·invStd
+	VMULPD Y0, Y3, Y0        // gamma·(…)
+	VADDPD Y4, Y0, Y0        // … + beta
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  affloop
+affdone:
+	VZEROUPPER
+	RET
+
+DATA negInf<>+0(SB)/8, $0xfff0000000000000
+GLOBL negInf<>(SB), RODATA|NOPTR, $8
+
+// func maxPool2x2AVX(dst, src *float64, rows, outW int)
+//
+// The 2×2, stride-2 max pool of rows output rows of outW pixels (a multiple
+// of 4), output row r reading input rows 2r and 2r+1 of 2·outW pixels. Per
+// four outputs: two 8-pixel loads per input row, de-interleaved into even and
+// odd columns with VPERM2F128 and VUNPCKLPD/VUNPCKHPD, then folded from −Inf
+// in window order (0,0), (0,1), (1,0), (1,1) as best = VMAXPD(v, best) in
+// Intel order. VMAXPD returns its second source on NaN and on a ±0 tie, so a
+// tap replaces best exactly when v > best, as in the scalar loop.
+TEXT ·maxPool2x2AVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ rows+16(FP), CX
+	MOVQ outW+24(FP), DX
+	TESTQ CX, CX
+	JZ   pooldone
+	MOVQ DX, R8
+	SHLQ $4, R8              // one input row in bytes: 2·outW·8
+	SHRQ $2, DX              // 4-pixel groups per output row
+	JZ   pooldone
+	VBROADCASTSD negInf<>(SB), Y15
+poolrow:
+	MOVQ SI, R9              // input row 2r
+	LEAQ (SI)(R8*1), R10     // input row 2r+1
+	MOVQ DX, BX
+poolgroup:
+	VMOVUPD (R9), Y0         // x0 x1 x2 x3
+	VMOVUPD 32(R9), Y1       // x4 x5 x6 x7
+	VPERM2F128 $0x20, Y1, Y0, Y2 // x0 x1 x4 x5
+	VPERM2F128 $0x31, Y1, Y0, Y3 // x2 x3 x6 x7
+	VUNPCKLPD Y3, Y2, Y4     // even columns x0 x2 x4 x6
+	VUNPCKHPD Y3, Y2, Y5     // odd columns x1 x3 x5 x7
+	VMOVUPD (R10), Y8
+	VMOVUPD 32(R10), Y9
+	VPERM2F128 $0x20, Y9, Y8, Y10
+	VPERM2F128 $0x31, Y9, Y8, Y11
+	VUNPCKLPD Y11, Y10, Y12
+	VUNPCKHPD Y11, Y10, Y13
+	VMAXPD Y15, Y4, Y6       // tap (0,0) against −Inf
+	VMAXPD Y6, Y5, Y6        // (0,1)
+	VMAXPD Y6, Y12, Y6       // (1,0)
+	VMAXPD Y6, Y13, Y6       // (1,1)
+	VMOVUPD Y6, (DI)
+	ADDQ $64, R9
+	ADDQ $64, R10
+	ADDQ $32, DI
+	DECQ BX
+	JNZ  poolgroup
+	LEAQ (SI)(R8*2), SI      // next row pair
+	DECQ CX
+	JNZ  poolrow
+pooldone:
+	VZEROUPPER
+	RET
+
+DATA half<>+0(SB)/8, $0x3fe0000000000000
+GLOBL half<>(SB), RODATA|NOPTR, $8
+
+// func mixHalvesAVX(dst, a, b, r *float64, n int)
+//
+// dst[i] = (a[i]*0.5 + b[i]*0.5) + r[i] for i in [0, n), n a multiple of 4:
+// two multiplies and two adds, separately rounded, in the Go expression's
+// order and operand order.
+TEXT ·mixHalvesAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ r+24(FP), R8
+	MOVQ n+32(FP), CX
+	VBROADCASTSD half<>(SB), Y3
+	SHRQ $2, CX
+	JZ   mixdone
+mixloop:
+	VMOVUPD (SI), Y0
+	VMULPD Y3, Y0, Y0        // a·0.5
+	VMOVUPD (DX), Y1
+	VMULPD Y3, Y1, Y1        // b·0.5
+	VADDPD Y1, Y0, Y0        // a·0.5 + b·0.5
+	VMOVUPD (R8), Y2
+	VADDPD Y2, Y0, Y0        // … + r
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DX
+	ADDQ $32, R8
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  mixloop
+mixdone:
+	VZEROUPPER
+	RET
+
 // func peakMulAddAVX(iters, lanes int)
 //
 // The measured no-FMA float64 ceiling of one core at one register width:

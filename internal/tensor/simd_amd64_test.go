@@ -8,16 +8,6 @@ import (
 	"time"
 )
 
-// withSIMDOff runs f with both SIMD gates forced off, so the portable
-// kernels execute on a machine that would never select them. Tests using it
-// must not run in parallel.
-func withSIMDOff(f func()) {
-	saved := useSIMD
-	useSIMD = false
-	defer func() { useSIMD = saved }()
-	WithoutAVX512(f)
-}
-
 // TestMatMulSIMDMatchesGeneric pins the bit-exactness contract of the AVX
 // kernel: for every shape — register-tile widths, odd tails, k extents above
 // and below the k-blocking threshold — the SIMD traversal must produce
@@ -61,7 +51,7 @@ func TestMatMulSIMDMatchesGeneric(t *testing.T) {
 			matMulRangeSIMD(got, a, b, 0, sh.m, sh.k, sh.n)
 
 			want := append([]float64(nil), init...)
-			withSIMDOff(func() { matMulRange(want, a, b, 0, sh.m, sh.k, sh.n) })
+			WithoutSIMD(func() { matMulRange(want, a, b, 0, sh.m, sh.k, sh.n) })
 
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {

@@ -14,13 +14,17 @@ const useAVX512 = false
 // WithoutAVX512 runs f: there is no zmm tile to switch off here.
 func WithoutAVX512(f func()) { f() }
 
+// WithoutSIMD runs f: the portable loops are the only ones here.
+func WithoutSIMD(f func()) { f() }
+
 // matMulRangeSIMD is never called when useSIMD is false; this stub keeps
 // the dispatch in matMulRange compiling on every platform.
 func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 	panic("tensor: matMulRangeSIMD called without SIMD support")
 }
 
-// Likewise unreachable: convTile4x8 and ReLUInto run their portable loops.
+// Likewise unreachable: convTile4x8, ReLUInto, AffineInto, MaxPoolInto and
+// MixHalvesInto run their portable loops.
 func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64) {
 	panic("tensor: convTile4x8AVX called without SIMD support")
 }
@@ -30,3 +34,15 @@ func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float6
 }
 
 func reluAVX(dst, src *float64, n int) { panic("tensor: reluAVX called without SIMD support") }
+
+func affineAVX(dst, src *float64, n int, mean, invStd, gamma, beta float64) {
+	panic("tensor: affineAVX called without SIMD support")
+}
+
+func maxPool2x2AVX(dst, src *float64, rows, outW int) {
+	panic("tensor: maxPool2x2AVX called without SIMD support")
+}
+
+func mixHalvesAVX(dst, a, b, r *float64, n int) {
+	panic("tensor: mixHalvesAVX called without SIMD support")
+}
