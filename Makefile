@@ -39,8 +39,10 @@ linkcheck:
 # server loop is cluster.Node's (internal/cluster/server.go); the only other
 # code that accepts connections is the chaos proxy's; every exchange on the
 # wire is a kind in requestKinds — MsgDo for an inference — under the frame
-# header, answered by MsgReply or MsgErrorMux; and a peer reads its master's
-# tracer, hedge switch and retry budget, whose tuning is constants.
+# header, answered by MsgReply or MsgErrorMux; a peer reads its master's
+# tracer, hedge switch and retry budget, whose tuning is constants; and every
+# peer link has one supervision scheme — a gateway's masters are a front
+# master's peers (internal/cluster/front.go), not a router's targets.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -56,6 +58,8 @@ one-loop:
 		echo "the headerless control protocol is back (every exchange is a kind in requestKinds)"; exit 1; fi
 	@if grep -rnw 'tracerRef\|hedgeRef\|budgetRef\|HedgeConfig\|RetryBudgetConfig' --include=*.go .; then \
 		echo "a per-peer settings ref or a retired tuning struct is back (a peer reads its master)"; exit 1; fi
+	@if grep -rn 'RemoteMaster\|NewRouter\|routeTarget' --include=*.go .; then \
+		echo "a second supervision scheme is back (a gateway's masters are a front master's peers)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its

@@ -17,8 +17,9 @@ import (
 // fabric. Where the soak drills one gateway/master pair, the fleet bench
 // scales whole pairs — each pair is a master (local expert + workers behind
 // chaos latency proxies, stack.go) exposed over the fabric by a
-// cluster.Node, fronted by its own gateway whose Router spreads across
-// EVERY master via RemoteMaster links. Gateways discover the masters through the announce
+// cluster.Node, fronted by its own gateway whose front master
+// (cluster.NewFront) routes across EVERY master over supervised peer links.
+// Gateways discover the masters through the announce
 // gossip, not a static list, so the membership layer is on the measured
 // path. Offered load is the open-loop generator's (load.go) at a fixed
 // per-pair rate, spread round-robin over the gateways, so aggregate goodput
@@ -235,7 +236,7 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 		}
 	}
 
-	// --- gateways: Router over gossip-discovered masters -------------------
+	// --- gateways: a front over gossip-discovered masters ------------------
 	gwCfg := gatewayConfig(cfg.MaxBatch)
 	gwCfg.Degraded = true
 	gwCfg.SLOTarget = cfg.Deadline
@@ -252,13 +253,15 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 		if len(masters) != pairs {
 			return nil, fmt.Errorf("gateway %d discovered %d masters, want %d", i, len(masters), pairs)
 		}
-		router := serve.NewRouter(0)
+		front := cluster.NewFront(benchSpec.MLP.Classes)
+		closers = append(closers, func() { front.Close() })
+		front.SetTimeout(cfg.Deadline)
 		for _, addr := range masters {
-			rm := cluster.NewRemoteMaster(addr, cfg.Deadline)
-			closers = append(closers, func() { rm.Close() })
-			router.Upsert(addr, rm)
+			if err := front.Connect(addr); err != nil {
+				return nil, err
+			}
 		}
-		gw := serve.New(router, gwCfg)
+		gw := serve.New(front, gwCfg)
 		closers = append(closers, func() { gw.Close() })
 		gw.SetModelVersion("vA")
 		gateways[i] = gw

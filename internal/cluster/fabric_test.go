@@ -13,9 +13,9 @@ import (
 	"github.com/teamnet/teamnet/internal/transport"
 )
 
-// Fabric tests: membership gossip, versioned model push, the
-// Node/RemoteMaster wire pair, and an Own request over the wire. All run
-// under -race via the full test suite.
+// Fabric tests: membership gossip, versioned model push, a master Node
+// behind a front, and an Own request over the wire. All run under -race via
+// the full test suite.
 
 // fabricSpec is a tiny MLP used across the fabric tests.
 var fabricSpec = nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "m", Input: 4, Width: 8, Layers: 1, Classes: 3}}
@@ -174,7 +174,7 @@ func TestModelPushCodecRoundTrip(t *testing.T) {
 
 func TestMasterServerFabricEndToEnd(t *testing.T) {
 	// One worker behind a master with a local expert, served over the
-	// fabric; a RemoteMaster client must see the same answers as direct
+	// fabric; a front routing to it must see the same answers as direct
 	// master calls, strict and quorum.
 	worker := NewWorker(buildFabricNet(t, 1), 1)
 	waddr, err := worker.Listen("127.0.0.1:0")
@@ -197,15 +197,19 @@ func TestMasterServerFabricEndToEnd(t *testing.T) {
 	}
 	defer srv.Close()
 
-	rm := NewRemoteMaster(maddr, 2*time.Second)
-	defer rm.Close()
+	front := NewFront(3)
+	defer front.Close()
+	front.SetTimeout(2 * time.Second)
+	if err := front.Connect(maddr); err != nil {
+		t.Fatal(err)
+	}
 
 	x := fabricInput(2)
 	wantProbs, wantWinners, err := master.Infer(x)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotProbs, gotWinners, err := rm.InferContext(context.Background(), x)
+	gotProbs, gotWinners, err := front.InferContext(context.Background(), x)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +226,7 @@ func TestMasterServerFabricEndToEnd(t *testing.T) {
 		}
 	}
 
-	probs, winners, live, total, err := rm.InferQuorumContext(context.Background(), x, 500*time.Millisecond)
+	probs, winners, live, total, err := front.InferQuorumContext(context.Background(), x, 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,20 +237,23 @@ func TestMasterServerFabricEndToEnd(t *testing.T) {
 		t.Fatalf("quorum result shape %v / %d winners", probs.Shape, len(winners))
 	}
 
-	// A second strict call pipelines on the same link.
-	if _, _, err := rm.InferContext(context.Background(), x); err != nil {
-		t.Fatal(err)
-	}
-
-	// An expired caller deadline is the caller's error, and the link
-	// survives for the next request.
+	// An expired caller deadline is the caller's error: no failover, no
+	// strike, and the link survives for the next request on it.
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, _, err := rm.InferContext(ctx, x); err == nil {
+	if _, _, err := front.InferContext(ctx, x); err == nil {
 		t.Fatal("expired deadline succeeded")
 	}
-	if _, _, err := rm.InferContext(context.Background(), x); err != nil {
+	if _, _, err := front.InferContext(context.Background(), x); err != nil {
 		t.Fatalf("link did not survive a caller abort: %v", err)
+	}
+	h := front.Health()[0]
+	if h.Failures != 0 || h.Redials != 0 || h.State != PeerHealthy {
+		t.Fatalf("front's master after the run: %+v, want healthy on its first link", h)
+	}
+	reg := front.Metrics()
+	if got, errs := reg.Counter("fabric.requests").Value(), reg.Counter("fabric.errors").Value(); got != 3 || errs != 0 {
+		t.Fatalf("fabric.requests = %d, fabric.errors = %d; want 3 and none (an expired request is not sent)", got, errs)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // error (a link fault, one breaker strike) — never index into it. The
 // rank-0 body below killed the whole serving process before the decoders
 // checked rank. The fuzz targets over the same decoder, read as a master
-// and as a gateway read it, are FuzzDecodeResult and FuzzDecodeFabricResult
+// and as a front reads it, are FuzzDecodeResult and FuzzDecodeFabricResult
 // (codec_test.go), whose corpora hold these bodies.
 
 // hostileResults are MsgReply bodies that parse as far as the probabilities
@@ -34,8 +34,8 @@ func hostileResults() map[string][]byte {
 	}
 }
 
-// hostileFabricResults are MsgReply bodies that do not answer a gateway's
-// 2-row request (a gateway does not check the class count).
+// hostileFabricResults are MsgReply bodies that do not answer a front's
+// 2-row request of a 3-class model.
 func hostileFabricResults() map[string][]byte {
 	rng := tensor.NewRNG(211)
 	reply := func(probs *tensor.Tensor, winners ...int) []byte {
@@ -46,6 +46,7 @@ func hostileFabricResults() map[string][]byte {
 		"rank 1":     reply(rng.Randn(2), 0, 0),
 		"short rows": reply(rng.Randn(1, 3), 0, 0),
 		"no winners": reply(rng.Randn(2, 3)),
+		"wrong cols": reply(rng.Randn(2, 5), 0, 0),
 	}
 }
 
@@ -159,17 +160,27 @@ func TestHostileWorkerReplyIsALinkFault(t *testing.T) {
 	}
 }
 
+// TestHostileMasterReplyIsAnError: a front reads a master's reply as a
+// master reads a worker's — a reply of the wrong shape, the class count
+// included, is refused and costs the master one breaker strike.
 func TestHostileMasterReplyIsAnError(t *testing.T) {
 	x := tensor.NewRNG(215).Randn(2, 4)
 	for name, reply := range hostileReplies(hostileFabricResults(), fabricReplySeeds()[0].body) {
 		t.Run(name, func(t *testing.T) {
-			rm := NewRemoteMaster(cannedReplier(t, MsgReply, reply), 2*time.Second)
-			defer rm.Close()
-			if _, _, err := rm.InferContext(context.Background(), x); err == nil {
-				t.Fatal("gateway accepted a hostile master's reply")
+			front := NewFront(3)
+			defer front.Close()
+			cfg := fastSupervisor()
+			cfg.MaxRetries = 0
+			front.SetSupervisor(cfg)
+			front.SetTimeout(2 * time.Second)
+			if err := front.Connect(cannedReplier(t, MsgReply, reply)); err != nil {
+				t.Fatal(err)
 			}
-			if n := rm.Metrics().Counter("fabric.link_down").Value(); n != 1 {
-				t.Fatalf("fabric.link_down = %d, want the pipeline torn down once", n)
+			if _, err := front.Do(context.Background(), Request{X: x}); err == nil {
+				t.Fatal("front accepted a hostile master's reply")
+			}
+			if h := front.Health()[0]; h.Failures != 1 {
+				t.Fatalf("hostile reply cost %d breaker strikes, want the link torn down once: %+v", h.Failures, h)
 			}
 		})
 	}

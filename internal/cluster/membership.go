@@ -9,8 +9,8 @@ package cluster
 // the others within a couple of announce rounds. Entries expire when not
 // re-announced within a TTL, which is how leaves and crashes age out
 // without a failure detector of their own — routing-level health (the
-// router's cooldowns, the supervisor's breakers) reacts much faster; the
-// roster only has to be eventually right.
+// supervisor's breakers, on a front's masters as on a master's workers)
+// reacts much faster; the roster only has to be eventually right.
 
 import (
 	"context"

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/teamnet/teamnet/internal/metrics"
@@ -15,7 +16,7 @@ import (
 )
 
 // Multiplexed peer transport: the one client of the wire protocol, for
-// master→worker, gateway→master and every one-off exchange alike. The
+// master→worker, front→master and every one-off exchange alike. The
 // paper's protocol is strictly one-in-flight per peer link — fine for a
 // single sensing loop, fatal for multi-user traffic, where every concurrent
 // Master.Infer would serialize behind the previous one no matter how much
@@ -82,8 +83,8 @@ type muxWrite struct {
 }
 
 // newMuxClient takes ownership of conn and starts the writer and reader.
-// The same pipeline drives the master→worker peer link and the
-// gateway→master fabric link; the policy is per request.
+// The same pipeline drives every peer link, a master's to its workers and a
+// front's to its masters; the policy is per request.
 func newMuxClient(conn net.Conn, inflight, queued *metrics.Gauge, onDown func(error)) *muxClient {
 	mc := &muxClient{
 		conn:     conn,
@@ -327,13 +328,14 @@ func (mc *muxClient) downError() error {
 	return errors.New("cluster: mux link down")
 }
 
-// link is the one connection a client keeps to one address: a mux client,
-// dialed on demand. A peer's link and a gateway's RemoteMaster are each one.
+// link is the one connection a peer keeps to its address: a mux client,
+// dialed on demand.
 type link struct {
 	addr             string
 	inflight, queued *metrics.Gauge
 	redials          *metrics.Counter // dials that replace a client
 	onDown           func(error)      // the supervision hook of every client get dials
+	load             atomic.Int64     // MsgDo round trips in flight: a front's pick rule
 
 	mu     sync.Mutex
 	mc     *muxClient
@@ -400,7 +402,7 @@ func (l *link) close() {
 }
 
 // attempt makes one MsgDo round trip of q — the one a peer's query, split
-// tail and a gateway's request each make: the live client (dialed within dial
+// tail and a front's request each make: the live client (dialed within dial
 // if there is none), counted in requests, the reply awaited within timeout. A
 // MsgErrorMux answer comes back as the node's error text (muxWorkerErr); a
 // reply that does not decode to q's shape fails the client — a corrupted
@@ -417,7 +419,9 @@ func (l *link) attempt(ctx context.Context, done <-chan struct{}, q peerQuery, d
 	}
 	requests.Inc()
 	tm.rttStart = time.Now()
+	l.load.Add(1)
 	r, rtt, err := mc.roundTrip(ctx, MsgDo, q.pin, q.payload, timeout, done)
+	l.load.Add(-1)
 	tm.rtt = rtt
 	switch {
 	case err != nil && ctx.Err() != nil:

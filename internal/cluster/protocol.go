@@ -193,10 +193,9 @@ func encodeReply(rep Reply, wide bool) []byte {
 
 // decodeReply parses a MsgReply body. The reply comes from another machine,
 // so its shape is checked here, once, against what was asked: rows answers
-// of classes probabilities (classes 0: any width — a gateway does not know
-// the model's), one winner and one entropy per row. Everything downstream
-// (the arg-min gate, the gateway's scatter) indexes by those dimensions
-// without looking again.
+// of classes probabilities, one winner and one entropy per row. Everything
+// downstream (the arg-min gate, the gateway's scatter) indexes by those
+// dimensions without looking again.
 func decodeReply(body []byte, wide bool, rows, classes int) (Reply, error) {
 	if len(body) < replyPrefixSize {
 		return Reply{}, fmt.Errorf("cluster: reply of %d bytes, need %d before the winners", len(body), replyPrefixSize)
@@ -219,7 +218,7 @@ func decodeReply(body []byte, wide bool, rows, classes int) (Reply, error) {
 	if rep.Entropy, _, err = transport.DecodeFloats(body[probs+used:]); err != nil {
 		return Reply{}, fmt.Errorf("cluster: reply entropies: %w", err)
 	}
-	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != rows || (classes > 0 && sh[1] != classes) || len(rep.Entropy) != rows {
+	if sh := rep.Probs.Shape; len(sh) != 2 || sh[0] != rows || sh[1] != classes || len(rep.Entropy) != rows {
 		return Reply{}, fmt.Errorf("cluster: reply shape %v with %d entropies, want %d rows of %d classes and %d entropies",
 			sh, len(rep.Entropy), rows, classes, rows)
 	}

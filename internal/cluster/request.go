@@ -134,6 +134,8 @@ func (m *Master) Do(ctx context.Context, req Request) (Reply, error) {
 // cannot put other weights behind a pin that passed.
 func (m *Master) do(ctx context.Context, local *Model, req Request) (Reply, error) {
 	switch p := req.Policy; {
+	case m.front:
+		return m.route(ctx, req)
 	case p.Gather == Own:
 		return m.own(ctx, local.Snapshot, req.X, p.Split)
 	case p.Split != SplitOff:

@@ -23,11 +23,13 @@ func spanByName(spans []trace.Span) map[string]trace.Span {
 }
 
 // TestTracePropagationOverTCP is the tracing acceptance check: one query a
-// gateway sends under its own span crosses RemoteMaster → Node →
-// Master → Worker over real loopback TCP and comes back as a single tree
-// with one trace id — gateway span → "infer" → "peer …" → network/compute,
-// with the worker's "worker.predict" under the same "infer" — every id
-// propagated in frame headers, none shared in memory. The master-side
+// gateway sends under its own span crosses front → Node → Master → Worker
+// over real loopback TCP and comes back as a single tree with one trace id —
+// gateway span → the front's "peer …" span, and beside it the master's
+// "infer" → "peer …" → network/compute, with the worker's "worker.predict"
+// under the same "infer" — every id propagated in frame headers, none shared
+// in memory. Each hop's remote tree hangs under the caller's span that sent
+// it, beside the caller's peer span that timed it. The master-side
 // network+compute split sums to (at most) the query total.
 func TestTracePropagationOverTCP(t *testing.T) {
 	worker := NewWorker(tinyExpert(t, 70), 1)
@@ -53,16 +55,24 @@ func TestTracePropagationOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rm := NewRemoteMaster(maddr, 2*time.Second)
-	defer rm.Close()
-
+	front := NewFront(3)
+	defer front.Close()
 	gatewayTr := trace.New("gateway", 0)
+	front.SetTracer(gatewayTr)
+	if err := front.Connect(maddr); err != nil {
+		t.Fatal(err)
+	}
+
 	batch := gatewayTr.Start(trace.Context{}, "serve.batch")
 	x := tensor.NewRNG(72).Randn(1, 4)
-	if _, _, err := rm.InferContext(trace.NewContext(context.Background(), batch.Ctx()), x); err != nil {
+	if _, _, err := front.InferContext(trace.NewContext(context.Background(), batch.Ctx()), x); err != nil {
 		t.Fatal(err)
 	}
 	batch.End()
+	gw := spanByName(gatewayTr.Trace(batch.Ctx().TraceID))
+	if hop := gw["peer "+maddr]; hop.ParentID != batch.Ctx().SpanID || gw["network"].ParentID != hop.SpanID {
+		t.Fatalf("front trace %v: want serve.batch → peer %s → network", gatewayTr.Trace(batch.Ctx().TraceID), maddr)
+	}
 
 	ids := masterTr.TraceIDs(1)
 	if len(ids) != 1 {

@@ -708,17 +708,8 @@ func (g *Gateway) runBatch(batch []*request) {
 	span := tr.Start(trace.Context{}, "serve.batch")
 	ctx = trace.NewContext(ctx, span.Ctx())
 
-	var probs *tensor.Tensor
-	var winners []int
-	var err error
-	var live, nodes int
-	degraded := false
-	if db, ok := g.backend.(DegradedBackend); ok && g.cfg.Degraded {
-		probs, winners, live, nodes, err = g.inferQuorumGuarded(ctx, db, x, quorumSoft(ctx))
-		degraded = err == nil && live < nodes
-	} else {
-		probs, winners, err = g.inferGuarded(ctx, x)
-	}
+	probs, winners, live, nodes, err := g.inferGuarded(ctx, x)
+	degraded := err == nil && live < nodes
 	span.EndErr(err)
 	if err == nil && (probs == nil || probs.Shape[0] != rows || len(winners) != rows) {
 		err = fmt.Errorf("serve: backend returned %d result rows for a %d-row batch", resultRows(probs, winners), rows)
@@ -771,8 +762,15 @@ func quorumSoft(ctx context.Context) time.Duration {
 	return rem * 4 / 5
 }
 
-// inferQuorumGuarded is inferGuarded for the partial-ensemble path.
-func (g *Gateway) inferQuorumGuarded(ctx context.Context, db DegradedBackend, x *tensor.Tensor, soft time.Duration) (probs *tensor.Tensor, winners []int, live, nodes int, err error) {
+// inferGuarded drives the backend — its partial-ensemble path when it has
+// one and Config.Degraded is set, else its strict one, whose answer is never
+// degraded (live = nodes = 0) — with a panic guard: a model fed a batch it
+// cannot take (e.g. a feature width the network was not built for) panics
+// deep in the math layers, and without the recover that would kill the whole
+// gateway process on one malformed-but-well-formed request. The panic
+// becomes this batch's error ("serve.panics" counted); other batches are
+// untouched.
+func (g *Gateway) inferGuarded(ctx context.Context, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, live, nodes int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.metrics.Counter("serve.panics").Inc()
@@ -780,24 +778,11 @@ func (g *Gateway) inferQuorumGuarded(ctx context.Context, db DegradedBackend, x 
 			err = fmt.Errorf("serve: inference panic: %v", r)
 		}
 	}()
-	return db.InferQuorumContext(ctx, x, soft)
-}
-
-// inferGuarded drives the backend with a panic guard: a model fed a batch
-// it cannot take (e.g. a feature width the network was not built for)
-// panics deep in the math layers, and without the recover that would kill
-// the whole gateway process on one malformed-but-well-formed request. The
-// panic becomes this batch's error ("serve.panics" counted); other batches
-// are untouched.
-func (g *Gateway) inferGuarded(ctx context.Context, x *tensor.Tensor) (probs *tensor.Tensor, winners []int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			g.metrics.Counter("serve.panics").Inc()
-			probs, winners = nil, nil
-			err = fmt.Errorf("serve: inference panic: %v", r)
-		}
-	}()
-	return g.backend.InferContext(ctx, x)
+	if db, ok := g.backend.(DegradedBackend); ok && g.cfg.Degraded {
+		return db.InferQuorumContext(ctx, x, quorumSoft(ctx))
+	}
+	probs, winners, err = g.backend.InferContext(ctx, x)
+	return probs, winners, 0, 0, err
 }
 
 // scatterError fails every member and records their spans with error

@@ -471,33 +471,62 @@ func TestBackendErrorScatters(t *testing.T) {
 	}
 }
 
+// panicOnceQuorum is a DegradedBackend whose partial-ensemble path panics on
+// its first call and then answers a full quorum.
+type panicOnceQuorum struct {
+	backendFunc
+	calls atomic.Int64
+}
+
+func (b *panicOnceQuorum) InferQuorumContext(ctx context.Context, x *tensor.Tensor, _ time.Duration) (*tensor.Tensor, []int, int, int, error) {
+	if b.calls.Add(1) == 1 {
+		panic("matmul inner dimensions differ")
+	}
+	probs, winners, err := b.backendFunc(ctx, x)
+	return probs, winners, 2, 2, err
+}
+
 // TestBackendPanicScatters: a backend that panics (a wrong-width batch
 // blows up deep in the math layers) must not kill the worker — the panic
 // becomes that batch's error, it is counted, and the gateway keeps
-// serving subsequent batches.
+// serving subsequent batches. One guard covers both backend paths, the
+// strict one and the degraded gateway's partial-ensemble one.
 func TestBackendPanicScatters(t *testing.T) {
+	answer := func(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
+		return tensor.New(x.Shape[0], 2), make([]int, x.Shape[0]), nil
+	}
 	var calls atomic.Int64
-	be := backendFunc(func(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
+	strict := backendFunc(func(ctx context.Context, x *tensor.Tensor) (*tensor.Tensor, []int, error) {
 		if calls.Add(1) == 1 {
 			panic("matmul inner dimensions differ")
 		}
-		probs := tensor.New(x.Shape[0], 2)
-		return probs, make([]int, x.Shape[0]), nil
+		return answer(ctx, x)
 	})
-	gw := New(be, Config{MaxBatch: 1, Workers: 1})
-	defer gw.Close()
-	if _, err := gw.Predict(context.Background(), row(1, 0)); err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("err = %v, want inference panic error", err)
-	}
-	if got := gw.Metrics().Counter("serve.panics").Value(); got != 1 {
-		t.Fatalf("serve.panics = %d, want 1", got)
-	}
-	if got := gw.Metrics().Counter("serve.batch_errors").Value(); got != 1 {
-		t.Fatalf("serve.batch_errors = %d, want 1", got)
-	}
-	// The worker survived: the next request goes through normally.
-	if _, err := gw.Predict(context.Background(), row(2, 0)); err != nil {
-		t.Fatalf("request after panic failed: %v", err)
+	for _, leg := range []struct {
+		name     string
+		be       Backend
+		degraded bool
+	}{
+		{"strict", strict, false},
+		{"degraded", &panicOnceQuorum{backendFunc: answer}, true},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			gw := New(leg.be, Config{MaxBatch: 1, Workers: 1, Degraded: leg.degraded})
+			defer gw.Close()
+			if _, err := gw.Predict(context.Background(), row(1, 0)); err == nil || !strings.Contains(err.Error(), "panic") {
+				t.Fatalf("err = %v, want inference panic error", err)
+			}
+			if got := gw.Metrics().Counter("serve.panics").Value(); got != 1 {
+				t.Fatalf("serve.panics = %d, want 1", got)
+			}
+			if got := gw.Metrics().Counter("serve.batch_errors").Value(); got != 1 {
+				t.Fatalf("serve.batch_errors = %d, want 1", got)
+			}
+			// The worker survived: the next request goes through normally.
+			if _, err := gw.Predict(context.Background(), row(2, 0)); err != nil {
+				t.Fatalf("request after panic failed: %v", err)
+			}
+		})
 	}
 }
 
