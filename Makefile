@@ -42,7 +42,10 @@ linkcheck:
 # header, answered by MsgReply or MsgErrorMux; a peer reads its master's
 # tracer, hedge switch and retry budget, whose tuning is constants; and every
 # peer link has one supervision scheme — a gateway's masters are a front
-# master's peers (internal/cluster/front.go), not a router's targets.
+# master's peers (internal/cluster/front.go), not a router's targets; and
+# each layer kind's inference arithmetic is written once — a layer's Forward
+# runs its snapshot step (internal/nn/freeze.go), so no second conv
+# rearrangement, bias loop or step FLOP count comes back.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -60,6 +63,8 @@ one-loop:
 		echo "a per-peer settings ref or a retired tuning struct is back (a peer reads its master)"; exit 1; fi
 	@if grep -rn 'RemoteMaster\|NewRouter\|routeTarget' --include=*.go .; then \
 		echo "a second supervision scheme is back (a gateway's masters are a front master's peers)"; exit 1; fi
+	@if grep -rnw 'spatialToNCHW\|addBiasRows\|stepFlops\|stepsFlops' --include=*.go .; then \
+		echo "a second copy of an inference expression is back (a layer's Forward runs its snapshot step)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its
@@ -111,8 +116,11 @@ loc:
 # conv_guard_linux_test.go: TestConvDirectStaysInsideItsSlices and
 # TestStepKernelsStayInsideTheirSlices run the bounds-check-free assembly
 # against unmapped guard pages) with internal/nn's
-# TestSnapshotBitMatchesNetwork on SS-14 at 3×32×32 with the zmm tiles, with
-# the ymm tiles and with every assembly kernel off, and the
+# TestSnapshotBitMatchesNetwork (the zoo and SS-14 at 3×32×32, snapshot and
+# network held to the network on the portable loops) and
+# TestConv2DTrainForwardMatchesIm2Col (the training conv held to
+# Im2Col × W + b), each with the zmm tiles, with the ymm tiles and with
+# every assembly kernel off, and the
 # registry tests that scrape while writers observe (internal/metrics
 # TestRegistryConcurrentAccess, TestWritePrometheusConsistentUnderLoad;
 # internal/admin serves the same registries over HTTP). Then the
@@ -141,17 +149,23 @@ bench:
 # as a share of its own width's peak), and the SS-14 snapshot on 3×32×32 at 1 and 16
 # rows, each reporting GFLOP/s, at one and two cores; then one SS-14 row
 # attributed to its step kinds (BenchmarkForwardSS14Steps: ns per row in
-# conv, batch norm, ReLU, max pool, shake mix, pooling and dense) (docs/BENCHMARKS.md).
+# conv, batch norm, ReLU, max pool, shake mix, pooling and dense); then one
+# SS-14 training step on 32 rows at one core (BenchmarkTrainStepSS14:
+# forward and backward ms per row, each as a share of the peak)
+# (docs/BENCHMARKS.md).
 bench-kernels:
 	$(GO) test -run '^$$' -bench 'PeakMulAdd|ConvTile' -cpu 1,2 ./internal/tensor
 	$(GO) test -run '^$$' -bench 'ForwardSS14' -cpu 1,2 ./internal/nn
+	$(GO) test -run '^$$' -bench 'TrainStepSS14' -benchtime 3x -cpu 1 ./internal/nn
 
-# Batch forward-pass comparison: every zoo model through the training
-# Network vs the frozen inference Snapshot at the gateway's 16-row batch;
-# the artifact records rows/sec per engine and pins the snapshot's
-# zero-alloc steady state (DESIGN.md §10).
+# Forward passes against the machine's peak: every zoo model's frozen
+# inference Snapshot and its training step (forward + backward on the
+# Network) at the gateway's 16-row batch; the artifact records each rate as
+# GFLOP/s and as a share of the no-FMA multiply/add peak measured in the same
+# run, and pins the snapshot's zero-alloc steady state (DESIGN.md §10). It
+# fails on a machine with no measurable peak.
 bench-forward:
-	$(GO) run ./cmd/teamnet-bench -forward -out BENCH_forward.json
+	$(GO) run ./cmd/teamnet-bench -forward -forward-duration 1s -out BENCH_forward.json
 
 # Chaos soak: minutes of Poisson load through the full gateway stack while a
 # scripted fault timeline stalls, resets and heals workers (stall at t/4,
@@ -181,9 +195,10 @@ bench-split:
 
 # Regression gate: re-runs the fleet, split and forward benchmarks with the
 # committed BENCH_fleet.json, BENCH_split.json and BENCH_forward.json
-# configurations and fails on >20% goodput or snapshot-speedup loss, a fleet
-# scaling collapse, any hot-swap failure or stale entry, any snapshot
-# forward allocation, or a split-plan drift. A shorter re-run window keeps
+# configurations and fails on >20% goodput loss, a >20% fall in a model's
+# snapshot or training-step share of the machine peak, a fleet scaling
+# collapse, any hot-swap failure or stale entry, any snapshot forward
+# allocation, or a split-plan drift. A shorter re-run window keeps
 # the fleet CI-sized. End-to-end serving speed is judged by BENCHMARK.json
 # (go run ./benchmark), not by this gate.
 bench-check:

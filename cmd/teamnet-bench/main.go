@@ -5,8 +5,9 @@
 // counts for latency and resources).
 //
 // It also hosts the serving-stack benchmarks (docs/BENCHMARKS.md):
-// -forward compares the training Network against the frozen inference
-// Snapshot (DESIGN.md §10); -soak drills the SLO-defense layer through a
+// -forward reads every zoo model's frozen inference Snapshot and its
+// training step as shares of the machine's measured peak (DESIGN.md §10);
+// -soak drills the SLO-defense layer through a
 // scripted fault timeline; -fleet scales gateway/master pairs across the
 // serving fabric and hot-swaps the model mid-run (§12); -split sweeps the
 // partial-offload planner across edgesim link profiles (§13); and -check
@@ -58,9 +59,9 @@ func run() error {
 		reqDl    = flag.Duration("req-deadline", 300*time.Millisecond, "fleet: per-request deadline")
 		maxBatch = flag.Int("max-batch", 16, "soak/fleet: gateway row budget per coalesced batch")
 
-		forward = flag.Bool("forward", false, "run the batch forward-pass benchmark: every zoo model on the training engine vs the frozen inference snapshot")
+		forward = flag.Bool("forward", false, "run the batch forward-pass benchmark: every zoo model's frozen inference snapshot and training step as shares of the machine's measured multiply/add peak")
 		fwBatch = flag.Int("forward-batch", 16, "forward: rows per forward pass")
-		fwDur   = flag.Duration("forward-duration", 300*time.Millisecond, "forward: measured window per model per engine")
+		fwDur   = flag.Duration("forward-duration", 300*time.Millisecond, "forward: measured window per model per engine (snapshot, training step)")
 
 		soak         = flag.Bool("soak", false, "run the chaos soak: Poisson load through the full gateway stack under a scripted fault timeline")
 		soakQPS      = flag.Int("soak-qps", 800, "soak: offered Poisson arrival rate, requests/second")

@@ -29,7 +29,6 @@ var allowlist = map[string]string{
 	"cluster.MoEMPIMaster.Infer":    baseline,
 	"cluster.MoEMPIMaster.Shutdown": baseline,
 	"cluster.MoEMPIWorker":          baseline,
-	"tensor.peakMulAddAVX":          "the machine peak that `make bench-kernels` measures; kernels are judged against it (ROADMAP item 4(e))",
 }
 
 const baseline = "paper baseline; its caller is the recorded-trace cost model (ROADMAP item 7)"

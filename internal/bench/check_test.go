@@ -37,10 +37,10 @@ func TestEvaluateChecksAndReportString(t *testing.T) {
 		}
 	}
 
-	cf := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", Speedup: 1.5}}}
-	cur := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", Speedup: 0.2, SnapshotAllocsPerOp: 3}}}
+	cf := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", SnapshotPeakPct: 40, TrainPeakPct: 10}}}
+	cur := &ForwardReport{Results: []ForwardResult{{Model: "MLP-8", SnapshotPeakPct: 5, TrainPeakPct: 1, SnapshotAllocsPerOp: 3}}}
 	fresults := EvaluateForwardCheck(cf, cur, 0.2)
-	if len(fresults) != 2 || fresults[0].Pass || fresults[1].Pass {
+	if len(fresults) != 3 || fresults[0].Pass || fresults[1].Pass || fresults[2].Pass {
 		t.Fatalf("collapse not flagged: %+v", fresults)
 	}
 

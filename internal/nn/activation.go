@@ -1,15 +1,11 @@
 package nn
 
-import (
-	"math"
-
-	"github.com/teamnet/teamnet/internal/tensor"
-)
+import "github.com/teamnet/teamnet/internal/tensor"
 
 // ReLU is the rectified-linear activation max(x, 0) (Nair & Hinton, the
 // paper's reference [13]).
 type ReLU struct {
-	mask []bool // which inputs were positive on the last forward
+	lastY *tensor.Tensor // the last forward's output
 }
 
 var _ Layer = (*ReLU)(nil)
@@ -22,29 +18,19 @@ func (r *ReLU) Name() string { return "relu" }
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size())
-	}
-	r.mask = r.mask[:x.Size()]
-	y := tensor.New(x.Shape...)
-	for i, v := range x.Data {
-		pos := v > 0
-		r.mask[i] = pos
-		if pos {
-			y.Data[i] = v
-		}
-	}
-	return y
+	r.lastY = runStep(reluStep{}, x)
+	return r.lastY
 }
 
-// Backward implements Layer.
+// Backward implements Layer: the gradient passes where the output is
+// positive, which is where the input was.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if len(r.mask) != grad.Size() {
+	if r.lastY == nil || r.lastY.Size() != grad.Size() {
 		panic("nn: ReLU.Backward size mismatch or Backward before Forward")
 	}
 	out := tensor.New(grad.Shape...)
 	for i, v := range grad.Data {
-		if r.mask[i] {
+		if r.lastY.Data[i] > 0 {
 			out.Data[i] = v
 		}
 	}
@@ -67,9 +53,8 @@ func (t *Tanh) Name() string { return "tanh" }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	y := tensor.Apply(x, math.Tanh)
-	t.lastY = y
-	return y
+	t.lastY = runStep(tanhStep{}, x)
+	return t.lastY
 }
 
 // Backward implements Layer; d tanh(x)/dx = 1 - tanh²(x).

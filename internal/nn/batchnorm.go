@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 )
@@ -54,72 +55,70 @@ func (b *BatchNorm) Name() string { return fmt.Sprintf("batchnorm(c%d,s%d)", b.C
 
 // Forward implements Layer. In training mode it normalizes with batch
 // statistics and updates the running statistics; in inference mode it uses
-// the running statistics only.
+// the running statistics only. Both normalize through the layer's step.
 func (b *BatchNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	batch := x.Shape[0]
 	if x.Shape[1] != b.C*b.S {
 		panic(fmt.Sprintf("nn: batchnorm features %d != %d·%d", x.Shape[1], b.C, b.S))
 	}
-	out := tensor.New(batch, b.C*b.S)
 	if !train {
-		for c := 0; c < b.C; c++ {
-			mean := b.RunMean.Data[c]
-			invStd := 1 / math.Sqrt(b.RunVar.Data[c]+b.Eps)
-			g, bt := b.Gamma.Data[c], b.Beta.Data[c]
-			for bi := 0; bi < batch; bi++ {
-				src := x.Data[bi*b.C*b.S+c*b.S:]
-				dst := out.Data[bi*b.C*b.S+c*b.S:]
-				for s := 0; s < b.S; s++ {
-					dst[s] = g*((src[s]-mean)*invStd) + bt
-				}
-			}
-		}
 		b.lastXHat = nil
-		return out
+		return runStep(b.step(b.RunMean.Data, b.std(b.RunVar.Data)), x)
 	}
 
+	batch := x.Shape[0]
 	n := float64(batch * b.S)
-	b.lastBatch = batch
-	b.lastXHat = tensor.New(batch, b.C*b.S)
-	if cap(b.lastStd) < b.C {
-		b.lastStd = make([]float64, b.C)
-	}
-	b.lastStd = b.lastStd[:b.C]
+	mean, variance := make([]float64, b.C), make([]float64, b.C)
 	for c := 0; c < b.C; c++ {
-		mean, varc := 0.0, 0.0
 		for bi := 0; bi < batch; bi++ {
-			src := x.Data[bi*b.C*b.S+c*b.S:]
-			for s := 0; s < b.S; s++ {
-				mean += src[s]
+			for _, v := range x.Data[bi*b.C*b.S+c*b.S:][:b.S] {
+				mean[c] += v
 			}
 		}
-		mean /= n
+		mean[c] /= n
 		for bi := 0; bi < batch; bi++ {
-			src := x.Data[bi*b.C*b.S+c*b.S:]
-			for s := 0; s < b.S; s++ {
-				d := src[s] - mean
-				varc += d * d
+			for _, v := range x.Data[bi*b.C*b.S+c*b.S:][:b.S] {
+				d := v - mean[c]
+				variance[c] += d * d
 			}
 		}
-		varc /= n
-		std := math.Sqrt(varc + b.Eps)
-		b.lastStd[c] = std
-		invStd := 1 / std
-		g, bt := b.Gamma.Data[c], b.Beta.Data[c]
-		for bi := 0; bi < batch; bi++ {
-			src := x.Data[bi*b.C*b.S+c*b.S:]
-			xh := b.lastXHat.Data[bi*b.C*b.S+c*b.S:]
-			dst := out.Data[bi*b.C*b.S+c*b.S:]
-			for s := 0; s < b.S; s++ {
-				h := (src[s] - mean) * invStd
-				xh[s] = h
-				dst[s] = g*h + bt
-			}
+		variance[c] /= n
+	}
+	b.lastBatch = batch
+	b.lastStd = b.std(variance)
+	st := b.step(mean, b.lastStd)
+	// x̂ is kept for Backward; the step recomputes it inside the affine.
+	b.lastXHat = tensor.New(batch, b.C*b.S)
+	for p := 0; p < batch*b.C; p++ {
+		c := p % b.C
+		for i, v := range x.Data[p*b.S : (p+1)*b.S] {
+			b.lastXHat.Data[p*b.S+i] = (v - mean[c]) * st.invStd[c]
 		}
-		b.RunMean.Data[c] = b.Momentum*b.RunMean.Data[c] + (1-b.Momentum)*mean
-		b.RunVar.Data[c] = b.Momentum*b.RunVar.Data[c] + (1-b.Momentum)*varc
+	}
+	for c := range mean {
+		b.RunMean.Data[c] = b.Momentum*b.RunMean.Data[c] + (1-b.Momentum)*mean[c]
+		b.RunVar.Data[c] = b.Momentum*b.RunVar.Data[c] + (1-b.Momentum)*variance[c]
+	}
+	return runStep(st, x)
+}
+
+// std returns sqrt(v + Eps) for each channel's variance v.
+func (b *BatchNorm) std(variance []float64) []float64 {
+	out := make([]float64, len(variance))
+	for c, v := range variance {
+		out[c] = math.Sqrt(v + b.Eps)
 	}
 	return out
+}
+
+// step is the layer's arithmetic, g·((x−mean)·(1/std)) + β per channel, as a
+// step that owns copies of mean, std, γ and β.
+func (b *BatchNorm) step(mean, std []float64) *bnStep {
+	st := &bnStep{c: b.C, s: b.S, mean: slices.Clone(mean), invStd: make([]float64, b.C),
+		gamma: slices.Clone(b.Gamma.Data), beta: slices.Clone(b.Beta.Data)}
+	for c, sd := range std {
+		st.invStd[c] = 1 / sd
+	}
+	return st
 }
 
 // Backward implements Layer using the standard batch-norm gradient:

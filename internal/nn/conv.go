@@ -7,17 +7,18 @@ import (
 )
 
 // Conv2D is a 2-D convolution over NCHW inputs flattened to [batch, C·H·W]
-// rows, implemented as Im2Col followed by a matrix multiply. The kernel is
-// stored as a [C·KH·KW, OutC] matrix so that the MPI-Kernel scheme
-// (internal/mpi) can column-partition it across edge nodes without copying.
+// rows. Its forward, in both modes, is a direct convolution
+// (tensor.DirectConv: the sums of Im2Col × W, bit for bit); its backward
+// lowers to Im2Col and matrix multiplies. The kernel is stored as a
+// [C·KH·KW, OutC] matrix so that the MPI-Kernel scheme (internal/mpi) can
+// column-partition it across edge nodes without copying.
 type Conv2D struct {
 	Geom   tensor.ConvGeom
 	W      *tensor.Tensor // [patchLen, outC]
 	B      *tensor.Tensor // [outC]
 	GW, GB *tensor.Tensor
 
-	lastCols  *tensor.Tensor
-	lastBatch int
+	lastX *tensor.Tensor // the last forward's input
 }
 
 var _ ParamLayer = (*Conv2D)(nil)
@@ -49,28 +50,30 @@ func (c *Conv2D) OutFeatures() int { return c.Geom.OutC * c.Geom.OutH * c.Geom.O
 
 // Forward implements Layer.
 func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	batch := x.Shape[0]
-	cols := tensor.Im2Col(x, c.Geom)
-	c.lastCols = cols
-	c.lastBatch = batch
-	// [batch·outH·outW, patchLen] × [patchLen, outC] = [batch·outH·outW, outC]
-	y := tensor.MatMul(cols, c.W)
-	y.AddRowVector(c.B)
-	// Rearrange to [batch, outC·outH·outW] NCHW rows.
-	return spatialToNCHW(y, batch, c.Geom.OutC, c.Geom.OutH*c.Geom.OutW)
+	c.lastX = x
+	return runStep(c.step(), x)
+}
+
+// step is the layer's arithmetic with W and B packed as they are now: it is
+// built afresh on every Forward, so an optimizer step (which updates W in
+// place) can never leave stale packed weights behind.
+func (c *Conv2D) step() *convStep {
+	return &convStep{geom: c.Geom, conv: tensor.NewDirectConv(c.Geom, c.W.Data, c.B.Data)}
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	if c.lastCols == nil {
+	if c.lastX == nil {
 		panic("nn: Conv2D.Backward before Forward")
 	}
+	batch := c.lastX.Shape[0]
+	cols := tensor.Im2Col(c.lastX, c.Geom)
 	// Back to [batch·outH·outW, outC] layout.
-	g := nchwToSpatial(grad, c.lastBatch, c.Geom.OutC, c.Geom.OutH*c.Geom.OutW)
-	c.GW.AddScaled(tensor.MatMulTransA(c.lastCols, g), 1)
+	g := nchwToSpatial(grad, batch, c.Geom.OutC, c.Geom.OutH*c.Geom.OutW)
+	c.GW.AddScaled(tensor.MatMulTransA(cols, g), 1)
 	c.GB.AddScaled(tensor.SumCols(g), 1)
 	dCols := tensor.MatMulTransB(g, c.W)
-	return tensor.Col2Im(dCols, c.lastBatch, c.Geom)
+	return tensor.Col2Im(dCols, batch, c.Geom)
 }
 
 // Params implements ParamLayer.
@@ -79,22 +82,8 @@ func (c *Conv2D) Params() []*tensor.Tensor { return []*tensor.Tensor{c.W, c.B} }
 // Grads implements ParamLayer.
 func (c *Conv2D) Grads() []*tensor.Tensor { return []*tensor.Tensor{c.GW, c.GB} }
 
-// spatialToNCHW converts [batch·S, C] rows (S spatial positions) into
-// [batch, C·S] NCHW rows.
-func spatialToNCHW(y *tensor.Tensor, batch, ch, spatial int) *tensor.Tensor {
-	out := tensor.New(batch, ch*spatial)
-	for b := 0; b < batch; b++ {
-		for s := 0; s < spatial; s++ {
-			row := y.Data[(b*spatial+s)*ch:]
-			for cc := 0; cc < ch; cc++ {
-				out.Data[b*ch*spatial+cc*spatial+s] = row[cc]
-			}
-		}
-	}
-	return out
-}
-
-// nchwToSpatial is the inverse of spatialToNCHW.
+// nchwToSpatial converts [batch, C·S] NCHW rows (S spatial positions) into
+// [batch·S, C] rows, the layout of Im2Col(x) × W.
 func nchwToSpatial(x *tensor.Tensor, batch, ch, spatial int) *tensor.Tensor {
 	out := tensor.New(batch*spatial, ch)
 	for b := 0; b < batch; b++ {

@@ -41,9 +41,12 @@ func (d *Dense) Out() int { return d.out }
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	d.lastX = x
-	y := tensor.MatMul(x, d.W)
-	y.AddRowVector(d.B)
-	return y
+	return runStep(d.step(), x)
+}
+
+// step is the layer's arithmetic, x·W + b, over the live weights.
+func (d *Dense) step() *denseStep {
+	return &denseStep{w: d.W.Data, b: d.B.Data, in: d.in, out: d.out}
 }
 
 // Backward implements Layer, accumulating dL/dW and dL/dB.

@@ -1,7 +1,5 @@
 package nn
 
-import "github.com/teamnet/teamnet/internal/tensor"
-
 // FLOP accounting. The edge-device simulator (internal/edgesim) models
 // inference latency as FLOPs / device-throughput; these counters walk the
 // architecture and report the per-sample cost of one forward pass, plus the
@@ -61,18 +59,14 @@ func NetworkFLOPs(n *Network) float64 {
 	return total
 }
 
-// PeakActivationBytes estimates the largest single activation tensor a
-// forward pass materializes for one sample, assuming float32 deployment.
-// It probes the network with one synthetic sample, so it is exact for the
-// architecture as built.
+// PeakActivationBytes returns the largest activation a forward pass
+// materializes between top-level layers for one sample of inputDim
+// features, assuming float32 deployment: the widest step boundary of the
+// network's compiled snapshot.
 func PeakActivationBytes(n *Network, inputDim int) int64 {
-	x := tensor.New(1, inputDim)
-	peak := int64(inputDim)
-	for _, l := range n.Layers {
-		x = l.Forward(x, false)
-		if s := int64(x.Size()); s > peak {
-			peak = s
-		}
+	peak := inputDim
+	for _, w := range MustSnapshot(n).widths {
+		peak = max(peak, w)
 	}
-	return peak * 4
+	return int64(peak) * 4
 }

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/teamnet/teamnet/internal/tensor"
@@ -10,13 +11,14 @@ import (
 
 // Inference snapshots: a Snapshot is a frozen, read-only compilation of a
 // trained Network that many goroutines can run Forward on concurrently.
-// Compilation clones every parameter and running statistic, so later
-// training steps on the source network never race with serving; per-call
-// scratch comes from a pooled bump arena, so a steady-state forward pass
-// performs zero heap allocations. Each compiled step reproduces the exact
-// floating-point expression of its layer's inference path (and the matmul
-// steps share tensor's kernel), so Snapshot outputs are bit-identical to
-// Network.Forward in inference mode.
+// Each layer kind's inference arithmetic is written once, as a step: a
+// layer's Forward builds its step from the live parameters and runs it
+// (runStep), and compilation builds the same step from private copies of
+// every parameter and running statistic — so later training steps on the
+// source network never race with serving, and Snapshot outputs are
+// bit-identical to Network.Forward in inference mode by construction.
+// Per-call scratch comes from a pooled bump arena, so a steady-state
+// snapshot forward pass performs zero heap allocations.
 
 // Snapshot is a frozen inference-only view of a Network, safe for
 // concurrent Forward/Predict calls. Build one with NewSnapshot after
@@ -41,7 +43,7 @@ func NewSnapshot(n *Network) (*Snapshot, error) {
 		return nil, err
 	}
 	s := &Snapshot{label: n.label, steps: steps}
-	s.widths, s.costs = profileSteps(steps)
+	s.widths, s.costs = profileSteps(n.Layers, steps)
 	s.arenas.New = func() any { return &arena{} }
 	return s, nil
 }
@@ -180,49 +182,38 @@ func runSteps(a *arena, steps []inferStep, x []float64, batch, width int) ([]flo
 }
 
 func compileSteps(layers []Layer) ([]inferStep, error) {
-	steps := make([]inferStep, 0, len(layers))
-	for _, l := range layers {
+	steps := make([]inferStep, len(layers))
+	for i, l := range layers {
 		st, err := compileStep(l)
 		if err != nil {
 			return nil, err
 		}
-		if st != nil { // identity layers compile to nothing
-			steps = append(steps, st)
-		}
+		steps[i] = st
 	}
 	return steps, nil
 }
 
+// compileStep freezes a layer into the step its inference Forward runs,
+// with private copies of the parameters (a conv step's packed weights and a
+// batch-norm step's statistics are copies already).
 func compileStep(l Layer) (inferStep, error) {
 	switch l := l.(type) {
 	case *Dense:
-		return &denseStep{
-			w:  append([]float64(nil), l.W.Data...),
-			b:  append([]float64(nil), l.B.Data...),
-			in: l.in, out: l.out,
-		}, nil
+		st := l.step()
+		st.w, st.b = slices.Clone(st.w), slices.Clone(st.b)
+		return st, nil
 	case *ReLU:
 		return reluStep{}, nil
 	case *Tanh:
 		return tanhStep{}, nil
 	case *BatchNorm:
-		st := &bnStep{
-			c: l.C, s: l.S,
-			mean:   append([]float64(nil), l.RunMean.Data...),
-			invStd: make([]float64, l.C),
-			gamma:  append([]float64(nil), l.Gamma.Data...),
-			beta:   append([]float64(nil), l.Beta.Data...),
-		}
-		for c := 0; c < l.C; c++ {
-			st.invStd[c] = 1 / math.Sqrt(l.RunVar.Data[c]+l.Eps)
-		}
-		return st, nil
+		return l.step(l.RunMean.Data, l.std(l.RunVar.Data)), nil
 	case *Conv2D:
-		return &convStep{geom: l.Geom, conv: tensor.NewDirectConv(l.Geom, l.W.Data, l.B.Data)}, nil
+		return l.step(), nil
 	case *MaxPool2D:
-		return &maxPoolStep{c: l.C, h: l.H, w: l.W, k: l.K, outH: l.outH, outW: l.outW}, nil
+		return l.step(), nil
 	case *GlobalAvgPool:
-		return &gapStep{c: l.C, sp: l.H * l.W}, nil
+		return l.step(), nil
 	case *ShakeShake:
 		b1, err := compileSteps(l.Branch1.Layers)
 		if err != nil {
@@ -246,6 +237,14 @@ func compileStep(l Layer) (inferStep, error) {
 	}
 }
 
+// runStep runs one step on a whole [batch, width] tensor into a new one: how
+// a layer's Forward runs the arithmetic its snapshot step runs.
+func runStep(st inferStep, x *tensor.Tensor) *tensor.Tensor {
+	batch, width := snapshotInputDims(x)
+	out, w := st.run(&arena{}, x.Data, batch, width)
+	return tensor.FromSlice(out, batch, w)
+}
+
 type denseStep struct {
 	w, b    []float64
 	in, out int
@@ -253,23 +252,13 @@ type denseStep struct {
 
 func (d *denseStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	if width != d.in {
-		panic(fmt.Sprintf("nn: snapshot dense input width %d != %d", width, d.in))
+		panic(fmt.Sprintf("nn: dense input width %d != %d", width, d.in))
 	}
 	out := a.take(batch * d.out)
 	clear(out)
 	tensor.GEMMAcc(out, x, d.w, batch, d.in, d.out)
-	addBiasRows(out, d.b, batch, d.out)
+	tensor.AddBias(out, d.b)
 	return out, d.out
-}
-
-// addBiasRows adds bias to every row, mirroring Tensor.AddRowVector.
-func addBiasRows(y, bias []float64, rows, cols int) {
-	for i := 0; i < rows; i++ {
-		row := y[i*cols : (i+1)*cols]
-		for j := range row {
-			row[j] += bias[j]
-		}
-	}
 }
 
 type reluStep struct{}
@@ -284,12 +273,15 @@ type tanhStep struct{}
 
 func (tanhStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	out := a.take(batch * width)
-	for i, v := range x {
+	for i, v := range x[:batch*width] {
 		out[i] = math.Tanh(v)
 	}
 	return out, width
 }
 
+// bnStep normalises each channel plane with its mean and 1/std, then scales
+// and shifts it: the running statistics at inference, the batch's in a
+// training forward.
 type bnStep struct {
 	c, s                      int
 	mean, invStd, gamma, beta []float64
@@ -297,7 +289,7 @@ type bnStep struct {
 
 func (b *bnStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	if width != b.c*b.s {
-		panic(fmt.Sprintf("nn: snapshot batchnorm features %d != %d·%d", width, b.c, b.s))
+		panic(fmt.Sprintf("nn: batchnorm features %d != %d·%d", width, b.c, b.s))
 	}
 	out := a.take(batch * width)
 	for p := 0; p < batch*b.c; p++ {
@@ -309,10 +301,9 @@ func (b *bnStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 
 // convStep runs the convolution directly on a zero-padded copy of each
 // image (tensor.DirectConv, which also carries the bit-exactness argument):
-// the same products as the training layer's Im2Col × W, in the same
-// increasing patch-position order from +0, then the same bias — without the
-// PatchLen-times larger patch matrix. The packed weights are a private
-// copy, like every other step's parameters.
+// the same products as Im2Col × W, in the same increasing patch-position
+// order from +0, then the same bias — without the PatchLen-times larger
+// patch matrix. The packed weights are a copy taken when the step is built.
 type convStep struct {
 	geom tensor.ConvGeom
 	conv *tensor.DirectConv
@@ -321,7 +312,7 @@ type convStep struct {
 func (c *convStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	g := c.geom
 	if width != g.InC*g.InH*g.InW {
-		panic(fmt.Sprintf("nn: snapshot conv input width %d != %d·%d·%d", width, g.InC, g.InH, g.InW))
+		panic(fmt.Sprintf("nn: conv input width %d != %d·%d·%d", width, g.InC, g.InH, g.InW))
 	}
 	outWidth := g.OutC * g.OutH * g.OutW
 	out := a.take(batch * outWidth)
@@ -330,16 +321,17 @@ func (c *convStep) run(a *arena, x []float64, batch, width int) ([]float64, int)
 }
 
 type maxPoolStep struct {
-	c, h, w, k, outH, outW int
+	c, h, w, k int
 }
 
 func (m *maxPoolStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	if width != m.c*m.h*m.w {
-		panic(fmt.Sprintf("nn: snapshot maxpool input width %d != %d·%d·%d", width, m.c, m.h, m.w))
+		panic(fmt.Sprintf("nn: maxpool input width %d != %d·%d·%d", width, m.c, m.h, m.w))
 	}
-	out := a.take(batch * m.c * m.outH * m.outW)
+	outWidth := m.c * (m.h / m.k) * (m.w / m.k)
+	out := a.take(batch * outWidth)
 	tensor.MaxPoolInto(out, x, batch*m.c, m.h, m.w, m.k)
-	return out, m.c * m.outH * m.outW
+	return out, outWidth
 }
 
 type gapStep struct {
@@ -348,19 +340,16 @@ type gapStep struct {
 
 func (g *gapStep) run(a *arena, x []float64, batch, width int) ([]float64, int) {
 	if width != g.c*g.sp {
-		panic(fmt.Sprintf("nn: snapshot gap input width %d != %d·%d", width, g.c, g.sp))
+		panic(fmt.Sprintf("nn: gap input width %d != %d·%d", width, g.c, g.sp))
 	}
 	out := a.take(batch * g.c)
 	inv := 1 / float64(g.sp)
-	for b := 0; b < batch; b++ {
-		img := x[b*g.c*g.sp:]
-		for c := 0; c < g.c; c++ {
-			s := 0.0
-			for _, v := range img[c*g.sp : (c+1)*g.sp] {
-				s += v
-			}
-			out[b*g.c+c] = s * inv
+	for p := range out {
+		s := 0.0
+		for _, v := range x[p*g.sp : (p+1)*g.sp] {
+			s += v
 		}
+		out[p] = s * inv
 	}
 	return out, g.c
 }
@@ -384,8 +373,6 @@ func (s *shakeStep) run(a *arena, x []float64, batch, width int) ([]float64, int
 		panic(fmt.Sprintf("nn: snapshot shake-shake residual width %d != branch width %d (missing skip projection?)", rw, w1))
 	}
 	out := a.take(batch * w1)
-	// Inference mixes the branches 0.5/0.5: (y1·0.5 + y2·0.5) + res mirrors
-	// the Scale/Add/Add sequence of ShakeShake.Forward term for term.
-	tensor.MixHalvesInto(out, y1[:batch*w1], y2, res)
+	tensor.MixHalvesInto(out, y1[:batch*w1], y2, res) // ShakeShake.Forward's eval mix
 	return out, w1
 }

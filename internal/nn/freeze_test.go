@@ -87,50 +87,71 @@ func bitEqual(a, b *tensor.Tensor) bool {
 	return true
 }
 
+// kernelLegs runs a test body three times: with the machine's kernels (the
+// zmm convolution tiles where it has them), with the ymm tiles, and with
+// every assembly kernel off.
+var kernelLegs = []struct {
+	name string
+	run  func(func())
+}{{"machine's", func(f func()) { f() }}, {"ymm", tensor.WithoutAVX512}, {"portable", tensor.WithoutSIMD}}
+
+// portable runs f with every assembly kernel off: the reference the SIMD
+// legs are held to is the portable loops, not the kernels under test.
+func portable[T any](f func() T) T {
+	var v T
+	tensor.WithoutSIMD(func() { v = f() })
+	return v
+}
+
 // TestSnapshotBitMatchesNetwork is the property test of the snapshot
-// compiler: for every zoo model, Snapshot output must bit-match the
-// network's own inference forward, for logits, probabilities, and entropy.
+// compiler: for every zoo model and for SS-14 at the 3×32×32 shape the
+// benchmark serves (32-, 16- and 8-wide planes, where the toy geometries
+// have 8, 4 and 2), the snapshot's logits, probabilities and entropies and
+// the network's own inference forward must bit-match the network's forward
+// on the portable loops, on every kernel leg.
 func TestSnapshotBitMatchesNetwork(t *testing.T) {
 	rng := tensor.NewRNG(42)
-	for _, net := range zooModels(t) {
-		x := rng.Randn(5, inputWidth(net))
-		snap, err := NewSnapshot(net)
-		if err != nil {
-			t.Fatalf("%s: NewSnapshot: %v", net.Label(), err)
+	type probe struct {
+		x, logits, probs, entropy *tensor.Tensor
+	}
+	nets := append(zooModels(t), ss14Objects(t))
+	probes := make([][]probe, len(nets))
+	for i, net := range nets {
+		rows := []int{5}
+		if i == len(nets)-1 {
+			rows = []int{1, 3, 16}
 		}
-		if snap.Label() != net.Label() {
-			t.Errorf("snapshot label %q != %q", snap.Label(), net.Label())
-		}
-		want := net.Forward(x, false)
-		got := snap.Forward(x)
-		if !bitEqual(want, got) {
-			t.Errorf("%s: snapshot Forward does not bit-match network", net.Label())
-		}
-		wantP, wantH := net.PredictWithEntropy(x)
-		gotP, gotH := snap.PredictWithEntropy(x)
-		if !bitEqual(wantP, gotP) || !bitEqual(wantH, gotH) {
-			t.Errorf("%s: snapshot PredictWithEntropy does not bit-match network", net.Label())
+		for _, r := range rows {
+			p := probe{x: rng.Randn(r, inputWidth(net))}
+			tensor.WithoutSIMD(func() {
+				p.logits = net.Forward(p.x, false)
+				p.probs, p.entropy = net.PredictWithEntropy(p.x)
+			})
+			probes[i] = append(probes[i], p)
 		}
 	}
-	// The shape the benchmark serves: 32-, 16- and 8-wide planes, where the
-	// toy geometries above have 8, 4 and 2. Compiled and run three times:
-	// with the machine's kernels (the zmm convolution tiles where it has
-	// them), with the ymm tiles, and with every assembly kernel off.
-	net := ss14Objects(t)
-	var xs, wants []*tensor.Tensor
-	for _, rows := range []int{1, 3, 16} {
-		x := rng.Randn(rows, inputWidth(net))
-		xs, wants = append(xs, x), append(wants, net.Forward(x, false))
-	}
-	for _, kernels := range []struct {
-		name string
-		run  func(func())
-	}{{"machine's", func(f func()) { f() }}, {"ymm", tensor.WithoutAVX512}, {"portable", tensor.WithoutSIMD}} {
+	for _, kernels := range kernelLegs {
 		kernels.run(func() {
-			snap := MustSnapshot(net)
-			for i, x := range xs {
-				if !bitEqual(wants[i], snap.Forward(x)) {
-					t.Errorf("SS-14 on 3×32×32, %d rows, %s kernels: snapshot Forward does not bit-match network", x.Shape[0], kernels.name)
+			for i, net := range nets {
+				snap, err := NewSnapshot(net)
+				if err != nil {
+					t.Fatalf("%s: NewSnapshot: %v", net.Label(), err)
+				}
+				if snap.Label() != net.Label() {
+					t.Errorf("snapshot label %q != %q", snap.Label(), net.Label())
+				}
+				for _, p := range probes[i] {
+					what := fmt.Sprintf("%s, %d rows, %s kernels", net.Label(), p.x.Shape[0], kernels.name)
+					if !bitEqual(p.logits, net.Forward(p.x, false)) {
+						t.Errorf("%s: network Forward does not bit-match the portable loops", what)
+					}
+					if !bitEqual(p.logits, snap.Forward(p.x)) {
+						t.Errorf("%s: snapshot Forward does not bit-match the portable loops", what)
+					}
+					probs, h := snap.PredictWithEntropy(p.x)
+					if !bitEqual(p.probs, probs) || !bitEqual(p.entropy, h) {
+						t.Errorf("%s: snapshot PredictWithEntropy does not bit-match the portable loops", what)
+					}
 				}
 			}
 		})
@@ -145,9 +166,102 @@ func TestSnapshotBitMatchesMixedActivations(t *testing.T) {
 		NewDense(12, 16, rng), NewTanh(),
 		NewDense(16, 8, rng), NewReLU(), NewDense(8, 8, rng), NewTanh())
 	x := rng.Randn(7, 12)
-	snap := MustSnapshot(net)
-	if !bitEqual(net.Forward(x, false), snap.Forward(x)) {
-		t.Fatal("snapshot of tanh/relu net does not bit-match network")
+	want := portable(func() *tensor.Tensor { return net.Forward(x, false) })
+	for _, kernels := range kernelLegs {
+		kernels.run(func() {
+			if !bitEqual(want, MustSnapshot(net).Forward(x)) || !bitEqual(want, net.Forward(x, false)) {
+				t.Errorf("%s kernels: tanh/relu net does not bit-match the portable loops", kernels.name)
+			}
+		})
+	}
+}
+
+// im2colConv is a convolution as Im2Col × W + b, rearranged from
+// [batch·outH·outW, outC] to NCHW rows: the reference Conv2D's direct
+// forward is held to.
+func im2colConv(c *Conv2D, x *tensor.Tensor) *tensor.Tensor {
+	g, batch := c.Geom, x.Shape[0]
+	y := tensor.MatMul(tensor.Im2Col(x, g), c.W)
+	y.AddRowVector(c.B)
+	sp := g.OutH * g.OutW
+	out := tensor.New(batch, g.OutC*sp)
+	for b := 0; b < batch; b++ {
+		for s := 0; s < sp; s++ {
+			for oc := 0; oc < g.OutC; oc++ {
+				out.Data[(b*g.OutC+oc)*sp+s] = y.Data[(b*sp+s)*g.OutC+oc]
+			}
+		}
+	}
+	return out
+}
+
+// convLayers collects every Conv2D of a network, inside shake-shake
+// branches and skip projections too.
+func convLayers(layers []Layer) []*Conv2D {
+	var out []*Conv2D
+	for _, l := range layers {
+		switch l := l.(type) {
+		case *Conv2D:
+			out = append(out, l)
+		case *ShakeShake:
+			out = append(out, convLayers(l.Branch1.Layers)...)
+			out = append(out, convLayers(l.Branch2.Layers)...)
+			out = append(out, convLayers([]Layer{l.Skip})...)
+		}
+	}
+	return out
+}
+
+// TestConv2DTrainForwardMatchesIm2Col is the training-mode leg: on every
+// convolution of the zoo, of SS-14 on 3×32×32 and on the strided geometry
+// of TestConv2DStridedGradients, Forward(x, true) must bit-match
+// Im2Col × W + b on the portable loops, on every kernel leg.
+func TestConv2DTrainForwardMatchesIm2Col(t *testing.T) {
+	rng := tensor.NewRNG(52)
+	var convs []*Conv2D
+	for _, net := range append(zooModels(t), ss14Objects(t)) {
+		convs = append(convs, convLayers(net.Layers)...)
+	}
+	convs = append(convs, NewConv2D(tensor.ConvGeom{InC: 1, InH: 6, InW: 6, OutC: 2, KH: 3, KW: 3, Stride: 2, Pad: 1}, rng))
+	for _, c := range convs {
+		x := rng.Randn(3, c.Geom.InC*c.Geom.InH*c.Geom.InW)
+		want := portable(func() *tensor.Tensor { return im2colConv(c, x) })
+		for _, kernels := range kernelLegs {
+			kernels.run(func() {
+				if !bitEqual(want, c.Forward(x, true)) {
+					t.Errorf("%s, %s kernels: training forward does not bit-match Im2Col × W + b", c.Name(), kernels.name)
+				}
+			})
+		}
+	}
+}
+
+// TestNetworkForwardFollowsOptimizerStep is the staleness case: the
+// optimizer updates weights in place, so after a step the network's
+// inference forward must bit-match a snapshot compiled after it — a layer
+// that kept weights packed before the step would not.
+func TestNetworkForwardFollowsOptimizerStep(t *testing.T) {
+	rng := tensor.NewRNG(53)
+	spec, err := ObjectsExpert(2, 3, 8, 8, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := spec.Build(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := rng.Randn(4, inputWidth(net))
+	before := net.Forward(x, false)
+	net.ZeroGrads()
+	_, _, dLogits := SoftmaxCrossEntropy(net.Forward(x, true), []int{0, 1, 2, 3})
+	net.Backward(dLogits)
+	NewMomentum(0.1, 0.9).Step(net.Params(), net.Grads())
+	after := net.Forward(x, false)
+	if bitEqual(before, after) {
+		t.Fatal("the optimizer step left the forward unchanged; the case tests nothing")
+	}
+	if !bitEqual(after, MustSnapshot(net).Forward(x)) {
+		t.Fatal("after an optimizer step the network forward does not bit-match a fresh snapshot")
 	}
 }
 

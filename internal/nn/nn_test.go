@@ -397,3 +397,27 @@ func TestSizeBytesFloat32Deployment(t *testing.T) {
 		t.Fatalf("SizeBytes = %d", got)
 	}
 }
+
+// TestMaxPoolBackwardNonFiniteWindows pins where a window with no finite tap
+// sends its gradient: an all-NaN window (output −Inf) nowhere, an all-−Inf
+// window to its first tap.
+func TestMaxPoolBackwardNonFiniteWindows(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(-1)
+	l := NewMaxPool2D(1, 2, 4, 2)
+	// Two 2×2 windows: the left one all NaN, the right one all −Inf.
+	x := tensor.FromSlice([]float64{
+		nan, nan, inf, inf,
+		nan, nan, inf, inf,
+	}, 1, 8)
+	y := l.Forward(x, true)
+	if !math.IsInf(y.Data[0], -1) || !math.IsInf(y.Data[1], -1) {
+		t.Fatalf("pooled %v, want [-Inf -Inf]", y.Data)
+	}
+	dx := l.Backward(tensor.FromSlice([]float64{1, 2}, 1, 2))
+	want := []float64{0, 0, 2, 0, 0, 0, 0, 0}
+	for i, v := range want {
+		if dx.Data[i] != v {
+			t.Fatalf("input gradient %v, want %v", dx.Data, want)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"github.com/teamnet/teamnet/internal/tensor"
 )
@@ -12,9 +11,7 @@ type MaxPool2D struct {
 	C, H, W int // input geometry
 	K       int // pool window edge (stride == K)
 
-	outH, outW int
-	argmax     []int // winning input offset per output element
-	lastBatch  int
+	lastX, lastY *tensor.Tensor // the last forward's input and output
 }
 
 var _ Layer = (*MaxPool2D)(nil)
@@ -25,7 +22,7 @@ func NewMaxPool2D(c, h, w, k int) *MaxPool2D {
 	if k <= 0 || h%k != 0 || w%k != 0 {
 		panic(fmt.Sprintf("nn: maxpool %dx%d not divisible by %d", h, w, k))
 	}
-	return &MaxPool2D{C: c, H: h, W: w, K: k, outH: h / k, outW: w / k}
+	return &MaxPool2D{C: c, H: h, W: w, K: k}
 }
 
 // Name implements Layer.
@@ -35,49 +32,33 @@ func (m *MaxPool2D) Name() string {
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	batch := x.Shape[0]
-	m.lastBatch = batch
-	outN := batch * m.C * m.outH * m.outW
-	if cap(m.argmax) < outN {
-		m.argmax = make([]int, outN)
-	}
-	m.argmax = m.argmax[:outN]
-	out := tensor.New(batch, m.C*m.outH*m.outW)
-	for b := 0; b < batch; b++ {
-		img := x.Data[b*m.C*m.H*m.W:]
-		dst := out.Data[b*m.C*m.outH*m.outW:]
-		for c := 0; c < m.C; c++ {
-			for oy := 0; oy < m.outH; oy++ {
-				for ox := 0; ox < m.outW; ox++ {
-					best := math.Inf(-1)
-					bestOff := -1
-					for ky := 0; ky < m.K; ky++ {
-						for kx := 0; kx < m.K; kx++ {
-							off := c*m.H*m.W + (oy*m.K+ky)*m.W + ox*m.K + kx
-							if img[off] > best {
-								best = img[off]
-								bestOff = off
-							}
-						}
-					}
-					oi := c*m.outH*m.outW + oy*m.outW + ox
-					dst[oi] = best
-					m.argmax[b*m.C*m.outH*m.outW+oi] = bestOff
-				}
-			}
-		}
-	}
-	return out
+	m.lastX, m.lastY = x, runStep(m.step(), x)
+	return m.lastY
 }
 
-// Backward implements Layer; gradient routes to the winning input only.
+func (m *MaxPool2D) step() *maxPoolStep { return &maxPoolStep{c: m.C, h: m.H, w: m.W, k: m.K} }
+
+// Backward implements Layer. Each output's gradient goes to the first tap,
+// in window order, equal to the output — the tap tensor.MaxPoolInto chose,
+// since a tap wins only by being greater than every earlier one. An
+// all-NaN window (output −Inf, no tap equal to it) passes no gradient.
 func (m *MaxPool2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(m.lastBatch, m.C*m.H*m.W)
-	per := m.C * m.outH * m.outW
-	for b := 0; b < m.lastBatch; b++ {
-		img := out.Data[b*m.C*m.H*m.W:]
-		for oi := 0; oi < per; oi++ {
-			img[m.argmax[b*per+oi]] += grad.Data[b*per+oi]
+	if m.lastY == nil {
+		panic("nn: MaxPool2D.Backward before Forward")
+	}
+	outH, outW := m.H/m.K, m.W/m.K
+	out := tensor.New(m.lastX.Shape[0], m.C*m.H*m.W)
+	for o, v := range m.lastY.Data {
+		p, oy, ox := o/(outH*outW), o/outW%outH, o%outW
+		img, dst := m.lastX.Data[p*m.H*m.W:], out.Data[p*m.H*m.W:]
+	taps:
+		for ky := 0; ky < m.K; ky++ {
+			for kx := 0; kx < m.K; kx++ {
+				if off := (oy*m.K+ky)*m.W + ox*m.K + kx; img[off] == v {
+					dst[off] += grad.Data[o]
+					break taps
+				}
+			}
 		}
 	}
 	return out
@@ -105,23 +86,11 @@ func (g *GlobalAvgPool) Name() string {
 
 // Forward implements Layer.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	batch := x.Shape[0]
-	g.lastBatch = batch
-	sp := g.H * g.W
-	out := tensor.New(batch, g.C)
-	inv := 1 / float64(sp)
-	for b := 0; b < batch; b++ {
-		img := x.Data[b*g.C*sp:]
-		for c := 0; c < g.C; c++ {
-			s := 0.0
-			for _, v := range img[c*sp : (c+1)*sp] {
-				s += v
-			}
-			out.Data[b*g.C+c] = s * inv
-		}
-	}
-	return out
+	g.lastBatch = x.Shape[0]
+	return runStep(g.step(), x)
 }
+
+func (g *GlobalAvgPool) step() *gapStep { return &gapStep{c: g.C, sp: g.H * g.W} }
 
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(grad *tensor.Tensor) *tensor.Tensor {

@@ -17,7 +17,7 @@ import (
 // to choose the split point.
 
 // LayerCost is the static cost profile of one compiled step: its per-sample
-// FLOP count (mirroring LayerFLOPs' accounting) and its input/output
+// FLOP count (LayerFLOPs of its layer) and its input/output
 // activation widths. A width of -1 means the width is not determined by the
 // architecture alone (only possible for width-preserving steps at the very
 // edge of a network with no fixed-width step to anchor them).
@@ -76,11 +76,11 @@ func (s *Snapshot) checkRange(from, to, width int) {
 }
 
 // profileSteps resolves the activation width at every step boundary and the
-// per-step FLOP cost. Widths flow forward from fixed-width steps (dense,
-// conv, batchnorm, pools); a trailing backward pass fills leading
-// width-preserving steps (activations before any anchored step) from the
-// first anchored boundary.
-func profileSteps(steps []inferStep) (widths []int, costs []LayerCost) {
+// per-step FLOP cost, LayerFLOPs of the layer step i was compiled from.
+// Widths flow forward from fixed-width steps (dense, conv, batchnorm,
+// pools); a trailing backward pass fills leading width-preserving steps
+// (activations before any anchored step) from the first anchored boundary.
+func profileSteps(layers []Layer, steps []inferStep) (widths []int, costs []LayerCost) {
 	n := len(steps)
 	widths = make([]int, n+1)
 	w := -1
@@ -104,7 +104,7 @@ func profileSteps(steps []inferStep) (widths []int, costs []LayerCost) {
 		costs[i] = LayerCost{
 			Index:    i,
 			Name:     stepName(st),
-			FLOPs:    stepFlops(st, widths[i]),
+			FLOPs:    LayerFLOPs(layers[i]),
 			InWidth:  widths[i],
 			OutWidth: widths[i+1],
 		}
@@ -164,7 +164,7 @@ func stepOutWidth(st inferStep, in int) int {
 	case *convStep:
 		return s.geom.OutC * s.geom.OutH * s.geom.OutW
 	case *maxPoolStep:
-		return s.c * s.outH * s.outW
+		return s.c * (s.h / s.k) * (s.w / s.k)
 	case *gapStep:
 		return s.c
 	case *shakeStep:
@@ -179,41 +179,6 @@ func stepsOutWidth(steps []inferStep, in int) int {
 		in = stepOutWidth(st, in)
 	}
 	return in
-}
-
-// stepFlops mirrors LayerFLOPs step for step, so summing a snapshot's
-// LayerCosts reproduces NetworkFLOPs of the source network exactly.
-func stepFlops(st inferStep, in int) float64 {
-	switch s := st.(type) {
-	case *denseStep:
-		return 2 * float64(s.in) * float64(s.out)
-	case *convStep:
-		g := s.geom
-		return 2 * float64(g.PatchLen()) * float64(g.OutC) * float64(g.OutH*g.OutW)
-	case *bnStep:
-		return 4 * float64(s.c*s.s)
-	case *maxPoolStep:
-		return float64(s.c * s.h * s.w)
-	case *gapStep:
-		return float64(s.c * s.sp)
-	case *shakeStep:
-		total := stepsFlops(s.b1, in) + stepsFlops(s.b2, in)
-		if s.skip != nil {
-			total += stepFlops(s.skip, in)
-		}
-		return total + 3*float64(stepsOutWidth(s.b1, in))
-	default:
-		return 0
-	}
-}
-
-func stepsFlops(steps []inferStep, in int) float64 {
-	total := 0.0
-	for _, st := range steps {
-		total += stepFlops(st, in)
-		in = stepOutWidth(st, in)
-	}
-	return total
 }
 
 func stepName(st inferStep) string {

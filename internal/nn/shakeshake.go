@@ -40,6 +40,8 @@ func (s *ShakeShake) Name() string {
 }
 
 // Forward implements Layer: out = alpha·B1(x) + (1-alpha)·B2(x) + skip(x).
+// At inference alpha is ½ and the mix is tensor.MixHalvesInto, the snapshot
+// step's own.
 func (s *ShakeShake) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	alpha := 0.5
 	if train {
@@ -49,15 +51,22 @@ func (s *ShakeShake) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	s.lastTrain = train
 	y1 := s.Branch1.Forward(x, train)
 	y2 := s.Branch2.Forward(x, train)
-	out := tensor.Add(tensor.Scale(y1, alpha), tensor.Scale(y2, 1-alpha))
+	if !y2.SameShape(y1) {
+		panic(fmt.Sprintf("nn: shake-shake branch shapes differ: %v vs %v", y1.Shape, y2.Shape))
+	}
 	res := x
 	if s.Skip != nil {
 		res = s.Skip.Forward(x, train)
 	}
-	if !res.SameShape(out) {
-		panic(fmt.Sprintf("nn: shake-shake residual shape %v != branch shape %v (missing skip projection?)", res.Shape, out.Shape))
+	if !res.SameShape(y1) {
+		panic(fmt.Sprintf("nn: shake-shake residual shape %v != branch shape %v (missing skip projection?)", res.Shape, y1.Shape))
 	}
-	return tensor.Add(out, res)
+	if !train {
+		out := tensor.New(y1.Shape...)
+		tensor.MixHalvesInto(out.Data, y1.Data, y2.Data, res.Data)
+		return out
+	}
+	return tensor.Add(tensor.Add(tensor.Scale(y1, alpha), tensor.Scale(y2, 1-alpha)), res)
 }
 
 // Backward implements Layer. At training time an independent beta replaces

@@ -2,9 +2,10 @@ package tensor
 
 import "fmt"
 
-// Direct convolution for the inference snapshots (internal/nn). Training
-// lowers a convolution to Im2Col(x) × W; DirectConv computes the same sums
-// straight from a zero-padded copy of the image: a register tile of 4 output
+// Direct convolution: the forward of every internal/nn convolution, in
+// training and at inference alike. It computes the sums of Im2Col(x) × W —
+// the lowering the training backward still multiplies through — straight
+// from a zero-padded copy of the image: a register tile of 4 output
 // channels × two groups of output pixels walks the receptive field tap by
 // tap, so every input load is reused across four channels, every weight
 // across the tile's pixels, and the working set is the padded image

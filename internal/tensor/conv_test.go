@@ -282,3 +282,14 @@ func BenchmarkConvTile(b *testing.B) {
 		}
 	}
 }
+
+// peaks caches PeakGFLOPS per width, so every benchmark of one run reads its
+// share against the same figure.
+var peaks = map[int]float64{}
+
+func peakGFLOPS(lanes int) float64 {
+	if _, ok := peaks[lanes]; !ok {
+		peaks[lanes] = PeakGFLOPS(lanes)
+	}
+	return peaks[lanes]
+}

@@ -59,15 +59,6 @@ func (t *Tensor) AddScaled(u *Tensor, alpha float64) {
 	}
 }
 
-// Apply returns f applied element-wise to t in a new tensor.
-func Apply(t *Tensor, f func(float64) float64) *Tensor {
-	out := New(t.Shape...)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // ApplyInPlace applies f element-wise to t, mutating it.
 func (t *Tensor) ApplyInPlace(f func(float64) float64) {
 	for i, v := range t.Data {
@@ -191,11 +182,18 @@ func (t *Tensor) AddRowVector(v *Tensor) {
 	if v.Size() != c {
 		panic(fmt.Sprintf("tensor: AddRowVector vector size %d != cols %d", v.Size(), c))
 	}
-	for i := 0; i < r; i++ {
-		row := t.Data[i*c : (i+1)*c]
+	AddBias(t.Data[:r*c], v.Data)
+}
+
+// AddBias adds bias to every len(bias)-wide row of y in place: the bias of
+// a dense layer, as AddRowVector and the inference snapshots apply it.
+func AddBias(y, bias []float64) {
+	for len(y) >= len(bias) && len(bias) > 0 {
+		row := y[:len(bias)]
 		for j := range row {
-			row[j] += v.Data[j]
+			row[j] += bias[j]
 		}
+		y = y[len(bias):]
 	}
 }
 

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "time"
+
 // SIMD GEMM inner kernel (AVX). The assembly routine accumulates a column
 // chunk of one output row — dst[j] += arow[t]·b[t·stride+j] — holding the
 // chunk in ymm registers across the whole k extent, so dst memory traffic
@@ -166,5 +168,27 @@ func mixHalvesAVX(dst, a, b, r *float64, n int)
 
 // peakMulAddAVX runs iters rounds of eight independent register-only
 // VMULPD/VADDPD pairs on registers of lanes float64s (4: ymm, 8: zmm), the
-// machine peak of BenchmarkPeakMulAdd.
+// machine peak of BenchmarkPeakMulAdd and PeakGFLOPS.
 func peakMulAddAVX(iters, lanes int)
+
+// PeakGFLOPS measures the no-FMA float64 ceiling of one core at lanes-wide
+// registers (4: ymm, 8: zmm) — eight independent register-only multiply/add
+// chains, no loads — as the best of fifty short runs, in GFLOP/s, or 0 where
+// that width cannot run. Kernels and forward passes are read as a share of
+// it (BenchmarkConvTile, internal/bench's forward gate).
+func PeakGFLOPS(lanes int) float64 {
+	if !peakRuns(lanes) {
+		return 0
+	}
+	const iters = 1 << 16
+	best := 0.0
+	for r := 0; r < 50; r++ {
+		start := time.Now()
+		peakMulAddAVX(iters, lanes)
+		best = max(best, 16*float64(lanes*iters)/time.Since(start).Seconds()/1e9)
+	}
+	return best
+}
+
+// peakRuns reports whether this machine has lanes-wide registers.
+func peakRuns(lanes int) bool { return useSIMD && (lanes == 4 || lanes == 8 && useAVX512) }

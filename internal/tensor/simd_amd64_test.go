@@ -5,7 +5,6 @@ package tensor
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 // TestMatMulSIMDMatchesGeneric pins the bit-exactness contract of the AVX
@@ -103,29 +102,6 @@ func BenchmarkPeakMulAdd(b *testing.B) {
 		})
 	}
 }
-
-// peaks caches peakGFLOPS per width, so every benchmark of one run reads
-// its share against the same figure.
-var peaks = map[int]float64{}
-
-// peakGFLOPS is the best of fifty short runs of the lanes-wide peak loop,
-// in GFLOP/s, or 0 where that width cannot run.
-func peakGFLOPS(lanes int) float64 {
-	if p, ok := peaks[lanes]; ok || !peakRuns(lanes) {
-		return p
-	}
-	const iters = 1 << 16
-	best := 0.0
-	for r := 0; r < 50; r++ {
-		start := time.Now()
-		peakMulAddAVX(iters, lanes)
-		best = max(best, 16*float64(lanes*iters)/time.Since(start).Seconds()/1e9)
-	}
-	peaks[lanes] = best
-	return best
-}
-
-func peakRuns(lanes int) bool { return useSIMD && (lanes == 4 || useAVX512) }
 
 func regName(lanes int) string {
 	if lanes == 8 {

@@ -17,6 +17,9 @@ func WithoutAVX512(f func()) { f() }
 // WithoutSIMD runs f: the portable loops are the only ones here.
 func WithoutSIMD(f func()) { f() }
 
+// PeakGFLOPS is 0: there is no measured peak to read a kernel against.
+func PeakGFLOPS(lanes int) float64 { return 0 }
+
 // matMulRangeSIMD is never called when useSIMD is false; this stub keeps
 // the dispatch in matMulRange compiling on every platform.
 func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
