@@ -45,7 +45,11 @@ linkcheck:
 # master's peers (internal/cluster/front.go), not a router's targets; and
 # each layer kind's inference arithmetic is written once — a layer's Forward
 # runs its snapshot step (internal/nn/freeze.go), so no second conv
-# rearrangement, bias loop or step FLOP count comes back.
+# rearrangement, bias loop or step FLOP count comes back; and what a round
+# trip to a peer costs is one estimate on its peerConn
+# (internal/cluster/cost.go) that the front's pick, the hedge timer and the
+# split planner all read — no second EWMA, histogram seeding or planner-side
+# peer model comes back.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -65,6 +69,8 @@ one-loop:
 		echo "a second supervision scheme is back (a gateway's masters are a front master's peers)"; exit 1; fi
 	@if grep -rnw 'spatialToNCHW\|addBiasRows\|stepFlops\|stepsFlops' --include=*.go .; then \
 		echo "a second copy of an inference expression is back (a layer's Forward runs its snapshot step)"; exit 1; fi
+	@if grep -rnw 'noteRTT\|seedSplitPlanner\|SeedPeer\|ObservePeer\|peerModel' --include=*.go .; then \
+		echo "a second per-peer cost estimate is back (one peerCost per peer: internal/cluster/cost.go)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its

@@ -124,21 +124,24 @@ func splitResultWireBytes(batch, classes int) int {
 	return tensor64WireBytes(batch, classes) + entropyWireBytes(batch)
 }
 
-// calibratePlanner feeds the planner exact observations of the device and
-// link models at three operating points, so its affine estimators recover
-// the models exactly — the sweep then tests the planner's ranking, not its
-// regression noise (the live path's noisy-measurement behavior is covered
-// by the planner's own unit tests).
-func calibratePlanner(pl *split.Planner, prof split.Profile, head, tail edgesim.Device, net edgesim.Net, batch, classes int) {
-	const peer = "sim-peer"
+// calibratePlanner feeds the planner's local fit and the returned peer's
+// link and compute fits exact observations of the device and link models at
+// three operating points, so the fits recover the models exactly — the sweep
+// then tests the planner's ranking, not its regression noise (the live
+// path's noisy-measurement behavior is covered by the planner's own unit
+// tests).
+func calibratePlanner(pl *split.Planner, prof split.Profile, head, tail edgesim.Device, net edgesim.Net, batch, classes int) split.Peer {
+	peer := split.Peer{Addr: "sim-peer"}
 	resBytes := splitResultWireBytes(batch, classes)
 	for _, frac := range []float64{0.2, 0.6, 1.0} {
 		f := prof.TotalFLOPs * frac
 		pl.ObserveLocal(f, secToDur(head.ComputeTime(f, false)))
 		reqBytes := splitRequestWireBytes(batch, int(float64(prof.Boundaries[0].Width)*frac)+1)
 		netSec := net.Unicast(reqBytes) + net.Unicast(resBytes)
-		pl.ObservePeer(peer, f, secToDur(tail.ComputeTime(f, true)), reqBytes+resBytes, secToDur(netSec))
+		peer.Compute.Observe(f, secToDur(tail.ComputeTime(f, true)).Seconds())
+		peer.Link.Observe(float64(reqBytes+resBytes), secToDur(netSec).Seconds())
 	}
+	return peer
 }
 
 func secToDur(sec float64) time.Duration {
@@ -192,8 +195,8 @@ func RunSplitBench(cfg SplitBenchConfig) (*SplitReport, error) {
 		pl := split.New(prof, split.Options{WireBytes: func(b, width int) int {
 			return splitRequestWireBytes(b, width) + splitResultWireBytes(b, classes)
 		}})
-		calibratePlanner(pl, prof, head, tail, wire, batch, classes)
-		d := pl.Plan(batch)
+		peer := calibratePlanner(pl, prof, head, tail, wire, batch, classes)
+		d := pl.Plan(batch, []split.Peer{peer})
 
 		res := SplitLinkResult{SplitLinkSpec: ls, AutoSplit: d.Split, BestSplit: -1}
 		for _, b := range prof.Boundaries {

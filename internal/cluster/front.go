@@ -16,12 +16,13 @@ import (
 // Do forwards each Request unchanged to one of them through peerConn.do, so
 // the hop has the breaker, probes, retries, hedge and retry budget a
 // worker's has (DESIGN.md §12). The pick is the available peer with the
-// least (round trips in flight on its link + 1) × recent rtt (noteRTT); an
-// unmeasured peer is scored at the fastest measured one's rtt and goes first
-// among equals. Any error but the caller's ctx fails over once and benches
-// the peer behind the others until it next succeeds, one request trying it
-// first per errTrial; a master's error reply does not strike, as a worker's
-// does not. With every master quarantined a request fails fast.
+// least (round trips in flight on its link + 1) × its mean recent round trip
+// (its cost estimate, cost.go); an unmeasured peer is scored at the fastest
+// measured one's and goes first among equals. Any error but the caller's ctx
+// fails over once and benches the peer behind the others until it next
+// succeeds, one request trying it first per errTrial; a master's error reply
+// does not strike, as a worker's does not. With every master quarantined a
+// request fails fast.
 
 // NewFront returns a master with no local expert that routes each request to
 // one of its peers, all of them masters answering classes-wide replies.
@@ -50,19 +51,19 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 		return Reply{}, errNoMasters
 	}
 	type ranked struct {
-		p                   *peerConn
-		tier                int // 0: a benched peer's trial, 1: unbenched, 2: benched
-		score, load, recent int64
+		p                *peerConn
+		tier             int // 0: a benched peer's trial, 1: unbenched, 2: benched
+		score, load, rtt int64
 	}
 	var picks []ranked
-	var base int64 // the fastest available peer's recent rtt: an unmeasured one's
+	var base int64 // the fastest available peer's mean rtt: an unmeasured one's
 	for _, p := range peers {
 		if !p.available() {
 			continue
 		}
-		r := ranked{p: p, tier: 1, load: p.link.load.Load() + 1, recent: p.recent.Load()}
-		if r.recent > 0 && (base == 0 || r.recent < base) {
-			base = r.recent
+		r := ranked{p: p, tier: 1, load: p.link.load.Load() + 1, rtt: int64(p.cost.mean())}
+		if r.rtt > 0 && (base == 0 || r.rtt < base) {
+			base = r.rtt
 		}
 		picks = append(picks, r)
 	}
@@ -72,7 +73,7 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 	now, trial := time.Now().UnixNano(), false
 	for i := range picks {
 		r := &picks[i]
-		r.score = r.load * cmp.Or(r.recent, base, 1) // nothing measured: the load alone
+		r.score = r.load * cmp.Or(r.rtt, base, 1) // nothing measured: the load alone
 		if at := r.p.benched.Load(); at != 0 {
 			r.tier = 2
 			if !trial && at <= now && r.p.benched.CompareAndSwap(at, now+int64(errTrial)) {
@@ -82,7 +83,7 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 	}
 	slices.SortStableFunc(picks, func(a, b ranked) int {
 		return cmp.Or(cmp.Compare(a.tier, b.tier), cmp.Compare(a.score, b.score),
-			cmp.Compare(a.load, b.load), cmp.Compare(a.recent, b.recent))
+			cmp.Compare(a.load, b.load), cmp.Compare(a.rtt, b.rtt))
 	})
 	q := queryOf(req, m.classes)
 	var err error
@@ -103,21 +104,6 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 		r.p.benched.CompareAndSwap(0, time.Now().Add(errTrial).UnixNano())
 	}
 	return Reply{}, err
-}
-
-// noteRTT folds one successful round trip into the peer's recent rtt, an
-// EWMA of weight 1/4 seeded by the first sample.
-func (p *peerConn) noteRTT(rtt time.Duration) {
-	for {
-		old := p.recent.Load()
-		next := int64(rtt)
-		if old != 0 {
-			next = old + (next-old)/4
-		}
-		if p.recent.CompareAndSwap(old, next) {
-			return
-		}
-	}
 }
 
 // Disconnect drops the peer at addr — a master that left a front's roster —

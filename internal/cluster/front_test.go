@@ -329,8 +329,8 @@ func TestFrontBenchesAnErroringMaster(t *testing.T) {
 // TestFrontFollowsASlowedMaster: the pick reads a master's recent rtt, not
 // its mean since start — after a long warm-up at loopback speed, a master
 // slowed to a few times the rtt at which 8 in flight on the other master
-// outweigh it loses its share within a few round trips, long before its
-// mean would cross that line.
+// outweigh it loses its share once a window of its round trips has seen the
+// slowdown, long before its mean since start would cross that line.
 func TestFrontFollowsASlowedMaster(t *testing.T) {
 	slowed, proxy, slowedAddr := proxiedMasterNode(t, 370, 1)
 	fast, fastAddr := masterNode(t, 371, 2)
@@ -347,10 +347,16 @@ func TestFrontFollowsASlowedMaster(t *testing.T) {
 
 	// Each direction's chunk waits 12 fast round trips: the slowed master's
 	// rtt becomes ~24 of the fast one's, 3× the line.
-	delay := max(12*time.Duration(f.snapshotPeers()[1].recent.Load()), time.Millisecond)
+	peers := f.snapshotPeers()
+	delay := max(12*peers[1].cost.mean(), time.Millisecond)
 	proxy.SetPlan(chaos.Fault{Mode: chaos.Latency, Delay: delay})
-	for range 2 { // its recent rtt catches up
-		if failed := burst(f, 8, x); failed != 0 {
+	// Its recent rtt catches up within a window of its round trips, driven
+	// past the line by bursts twice as wide.
+	for i := 0; peers[0].cost.mean() < 8*peers[1].cost.mean(); i++ {
+		if i == costWindow {
+			t.Fatalf("after %d bursts the slowed master's recent rtt is %v, the fast one's %v", i, peers[0].cost.mean(), peers[1].cost.mean())
+		}
+		if failed := burst(f, 16, x); failed != 0 {
 			t.Fatalf("%d requests failed while the master slowed", failed)
 		}
 	}

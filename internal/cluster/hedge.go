@@ -11,28 +11,32 @@ import (
 // edge link a peer's p99 can sit an order of magnitude above its p50 — one
 // slow round trip drags the whole gather to the timeout even though the
 // peer is healthy. Instead of waiting the full per-peer timeout, a hedged
-// round trip arms a timer at the peer's own live p95 (read from the
-// "peer.<addr>.rtt" histogram the runtime already records) and, when it
-// fires, launches a duplicate request down the same mux link. First reply
-// wins; the loser is cancelled via its context, which the mux path treats
-// as a caller abort — no breaker accounting, the link stays up, the late
-// reply is dropped by id. The duplicate is only sent when the shared
-// RetryBudget funds it, so hedging cannot become its own storm during a
-// brownout (the exact moment everything looks slow).
+// round trip arms a timer at the p95 of the peer's recent round trips (its
+// cost estimate, cost.go) and, when it fires, launches a duplicate request
+// down the same mux link. First reply wins; the loser is cancelled via its
+// context, which the mux path treats as a caller abort — no breaker
+// accounting, the link stays up, the late reply is dropped by id. The
+// duplicate is only sent when the shared RetryBudget funds it, so hedging
+// cannot become its own storm during a brownout (the exact moment
+// everything looks slow), and only while the peer's duplicates pay: once
+// hedgeColdAfter timer expiries have passed since one last won, only every
+// hedgeTrialEvery-th expiry fires, the trial whose win re-arms the hedge.
 //
 // Counters: "hedge.fired" (duplicates launched), "hedge.won" (duplicate
 // answered first), "hedge.wasted" (primary answered after the duplicate was
 // already in flight).
 
-// The hedge timer's tuning: the peer's live p95 once its histogram holds
-// hedgeMinSamples round trips, clamped into [hedgeMinDelay, hedgeMaxDelay] —
-// never faster (sub-RTT duplicates are pure waste), never slower (whatever
-// the histogram says).
+// The hedge timer's tuning: the p95 of the peer's recent round trips once
+// the window holds hedgeMinSamples, clamped into [hedgeMinDelay,
+// hedgeMaxDelay] — never faster (sub-RTT duplicates are pure waste), never
+// slower (whatever the window says); and the cold peer's trial cadence.
 const (
 	hedgeQuantile   = 0.95
 	hedgeMinSamples = 20
 	hedgeMinDelay   = 2 * time.Millisecond
 	hedgeMaxDelay   = 250 * time.Millisecond
+	hedgeColdAfter  = 8
+	hedgeTrialEvery = 32
 )
 
 // SetHedge turns per-peer request hedging on or off. Off by default: hedging
@@ -40,17 +44,32 @@ const (
 // explicitly. Affects peers connected before and after the call.
 func (m *Master) SetHedge(on bool) { m.hedge.Store(on) }
 
-// hedgeDelay resolves this peer's hedge timer from its live rtt histogram.
-// ok is false when hedging is off or the peer has too few samples.
+// hedgeDelay resolves this peer's hedge timer from its recent round trips.
+// ok is false when hedging is off or the window holds too few samples.
 func (p *peerConn) hedgeDelay() (time.Duration, bool) {
 	if !p.m.hedge.Load() {
 		return 0, false
 	}
-	h := p.m.metrics.Histogram("peer." + p.addr + ".rtt")
-	if h.Count() < hedgeMinSamples {
+	d, n := p.cost.quantile(hedgeQuantile)
+	if n < hedgeMinSamples {
 		return 0, false
 	}
-	return min(max(time.Duration(h.Quantile(hedgeQuantile)), hedgeMinDelay), hedgeMaxDelay), true
+	return min(max(d, hedgeMinDelay), hedgeMaxDelay), true
+}
+
+// hedgeDue counts one timer expiry and reports whether it may fire: each of
+// the first hedgeColdAfter since a duplicate last won, then every
+// hedgeTrialEvery-th.
+func (p *peerConn) hedgeDue() bool {
+	n := p.unwon.Add(1)
+	return n <= hedgeColdAfter || n%hedgeTrialEvery == 0
+}
+
+// hedgeWon counts a duplicate that answered first and re-arms the peer's
+// hedge.
+func (p *peerConn) hedgeWon() {
+	p.m.metrics.Counter("hedge.won").Inc()
+	p.unwon.Store(0)
 }
 
 // hedgeOutcome is one arm's result in the first-reply-wins race.
@@ -97,7 +116,7 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 				hcancel()
 				if fired {
 					if o.hedge {
-						p.m.metrics.Counter("hedge.won").Inc()
+						p.hedgeWon()
 					} else {
 						p.m.metrics.Counter("hedge.wasted").Inc()
 					}
@@ -110,7 +129,7 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 			}
 		case <-timerC:
 			timerC = nil
-			if !p.available() {
+			if !p.available() || !p.hedgeDue() {
 				continue
 			}
 			if !p.allowSpend("hedge") {

@@ -9,11 +9,11 @@ import (
 )
 
 // Hedging tests: the tail-tolerance half of the SLO-defense layer. A peer
-// whose rtt histogram says "you should have heard back by now" gets a
+// whose recent round trips say "you should have heard back by now" gets a
 // duplicate request down the same mux link; first reply wins, the loser is
-// a caller abort. These pin the timer seeding, the counter accounting, the
-// budget gate, and that hedging never feeds the breaker. All run under
-// -race via the verify target.
+// a caller abort. These pin the timer, the counter accounting, the budget
+// gate, the cold peer's trials, and that hedging never feeds the breaker.
+// All run under -race via the verify target.
 
 // TestHedgeDisabledByDefault: a fresh master never hedges, whatever the
 // histograms say.
@@ -36,10 +36,10 @@ func TestHedgeDisabledByDefault(t *testing.T) {
 	_ = worker
 }
 
-// TestHedgeDelaySeededFromHistogram: the timer comes from the peer's live
-// rtt quantile, gated on hedgeMinSamples and clamped into [hedgeMinDelay,
-// hedgeMaxDelay].
-func TestHedgeDelaySeededFromHistogram(t *testing.T) {
+// TestHedgeDelayFromRecentRoundTrips: the timer is the p95 of the peer's
+// recent round trips, gated on hedgeMinSamples and clamped into
+// [hedgeMinDelay, hedgeMaxDelay].
+func TestHedgeDelayFromRecentRoundTrips(t *testing.T) {
 	_, addr := snapshotWorker(t, 112, 1)
 	master := NewMaster(nil, 3)
 	defer master.Close()
@@ -50,7 +50,7 @@ func TestHedgeDelaySeededFromHistogram(t *testing.T) {
 	p := master.peers[0]
 
 	if _, ok := p.hedgeDelay(); ok {
-		t.Fatal("hedgeDelay trusted an empty histogram")
+		t.Fatal("hedgeDelay trusted an empty window")
 	}
 	x := tensor.NewRNG(113).Randn(1, 4)
 	for i := 0; i < hedgeMinSamples-1; i++ {
@@ -66,7 +66,7 @@ func TestHedgeDelaySeededFromHistogram(t *testing.T) {
 	}
 	d, ok := p.hedgeDelay()
 	if !ok {
-		t.Fatal("hedgeDelay refused a warmed histogram")
+		t.Fatal("hedgeDelay refused a warmed window")
 	}
 	// A loopback round trip against a tiny expert sits well under
 	// hedgeMinDelay, so the clamp must hold; and nothing can exceed
@@ -82,7 +82,7 @@ func TestHedgeDelaySeededFromHistogram(t *testing.T) {
 	}
 }
 
-// TestHedgeFiresOnSlowPeer: warm the histogram over a transparent proxy,
+// TestHedgeFiresOnSlowPeer: warm the window over a transparent proxy,
 // then inject latency an order of magnitude above the hedge delay. Every
 // slow round trip must fire a duplicate, the race must account each fired
 // hedge as won or wasted, answers stay correct, and the breaker never
@@ -133,6 +133,70 @@ func TestHedgeFiresOnSlowPeer(t *testing.T) {
 	}
 	// The race's losers were cancelled and reaped: nothing left in flight.
 	waitForGaugeZero(t, master, "mux.inflight", 2*time.Second)
+}
+
+// TestHedgeFollowsASlowedPeer: the timer reads the peer's recent round
+// trips, not its p95 since start, and a peer whose duplicates never win
+// stops firing until a trial wins. After a long warm-up at loopback speed
+// the link slows: within one window of round trips the delay covers the
+// slowed round trip, long before a p95 since start would move. Duplicates
+// ride the same slowed link behind their primaries, so none wins: after
+// hedgeColdAfter expiries only every hedgeTrialEvery-th fires, until a
+// trial wins and re-arms the hedge.
+func TestHedgeFollowsASlowedPeer(t *testing.T) {
+	proxy, addr := chaosWorker(t, 118, 1)
+	master := NewMaster(nil, 3)
+	defer master.Close()
+	master.SetTimeout(2 * time.Second)
+	if err := master.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	master.SetHedge(true)
+	p := master.peers[0]
+	x := tensor.NewRNG(119).Randn(1, 4)
+	infer := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, _, err := master.Infer(x); err != nil {
+				t.Fatalf("query %d: %v", i, err)
+			}
+		}
+	}
+	infer(1000)
+
+	const delay = 3 * time.Millisecond // each direction: a round trip of over 2×delay
+	proxy.SetPlan(chaos.Fault{Mode: chaos.Latency, Delay: delay})
+	infer(costWindow)
+	if d, ok := p.hedgeDelay(); !ok || d < 2*delay {
+		t.Fatalf("after %d slowed round trips the hedge delay is %v (armed %v), want ≥ %v", costWindow, d, ok, 2*delay)
+	}
+
+	const slowed = 200
+	infer(slowed)
+	reg := master.Metrics()
+	fired, won := reg.Counter("hedge.fired").Value(), reg.Counter("hedge.won").Value()
+	// Each slowed query expires the timer at most once.
+	if limit := int64(hedgeColdAfter + (costWindow+slowed)/hedgeTrialEvery); won == 0 && fired > limit {
+		t.Fatalf("%d duplicates fired, none won, over %d slowed queries: want ≤ %d", fired, costWindow+slowed, limit)
+	}
+
+	// Cold: one expiry in hedgeTrialEvery fires, the trial.
+	due := 0
+	for range hedgeTrialEvery {
+		if p.hedgeDue() {
+			due++
+		}
+	}
+	if won == 0 && due != 1 {
+		t.Fatalf("a cold peer fired %d of %d expiries, want the one trial", due, hedgeTrialEvery)
+	}
+	// A trial that wins re-arms it: the next hedgeColdAfter expiries fire.
+	p.hedgeWon()
+	for i := range hedgeColdAfter {
+		if !p.hedgeDue() {
+			t.Fatalf("expiry %d after a won trial did not fire", i)
+		}
+	}
 }
 
 // TestHedgeRespectsRetryBudget: with the shared budget dry, the timer still

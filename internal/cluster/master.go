@@ -67,7 +67,8 @@ type peerConn struct {
 	probing bool
 	closed  bool
 
-	recent  atomic.Int64 // EWMA of successful MsgDo rtts in ns, 0 until one: a front's pick
+	cost    peerCost     // what a round trip to the peer costs (cost.go)
+	unwon   atomic.Int64 // hedge timer expiries since a duplicate last won (hedge.go)
 	benched atomic.Int64 // a front's next trial of the peer while its last answer erred, else 0
 }
 
@@ -192,10 +193,14 @@ func (m *Master) ensemble(ctx context.Context, local *nn.Snapshot, x *tensor.Ten
 
 // encodeInput serializes the broadcast request — x for each peer's own
 // expert — under a "serialize" span. The same payload is shared by every
-// peer round trip.
-func (m *Master) encodeInput(x *tensor.Tensor, tr *trace.Tracer, root trace.Context) peerQuery {
+// peer round trip. A peer's expert is priced at the FLOPs of local, the
+// team's one architecture (none without a local expert).
+func (m *Master) encodeInput(x *tensor.Tensor, local *nn.Snapshot, tr *trace.Tracer, root trace.Context) peerQuery {
 	start := time.Now()
 	q := queryOf(Request{X: x, Policy: Policy{Gather: Own}}, m.classes)
+	if local != nil {
+		q.flops = local.FLOPs(0, local.Steps()) * float64(x.Shape[0])
+	}
 	d := time.Since(start)
 	m.metrics.Observe("infer.serialize", d)
 	tr.Record(root, "serialize", "", "", start, d)
@@ -248,7 +253,7 @@ func (m *Master) gather(ctx context.Context, local *nn.Snapshot, x *tensor.Tenso
 	resc := make(chan slotResult, nodes)
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	query := m.encodeInput(x, tr, root)
+	query := m.encodeInput(x, local, tr, root)
 	launched := 0
 	for i, p := range peers {
 		slot := i

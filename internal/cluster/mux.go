@@ -436,7 +436,7 @@ func (l *link) attempt(ctx context.Context, done <-chan struct{}, q peerQuery, d
 		mc.fail(err)
 		return Reply{}, tm, err, muxLinkFault
 	}
-	tm.remote = r.compute
+	tm.remote, tm.wire = r.compute, 2+len(q.pin)+len(q.payload)+len(r.payload)
 	return res, tm, nil, muxOK
 }
 
@@ -509,7 +509,7 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 			}
 		}
 		res, tm, err, outcome := p.attempt(ctx, done, cfg.DialTimeout, q)
-		p.emitAttempt(tr, peerCtx, q.series, tm, err)
+		p.emitAttempt(tr, peerCtx, q, tm, err)
 		if err == nil {
 			p.recordSuccess()
 			return res, nil

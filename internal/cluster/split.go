@@ -16,9 +16,10 @@ import (
 // Partial offload on the master (DESIGN.md §13): run the head of the local
 // expert here, ship the boundary activation to a peer, let the peer finish
 // the tail from its own snapshot. The split point comes from an
-// internal/split planner fed three live signals — local head timings, peer
-// self-timed tail compute, and round-trip-minus-compute link cost — plus
-// the static per-boundary FLOP/width profile; whole-local and whole-remote
+// internal/split planner fed three live signals — local head timings, and
+// each peer's compute and link fits from its cost estimate (cost.go), which
+// every round trip to the peer feeds, whole query or tail — plus the static
+// per-boundary FLOP/width profile; whole-local and whole-remote
 // are ordinary candidates, so `-split auto` strictly subsumes the binary
 // offload choice. Offload failures degrade, never fail the query: a
 // version-mismatched peer (mid-rollout fleet) gets the whole query instead
@@ -107,8 +108,21 @@ func (m *Master) SplitPlanReport(batch int) *split.Report {
 	if pl == nil {
 		return nil
 	}
-	r := pl.Report(batch)
+	r := pl.Report(batch, m.splitPeers())
 	return &r
+}
+
+// splitPeers is every peer's fits, in connection order: the planner's view
+// of the peers.
+func (m *Master) splitPeers() []split.Peer {
+	peers := m.snapshotPeers()
+	out := make([]split.Peer, len(peers))
+	for i, p := range peers {
+		p.cost.mu.Lock()
+		out[i] = split.Peer{Addr: p.addr, Link: p.cost.link, Compute: p.cost.compute}
+		p.cost.mu.Unlock()
+	}
+	return out
 }
 
 // splitQuery answers one batch through the partial-offload path: head
@@ -162,8 +176,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		if pl == nil {
 			return Reply{}, fmt.Errorf("cluster: auto split requires EnableSplit")
 		}
-		m.seedSplitPlanner(pl, batch)
-		d := pl.Decide(batch)
+		d := pl.Decide(batch, m.splitPeers())
 		at, peerAddr = d.Split, d.Peer
 		if d.Explore {
 			m.metrics.Counter("split.explore").Inc()
@@ -202,18 +215,10 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 	}
 
 	q := queryOf(Request{X: act, Policy: Policy{Gather: Own, Split: SplitAt(at)}}, m.classes)
-	q.pin, q.series = local.Version, "split."
-	res, rtt, compute, err := p.doSplit(ctx, q, root)
+	q.pin, q.series, q.flops = local.Version, "split.", snap.FLOPs(at, n)*float64(batch)
+	res, err := p.doSplit(ctx, q, root)
 	if err == nil {
 		m.metrics.Counter("split.remote").Inc()
-		if pl != nil {
-			net := rtt - compute
-			if net < 0 {
-				net = 0
-			}
-			wire := doWireBytes(splitTail, len(local.Version), batch, act.Size()/batch, m.classes)
-			pl.ObservePeer(p.addr, pl.Profile().Boundaries[at].TailFLOPs*float64(batch), compute, wire, net)
-		}
 		return Reply{Probs: res.Probs, Entropy: res.Entropy, Split: at, Peer: p.addr}, nil
 	}
 	if ctx.Err() != nil {
@@ -224,7 +229,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		// tail there would answer with the wrong weights. Degrade to
 		// whole-query offload — the raw input is valid against any version.
 		m.metrics.Counter("split.fallback.version").Inc()
-		if qres, qerr := p.do(ctx, m.encodeInput(x, tr, root), root); qerr == nil {
+		if qres, qerr := p.do(ctx, m.encodeInput(x, snap, tr, root), root); qerr == nil {
 			return Reply{Probs: qres.Probs, Entropy: qres.Entropy, Split: 0, Peer: p.addr, Fallback: "version"}, nil
 		} else if ctx.Err() != nil {
 			return Reply{}, ctx.Err()
@@ -281,53 +286,26 @@ func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at in
 	return rep
 }
 
-// seedSplitPlanner primes unmeasured peers from the whole-query trace
-// histograms the supervisor already records — a peer that has served
-// ordinary offload traffic starts with a realistic cost model instead of a
-// cold probe. SeedPeer ignores peers with real split measurements.
-func (m *Master) seedSplitPlanner(pl *split.Planner, batch int) {
-	prof := pl.Profile()
-	inputWidth := prof.Boundaries[0].Width
-	if inputWidth < 0 {
-		return
-	}
-	for _, p := range m.snapshotPeers() {
-		pl.EnsurePeer(p.addr) // visible to the probe scan even with no data
-		rttH := m.metrics.Lookup("peer." + p.addr + ".rtt")
-		compH := m.metrics.Lookup("peer." + p.addr + ".compute")
-		if rttH == nil || compH == nil || rttH.Count() == 0 || compH.Count() == 0 {
-			continue
-		}
-		rtt := time.Duration(rttH.Quantile(0.5))
-		comp := time.Duration(compH.Quantile(0.5))
-		net := rtt - comp
-		if net < 0 {
-			net = 0
-		}
-		wire := doWireBytes(Policy{Gather: Own}, 0, batch, inputWidth, m.classes)
-		pl.SeedPeer(p.addr, prof.TotalFLOPs*float64(batch), comp, wire, net)
-	}
-}
-
 // doSplit performs one partial-offload round trip on the peer's mux
 // pipeline: attempt under the same outcome accounting as muxAttempts, but a
 // single one. Unlike do it never retries or hedges — the caller holds
 // the activation and can always finish locally, so a failed attempt is
-// better spent there than on speculative wire traffic. The "split."-series
-// histograms stay apart from the whole-query rtt/compute ones: split round
-// trips carry different byte/FLOP mixes, and mixing them would pollute the
-// hedge policy's rtt-p95 seeding.
-func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (res Reply, rtt, compute time.Duration, err error) {
+// better spent there than on speculative wire traffic. A tail feeds the
+// peer's link and compute fits like any round trip, but its "split."-series
+// histograms and its round trip stay out of the whole-query ones and out of
+// the recent window the pick and the hedge timer read: a tail carries
+// another byte and FLOP mix.
+func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (Reply, error) {
 	tr := p.m.Tracer()
 	if !p.available() {
 		tr.Record(parent, "peer "+p.addr, "", trace.StatusSkipped, time.Now(), 0)
-		return Reply{}, 0, 0, errPeerQuarantined{addr: p.addr, state: p.State()}
+		return Reply{}, errPeerQuarantined{addr: p.addr, state: p.State()}
 	}
 	done, stop := joinDone(ctx, p.m.done)
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
 	res, tm, err, outcome := p.attempt(ctx, done, p.m.sup.Load().DialTimeout, q)
-	p.emitAttempt(tr, sp.Ctx(), q.series, tm, err)
+	p.emitAttempt(tr, sp.Ctx(), q, tm, err)
 	sp.EndErr(err)
 	switch outcome {
 	case muxOK:
@@ -335,5 +313,5 @@ func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Contex
 	case muxDialFault:
 		p.recordFailure()
 	}
-	return res, tm.rtt, tm.remote, err
+	return res, err
 }

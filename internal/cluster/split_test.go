@@ -306,7 +306,45 @@ func TestSplitAutoPlans(t *testing.T) {
 		t.Fatalf("plan report peers = %+v, want one measured peer", rep.Peers)
 	}
 	if !rep.LocalReady {
-		t.Fatal("local estimator never fed")
+		t.Fatal("local fit never fed")
+	}
+}
+
+// TestSplitPlannerLearnsFromWholeQueries: the planner reads each peer's
+// cost estimate, which ordinary broadcast queries feed — after a master has
+// served only those, its plan report shows the peer measured, and the first
+// auto query is a ranked plan, not an explore probe.
+func TestSplitPlannerLearnsFromWholeQueries(t *testing.T) {
+	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 48, 2)
+	w := NewWorkerModel(Model{Snapshot: snap}, 1)
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	m := NewMaster(nil, 10)
+	defer m.Close()
+	install(t, m.SetLocal, Model{Snapshot: snap})
+	if err := m.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableSplit(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := m.Do(context.Background(), Request{X: x}); err != nil {
+			t.Fatalf("query %d: %v", i, err)
+		}
+	}
+	rep := m.SplitPlanReport(2)
+	if rep == nil || len(rep.Peers) != 1 || !rep.Peers[0].Measured || rep.Peers[0].Addr != addr {
+		t.Fatalf("plan report after whole queries = %+v, want %s measured", rep, addr)
+	}
+	if _, err := splitDo(m, x, SplitAuto); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Metrics().Counter("split.explore").Value(); got != 0 {
+		t.Fatalf("split.explore = %d: the planner probed a peer whole queries had measured", got)
 	}
 }
 

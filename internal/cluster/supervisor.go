@@ -358,7 +358,7 @@ func (e errPeerQuarantined) Error() string {
 
 // attemptTiming captures where one round-trip attempt spent its time, so
 // emitAttempt can record the dial/network/compute spans and feed the
-// latency histograms after the fact.
+// latency histograms and the peer's cost estimate after the fact.
 type attemptTiming struct {
 	dialed    bool
 	dialStart time.Time
@@ -366,17 +366,19 @@ type attemptTiming struct {
 	rttStart  time.Time
 	rtt       time.Duration // write → read wall time, 0 if the write never happened
 	remote    time.Duration // worker-reported compute time, 0 if no forward pass ran
+	wire      int           // pin, request and reply bytes of an answered attempt (doWireBytes)
 }
 
 // peerQuery is one MsgDo as every round trip sees it: a master's Own request
 // to a peer, or a front's request to a master.
 type peerQuery struct {
-	wide    bool   // the tensors travel float64: a split tail (protocol.go)
-	pin     string // model version the peer must be serving; "" = any
-	series  string // prefix of the peer's counters and histograms: "" or "split."
-	payload []byte // encoded MsgDo body, shared by all peers of a broadcast
-	rows    int    // batch size: a reply must carry exactly this many rows
-	classes int    // classifier width a reply must carry
+	wide    bool    // the tensors travel float64: a split tail (protocol.go)
+	pin     string  // model version the peer must be serving; "" = any
+	series  string  // prefix of the peer's counters and histograms: "" or "split."
+	payload []byte  // encoded MsgDo body, shared by all peers of a broadcast
+	rows    int     // batch size: a reply must carry exactly this many rows
+	classes int     // classifier width a reply must carry
+	flops   float64 // the forward work the peer does for it; 0 = unknown
 }
 
 // queryOf encodes req once for every round trip that sends it, checking its
@@ -453,11 +455,12 @@ func abortErr(ctx context.Context) error {
 	return errors.New("cluster: master closing")
 }
 
-// emitAttempt turns one attempt's timing into spans and histogram samples.
-// The round trip splits into "network" (wall time minus the worker-reported
-// compute) and "compute" (attributed to the peer node) — the paper's
+// emitAttempt turns one attempt of q into spans, histogram samples and, when
+// it succeeded, one observation of the peer's cost estimate. The round trip
+// splits into "network" (wall time minus the worker-reported compute, never
+// below zero) and "compute" (attributed to the peer node) — the paper's
 // transfer-vs-compute decomposition, per request.
-func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, series string, tm attemptTiming, err error) {
+func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, q peerQuery, tm attemptTiming, err error) {
 	status := ""
 	if err != nil {
 		status = trace.StatusError
@@ -469,23 +472,18 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, series s
 	if tm.rtt <= 0 {
 		return
 	}
-	network := tm.rtt - tm.remote
-	if network < 0 {
-		network = tm.rtt
-	}
+	network := max(tm.rtt-tm.remote, 0)
 	tr.Record(peerCtx, "network", "", status, tm.rttStart, network)
 	if tm.remote > 0 {
 		// The worker's compute window sits inside the round trip; center it
 		// so the tree reads in causal order. Only its duration is load-
 		// bearing — clocks are never compared across nodes.
 		tr.Record(peerCtx, "compute", p.addr, status, tm.rttStart.Add(network/2), tm.remote)
-		p.observe(series+"compute", tm.remote)
+		p.observe(q.series+"compute", tm.remote)
 	}
 	if err == nil {
-		p.observe(series+"rtt", tm.rtt)
-		if series == "" {
-			p.noteRTT(tm.rtt)
-		}
+		p.observe(q.series+"rtt", tm.rtt)
+		p.cost.observe(tm, network, q.series == "", q.flops)
 	}
 }
 

@@ -135,13 +135,6 @@ func (r *Registry) ValueHistogram(name string) *Histogram {
 	return metric(r, valueKind, name, func() *Histogram { return &Histogram{raw: true} })
 }
 
-// Lookup returns the duration histogram registered under name, or nil:
-// the reader's accessor, which never adds an empty series to the scrape.
-func (r *Registry) Lookup(name string) *Histogram {
-	h, _ := r.table()[durationKind][name].(*Histogram)
-	return h
-}
-
 // series is one registered metric as String and WritePrometheus see it.
 type series struct {
 	name   string

@@ -39,6 +39,16 @@ func (s *Snapshot) LayerCosts() []LayerCost {
 	return append([]LayerCost(nil), s.costs...)
 }
 
+// FLOPs returns the per-sample forward cost of steps [from, to): the work a
+// peer does finishing a tail from boundary from, when to == Steps().
+func (s *Snapshot) FLOPs(from, to int) float64 {
+	total := 0.0
+	for _, c := range s.costs[from:to] {
+		total += c.FLOPs
+	}
+	return total
+}
+
 // BoundaryWidth returns the per-sample activation width crossing boundary
 // i: the input width of step i, or the final output width for i ==
 // Steps(). Returns -1 when the architecture does not pin the width.

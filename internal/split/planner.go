@@ -1,7 +1,6 @@
 package split
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -9,7 +8,7 @@ import (
 // Options tunes a Planner.
 type Options struct {
 	// Replan is how long a computed decision stays cached before Decide
-	// recomputes it from fresh estimator state. Default 1s.
+	// recomputes it from the fits' current state. Default 1s.
 	Replan time.Duration
 	// ProbeEvery throttles explore probes toward peers with no compute
 	// measurements yet. Default 5s.
@@ -45,24 +44,28 @@ type Decision struct {
 	Explore      bool    `json:"explore,omitempty"`
 }
 
-// peerModel is the live cost state for one peer: link (bytes → seconds)
-// and compute (FLOPs → seconds) fits, plus probe bookkeeping.
-type peerModel struct {
-	link, comp estimator
-	lastProbe  time.Time
+// Peer is one peer's live cost state as the planner reads it: its link fit
+// (wire bytes → network seconds) and compute fit (FLOPs → compute seconds),
+// kept by the caller, which feeds them from every round trip it makes to
+// the peer.
+type Peer struct {
+	Addr          string
+	Link, Compute Fit
 }
 
-// Planner chooses split points online. All methods are safe for concurrent
-// use.
+// Planner chooses split points online from the local compute fit it keeps
+// and the peers' fits each call hands it. All methods are safe for
+// concurrent use.
 type Planner struct {
-	mu      sync.Mutex
-	prof    Profile
-	opt     Options
-	local   estimator
-	peers   map[string]*peerModel
-	plan    Decision
-	planned time.Time
-	haveNow func() time.Time // test seam
+	mu        sync.Mutex
+	prof      Profile
+	opt       Options
+	local     Fit
+	probed    map[string]time.Time // last explore probe per peer address
+	plan      Decision
+	planBatch int
+	planned   time.Time
+	haveNow   func() time.Time // test seam
 }
 
 // New builds a planner over a model's static profile.
@@ -70,7 +73,7 @@ func New(prof Profile, opt Options) *Planner {
 	return &Planner{
 		prof:    prof,
 		opt:     opt.normalized(),
-		peers:   make(map[string]*peerModel),
+		probed:  make(map[string]time.Time),
 		haveNow: time.Now,
 	}
 }
@@ -83,134 +86,81 @@ func (p *Planner) Profile() Profile { return p.prof }
 func (p *Planner) ObserveLocal(flops float64, d time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.local.observe(flops, d.Seconds())
+	p.local.Observe(flops, d.Seconds())
 }
 
-// ObservePeer records a completed remote tail: compute is the peer's
-// self-timed execution of flops batch-total FLOPs, net the round-trip time
-// minus compute for wireBytes bytes on the wire.
-func (p *Planner) ObservePeer(addr string, flops float64, compute time.Duration, wireBytes int, net time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := p.peer(addr)
-	m.comp.observe(flops, compute.Seconds())
-	m.link.observe(float64(wireBytes), net.Seconds())
-}
-
-// SeedPeer primes an unmeasured peer from an external source (the cluster
-// seeds from whole-query trace histograms). A no-op once the peer has real
-// observations, so seeding never fights live measurements.
-func (p *Planner) SeedPeer(addr string, flops float64, compute time.Duration, wireBytes int, net time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	m := p.peer(addr)
-	if m.comp.ready() || m.link.ready() {
-		return
-	}
-	m.comp.observe(flops, compute.Seconds())
-	m.link.observe(float64(wireBytes), net.Seconds())
-}
-
-// EnsurePeer registers a peer with no cost state yet, so Decide's probe
-// scan can find it before any traffic has flowed — without this a peer the
-// caller knows about but has never measured would be invisible to the
-// planner and never get its bootstrap probe.
-func (p *Planner) EnsurePeer(addr string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.peer(addr)
-}
-
-func (p *Planner) peer(addr string) *peerModel {
-	m := p.peers[addr]
-	if m == nil {
-		m = &peerModel{}
-		p.peers[addr] = m
-	}
-	return m
-}
-
-// Decide returns the current plan for a batch, recomputing at most every
-// Replan. An unmeasured peer due for a probe preempts the cached plan with
-// a whole-remote Explore decision so its link and compute fits get their
+// Decide returns the current plan for a batch over peers, recomputing it
+// when the batch differs from the cached plan's or the plan is older than
+// Replan. A peer with no compute observation, due for a probe, preempts the
+// cached plan with a whole-remote Explore decision so its fits get their
 // first samples.
-func (p *Planner) Decide(batch int) Decision {
+func (p *Planner) Decide(batch int, peers []Peer) Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.haveNow()
-	for _, addr := range p.peerAddrsLocked() {
-		m := p.peers[addr]
-		if !m.comp.ready() && now.Sub(m.lastProbe) >= p.opt.ProbeEvery {
-			m.lastProbe = now
-			return Decision{Split: 0, Peer: addr, Explore: true}
+	for _, pr := range peers {
+		if !pr.Compute.Ready() && now.Sub(p.probed[pr.Addr]) >= p.opt.ProbeEvery {
+			p.probed[pr.Addr] = now
+			return Decision{Split: 0, Peer: pr.Addr, Explore: true}
 		}
 	}
-	if now.Sub(p.planned) < p.opt.Replan && !p.planned.IsZero() {
+	if !p.planned.IsZero() && batch == p.planBatch && now.Sub(p.planned) < p.opt.Replan {
 		return p.plan
 	}
-	p.plan = p.bestLocked(batch)
-	p.planned = now
-	return p.plan
+	return p.planLocked(batch, peers, now)
 }
 
 // Plan recomputes the decision immediately, bypassing the cache (probes
 // are not considered).
-func (p *Planner) Plan(batch int) Decision {
+func (p *Planner) Plan(batch int, peers []Peer) Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.plan = p.bestLocked(batch)
-	p.planned = p.haveNow()
+	return p.planLocked(batch, peers, p.haveNow())
+}
+
+func (p *Planner) planLocked(batch int, peers []Peer, now time.Time) Decision {
+	p.plan, p.planBatch, p.planned = p.bestLocked(batch, peers), batch, now
 	return p.plan
 }
 
-// bestLocked ranks every (peer, boundary) candidate plus whole-local.
+// bestLocked ranks every (peer, boundary) candidate plus whole-local, peers
+// in the order given, so an equal-cost tie goes to the earlier peer.
 // Without a local compute fit there is nothing to rank against, so the
 // planner stays whole-local until the first local observation (which the
 // whole-local execution itself provides).
-func (p *Planner) bestLocked(batch int) Decision {
+func (p *Planner) bestLocked(batch int, peers []Peer) Decision {
 	n := p.prof.Steps()
-	best := Decision{Split: n, PredictedSec: p.local.predict(p.prof.TotalFLOPs * float64(batch))}
-	if !p.local.ready() {
+	best := Decision{Split: n, PredictedSec: p.local.Predict(p.prof.TotalFLOPs * float64(batch))}
+	if !p.local.Ready() {
 		return best
 	}
-	for _, addr := range p.peerAddrsLocked() {
-		m := p.peers[addr]
-		if !m.comp.ready() && !m.link.ready() {
+	for _, pr := range peers {
+		if !pr.Compute.Ready() && !pr.Link.Ready() {
 			continue
 		}
 		for _, b := range p.prof.Boundaries {
 			if b.Index == n || b.Width < 0 {
 				continue // whole-local handled above; unpinned widths can't ship
 			}
-			t := p.candidateLocked(m, b, batch)
-			if t < best.PredictedSec {
-				best = Decision{Split: b.Index, Peer: addr, PredictedSec: t}
+			if c := p.candidateLocked(pr, b, batch); c.TotalSec < best.PredictedSec {
+				best = Decision{Split: b.Index, Peer: pr.Addr, PredictedSec: c.TotalSec}
 			}
 		}
 	}
 	return best
 }
 
-// peerAddrsLocked returns peer addresses in sorted order so ranking and
-// reporting are deterministic (map iteration order would make equal-cost
-// ties flap between replans).
-func (p *Planner) peerAddrsLocked() []string {
-	addrs := make([]string, 0, len(p.peers))
-	for addr := range p.peers {
-		addrs = append(addrs, addr)
-	}
-	sort.Strings(addrs)
-	return addrs
-}
-
-func (p *Planner) candidateLocked(m *peerModel, b Boundary, batch int) float64 {
-	t := 0.0
+// candidateLocked prices cutting at b and shipping the tail to pr.
+func (p *Planner) candidateLocked(pr Peer, b Boundary, batch int) CandidateCost {
+	wire := p.opt.WireBytes(batch, b.Width)
+	c := CandidateCost{Split: b.Index, Name: b.Name, WireBytes: wire}
 	if b.HeadFLOPs > 0 {
-		t += p.local.predict(b.HeadFLOPs * float64(batch))
+		c.HeadSec = p.local.Predict(b.HeadFLOPs * float64(batch))
 	}
-	t += m.link.predict(float64(p.opt.WireBytes(batch, b.Width)))
-	t += m.comp.predict(b.TailFLOPs * float64(batch))
-	return t
+	c.NetSec = pr.Link.Predict(float64(wire))
+	c.TailSec = pr.Compute.Predict(b.TailFLOPs * float64(batch))
+	c.TotalSec = c.HeadSec + c.NetSec + c.TailSec
+	return c
 }
 
 // CandidateCost is one row of the Report table: the predicted cost
@@ -228,7 +178,7 @@ type CandidateCost struct {
 // PeerReport is the full candidate table for one peer.
 type PeerReport struct {
 	Addr       string          `json:"addr"`
-	Measured   bool            `json:"measured"` // real (non-seed) data may still be pending
+	Measured   bool            `json:"measured"` // its fits hold an observation
 	Candidates []CandidateCost `json:"candidates"`
 }
 
@@ -243,37 +193,28 @@ type Report struct {
 	Decision      Decision     `json:"decision"`
 }
 
-// Report computes the full candidate table for a batch size without
+// Report computes the full candidate table for a batch over peers without
 // touching the decision cache.
-func (p *Planner) Report(batch int) Report {
+func (p *Planner) Report(batch int, peers []Peer) Report {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r := Report{
 		Model:         p.prof.Model,
 		Batch:         batch,
-		LocalReady:    p.local.ready(),
-		WholeLocalSec: p.local.predict(p.prof.TotalFLOPs * float64(batch)),
-		Decision:      p.bestLocked(batch),
+		LocalReady:    p.local.Ready(),
+		WholeLocalSec: p.local.Predict(p.prof.TotalFLOPs * float64(batch)),
+		Decision:      p.bestLocked(batch, peers),
 	}
 	n := p.prof.Steps()
-	for _, addr := range p.peerAddrsLocked() {
-		m := p.peers[addr]
-		pr := PeerReport{Addr: addr, Measured: m.comp.ready() || m.link.ready()}
+	for _, pr := range peers {
+		rep := PeerReport{Addr: pr.Addr, Measured: pr.Compute.Ready() || pr.Link.Ready()}
 		for _, b := range p.prof.Boundaries {
 			if b.Index == n || b.Width < 0 {
 				continue
 			}
-			wire := p.opt.WireBytes(batch, b.Width)
-			c := CandidateCost{Split: b.Index, Name: b.Name, WireBytes: wire}
-			if b.HeadFLOPs > 0 {
-				c.HeadSec = p.local.predict(b.HeadFLOPs * float64(batch))
-			}
-			c.NetSec = m.link.predict(float64(wire))
-			c.TailSec = m.comp.predict(b.TailFLOPs * float64(batch))
-			c.TotalSec = c.HeadSec + c.NetSec + c.TailSec
-			pr.Candidates = append(pr.Candidates, c)
+			rep.Candidates = append(rep.Candidates, p.candidateLocked(pr, b, batch))
 		}
-		r.Peers = append(r.Peers, pr)
+		r.Peers = append(r.Peers, rep)
 	}
 	return r
 }

@@ -50,43 +50,54 @@ func TestNewProfileShape(t *testing.T) {
 }
 
 // TestEstimatorRecoversLinearModel feeds exact base+slope observations at
-// two sizes and checks predictions interpolate exactly — the property the
+// three sizes and checks predictions interpolate exactly — the property the
 // bench leans on for auto == argmin.
 func TestEstimatorRecoversLinearModel(t *testing.T) {
-	var e estimator
+	var e Fit
 	base, slope := 0.003, 2e-9
 	for _, x := range []float64{1e6, 4e6, 9e6} {
-		e.observe(x, base+slope*x)
+		e.Observe(x, base+slope*x)
 	}
 	for _, x := range []float64{0, 2e6, 16e6} {
 		want := base + slope*x
-		if got := e.predict(x); math.Abs(got-want) > 1e-9*math.Max(1, want) {
-			t.Fatalf("predict(%g) = %g, want %g", x, got, want)
+		if got := e.Predict(x); math.Abs(got-want) > 1e-9*math.Max(1, want) {
+			t.Fatalf("Predict(%g) = %g, want %g", x, got, want)
 		}
 	}
 }
 
 func TestEstimatorDegenerateFallsBackToMean(t *testing.T) {
-	var e estimator
-	e.observe(5, 2.0)
-	e.observe(5, 4.0)
+	var e Fit
+	e.Observe(5, 2.0)
+	e.Observe(5, 4.0)
 	// With no x spread the fit degenerates to the decay-weighted mean.
-	want := (estimatorDecay*2.0 + 4.0) / (estimatorDecay + 1)
-	if got := e.predict(100); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("degenerate predict = %g, want weighted mean %g", got, want)
+	want := (fitDecay*2.0 + 4.0) / (fitDecay + 1)
+	if got := e.Predict(100); math.Abs(got-want) > 1e-9 {
+		t.Fatalf("degenerate Predict = %g, want weighted mean %g", got, want)
 	}
-	var empty estimator
-	if empty.predict(10) != 0 || empty.ready() {
-		t.Fatal("empty estimator should predict 0 and not be ready")
+	var empty Fit
+	if empty.Predict(10) != 0 || empty.Ready() {
+		t.Fatal("empty fit should predict 0 and not be ready")
 	}
 }
 
 func TestPlannerDefaultsWholeLocal(t *testing.T) {
 	p := New(testProfile(t), Options{})
-	d := p.Plan(1)
+	d := p.Plan(1, nil)
 	if d.Split != p.Profile().Steps() || d.Peer != "" {
 		t.Fatalf("unmeasured planner decided %+v, want whole-local", d)
 	}
+}
+
+// measuredPeer is a peer whose fits hold exact observations of a 1 ms + 1 ns/B
+// link and a 100 GFLOP/s device.
+func measuredPeer(addr string) Peer {
+	pr := Peer{Addr: addr}
+	for _, f := range []float64{1e5, 4e5} {
+		pr.Compute.Observe(f, f/100e9)
+		pr.Link.Observe(f/10, 1e-3+f/10*1e-9)
+	}
+	return pr
 }
 
 // TestPlannerPicksCheapestBoundary builds a scenario with a hand-computable
@@ -101,12 +112,7 @@ func TestPlannerPicksCheapestBoundary(t *testing.T) {
 	}
 	// Peer: 100 GFLOP/s, link 1ms + 1µs/KB.
 	linkSec := func(bytes int) float64 { return 1e-3 + float64(bytes)*1e-9 }
-	for _, f := range []float64{1e5, 4e5} {
-		bytes := int(f / 10)
-		p.ObservePeer("peer", f, time.Duration(f/100e9*1e9),
-			bytes, time.Duration(linkSec(bytes)*1e9))
-	}
-	d := p.Plan(1)
+	d := p.Plan(1, []Peer{measuredPeer("peer")})
 	// Exhaustively recompute the argmin from the same inputs.
 	bestSec, bestSplit := math.Inf(1), -1
 	for _, b := range prof.Boundaries {
@@ -132,47 +138,25 @@ func TestPlannerPicksCheapestBoundary(t *testing.T) {
 	}
 }
 
-// Forget drops a peer's cost state.
-func (p *Planner) Forget(addr string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	delete(p.peers, addr)
-	p.planned = time.Time{}
-}
-
 func TestPlannerProbesUnmeasuredPeer(t *testing.T) {
 	p := New(testProfile(t), Options{ProbeEvery: time.Hour})
 	p.ObserveLocal(1e5, time.Millisecond)
-	p.SeedPeer("", 0, 0, 0, 0) // exercise the zero-value path
-	p.Forget("")
 	base := time.Unix(1000, 0)
 	p.haveNow = func() time.Time { return base }
-	p.peer("newpeer")
-	d := p.Decide(1)
+	peers := []Peer{{Addr: "newpeer"}}
+	d := p.Decide(1, peers)
 	if !d.Explore || d.Peer != "newpeer" || d.Split != 0 {
 		t.Fatalf("expected whole-remote probe, got %+v", d)
 	}
 	// Within ProbeEvery the probe must not repeat.
-	if d2 := p.Decide(1); d2.Explore {
+	if d2 := p.Decide(1, peers); d2.Explore {
 		t.Fatalf("probe not throttled: %+v", d2)
 	}
 	// Once the peer is measured, no more probes.
-	p.ObservePeer("newpeer", 1e5, time.Millisecond, 1000, time.Millisecond)
+	peers[0] = measuredPeer("newpeer")
 	p.haveNow = func() time.Time { return base.Add(2 * time.Hour) }
-	if d3 := p.Decide(1); d3.Explore {
+	if d3 := p.Decide(1, peers); d3.Explore {
 		t.Fatalf("measured peer still probed: %+v", d3)
-	}
-}
-
-func TestSeedPeerDoesNotOverrideMeasurements(t *testing.T) {
-	p := New(testProfile(t), Options{})
-	p.ObservePeer("a", 1e6, time.Millisecond, 1000, time.Millisecond)
-	p.SeedPeer("a", 1e6, time.Hour, 1000, time.Hour) // must be ignored
-	p.mu.Lock()
-	got := p.peers["a"].comp.predict(1e6)
-	p.mu.Unlock()
-	if got > 1 {
-		t.Fatalf("seed overwrote measurement: %g", got)
 	}
 }
 
@@ -180,27 +164,45 @@ func TestPlannerDecideCachesWithinReplan(t *testing.T) {
 	p := New(testProfile(t), Options{Replan: time.Hour})
 	base := time.Unix(1000, 0)
 	p.haveNow = func() time.Time { return base }
-	d1 := p.Decide(1)
+	d1 := p.Decide(1, nil)
 	p.ObserveLocal(1e5, time.Millisecond) // would change the plan...
-	if d2 := p.Decide(1); d2 != d1 {
+	if d2 := p.Decide(1, nil); d2 != d1 {
 		t.Fatalf("plan not cached: %+v vs %+v", d2, d1)
 	}
 	p.haveNow = func() time.Time { return base.Add(2 * time.Hour) }
-	if d3 := p.Decide(1); d3.PredictedSec == 0 {
+	if d3 := p.Decide(1, nil); d3.PredictedSec == 0 {
 		t.Fatalf("plan not recomputed after replan window: %+v", d3)
+	}
+}
+
+// TestPlannerDecideKeysTheCacheOnBatch: a plan cached for one batch size is
+// not the answer for another within Replan — Decide(64) right after
+// Decide(1) is Plan(64), not the batch-1 plan and its batch-1 prediction.
+func TestPlannerDecideKeysTheCacheOnBatch(t *testing.T) {
+	p := New(testProfile(t), Options{Replan: time.Hour})
+	for _, f := range []float64{1e5, 4e5} {
+		p.ObserveLocal(f, time.Duration(f/100e6*1e9))
+	}
+	peers := []Peer{measuredPeer("peer")}
+	d1 := p.Decide(1, peers)
+	got, want := p.Decide(64, peers), p.Plan(64, peers)
+	if got != want || got == d1 {
+		t.Fatalf("Decide(64) after Decide(1) = %+v, Plan(64) = %+v (batch-1 plan %+v)", got, want, d1)
+	}
+	if again := p.Decide(1, peers); again != d1 {
+		t.Fatalf("Decide(1) = %+v after a batch-64 plan, want %+v", again, d1)
 	}
 }
 
 func TestReportListsAllCandidates(t *testing.T) {
 	p := New(testProfile(t), Options{})
 	p.ObserveLocal(1e5, time.Millisecond)
-	p.ObservePeer("peer", 1e5, time.Microsecond, 1000, time.Millisecond)
-	r := p.Report(2)
+	r := p.Report(2, []Peer{measuredPeer("peer")})
 	if r.Model != "MLP-8" || !r.LocalReady || r.Batch != 2 {
 		t.Fatalf("report header wrong: %+v", r)
 	}
-	if len(r.Peers) != 1 || len(r.Peers[0].Candidates) != p.Profile().Steps() {
-		t.Fatalf("candidate table wrong: %d peers", len(r.Peers))
+	if len(r.Peers) != 1 || !r.Peers[0].Measured || len(r.Peers[0].Candidates) != p.Profile().Steps() {
+		t.Fatalf("candidate table wrong: %+v", r.Peers)
 	}
 	for _, c := range r.Peers[0].Candidates {
 		if c.TotalSec != c.HeadSec+c.NetSec+c.TailSec {

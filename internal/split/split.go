@@ -4,11 +4,15 @@
 // tail [s, N). The chooser combines a static per-boundary profile (FLOPs
 // each side of every cut, activation width crossing it — computed once from
 // an nn.Snapshot) with live measurements of local compute speed, per-peer
-// link throughput and per-peer compute speed, each fitted online by a
-// decaying least-squares linear model. Whole-remote (s = 0) and whole-local
-// (s = N) are ordinary candidates, so the planner strictly subsumes the
-// binary offload-or-not choice. Decisions are cached and re-planned on a
-// cadence; unmeasured peers are bootstrapped with throttled explore probes.
+// link throughput and per-peer compute speed, each a Fit: a decaying
+// least-squares linear model. The Planner keeps the local fit; each peer's
+// two fits belong to the caller's per-peer cost state (in the cluster
+// runtime, the one cost estimate every round trip to that peer feeds —
+// whole queries and split tails alike) and are handed in on every call.
+// Whole-remote (s = 0) and whole-local (s = N) are ordinary candidates, so
+// the planner strictly subsumes the binary offload-or-not choice. Decisions
+// are cached per batch size and re-planned on a cadence; a peer with no
+// compute observation yet is bootstrapped with throttled explore probes.
 package split
 
 import (
@@ -41,10 +45,7 @@ type Profile struct {
 // NewProfile computes the static profile of a snapshot.
 func NewProfile(snap *nn.Snapshot) Profile {
 	costs := snap.LayerCosts()
-	total := 0.0
-	for _, c := range costs {
-		total += c.FLOPs
-	}
+	total := snap.FLOPs(0, len(costs))
 	p := Profile{Model: snap.Label(), TotalFLOPs: total}
 	head := 0.0
 	for s := 0; s <= len(costs); s++ {
