@@ -49,7 +49,9 @@ linkcheck:
 # trip to a peer costs is one estimate on its peerConn
 # (internal/cluster/cost.go) that the front's pick, the hedge timer and the
 # split planner all read — no second EWMA, histogram seeding or planner-side
-# peer model comes back.
+# peer model comes back; and the paper tables' MPI and SG-MoE cells price a
+# recorded run of the real runtimes (internal/bench/replay.go), so no hand
+# cost formula for those baselines comes back.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -71,6 +73,8 @@ one-loop:
 		echo "a second copy of an inference expression is back (a layer's Forward runs its snapshot step)"; exit 1; fi
 	@if grep -rnw 'noteRTT\|seedSplitPlanner\|SeedPeer\|ObservePeer\|peerModel' --include=*.go .; then \
 		echo "a second per-peer cost estimate is back (one peerCost per peer: internal/cluster/cost.go)"; exit 1; fi
+	@if grep -rnw 'MPIMatrixCost\|MPIKernelCost\|MPIBranchCost\|SGMoECost' --include=*.go .; then \
+		echo "a hand cost formula for an MPI or SG-MoE baseline is back (the tables price a recorded run: internal/bench/replay.go)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its

@@ -19,19 +19,7 @@ import (
 // allowlist names the caller-less internal/ declarations that stay, each
 // with the reason it stays. An entry whose declaration gains a caller, or
 // disappears, fails the run, so the list cannot outlive its reasons.
-var allowlist = map[string]string{
-	"mpi.MatrixInference":           baseline,
-	"mpi.KernelInference":           baseline,
-	"mpi.BranchInference":           baseline,
-	"mpi.Comm.Stats":                baseline,
-	"cluster.MoEMPIMaster":          baseline,
-	"cluster.NewMoEMPIMaster":       baseline,
-	"cluster.MoEMPIMaster.Infer":    baseline,
-	"cluster.MoEMPIMaster.Shutdown": baseline,
-	"cluster.MoEMPIWorker":          baseline,
-}
-
-const baseline = "paper baseline; its caller is the recorded-trace cost model (ROADMAP item 7)"
+var allowlist = map[string]string{}
 
 // arches are the file sets reachability is decided over: a reference made
 // under either one keeps a declaration.

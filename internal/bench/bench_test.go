@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/teamnet/teamnet/internal/edgesim"
+	"github.com/teamnet/teamnet/internal/mpi"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -137,7 +138,11 @@ func TestCostMPIFarSlowerThanTeamNet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpiMs := MPIMatrixCost(dev, link, base, 2, 784, false).Ms()
+	matrix, err := recordMPI(mpi.MatrixInference, "MLP-8", 2, 784)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpiMs := matrix.cost(dev, link, edgesim.MPI(), false).Ms()
 	teamMs := TeamNetCost(dev, link, mlp4, 2, 784, 10, false).Ms()
 	if mpiMs < 10*teamMs {
 		t.Fatalf("MPI-Matrix (%.1f ms) not ≫ TeamNet (%.1f ms)", mpiMs, teamMs)
@@ -156,13 +161,13 @@ func TestCostSGMoESlowerThanTeamNetDigits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate, err := l.PaperNet("gate-mlp")
+	sgMoE, err := recordSGMoE("MLP-4", 2, 2, 784, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	teamMs := TeamNetCost(dev, link, mlp4, 2, 784, 10, false).Ms()
-	grpcMs := SGMoECost(dev, link, edgesim.GRPC(), gate, mlp4, 2, 784, 10, false).Ms()
-	mpiMs := SGMoECost(dev, link, edgesim.MPI(), gate, mlp4, 2, 784, 10, false).Ms()
+	grpcMs := sgMoE.cost(dev, link, edgesim.GRPC(), false).Ms()
+	mpiMs := sgMoE.cost(dev, link, edgesim.MPI(), false).Ms()
 	if grpcMs <= teamMs {
 		t.Fatalf("SG-MoE-G (%.2f ms) should trail TeamNet (%.2f ms): gate hop + RPC", grpcMs, teamMs)
 	}
@@ -179,14 +184,17 @@ func TestCostSGMoESlowerThanTeamNetDigits(t *testing.T) {
 func TestCostKernelWorseThanBranch(t *testing.T) {
 	// Table II: MPI-Kernel communicates per convolution, MPI-Branch per
 	// block — kernel must be slower at 2 nodes.
-	l := latencyLab(t)
 	dev, link := edgesim.JetsonTX2CPU(), edgesim.WiFi()
-	ss26, err := l.PaperNet("SS-26")
+	kernelRun, err := recordMPI(mpi.KernelInference, "SS-26", 2, 3*32*32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel := MPIKernelCost(dev, link, ss26, 2, 3*32*32, false).Ms()
-	branch := MPIBranchCost(dev, link, ss26, 3*32*32, false).Ms()
+	branchRun, err := recordMPI(mpi.BranchInference, "SS-26", 2, 3*32*32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel := kernelRun.cost(dev, link, edgesim.MPI(), false).Ms()
+	branch := branchRun.cost(dev, link, edgesim.MPI(), false).Ms()
 	if kernel <= branch {
 		t.Fatalf("MPI-Kernel (%.0f ms) should be slower than MPI-Branch (%.0f ms)", kernel, branch)
 	}
@@ -258,8 +266,8 @@ func TestBalancedLatencyHelpers(t *testing.T) {
 	if tensorWireBytes(1, 10) != 1+8+40 {
 		t.Fatalf("tensorWireBytes = %d", tensorWireBytes(1, 10))
 	}
-	// The paper's envelope, pinned: the tables are priced at these sizes
-	// whatever the runtime's frames become.
+	// The paper's envelope, pinned: the baseline and TeamNet columns are
+	// priced at these sizes whatever TeamNet's frames become.
 	for _, c := range []struct {
 		name      string
 		got, want int
@@ -274,7 +282,7 @@ func TestBalancedLatencyHelpers(t *testing.T) {
 		}
 	}
 	var zero Cost
-	if zero.TotalSec() != 0 || zero.Ms() != 0 {
+	if zero.Ms() != 0 {
 		t.Fatal("zero cost not zero")
 	}
 }

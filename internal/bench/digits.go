@@ -14,140 +14,19 @@ import (
 // Pi 3B+ — baseline MLP-8 vs TeamNet with two (2×MLP-4) and four (4×MLP-2)
 // experts; accuracy, inference time, memory and CPU usage.
 func (l *Lab) Fig5() (*Table, error) {
-	dev := edgesim.RaspberryPi3B()
-	link := edgesim.WiFi()
 	t := &Table{ID: "fig5", Title: "Digits on Raspberry Pi 3B+ (baseline vs TeamNet experts)"}
-
-	baseline, err := l.DigitsBaseline()
-	if err != nil {
-		return nil, err
-	}
-	_, test := l.Digits()
-	base8, err := l.PaperNet("MLP-8")
-	if err != nil {
-		return nil, err
-	}
-	cost := BaselineCost(dev, base8, 784, false)
-	usage := cost.Usage(dev, false)
-	t.Rows = append(t.Rows, Row{
-		System: "Baseline", Nodes: 1,
-		AccuracyPct: 100 * baseline.Accuracy(test.X, test.Y),
-		InferenceMs: cost.Ms(), MemoryPct: usage.MemPct, CPUPct: usage.CPUPct,
-	})
-
-	for _, k := range []int{2, 4} {
-		team, _, err := l.DigitsTeam(k)
-		if err != nil {
-			return nil, err
-		}
-		expertName := "MLP-4"
-		if k == 4 {
-			expertName = "MLP-2"
-		}
-		expert, err := l.PaperNet(expertName)
-		if err != nil {
-			return nil, err
-		}
-		cost := TeamNetCost(dev, link, expert, k, 784, 10, false)
-		usage := cost.Usage(dev, false)
-		t.Rows = append(t.Rows, Row{
-			System: "TeamNet", Nodes: k,
-			AccuracyPct: 100 * team.Accuracy(test.X, test.Y),
-			InferenceMs: cost.Ms(), MemoryPct: usage.MemPct, CPUPct: usage.CPUPct,
-		})
-	}
-	return t, nil
+	return l.systemsTable(t, l.digitsWorkload(), edgesim.RaspberryPi3B(), false)
 }
 
 // Table1 regenerates Table I: digits on Jetson TX2, CPU-only (a) or
 // GPU+CPU (b) — baseline vs TeamNet, MPI-Matrix, SG-MoE-G and SG-MoE-M at
 // two and four nodes.
 func (l *Lab) Table1(gpu bool) (*Table, error) {
-	dev := edgesim.JetsonTX2CPU()
-	id, title := "table1a", "Digits on Jetson TX2 (CPU only)"
+	t := &Table{ID: "table1a", Title: "Digits on Jetson TX2 (CPU only)", GPU: gpu}
 	if gpu {
-		dev = edgesim.JetsonTX2GPU()
-		id, title = "table1b", "Digits on Jetson TX2 (GPU and CPU)"
+		t.ID, t.Title = "table1b", "Digits on Jetson TX2 (GPU and CPU)"
 	}
-	link := edgesim.WiFi()
-	t := &Table{ID: id, Title: title, GPU: gpu}
-
-	baseline, err := l.DigitsBaseline()
-	if err != nil {
-		return nil, err
-	}
-	_, test := l.Digits()
-	baseAcc := 100 * baseline.Accuracy(test.X, test.Y)
-
-	base8, err := l.PaperNet("MLP-8")
-	if err != nil {
-		return nil, err
-	}
-	cost := BaselineCost(dev, base8, 784, gpu)
-	usage := cost.Usage(dev, gpu)
-	t.Rows = append(t.Rows, Row{
-		System: "Baseline", Nodes: 1, AccuracyPct: baseAcc,
-		InferenceMs: cost.Ms(), MemoryPct: usage.MemPct, CPUPct: usage.CPUPct, GPUPct: usage.GPUPct,
-	})
-
-	gate, err := l.PaperNet("gate-mlp")
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range []int{2, 4} {
-		expertName := "MLP-4"
-		if k == 4 {
-			expertName = "MLP-2"
-		}
-		expert, err := l.PaperNet(expertName)
-		if err != nil {
-			return nil, err
-		}
-
-		team, _, err := l.DigitsTeam(k)
-		if err != nil {
-			return nil, err
-		}
-		teamCost := TeamNetCost(dev, link, expert, k, 784, 10, gpu)
-		teamUsage := teamCost.Usage(dev, gpu)
-		t.Rows = append(t.Rows, Row{
-			System: "TeamNet", Nodes: k,
-			AccuracyPct: 100 * team.Accuracy(test.X, test.Y),
-			InferenceMs: teamCost.Ms(), MemoryPct: teamUsage.MemPct,
-			CPUPct: teamUsage.CPUPct, GPUPct: teamUsage.GPUPct,
-		})
-
-		// MPI-Matrix distributes the baseline model itself: accuracy is the
-		// baseline's by construction (verified in internal/mpi's tests).
-		mpiCost := MPIMatrixCost(dev, link, base8, k, 784, gpu)
-		mpiUsage := mpiCost.Usage(dev, gpu)
-		t.Rows = append(t.Rows, Row{
-			System: "MPI-Matrix", Nodes: k, AccuracyPct: baseAcc,
-			InferenceMs: mpiCost.Ms(), MemoryPct: mpiUsage.MemPct,
-			CPUPct: mpiUsage.CPUPct, GPUPct: mpiUsage.GPUPct,
-		})
-
-		moeModel, err := l.DigitsMoE(k)
-		if err != nil {
-			return nil, err
-		}
-		moeAcc := 100 * moeModel.Accuracy(test.X, test.Y)
-		topK := moeModel.Cfg.TopK
-		for _, tr := range []edgesim.Transport{edgesim.GRPC(), edgesim.MPI()} {
-			name := "SG-MoE-G"
-			if tr.BusyWait {
-				name = "SG-MoE-M"
-			}
-			c := SGMoECost(dev, link, tr, gate, expert, topK, 784, 10, gpu)
-			u := c.Usage(dev, gpu)
-			t.Rows = append(t.Rows, Row{
-				System: name, Nodes: k, AccuracyPct: moeAcc,
-				InferenceMs: c.Ms(), MemoryPct: u.MemPct,
-				CPUPct: u.CPUPct, GPUPct: u.GPUPct,
-			})
-		}
-	}
-	return t, nil
+	return l.systemsTable(t, l.digitsWorkload(), jetson(gpu), true)
 }
 
 // Fig6 regenerates Figure 6: the proportion of data assigned to each expert

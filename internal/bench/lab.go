@@ -304,6 +304,18 @@ func (l *Lab) PaperNet(name string) (*nn.Network, error) {
 	if net, ok := l.paperNets[name]; ok {
 		return net, nil
 	}
+	nets, err := paperNets(name, 1)
+	if err != nil {
+		return nil, err
+	}
+	l.paperNets[name] = nets[0]
+	return nets[0], nil
+}
+
+// paperNets builds n copies of a paper-size architecture, one per rank of a
+// recorded run: a layer keeps its input for Backward, so ranks running at
+// once cannot share one network.
+func paperNets(name string, n int) ([]*nn.Network, error) {
 	var spec nn.Spec
 	var err error
 	switch name {
@@ -319,22 +331,26 @@ func (l *Lab) PaperNet(name string) (*nn.Network, error) {
 		spec, err = nn.ObjectsExpert(2, 3, 32, 32, 10)
 	case "SS-8":
 		spec, err = nn.ObjectsExpert(4, 3, 32, 32, 10)
-	case "gate-mlp":
-		spec = nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "gate", Input: 784, Width: 64, Layers: 2, Classes: 4}}
-	case "gate-cnn":
-		spec = nn.Spec{Kind: "mlp", MLP: &nn.MLPSpec{Label: "gate", Input: 3 * 32 * 32, Width: 64, Layers: 2, Classes: 4}}
 	default:
 		return nil, fmt.Errorf("bench: unknown paper net %q", name)
 	}
 	if err != nil {
 		return nil, err
 	}
-	net, err := spec.Build(tensor.NewRNG(1))
-	if err != nil {
-		return nil, err
+	nets := make([]*nn.Network, n)
+	for i := range nets {
+		if nets[i], err = spec.Build(tensor.NewRNG(1)); err != nil {
+			return nil, err
+		}
 	}
-	l.paperNets[name] = net
-	return net, nil
+	return nets, nil
+}
+
+// paperGate builds the SG-MoE gate over features inputs for k experts: a
+// two-layer MLP of width 64.
+func paperGate(features, k int) (*nn.Network, error) {
+	spec := nn.MLPSpec{Label: "gate", Input: features, Width: 64, Layers: 2, Classes: k}
+	return spec.Build(tensor.NewRNG(1))
 }
 
 // trainClassifier runs a plain Adam training loop (the baseline and SG-MoE

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"github.com/teamnet/teamnet/internal/edgesim"
-)
+import "fmt"
 
 // Image-classification experiments (paper Section VI-D): Figure 7, Tables
 // II(a) and II(b), Figures 8 and 9.
@@ -13,156 +9,22 @@ import (
 // Jetson TX2, CPU-only (a) or GPU (b) — baseline SS-26 vs TeamNet 2×SS-14
 // and 4×SS-8.
 func (l *Lab) Fig7(gpu bool) (*Table, error) {
-	dev := edgesim.JetsonTX2CPU()
-	id, title := "fig7a", "Objects on Jetson TX2 CPU (baseline vs TeamNet experts)"
+	t := &Table{ID: "fig7a", Title: "Objects on Jetson TX2 CPU (baseline vs TeamNet experts)", GPU: gpu}
 	if gpu {
-		dev = edgesim.JetsonTX2GPU()
-		id, title = "fig7b", "Objects on Jetson TX2 GPU (baseline vs TeamNet experts)"
+		t.ID, t.Title = "fig7b", "Objects on Jetson TX2 GPU (baseline vs TeamNet experts)"
 	}
-	link := edgesim.WiFi()
-	t := &Table{ID: id, Title: title, GPU: gpu}
-
-	baseline, err := l.ObjectsBaseline()
-	if err != nil {
-		return nil, err
-	}
-	_, test := l.Objects()
-	ss26, err := l.PaperNet("SS-26")
-	if err != nil {
-		return nil, err
-	}
-	cost := BaselineCost(dev, ss26, 3*32*32, gpu)
-	usage := cost.Usage(dev, gpu)
-	t.Rows = append(t.Rows, Row{
-		System: "Baseline", Nodes: 1,
-		AccuracyPct: 100 * baseline.Accuracy(test.X, test.Y),
-		InferenceMs: cost.Ms(), MemoryPct: usage.MemPct,
-		CPUPct: usage.CPUPct, GPUPct: usage.GPUPct,
-	})
-	for _, k := range []int{2, 4} {
-		team, _, err := l.ObjectsTeam(k)
-		if err != nil {
-			return nil, err
-		}
-		expertName := "SS-14"
-		if k == 4 {
-			expertName = "SS-8"
-		}
-		expert, err := l.PaperNet(expertName)
-		if err != nil {
-			return nil, err
-		}
-		c := TeamNetCost(dev, link, expert, k, 3*32*32, 10, gpu)
-		u := c.Usage(dev, gpu)
-		t.Rows = append(t.Rows, Row{
-			System: "TeamNet", Nodes: k,
-			AccuracyPct: 100 * team.Accuracy(test.X, test.Y),
-			InferenceMs: c.Ms(), MemoryPct: u.MemPct,
-			CPUPct: u.CPUPct, GPUPct: u.GPUPct,
-		})
-	}
-	return t, nil
+	return l.systemsTable(t, l.objectsWorkload(), jetson(gpu), false)
 }
 
 // Table2 regenerates Table II: objects on Jetson TX2, CPU-only (a) or
 // GPU+CPU (b) — baseline vs TeamNet, MPI-Kernel (2 and 4 nodes), MPI-Branch
 // (2 nodes only, as in the paper), SG-MoE-G and SG-MoE-M.
 func (l *Lab) Table2(gpu bool) (*Table, error) {
-	dev := edgesim.JetsonTX2CPU()
-	id, title := "table2a", "Objects on Jetson TX2 (CPU only)"
+	t := &Table{ID: "table2a", Title: "Objects on Jetson TX2 (CPU only)", GPU: gpu}
 	if gpu {
-		dev = edgesim.JetsonTX2GPU()
-		id, title = "table2b", "Objects on Jetson TX2 (GPU and CPU)"
+		t.ID, t.Title = "table2b", "Objects on Jetson TX2 (GPU and CPU)"
 	}
-	link := edgesim.WiFi()
-	t := &Table{ID: id, Title: title, GPU: gpu}
-
-	baseline, err := l.ObjectsBaseline()
-	if err != nil {
-		return nil, err
-	}
-	_, test := l.Objects()
-	baseAcc := 100 * baseline.Accuracy(test.X, test.Y)
-	ss26, err := l.PaperNet("SS-26")
-	if err != nil {
-		return nil, err
-	}
-	features := 3 * 32 * 32
-
-	cost := BaselineCost(dev, ss26, features, gpu)
-	usage := cost.Usage(dev, gpu)
-	t.Rows = append(t.Rows, Row{
-		System: "Baseline", Nodes: 1, AccuracyPct: baseAcc,
-		InferenceMs: cost.Ms(), MemoryPct: usage.MemPct,
-		CPUPct: usage.CPUPct, GPUPct: usage.GPUPct,
-	})
-
-	gate, err := l.PaperNet("gate-cnn")
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range []int{2, 4} {
-		expertName := "SS-14"
-		if k == 4 {
-			expertName = "SS-8"
-		}
-		expert, err := l.PaperNet(expertName)
-		if err != nil {
-			return nil, err
-		}
-
-		team, _, err := l.ObjectsTeam(k)
-		if err != nil {
-			return nil, err
-		}
-		teamCost := TeamNetCost(dev, link, expert, k, features, 10, gpu)
-		teamUsage := teamCost.Usage(dev, gpu)
-		t.Rows = append(t.Rows, Row{
-			System: "TeamNet", Nodes: k,
-			AccuracyPct: 100 * team.Accuracy(test.X, test.Y),
-			InferenceMs: teamCost.Ms(), MemoryPct: teamUsage.MemPct,
-			CPUPct: teamUsage.CPUPct, GPUPct: teamUsage.GPUPct,
-		})
-
-		kernelCost := MPIKernelCost(dev, link, ss26, k, features, gpu)
-		kernelUsage := kernelCost.Usage(dev, gpu)
-		t.Rows = append(t.Rows, Row{
-			System: "MPI-Kernel", Nodes: k, AccuracyPct: baseAcc,
-			InferenceMs: kernelCost.Ms(), MemoryPct: kernelUsage.MemPct,
-			CPUPct: kernelUsage.CPUPct, GPUPct: kernelUsage.GPUPct,
-		})
-
-		if k == 2 { // MPI-Branch is only defined for two nodes
-			branchCost := MPIBranchCost(dev, link, ss26, features, gpu)
-			branchUsage := branchCost.Usage(dev, gpu)
-			t.Rows = append(t.Rows, Row{
-				System: "MPI-Branch", Nodes: 2, AccuracyPct: baseAcc,
-				InferenceMs: branchCost.Ms(), MemoryPct: branchUsage.MemPct,
-				CPUPct: branchUsage.CPUPct, GPUPct: branchUsage.GPUPct,
-			})
-		}
-
-		moeModel, err := l.ObjectsMoE(k)
-		if err != nil {
-			return nil, err
-		}
-		moeAcc := 100 * moeModel.Accuracy(test.X, test.Y)
-		topK := moeModel.Cfg.TopK
-		for _, tr := range []edgesim.Transport{edgesim.GRPC(), edgesim.MPI()} {
-			name := "SG-MoE-G"
-			if tr.BusyWait {
-				name = "SG-MoE-M"
-			}
-			c := SGMoECost(dev, link, tr, gate, expert, topK, features, 10, gpu)
-			u := c.Usage(dev, gpu)
-			t.Rows = append(t.Rows, Row{
-				System: name, Nodes: k, AccuracyPct: moeAcc,
-				InferenceMs: c.Ms(), MemoryPct: u.MemPct,
-				CPUPct: u.CPUPct, GPUPct: u.GPUPct,
-			})
-		}
-	}
-	return t, nil
+	return l.systemsTable(t, l.objectsWorkload(), jetson(gpu), true)
 }
 
 // Fig8 regenerates Figure 8: convergence of per-expert data shares on the

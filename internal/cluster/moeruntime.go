@@ -22,9 +22,10 @@ import (
 //
 // The live SG-MoE-G runtime shares TeamNet's socket stack: an expert node is
 // a worker Node serving the expert's snapshot (NewWorker), and the master
-// below dispatches over a coordinator Master's supervised peer links. What
-// gRPC costs over raw sockets is priced where the paper's tables are
-// computed (bench.SGMoECost), not re-enacted here.
+// below dispatches over a coordinator Master's supervised peer links. The
+// paper's SG-MoE-G and SG-MoE-M table cells both price one recorded run of
+// the MPI runtime (MoEMPIMaster and MoEMPIWorker) under the gRPC and the MPI
+// transport (internal/bench/replay.go); gRPC is not re-enacted here.
 
 // MoEMaster runs the SG-MoE gate locally and dispatches each selected
 // expert's rows as an {Own, SplitOff} request on that expert's peer link (the
@@ -167,6 +168,7 @@ func MoEMPIWorker(comm *mpi.Comm, expert *nn.Network) error {
 		if x.Shape[0] == 0 { // shutdown sentinel
 			return nil
 		}
+		comm.Work(nn.NetworkFLOPs(expert) * float64(x.Shape[0]))
 		probs := expert.Predict(x)
 		if err := comm.Send(0, probs); err != nil {
 			return fmt.Errorf("cluster: moe-mpi worker rank %d send: %w", comm.Rank(), err)
@@ -196,6 +198,7 @@ func NewMoEMPIMaster(model *moe.SGMoE, comm *mpi.Comm) (*MoEMPIMaster, error) {
 // Infer performs one gated inference round over MPI: experts live on ranks
 // 1..K, and the sends go out in rank order, matching the workers' Recv.
 func (m *MoEMPIMaster) Infer(x *tensor.Tensor) (*tensor.Tensor, error) {
+	m.comm.Work(nn.NetworkFLOPs(m.model.Gate) * float64(x.Shape[0]))
 	indices, weights := m.model.GateSelect(x)
 	return moeDispatch(m.model, x, indices, weights,
 		func(e int, rows *tensor.Tensor) error { return m.comm.Send(e+1, rows) },

@@ -105,10 +105,6 @@ func TestMulticastGatherScaleWithPeers(t *testing.T) {
 	if m3 >= 3*m1 {
 		t.Fatalf("multicast 3 peers (%v) should be < 3× unicast (%v): pipelined", m3, 3*m1)
 	}
-	c := n.Collective(1000, 1000, 3)
-	if math.Abs(c-(n.Gather(1000, 3)+n.Multicast(1000, 3))) > 1e-15 {
-		t.Fatal("collective must equal gather + multicast")
-	}
 }
 
 func TestLoopbackFasterThanWiFi(t *testing.T) {

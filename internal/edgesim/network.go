@@ -27,8 +27,8 @@ func Loopback() Link {
 	return Link{Name: "loopback", LatencySec: 0.00002, BandwidthBps: 10e9}
 }
 
-// transferSec returns the serialization time of n bytes on the link.
-func (l Link) transferSec(n int) float64 {
+// TransferSec returns the serialization time of n bytes on the link.
+func (l Link) TransferSec(n int) float64 {
 	return float64(8*n) / l.BandwidthBps
 }
 
@@ -69,7 +69,7 @@ type Net struct {
 
 // Unicast returns the time for one message of n payload bytes.
 func (n Net) Unicast(bytes int) float64 {
-	return n.Transport.PerMessageSec + n.Link.LatencySec + n.Link.transferSec(bytes)
+	return n.Transport.PerMessageSec + n.Link.LatencySec + n.Link.TransferSec(bytes)
 }
 
 // Multicast returns the time for the same payload sent to peers receivers:
@@ -80,7 +80,7 @@ func (n Net) Multicast(bytes, peers int) float64 {
 		return 0
 	}
 	return n.Transport.PerMessageSec + n.Link.LatencySec +
-		float64(peers)*n.Link.transferSec(bytes) + float64(peers-1)*n.Link.ContentionSec
+		float64(peers)*n.Link.TransferSec(bytes) + float64(peers-1)*n.Link.ContentionSec
 }
 
 // Gather returns the time for peers messages of n bytes each converging on
@@ -90,12 +90,5 @@ func (n Net) Gather(bytes, peers int) float64 {
 		return 0
 	}
 	return n.Transport.PerMessageSec + n.Link.LatencySec +
-		float64(peers)*n.Link.transferSec(bytes) + float64(peers-1)*n.Link.ContentionSec
-}
-
-// Collective returns the time for one root-centric collective (gather of
-// bytesUp per peer, then multicast of bytesDown), the building block of the
-// MPI schemes' per-layer synchronization.
-func (n Net) Collective(bytesUp, bytesDown, peers int) float64 {
-	return n.Gather(bytesUp, peers) + n.Multicast(bytesDown, peers)
+		float64(peers)*n.Link.TransferSec(bytes) + float64(peers-1)*n.Link.ContentionSec
 }

@@ -33,21 +33,28 @@ func BranchInference(comm *Comm, net *nn.Network, x *tensor.Tensor) (*tensor.Ten
 				return nil, fmt.Errorf("mpi: branch block %d: %w", li, err)
 			}
 		default:
-			act = layer.Forward(act, false)
+			act = replicated(comm, layer, act)
 		}
 	}
 	return act, nil
 }
 
-// branchBlock computes the local branch, swaps with the peer, and combines
-// with the inference-time 0.5/0.5 mix plus the (replicated) skip path.
+// branchBlock computes the local branch and the (replicated) skip path,
+// swaps branch outputs with the peer, and combines them with the
+// inference-time 0.5/0.5 mix.
 func branchBlock(comm *Comm, l *nn.ShakeShake, act *tensor.Tensor) (*tensor.Tensor, error) {
-	var mine *tensor.Tensor
-	if comm.Rank() == 0 {
-		mine = l.Branch1.Forward(act, false)
-	} else {
-		mine = l.Branch2.Forward(act, false)
+	branch := l.Branch1
+	if comm.Rank() == 1 {
+		branch = l.Branch2
 	}
+	flops := nn.NetworkFLOPs(branch)
+	mine := branch.Forward(act, false)
+	res := act
+	if l.Skip != nil {
+		flops += nn.LayerFLOPs(l.Skip)
+		res = l.Skip.Forward(act, false)
+	}
+	comm.Work(flops * float64(act.Shape[0]))
 	theirs, err := comm.Exchange(1-comm.Rank(), mine)
 	if err != nil {
 		return nil, err
@@ -57,9 +64,5 @@ func branchBlock(comm *Comm, l *nn.ShakeShake, act *tensor.Tensor) (*tensor.Tens
 		b1, b2 = theirs, mine
 	}
 	out := tensor.Add(tensor.Scale(b1, 0.5), tensor.Scale(b2, 0.5))
-	res := act
-	if l.Skip != nil {
-		res = l.Skip.Forward(act, false)
-	}
 	return tensor.Add(out, res), nil
 }

@@ -7,8 +7,10 @@
 //
 // The substrate deliberately mirrors how the paper uses MPI: per-layer
 // collectives whose frequency — not sophistication — is what makes the MPI
-// baselines slow on WiFi. Every byte is accounted (Stats), which is exactly
-// what the edge-network cost model in internal/edgesim prices.
+// baselines slow on WiFi. Every rank logs what it does (Log): each frame it
+// writes or reads, with its peer and wire bytes, and the compute the
+// runtimes declare where they do it (Work). The paper's tables price that
+// log with internal/edgesim's arithmetic, so they price what the code sends.
 //
 // Collectives are root-centric (gather to rank 0, then broadcast), giving
 // deadlock-freedom even over synchronous in-process pipes: every
@@ -28,13 +30,24 @@ import (
 // frame type for MPI payloads.
 const msgTensor byte = 1
 
-// Stats counts traffic for the cost model. All fields are totals since the
-// communicator was created.
-type Stats struct {
-	BytesSent int64
-	BytesRecv int64
-	MsgsSent  int64
-	MsgsRecv  int64
+// Op is what one logged event did.
+type Op uint8
+
+const (
+	// OpSend wrote one frame to Peer.
+	OpSend Op = iota + 1
+	// OpRecv read one frame from Peer.
+	OpRecv
+	// OpWork computed FLOPs.
+	OpWork
+)
+
+// Event is one entry of a rank's log.
+type Event struct {
+	Op    Op
+	Peer  int     // OpSend, OpRecv: the other rank
+	Bytes int     // OpSend, OpRecv: the frame's wire size, header included
+	FLOPs float64 // OpWork
 }
 
 // Comm is one rank's endpoint in an n-rank world. It is safe for use from
@@ -43,8 +56,8 @@ type Comm struct {
 	rank, size int
 	peers      []net.Conn // peers[r] is the link to rank r; nil at r == rank
 
-	mu    sync.Mutex
-	stats Stats
+	mu  sync.Mutex
+	log []Event
 }
 
 // Rank returns this communicator's rank in [0, Size).
@@ -53,11 +66,20 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the world size.
 func (c *Comm) Size() int { return c.size }
 
-// Stats returns a snapshot of the traffic counters.
-func (c *Comm) Stats() Stats {
+// Log returns a copy of every event this rank has logged, in order.
+func (c *Comm) Log() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats
+	return append([]Event(nil), c.log...)
+}
+
+// Work logs flops of compute at this point of the rank's run.
+func (c *Comm) Work(flops float64) { c.record(Event{Op: OpWork, FLOPs: flops}) }
+
+func (c *Comm) record(e Event) {
+	c.mu.Lock()
+	c.log = append(c.log, e)
+	c.mu.Unlock()
 }
 
 // NewLocalWorld builds an n-rank world connected by in-process pipes.
@@ -105,10 +127,7 @@ func (c *Comm) Send(to int, t *tensor.Tensor) error {
 	if err := transport.WriteFrame(c.peers[to], msgTensor, payload); err != nil {
 		return fmt.Errorf("mpi: rank %d send to %d: %w", c.rank, to, err)
 	}
-	c.mu.Lock()
-	c.stats.BytesSent += int64(transport.FrameWireSize(len(payload)))
-	c.stats.MsgsSent++
-	c.mu.Unlock()
+	c.record(Event{Op: OpSend, Peer: to, Bytes: transport.FrameWireSize(len(payload))})
 	return nil
 }
 
@@ -128,10 +147,7 @@ func (c *Comm) Recv(from int) (*tensor.Tensor, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mpi: rank %d decode from %d: %w", c.rank, from, err)
 	}
-	c.mu.Lock()
-	c.stats.BytesRecv += int64(transport.FrameWireSize(len(payload)))
-	c.stats.MsgsRecv++
-	c.mu.Unlock()
+	c.record(Event{Op: OpRecv, Peer: from, Bytes: transport.FrameWireSize(len(payload))})
 	return t, nil
 }
 

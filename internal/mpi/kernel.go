@@ -60,7 +60,7 @@ func kernelRunLayer(comm *Comm, layer nn.Layer, act *tensor.Tensor) (*tensor.Ten
 		}
 		return tensor.Add(out, res), nil
 	default:
-		return layer.Forward(act, false), nil
+		return replicated(comm, layer, act), nil
 	}
 }
 
@@ -78,6 +78,7 @@ func kernelConv(comm *Comm, l *nn.Conv2D, act *tensor.Tensor) (*tensor.Tensor, e
 	if lo == hi {
 		partial = tensor.New(batch, 0)
 	} else {
+		comm.Work(nn.LayerFLOPs(l) * float64(batch*(hi-lo)) / float64(g.OutC))
 		cols := tensor.Im2Col(act, g)
 		wBlock := selectCols(l.W, lo, hi) // [patchLen, hi-lo]
 		y := tensor.MatMul(cols, wBlock)  // [batch·spatial, hi-lo]

@@ -57,7 +57,7 @@ func MatrixInference(comm *Comm, net *nn.Network, x *tensor.Tensor) (*tensor.Ten
 			sum.AddRowVector(l.B) // bias replicated on every rank
 			act = sum
 		default:
-			act = layer.Forward(act, false) // activations replicated
+			act = replicated(comm, layer, act)
 		}
 	}
 	return act, nil
@@ -74,7 +74,15 @@ func densePartial(comm *Comm, l *nn.Dense, act *tensor.Tensor) (*tensor.Tensor, 
 	}
 	wBlock := tensor.RowBlock(l.W, lo, hi)
 	xBlock := selectCols(act, lo, hi)
+	comm.Work(nn.LayerFLOPs(l) * float64(act.Shape[0]*(hi-lo)) / float64(in))
 	return tensor.MatMul(xBlock, wBlock), nil
+}
+
+// replicated runs a layer every rank computes in full (activations, batch
+// norm, pooling) and declares its work.
+func replicated(comm *Comm, layer nn.Layer, act *tensor.Tensor) *tensor.Tensor {
+	comm.Work(nn.LayerFLOPs(layer) * float64(act.Shape[0]))
+	return layer.Forward(act, false)
 }
 
 // selectCols copies the half-open column range of a rank-2 tensor.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
+	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // runWorld executes fn concurrently on every rank and returns the per-rank
@@ -69,12 +70,13 @@ func TestSendRecv(t *testing.T) {
 		}
 		return got, nil
 	})
-	// Counters must reflect the traffic.
-	if s := comms[0].Stats(); s.MsgsSent != 1 || s.BytesSent == 0 {
-		t.Fatalf("rank 0 stats %+v", s)
+	// Each side logs the one frame, with its peer and wire size.
+	bytes := transport.FrameWireSize(transport.TensorWireSize(want))
+	if log := comms[0].Log(); len(log) != 1 || log[0] != (Event{Op: OpSend, Peer: 1, Bytes: bytes}) {
+		t.Fatalf("rank 0 log %+v", log)
 	}
-	if s := comms[1].Stats(); s.MsgsRecv != 1 || s.BytesRecv == 0 {
-		t.Fatalf("rank 1 stats %+v", s)
+	if log := comms[1].Log(); len(log) != 1 || log[0] != (Event{Op: OpRecv, Peer: 0, Bytes: bytes}) {
+		t.Fatalf("rank 1 log %+v", log)
 	}
 }
 
@@ -321,9 +323,22 @@ func TestMatrixCommunicatesPerLayer(t *testing.T) {
 		}
 		return MatrixInference(c, net, nil)
 	})
-	s := comms[0].Stats()
-	if s.MsgsSent < 6 {
-		t.Fatalf("rank 0 sent %d messages for a 6-layer MLP; per-layer comms missing", s.MsgsSent)
+	sent, works := 0, 0
+	for _, e := range comms[0].Log() {
+		switch e.Op {
+		case OpSend:
+			sent++
+		case OpWork:
+			works++
+		}
+	}
+	if sent < 6 {
+		t.Fatalf("rank 0 sent %d messages for a 6-layer MLP; per-layer comms missing", sent)
+	}
+	// Every layer declares its work once: a partial product per dense
+	// layer, the full layer for each replicated activation.
+	if works != len(net.Layers) {
+		t.Fatalf("rank 0 logged %d work events for %d layers", works, len(net.Layers))
 	}
 }
 

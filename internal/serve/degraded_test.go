@@ -263,11 +263,10 @@ func TestRetryAfterEstimate(t *testing.T) {
 func TestBrownoutTightensAndRelaxes(t *testing.T) {
 	be := &backendDelay{d: 20 * time.Millisecond}
 	gw := New(be, Config{
-		MaxBatch:     4,
-		QueueSize:    64,
-		Workers:      4,
-		SLOTarget:    time.Millisecond, // everything misses: burn = 1
-		BrownoutBurn: 0.1,
+		MaxBatch:  4,
+		QueueSize: 64,
+		Workers:   4,
+		SLOTarget: time.Millisecond, // everything misses: burn = 1
 	})
 	defer gw.Close()
 

@@ -97,13 +97,10 @@ type Config struct {
 	// SLOTarget is the end-to-end latency objective the brownout controller
 	// defends: when the recent burn rate (requests shed, timed out, or
 	// served slower than this target, as a fraction of all finished
-	// requests) exceeds BrownoutBurn, the controller tightens the admission
+	// requests) exceeds brownoutBurn, the controller tightens the admission
 	// queue cap stepwise, trading queue depth for tail latency; it relaxes
 	// as the burn subsides. Zero disables the controller.
 	SLOTarget time.Duration
-	// BrownoutBurn is the burn-rate threshold that tightens the gateway.
-	// Default 0.1 (10% of recent requests missing the SLO).
-	BrownoutBurn float64
 	// CacheSize bounds the content-addressed response cache (entries);
 	// 0 disables caching. Full answers are stored under a digest of the
 	// canonicalized input tensor plus the model version (SetModelVersion)
@@ -129,9 +126,6 @@ func (c Config) normalized() Config {
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
-	}
-	if c.BrownoutBurn <= 0 || c.BrownoutBurn > 1 {
-		c.BrownoutBurn = 0.1
 	}
 	if c.CacheSize < 0 {
 		c.CacheSize = 0
@@ -404,8 +398,12 @@ func (g *Gateway) sloBurned() {
 // 1/8th of its configured value.
 const brownoutMaxLevel = 3
 
+// brownoutBurn is the burn-rate threshold that tightens the gateway: 10% of
+// recent requests missing the SLO.
+const brownoutBurn = 0.1
+
 // brownoutLoop is the controller: every tick it reads the burn rate of the
-// last window and tightens (burn above BrownoutBurn) or relaxes (burn well
+// last window and tightens (burn above brownoutBurn) or relaxes (burn well
 // below it, or no evidence of trouble) one level at a time. Level L maps to
 // QueueSize>>L — under SLO pressure the gateway stops accepting queue depth
 // it can no longer drain in time, shedding early instead of serving
@@ -427,12 +425,12 @@ func (g *Gateway) brownoutLoop() {
 		total := ok + miss
 		level := g.level.Load()
 		switch {
-		case total >= minEvidence && float64(miss)/float64(total) > g.cfg.BrownoutBurn:
+		case total >= minEvidence && float64(miss)/float64(total) > brownoutBurn:
 			if level < brownoutMaxLevel {
 				level++
 				g.metrics.Counter("serve.brownout.tightened").Inc()
 			}
-		case total < minEvidence || float64(miss)/float64(total) < g.cfg.BrownoutBurn/4:
+		case total < minEvidence || float64(miss)/float64(total) < brownoutBurn/4:
 			if level > 0 {
 				level--
 				g.metrics.Counter("serve.brownout.relaxed").Inc()
