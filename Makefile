@@ -1,13 +1,14 @@
 # Build, test and verification entry points. `make verify` is the
 # robustness gate: formatting, vet, docs and reachability, markdown links,
-# the no-FMA numeric contract of the assembly kernels, plus the failure-path packages (cluster runtime, transport, chaos proxy,
-# trace) and the two packages whose whole job is concurrent reads during
-# writes (metrics, admin) under the race detector — the chaos-driven
-# recovery tests only count if they pass with -race.
+# the no-FMA numeric contract of the assembly kernels, plus every internal/
+# package under the race detector — the failure-path packages (cluster
+# runtime, transport, chaos proxy, trace) and the two whose whole job is
+# concurrent reads during writes (metrics, admin) in full, the rest at -short
+# — since the chaos-driven recovery tests only count if they pass with -race.
 
 GO ?= go
 
-.PHONY: build test verify fmt-check docs linkcheck one-loop no-fma loc bench bench-kernels bench-soak bench-forward bench-fleet bench-split bench-check clean
+.PHONY: build test verify fmt-check docs linkcheck one-loop no-fma loc bench bench-kernels bench-forward bench-fleet bench-split bench-check clean
 
 build:
 	$(GO) build ./...
@@ -51,7 +52,9 @@ linkcheck:
 # split planner all read — no second EWMA, histogram seeding or planner-side
 # peer model comes back; and the paper tables' MPI and SG-MoE cells price a
 # recorded run of the real runtimes (internal/bench/replay.go), so no hand
-# cost formula for those baselines comes back.
+# cost formula for those baselines comes back; and the serving stack has one
+# live chaos drill (internal/bench/fleet.go), so no second harness, artifact
+# or make target beside it comes back.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -75,6 +78,9 @@ one-loop:
 		echo "a second per-peer cost estimate is back (one peerCost per peer: internal/cluster/cost.go)"; exit 1; fi
 	@if grep -rnw 'MPIMatrixCost\|MPIKernelCost\|MPIBranchCost\|SGMoECost' --include=*.go .; then \
 		echo "a hand cost formula for an MPI or SG-MoE baseline is back (the tables price a recorded run: internal/bench/replay.go)"; exit 1; fi
+	@if grep -rn 'RunSoak\|SoakConfig\|SoakReport\|BENCH_soak\|bench-soak' --include=*.go . || \
+		grep -n '^bench-soak:' Makefile || ls BENCH_soak.json 2>/dev/null; then \
+		echo "a second live harness is back (one chaos drill: internal/bench/fleet.go)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its
@@ -139,16 +145,19 @@ loc:
 # split tails, ensemble requests — with malformed tensors and spent budgets
 # on one connection while the server
 # loop recycles its frame buffers and input tensors) 20 more times under the
-# race detector. The last line races the live benchmark harnesses (soak,
-# fleet, forward) at smoke size and the open-loop generator's own tests
-# (internal/bench load_test.go: TestLoadOfferedIsOpenLoop,
-# TestLoadOutcomeClasses, TestLoadBuckets — fake calls, no sockets).
+# race detector. The last line races every other internal/ package at
+# -short: the live benchmark harnesses (the fleet drill, forward) at smoke
+# size and the open-loop generator's own tests (internal/bench load_test.go:
+# TestLoadOfferedIsOpenLoop, TestLoadOutcomeClasses, TestLoadBuckets — fake
+# calls, no sockets), the in-process MPI worlds (internal/mpi: every rank on
+# its own network copy), and core, moe, edgesim, dataset, cli and plot — so
+# no internal/ package goes unraced.
 verify: fmt-check docs linkcheck one-loop no-fma
 	$(GO) vet ./...
 	$(GO) test -short ./...
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...
 	$(GO) test -race -run TestPooledBufferHammer -count=20 ./internal/cluster
-	$(GO) test -race -short -count=1 ./internal/bench/...
+	$(GO) test -race -short -count=1 ./internal/bench/... ./internal/mpi/... ./internal/core/... ./internal/moe/... ./internal/edgesim/... ./internal/dataset/... ./internal/cli/... ./internal/plot/...
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -177,20 +186,17 @@ bench-kernels:
 bench-forward:
 	$(GO) run ./cmd/teamnet-bench -forward -forward-duration 1s -out BENCH_forward.json
 
-# Chaos soak: minutes of Poisson load through the full gateway stack while a
-# scripted fault timeline stalls, resets and heals workers (stall at t/4,
-# reset at t/2, heal at 3t/4). Exits non-zero if any interval records zero
-# goodput or tail latency never recovers after the heal (docs/OPERATIONS.md).
-bench-soak:
-	$(GO) run ./cmd/teamnet-bench -soak -soak-duration 2m -out BENCH_soak.json
-
-# Fleet scaling + hot-swap: gateway/master pairs at 1, 2 and 4 under a fixed
-# per-pair Poisson rate, masters discovered via announce gossip, one worker
-# link stalled and healed mid-run, and a scripted wire hot-swap at 3t/4
-# (weights pushed to workers, then masters, gateway cutover last). Exits
-# non-zero under 3x aggregate goodput scaling, on any hard-failed request,
-# or on any stale-version cache entry after cutover (DESIGN.md §12). Run on
-# the reference host before committing the artifact.
+# The chaos drill: gateway/master pairs at 1, 2 and 4 under a fixed per-pair
+# Poisson rate of rows no cache has seen, masters discovered via announce
+# gossip, and one timeline per scale in five acts — healthy, one worker link
+# stalled at t/5, a second worker's link reset at 2t/5, every link healed at
+# 3t/5, a wire hot-swap at 4t/5 (weights pushed to workers, then masters,
+# gateway cutover last) — read in ten intervals. Exits non-zero under 3x
+# aggregate goodput scaling, on any hard-failed request, stale-version cache
+# entry or version split after cutover, on any interval with zero goodput, or
+# if a scale's final-interval p99 has not come back within 2x its healthy
+# baseline + 5 ms (DESIGN.md §12, docs/OPERATIONS.md). Run on the reference
+# host before committing the artifact.
 bench-fleet:
 	$(GO) run ./cmd/teamnet-bench -fleet -out BENCH_fleet.json
 
@@ -207,7 +213,8 @@ bench-split:
 # committed BENCH_fleet.json, BENCH_split.json and BENCH_forward.json
 # configurations and fails on >20% goodput loss, a >20% fall in a model's
 # snapshot or training-step share of the machine peak, a fleet scaling
-# collapse, any hot-swap failure or stale entry, any snapshot forward
+# collapse, any hot-swap failure, stale entry or version split, any drill
+# interval with zero goodput or unrecovered tail, any snapshot forward
 # allocation, or a split-plan drift. A shorter re-run window keeps
 # the fleet CI-sized. End-to-end serving speed is judged by BENCHMARK.json
 # (go run ./benchmark), not by this gate.

@@ -7,10 +7,10 @@
 // It also hosts the serving-stack benchmarks (docs/BENCHMARKS.md):
 // -forward reads every zoo model's frozen inference Snapshot and its
 // training step as shares of the machine's measured peak (DESIGN.md §10);
-// -soak drills the SLO-defense layer through a
-// scripted fault timeline; -fleet scales gateway/master pairs across the
-// serving fabric and hot-swaps the model mid-run (§12); -split sweeps the
-// partial-offload planner across edgesim link profiles (§13); and -check
+// -fleet scales gateway/master pairs across the serving fabric while one
+// chaos drill stalls, resets and heals worker links and hot-swaps the model
+// mid-run (§12); -split sweeps the partial-offload planner across edgesim
+// link profiles (§13); and -check
 // re-runs the committed fleet, split and forward configurations as a
 // regression gate. End-to-end serving speed is measured by the repository
 // benchmark (BENCHMARK.json, go run ./benchmark), not here.
@@ -54,27 +54,20 @@ func run() error {
 		plotsDir   = flag.String("plots", "", "also write SVG figures into this directory")
 		seed       = flag.Int64("seed", 42, "random seed")
 
-		netDelay = flag.Duration("netdelay", 2*time.Millisecond, "soak/fleet: one-way link delay (edge RTT model; negative = none injected)")
-		out      = flag.String("out", "", "every serving-stack mode (-forward, -soak, -fleet, -split, -check): also write the report as JSON to this file")
+		netDelay = flag.Duration("netdelay", 2*time.Millisecond, "fleet: one-way link delay (edge RTT model; negative = none injected)")
+		out      = flag.String("out", "", "every serving-stack mode (-forward, -fleet, -split, -check): also write the report as JSON to this file")
 		reqDl    = flag.Duration("req-deadline", 300*time.Millisecond, "fleet: per-request deadline")
-		maxBatch = flag.Int("max-batch", 16, "soak/fleet: gateway row budget per coalesced batch")
+		maxBatch = flag.Int("max-batch", 16, "fleet: gateway row budget per coalesced batch")
 
 		forward = flag.Bool("forward", false, "run the batch forward-pass benchmark: every zoo model's frozen inference snapshot and training step as shares of the machine's measured multiply/add peak")
 		fwBatch = flag.Int("forward-batch", 16, "forward: rows per forward pass")
 		fwDur   = flag.Duration("forward-duration", 300*time.Millisecond, "forward: measured window per model per engine (snapshot, training step)")
 
-		soak         = flag.Bool("soak", false, "run the chaos soak: Poisson load through the full gateway stack under a scripted fault timeline")
-		soakQPS      = flag.Int("soak-qps", 800, "soak: offered Poisson arrival rate, requests/second")
-		soakDuration = flag.Duration("soak-duration", 2*time.Minute, "soak: total run length")
-		soakInterval = flag.Duration("soak-interval", 5*time.Second, "soak: time-series bucket width")
-		soakDeadline = flag.Duration("soak-deadline", 250*time.Millisecond, "soak: per-request deadline (and gateway SLO target)")
-		soakWorkers  = flag.Int("soak-workers", 3, "soak: worker nodes, each behind its own chaos proxy")
-
-		fleet         = flag.Bool("fleet", false, "run the fleet bench: gateway/master pairs scaled 1→2→4 under per-pair Poisson load with a chaos stall and a mid-run wire hot-swap")
+		fleet         = flag.Bool("fleet", false, "run the fleet drill: gateway/master pairs scaled 1→2→4 under per-pair Poisson load while a worker link is stalled, a second reset, all healed, and the model hot-swapped over the wire")
 		fleetQPS      = flag.Int("fleet-qps", 400, "fleet: offered Poisson arrival rate per gateway/master pair, requests/second")
 		fleetDuration = flag.Duration("fleet-duration", 8*time.Second, "fleet: measured window per scale")
 		fleetScales   = flag.String("fleet-scales", "1,2,4", "fleet: comma-separated pair counts, ascending")
-		fleetWorkers  = flag.Int("fleet-workers", 2, "fleet: workers per master, each behind its own chaos proxy")
+		fleetWorkers  = flag.Int("fleet-workers", 2, "fleet: workers per master (at least 2), each behind its own chaos proxy")
 
 		splitBench = flag.Bool("split", false, "run the partial-offload planning sweep: the split planner across edgesim link profiles")
 		splitBatch = flag.Int("split-batch", 1, "split: rows per query")
@@ -104,23 +97,6 @@ func run() error {
 			Duration: *fwDur,
 			Seed:     *seed,
 		}))
-	}
-
-	if *soak {
-		report, err := bench.RunSoak(bench.SoakConfig{
-			TargetQPS: *soakQPS,
-			Duration:  *soakDuration,
-			Interval:  *soakInterval,
-			Deadline:  *soakDeadline,
-			Workers:   *soakWorkers,
-			NetDelay:  *netDelay,
-			MaxBatch:  *maxBatch,
-			Seed:      *seed,
-		})
-		if err := emit(report, err); err != nil {
-			return err
-		}
-		return soakGate(report.Summary)
 	}
 
 	if *fleet {
@@ -228,35 +204,18 @@ func run() error {
 	return nil
 }
 
-// soakGate fails the process when the SLO-defense layer misses its
-// acceptance bar: an interval with zero goodput, or tails that never come
-// back down after the heal.
-func soakGate(s bench.SoakSummary) error {
-	if s.ZeroGoodputIntervals > 0 {
-		return fmt.Errorf("soak: %d intervals with zero goodput", s.ZeroGoodputIntervals)
-	}
-	if !s.Recovered {
-		return fmt.Errorf("soak: p99 never recovered after heal (baseline %.2fms, final %.2fms)", s.BaselineP99Ms, s.FinalP99Ms)
-	}
-	return nil
-}
-
 // fleetGate fails the process when the fabric misses its acceptance bar:
-// under 3x aggregate goodput at the largest scale, any hard-failed request
-// across the hot-swap, or any stale-version cache entry left behind.
+// under 3x aggregate goodput at the largest scale, or any exact verdict of
+// the regression gate broken at any scale — a hard-failed request, a stale
+// cache entry or split versions after the hot-swap, an interval with zero
+// goodput, a tail that never recovers after the heal.
 func fleetGate(report *bench.FleetReport) error {
 	if len(report.Scales) > 1 && report.ScalingX < 3 {
 		return fmt.Errorf("fleet: %.2fx aggregate goodput scaling, want >= 3x", report.ScalingX)
 	}
-	for _, s := range report.Scales {
-		if s.Swap.FailedRequests > 0 {
-			return fmt.Errorf("fleet: %d hard-failed requests at %d pairs across the hot-swap", s.Swap.FailedRequests, s.Pairs)
-		}
-		if s.Swap.StaleEntries > 0 {
-			return fmt.Errorf("fleet: %d stale-version cache entries at %d pairs after cutover", s.Swap.StaleEntries, s.Pairs)
-		}
-		if s.Swap.Version == "" {
-			return fmt.Errorf("fleet: version disagreement after the hot-swap at %d pairs", s.Pairs)
+	for _, c := range bench.EvaluateFleetCheck(report, report, 0) {
+		if !c.Pass {
+			return fmt.Errorf("fleet: %s is %g, want %g", c.Name, c.Current, c.Limit)
 		}
 	}
 	return nil

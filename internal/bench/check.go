@@ -12,10 +12,10 @@ import (
 // forward-pass benchmarks with the configuration recorded in the committed
 // BENCH_fleet.json / BENCH_split.json / BENCH_forward.json artifacts and
 // fails when a headline number regresses past tolerance — >20% lower
-// goodput or snapshot speedup by default — or an exact invariant breaks: the fleet's
-// hot-swap outcome, the snapshot's zero-allocation steady state, the split
-// plan. End-to-end speed is judged by the repository benchmark
-// (BENCHMARK.json), not here.
+// goodput or snapshot speedup by default — or an exact invariant breaks: the
+// fleet drill's fault and hot-swap verdicts, the snapshot's zero-allocation
+// steady state, the split plan. End-to-end speed is judged by the repository
+// benchmark (BENCHMARK.json), not here.
 
 // CheckTolerance is the default allowed relative regression (20%).
 const CheckTolerance = 0.20
@@ -81,17 +81,37 @@ func checkCeilingGrace(name string, committed, current, tol, graceMs float64) Ch
 
 // EvaluateFleetCheck gates the serving fabric: aggregate goodput at the
 // largest scale and the scaling factor itself are relative floors, while the
-// hot-swap outcome is exact — a rollout that hard-fails even one request or
-// leaves one stale-version cache entry is a regression at any tolerance.
+// drill's verdicts are exact and summed over every scale — a rollout that
+// hard-fails even one request, leaves one stale-version cache entry or ends
+// with the tiers on different versions, an interval with zero goodput, or a
+// scale whose tail never recovers after the heal is a regression at any
+// tolerance.
 func EvaluateFleetCheck(committed, current *FleetReport, tol float64) []CheckResult {
 	ct, cu := committed.Scales[len(committed.Scales)-1], current.Scales[len(current.Scales)-1]
+	exact := func(name string, count func(FleetScale) int) CheckResult {
+		sum := func(r *FleetReport) (n int) {
+			for _, s := range r.Scales {
+				n += count(s)
+			}
+			return n
+		}
+		n := sum(current)
+		return CheckResult{Name: name, Committed: float64(sum(committed)), Current: float64(n), Limit: 0, Pass: n == 0}
+	}
+	flag := func(bad bool) int {
+		if bad {
+			return 1
+		}
+		return 0
+	}
 	return []CheckResult{
 		checkFloor("fleet.goodput_max.qps", ct.GoodputQPS, cu.GoodputQPS, tol),
 		checkFloor("fleet.scaling_x", committed.ScalingX, current.ScalingX, tol),
-		{Name: "fleet.swap.failed_requests", Committed: float64(ct.Swap.FailedRequests),
-			Current: float64(cu.Swap.FailedRequests), Limit: 0, Pass: cu.Swap.FailedRequests == 0},
-		{Name: "fleet.swap.stale_entries", Committed: float64(ct.Swap.StaleEntries),
-			Current: float64(cu.Swap.StaleEntries), Limit: 0, Pass: cu.Swap.StaleEntries == 0},
+		exact("fleet.swap.failed_requests", func(s FleetScale) int { return s.Swap.FailedRequests }),
+		exact("fleet.swap.stale_entries", func(s FleetScale) int { return s.Swap.StaleEntries }),
+		exact("fleet.swap.split_versions", func(s FleetScale) int { return flag(s.Swap.Version == "") }),
+		exact("fleet.zero_goodput_intervals", func(s FleetScale) int { return s.ZeroGoodputIntervals }),
+		exact("fleet.unrecovered_scales", func(s FleetScale) int { return flag(!s.Recovered) }),
 	}
 }
 
@@ -145,7 +165,6 @@ func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 				NetDelay:       netDelayFromMs(c.NetDelayMs),
 				MaxBatch:       c.MaxBatch,
 				CacheSize:      c.CacheSize,
-				KeySpace:       c.KeySpace,
 			})
 		}, EvaluateFleetCheck),
 		// The split sweep is analytic (no wall clock), so the committed

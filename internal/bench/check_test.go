@@ -28,8 +28,11 @@ func TestCheckFloorAndCeiling(t *testing.T) {
 }
 
 func TestEvaluateChecksAndReportString(t *testing.T) {
-	committed := &FleetReport{ScalingX: 3.6, Scales: []FleetScale{{Pairs: 4, Load: Load{GoodputQPS: 1440}}}}
-	current := &FleetReport{ScalingX: 3.4, Scales: []FleetScale{{Pairs: 4, Load: Load{GoodputQPS: 1350}}}}
+	healthy := func(goodput float64) []FleetScale {
+		return []FleetScale{{Pairs: 4, Load: Load{GoodputQPS: goodput}, Recovered: true, Swap: FleetSwap{Version: "vB"}}}
+	}
+	committed := &FleetReport{ScalingX: 3.6, Scales: healthy(1440)}
+	current := &FleetReport{ScalingX: 3.4, Scales: healthy(1350)}
 	results := EvaluateFleetCheck(committed, current, 0.2)
 	for _, c := range results {
 		if !c.Pass {
@@ -94,7 +97,6 @@ func missingKeys(path string, file, back any) []string {
 // bench-check reads these files with these types.
 func TestCommittedArtifactSchemas(t *testing.T) {
 	for name, report := range map[string]any{
-		"soak":    &SoakReport{},
 		"fleet":   &FleetReport{},
 		"forward": &ForwardReport{},
 		"split":   &SplitReport{},

@@ -7,14 +7,14 @@ import (
 )
 
 // TestFleetSmoke is the CI-sized fleet drill: 2 gateway/master pairs
-// in-process, every worker link behind a chaos proxy (one of which stalls
-// mid-run), and one scripted wire hot-swap. It pins the two swap
-// invariants the full bench-fleet artifact gates — no hard-failed
-// requests, no stale-version cache entries — at smoke scale.
+// in-process, every worker link behind a chaos proxy, the whole timeline —
+// stall, reset, heal, wire hot-swap — in seconds. It holds the run to the
+// SLO-defense verdict and the swap invariants the full bench-fleet artifact
+// gates.
 func TestFleetSmoke(t *testing.T) {
 	cfg := FleetConfig{
 		PairQPS:  150,
-		Duration: 4 * time.Second,
+		Duration: 5 * time.Second,
 		Deadline: 250 * time.Millisecond,
 		Scales:   []int{2},
 	}
@@ -31,9 +31,29 @@ func TestFleetSmoke(t *testing.T) {
 	if s.Offered == 0 || s.Completed == 0 {
 		t.Fatalf("fleet offered %d / completed %d", s.Offered, s.Completed)
 	}
+	if len(s.Intervals) != fleetIntervals {
+		t.Fatalf("%d intervals, want %d", len(s.Intervals), fleetIntervals)
+	}
+	// The headline defense claim: faults thin answers, they never stop them.
+	if s.ZeroGoodputIntervals != 0 {
+		t.Fatalf("%d intervals with zero goodput", s.ZeroGoodputIntervals)
+	}
+	// The stall and reset acts reach a worker: partial-ensemble answers.
+	if s.Degraded == 0 {
+		t.Fatal("no degraded answers across a stall+reset timeline")
+	}
+	// Races where both arms fail settle as neither won nor wasted, so the
+	// split can only undershoot fired — never exceed it.
+	if s.HedgeWon+s.HedgeWasted > s.HedgeFired {
+		t.Fatalf("hedge accounting leak: fired=%d won=%d wasted=%d", s.HedgeFired, s.HedgeWon, s.HedgeWasted)
+	}
+	// Final-interval tails back near the healthy baseline after the heal.
+	if !s.Recovered {
+		t.Fatalf("tail latency never recovered after heal: baseline p99 %.2fms, final %.2fms", s.BaselineP99Ms, s.FinalP99Ms)
+	}
 	// The swap verdict: the rollout hard-fails nothing...
 	if s.Swap.FailedRequests != 0 {
-		t.Fatalf("%d hard-failed requests across the hot-swap run", s.Swap.FailedRequests)
+		t.Fatalf("%d hard-failed requests across the drill", s.Swap.FailedRequests)
 	}
 	// ...every tier agrees on the new version...
 	if s.Swap.Version != "vB" {
@@ -57,29 +77,22 @@ func TestFleetSmoke(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Scales) != 1 || back.Scales[0].Swap.Version != "vB" {
-		t.Fatal("swap outcome lost in the JSON round trip")
+	if len(back.Scales) != 1 || back.Scales[0].Swap.Version != "vB" || len(back.Scales[0].Intervals) != fleetIntervals {
+		t.Fatal("swap outcome or intervals lost in the JSON round trip")
 	}
 }
 
 // TestEvaluateFleetCheck pins the fleet gate's semantics: relative floors
-// on goodput and scaling, exact zeros on the swap outcome.
+// on goodput and scaling, exact zeros on the drill's verdicts.
 func TestEvaluateFleetCheck(t *testing.T) {
-	committed := &FleetReport{
-		ScalingX: 3.6,
-		Scales: []FleetScale{
-			{Pairs: 1, Load: Load{GoodputQPS: 400}},
-			{Pairs: 4, Load: Load{GoodputQPS: 1440}, Swap: FleetSwap{}},
-		},
+	scale := func(pairs int, goodput float64) FleetScale {
+		return FleetScale{Pairs: pairs, Load: Load{GoodputQPS: goodput}, Recovered: true, Swap: FleetSwap{Version: "vB"}}
 	}
-	pass := &FleetReport{
-		ScalingX: 3.3,
-		Scales: []FleetScale{
-			{Pairs: 1, Load: Load{GoodputQPS: 390}},
-			{Pairs: 4, Load: Load{GoodputQPS: 1300}, Swap: FleetSwap{}},
-		},
+	report := func(scaling float64, scales ...FleetScale) *FleetReport {
+		return &FleetReport{ScalingX: scaling, Scales: scales}
 	}
-	for _, c := range EvaluateFleetCheck(committed, pass, 0.20) {
+	committed := report(3.6, scale(1, 400), scale(4, 1440))
+	for _, c := range EvaluateFleetCheck(committed, report(3.3, scale(1, 390), scale(4, 1300)), 0.20) {
 		if !c.Pass {
 			t.Fatalf("%s failed within tolerance: committed %.2f current %.2f limit %.2f",
 				c.Name, c.Committed, c.Current, c.Limit)
@@ -87,16 +100,8 @@ func TestEvaluateFleetCheck(t *testing.T) {
 	}
 
 	// Scaling collapse past tolerance fails the relative floor.
-	collapsed := &FleetReport{
-		ScalingX: 2.0,
-		Scales: []FleetScale{
-			{Pairs: 1, Load: Load{GoodputQPS: 400}},
-			{Pairs: 4, Load: Load{GoodputQPS: 800}},
-		},
-	}
-	results := EvaluateFleetCheck(committed, collapsed, 0.20)
 	failed := 0
-	for _, c := range results {
+	for _, c := range EvaluateFleetCheck(committed, report(2.0, scale(1, 400), scale(4, 800)), 0.20) {
 		if !c.Pass {
 			failed++
 		}
@@ -105,23 +110,31 @@ func TestEvaluateFleetCheck(t *testing.T) {
 		t.Fatal("scaling collapse passed the fleet gate")
 	}
 
-	// A single hard-failed request or stale entry fails at ANY tolerance —
-	// the swap invariants are exact, not relative.
-	dirty := &FleetReport{
-		ScalingX: 3.6,
-		Scales: []FleetScale{
-			{Pairs: 1, Load: Load{GoodputQPS: 400}},
-			{Pairs: 4, Load: Load{GoodputQPS: 1440}, Swap: FleetSwap{FailedRequests: 1, StaleEntries: 1}},
-		},
-	}
-	byName := map[string]CheckResult{}
-	for _, c := range EvaluateFleetCheck(committed, dirty, 10.0) {
-		byName[c.Name] = c
-	}
-	if byName["fleet.swap.failed_requests"].Pass {
-		t.Fatal("a hard-failed swap request passed the gate")
-	}
-	if byName["fleet.swap.stale_entries"].Pass {
-		t.Fatal("a stale cache entry passed the gate")
+	// One hard-failed request, stale entry, split version, zero-goodput
+	// interval or unrecovered scale — at any scale, the smallest included —
+	// fails at ANY tolerance: the verdicts are exact, not relative.
+	for name, spoil := range map[string]func(*FleetScale){
+		"fleet.swap.failed_requests":   func(s *FleetScale) { s.Swap.FailedRequests = 1 },
+		"fleet.swap.stale_entries":     func(s *FleetScale) { s.Swap.StaleEntries = 1 },
+		"fleet.swap.split_versions":    func(s *FleetScale) { s.Swap.Version = "" },
+		"fleet.zero_goodput_intervals": func(s *FleetScale) { s.ZeroGoodputIntervals = 1 },
+		"fleet.unrecovered_scales":     func(s *FleetScale) { s.Recovered = false },
+	} {
+		dirty := report(3.6, scale(1, 400), scale(4, 1440))
+		spoil(&dirty.Scales[0])
+		found := false
+		for _, c := range EvaluateFleetCheck(committed, dirty, 10.0) {
+			if c.Name == name {
+				found = true
+				if c.Pass {
+					t.Errorf("%s passed the gate at 1 against a limit of 0", name)
+				}
+			} else if !c.Pass {
+				t.Errorf("spoiling %s also failed %s", name, c.Name)
+			}
+		}
+		if !found {
+			t.Errorf("the fleet gate has no %s result", name)
+		}
 	}
 }

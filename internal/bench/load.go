@@ -12,13 +12,13 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
-// Open-loop load generator: the one instrument the soak and fleet harnesses
-// measure with. Single-row requests arrive on a Poisson
-// clock — exponential gaps paced against absolute time — whether or not
-// earlier ones have finished, so a slow system cannot slow the clock down;
-// that back-pressure immunity is the whole point of open loop. Every request
-// carries its own deadline and ends in exactly one outcome class; goodput
-// and the latency quantiles are defined here and nowhere else.
+// Open-loop load generator: the one instrument the fleet drill measures
+// with. Single-row requests arrive on a Poisson clock — exponential gaps
+// paced against absolute time — whether or not earlier ones have finished,
+// so a slow system cannot slow the clock down; that back-pressure immunity
+// is the whole point of open loop. Every request carries its own deadline
+// and ends in exactly one outcome class; goodput and the latency quantiles
+// are defined here and nowhere else.
 
 // Load is what one bucket of an open-loop run measured. Offered counts
 // arrivals by their scheduled arrival time, so it is a pure function of
@@ -82,10 +82,12 @@ func (s loadSpec) buckets() (n int, width time.Duration) {
 	return int((s.window + width - 1) / width), width
 }
 
-// run offers the load and returns one Load per bucket.
-func (s loadSpec) run() []Load {
+// run offers the load and returns the whole window's Load and one Load per
+// bucket.
+func (s loadSpec) run() (total Load, series []Load) {
 	n, width := s.buckets()
 	buckets := make([]loadBucket, n)
+	var all loadBucket
 	start := time.Now()
 	index := func(t time.Time) int {
 		return min(int(t.Sub(start)/width), len(buckets)-1)
@@ -97,22 +99,23 @@ func (s loadSpec) run() []Load {
 		sent := time.Now()
 		degraded, err := s.call(ctx, i, x)
 		done := time.Now()
-		b := &buckets[index(done)]
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		switch {
-		case err == nil:
-			b.Completed++
-			if degraded {
-				b.Degraded++
+		for _, b := range []*loadBucket{&buckets[index(done)], &all} {
+			b.mu.Lock()
+			switch {
+			case err == nil:
+				b.Completed++
+				if degraded {
+					b.Degraded++
+				}
+				b.lat.Observe(done.Sub(sent))
+			case errors.Is(err, serve.ErrQueueFull):
+				b.Shed++
+			case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+				b.TimedOut++
+			default:
+				b.Errors++
 			}
-			b.lat.Observe(done.Sub(sent))
-		case errors.Is(err, serve.ErrQueueFull):
-			b.Shed++
-		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-			b.TimedOut++
-		default:
-			b.Errors++
+			b.mu.Unlock()
 		}
 	}
 
@@ -152,25 +155,26 @@ func (s loadSpec) run() []Load {
 	close(stop)
 	<-scripted
 
-	loads := make([]Load, len(buckets))
+	series = make([]Load, len(buckets))
 	for i := range buckets {
-		b := &buckets[i]
 		if i == len(buckets)-1 {
 			width = s.window - time.Duration(i)*width // the last bucket may be short
 		}
-		loads[i] = b.Load
-		loads[i].Offered = offered[i]
-		loads[i].GoodputQPS = float64(b.Completed) / width.Seconds()
-		loads[i].P50Ms = ms(b.lat.Percentile(50))
-		loads[i].P95Ms = ms(b.lat.Percentile(95))
-		loads[i].P99Ms = ms(b.lat.Percentile(99))
+		series[i] = buckets[i].reduce(offered[i], width)
+		all.Offered += offered[i]
 	}
-	return loads
+	return all.reduce(all.Offered, s.window), series
 }
 
-// cycle picks rows round-robin by arrival index.
-func cycle(rows []*tensor.Tensor) func(int) *tensor.Tensor {
-	return func(i int) *tensor.Tensor { return rows[i%len(rows)] }
+// reduce is the bucket's Load, with offered arrivals over a width-wide window.
+func (b *loadBucket) reduce(offered int, width time.Duration) Load {
+	l := b.Load
+	l.Offered = offered
+	l.GoodputQPS = float64(b.Completed) / width.Seconds()
+	l.P50Ms = ms(b.lat.Percentile(50))
+	l.P95Ms = ms(b.lat.Percentile(95))
+	l.P99Ms = ms(b.lat.Percentile(99))
+	return l
 }
 
 // predict adapts Gateway.Predict to loadSpec.call, spreading arrivals

@@ -36,12 +36,12 @@ func TestLoadOfferedIsOpenLoop(t *testing.T) {
 		seed: 9, bucket: 50 * time.Millisecond, pick: noRow,
 	}
 	spec.call = func(context.Context, int, *tensor.Tensor) (bool, error) { return false, nil }
-	fast := spec.run()
+	_, fast := spec.run()
 	spec.call = func(ctx context.Context, _ int, _ *tensor.Tensor) (bool, error) {
 		<-ctx.Done()
 		return false, ctx.Err()
 	}
-	blocked := spec.run()
+	_, blocked := spec.run()
 
 	if len(fast) != 3 || fast[0].Offered == 0 {
 		t.Fatalf("want 3 buckets with arrivals, got %+v", fast)
@@ -56,7 +56,7 @@ func TestLoadOfferedIsOpenLoop(t *testing.T) {
 		}
 	}
 	spec.seed = 10
-	if reflect.DeepEqual(offeredOf(spec.run()), offeredOf(blocked)) {
+	if _, other := spec.run(); reflect.DeepEqual(offeredOf(other), offeredOf(blocked)) {
 		t.Fatal("a different seed drew the identical arrival process")
 	}
 }
@@ -68,9 +68,13 @@ func TestLoadOfferedIsOpenLoop(t *testing.T) {
 func TestLoadOutcomeClasses(t *testing.T) {
 	const deadline = 100 * time.Millisecond
 	var badDeadline, rowMismatch atomic.Int64
-	rows := randRows(tensor.NewRNG(1), 5)
-	loads := loadSpec{
-		qps: 1000, window: 100 * time.Millisecond, deadline: deadline, seed: 3, pick: cycle(rows),
+	rng := tensor.NewRNG(1)
+	rows := make([]*tensor.Tensor, 5)
+	for i := range rows {
+		rows[i] = rng.Randn(1, 4)
+	}
+	total, loads := loadSpec{
+		qps: 1000, window: 100 * time.Millisecond, deadline: deadline, seed: 3, pick: func(i int) *tensor.Tensor { return rows[i%5] },
 		call: func(ctx context.Context, i int, x *tensor.Tensor) (bool, error) {
 			if dl, ok := ctx.Deadline(); !ok || time.Until(dl) > deadline || time.Until(dl) < deadline/2 {
 				badDeadline.Add(1)
@@ -97,6 +101,9 @@ func TestLoadOutcomeClasses(t *testing.T) {
 		t.Fatalf("no bucket width set, want one bucket, got %d", len(loads))
 	}
 	l := loads[0]
+	if total != l {
+		t.Fatalf("one bucket is the whole window, but the total differs:\n total %+v\nbucket %+v", total, l)
+	}
 	// Arrival i has class i%5, so class c was offered ceil((Offered-c)/5) times.
 	class := func(c int) int { return (l.Offered - c + 4) / 5 }
 	want := Load{
@@ -125,7 +132,7 @@ func TestLoadOutcomeClasses(t *testing.T) {
 // last bucket, and the short last bucket divides by its real width.
 func TestLoadBuckets(t *testing.T) {
 	const width = 100 * time.Millisecond
-	loads := loadSpec{
+	total, loads := loadSpec{
 		qps: 400, window: 250 * time.Millisecond, deadline: time.Second, seed: 5, bucket: width, pick: noRow,
 		call: func(context.Context, int, *tensor.Tensor) (bool, error) {
 			time.Sleep(width)
@@ -148,6 +155,12 @@ func TestLoadBuckets(t *testing.T) {
 	}
 	if got, want := a.Completed+b.Completed+c.Completed, a.Offered+b.Offered+c.Offered; got != want {
 		t.Fatalf("%d completions for %d arrivals", got, want)
+	}
+	if total.Offered != a.Offered+b.Offered+c.Offered || total.Completed != total.Offered {
+		t.Fatalf("whole-window total %+v does not sum the buckets' %v arrivals", total, offeredOf(loads))
+	}
+	if want := float64(total.Completed) / 0.25; total.GoodputQPS != want {
+		t.Fatalf("whole-window goodput %v, want %v over the 250ms window", total.GoodputQPS, want)
 	}
 	if want := float64(b.Completed) / 0.1; b.GoodputQPS != want {
 		t.Fatalf("full bucket goodput %v, want %v", b.GoodputQPS, want)

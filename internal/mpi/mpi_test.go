@@ -184,7 +184,8 @@ func TestExchangeBothDirections(t *testing.T) {
 
 func TestMatrixInferenceMatchesLocal(t *testing.T) {
 	rng := tensor.NewRNG(2)
-	net, err := nn.MLPSpec{Label: "m", Input: 20, Width: 16, Layers: 4, Classes: 5}.Build(rng)
+	spec := nn.MLPSpec{Label: "m", Input: 20, Width: 16, Layers: 4, Classes: 5}
+	net, err := spec.Build(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +193,12 @@ func TestMatrixInferenceMatchesLocal(t *testing.T) {
 	want := net.Forward(x, false)
 	for _, worldSize := range []int{2, 4} {
 		comms := NewLocalWorld(worldSize)
+		nets := perRank(t, spec, net, worldSize)
 		got := runWorld(t, comms, func(c *Comm) (*tensor.Tensor, error) {
 			if c.Rank() == 0 {
-				return MatrixInference(c, net, x)
+				return MatrixInference(c, nets[0], x)
 			}
-			return MatrixInference(c, net, nil)
+			return MatrixInference(c, nets[c.Rank()], nil)
 		})
 		for r, g := range got {
 			if !g.AllClose(want, 1e-3) {
@@ -209,7 +211,8 @@ func TestMatrixInferenceMatchesLocal(t *testing.T) {
 
 func TestMatrixInferenceMoreRanksThanFeatures(t *testing.T) {
 	rng := tensor.NewRNG(3)
-	net, err := nn.MLPSpec{Label: "m", Input: 3, Width: 2, Layers: 2, Classes: 2}.Build(rng)
+	spec := nn.MLPSpec{Label: "m", Input: 3, Width: 2, Layers: 2, Classes: 2}
+	net, err := spec.Build(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +220,12 @@ func TestMatrixInferenceMoreRanksThanFeatures(t *testing.T) {
 	want := net.Forward(x, false)
 	comms := NewLocalWorld(4) // width 2 < 4 ranks: some ranks idle
 	defer closeWorld(comms)
+	nets := perRank(t, spec, net, 4)
 	got := runWorld(t, comms, func(c *Comm) (*tensor.Tensor, error) {
 		if c.Rank() == 0 {
-			return MatrixInference(c, net, x)
+			return MatrixInference(c, nets[0], x)
 		}
-		return MatrixInference(c, net, nil)
+		return MatrixInference(c, nets[c.Rank()], nil)
 	})
 	for r, g := range got {
 		if !g.AllClose(want, 1e-3) {
@@ -230,10 +234,30 @@ func TestMatrixInferenceMoreRanksThanFeatures(t *testing.T) {
 	}
 }
 
+// perRank gives each of n ranks its own copy of net, built from spec: a
+// layer's Forward keeps its input for Backward, so ranks running at once
+// must not share one network.
+func perRank(t *testing.T, spec interface {
+	Build(*tensor.RNG) (*nn.Network, error)
+}, net *nn.Network, n int) []*nn.Network {
+	t.Helper()
+	nets := make([]*nn.Network, n)
+	for i := range nets {
+		rank, err := spec.Build(tensor.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rank.CopyWeightsFrom(net)
+		nets[i] = rank
+	}
+	return nets
+}
+
+var shakeSpec = nn.ShakeSpec{Label: "SS", InC: 2, InH: 8, InW: 8, Widths: []int{4, 6}, BlocksPerStage: 1, Classes: 3}
+
 func buildShake(t *testing.T, rng *tensor.RNG) *nn.Network {
 	t.Helper()
-	spec := nn.ShakeSpec{Label: "SS", InC: 2, InH: 8, InW: 8, Widths: []int{4, 6}, BlocksPerStage: 1, Classes: 3}
-	net, err := spec.Build(rng)
+	net, err := shakeSpec.Build(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +273,12 @@ func TestKernelInferenceMatchesLocal(t *testing.T) {
 	want := net.Forward(x, false)
 	for _, worldSize := range []int{2, 4} {
 		comms := NewLocalWorld(worldSize)
+		nets := perRank(t, shakeSpec, net, worldSize)
 		got := runWorld(t, comms, func(c *Comm) (*tensor.Tensor, error) {
 			if c.Rank() == 0 {
-				return KernelInference(c, net, x)
+				return KernelInference(c, nets[0], x)
 			}
-			return KernelInference(c, net, nil)
+			return KernelInference(c, nets[c.Rank()], nil)
 		})
 		for r, g := range got {
 			if !g.AllClose(want, 1e-2) {
@@ -271,11 +296,12 @@ func TestBranchInferenceMatchesLocal(t *testing.T) {
 	want := net.Forward(x, false)
 	comms := NewLocalWorld(2)
 	defer closeWorld(comms)
+	nets := perRank(t, shakeSpec, net, 2)
 	got := runWorld(t, comms, func(c *Comm) (*tensor.Tensor, error) {
 		if c.Rank() == 0 {
-			return BranchInference(c, net, x)
+			return BranchInference(c, nets[0], x)
 		}
-		return BranchInference(c, net, nil)
+		return BranchInference(c, nets[1], nil)
 	})
 	for r, g := range got {
 		if !g.AllClose(want, 1e-2) {
@@ -310,18 +336,20 @@ func TestMatrixCommunicatesPerLayer(t *testing.T) {
 	// The defining property of MPI-Matrix: message count scales with layer
 	// count. An L-dense-layer MLP must trigger ≥ L collectives.
 	rng := tensor.NewRNG(7)
-	net, err := nn.MLPSpec{Label: "m", Input: 8, Width: 8, Layers: 6, Classes: 4}.Build(rng)
+	spec := nn.MLPSpec{Label: "m", Input: 8, Width: 8, Layers: 6, Classes: 4}
+	net, err := spec.Build(rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := rng.Randn(1, 8)
 	comms := NewLocalWorld(2)
 	defer closeWorld(comms)
+	nets := perRank(t, spec, net, 2)
 	runWorld(t, comms, func(c *Comm) (*tensor.Tensor, error) {
 		if c.Rank() == 0 {
-			return MatrixInference(c, net, x)
+			return MatrixInference(c, nets[0], x)
 		}
-		return MatrixInference(c, net, nil)
+		return MatrixInference(c, nets[1], nil)
 	})
 	sent, works := 0, 0
 	for _, e := range comms[0].Log() {
