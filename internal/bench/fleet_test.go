@@ -2,28 +2,32 @@ package bench
 
 import (
 	"encoding/json"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestFleetSmoke is the CI-sized fleet drill: 2 gateway/master pairs
-// in-process, every worker link behind a chaos proxy, the whole timeline —
-// stall, reset, heal, wire hot-swap — in seconds. It holds the run to the
-// SLO-defense verdict and the swap invariants the full bench-fleet artifact
-// gates.
-func TestFleetSmoke(t *testing.T) {
-	cfg := FleetConfig{
+// smokeFleet runs the CI-sized fleet drill once per test binary: 2
+// gateway/master pairs in-process, every worker link behind a chaos proxy,
+// the whole timeline — stall, reset, heal, wire hot-swap — in seconds.
+// TestSoakSmoke and TestFleetSmoke read the same run.
+var smokeFleet = sync.OnceValues(func() (*FleetReport, error) {
+	return RunFleetBench(FleetConfig{
 		PairQPS:  150,
 		Duration: 5 * time.Second,
 		Deadline: 250 * time.Millisecond,
 		Scales:   []int{2},
-	}
-	report, err := RunFleetBench(cfg)
+	})
+})
+
+// smokeScale returns the smoke drill's one scale, failing t if the drill
+// did not run or did not offer and complete load.
+func smokeScale(t *testing.T) (*FleetReport, FleetScale) {
+	t.Helper()
+	report, err := smokeFleet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", report)
-
 	if len(report.Scales) != 1 {
 		t.Fatalf("%d scales, want 1", len(report.Scales))
 	}
@@ -31,6 +35,15 @@ func TestFleetSmoke(t *testing.T) {
 	if s.Offered == 0 || s.Completed == 0 {
 		t.Fatalf("fleet offered %d / completed %d", s.Offered, s.Completed)
 	}
+	return report, s
+}
+
+// TestSoakSmoke holds the smoke drill's stall/reset/heal acts to the
+// SLO-defense verdict, read over the drill's intervals.
+func TestSoakSmoke(t *testing.T) {
+	report, s := smokeScale(t)
+	t.Logf("\n%s", report)
+
 	if len(s.Intervals) != fleetIntervals {
 		t.Fatalf("%d intervals, want %d", len(s.Intervals), fleetIntervals)
 	}
@@ -51,6 +64,14 @@ func TestFleetSmoke(t *testing.T) {
 	if !s.Recovered {
 		t.Fatalf("tail latency never recovered after heal: baseline p99 %.2fms, final %.2fms", s.BaselineP99Ms, s.FinalP99Ms)
 	}
+}
+
+// TestFleetSmoke holds the smoke drill's wire hot-swap to the swap
+// invariants the full bench-fleet artifact gates, and the report to its
+// JSON round trip.
+func TestFleetSmoke(t *testing.T) {
+	report, s := smokeScale(t)
+
 	// The swap verdict: the rollout hard-fails nothing...
 	if s.Swap.FailedRequests != 0 {
 		t.Fatalf("%d hard-failed requests across the drill", s.Swap.FailedRequests)
