@@ -21,7 +21,7 @@
 //	teamnet-bench -experiment table1a
 //	teamnet-bench -all -scale full > results.txt
 //	teamnet-bench -split -out BENCH_split.json
-//	teamnet-bench -check -check-duration 2s
+//	teamnet-bench -check
 package main
 
 import (
@@ -76,7 +76,6 @@ func run() error {
 		checkFw  = flag.String("check-forward", "BENCH_forward.json", "check: committed forward artifact (\"\" skips)")
 		checkFl  = flag.String("check-fleet", "BENCH_fleet.json", "check: committed fleet artifact (\"\" skips)")
 		checkSp  = flag.String("check-split", "BENCH_split.json", "check: committed split-planning artifact (\"\" skips)")
-		checkDur = flag.Duration("check-duration", 0, "check: fleet re-run window per scale (0 = the committed window)")
 		checkTol = flag.Float64("check-tolerance", bench.CheckTolerance, "check: allowed relative regression")
 	)
 	flag.Parse()
@@ -141,7 +140,6 @@ func run() error {
 			ForwardPath: *checkFw,
 			FleetPath:   *checkFl,
 			SplitPath:   *checkSp,
-			Duration:    *checkDur,
 			Tolerance:   *checkTol,
 		})
 		if err := emit(report, err); err != nil {

@@ -15,7 +15,8 @@ import (
 // TestBenchBinaryListsSplitsAndRefusesRetiredModes drives the built binary:
 // -list names every experiment, -split regenerates the committed
 // BENCH_split.json byte for byte (which also pins writeReport's format), and
-// the retired speedup and soak modes are unknown flags, not silent no-ops.
+// the retired speedup and soak modes and the fleet re-run window are unknown
+// flags, not silent no-ops.
 func TestBenchBinaryListsSplitsAndRefusesRetiredModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -60,7 +61,7 @@ func TestBenchBinaryListsSplitsAndRefusesRetiredModes(t *testing.T) {
 		t.Errorf("-split -out wrote %d bytes that differ from the committed BENCH_split.json (%d bytes)", len(got), len(want))
 	}
 
-	for _, mode := range []string{"-throughput", "-serve", "-cache", "-soak"} {
+	for _, mode := range []string{"-throughput", "-serve", "-cache", "-soak", "-check-duration"} {
 		msg, err := exec.Command(bin, mode).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {

@@ -129,7 +129,7 @@ func (l *Lab) AblationCombiner() (*Matrix, error) {
 // AblationEarlyExit sweeps an adaptive-inference entropy threshold, priced
 // offline over the local expert: low thresholds always broadcast (the
 // paper's protocol), high thresholds answer locally. No runtime applies the
-// threshold yet (ROADMAP item 5). For each threshold it reports the
+// threshold yet (ROADMAP item 9). For each threshold it reports the
 // escalation rate, the modeled mean latency on the Jetson-CPU profile, and
 // the resulting accuracy.
 func (l *Lab) AblationEarlyExit() (*Matrix, error) {

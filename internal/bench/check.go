@@ -22,11 +22,10 @@ const CheckTolerance = 0.20
 
 // CheckConfig points the regression check at the committed artifacts.
 type CheckConfig struct {
-	ForwardPath string        // committed BENCH_forward.json ("" skips)
-	FleetPath   string        // committed BENCH_fleet.json ("" skips)
-	SplitPath   string        // committed BENCH_split.json ("" skips)
-	Duration    time.Duration // fleet re-run window per scale; 0 = the committed window
-	Tolerance   float64       // allowed relative regression; 0 = CheckTolerance
+	ForwardPath string  // committed BENCH_forward.json ("" skips)
+	FleetPath   string  // committed BENCH_fleet.json ("" skips)
+	SplitPath   string  // committed BENCH_split.json ("" skips)
+	Tolerance   float64 // allowed relative regression; 0 = CheckTolerance
 }
 
 // CheckResult is one compared metric.
@@ -134,9 +133,8 @@ func recheck[R any](path string, rerun func(committed *R) (*R, error), evaluate 
 }
 
 // RunBenchCheck loads the committed artifacts, re-runs each benchmark with
-// the committed configuration (the fleet at cfg.Duration when set), and
-// compares. A regression is reported in the CheckReport, not as an error —
-// errors mean the check itself could not run.
+// the committed configuration, and compares. A regression is reported in the
+// CheckReport, not as an error — errors mean the check itself could not run.
 func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 	tol := cfg.Tolerance
 	if tol <= 0 {
@@ -151,14 +149,11 @@ func RunBenchCheck(cfg CheckConfig) (*CheckReport, error) {
 			for i, s := range c.Scales {
 				scales[i] = s.Pairs
 			}
-			// cfg.Duration exists to shorten the multi-second committed window.
-			window := seconds(c.DurationSec)
-			if cfg.Duration > 0 {
-				window = cfg.Duration
-			}
+			// The committed window: each interval holds enough requests that
+			// one host hiccup is not the final interval's p99.
 			return RunFleetBench(FleetConfig{
 				PairQPS:        c.PairQPS,
-				Duration:       window,
+				Duration:       seconds(c.DurationSec),
 				Deadline:       millis(c.DeadlineMs),
 				Scales:         scales,
 				WorkersPerPair: c.WorkersPerPair,

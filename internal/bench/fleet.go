@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -103,14 +104,17 @@ func (c FleetConfig) normalized() FleetConfig {
 // FleetInterval is one bucket of a scale's time series: the generator's Load
 // for the bucket plus what the drill reads off the fleet. HedgeFired and
 // BudgetDenied are deltas within the bucket, summed over the pair masters;
-// BrownoutLevel is the highest gateway's, sampled at the bucket's end.
+// BrownoutLevel is the highest gateway's, sampled at the bucket's end;
+// MasterShare is each pair master's fraction of the fabric requests the
+// masters served within the bucket (their "requests" deltas), in pair order.
 type FleetInterval struct {
 	T0Sec float64 `json:"t0_sec"`
 	Load
-	SLOBurn       float64 `json:"slo_burn"` // (timeouts+shed+errors) / offered
-	HedgeFired    int     `json:"hedge_fired"`
-	BudgetDenied  int     `json:"budget_denied"`
-	BrownoutLevel int     `json:"brownout_level"`
+	SLOBurn       float64   `json:"slo_burn"` // (timeouts+shed+errors) / offered
+	HedgeFired    int       `json:"hedge_fired"`
+	BudgetDenied  int       `json:"budget_denied"`
+	BrownoutLevel int       `json:"brownout_level"`
+	MasterShare   []float64 `json:"master_share"`
 }
 
 // FleetSwap is the hot-swap outcome at one scale: the wire rollout judged by
@@ -167,12 +171,12 @@ func (r *FleetReport) String() string {
 	for _, s := range r.Scales {
 		fmt.Fprintf(&b, "  %d pair(s): %d offered, %.1f goodput, %d degraded, %d t/o, %d shed, %d err, p50 %.2fms p99 %.2fms\n",
 			s.Pairs, s.Offered, s.GoodputQPS, s.Degraded, s.TimedOut, s.Shed, s.Errors, s.P50Ms, s.P99Ms)
-		fmt.Fprintf(&b, "    %6s %8s %6s %6s %5s %5s %5s %8s %8s %6s %6s %6s %3s\n",
-			"t0", "goodput", "compl", "degr", "shed", "t/o", "err", "p50ms", "p99ms", "burn", "hedge", "denied", "bl")
+		fmt.Fprintf(&b, "    %6s %8s %6s %6s %5s %5s %5s %8s %8s %6s %6s %6s %3s %6s\n",
+			"t0", "goodput", "compl", "degr", "shed", "t/o", "err", "p50ms", "p99ms", "burn", "hedge", "denied", "bl", "minsh")
 		for _, iv := range s.Intervals {
-			fmt.Fprintf(&b, "    %5.1fs %8.1f %6d %6d %5d %5d %5d %8.2f %8.2f %5.1f%% %6d %6d %3d\n",
+			fmt.Fprintf(&b, "    %5.1fs %8.1f %6d %6d %5d %5d %5d %8.2f %8.2f %5.1f%% %6d %6d %3d %6.3f\n",
 				iv.T0Sec, iv.GoodputQPS, iv.Completed, iv.Degraded, iv.Shed, iv.TimedOut, iv.Errors,
-				iv.P50Ms, iv.P99Ms, iv.SLOBurn*100, iv.HedgeFired, iv.BudgetDenied, iv.BrownoutLevel)
+				iv.P50Ms, iv.P99Ms, iv.SLOBurn*100, iv.HedgeFired, iv.BudgetDenied, iv.BrownoutLevel, slices.Min(iv.MasterShare))
 		}
 		fmt.Fprintf(&b, "    verdict: %d zero-goodput intervals, p99 %.2fms baseline → %.2fms final (recovered=%v); hedges %d fired (%d won, %d wasted), %d budget denials\n",
 			s.ZeroGoodputIntervals, s.BaselineP99Ms, s.FinalP99Ms, s.Recovered, s.HedgeFired, s.HedgeWon, s.HedgeWasted, s.BudgetDenied)
@@ -332,12 +336,18 @@ func defend(m *cluster.Master, deadline time.Duration) {
 }
 
 // fleetSample is the fleet's counters read at one interval's end.
-type fleetSample struct{ hedgeFired, budgetDenied, brownoutLevel int64 }
+type fleetSample struct {
+	hedgeFired, budgetDenied, brownoutLevel int64
+	requests                                []int64 // each pair master's
+}
 
 func sampleFleet(fleet []*fleetPair, gateways []*serve.Gateway) fleetSample {
 	s := fleetSample{
 		hedgeFired:   fleetCounter(fleet, "hedge.fired"),
 		budgetDenied: fleetCounter(fleet, "retry_budget.denied"),
+	}
+	for _, p := range fleet {
+		s.requests = append(s.requests, p.srv.Metrics().Counter("requests").Value())
 	}
 	for _, gw := range gateways {
 		s.brownoutLevel = max(s.brownoutLevel, gw.Metrics().Gauge("serve.brownout_level").Value())
@@ -453,6 +463,7 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 		step{at(4), func() { swap.PushMs, swapErr = fleetHotSwap(cfg, fleet, gateways, "vB") }},
 	)
 	sort.SliceStable(load.timeline, func(i, j int) bool { return load.timeline[i].at < load.timeline[j].at })
+	prev := sampleFleet(fleet, gateways) // the warmup's counts are no interval's
 	total, series := load.run()
 	samples[n-1] = sampleFleet(fleet, gateways)
 	if swapErr != nil {
@@ -467,7 +478,6 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 		HedgeWasted:  int(fleetCounter(fleet, "hedge.wasted")),
 		BudgetDenied: int(fleetCounter(fleet, "retry_budget.denied")),
 	}
-	var prev fleetSample
 	for i, l := range series {
 		iv := FleetInterval{
 			T0Sec:         (time.Duration(i) * width).Seconds(),
@@ -475,9 +485,19 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 			HedgeFired:    int(samples[i].hedgeFired - prev.hedgeFired),
 			BudgetDenied:  int(samples[i].budgetDenied - prev.budgetDenied),
 			BrownoutLevel: int(samples[i].brownoutLevel),
+			MasterShare:   make([]float64, pairs),
 		}
 		if l.Offered > 0 {
 			iv.SLOBurn = float64(l.TimedOut+l.Shed+l.Errors) / float64(l.Offered)
+		}
+		var served int64
+		for j, n := range samples[i].requests {
+			served += n - prev.requests[j]
+		}
+		if served > 0 {
+			for j, n := range samples[i].requests {
+				iv.MasterShare[j] = float64(n-prev.requests[j]) / float64(served)
+			}
 		}
 		prev = samples[i]
 		scale.Intervals = append(scale.Intervals, iv)

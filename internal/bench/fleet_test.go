@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +88,17 @@ func TestFleetSmoke(t *testing.T) {
 	}
 	if s.Swap.StaleEntries != 0 {
 		t.Fatalf("%d stale-version cache entries after cutover", s.Swap.StaleEntries)
+	}
+
+	// Every interval splits the masters' requests among its pair masters.
+	for _, iv := range s.Intervals {
+		sum := 0.0
+		for _, share := range iv.MasterShare {
+			sum += share
+		}
+		if len(iv.MasterShare) != s.Pairs || math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("interval at %.1fs: master_share %v, want %d shares summing to 1", iv.T0Sec, iv.MasterShare, s.Pairs)
+		}
 	}
 
 	// The report must round-trip to JSON (it is the BENCH_fleet.json payload).

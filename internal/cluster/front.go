@@ -16,13 +16,13 @@ import (
 // Do forwards each Request unchanged to one of them through peerConn.do, so
 // the hop has the breaker, probes, retries, hedge and retry budget a
 // worker's has (DESIGN.md §12). The pick is the available peer with the
-// least (round trips in flight on its link + 1) × its mean recent round trip
-// (its cost estimate, cost.go); an unmeasured peer is scored at the fastest
-// measured one's and goes first among equals. Any error but the caller's ctx
-// fails over once and benches the peer behind the others until it next
-// succeeds, one request trying it first per errTrial; a master's error reply
-// does not strike, as a worker's does not. With every master quarantined a
-// request fails fast.
+// least (round trips in flight on its link + 1) × its mean recent round
+// trip, an unmeasured peer scored at the fastest measured one's; a peer
+// whose stale estimate the request claimed (cost.go) goes first, a struck
+// one last, and every other peer is passed over. Any error but the caller's ctx fails over once and strikes the
+// peer, as a degraded answer does (emitAttempt); a master's error reply does
+// not feed the breaker, as a worker's does not. With every master
+// quarantined a request fails fast.
 
 // NewFront returns a master with no local expert that routes each request to
 // one of its peers, all of them masters answering classes-wide replies.
@@ -34,10 +34,6 @@ func NewFront(classes int) *Master {
 
 // errNoMasters answers a front's request when it has no peer at all.
 var errNoMasters = errors.New("cluster: front has no masters")
-
-// errTrial is how long a benched master waits between requests that try it
-// first.
-const errTrial = 300 * time.Millisecond
 
 // route answers req on the best available peer, failing over once. Counters:
 // "fabric.requests" (dispatches, failovers included), "fabric.errors" and
@@ -51,12 +47,13 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 		return Reply{}, errNoMasters
 	}
 	type ranked struct {
-		p                *peerConn
-		tier             int // 0: a benched peer's trial, 1: unbenched, 2: benched
-		score, load, rtt int64
+		p         *peerConn
+		tier      int // 0: claimed by this request, 1: unstruck, 2: struck
+		load, rtt int64
 	}
 	var picks []ranked
 	var base int64 // the fastest available peer's mean rtt: an unmeasured one's
+	now, claimed := time.Now().UnixNano(), false
 	for _, p := range peers {
 		if !p.available() {
 			continue
@@ -65,26 +62,25 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 		if r.rtt > 0 && (base == 0 || r.rtt < base) {
 			base = r.rtt
 		}
+		switch {
+		case !claimed && p.cost.stamp.claim(now):
+			r.tier, claimed = 0, true
+		case p.cost.struck.Load():
+			r.tier = 2
+		}
 		picks = append(picks, r)
 	}
 	if len(picks) == 0 {
 		return Reply{}, fmt.Errorf("cluster: all %d masters quarantined", len(peers))
 	}
-	now, trial := time.Now().UnixNano(), false
-	for i := range picks {
-		r := &picks[i]
-		r.score = r.load * cmp.Or(r.rtt, base, 1) // nothing measured: the load alone
-		if at := r.p.benched.Load(); at != 0 {
-			r.tier = 2
-			if !trial && at <= now && r.p.benched.CompareAndSwap(at, now+int64(errTrial)) {
-				r.tier, trial = 0, true
-			}
-		}
-	}
+	score := func(r ranked) int64 { return r.load * cmp.Or(r.rtt, base, 1) } // nothing measured: the load alone
 	slices.SortStableFunc(picks, func(a, b ranked) int {
-		return cmp.Or(cmp.Compare(a.tier, b.tier), cmp.Compare(a.score, b.score),
+		return cmp.Or(cmp.Compare(a.tier, b.tier), cmp.Compare(score(a), score(b)),
 			cmp.Compare(a.load, b.load), cmp.Compare(a.rtt, b.rtt))
 	})
+	for _, r := range picks[1:] {
+		r.p.cost.stamp.pass()
+	}
 	q := queryOf(req, m.classes)
 	var err error
 	for i, r := range picks[:min(2, len(picks))] {
@@ -94,14 +90,13 @@ func (m *Master) route(ctx context.Context, req Request) (Reply, error) {
 		m.metrics.Counter("fabric.requests").Inc()
 		var rep Reply
 		if rep, err = r.p.do(ctx, q, trace.FromContext(ctx)); err == nil {
-			r.p.benched.Store(0)
 			return rep, nil
 		}
 		m.metrics.Counter("fabric.errors").Inc()
 		if ctx.Err() != nil {
 			break
 		}
-		r.p.benched.CompareAndSwap(0, time.Now().Add(errTrial).UnixNano())
+		r.p.cost.strike()
 	}
 	return Reply{}, err
 }

@@ -59,26 +59,64 @@ func newTestFront(t *testing.T, timeout time.Duration, addrs ...string) *Master 
 	return f
 }
 
+// teamMasterNode serves a master with a local expert and one worker behind
+// a chaos proxy over loopback. The master's round trip to its worker times
+// out at 50ms, under quorumReq's soft deadline, so a stalled worker link
+// fails and is quarantined rather than cancelled as a straggler.
+func teamMasterNode(t *testing.T, seed int64, id int) (*Node, *chaos.Proxy, string) {
+	t.Helper()
+	proxy, worker := chaosWorker(t, seed, 10*id)
+	m := NewMaster(tinyExpert(t, seed+1), 3)
+	t.Cleanup(func() { m.Close() })
+	m.SetSupervisor(fastSupervisor())
+	m.SetTimeout(50 * time.Millisecond)
+	if err := m.Connect(worker); err != nil {
+		t.Fatal(err)
+	}
+	n := NewNode(RoleMaster, m, id)
+	addr, err := n.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n, proxy, addr
+}
+
+// quorumReq is a gateway's request for x: a quorum with a soft deadline.
+func quorumReq(x *tensor.Tensor) Request {
+	return Request{X: x, Policy: Policy{Gather: Quorum, Soft: 100 * time.Millisecond}}
+}
+
 // burst sends n requests at once and returns how many failed.
 func burst(f *Master, n int, x *tensor.Tensor) int {
+	failed, _ := burstOf(f, n, Request{X: x})
+	return failed
+}
+
+// burstOf sends n copies of req at once and returns how many failed and how
+// many answered degraded (Live < Total).
+func burstOf(f *Master, n int, req Request) (failed, degraded int) {
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	failed := 0
 	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			defer cancel()
-			if _, err := f.Do(ctx, Request{X: x}); err != nil {
-				mu.Lock()
+			rep, err := f.Do(ctx, req)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err != nil:
 				failed++
-				mu.Unlock()
+			case rep.Live < rep.Total:
+				degraded++
 			}
 		}()
 	}
 	wg.Wait()
-	return failed
+	return failed, degraded
 }
 
 func served(n *Node) int64 { return n.Metrics().Counter("requests").Value() }
@@ -104,8 +142,8 @@ func TestFrontSpreadsLoad(t *testing.T) {
 }
 
 // TestFrontFailsOverADeadMaster: a request whose first pick is dead fails
-// over once to the live master and succeeds; the dead one is benched, and
-// its trials, one per errTrial, strike it until the breaker quarantines it.
+// over once to the live master and succeeds; the dead one is struck, and
+// its trials, one per costHorizon, fail until the breaker quarantines it.
 func TestFrontFailsOverADeadMaster(t *testing.T) {
 	dead, deadAddr := masterNode(t, 310, 1)
 	live, liveAddr := masterNode(t, 311, 2)
@@ -239,8 +277,8 @@ func TestFrontQuarantinesAStalledMaster(t *testing.T) {
 		t.Fatalf("%d requests failed before the stall", failed)
 	}
 
-	// The first timeout benches the master, so it earns its next strikes
-	// on the trials, one per errTrial.
+	// The first timeout strikes the master's estimate, so it earns its next
+	// breaker strikes on the trials, one per costHorizon.
 	proxy.SetPlan(chaos.Fault{Mode: chaos.Stall, Prob: 1})
 	for deadline := time.Now().Add(5 * time.Second); f.Health()[0].State == PeerHealthy || f.Health()[0].State == PeerSuspect; {
 		if time.Now().After(deadline) {
@@ -290,12 +328,13 @@ func errorReplier(t *testing.T) string {
 	})
 }
 
-// TestFrontBenchesAnErroringMaster: an error reply does not strike, but it
-// benches the master behind the healthy one. With two masters answering
-// errors and one healthy, the first request may meet both before either is
-// known; after it none fails — a trial that errs fails over to the healthy
-// master, never to the other erring one — and each erring master gets its
-// first request and then one trial per errTrial, not a share.
+// TestFrontBenchesAnErroringMaster: an error reply does not feed the
+// breaker, but it strikes the master's estimate, which ranks it behind the
+// healthy one. With two masters answering errors and one healthy, the first
+// request may meet both before either is known; after it none fails — a
+// trial that errs fails over to the healthy master, never to the other
+// erring one — and each erring master gets its first request and then one
+// trial per costHorizon, not a share.
 func TestFrontBenchesAnErroringMaster(t *testing.T) {
 	bad1, bad2 := errorReplier(t), errorReplier(t)
 	good, goodAddr := masterNode(t, 360, 1)
@@ -307,12 +346,12 @@ func TestFrontBenchesAnErroringMaster(t *testing.T) {
 	if err == nil {
 		n++
 	}
-	for ; time.Since(start) < 3*errTrial; n++ {
+	for ; time.Since(start) < 3*costHorizon; n++ {
 		if _, err := f.Do(context.Background(), Request{X: x}); err != nil {
 			t.Fatalf("request %d: %v", n, err)
 		}
 	}
-	trials := int64(time.Since(start)/errTrial) + 1
+	trials := int64(time.Since(start)/costHorizon) + 1
 	for i, addr := range []string{bad1, bad2} {
 		if got := f.Metrics().Counter("peer." + addr + ".requests").Value(); got > 1+trials {
 			t.Fatalf("erring master %d was sent %d of %d requests, want its first and ≤ %d trials", i, got, n, trials)
@@ -369,4 +408,188 @@ func TestFrontFollowsASlowedMaster(t *testing.T) {
 	if got, all := served(slowed)-before, served(slowed)+served(fast)-before-fastBefore; got > all/10 {
 		t.Fatalf("the slowed master (%v a chunk) served %d of %d requests, want ≤ 10%%", delay, got, all)
 	}
+}
+
+// TestFrontAvoidsADegradedMaster: a master that answers without part of its
+// team is fast for the wrong reason. Once its only worker's link resets and
+// it quarantines that worker, it answers from its own expert alone, faster
+// than a whole master; but a degraded answer strikes it and is no cost
+// sample, so it gets one trial per costHorizon and the healthy master
+// answers the rest in full.
+func TestFrontAvoidsADegradedMaster(t *testing.T) {
+	a, proxy, aAddr := teamMasterNode(t, 380, 1)
+	_, _, bAddr := teamMasterNode(t, 382, 2)
+	f := newTestFront(t, 2*time.Second, aAddr, bAddr)
+	req := quorumReq(tensor.NewRNG(384).Randn(1, 4))
+	for range 4 {
+		if failed, d := burstOf(f, 8, req); failed+d != 0 {
+			t.Fatalf("warm-up: %d failed, %d degraded", failed, d)
+		}
+	}
+	proxy.SetPlan(chaos.Fault{Mode: chaos.Reset, Prob: 1})
+	for deadline := time.Now().Add(5 * time.Second); a.master.Health()[0].State != PeerOpen; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the reset worker was never quarantined: %+v", a.master.Health()[0])
+		}
+		if _, err := a.master.Do(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const bursts, width = 100, 8
+	degraded := 0
+	for range bursts {
+		failed, d := burstOf(f, width, req)
+		if failed != 0 {
+			t.Fatalf("%d requests failed", failed)
+		}
+		degraded += d
+	}
+	if all := bursts * width; degraded > all/50 {
+		t.Fatalf("%d of %d answers degraded, want ≤ 2%%", degraded, all)
+	}
+}
+
+// TestFrontRemeasuresAStaleEstimate: sequential requests go to the master
+// measured faster. One master's first round trip crossed a slow link, so its
+// estimate is that outlier; but the estimate goes stale within costHorizon
+// and a request claims it, so once the link is fast again both equal masters
+// serve a share.
+func TestFrontRemeasuresAStaleEstimate(t *testing.T) {
+	a, aAddr := masterNode(t, 390, 1)
+	b, proxy, bAddr := proxiedMasterNode(t, 391, 2)
+	f := newTestFront(t, 2*time.Second, aAddr, bAddr)
+	x := tensor.NewRNG(392).Randn(1, 4)
+	proxy.SetPlan(chaos.Fault{Mode: chaos.Latency, Delay: 20 * time.Millisecond})
+	for range 2 { // each unmeasured master is claimed once
+		if _, err := f.Do(context.Background(), Request{X: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy.Heal()
+	aBefore, bBefore := served(a), served(b)
+	for start := time.Now(); time.Since(start) < 3*costHorizon; {
+		if _, err := f.Do(context.Background(), Request{X: x}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if na, nb := served(a)-aBefore, served(b)-bBefore; na < 2 || nb < 2 {
+		t.Fatalf("over %v of sequential requests the masters served %d and %d, want each ≥ 2", 3*costHorizon, na, nb)
+	}
+}
+
+// TestFrontRestoresAHealedMaster is the exploration rule end to end: one
+// master's worker link stalls, so the front's requests to it wait out its
+// soft deadline and come back degraded; the master quarantines the worker,
+// the link heals and the master's probe re-admits it. The front's trial then
+// finds the master whole, and within a bounded number of requests it serves
+// ≥ ¾ of its fair half again — its stall-era round trips do not outlive the
+// stall.
+func TestFrontRestoresAHealedMaster(t *testing.T) {
+	a, proxy, aAddr := teamMasterNode(t, 394, 1)
+	_, _, bAddr := teamMasterNode(t, 396, 2)
+	f := newTestFront(t, 2*time.Second, aAddr, bAddr)
+	req := quorumReq(tensor.NewRNG(398).Randn(1, 4))
+	run := func() {
+		t.Helper()
+		if failed, _ := burstOf(f, 8, req); failed != 0 {
+			t.Fatalf("%d requests failed", failed)
+		}
+	}
+	for range 20 {
+		run()
+	}
+	if served(a) == 0 {
+		t.Fatal("the master served nothing before the stall")
+	}
+	proxy.SetPlan(chaos.Fault{Mode: chaos.Stall, Prob: 1})
+	run()
+	for deadline := time.Now().Add(5 * time.Second); a.master.Health()[0].State != PeerOpen; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the stalled worker was never quarantined: %+v", a.master.Health()[0])
+		}
+		if _, err := a.master.Do(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy.Heal()
+	waitForPeerState(t, a.master, 0, PeerHealthy, 5*time.Second)
+
+	// Every burst is paced, so the bound in requests is one in time too.
+	const window, bound = 20, 100 // bursts of 8
+	counts := []int64{served(a)}
+	for i := 1; ; i++ {
+		if i > bound {
+			t.Fatalf("%d requests after the heal the master serves %d of the last %d, want ≥ 3/8", 8*bound, counts[bound]-counts[bound-window], 8*window)
+		}
+		run()
+		time.Sleep(5 * time.Millisecond)
+		counts = append(counts, served(a))
+		if i >= window && 8*(counts[i]-counts[i-window]) >= 3*8*window {
+			break
+		}
+	}
+}
+
+// TestFrontSparseTrafficKeepsItsPick: requests spaced past costHorizon find
+// every estimate old, but an estimate is stale only once a window of
+// requests passed its master over (cost.go), so sparse traffic claims none.
+// A slowed master and a degraded one, each connected first, serve at most
+// one of the spaced requests — the pick and the strike still hold.
+func TestFrontSparseTrafficKeepsItsPick(t *testing.T) {
+	const spaced = 8
+	run := func(t *testing.T, f *Master, req Request) (degraded int) {
+		t.Helper()
+		for range spaced {
+			time.Sleep(costHorizon + 10*time.Millisecond)
+			rep, err := f.Do(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Live < rep.Total {
+				degraded++
+			}
+		}
+		return degraded
+	}
+	t.Run("slowed", func(t *testing.T) {
+		slow, proxy, slowAddr := proxiedMasterNode(t, 400, 1)
+		_, fastAddr := masterNode(t, 401, 2)
+		f := newTestFront(t, 2*time.Second, slowAddr, fastAddr)
+		x := tensor.NewRNG(402).Randn(1, 4)
+		proxy.SetPlan(chaos.Fault{Mode: chaos.Latency, Delay: 20 * time.Millisecond})
+		for range 2 { // each unmeasured master is claimed once
+			if _, err := f.Do(context.Background(), Request{X: x}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := served(slow)
+		run(t, f, Request{X: x})
+		if got := served(slow) - before; got > 1 {
+			t.Fatalf("the slowed master served %d of %d spaced requests, want ≤ 1", got, spaced)
+		}
+	})
+	t.Run("degraded", func(t *testing.T) {
+		a, proxy, aAddr := teamMasterNode(t, 404, 1)
+		_, _, bAddr := teamMasterNode(t, 406, 2)
+		f := newTestFront(t, 2*time.Second, aAddr, bAddr)
+		req := quorumReq(tensor.NewRNG(408).Randn(1, 4))
+		for range 4 {
+			if failed, d := burstOf(f, 8, req); failed+d != 0 {
+				t.Fatalf("warm-up: %d failed, %d degraded", failed, d)
+			}
+		}
+		proxy.SetPlan(chaos.Fault{Mode: chaos.Reset, Prob: 1})
+		for deadline := time.Now().Add(5 * time.Second); a.master.Health()[0].State != PeerOpen; {
+			if time.Now().After(deadline) {
+				t.Fatalf("the reset worker was never quarantined: %+v", a.master.Health()[0])
+			}
+			if _, err := a.master.Do(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if d := run(t, f, req); d > 1 {
+			t.Fatalf("%d of %d spaced requests answered degraded, want ≤ 1", d, spaced)
+		}
+	})
 }

@@ -18,9 +18,10 @@ import (
 // accounting, the link stays up, the late reply is dropped by id. The
 // duplicate is only sent when the shared RetryBudget funds it, so hedging
 // cannot become its own storm during a brownout (the exact moment
-// everything looks slow), and only while the peer's duplicates pay: once
-// hedgeColdAfter timer expiries have passed since one last won, only every
-// hedgeTrialEvery-th expiry fires, the trial whose win re-arms the hedge.
+// everything looks slow), and only while the peer's duplicates pay: a peer
+// is warm while one of its duplicates has won within costHorizon, and a cold
+// peer fires one claimed trial per horizon and costWindow expiries (cost.go),
+// whose win warms it.
 //
 // Counters: "hedge.fired" (duplicates launched), "hedge.won" (duplicate
 // answered first), "hedge.wasted" (primary answered after the duplicate was
@@ -29,14 +30,12 @@ import (
 // The hedge timer's tuning: the p95 of the peer's recent round trips once
 // the window holds hedgeMinSamples, clamped into [hedgeMinDelay,
 // hedgeMaxDelay] — never faster (sub-RTT duplicates are pure waste), never
-// slower (whatever the window says); and the cold peer's trial cadence.
+// slower (whatever the window says).
 const (
 	hedgeQuantile   = 0.95
 	hedgeMinSamples = 20
 	hedgeMinDelay   = 2 * time.Millisecond
 	hedgeMaxDelay   = 250 * time.Millisecond
-	hedgeColdAfter  = 8
-	hedgeTrialEvery = 32
 )
 
 // SetHedge turns per-peer request hedging on or off. Off by default: hedging
@@ -57,19 +56,23 @@ func (p *peerConn) hedgeDelay() (time.Duration, bool) {
 	return min(max(d, hedgeMinDelay), hedgeMaxDelay), true
 }
 
-// hedgeDue counts one timer expiry and reports whether it may fire: each of
-// the first hedgeColdAfter since a duplicate last won, then every
-// hedgeTrialEvery-th.
-func (p *peerConn) hedgeDue() bool {
-	n := p.unwon.Add(1)
-	return n <= hedgeColdAfter || n%hedgeTrialEvery == 0
+// hedgeArmed reports whether a timer expiry may fire: while a duplicate won
+// within costHorizon, or as a cold peer's trial, claimed once the expiries
+// that did not fire make its last win or trial stale (cost.go).
+func (p *peerConn) hedgeArmed() bool {
+	now := time.Now().UnixNano()
+	if won := p.won.at.Load(); won > 0 && now-won < int64(costHorizon) {
+		return true
+	}
+	p.won.pass()
+	return p.won.claim(now)
 }
 
-// hedgeWon counts a duplicate that answered first and re-arms the peer's
+// hedgeWon counts a duplicate that answered first and warms the peer's
 // hedge.
 func (p *peerConn) hedgeWon() {
 	p.m.metrics.Counter("hedge.won").Inc()
-	p.unwon.Store(0)
+	p.won.mark(time.Now().UnixNano())
 }
 
 // hedgeOutcome is one arm's result in the first-reply-wins race.
@@ -129,7 +132,7 @@ func (p *peerConn) muxHedged(ctx context.Context, cfg SupervisorConfig, tr *trac
 			}
 		case <-timerC:
 			timerC = nil
-			if !p.available() || !p.hedgeDue() {
+			if !p.available() || !p.hedgeArmed() {
 				continue
 			}
 			if !p.allowSpend("hedge") {

@@ -140,14 +140,15 @@ func TestHedgeFiresOnSlowPeer(t *testing.T) {
 // stops firing until a trial wins. After a long warm-up at loopback speed
 // the link slows: within one window of round trips the delay covers the
 // slowed round trip, long before a p95 since start would move. Duplicates
-// ride the same slowed link behind their primaries, so none wins: after
-// hedgeColdAfter expiries only every hedgeTrialEvery-th fires, until a
-// trial wins and re-arms the hedge.
+// ride the same slowed link behind their primaries, so none wins: the cold
+// peer fires one claimed trial per costHorizon and costWindow unfired
+// expiries, until a trial wins and warms the hedge.
 func TestHedgeFollowsASlowedPeer(t *testing.T) {
 	proxy, addr := chaosWorker(t, 118, 1)
 	master := NewMaster(nil, 3)
 	defer master.Close()
 	master.SetTimeout(2 * time.Second)
+	start := time.Now() // a new peer is cold: its first trial is due at once
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
@@ -175,25 +176,29 @@ func TestHedgeFollowsASlowedPeer(t *testing.T) {
 	infer(slowed)
 	reg := master.Metrics()
 	fired, won := reg.Counter("hedge.fired").Value(), reg.Counter("hedge.won").Value()
-	// Each slowed query expires the timer at most once.
-	if limit := int64(hedgeColdAfter + (costWindow+slowed)/hedgeTrialEvery); won == 0 && fired > limit {
-		t.Fatalf("%d duplicates fired, none won, over %d slowed queries: want ≤ %d", fired, costWindow+slowed, limit)
+	// Each query expires the timer at most once, and a peer cold throughout
+	// fires at most one trial per horizon since it connected.
+	if elapsed := time.Since(start); won == 0 && fired > int64(elapsed/costHorizon)+1 {
+		t.Fatalf("%d duplicates fired, none won, over %v: want ≤ %d", fired, elapsed, int64(elapsed/costHorizon)+1)
 	}
 
-	// Cold: one expiry in hedgeTrialEvery fires, the trial.
+	// Cold, a horizon after its last trial: of many expiries, one fires —
+	// the trial, once costWindow of them have not.
+	const expiries = 32
+	p.won.at.Store(-time.Now().Add(-costHorizon).UnixNano())
 	due := 0
-	for range hedgeTrialEvery {
-		if p.hedgeDue() {
+	for range expiries {
+		if p.hedgeArmed() {
 			due++
 		}
 	}
 	if won == 0 && due != 1 {
-		t.Fatalf("a cold peer fired %d of %d expiries, want the one trial", due, hedgeTrialEvery)
+		t.Fatalf("a cold peer fired %d of %d expiries, want the one trial", due, expiries)
 	}
-	// A trial that wins re-arms it: the next hedgeColdAfter expiries fire.
+	// A trial that wins warms it: every expiry within the horizon fires.
 	p.hedgeWon()
-	for i := range hedgeColdAfter {
-		if !p.hedgeDue() {
+	for i := range expiries {
+		if !p.hedgeArmed() {
 			t.Fatalf("expiry %d after a won trial did not fire", i)
 		}
 	}

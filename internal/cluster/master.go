@@ -67,9 +67,8 @@ type peerConn struct {
 	probing bool
 	closed  bool
 
-	cost    peerCost     // what a round trip to the peer costs (cost.go)
-	unwon   atomic.Int64 // hedge timer expiries since a duplicate last won (hedge.go)
-	benched atomic.Int64 // a front's next trial of the peer while its last answer erred, else 0
+	cost peerCost // what a round trip to the peer costs (cost.go)
+	won  age      // the newest duplicate that answered first (hedge.go)
 }
 
 // NewMaster returns a master with an optional local expert, compiled into

@@ -436,7 +436,7 @@ func (l *link) attempt(ctx context.Context, done <-chan struct{}, q peerQuery, d
 		mc.fail(err)
 		return Reply{}, tm, err, muxLinkFault
 	}
-	tm.remote, tm.wire = r.compute, 2+len(q.pin)+len(q.payload)+len(r.payload)
+	tm.remote, tm.wire, tm.degraded = r.compute, 2+len(q.pin)+len(q.payload)+len(r.payload), res.Live < res.Total
 	return res, tm, nil, muxOK
 }
 

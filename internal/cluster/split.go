@@ -21,7 +21,9 @@ import (
 // every round trip to the peer feeds, whole query or tail — plus the static
 // per-boundary FLOP/width profile; whole-local and whole-remote
 // are ordinary candidates, so `-split auto` strictly subsumes the binary
-// offload choice. Offload failures degrade, never fail the query: a
+// offload choice, and a peer whose estimate went stale while the plan passed
+// it over gets a whole-remote probe (cost.go's one exploration rule).
+// Offload failures degrade, never fail the query: a
 // version-mismatched peer (mid-rollout fleet) gets the whole query instead
 // (valid against any version), a transport fault finishes the tail
 // locally, and no peer at all means a plain local forward.
@@ -108,19 +110,30 @@ func (m *Master) SplitPlanReport(batch int) *split.Report {
 	if pl == nil {
 		return nil
 	}
-	r := pl.Report(batch, m.splitPeers())
+	r := pl.Report(batch, m.splitPeers(false))
 	return &r
 }
 
 // splitPeers is every peer's fits, in connection order: the planner's view
-// of the peers.
-func (m *Master) splitPeers() []split.Peer {
+// of the peers. For a query (auto), it counts a pass over each peer — the
+// peer the plan uses answers with a sample that resets the count — and
+// claims the first available peer whose estimate is stale (cost.go), marked
+// for the planner's probe.
+func (m *Master) splitPeers(auto bool) []split.Peer {
 	peers := m.snapshotPeers()
 	out := make([]split.Peer, len(peers))
+	now, probe := time.Now().UnixNano(), auto
 	for i, p := range peers {
 		p.cost.mu.Lock()
 		out[i] = split.Peer{Addr: p.addr, Link: p.cost.link, Compute: p.cost.compute}
 		p.cost.mu.Unlock()
+		if !auto {
+			continue
+		}
+		p.cost.stamp.pass()
+		if probe && p.available() && p.cost.stamp.claim(now) {
+			out[i].Probe, probe = true, false
+		}
 	}
 	return out
 }
@@ -176,7 +189,7 @@ func (m *Master) inferSplit(ctx context.Context, x *tensor.Tensor, point SplitPo
 		if pl == nil {
 			return Reply{}, fmt.Errorf("cluster: auto split requires EnableSplit")
 		}
-		d := pl.Decide(batch, m.splitPeers())
+		d := pl.Decide(batch, m.splitPeers(true))
 		at, peerAddr = d.Split, d.Peer
 		if d.Explore {
 			m.metrics.Counter("split.explore").Inc()

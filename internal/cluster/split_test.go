@@ -348,6 +348,56 @@ func TestSplitPlannerLearnsFromWholeQueries(t *testing.T) {
 	}
 }
 
+// TestSplitPlannerProbesAStaleEstimate: the planner probes through the
+// exploration rule (cost.go). Queries sparser than costHorizon do not make a
+// measured peer's estimate stale by age alone, so none of them probes; once
+// the estimate is older than the horizon and a window of queries passed the
+// peer over, reading the plan report claims nothing, the next auto query
+// probes the peer, and the probe's sample makes it fresh again.
+func TestSplitPlannerProbesAStaleEstimate(t *testing.T) {
+	snap, x := buildSplitSnapshot(t, nn.DigitsBaseline(64, 10), 49, 2)
+	w := NewWorkerModel(Model{Snapshot: snap}, 1)
+	addr, err := w.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	m := NewMaster(nil, 10)
+	defer m.Close()
+	install(t, m.SetLocal, Model{Snapshot: snap})
+	if err := m.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableSplit(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Do(context.Background(), Request{X: x}); err != nil {
+		t.Fatal(err)
+	}
+	explored := m.Metrics().Counter("split.explore")
+	auto := func(want int64) {
+		t.Helper()
+		if _, err := splitDo(m, x, SplitAuto); err != nil {
+			t.Fatal(err)
+		}
+		if got := explored.Value(); got != want {
+			t.Fatalf("split.explore = %d, want %d", got, want)
+		}
+	}
+	for range 4 {
+		time.Sleep(costHorizon + 10*time.Millisecond)
+		auto(0)
+	}
+	stamp := &m.peers[0].cost.stamp
+	stamp.at.Store(time.Now().Add(-costHorizon).UnixNano()) // a horizon with no round trip
+	stamp.passed.Store(costWindow)                          // and a window of queries elsewhere
+	if rep := m.SplitPlanReport(2); rep == nil || !rep.Peers[0].Measured {
+		t.Fatalf("plan report = %+v, want the peer measured", rep)
+	}
+	auto(1)
+	auto(1)
+}
+
 // TestSplitWireBytesMatchEncoding pins the planner's byte model — the
 // codec's one size function under a tail's policy — against the real
 // encoding of a tail and its answer.

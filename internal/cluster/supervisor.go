@@ -367,6 +367,7 @@ type attemptTiming struct {
 	rtt       time.Duration // write → read wall time, 0 if the write never happened
 	remote    time.Duration // worker-reported compute time, 0 if no forward pass ran
 	wire      int           // pin, request and reply bytes of an answered attempt (doWireBytes)
+	degraded  bool          // the reply gathered part of its ensemble (Live < Total)
 }
 
 // peerQuery is one MsgDo as every round trip sees it: a master's Own request
@@ -456,8 +457,9 @@ func abortErr(ctx context.Context) error {
 }
 
 // emitAttempt turns one attempt of q into spans, histogram samples and, when
-// it succeeded, one observation of the peer's cost estimate. The round trip
-// splits into "network" (wall time minus the worker-reported compute, never
+// it succeeded, one observation of the peer's cost estimate — a strike when
+// the reply is degraded: a master answering without part of its team is
+// fast for the wrong reason. The round trip splits into "network" (wall time minus the worker-reported compute, never
 // below zero) and "compute" (attributed to the peer node) — the paper's
 // transfer-vs-compute decomposition, per request.
 func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, q peerQuery, tm attemptTiming, err error) {
@@ -483,7 +485,11 @@ func (p *peerConn) emitAttempt(tr *trace.Tracer, peerCtx trace.Context, q peerQu
 	}
 	if err == nil {
 		p.observe(q.series+"rtt", tm.rtt)
-		p.cost.observe(tm, network, q.series == "", q.flops)
+		if tm.degraded {
+			p.cost.strike()
+		} else {
+			p.cost.observe(tm, network, q.series == "", q.flops)
+		}
 	}
 }
 

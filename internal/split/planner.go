@@ -10,9 +10,6 @@ type Options struct {
 	// Replan is how long a computed decision stays cached before Decide
 	// recomputes it from the fits' current state. Default 1s.
 	Replan time.Duration
-	// ProbeEvery throttles explore probes toward peers with no compute
-	// measurements yet. Default 5s.
-	ProbeEvery time.Duration
 	// WireBytes returns the round-trip wire cost (request + response) of
 	// shipping a batch whose activation is width floats per row across a
 	// boundary. Defaults to the raw float64 payload size.
@@ -23,9 +20,6 @@ func (o Options) normalized() Options {
 	if o.Replan <= 0 {
 		o.Replan = time.Second
 	}
-	if o.ProbeEvery <= 0 {
-		o.ProbeEvery = 5 * time.Second
-	}
 	if o.WireBytes == nil {
 		o.WireBytes = func(batch, width int) int { return 8 * batch * width }
 	}
@@ -35,8 +29,8 @@ func (o Options) normalized() Options {
 // Decision is the planner's choice for one batch size. Split == Steps()
 // with an empty Peer means run everything locally; Split == 0 ships the raw
 // input (whole-query offload); anything between is a partial offload.
-// Explore marks a bootstrap probe toward an unmeasured peer rather than a
-// cost-ranked choice.
+// Explore marks a probe toward a peer whose costs are stale or were never
+// measured rather than a cost-ranked choice.
 type Decision struct {
 	Split        int     `json:"split"`
 	Peer         string  `json:"peer,omitempty"`
@@ -47,10 +41,11 @@ type Decision struct {
 // Peer is one peer's live cost state as the planner reads it: its link fit
 // (wire bytes → network seconds) and compute fit (FLOPs → compute seconds),
 // kept by the caller, which feeds them from every round trip it makes to
-// the peer.
+// the peer and knows how old they are.
 type Peer struct {
 	Addr          string
 	Link, Compute Fit
+	Probe         bool // the fits are stale or unmeasured, and the caller claimed their probe
 }
 
 // Planner chooses split points online from the local compute fit it keeps
@@ -61,7 +56,6 @@ type Planner struct {
 	prof      Profile
 	opt       Options
 	local     Fit
-	probed    map[string]time.Time // last explore probe per peer address
 	plan      Decision
 	planBatch int
 	planned   time.Time
@@ -73,7 +67,6 @@ func New(prof Profile, opt Options) *Planner {
 	return &Planner{
 		prof:    prof,
 		opt:     opt.normalized(),
-		probed:  make(map[string]time.Time),
 		haveNow: time.Now,
 	}
 }
@@ -91,27 +84,25 @@ func (p *Planner) ObserveLocal(flops float64, d time.Duration) {
 
 // Decide returns the current plan for a batch over peers, recomputing it
 // when the batch differs from the cached plan's or the plan is older than
-// Replan. A peer with no compute observation, due for a probe, preempts the
-// cached plan with a whole-remote Explore decision so its fits get their
-// first samples.
+// Replan. A peer marked for a probe preempts the cached plan with a
+// whole-remote Explore decision, so its fits get fresh samples.
 func (p *Planner) Decide(batch int, peers []Peer) Decision {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	now := p.haveNow()
 	for _, pr := range peers {
-		if !pr.Compute.Ready() && now.Sub(p.probed[pr.Addr]) >= p.opt.ProbeEvery {
-			p.probed[pr.Addr] = now
+		if pr.Probe {
 			return Decision{Split: 0, Peer: pr.Addr, Explore: true}
 		}
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	now := p.haveNow()
 	if !p.planned.IsZero() && batch == p.planBatch && now.Sub(p.planned) < p.opt.Replan {
 		return p.plan
 	}
 	return p.planLocked(batch, peers, now)
 }
 
-// Plan recomputes the decision immediately, bypassing the cache (probes
-// are not considered).
+// Plan recomputes the decision immediately, bypassing the cache (a Probe
+// mark is not read).
 func (p *Planner) Plan(batch int, peers []Peer) Decision {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -194,7 +185,7 @@ type Report struct {
 }
 
 // Report computes the full candidate table for a batch over peers without
-// touching the decision cache.
+// touching the decision cache or reading a Probe mark.
 func (p *Planner) Report(batch int, peers []Peer) Report {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -138,24 +138,23 @@ func TestPlannerPicksCheapestBoundary(t *testing.T) {
 	}
 }
 
+// TestPlannerProbesUnmeasuredPeer: a peer whose probe the caller claimed
+// (its fits stale or never measured: one claim per horizon) gets a
+// whole-remote probe; within the horizon the claim is spent and the probe
+// does not repeat, and a measured peer is not probed.
 func TestPlannerProbesUnmeasuredPeer(t *testing.T) {
-	p := New(testProfile(t), Options{ProbeEvery: time.Hour})
+	p := New(testProfile(t), Options{})
 	p.ObserveLocal(1e5, time.Millisecond)
-	base := time.Unix(1000, 0)
-	p.haveNow = func() time.Time { return base }
-	peers := []Peer{{Addr: "newpeer"}}
-	d := p.Decide(1, peers)
+	d := p.Decide(1, []Peer{{Addr: "newpeer", Probe: true}})
 	if !d.Explore || d.Peer != "newpeer" || d.Split != 0 {
 		t.Fatalf("expected whole-remote probe, got %+v", d)
 	}
-	// Within ProbeEvery the probe must not repeat.
-	if d2 := p.Decide(1, peers); d2.Explore {
+	// Within the horizon the probe must not repeat.
+	if d2 := p.Decide(1, []Peer{{Addr: "newpeer"}}); d2.Explore {
 		t.Fatalf("probe not throttled: %+v", d2)
 	}
 	// Once the peer is measured, no more probes.
-	peers[0] = measuredPeer("newpeer")
-	p.haveNow = func() time.Time { return base.Add(2 * time.Hour) }
-	if d3 := p.Decide(1, peers); d3.Explore {
+	if d3 := p.Decide(1, []Peer{measuredPeer("newpeer")}); d3.Explore {
 		t.Fatalf("measured peer still probed: %+v", d3)
 	}
 }
