@@ -56,7 +56,10 @@ linkcheck:
 # live chaos drill (internal/bench/fleet.go), so no second harness, artifact
 # or make target beside it comes back; and the pick, the hedge and the split
 # planner explore by one rule on the cost estimate's age (costHorizon in
-# internal/cluster/cost.go), so no private trial cadence comes back.
+# internal/cluster/cost.go), so no private trial cadence comes back; and the
+# tables price the codec's frames — TeamNet's cells replay Master.gather's
+# shape at cluster.WireBytes' sizes, as the split sweep prices a tail — so no
+# second byte model, TeamNet cost formula or multicast primitive comes back.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -85,6 +88,8 @@ one-loop:
 		echo "a second live harness is back (one chaos drill: internal/bench/fleet.go)"; exit 1; fi
 	@if grep -rnw 'errTrial\|hedgeColdAfter\|hedgeTrialEvery\|ProbeEvery\|benched\|unwon' --include=*.go .; then \
 		echo "a second exploration rule is back (one rule on a peer's cost estimate: internal/cluster/cost.go)"; exit 1; fi
+	@if grep -rnw 'TeamNetCost\|tensorWireBytes\|tensor64WireBytes\|resultWireBytes\|entropyWireBytes\|splitRequestWireBytes\|splitResultWireBytes\|Multicast' --include=*.go .; then \
+		echo "a second byte model is back (the tables price the codec's frames: cluster.WireBytes, internal/bench/replay.go)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its

@@ -20,22 +20,23 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "teamnet-dataset:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("teamnet-dataset", flag.ExitOnError)
 	var (
-		dsName = flag.String("dataset", "digits", "dataset: digits or objects")
-		n      = flag.Int("n", 20, "number of samples to render")
-		size   = flag.Int("size", 0, "image edge length (0 = dataset default)")
-		scale  = flag.Int("scale", 8, "pixel upscale factor for viewability")
-		seed   = flag.Int64("seed", 1, "generator seed")
-		outDir = flag.String("out", "dataset-preview", "output directory")
+		dsName = fs.String("dataset", "digits", "dataset: digits or objects")
+		n      = fs.Int("n", 20, "number of samples to render")
+		size   = fs.Int("size", 0, "image edge length (0 = dataset default)")
+		scale  = fs.Int("scale", 8, "pixel upscale factor for viewability")
+		seed   = fs.Int64("seed", 1, "generator seed")
+		outDir = fs.String("out", "dataset-preview", "output directory")
 	)
-	flag.Parse()
+	fs.Parse(args)
 	if *scale < 1 {
 		return fmt.Errorf("scale must be ≥ 1")
 	}

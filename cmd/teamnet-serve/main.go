@@ -107,7 +107,7 @@ func run() error {
 		degraded    = flag.Bool("degraded", true, "answer with partial ensembles (degraded: true + quorum metadata) when experts are quarantined or slow, instead of failing the batch")
 		slo         = flag.Duration("slo", 0, "latency SLO target for the brownout controller (0 = -deadline); sustained burn tightens the admission queue")
 		hedge       = flag.Bool("hedge", true, "hedge slow peer calls: duplicate a request on the same mux link once past the p95 of the peer's recent round trips, first reply wins; a peer none of whose duplicates won in the last 300 ms gets one trial per 20 unfired expiries and 300 ms")
-		retryBudget = flag.Float64("retry-budget", 0.1, "global retry budget as a fraction of request volume, shared across retries, probes and hedges (0 disables the cap)")
+		retryBudget = flag.Float64("retry-budget", 0.1, "global retry budget as a fraction of request volume, shared across retries and hedges (0 disables the cap)")
 		adminAddr   = flag.String("admin", "", "serve the HTTP admin endpoint (/healthz, /metrics, /traces, pprof) on this address, e.g. :8091")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown budget for in-flight HTTP requests on SIGINT")
 	)

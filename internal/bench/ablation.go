@@ -149,7 +149,7 @@ func (l *Lab) AblationEarlyExit() (*Matrix, error) {
 		return nil, err
 	}
 	localMs := BaselineCost(dev, expertPaper, 784, false).Ms()
-	teamMs := TeamNetCost(dev, link, expertPaper, 2, 784, 10, false).Ms()
+	teamMs := teamNetRun(expertPaper, 2, 784, 10).cost(dev, link, edgesim.Socket(), false).Ms()
 
 	m := &Matrix{
 		ID:       "ablation-early-exit",

@@ -101,7 +101,7 @@ func TestCostTeamNetBeatsBaselineOnCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseMs := BaselineCost(dev, base, 784, false).Ms()
-	teamMs := TeamNetCost(dev, link, mlp4, 2, 784, 10, false).Ms()
+	teamMs := teamNetRun(mlp4, 2, 784, 10).cost(dev, link, edgesim.Socket(), false).Ms()
 	if teamMs >= baseMs {
 		t.Fatalf("TeamNet (%.2f ms) not faster than baseline (%.2f ms) on CPU", teamMs, baseMs)
 	}
@@ -120,7 +120,7 @@ func TestCostBaselineBeatsTeamNetOnGPUDigits(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseMs := BaselineCost(dev, base, 784, true).Ms()
-	teamMs := TeamNetCost(dev, link, mlp4, 2, 784, 10, true).Ms()
+	teamMs := teamNetRun(mlp4, 2, 784, 10).cost(dev, link, edgesim.Socket(), true).Ms()
 	if baseMs >= teamMs {
 		t.Fatalf("GPU baseline (%.2f ms) should beat TeamNet (%.2f ms) for digits", baseMs, teamMs)
 	}
@@ -143,7 +143,7 @@ func TestCostMPIFarSlowerThanTeamNet(t *testing.T) {
 		t.Fatal(err)
 	}
 	mpiMs := matrix.cost(dev, link, edgesim.MPI(), false).Ms()
-	teamMs := TeamNetCost(dev, link, mlp4, 2, 784, 10, false).Ms()
+	teamMs := teamNetRun(mlp4, 2, 784, 10).cost(dev, link, edgesim.Socket(), false).Ms()
 	if mpiMs < 10*teamMs {
 		t.Fatalf("MPI-Matrix (%.1f ms) not ≫ TeamNet (%.1f ms)", mpiMs, teamMs)
 	}
@@ -165,7 +165,7 @@ func TestCostSGMoESlowerThanTeamNetDigits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	teamMs := TeamNetCost(dev, link, mlp4, 2, 784, 10, false).Ms()
+	teamMs := teamNetRun(mlp4, 2, 784, 10).cost(dev, link, edgesim.Socket(), false).Ms()
 	grpcMs := sgMoE.cost(dev, link, edgesim.GRPC(), false).Ms()
 	mpiMs := sgMoE.cost(dev, link, edgesim.MPI(), false).Ms()
 	if grpcMs <= teamMs {
@@ -213,7 +213,7 @@ func TestCostTeamNetHalvesCNNBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseMs := BaselineCost(dev, ss26, 3*32*32, false).Ms()
-	teamMs := TeamNetCost(dev, link, ss14, 2, 3*32*32, 10, false).Ms()
+	teamMs := teamNetRun(ss14, 2, 3*32*32, 10).cost(dev, link, edgesim.Socket(), false).Ms()
 	ratio := teamMs / baseMs
 	if ratio > 0.75 || ratio < 0.2 {
 		t.Fatalf("2xSS-14 / SS-26 latency ratio %.2f outside the paper's halving regime", ratio)
@@ -233,8 +233,8 @@ func TestCostGPUCNNTwoExpertsFastest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t2 := TeamNetCost(dev, link, ss14, 2, 3*32*32, 10, true).Ms()
-	t4 := TeamNetCost(dev, link, ss8, 4, 3*32*32, 10, true).Ms()
+	t2 := teamNetRun(ss14, 2, 3*32*32, 10).cost(dev, link, edgesim.Socket(), true).Ms()
+	t4 := teamNetRun(ss8, 4, 3*32*32, 10).cost(dev, link, edgesim.Socket(), true).Ms()
 	if t2 >= t4 {
 		t.Fatalf("GPU: 2xSS-14 (%.2f ms) should beat 4xSS-8 (%.2f ms)", t2, t4)
 	}
@@ -259,31 +259,6 @@ func TestPaperNetMemoized(t *testing.T) {
 	}
 	if a != b {
 		t.Fatal("PaperNet not memoized")
-	}
-}
-
-func TestBalancedLatencyHelpers(t *testing.T) {
-	if tensorWireBytes(1, 10) != 1+8+40 {
-		t.Fatalf("tensorWireBytes = %d", tensorWireBytes(1, 10))
-	}
-	// The paper's envelope, pinned: the baseline and TeamNet columns are
-	// priced at these sizes whatever TeamNet's frames become.
-	for _, c := range []struct {
-		name      string
-		got, want int
-	}{
-		{"input", tensorWireBytes(1, 784), 1 + 8 + 4*784},
-		{"result", resultWireBytes(3, 10), 1 + 8 + 4*3*10 + 4 + 8*3},
-		{"split request", splitRequestWireBytes(2, 33), 2 + 4 + (9 + 8*2*33)},
-		{"split result", splitResultWireBytes(2, 10), 9 + 8*2*10 + 4 + 8*2},
-	} {
-		if c.got != c.want {
-			t.Fatalf("%s: %d bytes, want %d", c.name, c.got, c.want)
-		}
-	}
-	var zero Cost
-	if zero.Ms() != 0 {
-		t.Fatal("zero cost not zero")
 	}
 }
 

@@ -3,14 +3,14 @@ package bench
 import (
 	"github.com/teamnet/teamnet/internal/edgesim"
 	"github.com/teamnet/teamnet/internal/nn"
-	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // Latency cost model: every system's per-inference critical path, priced on
-// an edgesim device + link + transport. The baseline and TeamNet are formulas
-// over the real FLOP counts of the built architectures (nn.LayerFLOPs) and
-// the byte counts of the protocol's messages (the envelope below); the MPI
-// and SG-MoE baselines are recorded runs of their runtimes (replay.go).
+// an edgesim device + link + transport. The baseline is a formula over the
+// real FLOP count of the built architecture (nn.LayerFLOPs); every
+// distributed system — TeamNet, the MPI schemes, SG-MoE — is a per-rank log
+// of frames and compute priced by one replay (replay.go), its frame sizes
+// the ones the code sends.
 //
 // All latencies are for a single-sample inference (batch 1), matching the
 // paper's per-request measurements.
@@ -37,24 +37,6 @@ func BaselineCost(dev edgesim.Device, net *nn.Network, inputDim int, gpu bool) C
 	}
 }
 
-// TeamNetCost is the Figure 1(d) protocol: broadcast the input to K-1 peers
-// over raw sockets, all K experts compute in parallel, gather K-1 results,
-// arg-min locally. The critical path is the remote branch: broadcast +
-// expert compute + result gather. Free of any gate computation — the
-// paper's argument for why TeamNet's combiner is cheaper than MoE gating.
-func TeamNetCost(dev edgesim.Device, link edgesim.Link, expert *nn.Network, k, features, classes int, gpu bool) Cost {
-	n := edgesim.Net{Link: link, Transport: edgesim.Socket()}
-	inBytes := transport.FrameWireSize(tensorWireBytes(1, features))
-	resBytes := transport.FrameWireSize(resultWireBytes(1, classes))
-	comm := n.Multicast(inBytes, k-1) + n.Gather(resBytes, k-1)
-	return Cost{
-		ComputeSec: dev.ComputeTime(nn.NetworkFLOPs(expert), gpu),
-		CommSec:    comm,
-		ModelBytes: expert.SizeBytes(),
-		ActBytes:   nn.PeakActivationBytes(expert, features),
-	}
-}
-
 // grpcEnvelopeBytes is the per-call envelope of the paper's gRPC byte model
 // beyond the tensor body: a request envelope (8-byte call id, 2-byte method
 // length, the 7-byte method name "predict"), a response envelope (8-byte id,
@@ -63,30 +45,3 @@ func TeamNetCost(dev edgesim.Device, link edgesim.Link, expert *nn.Network, k, f
 // SG-MoE-M's, which prices the same recorded run (run.cost); the live
 // SG-MoE-G runtime rides TeamNet's own frames.
 const grpcEnvelopeBytes = (8 + 2 + len("predict")) + (8 + 1) + 2*5
-
-// The paper's envelope: the byte counts the baseline, TeamNet and split-sweep
-// formulas price, owned by the cost model rather than read from the live
-// codec, so a change to TeamNet's frames moves no table cell. A message is a
-// rank-2 tensor — one rank byte, two u32 dims, the values — and an expert's
-// answer adds its float64 entropies, one per row, behind a u32 count. Inputs
-// and answers travel float32; the split sweep's activations and answers
-// travel float64, the precision of the bit-identity contract.
-
-// tensorWireBytes is the wire size of a rank-2 [rows, cols] float32 tensor.
-func tensorWireBytes(rows, cols int) int {
-	return 1 + 4*2 + 4*rows*cols
-}
-
-// tensor64WireBytes is tensorWireBytes's float64 twin.
-func tensor64WireBytes(rows, cols int) int {
-	return 1 + 4*2 + 8*rows*cols
-}
-
-// resultWireBytes is one expert's answer for rows samples: the float32
-// probabilities and the entropies.
-func resultWireBytes(rows, classes int) int {
-	return tensorWireBytes(rows, classes) + entropyWireBytes(rows)
-}
-
-// entropyWireBytes is the count and the float64 entropies of rows samples.
-func entropyWireBytes(rows int) int { return 4 + 8*rows }

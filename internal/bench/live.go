@@ -62,7 +62,7 @@ func (l *Lab) LiveValidation() (*Matrix, error) {
 	expert := team.Experts[0]
 	hostFlops := measureHostThroughput(expert, test.Features())
 	host := edgesim.Device{Name: "local-host", CPUFlops: hostFlops, MemBytes: 1 << 33, BaseMemFrac: 0, BaseCPUFrac: 0}
-	modeled := TeamNetCost(host, edgesim.Loopback(), expert, 2, test.Features(), 10, false)
+	modeled := teamNetRun(expert, 2, test.Features(), 10).cost(host, edgesim.Loopback(), edgesim.Socket(), false)
 
 	measuredMs := float64(lat.Mean()) / float64(time.Millisecond)
 	m := &Matrix{

@@ -13,12 +13,13 @@ import (
 	"github.com/teamnet/teamnet/internal/tensor"
 )
 
-// The MPI-* and SG-MoE-* cells of Tables I and II price what the real
-// runtimes send. Each runtime (internal/mpi's schemes, cluster's MoEMPIMaster
-// and MoEMPIWorker) runs one row over an in-process world, every rank logging
+// Every distributed cell of Tables I and II prices what the code sends.
+// Each baseline runtime (internal/mpi's schemes, cluster's MoEMPIMaster and
+// MoEMPIWorker) runs one row over an in-process world, every rank logging
 // the frames it writes and reads and the compute it declares (mpi.Event);
-// replay then prices those logs with edgesim's device, link and transport
-// arithmetic.
+// TeamNet's log is the shape of Master.gather over the codec's own frame
+// sizes (teamNetRun). replay then prices those logs with edgesim's device,
+// link and transport arithmetic.
 
 // run is one recorded inference of a distributed runtime: every rank's log,
 // and the model and peak activation bytes of the reported device.
@@ -154,6 +155,29 @@ func record(size int, body func(c *mpi.Comm) error) ([][]mpi.Event, error) {
 		logs[r] = c.Log()
 	}
 	return logs, errors.Join(errs...)
+}
+
+// teamNetRun is the Figure 1(d) protocol for one row as Master.gather runs
+// it: rank 0, the master, writes the request frame to each of its k−1 peers,
+// runs its own expert, then reads their k−1 reply frames; each peer reads,
+// runs its expert and writes. The frames are the codec's (cluster.WireBytes
+// of an unpinned whole query), and no gate runs — the paper's argument for
+// why TeamNet's combiner is cheaper than MoE gating. The log is built, not
+// recorded: gather fixes the protocol's shape, and the codec's size function
+// is pinned to the frames that leave.
+func teamNetRun(expert *nn.Network, k, features, classes int) run {
+	req, rep := cluster.WireBytes(cluster.Policy{Gather: cluster.Own}, 0, 1, features, classes)
+	flops := nn.NetworkFLOPs(expert)
+	logs := make([][]mpi.Event, k)
+	for r := 1; r < k; r++ {
+		logs[0] = append(logs[0], mpi.Event{Op: mpi.OpSend, Peer: r, Bytes: req})
+		logs[r] = []mpi.Event{{Op: mpi.OpRecv, Peer: 0, Bytes: req}, {Op: mpi.OpWork, FLOPs: flops}, {Op: mpi.OpSend, Peer: 0, Bytes: rep}}
+	}
+	logs[0] = append(logs[0], mpi.Event{Op: mpi.OpWork, FLOPs: flops})
+	for r := 1; r < k; r++ {
+		logs[0] = append(logs[0], mpi.Event{Op: mpi.OpRecv, Peer: r, Bytes: rep})
+	}
+	return run{logs: logs, modelBytes: expert.SizeBytes(), actBytes: nn.PeakActivationBytes(expert, features)}
 }
 
 // recordRow is the one input row every recorded run infers.

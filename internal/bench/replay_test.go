@@ -4,8 +4,10 @@ import (
 	"math"
 	"testing"
 
+	"github.com/teamnet/teamnet/internal/cluster"
 	"github.com/teamnet/teamnet/internal/edgesim"
 	"github.com/teamnet/teamnet/internal/mpi"
+	"github.com/teamnet/teamnet/internal/nn"
 )
 
 func send(peer, bytes int) mpi.Event { return mpi.Event{Op: mpi.OpSend, Peer: peer, Bytes: bytes} }
@@ -20,6 +22,18 @@ func TestReplayOneFrameIsUnicast(t *testing.T) {
 		if compute != 0 || total != n.Unicast(3145) {
 			t.Fatalf("%s: one frame priced %v (compute %v), Net.Unicast says %v", tr.Name, total, compute, n.Unicast(3145))
 		}
+	}
+
+	// A two-expert TeamNet of zero FLOPs is one request frame out and one
+	// reply frame back, each the codec's size.
+	n := edgesim.Net{Link: edgesim.WiFi(), Transport: edgesim.Socket()}
+	req, rep := cluster.WireBytes(cluster.Policy{Gather: cluster.Own}, 0, 1, 784, 10)
+	c := teamNetRun(&nn.Network{}, 2, 784, 10).cost(dev, n.Link, n.Transport, false)
+	if want := n.Unicast(req) + n.Unicast(rep); c.ComputeSec != 0 || math.Abs(c.CommSec-want) > 1e-15 {
+		t.Fatalf("K=2 TeamNet priced %v s (compute %v), two unicasts say %v", c.CommSec, c.ComputeSec, want)
+	}
+	if (Cost{}).Ms() != 0 {
+		t.Fatal("zero cost not zero")
 	}
 }
 

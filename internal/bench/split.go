@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/teamnet/teamnet/internal/cluster"
 	"github.com/teamnet/teamnet/internal/edgesim"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/split"
@@ -105,23 +106,17 @@ func splitCost(prof split.Profile, b split.Boundary, head, tail edgesim.Device, 
 		return head.ComputeTime(prof.TotalFLOPs*float64(batch), false)
 	}
 	sec := head.ComputeTime(b.HeadFLOPs*float64(batch), false)
-	sec += net.Unicast(splitRequestWireBytes(batch, b.Width))
-	sec += net.Unicast(splitResultWireBytes(batch, classes))
+	req, rep := tailWireBytes(batch, b.Width, classes)
+	sec += net.Unicast(req)
+	sec += net.Unicast(rep)
 	sec += tail.ComputeTime(b.TailFLOPs*float64(batch), true)
 	return sec
 }
 
-// splitRequestWireBytes is a tail request in the paper's envelope (see
-// latency.go): a u16 version-pin length (no pin here), the u32 split index
-// and the float64 activation.
-func splitRequestWireBytes(batch, width int) int {
-	return 2 + 4 + tensor64WireBytes(batch, width)
-}
-
-// splitResultWireBytes is a tail's answer: float64 probabilities and the
-// entropies.
-func splitResultWireBytes(batch, classes int) int {
-	return tensor64WireBytes(batch, classes) + entropyWireBytes(batch)
+// tailWireBytes is a split tail's request and reply frames, the codec's own
+// sizes (cluster.WireBytes) with no version pin.
+func tailWireBytes(batch, width, classes int) (request, reply int) {
+	return cluster.WireBytes(cluster.Policy{Gather: cluster.Own, Split: cluster.SplitAt(0)}, 0, batch, width, classes)
 }
 
 // calibratePlanner feeds the planner's local fit and the returned peer's
@@ -132,11 +127,10 @@ func splitResultWireBytes(batch, classes int) int {
 // tests).
 func calibratePlanner(pl *split.Planner, prof split.Profile, head, tail edgesim.Device, net edgesim.Net, batch, classes int) split.Peer {
 	peer := split.Peer{Addr: "sim-peer"}
-	resBytes := splitResultWireBytes(batch, classes)
 	for _, frac := range []float64{0.2, 0.6, 1.0} {
 		f := prof.TotalFLOPs * frac
 		pl.ObserveLocal(f, secToDur(head.ComputeTime(f, false)))
-		reqBytes := splitRequestWireBytes(batch, int(float64(prof.Boundaries[0].Width)*frac)+1)
+		reqBytes, resBytes := tailWireBytes(batch, int(float64(prof.Boundaries[0].Width)*frac)+1, classes)
 		netSec := net.Unicast(reqBytes) + net.Unicast(resBytes)
 		peer.Compute.Observe(f, secToDur(tail.ComputeTime(f, true)).Seconds())
 		peer.Link.Observe(float64(reqBytes+resBytes), secToDur(netSec).Seconds())
@@ -193,7 +187,8 @@ func RunSplitBench(cfg SplitBenchConfig) (*SplitReport, error) {
 			Transport: edgesim.Socket(),
 		}
 		pl := split.New(prof, split.Options{WireBytes: func(b, width int) int {
-			return splitRequestWireBytes(b, width) + splitResultWireBytes(b, classes)
+			req, rep := tailWireBytes(b, width, classes)
+			return req + rep
 		}})
 		peer := calibratePlanner(pl, prof, head, tail, wire, batch, classes)
 		d := pl.Plan(batch, []split.Peer{peer})

@@ -85,7 +85,7 @@ func (l *Lab) systemsTable(t *Table, w workload, dev edgesim.Device, baselines b
 			return nil, err
 		}
 		t.Rows = append(t.Rows, costRow("TeamNet", k, 100*team.Accuracy(w.test.X, w.test.Y),
-			TeamNetCost(dev, link, expert, k, w.features, 10, gpu), dev, gpu))
+			teamNetRun(expert, k, w.features, 10).cost(dev, link, edgesim.Socket(), gpu), dev, gpu))
 		if !baselines {
 			continue
 		}

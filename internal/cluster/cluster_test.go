@@ -1,20 +1,25 @@
 package cluster
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/teamnet/teamnet/internal/core"
 	"github.com/teamnet/teamnet/internal/dataset"
+	"github.com/teamnet/teamnet/internal/metrics"
 	"github.com/teamnet/teamnet/internal/moe"
 	"github.com/teamnet/teamnet/internal/mpi"
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
 	"github.com/teamnet/teamnet/internal/trace"
+	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // trainSmallTeam trains a 2-expert TeamNet quickly for runtime tests.
@@ -66,15 +71,35 @@ func TestResultCodecRejectsMismatch(t *testing.T) {
 }
 
 // TestWireByteHelpersMatchEncoding pins the codec's one size function
-// against what it encodes, for a whole query and for a split tail.
+// against the frames that leave: the request the mux client writes and the
+// reply the server's connWriter writes (as TestWireBytesGolden captures
+// them), for a whole query and a split tail, each pinned and unpinned.
 func TestWireByteHelpersMatchEncoding(t *testing.T) {
 	rng := tensor.NewRNG(3)
 	for _, p := range []Policy{{Gather: Own}, {Gather: Own, Split: SplitAt(2)}} {
-		x := rng.Randn(4, 144)
-		rep := Reply{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4), Winners: make([]int, 4)}
-		want := 2 + len("v1.2") + len(encodeRequest(Request{X: x, Policy: p})) + len(encodeReply(rep, p.wide()))
-		if got := doWireBytes(p, len("v1.2"), 4, 144, 10); got != want {
-			t.Fatalf("%+v: doWireBytes = %d, encoded = %d", p, got, want)
+		for _, pin := range []string{"", "v1.2"} {
+			x := rng.Randn(4, 144)
+			rep := Reply{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4), Winners: make([]int, 4)}
+			wantReq, wantRep := WireBytes(p, len(pin), 4, 144, 10)
+			req := sent(t, wantReq, func(conn net.Conn) {
+				mc := newMuxClient(conn, new(metrics.Gauge), new(metrics.Gauge), nil)
+				defer mc.close()
+				done := make(chan struct{})
+				time.AfterFunc(5*time.Second, func() { close(done) })
+				mc.roundTrip(context.Background(), MsgDo, pin, encodeRequest(Request{X: x, Policy: p}), 0, done)
+			})
+			reply := sent(t, wantRep, func(conn net.Conn) {
+				(&connWriter{conn: conn}).writeReply(MsgReply, replyHeader{id: 1}, encodeReply(rep, p.wide()))
+			})
+			// sent read WireBytes' count; the frames' own lengths say where they end.
+			for _, f := range []struct {
+				name  string
+				frame []byte
+			}{{"request", req}, {"reply", reply}} {
+				if got := transport.FrameWireSize(int(binary.BigEndian.Uint32(f.frame))); got != len(f.frame) {
+					t.Errorf("%+v pin %q: %s frame is %d bytes, WireBytes says %d", p, pin, f.name, got, len(f.frame))
+				}
+			}
 		}
 	}
 }

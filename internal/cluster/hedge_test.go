@@ -224,8 +224,8 @@ func TestHedgeRespectsRetryBudget(t *testing.T) {
 		}
 	}
 
-	// Drain a near-zero-refill budget dry, then slow the link.
-	b := newRetryBudget(1e-9, 1, 1e-9)
+	// Drain a near-zero-ratio budget dry, then slow the link.
+	b := newRetryBudget(1e-9, 1)
 	for b.Allow() {
 	}
 	master.SetRetryBudget(b)

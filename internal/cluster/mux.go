@@ -436,7 +436,8 @@ func (l *link) attempt(ctx context.Context, done <-chan struct{}, q peerQuery, d
 		mc.fail(err)
 		return Reply{}, tm, err, muxLinkFault
 	}
-	tm.remote, tm.wire, tm.degraded = r.compute, 2+len(q.pin)+len(q.payload)+len(r.payload), res.Live < res.Total
+	tm.remote, tm.degraded = r.compute, res.Live < res.Total
+	tm.wire = frameBytes(requestHeaderFixed+len(q.pin), len(q.payload)) + frameBytes(replyHeaderSize, len(r.payload))
 	return res, tm, nil, muxOK
 }
 

@@ -225,17 +225,23 @@ func decodeReply(body []byte, wide bool, rows, classes int) (Reply, error) {
 	return rep, nil
 }
 
-// doWireBytes is the codec's one size function: the payload bytes of a
-// request for rows×width inputs under p, pinned to a label of pin bytes,
-// plus those of its rows×classes reply. Of the frame header only the pin
-// counts (its u16 length and its bytes); the rest is the same for every
-// request. The split planner prices a round trip with it.
-func doWireBytes(p Policy, pin, rows, width, classes int) int {
+// WireBytes is the codec's one size function: the on-wire bytes of a MsgDo
+// frame for rows×width inputs under p, pinned to a label of pin bytes, and
+// of the MsgReply frame that answers it with rows×classes probabilities.
+// Each direction counts the transport's length and type, the frame header
+// (the pin included) and the body. The split planner prices a round trip at
+// their sum, as a peer's cost estimate measures one (link.attempt); the
+// paper tables price each frame.
+func WireBytes(p Policy, pin, rows, width, classes int) (request, reply int) {
 	elem := 4
 	if p.wide() {
 		elem = 8
 	}
 	tensor := func(cols int) int { return 1 + 4*2 + elem*rows*cols }
-	return 2 + pin + requestPrefixSize + tensor(width) +
-		replyPrefixSize + 4*rows + tensor(classes) + 4 + 8*rows
+	return frameBytes(requestHeaderFixed+pin, requestPrefixSize+tensor(width)),
+		frameBytes(replyHeaderSize, replyPrefixSize+4*rows+tensor(classes)+4+8*rows)
 }
+
+// frameBytes is the wire size of a pipelined frame: its header and body
+// behind the transport's length and type.
+func frameBytes(header, body int) int { return transport.FrameWireSize(header + body) }

@@ -1,44 +1,36 @@
 package cluster
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // Global retry budget: the anti-retry-storm half of the SLO-defense layer.
-// Every retry mechanism in the runtime — in-request retries, quarantine
-// probe redials, and hedged duplicates — is individually bounded, but under
-// a brownout they all fire at once across every peer, and the sum is a
-// storm: the sick link gets hammered with exactly the duplicate traffic
-// that keeps it sick. A RetryBudget is one
-// token bucket shared across all of them: normal request volume deposits a
-// fraction of a token per round trip (~10% by default, the classic retry-
-// budget ratio), every speculative send withdraws a whole token, and when
-// the bucket runs dry the runtime degrades to first-attempt-only traffic
-// instead of amplifying the overload. A small time-based trickle keeps
-// quarantine probes alive even when request volume drops to zero, so a
-// drained budget can never permanently strand a healed peer.
+// In-request retries and hedged duplicates are each bounded, but under a
+// brownout they all fire at once across every peer, and the sum is a storm:
+// the sick link gets hammered with exactly the duplicate traffic that keeps
+// it sick. A RetryBudget is one token bucket shared across both: normal
+// request volume deposits a fraction of a token per round trip (~10% by
+// default, the classic retry-budget ratio), every speculative send
+// withdraws a whole token, and when the bucket runs dry the runtime degrades
+// to first-attempt-only traffic instead of amplifying the overload. A
+// quarantine probe spends nothing: ProbeBackoff already bounds it to one
+// redial per open peer per backoff step, and the master whose traffic left
+// for other masters is the one whose probes must still run.
 
 // The budget's tuning. Every first-attempt round trip deposits the ratio a
 // budget was built with (retryBudgetRatio unless NewRetryBudget says
 // otherwise); retryBudgetBurst caps the bucket, the largest retry burst it
-// funds after a quiet healthy period; retryBudgetRefill tokens per second
-// trickle in whatever the traffic, keeping probe redials alive with zero
-// request volume.
+// funds after a quiet healthy period.
 const (
-	retryBudgetRatio  = 0.1
-	retryBudgetBurst  = 16
-	retryBudgetRefill = 1
+	retryBudgetRatio = 0.1
+	retryBudgetBurst = 16
 )
 
 // RetryBudget is the shared token bucket. Safe for concurrent use; the
-// bucket starts full so startup redials are never starved.
+// bucket starts full.
 type RetryBudget struct {
-	ratio, burst, refill float64 // deposit per round trip, cap, tokens/s trickle
+	ratio, burst float64 // deposit per round trip, cap
 
 	mu     sync.Mutex
 	tokens float64
-	last   time.Time
 }
 
 // NewRetryBudget returns a full bucket whose round trips each deposit ratio
@@ -47,44 +39,28 @@ func NewRetryBudget(ratio float64) *RetryBudget {
 	if ratio <= 0 {
 		ratio = retryBudgetRatio
 	}
-	return newRetryBudget(ratio, retryBudgetBurst, retryBudgetRefill)
+	return newRetryBudget(ratio, retryBudgetBurst)
 }
 
 // newRetryBudget is a full bucket of any shape, for tests that need a tiny
-// or non-refilling one.
-func newRetryBudget(ratio, burst, refill float64) *RetryBudget {
-	return &RetryBudget{ratio: ratio, burst: burst, refill: refill, tokens: burst, last: time.Now()}
-}
-
-// trickleLocked applies the time-based refill; mu must be held.
-func (b *RetryBudget) trickleLocked(now time.Time) {
-	if !b.last.IsZero() {
-		b.tokens += now.Sub(b.last).Seconds() * b.refill
-	}
-	b.last = now
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+// one.
+func newRetryBudget(ratio, burst float64) *RetryBudget {
+	return &RetryBudget{ratio: ratio, burst: burst, tokens: burst}
 }
 
 // Deposit credits one first-attempt round trip (its ratio in tokens).
 func (b *RetryBudget) Deposit() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.trickleLocked(time.Now())
-	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
+	b.tokens = min(b.tokens+b.ratio, b.burst)
 }
 
-// Allow withdraws one token for a speculative send (retry, probe redial,
-// hedge). It reports false — and withdraws nothing — when the bucket holds
-// less than a whole token: the caller should skip the send.
+// Allow withdraws one token for a speculative send (retry, hedge). It
+// reports false — and withdraws nothing — when the bucket holds less than a
+// whole token: the caller should skip the send.
 func (b *RetryBudget) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.trickleLocked(time.Now())
 	if b.tokens < 1 {
 		return false
 	}
@@ -96,13 +72,12 @@ func (b *RetryBudget) Allow() bool {
 func (b *RetryBudget) Tokens() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.trickleLocked(time.Now())
 	return b.tokens
 }
 
 // SetRetryBudget installs (or, with nil, removes) the master-wide retry
-// budget shared by every peer's retries, probe redials and hedges. Affects
-// peers connected before and after the call.
+// budget shared by every peer's retries and hedges. Affects peers connected
+// before and after the call.
 func (m *Master) SetRetryBudget(b *RetryBudget) { m.budget.Store(b) }
 
 // deposit credits the budget for one first-attempt round trip; nil-safe.

@@ -10,15 +10,15 @@ import (
 )
 
 // Retry-budget tests: one shared token bucket must bound the sum of every
-// speculative send — serial retries, mux retries, probe redials, hedges —
-// so a brownout cannot amplify itself. All run under -race via the verify
-// target.
+// speculative send — retries and hedges — so a brownout cannot amplify
+// itself, and must never stand between a quarantined peer and its probe.
+// All run under -race via the verify target.
 
 // TestRetryBudgetBucketMath pins the token arithmetic without any cluster
 // machinery: a full bucket funds burst sends, runs dry, and refills by
-// ratio per deposit. The trickle is pinned near zero so time cannot help.
+// ratio per deposit.
 func TestRetryBudgetBucketMath(t *testing.T) {
-	b := newRetryBudget(0.5, 2, 1e-9)
+	b := newRetryBudget(0.5, 2)
 	if !b.Allow() || !b.Allow() {
 		t.Fatal("a fresh bucket must fund burst sends")
 	}
@@ -42,31 +42,15 @@ func TestRetryBudgetBucketMath(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetTrickleRefill: with zero request volume the time-based
-// trickle alone must eventually fund a send, so probe redials can never be
-// permanently starved by a drained budget.
-func TestRetryBudgetTrickleRefill(t *testing.T) {
-	b := newRetryBudget(0.1, 4, 200)
-	for b.Allow() {
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for !b.Allow() {
-		if time.Now().After(deadline) {
-			t.Fatal("trickle never refunded a drained bucket")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestRetryBudgetDefaults: the documented constants, NewRetryBudget(0)'s
 // default ratio, a caller's ratio kept, and a nil master budget means
 // unlimited.
 func TestRetryBudgetDefaults(t *testing.T) {
-	if retryBudgetRatio != 0.1 || retryBudgetBurst != 16 || retryBudgetRefill != 1 {
-		t.Fatalf("constants ratio=%v burst=%v refill=%v", retryBudgetRatio, retryBudgetBurst, retryBudgetRefill)
+	if retryBudgetRatio != 0.1 || retryBudgetBurst != 16 {
+		t.Fatalf("constants ratio=%v burst=%v", retryBudgetRatio, retryBudgetBurst)
 	}
-	if b := NewRetryBudget(0); b.ratio != 0.1 || b.burst != 16 || b.refill != 1 || b.Tokens() != 16 {
-		t.Fatalf("NewRetryBudget(0) = ratio %v burst %v refill %v tokens %v", b.ratio, b.burst, b.refill, b.Tokens())
+	if b := NewRetryBudget(0); b.ratio != 0.1 || b.burst != 16 || b.Tokens() != 16 {
+		t.Fatalf("NewRetryBudget(0) = ratio %v burst %v tokens %v", b.ratio, b.burst, b.Tokens())
 	}
 	if b := NewRetryBudget(0.25); b.ratio != 0.25 {
 		t.Fatalf("NewRetryBudget(0.25) deposits %v", b.ratio)
@@ -106,7 +90,7 @@ func TestRetryBudgetStarvesRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := newRetryBudget(1e-9, 1, 1e-9)
+	b := newRetryBudget(1e-9, 1)
 	for b.Allow() {
 	}
 	master.SetRetryBudget(b)
@@ -136,7 +120,7 @@ func TestRetryBudgetDepositsOnTraffic(t *testing.T) {
 	if err := master.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
-	b := newRetryBudget(0.5, 4, 1e-9)
+	b := newRetryBudget(0.5, 4)
 	for b.Allow() {
 	}
 	master.SetRetryBudget(b)
@@ -152,5 +136,38 @@ func TestRetryBudgetDepositsOnTraffic(t *testing.T) {
 	}
 	if !b.Allow() {
 		t.Fatal("refilled budget refused a send")
+	}
+}
+
+// TestDryBudgetLetsAProbeReadmit: a master whose traffic has gone elsewhere
+// deposits nothing, so its bucket stays dry. A worker stalled behind a chaos
+// proxy trips into quarantine; once the proxy heals, the quarantine probe
+// alone must re-admit it — a probe spends no token.
+func TestDryBudgetLetsAProbeReadmit(t *testing.T) {
+	proxy, addr := chaosWorker(t, 125, 1)
+	master := NewMaster(tinyExpert(t, 126), 3)
+	defer master.Close()
+	master.SetSupervisor(fastSupervisor())
+	master.SetTimeout(50 * time.Millisecond)
+	if err := master.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	b := newRetryBudget(1e-9, 1)
+	for b.Allow() {
+	}
+	master.SetRetryBudget(b)
+
+	proxy.SetPlan(chaos.Fault{Mode: chaos.Stall, Prob: 1})
+	x := tensor.NewRNG(127).Randn(1, 4)
+	for i := 0; i < 4; i++ {
+		bestEffort(master, x) //nolint:errcheck — the local expert answers; the stalled peer is the point
+	}
+	if h := master.Health()[0]; h.State != PeerOpen && h.State != PeerHalfOpen {
+		t.Fatalf("stalled peer not quarantined: %+v", h)
+	}
+	proxy.Heal()
+	waitForPeerState(t, master, 0, PeerHealthy, 5*time.Second)
+	if _, _, live, err := bestEffort(master, x); err != nil || live != 2 {
+		t.Fatalf("after the heal: live = %d, err = %v, want both experts", live, err)
 	}
 }

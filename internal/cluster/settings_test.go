@@ -129,7 +129,7 @@ func TestSettingsReachConnectedPeersUnderTraffic(t *testing.T) {
 
 	// A dry budget installed last: the resetting peer's retries are denied
 	// against it, and nothing it funds.
-	dry := newRetryBudget(1e-9, 1, 1e-9)
+	dry := newRetryBudget(1e-9, 1)
 	for dry.Allow() {
 	}
 	master.SetRetryBudget(dry)

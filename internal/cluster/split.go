@@ -72,7 +72,8 @@ func (m *Master) EnableSplit(replan time.Duration) error {
 		// The pin rides in every split request: size it from the label being
 		// served when the planner asks, not the one served at enable time.
 		WireBytes: func(batch, width int) int {
-			return doWireBytes(splitTail, len(m.Local().Version), batch, width, m.classes)
+			req, rep := WireBytes(splitTail, len(m.Local().Version), batch, width, m.classes)
+			return req + rep
 		},
 	}
 	m.mu.Lock()

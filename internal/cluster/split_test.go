@@ -8,6 +8,7 @@ import (
 
 	"github.com/teamnet/teamnet/internal/nn"
 	"github.com/teamnet/teamnet/internal/tensor"
+	"github.com/teamnet/teamnet/internal/transport"
 )
 
 // splitZooSpecs mirrors the nn package's range-test zoo: every model family
@@ -399,16 +400,22 @@ func TestSplitPlannerProbesAStaleEstimate(t *testing.T) {
 }
 
 // TestSplitWireBytesMatchEncoding pins the planner's byte model — the
-// codec's one size function under a tail's policy — against the real
-// encoding of a tail and its answer.
+// round trip EnableSplit installs, sized for the served label's pin — against
+// the frames of a real tail and its answer: each frame's header and body
+// behind the transport's length and type, as link.attempt measures them.
 func TestSplitWireBytesMatchEncoding(t *testing.T) {
+	m := NewMaster(tinyExpert(t, 1), 10)
+	defer m.Close()
+	if err := m.SetLocal(Model{Version: "v1.2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EnableSplit(0); err != nil {
+		t.Fatal(err)
+	}
 	rng := tensor.NewRNG(3)
-	act := rng.Randn(4, 33)
-	// The request is priced as its version pin (u16 length + bytes, carried
-	// by the frame header) plus its body.
-	req := encodeRequest(Request{X: act, Policy: Policy{Gather: Own, Split: SplitAt(5)}})
-	rep := encodeReply(Reply{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4), Winners: make([]int, 4)}, true)
-	if got, want := doWireBytes(splitTail, len("v1.2"), 4, 33, 10), 2+len("v1.2")+len(req)+len(rep); got != want {
-		t.Fatalf("doWireBytes = %d, encoded = %d", got, want)
+	req := requestPayload(requestHeader{pin: "v1.2"}, encodeRequest(Request{X: rng.Randn(4, 33), Policy: Policy{Gather: Own, Split: SplitAt(5)}}))
+	rep := replyPayload(replyHeader{}, encodeReply(Reply{Probs: rng.RandUniform(0, 1, 4, 10), Entropy: make([]float64, 4), Winners: make([]int, 4)}, true))
+	if got, want := m.splitOpts.WireBytes(4, 33), transport.FrameWireSize(len(req))+transport.FrameWireSize(len(rep)); got != want {
+		t.Fatalf("planner prices a tail round trip at %d bytes, its frames are %d", got, want)
 	}
 }

@@ -291,14 +291,9 @@ func (p *peerConn) endProbe(s PeerState) {
 // probeOnce pings the peer on a freshly dialed link. On success the link
 // replaces the peer's old one. Until then it is the probe's, not the
 // peer's: its death is the failed probe, and costs no strike — the breaker
-// is already open. Each probe redial spends from the shared retry budget;
-// when the bucket is dry the probe is skipped this round (the backoff loop
-// tries again — the budget's time trickle guarantees probes never starve
-// forever).
+// is already open. A probe spends no retry-budget token: ProbeBackoff is its
+// bound, one redial per open peer per step.
 func (p *peerConn) probeOnce(cfg SupervisorConfig) bool {
-	if !p.allowSpend("probe") {
-		return false
-	}
 	p.counter("redials").Inc()
 	var admitted atomic.Bool
 	mc, err := p.link.dial(cfg.DialTimeout, func(err error) {
@@ -366,7 +361,7 @@ type attemptTiming struct {
 	rttStart  time.Time
 	rtt       time.Duration // write → read wall time, 0 if the write never happened
 	remote    time.Duration // worker-reported compute time, 0 if no forward pass ran
-	wire      int           // pin, request and reply bytes of an answered attempt (doWireBytes)
+	wire      int           // request and reply frame bytes of an answered attempt (WireBytes)
 	degraded  bool          // the reply gathered part of its ensemble (Live < Total)
 }
 

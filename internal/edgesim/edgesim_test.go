@@ -92,18 +92,18 @@ func TestTransportOverheadOrdering(t *testing.T) {
 	}
 }
 
-func TestMulticastGatherScaleWithPeers(t *testing.T) {
+func TestGatherScalesWithPeers(t *testing.T) {
 	n := Net{Link: WiFi(), Transport: Socket()}
-	if n.Multicast(1000, 0) != 0 || n.Gather(1000, 0) != 0 {
+	if n.Gather(1000, 0) != 0 {
 		t.Fatal("zero peers should cost nothing")
 	}
-	m1, m3 := n.Multicast(100000, 1), n.Multicast(100000, 3)
-	if m3 <= m1 {
-		t.Fatal("multicast should grow with fanout")
+	g1, g3 := n.Gather(100000, 1), n.Gather(100000, 3)
+	if g3 <= g1 {
+		t.Fatal("gather should grow with fan-in")
 	}
 	// But sub-linearly in fixed costs: one marshalling, shared latency.
-	if m3 >= 3*m1 {
-		t.Fatalf("multicast 3 peers (%v) should be < 3× unicast (%v): pipelined", m3, 3*m1)
+	if g3 >= 3*g1 {
+		t.Fatalf("gather from 3 peers (%v) should be < 3× one peer (%v): pipelined", g3, 3*g1)
 	}
 }
 

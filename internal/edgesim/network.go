@@ -72,17 +72,6 @@ func (n Net) Unicast(bytes int) float64 {
 	return n.Transport.PerMessageSec + n.Link.LatencySec + n.Link.TransferSec(bytes)
 }
 
-// Multicast returns the time for the same payload sent to peers receivers:
-// one marshalling, then per-peer airtime (transfer plus medium contention)
-// on the shared half-duplex link.
-func (n Net) Multicast(bytes, peers int) float64 {
-	if peers <= 0 {
-		return 0
-	}
-	return n.Transport.PerMessageSec + n.Link.LatencySec +
-		float64(peers)*n.Link.TransferSec(bytes) + float64(peers-1)*n.Link.ContentionSec
-}
-
 // Gather returns the time for peers messages of n bytes each converging on
 // one receiver over the shared medium.
 func (n Net) Gather(bytes, peers int) float64 {
