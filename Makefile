@@ -177,7 +177,8 @@ bench:
 # as a share of its own width's peak), and the SS-14 snapshot on 3×32×32 at 1 and 16
 # rows, each reporting GFLOP/s, at one and two cores; then one SS-14 row
 # attributed to its step kinds (BenchmarkForwardSS14Steps: ns per row in
-# conv, batch norm, ReLU, max pool, shake mix, pooling and dense); then one
+# the stem's conv, batch norm and ReLU, the shake-shake blocks, max pool,
+# pooling and dense, and the row's arena high-water mark); then one
 # SS-14 training step on 32 rows at one core (BenchmarkTrainStepSS14:
 # forward and backward ms per row, each as a share of the peak)
 # (docs/BENCHMARKS.md).

@@ -27,6 +27,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -43,33 +44,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "teamnet-infer:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run is the command with its arguments and its report's writer.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("teamnet-infer", flag.ExitOnError)
 	var (
-		teamPath = flag.String("team", "team.tnet", "team bundle from teamnet-train")
-		local    = flag.Int("local", -1, "expert index to run locally (-1 = coordinator only)")
-		peers    = flag.String("peers", "", "comma-separated worker addresses")
-		dsName   = flag.String("dataset", "digits", "dataset: digits or objects")
-		size     = flag.Int("size", 0, "image edge length (0 = dataset default)")
-		queries  = flag.Int("queries", 100, "number of single-sample inferences")
-		seed     = flag.Int64("seed", 99, "seed for the query stream")
-		elect    = flag.Bool("elect", false, "run leader election and exit")
-		id       = flag.Int("id", 0, "this node's election identity")
+		teamPath = fs.String("team", "team.tnet", "team bundle from teamnet-train")
+		local    = fs.Int("local", -1, "expert index to run locally (-1 = coordinator only)")
+		peers    = fs.String("peers", "", "comma-separated worker addresses")
+		dsName   = fs.String("dataset", "digits", "dataset: digits or objects")
+		size     = fs.Int("size", 0, "image edge length (0 = dataset default)")
+		queries  = fs.Int("queries", 100, "number of single-sample inferences")
+		seed     = fs.Int64("seed", 99, "seed for the query stream")
+		elect    = fs.Bool("elect", false, "run leader election and exit")
+		id       = fs.Int("id", 0, "this node's election identity")
 
-		splitMode  = flag.String("split", "off", "partial offload: off, auto (planner-chosen split point), or a fixed layer index")
-		bestEffort = flag.Bool("best-effort", false, "route around failed/quarantined peers instead of failing the query")
-		timeout    = flag.Duration("timeout", 2*time.Second, "per-peer round-trip deadline (0 = none)")
-		retries    = flag.Int("retries", 1, "per-request retry budget for transient peer errors")
-		health     = flag.Bool("health", true, "print the per-peer supervision report after the run")
-		traceOn    = flag.Bool("trace", false, "record per-query spans and print each query's span tree")
-		adminAddr  = flag.String("admin", "", "serve the HTTP admin endpoint (/healthz, /metrics, /traces, pprof) on this address, e.g. :8080")
+		splitMode  = fs.String("split", "off", "partial offload: off, auto (planner-chosen split point), or a fixed layer index")
+		bestEffort = fs.Bool("best-effort", false, "route around failed/quarantined peers instead of failing the query")
+		timeout    = fs.Duration("timeout", 2*time.Second, "per-peer round-trip deadline (0 = none)")
+		retries    = fs.Int("retries", 1, "per-request retry budget for transient peer errors")
+		health     = fs.Bool("health", true, "print the per-peer supervision report after the run")
+		traceOn    = fs.Bool("trace", false, "record per-query spans and print each query's span tree")
+		adminAddr  = fs.String("admin", "", "serve the HTTP admin endpoint (/healthz, /metrics, /traces, pprof) on this address, e.g. :8080")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	// Every query of the run is one Request under this policy.
 	var policy cluster.Policy
@@ -95,7 +98,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("election: leader id %d (this node leads: %v)\n", leaderID, isLeader)
+		fmt.Fprintf(stdout, "election: leader id %d (this node leads: %v)\n", leaderID, isLeader)
 		return nil
 	}
 
@@ -163,7 +166,7 @@ func run() error {
 			adm.Shutdown(ctx)
 			cancel()
 		}()
-		fmt.Printf("admin endpoint on http://%s (/healthz /metrics /traces /splitplan /debug/pprof/)\n", bound)
+		fmt.Fprintf(stdout, "admin endpoint on http://%s (/healthz /metrics /traces /splitplan /debug/pprof/)\n", bound)
 	}
 	for _, addr := range peerAddrs {
 		if err := master.Connect(addr); err != nil {
@@ -176,9 +179,9 @@ func run() error {
 		}
 		// Degraded start is acceptable in best-effort mode; the supervisor
 		// will keep probing the sick peers.
-		fmt.Printf("warning: %v\n", err)
+		fmt.Fprintf(stdout, "warning: %v\n", err)
 	}
-	fmt.Printf("connected to %d peer(s); local expert: %v\n", master.Peers(), *local >= 0)
+	fmt.Fprintf(stdout, "connected to %d peer(s); local expert: %v\n", master.Peers(), *local >= 0)
 
 	ds, err := cli.BuildDataset(*dsName, *queries, *size, *seed)
 	if err != nil {
@@ -211,7 +214,7 @@ func run() error {
 		if *traceOn {
 			if tr := master.Tracer(); tr != nil {
 				if ids := tr.TraceIDs(1); len(ids) == 1 {
-					fmt.Printf("query %d trace %016x:\n%s", i, ids[0], tr.Tree(ids[0]))
+					fmt.Fprintf(stdout, "query %d trace %016x:\n%s", i, ids[0], tr.Tree(ids[0]))
 				}
 			}
 		}
@@ -230,21 +233,21 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(eval)
-	fmt.Printf("latency: %s\n", lat.String())
+	fmt.Fprint(stdout, eval)
+	fmt.Fprintf(stdout, "latency: %s\n", lat.String())
 	if splitOn {
-		fmt.Printf("split point histogram: %v\n", splitCount)
+		fmt.Fprintf(stdout, "split point histogram: %v\n", splitCount)
 		if len(fallbackCount) > 0 {
-			fmt.Printf("split fallback histogram: %v\n", fallbackCount)
+			fmt.Fprintf(stdout, "split fallback histogram: %v\n", fallbackCount)
 		}
 	} else {
-		fmt.Printf("winning node histogram: %v\n", winnerCount)
+		fmt.Fprintf(stdout, "winning node histogram: %v\n", winnerCount)
 	}
 	if *bestEffort && !splitOn {
-		fmt.Printf("live node histogram: %v\n", liveCount)
+		fmt.Fprintf(stdout, "live node histogram: %v\n", liveCount)
 	}
 	if *health {
-		fmt.Printf("peer health:\n%s", master.HealthReport())
+		fmt.Fprintf(stdout, "peer health:\n%s", master.HealthReport())
 	}
 	return nil
 }

@@ -58,7 +58,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 // built afresh on every Forward, so an optimizer step (which updates W in
 // place) can never leave stale packed weights behind.
 func (c *Conv2D) step() *convStep {
-	return &convStep{geom: c.Geom, conv: tensor.NewDirectConv(c.Geom, c.W.Data, c.B.Data)}
+	return &convStep{geom: c.Geom, conv: tensor.NewDirectConv(c.Geom, c.W.Data, c.B.Data, tensor.Epilogue{})}
 }
 
 // Backward implements Layer.

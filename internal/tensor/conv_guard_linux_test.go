@@ -36,7 +36,9 @@ func guarded(t *testing.T, n int) []float64 {
 // row, rows under four wide (which read their three surplus pixels from
 // ScratchLen's slack), channel remainders and the odd group paired with
 // itself, and for the zmm tile, whose 64-byte loads reach furthest right,
-// rows of exactly eight and of 8k±1 pixels.
+// rows of exactly eight and of 8k±1 pixels; and, with a batch-norm and ReLU
+// epilogue, ForwardPadded from a padded input into the next convolution's
+// padded image, each flush against its guard.
 func TestConvDirectStaysInsideItsSlices(t *testing.T) {
 	for _, leg := range convLegs() {
 		t.Run(leg.name, func(t *testing.T) {
@@ -71,7 +73,7 @@ func checkGuarded(t *testing.T) {
 		const batch = 2
 		w := rng.Randn(g.PatchLen(), g.OutC)
 		b := rng.Randn(g.OutC)
-		k := NewDirectConv(g, w.Data, b.Data)
+		k := NewDirectConv(g, w.Data, b.Data, Epilogue{})
 		x := guarded(t, batch*g.InC*g.InH*g.InW)
 		copy(x, rng.Randn(1, len(x)).Data)
 		out := guarded(t, batch*g.OutC*g.OutH*g.OutW)
@@ -83,6 +85,23 @@ func checkGuarded(t *testing.T) {
 				t.Fatalf("%+v: out[%d] differs from the reference", g, i)
 			}
 		}
+
+		// The padded-output mode, with an epilogue: a padded input and the
+		// next convolution's padded image, each flush against its guard.
+		ep := Epilogue{Mean: rng.Randn(g.OutC).Data, InvStd: rng.Randn(g.OutC).Data, Gamma: rng.Randn(g.OutC).Data, Beta: rng.Randn(g.OutC).Data, ReLU: true}
+		fused := NewDirectConv(g, w.Data, b.Data, ep)
+		ng := ConvGeom{InC: g.OutC, InH: g.OutH, InW: g.OutW, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}
+		if err := ng.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		next := NewDirectConv(ng, make([]float64, ng.PatchLen()*4), make([]float64, 4), Epilogue{})
+		padded, dst := guarded(t, fused.PaddedLen()), guarded(t, next.PaddedLen())
+		fused.Pad(padded, x)
+		fused.ForwardPadded(dst, padded, next)
+		sweeps(want, g, ep)
+		wantPadded := make([]float64, next.PaddedLen())
+		next.Pad(wantPadded, want)
+		sameBits(t, fmt.Sprintf("guarded padded output %+v", g), dst, wantPadded)
 	}
 }
 

@@ -131,18 +131,20 @@ func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 
 // convTile4x8AVX is the unit-stride direct-convolution tile; convTile4x8
 // (conv.go) states what it computes. Pointers address the first pixel of
-// each four-pixel group, chanStride counts elements. It checks no bounds:
-// DirectConv.Forward proves them.
+// each four-pixel group, chanStride counts elements, epi addresses the
+// first block's 20 epilogue values, mode holds the epiNorm/epiReLU bits and
+// blocks counts the 4-channel blocks run at this tile position. It checks no
+// bounds: DirectConv.ForwardPadded proves them.
 //
 //go:noescape
-func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, epi *float64, mode, blocks int)
 
 // convTile4x16AVX512 is convTile4x8AVX at zmm width: each pointer addresses
 // the first pixel of an eight-pixel group. Only NewDirectConv's wide tile
 // set, chosen under useAVX512, calls it.
 //
 //go:noescape
-func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, epi *float64, mode, blocks int)
 
 // reluAVX is ReLUInto's vector body; n is a multiple of 4.
 //

@@ -292,25 +292,66 @@ w32done:
 	VZEROUPPER
 	RET
 
-// func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+// The conv tiles' epilogue, shared by both widths through the register
+// arguments: R11 addresses one 4-channel block's epilogue values — bias,
+// mean, invStd, gamma, beta, four of each — and a/b are channel c's
+// accumulators for the two pixel groups, t a scratch register.
+//
+// BIAS adds channel c's bias: sum + bias, the sum as first source.
+#define BIAS(c, a, b, t) \
+	VBROADCASTSD (8*c)(R11), t; \
+	VADDPD t, a, a; \
+	VADDPD t, b, b
+
+// NORM is batch norm as affineAVX computes it: subtract the mean, multiply
+// by invStd, gamma times that, add beta — four separately rounded steps with
+// the Go expression's left operand as first source.
+#define NORM(c, a, b, t) \
+	VBROADCASTSD (32+8*c)(R11), t; \
+	VSUBPD t, a, a; \
+	VSUBPD t, b, b; \
+	VBROADCASTSD (64+8*c)(R11), t; \
+	VMULPD t, a, a; \
+	VMULPD t, b, b; \
+	VBROADCASTSD (96+8*c)(R11), t; \
+	VMULPD a, t, a; \
+	VMULPD b, t, b; \
+	VBROADCASTSD (128+8*c)(R11), t; \
+	VADDPD t, a, a; \
+	VADDPD t, b, b
+
+// RELU is reluAVX's VMAXPD with z (+0) as second source: NaN and −0 come
+// out as +0.
+#define RELU(a, b, z) \
+	VMAXPD z, a, a; \
+	VMAXPD z, b, b
+
+// func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, epi *float64, mode, blocks int)
 //
 // The direct-convolution register tile (see conv.go): Y0-Y3 accumulate
 // channels 0-3 of the four pixels at in0, Y4-Y7 those at in1. Each tap costs
 // two unaligned image loads, four weight broadcasts and eight VMULPD+VADDPD
 // pairs — separate multiply and add, never FMA, taps in increasing order
 // from +0 — so every element sees the operation sequence of the portable
-// tile. taps must be at least 1.
-TEXT ·convTile4x8AVX(SB), NOSPLIT, $0-72
+// tile. Then the epilogue: the bias, batch norm if mode has epiNorm (1),
+// ReLU if it has epiReLU (2). It does this for blocks 4-channel blocks in
+// turn, each one's weights following the last's, its 20 epilogue values
+// 160 bytes on and its four output planes four planes on. taps and blocks
+// must be at least 1.
+TEXT ·convTile4x8AVX(SB), NOSPLIT, $0-88
 	MOVQ out0+0(FP), DI
 	MOVQ out1+8(FP), R8
 	MOVQ chanStride+16(FP), R9
 	MOVQ in0+24(FP), SI
 	MOVQ in1+32(FP), DX
 	MOVQ w+40(FP), BX
+	MOVQ epi+64(FP), R11
+	MOVQ mode+72(FP), R12
+	MOVQ blocks+80(FP), R13
+	SHLQ $3, R9              // channel plane stride in bytes
+ctblock:
 	MOVQ offs+48(FP), R10
 	MOVQ taps+56(FP), CX
-	MOVQ bias+64(FP), R11
-	SHLQ $3, R9              // channel plane stride in bytes
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -347,49 +388,65 @@ ctloop:
 	ADDQ $32, BX
 	DECQ CX
 	JNZ  ctloop
-	VBROADCASTSD (R11), Y10
-	VADDPD Y10, Y0, Y0
-	VADDPD Y10, Y4, Y4
+	BIAS(0, Y0, Y4, Y10)
+	BIAS(1, Y1, Y5, Y10)
+	BIAS(2, Y2, Y6, Y10)
+	BIAS(3, Y3, Y7, Y10)
+	TESTQ $1, R12
+	JZ    ctrelu
+	NORM(0, Y0, Y4, Y10)
+	NORM(1, Y1, Y5, Y10)
+	NORM(2, Y2, Y6, Y10)
+	NORM(3, Y3, Y7, Y10)
+ctrelu:
+	TESTQ $2, R12
+	JZ    ctstore
+	VXORPD Y10, Y10, Y10
+	RELU(Y0, Y4, Y10)
+	RELU(Y1, Y5, Y10)
+	RELU(Y2, Y6, Y10)
+	RELU(Y3, Y7, Y10)
+ctstore:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y4, (R8)
-	VBROADCASTSD 8(R11), Y10
-	VADDPD Y10, Y1, Y1
-	VADDPD Y10, Y5, Y5
 	VMOVUPD Y1, (DI)(R9*1)
 	VMOVUPD Y5, (R8)(R9*1)
 	LEAQ (DI)(R9*2), DI
 	LEAQ (R8)(R9*2), R8
-	VBROADCASTSD 16(R11), Y10
-	VADDPD Y10, Y2, Y2
-	VADDPD Y10, Y6, Y6
 	VMOVUPD Y2, (DI)
 	VMOVUPD Y6, (R8)
-	VBROADCASTSD 24(R11), Y10
-	VADDPD Y10, Y3, Y3
-	VADDPD Y10, Y7, Y7
 	VMOVUPD Y3, (DI)(R9*1)
 	VMOVUPD Y7, (R8)(R9*1)
+	LEAQ (DI)(R9*2), DI      // the next block's first plane
+	LEAQ (R8)(R9*2), R8
+	ADDQ $160, R11           // and its epilogue values; BX is at its weights
+	DECQ R13
+	JNZ  ctblock
 	VZEROUPPER
 	RET
 
-// func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64)
+// func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, epi *float64, mode, blocks int)
 //
 // convTile4x8AVX at zmm width: Z0-Z3 accumulate channels 0-3 of the eight
 // pixels at in0, Z4-Z7 those at in1. Each tap costs two unaligned 64-byte
-// image loads, four weight broadcasts and eight VMULPD+VADDPD pairs — the
-// ymm tile's per-element operation sequence, so its output bits are the
-// same. taps must be at least 1.
-TEXT ·convTile4x16AVX512(SB), NOSPLIT, $0-72
+// image loads, four weight broadcasts and eight VMULPD+VADDPD pairs, and the
+// epilogue is the same macros on zmm registers — the ymm tile's per-element
+// operation sequence, so its output bits are the same; blocks as there.
+// taps and blocks must be at least 1.
+TEXT ·convTile4x16AVX512(SB), NOSPLIT, $0-88
 	MOVQ out0+0(FP), DI
 	MOVQ out1+8(FP), R8
 	MOVQ chanStride+16(FP), R9
 	MOVQ in0+24(FP), SI
 	MOVQ in1+32(FP), DX
 	MOVQ w+40(FP), BX
+	MOVQ epi+64(FP), R11
+	MOVQ mode+72(FP), R12
+	MOVQ blocks+80(FP), R13
+	SHLQ $3, R9              // channel plane stride in bytes
+zblock:
 	MOVQ offs+48(FP), R10
 	MOVQ taps+56(FP), CX
-	MOVQ bias+64(FP), R11
-	SHLQ $3, R9              // channel plane stride in bytes
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -426,28 +483,40 @@ zloop:
 	ADDQ $32, BX
 	DECQ CX
 	JNZ  zloop
-	VBROADCASTSD (R11), Z10
-	VADDPD Z10, Z0, Z0
-	VADDPD Z10, Z4, Z4
+	BIAS(0, Z0, Z4, Z10)
+	BIAS(1, Z1, Z5, Z10)
+	BIAS(2, Z2, Z6, Z10)
+	BIAS(3, Z3, Z7, Z10)
+	TESTQ $1, R12
+	JZ    zrelu
+	NORM(0, Z0, Z4, Z10)
+	NORM(1, Z1, Z5, Z10)
+	NORM(2, Z2, Z6, Z10)
+	NORM(3, Z3, Z7, Z10)
+zrelu:
+	TESTQ $2, R12
+	JZ    zstore
+	VPXORQ Z10, Z10, Z10
+	RELU(Z0, Z4, Z10)
+	RELU(Z1, Z5, Z10)
+	RELU(Z2, Z6, Z10)
+	RELU(Z3, Z7, Z10)
+zstore:
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z4, (R8)
-	VBROADCASTSD 8(R11), Z10
-	VADDPD Z10, Z1, Z1
-	VADDPD Z10, Z5, Z5
 	VMOVUPD Z1, (DI)(R9*1)
 	VMOVUPD Z5, (R8)(R9*1)
 	LEAQ (DI)(R9*2), DI
 	LEAQ (R8)(R9*2), R8
-	VBROADCASTSD 16(R11), Z10
-	VADDPD Z10, Z2, Z2
-	VADDPD Z10, Z6, Z6
 	VMOVUPD Z2, (DI)
 	VMOVUPD Z6, (R8)
-	VBROADCASTSD 24(R11), Z10
-	VADDPD Z10, Z3, Z3
-	VADDPD Z10, Z7, Z7
 	VMOVUPD Z3, (DI)(R9*1)
 	VMOVUPD Z7, (R8)(R9*1)
+	LEAQ (DI)(R9*2), DI      // the next block's first plane
+	LEAQ (R8)(R9*2), R8
+	ADDQ $160, R11           // and its epilogue values; BX is at its weights
+	DECQ R13
+	JNZ  zblock
 	VZEROUPPER
 	RET
 

@@ -28,11 +28,11 @@ func matMulRangeSIMD(dst, a, b []float64, rowLo, rowHi, k, n int) {
 
 // Likewise unreachable: convTile4x8, ReLUInto, AffineInto, MaxPoolInto and
 // MixHalvesInto run their portable loops.
-func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64) {
+func convTile4x8AVX(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, epi *float64, mode, blocks int) {
 	panic("tensor: convTile4x8AVX called without SIMD support")
 }
 
-func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, bias *float64) {
+func convTile4x16AVX512(out0, out1 *float64, chanStride int, in0, in1, w *float64, offs *int, taps int, epi *float64, mode, blocks int) {
 	panic("tensor: convTile4x16AVX512 called without SIMD support")
 }
 
