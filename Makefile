@@ -1,14 +1,15 @@
 # Build, test and verification entry points. `make verify` is the
 # robustness gate: formatting, vet, docs and reachability, markdown links,
-# the no-FMA numeric contract of the assembly kernels, plus every internal/
-# package under the race detector — the failure-path packages (cluster
-# runtime, transport, chaos proxy, trace) and the two whose whole job is
-# concurrent reads during writes (metrics, admin) in full, the rest at -short
-# — since the chaos-driven recovery tests only count if they pass with -race.
+# the no-FMA numeric contract of the assembly kernels, the paper tables'
+# regeneration (repro-check), plus every internal/ package under the race
+# detector — the failure-path packages (cluster runtime, transport, chaos
+# proxy, trace) and the two whose whole job is concurrent reads during writes
+# (metrics, admin) in full, the rest at -short — since the chaos-driven
+# recovery tests only count if they pass with -race.
 
 GO ?= go
 
-.PHONY: build test verify fmt-check docs linkcheck one-loop no-fma loc bench bench-kernels bench-forward bench-fleet bench-split bench-check clean
+.PHONY: build test verify fmt-check docs linkcheck one-loop no-fma loc repro-check bench bench-kernels bench-forward bench-fleet bench-split bench-check clean
 
 build:
 	$(GO) build ./...
@@ -41,25 +42,28 @@ linkcheck:
 # code that accepts connections is the chaos proxy's; every exchange on the
 # wire is a kind in requestKinds — MsgDo for an inference — under the frame
 # header, answered by MsgReply or MsgErrorMux; a peer reads its master's
-# tracer, hedge switch and retry budget, whose tuning is constants; and every
+# tracer and retry budget, whose tuning is constants; and every
 # peer link has one supervision scheme — a gateway's masters are a front
 # master's peers (internal/cluster/front.go), not a router's targets; and
 # each layer kind's inference arithmetic is written once — a layer's Forward
 # runs its snapshot step (internal/nn/freeze.go), so no second conv
 # rearrangement, bias loop or step FLOP count comes back; and what a round
 # trip to a peer costs is one estimate on its peerConn
-# (internal/cluster/cost.go) that the front's pick, the hedge timer and the
-# split planner all read — no second EWMA, histogram seeding or planner-side
+# (internal/cluster/cost.go) that the front's pick and the split planner
+# both read — no second EWMA, histogram seeding or planner-side
 # peer model comes back; and the paper tables' MPI and SG-MoE cells price a
 # recorded run of the real runtimes (internal/bench/replay.go), so no hand
 # cost formula for those baselines comes back; and the serving stack has one
 # live chaos drill (internal/bench/fleet.go), so no second harness, artifact
-# or make target beside it comes back; and the pick, the hedge and the split
-# planner explore by one rule on the cost estimate's age (costHorizon in
+# or make target beside it comes back; and the pick and the split planner
+# explore by one rule on the cost estimate's age (costHorizon in
 # internal/cluster/cost.go), so no private trial cadence comes back; and the
 # tables price the codec's frames — TeamNet's cells replay Master.gather's
 # shape at cluster.WireBytes' sizes, as the split sweep prices a tail — so no
-# second byte model, TeamNet cost formula or multicast primitive comes back.
+# second byte model, TeamNet cost formula or multicast primitive comes back;
+# and each hop has one tail rule — a worker hop's is the quorum soft
+# deadline, a front hop's its error failover — so the same-link hedge
+# (a duplicate of a slow request down the same link) does not come back.
 one-loop:
 	@got=$$(grep -rln 'func .*acceptLoop' --include=*.go internal cmd | sort | tr '\n' ' '); \
 	if [ "$$got" != "internal/chaos/chaos.go internal/cluster/server.go " ]; then \
@@ -90,6 +94,8 @@ one-loop:
 		echo "a second exploration rule is back (one rule on a peer's cost estimate: internal/cluster/cost.go)"; exit 1; fi
 	@if grep -rnw 'TeamNetCost\|tensorWireBytes\|tensor64WireBytes\|resultWireBytes\|entropyWireBytes\|splitRequestWireBytes\|splitResultWireBytes\|Multicast' --include=*.go .; then \
 		echo "a second byte model is back (the tables price the codec's frames: cluster.WireBytes, internal/bench/replay.go)"; exit 1; fi
+	@if grep -rnw 'SetHedge\|muxHedged\|hedgeArmed\|hedgeDelay\|hedgeWon' --include=*.go .; then \
+		echo "the same-link hedge is back (one tail rule per hop: the quorum for a worker, failover for a master)"; exit 1; fi
 
 # no-fma is the numeric contract's gate. Every SIMD kernel in internal/tensor
 # keeps multiply and add as separate, separately rounded instructions, so its
@@ -108,6 +114,19 @@ loc:
 		printf '%6d %s\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
 	@for d in internal cmd; do \
 		printf '%6d %s/ total\n' $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d; done
+
+# repro-check regenerates the paper's tables and figures at quick scale
+# (go run ./cmd/teamnet-bench -all, about a minute) and fails on any
+# difference from the committed results_quick.txt. The live-teamnet section
+# times a loopback cluster by the wall clock, so its rows are masked by
+# name; its header stays, so a lost section still fails.
+repro-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) run ./cmd/teamnet-bench -all > "$$tmp/new.txt" 2> "$$tmp/times.txt" || { cat "$$tmp/times.txt"; exit 1; }; \
+	mask='/^### /{skip=0} !skip; /^### live-teamnet /{skip=1}'; \
+	awk "$$mask" results_quick.txt > "$$tmp/committed.masked" && awk "$$mask" "$$tmp/new.txt" > "$$tmp/new.masked" && \
+	if ! diff -u "$$tmp/committed.masked" "$$tmp/new.masked"; then \
+		echo "results_quick.txt does not regenerate (go run ./cmd/teamnet-bench -all > results_quick.txt)"; exit 1; fi
 
 # The short run keeps the full-suite half fast while still executing the
 # transport fuzz seed corpora (wired into Test* functions) and every unit
@@ -161,7 +180,7 @@ loc:
 # calls, no sockets), the in-process MPI worlds (internal/mpi: every rank on
 # its own network copy), and core, moe, edgesim, dataset, cli and plot — so
 # no internal/ package goes unraced.
-verify: fmt-check docs linkcheck one-loop no-fma
+verify: fmt-check docs linkcheck one-loop no-fma repro-check
 	$(GO) vet ./...
 	$(GO) test -short ./...
 	$(GO) test -race -count=1 ./internal/cluster/... ./internal/transport/... ./internal/chaos/... ./internal/trace/... ./internal/serve/... ./internal/nn/... ./internal/tensor/... ./internal/split/... ./internal/metrics/... ./internal/admin/...

@@ -197,7 +197,10 @@ func run() error {
 			fmt.Printf("# %s\n%s\n", id, c.CSV())
 			continue
 		}
-		fmt.Printf("### %s (%s, %v)\n%s\n", id, bench.Describe(id), time.Since(start).Round(time.Millisecond), res)
+		// The wall time goes to stderr, so stdout regenerates byte for byte
+		// (make repro-check).
+		fmt.Fprintf(os.Stderr, "%s: %v\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("### %s (%s)\n%s\n", id, bench.Describe(id), res)
 	}
 	return nil
 }

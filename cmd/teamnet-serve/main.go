@@ -10,9 +10,10 @@
 // drain rate) instead of queueing without bound, and per-request deadlines
 // turn into 504s rather than stuck connections. With -degraded (the default)
 // quarantined or slow experts thin answers instead of failing them: partial
-// ensembles come back with degraded: true and quorum metadata, hedged peer
-// calls cover transient stragglers, and a brownout controller tightens
-// admission when the latency SLO burns (docs/OPERATIONS.md). Repeated
+// ensembles come back with degraded: true and quorum metadata — the quorum
+// soft deadline answers from the experts that replied, so a straggling
+// worker costs its expert rather than the batch — and a brownout controller
+// tightens admission when the latency SLO burns (docs/OPERATIONS.md). Repeated
 // traffic is shaped before it costs inference: -cache-size/-cache-ttl
 // bound a content-addressed response cache (byte-identical inputs answered
 // with cached: true, keyed under the bundle's content hash so a model swap
@@ -106,8 +107,7 @@ func run() error {
 
 		degraded    = flag.Bool("degraded", true, "answer with partial ensembles (degraded: true + quorum metadata) when experts are quarantined or slow, instead of failing the batch")
 		slo         = flag.Duration("slo", 0, "latency SLO target for the brownout controller (0 = -deadline); sustained burn tightens the admission queue")
-		hedge       = flag.Bool("hedge", true, "hedge slow peer calls: duplicate a request on the same mux link once past the p95 of the peer's recent round trips, first reply wins; a peer none of whose duplicates won in the last 300 ms gets one trial per 20 unfired expiries and 300 ms")
-		retryBudget = flag.Float64("retry-budget", 0.1, "global retry budget as a fraction of request volume, shared across retries and hedges (0 disables the cap)")
+		retryBudget = flag.Float64("retry-budget", 0.1, "global retry budget as a fraction of request volume, shared by every peer's retries (0 disables the cap)")
 		adminAddr   = flag.String("admin", "", "serve the HTTP admin endpoint (/healthz, /metrics, /traces, pprof) on this address, e.g. :8091")
 		drain       = flag.Duration("drain", 5*time.Second, "graceful-shutdown budget for in-flight HTTP requests on SIGINT")
 	)
@@ -150,7 +150,6 @@ func run() error {
 	master.SetTimeout(*timeout)
 	master.SetSupervisor(cluster.SupervisorConfig{MaxRetries: *retries})
 	master.SetTracer(trace.New("gateway", 0))
-	master.SetHedge(*hedge)
 	if *retryBudget > 0 {
 		master.SetRetryBudget(cluster.NewRetryBudget(*retryBudget))
 	}

@@ -18,7 +18,7 @@ import (
 
 // Fleet drill: the one live acceptance harness for the serving fabric and
 // its SLO-defense layer. Each scale builds whole gateway/master pairs. A pair
-// is a defended master (breaker, hedging, retry budget) with a local expert
+// is a defended master (breaker, quorum, retry budget) with a local expert
 // and snapshot-serving workers over real TCP, every worker link through its
 // own chaos proxy, served over the fabric by a cluster.Node and fronted by
 // its own gateway (degraded mode, brownout controller, response cache and
@@ -32,8 +32,8 @@ import (
 //
 // One timeline per scale, in fleetActs equal acts: healthy; pair 0's first
 // worker link stalled (bytes stop, connections stay up: the slow-expert
-// regime of hedging and the quorum soft deadline); its second worker's link
-// reset as well (the flaky-link regime of the breaker and the retry budget);
+// regime of the quorum soft deadline); its second worker's link reset as
+// well (the flaky-link regime of the breaker and the retry budget);
 // every link healed; and the wire hot-swap — new weights pushed to every
 // worker, then every master, each gateway cutting over with SetModelVersion
 // last, the documented rollout order. The window is read in fleetIntervals
@@ -102,16 +102,15 @@ func (c FleetConfig) normalized() FleetConfig {
 }
 
 // FleetInterval is one bucket of a scale's time series: the generator's Load
-// for the bucket plus what the drill reads off the fleet. HedgeFired and
-// BudgetDenied are deltas within the bucket, summed over the pair masters;
-// BrownoutLevel is the highest gateway's, sampled at the bucket's end;
+// for the bucket plus what the drill reads off the fleet. BudgetDenied is a
+// delta within the bucket, summed over the pair masters; BrownoutLevel is
+// the highest gateway's, sampled at the bucket's end;
 // MasterShare is each pair master's fraction of the fabric requests the
 // masters served within the bucket (their "requests" deltas), in pair order.
 type FleetInterval struct {
 	T0Sec float64 `json:"t0_sec"`
 	Load
 	SLOBurn       float64   `json:"slo_burn"` // (timeouts+shed+errors) / offered
-	HedgeFired    int       `json:"hedge_fired"`
 	BudgetDenied  int       `json:"budget_denied"`
 	BrownoutLevel int       `json:"brownout_level"`
 	MasterShare   []float64 `json:"master_share"`
@@ -131,15 +130,12 @@ type FleetSwap struct {
 }
 
 // FleetScale is the measured result at one pair count: the whole window's
-// Load, its time series, the hedge totals over the pair masters, the fault
-// verdict and the swap outcome.
+// Load, its time series, the retry budget's denials over the pair masters,
+// the fault verdict and the swap outcome.
 type FleetScale struct {
 	Pairs int `json:"pairs"`
 	Load
 	Intervals            []FleetInterval `json:"intervals"`
-	HedgeFired           int             `json:"hedge_fired"`
-	HedgeWon             int             `json:"hedge_won"`
-	HedgeWasted          int             `json:"hedge_wasted"`
 	BudgetDenied         int             `json:"budget_denied"`
 	ZeroGoodputIntervals int             `json:"zero_goodput_intervals"`
 	BaselineP99Ms        float64         `json:"baseline_p99_ms"` // worst interval before the first fault
@@ -171,15 +167,15 @@ func (r *FleetReport) String() string {
 	for _, s := range r.Scales {
 		fmt.Fprintf(&b, "  %d pair(s): %d offered, %.1f goodput, %d degraded, %d t/o, %d shed, %d err, p50 %.2fms p99 %.2fms\n",
 			s.Pairs, s.Offered, s.GoodputQPS, s.Degraded, s.TimedOut, s.Shed, s.Errors, s.P50Ms, s.P99Ms)
-		fmt.Fprintf(&b, "    %6s %8s %6s %6s %5s %5s %5s %8s %8s %6s %6s %6s %3s %6s\n",
-			"t0", "goodput", "compl", "degr", "shed", "t/o", "err", "p50ms", "p99ms", "burn", "hedge", "denied", "bl", "minsh")
+		fmt.Fprintf(&b, "    %6s %8s %6s %6s %5s %5s %5s %8s %8s %6s %6s %3s %6s\n",
+			"t0", "goodput", "compl", "degr", "shed", "t/o", "err", "p50ms", "p99ms", "burn", "denied", "bl", "minsh")
 		for _, iv := range s.Intervals {
-			fmt.Fprintf(&b, "    %5.1fs %8.1f %6d %6d %5d %5d %5d %8.2f %8.2f %5.1f%% %6d %6d %3d %6.3f\n",
+			fmt.Fprintf(&b, "    %5.1fs %8.1f %6d %6d %5d %5d %5d %8.2f %8.2f %5.1f%% %6d %3d %6.3f\n",
 				iv.T0Sec, iv.GoodputQPS, iv.Completed, iv.Degraded, iv.Shed, iv.TimedOut, iv.Errors,
-				iv.P50Ms, iv.P99Ms, iv.SLOBurn*100, iv.HedgeFired, iv.BudgetDenied, iv.BrownoutLevel, slices.Min(iv.MasterShare))
+				iv.P50Ms, iv.P99Ms, iv.SLOBurn*100, iv.BudgetDenied, iv.BrownoutLevel, slices.Min(iv.MasterShare))
 		}
-		fmt.Fprintf(&b, "    verdict: %d zero-goodput intervals, p99 %.2fms baseline → %.2fms final (recovered=%v); hedges %d fired (%d won, %d wasted), %d budget denials\n",
-			s.ZeroGoodputIntervals, s.BaselineP99Ms, s.FinalP99Ms, s.Recovered, s.HedgeFired, s.HedgeWon, s.HedgeWasted, s.BudgetDenied)
+		fmt.Fprintf(&b, "    verdict: %d zero-goodput intervals, p99 %.2fms baseline → %.2fms final (recovered=%v); %d budget denials\n",
+			s.ZeroGoodputIntervals, s.BaselineP99Ms, s.FinalP99Ms, s.Recovered, s.BudgetDenied)
 		fmt.Fprintf(&b, "    swap: %s in %.0fms, %d failed, %d stale\n",
 			s.Swap.Version, s.Swap.PushMs, s.Swap.FailedRequests, s.Swap.StaleEntries)
 	}
@@ -315,7 +311,7 @@ func (p *fleetPair) close() {
 }
 
 // defend turns on the SLO-defense layer the drill exercises: supervisor with
-// a fast breaker, hedging and the shared retry budget.
+// a fast breaker and the shared retry budget.
 func defend(m *cluster.Master, deadline time.Duration) {
 	// The per-peer timeout must undercut the quorum soft deadline (~80% of
 	// the request deadline): a stalled peer has to FAIL its round trip — and
@@ -331,19 +327,17 @@ func defend(m *cluster.Master, deadline time.Duration) {
 		RetryBackoff:     &transport.Backoff{Base: 5 * time.Millisecond, Max: 25 * time.Millisecond},
 		ProbeBackoff:     &transport.Backoff{Base: 100 * time.Millisecond, Max: 500 * time.Millisecond},
 	})
-	m.SetHedge(true)
 	m.SetRetryBudget(cluster.NewRetryBudget(0))
 }
 
 // fleetSample is the fleet's counters read at one interval's end.
 type fleetSample struct {
-	hedgeFired, budgetDenied, brownoutLevel int64
-	requests                                []int64 // each pair master's
+	budgetDenied, brownoutLevel int64
+	requests                    []int64 // each pair master's
 }
 
 func sampleFleet(fleet []*fleetPair, gateways []*serve.Gateway) fleetSample {
 	s := fleetSample{
-		hedgeFired:   fleetCounter(fleet, "hedge.fired"),
 		budgetDenied: fleetCounter(fleet, "retry_budget.denied"),
 	}
 	for _, p := range fleet {
@@ -473,16 +467,12 @@ func runFleetScale(cfg FleetConfig, pairs int) (*FleetScale, error) {
 	scale := &FleetScale{
 		Pairs:        pairs,
 		Load:         total,
-		HedgeFired:   int(fleetCounter(fleet, "hedge.fired")),
-		HedgeWon:     int(fleetCounter(fleet, "hedge.won")),
-		HedgeWasted:  int(fleetCounter(fleet, "hedge.wasted")),
 		BudgetDenied: int(fleetCounter(fleet, "retry_budget.denied")),
 	}
 	for i, l := range series {
 		iv := FleetInterval{
 			T0Sec:         (time.Duration(i) * width).Seconds(),
 			Load:          l,
-			HedgeFired:    int(samples[i].hedgeFired - prev.hedgeFired),
 			BudgetDenied:  int(samples[i].budgetDenied - prev.budgetDenied),
 			BrownoutLevel: int(samples[i].brownoutLevel),
 			MasterShare:   make([]float64, pairs),

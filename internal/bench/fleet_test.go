@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -11,11 +12,13 @@ import (
 // smokeFleet runs the CI-sized fleet drill once per test binary: 2
 // gateway/master pairs in-process, every worker link behind a chaos proxy,
 // the whole timeline — stall, reset, heal, wire hot-swap — in seconds.
-// TestSoakSmoke and TestFleetSmoke read the same run.
+// TestSoakSmoke and TestFleetSmoke read the same run. Each of its 1 s
+// intervals holds ~1,200 answers, so an interval's p99 is not one slow
+// answer.
 var smokeFleet = sync.OnceValues(func() (*FleetReport, error) {
 	return RunFleetBench(FleetConfig{
-		PairQPS:  150,
-		Duration: 5 * time.Second,
+		PairQPS:  600,
+		Duration: 10 * time.Second,
 		Deadline: 250 * time.Millisecond,
 		Scales:   []int{2},
 	})
@@ -39,6 +42,10 @@ func smokeScale(t *testing.T) (*FleetReport, FleetScale) {
 	return report, s
 }
 
+// smokeWindow is the fewest answers the final interval must hold for its p99
+// to judge recovery.
+const smokeWindow = 1000
+
 // TestSoakSmoke holds the smoke drill's stall/reset/heal acts to the
 // SLO-defense verdict, read over the drill's intervals.
 func TestSoakSmoke(t *testing.T) {
@@ -56,14 +63,20 @@ func TestSoakSmoke(t *testing.T) {
 	if s.Degraded == 0 {
 		t.Fatal("no degraded answers across a stall+reset timeline")
 	}
-	// Races where both arms fail settle as neither won nor wasted, so the
-	// split can only undershoot fired — never exceed it.
-	if s.HedgeWon+s.HedgeWasted > s.HedgeFired {
-		t.Fatalf("hedge accounting leak: fired=%d won=%d wasted=%d", s.HedgeFired, s.HedgeWon, s.HedgeWasted)
+	// Final-interval tails back near the healthy baseline after the heal,
+	// judged on enough answers that the p99 is not the second-slowest.
+	last := s.Intervals[len(s.Intervals)-1]
+	if last.Completed < smokeWindow {
+		t.Fatalf("the final interval holds %d answers, want at least %d", last.Completed, smokeWindow)
 	}
-	// Final-interval tails back near the healthy baseline after the heal.
 	if !s.Recovered {
 		t.Fatalf("tail latency never recovered after heal: baseline p99 %.2fms, final %.2fms", s.BaselineP99Ms, s.FinalP99Ms)
+	}
+	// The fronts route around the faulted master, so its tail never shows
+	// the faults; its share does. After the heal it wins back at least half
+	// of an even share.
+	if share := slices.Min(last.MasterShare); share < 0.5/float64(s.Pairs) {
+		t.Fatalf("a master serves %.3f of the final interval's requests after the heal, want at least %.3f", share, 0.5/float64(s.Pairs))
 	}
 }
 

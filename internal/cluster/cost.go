@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,14 +10,13 @@ import (
 
 // peerCost is a peer's one cost estimate (DESIGN.md §6), fed by emitAttempt
 // once per successful attempt. A front's pick reads the mean of the recent
-// whole-query round trips, the hedge timer their p95, and the split planner
-// the link fit (wire bytes → network seconds) and the compute fit (FLOPs →
-// compute seconds). The window holds whole queries only — a split tail
-// carries another byte and FLOP mix — while the fits take both. The stamp
-// dates the newest sample or strike (a failure), and the one exploration
-// rule reads it (age). The first sample after a claim of a stale estimate or
-// after a strike restarts the window, so an outlier from before cannot
-// outlive it.
+// whole-query round trips, and the split planner the link fit (wire bytes →
+// network seconds) and the compute fit (FLOPs → compute seconds). The window
+// holds whole queries only — a split tail carries another byte and FLOP mix —
+// while the fits take both. The stamp dates the newest sample or strike (a
+// failure), and the one exploration rule reads it (age). The first sample
+// after a claim of a stale estimate or after a strike restarts the window, so
+// an outlier from before cannot outlive it.
 type peerCost struct {
 	mu            sync.Mutex
 	rtts          [costWindow]time.Duration // ring of the recent whole-query round trips
@@ -30,8 +27,8 @@ type peerCost struct {
 	struck        atomic.Bool // the newest evidence is a failure
 }
 
-// costWindow is how many recent whole-query round trips the mean and the
-// p95 read: a slowed peer's estimate follows within one window.
+// costWindow is how many recent whole-query round trips the mean reads: a
+// slowed peer's estimate follows within one window.
 const costWindow = 20
 
 // costHorizon is how long evidence about a peer stays fresh, however much
@@ -102,17 +99,4 @@ func (c *peerCost) mean() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sum / time.Duration(max(min(c.n, costWindow), 1))
-}
-
-// quantile is the q-quantile (nearest rank) of the recent round trips, and
-// how many there are.
-func (c *peerCost) quantile(q float64) (time.Duration, int) {
-	c.mu.Lock()
-	rtts, n := c.rtts, min(c.n, costWindow)
-	c.mu.Unlock()
-	if n == 0 {
-		return 0, 0
-	}
-	slices.Sort(rtts[:n])
-	return rtts[int(math.Ceil(q*float64(n)))-1], n
 }

@@ -14,7 +14,7 @@ import (
 // A front is the master of a gateway that serves no team of its own: its
 // peers are masters, joined with Connect and left with Disconnect, and its
 // Do forwards each Request unchanged to one of them through peerConn.do, so
-// the hop has the breaker, probes, retries, hedge and retry budget a
+// the hop has the breaker, probes, retries and retry budget a
 // worker's has (DESIGN.md §12). The pick is the available peer with the
 // least (round trips in flight on its link + 1) × its mean recent round
 // trip, an unmeasured peer scored at the fastest measured one's; a peer

@@ -40,7 +40,6 @@ type Master struct {
 	tracer  atomic.Pointer[trace.Tracer] // nil = no span collection
 	timeout atomic.Int64                 // per-round-trip deadline in ns; 0 = none
 	sup     atomic.Pointer[SupervisorConfig]
-	hedge   atomic.Bool
 	budget  atomic.Pointer[RetryBudget] // nil = unlimited
 
 	mu        sync.Mutex
@@ -68,7 +67,6 @@ type peerConn struct {
 	closed  bool
 
 	cost peerCost // what a round trip to the peer costs (cost.go)
-	won  age      // the newest duplicate that answered first (hedge.go)
 }
 
 // NewMaster returns a master with an optional local expert, compiled into

@@ -493,8 +493,8 @@ func (p *peerConn) muxAttempts(ctx context.Context, done <-chan struct{}, cfg Su
 	var lastErr error
 	for attempt := 0; attempt <= cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			if !p.allowSpend("retry") {
-				break // budget dry: no speculative traffic during a brownout
+			if !p.allowSpend() {
+				break // budget dry: no retry storm during a brownout
 			}
 			p.counter("retries").Inc()
 			backoffStart := time.Now()

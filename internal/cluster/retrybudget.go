@@ -3,17 +3,17 @@ package cluster
 import "sync"
 
 // Global retry budget: the anti-retry-storm half of the SLO-defense layer.
-// In-request retries and hedged duplicates are each bounded, but under a
-// brownout they all fire at once across every peer, and the sum is a storm:
-// the sick link gets hammered with exactly the duplicate traffic that keeps
-// it sick. A RetryBudget is one token bucket shared across both: normal
-// request volume deposits a fraction of a token per round trip (~10% by
-// default, the classic retry-budget ratio), every speculative send
-// withdraws a whole token, and when the bucket runs dry the runtime degrades
-// to first-attempt-only traffic instead of amplifying the overload. A
-// quarantine probe spends nothing: ProbeBackoff already bounds it to one
-// redial per open peer per backoff step, and the master whose traffic left
-// for other masters is the one whose probes must still run.
+// Each request's retries are bounded, but under a brownout they all fire at
+// once across every peer, and the sum is a storm: the sick link gets
+// hammered with exactly the repeated traffic that keeps it sick. A
+// RetryBudget is one token bucket shared by every peer: normal request
+// volume deposits a fraction of a token per round trip (~10% by default,
+// the classic retry-budget ratio), every retry withdraws a whole token, and
+// when the bucket runs dry the runtime degrades to first-attempt-only
+// traffic instead of amplifying the overload. A quarantine probe spends
+// nothing: ProbeBackoff already bounds it to one redial per open peer per
+// backoff step, and the master whose traffic left for other masters is the
+// one whose probes must still run.
 
 // The budget's tuning. Every first-attempt round trip deposits the ratio a
 // budget was built with (retryBudgetRatio unless NewRetryBudget says
@@ -55,9 +55,9 @@ func (b *RetryBudget) Deposit() {
 	b.tokens = min(b.tokens+b.ratio, b.burst)
 }
 
-// Allow withdraws one token for a speculative send (retry, hedge). It
-// reports false — and withdraws nothing — when the bucket holds less than a
-// whole token: the caller should skip the send.
+// Allow withdraws one token for a retry. It reports false — and withdraws
+// nothing — when the bucket holds less than a whole token: the caller should
+// skip the retry.
 func (b *RetryBudget) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -76,8 +76,8 @@ func (b *RetryBudget) Tokens() float64 {
 }
 
 // SetRetryBudget installs (or, with nil, removes) the master-wide retry
-// budget shared by every peer's retries and hedges. Affects peers connected
-// before and after the call.
+// budget shared by every peer's retries. Affects peers connected before and
+// after the call.
 func (m *Master) SetRetryBudget(b *RetryBudget) { m.budget.Store(b) }
 
 // deposit credits the budget for one first-attempt round trip; nil-safe.
@@ -90,10 +90,9 @@ func (p *peerConn) deposit() {
 	p.budgetGauge(b)
 }
 
-// allowSpend asks the budget for one speculative-send token, counting the
-// refusal under both the shared and the per-kind counter; a missing budget
-// always allows.
-func (p *peerConn) allowSpend(kind string) bool {
+// allowSpend asks the budget for one retry token, counting the refusal under
+// retry_budget.denied; a missing budget always allows.
+func (p *peerConn) allowSpend() bool {
 	b := p.m.budget.Load()
 	if b == nil {
 		return true
@@ -102,7 +101,6 @@ func (p *peerConn) allowSpend(kind string) bool {
 	p.budgetGauge(b)
 	if !ok {
 		p.m.metrics.Counter("retry_budget.denied").Inc()
-		p.m.metrics.Counter("retry_budget.denied." + kind).Inc()
 	}
 	return ok
 }

@@ -19,8 +19,8 @@ import (
 // connected peers — one behind a latency proxy — while one goroutine cycles
 // every setter; each query answers or fails with a peer or ctx error, and the
 // race detector watches the reads. After the last set, queries observe every
-// final value: the installed tracer records the span tree, hedges stop firing,
-// and a dry budget's denials are counted.
+// final value: the installed tracer records the span tree, and a dry budget's
+// denials are counted.
 func TestSettingsReachConnectedPeersUnderTraffic(t *testing.T) {
 	_, fast := snapshotWorker(t, 130, 1)
 	proxy, slow := chaosWorker(t, 131, 2, chaos.Fault{Mode: chaos.Latency, Delay: 2 * time.Millisecond})
@@ -66,7 +66,6 @@ func TestSettingsReachConnectedPeersUnderTraffic(t *testing.T) {
 		sup := fastSupervisor()
 		sup.MaxRetries = i % 3
 		master.SetSupervisor(sup)
-		master.SetHedge(i%2 == 0)
 		if i%2 == 0 {
 			master.SetRetryBudget(NewRetryBudget(0))
 			master.SetTracer(trace.New("cycle", 0))
@@ -90,7 +89,6 @@ func TestSettingsReachConnectedPeersUnderTraffic(t *testing.T) {
 	// routed again, so a quarantined one can probe its way back.
 	tr := trace.New("final", 0)
 	master.SetTracer(tr)
-	master.SetHedge(false)
 	master.SetTimeout(2 * time.Second)
 	master.SetSupervisor(fastSupervisor())
 	master.SetRetryBudget(nil)
@@ -111,22 +109,6 @@ func TestSettingsReachConnectedPeersUnderTraffic(t *testing.T) {
 		}
 	}
 
-	// The slow peer's histogram is warm enough to arm a hedge, and 60 ms is
-	// far past any timer it would seed: with hedging on, these would fire.
-	if n := master.metrics.Histogram("peer." + slow + ".rtt").Count(); n < hedgeMinSamples {
-		t.Fatalf("slow peer has %d rtt samples, want at least %d", n, hedgeMinSamples)
-	}
-	proxy.SetPlan(chaos.Fault{Mode: chaos.Latency, Delay: 60 * time.Millisecond})
-	fired := master.metrics.Counter("hedge.fired").Value()
-	for i := 0; i < 3; i++ {
-		if _, _, err := master.Infer(x); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := master.metrics.Counter("hedge.fired").Value(); got != fired {
-		t.Fatalf("%d hedges fired after SetHedge(false)", got-fired)
-	}
-
 	// A dry budget installed last: the resetting peer's retries are denied
 	// against it, and nothing it funds.
 	dry := newRetryBudget(1e-9, 1)
@@ -134,13 +116,13 @@ func TestSettingsReachConnectedPeersUnderTraffic(t *testing.T) {
 	}
 	master.SetRetryBudget(dry)
 	proxy.SetPlan(chaos.Fault{Mode: chaos.Reset, Prob: 1})
-	denied := master.metrics.Counter("retry_budget.denied.retry").Value()
+	denied := master.metrics.Counter("retry_budget.denied").Value()
 	for i := 0; i < 3; i++ {
 		if _, _, live, err := bestEffort(master, x); err != nil || live != 1 {
 			t.Fatalf("best effort with one resetting peer: live=%d err=%v", live, err)
 		}
 	}
-	if master.metrics.Counter("retry_budget.denied.retry").Value() == denied {
+	if master.metrics.Counter("retry_budget.denied").Value() == denied {
 		t.Fatal("no retry was denied against the dry budget installed last")
 	}
 	if tok := dry.Tokens(); tok >= 1 {

@@ -302,13 +302,12 @@ func (m *Master) finishSplitLocally(snap *nn.Snapshot, act *tensor.Tensor, at in
 
 // doSplit performs one partial-offload round trip on the peer's mux
 // pipeline: attempt under the same outcome accounting as muxAttempts, but a
-// single one. Unlike do it never retries or hedges — the caller holds
-// the activation and can always finish locally, so a failed attempt is
-// better spent there than on speculative wire traffic. A tail feeds the
-// peer's link and compute fits like any round trip, but its "split."-series
-// histograms and its round trip stay out of the whole-query ones and out of
-// the recent window the pick and the hedge timer read: a tail carries
-// another byte and FLOP mix.
+// single one. Unlike do it never retries — the caller holds the activation
+// and can always finish locally, so a failed attempt is better spent there
+// than on a second send. A tail feeds the peer's link and compute fits like
+// any round trip, but its "split."-series histograms and its round trip stay
+// out of the whole-query ones and out of the recent window the pick reads: a
+// tail carries another byte and FLOP mix.
 func (p *peerConn) doSplit(ctx context.Context, q peerQuery, parent trace.Context) (Reply, error) {
 	tr := p.m.Tracer()
 	if !p.available() {

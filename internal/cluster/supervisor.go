@@ -409,13 +409,7 @@ func (p *peerConn) do(ctx context.Context, q peerQuery, parent trace.Context) (R
 	defer stop()
 	sp := tr.Start(parent, "peer "+p.addr)
 	p.deposit() // first-attempt volume funds the shared retry budget
-	var res Reply
-	var err error
-	if delay, hok := p.hedgeDelay(); hok {
-		res, err = p.muxHedged(ctx, cfg, tr, sp.Ctx(), q, delay)
-	} else {
-		res, err = p.muxAttempts(ctx, done, cfg, tr, sp.Ctx(), q)
-	}
+	res, err := p.muxAttempts(ctx, done, cfg, tr, sp.Ctx(), q)
 	sp.EndErr(err)
 	return res, err
 }

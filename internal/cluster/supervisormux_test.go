@@ -163,3 +163,19 @@ func TestBreakerCyclesThroughFlappingProxy(t *testing.T) {
 		}
 	}
 }
+
+// waitForGaugeZero polls a master gauge until it drains or the deadline
+// passes.
+func waitForGaugeZero(t *testing.T, m *Master, name string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		if m.Metrics().Gauge(name).Value() == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("gauge %s stuck at %d", name, m.Metrics().Gauge(name).Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
